@@ -128,11 +128,10 @@ class PolarFields:
 class EMConfiguration:
     """Electromagnetic potentials and derived fields on one grid.
 
-    ``b`` defaults to the curl of ``a_pot`` (3-dimensional grids); supplying
-    ``b`` directly is the standard idealization for uniform or prescribed
-    fields whose vector potential is not represented.  ``u`` is a
-    non-electromagnetic scalar potential entering the color-symmetric part of
-    the knowledge functional.
+    ``b`` defaults to the curl of ``a_pot``; supplying ``b`` directly is the
+    standard idealization for uniform or prescribed fields whose vector
+    potential is not represented.  ``u`` is a non-electromagnetic scalar
+    potential entering the color-symmetric part of the knowledge functional.
     """
 
     grid: Grid
@@ -176,31 +175,12 @@ class EMConfiguration:
             return self.b.values
         if np.all(self.a_pot.values == 0.0):
             return np.zeros(self.grid.shape + (3,))
-        return derived_b(self.a_pot, scheme=scheme).values
+        return curl(self.a_pot, scheme=scheme).values
 
     def u_values(self) -> np.ndarray:
         if self.u is None:
             return np.zeros(self.grid.shape)
         return self.u.values
-
-
-def derived_b(a_pot: VectorField3, scheme: str = CENTRAL) -> VectorField3:
-    """curl of the vector potential; derivatives along axes the grid does not
-    have are zero, so lower-dimensional grids are handled too."""
-    g = a_pot.grid
-    if g.dim == 3:
-        return curl(a_pot, scheme=scheme)
-
-    def d(comp: int, ax: int) -> np.ndarray:
-        if ax >= g.dim:
-            return np.zeros(g.shape)
-        return derive_along(a_pot.values[..., comp], g.spacing[ax], ax, g.boundary, scheme)
-
-    out = np.empty(g.shape + (3,))
-    out[..., 0] = d(2, 1) - d(1, 2)
-    out[..., 1] = d(0, 2) - d(2, 0)
-    out[..., 2] = d(1, 0) - d(0, 1)
-    return VectorField3(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +248,17 @@ def _integrate_stack(integrand: np.ndarray, grid: Grid, tw: np.ndarray):
 
 
 def _fisher_density(
-    p_stack: np.ndarray, theta_stack: np.ndarray | None, grid: Grid, scheme: str
+    p_stack: np.ndarray, grad_p: Sequence[np.ndarray], grad_theta: Sequence[np.ndarray] = ()
 ) -> np.ndarray:
+    """|grad P|^2 / P + |grad theta|^2 P per cell from precomputed gradients;
+    cells below the positivity floor are excluded from the 1/P part."""
     included = p_stack >= POSITIVITY_FLOOR
     safe_p = np.where(included, p_stack, 1.0)
     dens = np.zeros_like(p_stack)
-    for gp in _grad_stack(p_stack, grid, scheme):
+    for gp in grad_p:
         dens += np.where(included, gp * gp / safe_p, 0.0)
-    if theta_stack is not None:
-        for gt in _grad_stack(theta_stack, grid, scheme, angle=True):
-            dens += gt * gt * p_stack
+    for gt in grad_theta:
+        dens += gt * gt * p_stack
     return dens
 
 
@@ -302,13 +283,13 @@ def fisher_continuum(
         mass = integrate(frame)
         if abs(mass - 1.0) > 1e-6:
             raise FunctionalError(f"density must integrate to 1, got {mass}")
-    theta_stack = None
+    grad_theta = ()
     if theta_frames is not None:
         theta_frames = _as_list(theta_frames, ScalarField)
         if len(theta_frames) != len(p_frames):
             raise FunctionalError("P and theta sequences must align")
-        theta_stack = _scalar_stack(theta_frames)
-    dens = _fisher_density(p_stack, theta_stack, grid, scheme)
+        grad_theta = _grad_stack(_scalar_stack(theta_frames), grid, scheme, angle=True)
+    dens = _fisher_density(p_stack, _grad_stack(p_stack, grid, scheme), grad_theta)
     tw = _time_weights(len(p_frames), dt, time_periodic)
     return float(_integrate_stack(dens, grid, tw))
 
@@ -327,13 +308,8 @@ def fisher_joint(
     if len(plus) != len(minus):
         raise FunctionalError("per-color sequences must align")
     grid = plus[0].grid
-    total = np.zeros((len(plus),) + grid.shape)
-    for frames in (plus, minus):
-        stack = _scalar_stack(frames)
-        included = stack >= POSITIVITY_FLOOR
-        safe = np.where(included, stack, 1.0)
-        for gp in _grad_stack(stack, grid, scheme):
-            total += np.where(included, gp * gp / safe, 0.0)
+    stacks = (_scalar_stack(plus), _scalar_stack(minus))
+    total = sum(_fisher_density(stack, _grad_stack(stack, grid, scheme)) for stack in stacks)
     tw = _time_weights(len(plus), dt, time_periodic)
     return float(_integrate_stack(total, grid, tw))
 
@@ -351,7 +327,7 @@ class _PolarStacks:
     s: np.ndarray
     phi: np.ndarray
     mask: np.ndarray
-    dp_dt: np.ndarray
+    tw: np.ndarray
     ds_dt: np.ndarray
     dphi_dt: np.ndarray
     grad_p: list[np.ndarray]
@@ -362,6 +338,31 @@ class _PolarStacks:
     a_pot: np.ndarray
     b: np.ndarray
     u: np.ndarray
+
+
+def _stacks(grid, fields, mask, em, dt, time_periodic, scheme) -> _PolarStacks:
+    """Derivatives, time weights and potential stacks for (frames,) +
+    grid.shape polar arrays, taken as given: no density checks."""
+    p, theta, s, phi = (fields[name] for name in ("p", "theta", "s", "phi"))
+    return _PolarStacks(
+        grid=grid,
+        p=p,
+        theta=theta,
+        s=s,
+        phi=phi,
+        mask=mask,
+        ds_dt=_time_derivative(s, dt, time_periodic, scheme),
+        dphi_dt=_time_derivative(phi, dt, time_periodic, scheme),
+        tw=_time_weights(p.shape[0], dt, time_periodic),
+        grad_p=_grad_stack(p, grid, scheme),
+        grad_theta=_grad_stack(theta, grid, scheme, angle=True),
+        grad_s=_grad_stack(s, grid, scheme),
+        grad_phi=_grad_stack(phi, grid, scheme, angle=True),
+        phi_pot=np.stack([cfg.phi_pot.values for cfg in em]),
+        a_pot=np.stack([cfg.a_pot.values for cfg in em]),
+        b=np.stack([cfg.b_values(scheme) for cfg in em]),
+        u=np.stack([cfg.u_values() for cfg in em]),
+    )
 
 
 def _prepare(polar_frames, em_frames, dt, time_periodic, scheme) -> _PolarStacks:
@@ -375,58 +376,65 @@ def _prepare(polar_frames, em_frames, dt, time_periodic, scheme) -> _PolarStacks
     for fr, cfg in zip(polar, em):
         if fr.grid != grid or cfg.grid != grid:
             raise FunctionalError("all snapshots must share one grid")
-    p = np.stack([fr.p.values for fr in polar])
-    theta = np.stack([fr.theta.values for fr in polar])
-    s = np.stack([fr.s.values for fr in polar])
-    phi = np.stack([fr.phi.values for fr in polar])
-    mask = np.ones_like(p)
+    fields = {
+        name: _scalar_stack([getattr(fr, name) for fr in polar])
+        for name in ("p", "theta", "s", "phi")
+    }
+    mask = np.ones_like(fields["p"])
     for i, fr in enumerate(polar):
         if fr.mask is not None:
             mask[i] = fr.mask.astype(float)
-    return _PolarStacks(
-        grid=grid,
-        p=p,
-        theta=theta,
-        s=s,
-        phi=phi,
-        mask=mask,
-        dp_dt=_time_derivative(p, dt, time_periodic, scheme),
-        ds_dt=_time_derivative(s, dt, time_periodic, scheme),
-        dphi_dt=_time_derivative(phi, dt, time_periodic, scheme),
-        grad_p=_grad_stack(p, grid, scheme),
-        grad_theta=_grad_stack(theta, grid, scheme, angle=True),
-        grad_s=_grad_stack(s, grid, scheme),
-        grad_phi=_grad_stack(phi, grid, scheme, angle=True),
-        phi_pot=np.stack([cfg.phi_pot.values for cfg in em]),
-        a_pot=np.stack([cfg.a_pot.values for cfg in em]),
-        b=np.stack([cfg.b_values(scheme) for cfg in em]),
-        u=np.stack([cfg.u_values() for cfg in em]),
-    )
+    return _stacks(grid, fields, mask, em, dt, time_periodic, scheme)
 
 
-def _moment_dot_b(st: _PolarStacks) -> np.ndarray:
-    sin_t = np.sin(st.theta)
-    return (
-        st.b[..., 0] * sin_t * np.cos(st.phi)
-        + st.b[..., 1] * sin_t * np.sin(st.phi)
-        + st.b[..., 2] * np.cos(st.theta)
-    )
+def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.ndarray]:
+    """Per-cell densities of lam * Fisher + knowledge functional, by term.
 
-
-def _kinetic_groups(st: _PolarStacks, charge: float):
-    """|grad S - qA|^2, |grad phi|^2, and the cross term grad phi.(grad S - qA)."""
+    ``fisher`` is lam times the Fisher density.  The other four are per unit
+    click density and enter weighted by P: the kinetic group
+    (|grad S - qA|^2 + a^2 |grad phi|^2 - 2a cos(theta) grad phi.(grad S - qA)) / 2m,
+    the time group dS/dt - a cos(theta) dphi/dt, the scalar potential
+    q*phi_pot + u, and the moment coupling -a*gamma*(m.B).
+    """
+    q, a = consts.charge, consts.a
     gauge_sq = np.zeros_like(st.p)
     phi_sq = np.zeros_like(st.p)
     cross = np.zeros_like(st.p)
     for ax in range(st.grid.dim):
-        gauge = st.grad_s[ax] - charge * st.a_pot[..., ax]
+        gauge = st.grad_s[ax] - q * st.a_pot[..., ax]
         gauge_sq += gauge * gauge
         phi_sq += st.grad_phi[ax] ** 2
         cross += st.grad_phi[ax] * gauge
     for ax in range(st.grid.dim, 3):
         # gradients along missing axes vanish; the vector potential still acts
-        gauge_sq += (charge * st.a_pot[..., ax]) ** 2
-    return gauge_sq, phi_sq, cross
+        gauge_sq += (q * st.a_pot[..., ax]) ** 2
+    cos_t = np.cos(st.theta)
+    sin_t = np.sin(st.theta)
+    moment_dot_b = (
+        st.b[..., 0] * sin_t * np.cos(st.phi)
+        + st.b[..., 1] * sin_t * np.sin(st.phi)
+        + st.b[..., 2] * cos_t
+    )
+    return {
+        "fisher": consts.lam * _fisher_density(st.p, st.grad_p, st.grad_theta),
+        "kinetic": (gauge_sq + a**2 * phi_sq - 2.0 * a * cos_t * cross) / (2.0 * consts.mass),
+        "time": st.ds_dt - a * cos_t * st.dphi_dt,
+        "potential": q * st.phi_pot + st.u,
+        "moment_coupling": -a * consts.gamma * moment_dot_b,
+    }
+
+
+def _knowledge(terms: dict[str, np.ndarray]) -> np.ndarray:
+    # the summation order shows in the data outputs' last bits: the scalar
+    # potential joins the moment coupling before the other groups
+    return terms["kinetic"] + terms["time"] + (terms["potential"] + terms["moment_coupling"])
+
+
+def _total_value(st: _PolarStacks, consts: PhysicalConstants) -> float:
+    """Integral of lam * Fisher + knowledge functional over the stacks."""
+    terms = _polar_terms(st, consts)
+    integrand = (terms["fisher"] + _knowledge(terms) * st.p) * st.mask
+    return float(_integrate_stack(integrand, st.grid, st.tw))
 
 
 def lambda_functional(
@@ -444,15 +452,8 @@ def lambda_functional(
     -a*gamma*(m.B) with m the unit vector built from (theta, phi).
     """
     st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    m, q, a = consts.mass, consts.charge, consts.a
-    gauge_sq, phi_sq, cross = _kinetic_groups(st, q)
-    cos_t = np.cos(st.theta)
-    kinetic = (gauge_sq + a**2 * phi_sq - 2.0 * a * cos_t * cross) / (2.0 * m)
-    time_part = st.ds_dt - a * cos_t * st.dphi_dt
-    potential = q * st.phi_pot + st.u - a * consts.gamma * _moment_dot_b(st)
-    integrand = (kinetic + time_part + potential) * st.p * st.mask
-    tw = _time_weights(st.p.shape[0], dt, time_periodic)
-    return float(_integrate_stack(integrand, st.grid, tw))
+    integrand = _knowledge(_polar_terms(st, consts)) * st.p * st.mask
+    return float(_integrate_stack(integrand, st.grid, st.tw))
 
 
 def total_functional(
@@ -465,16 +466,7 @@ def total_functional(
 ) -> float:
     """Weighted sum: lam * Fisher information + knowledge functional."""
     st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    fisher = _fisher_density(st.p, st.theta, st.grid, scheme)
-    m, q, a = consts.mass, consts.charge, consts.a
-    gauge_sq, phi_sq, cross = _kinetic_groups(st, q)
-    cos_t = np.cos(st.theta)
-    kinetic = (gauge_sq + a**2 * phi_sq - 2.0 * a * cos_t * cross) / (2.0 * m)
-    time_part = st.ds_dt - a * cos_t * st.dphi_dt
-    potential = q * st.phi_pot + st.u - a * consts.gamma * _moment_dot_b(st)
-    integrand = (consts.lam * fisher + (kinetic + time_part + potential) * st.p) * st.mask
-    tw = _time_weights(st.p.shape[0], dt, time_periodic)
-    return float(_integrate_stack(integrand, st.grid, tw))
+    return _total_value(st, consts)
 
 
 def q_polar(
@@ -487,23 +479,13 @@ def q_polar(
 ) -> float:
     """Quadratic form of the two-component wave equation in polar variables.
 
-    Coefficients are fixed by hbar, mass, and charge.  The optional
-    non-electromagnetic potential u is added to the scalar-potential group so
-    the polar and spinor routes stay comparable whenever u is present.
+    Coefficients are fixed by hbar, mass, and charge: the form is the total
+    functional under the identification.  The optional non-electromagnetic
+    potential u is added to the scalar-potential group so the polar and
+    spinor routes stay comparable whenever u is present.
     """
     st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    hbar, m, q = consts.hbar, consts.mass, consts.charge
-    fisher = _fisher_density(st.p, st.theta, st.grid, scheme)
-    gauge_sq, phi_sq, cross = _kinetic_groups(st, q)
-    cos_t = np.cos(st.theta)
-    kinetic = (gauge_sq + (hbar**2 / 4.0) * phi_sq - hbar * cos_t * cross) / (2.0 * m)
-    time_part = st.ds_dt - (hbar / 2.0) * cos_t * st.dphi_dt
-    potential = q * st.phi_pot + st.u - (q * hbar / (2.0 * m)) * _moment_dot_b(st)
-    integrand = (
-        (hbar**2 / (8.0 * m)) * fisher + (kinetic + time_part + potential) * st.p
-    ) * st.mask
-    tw = _time_weights(st.p.shape[0], dt, time_periodic)
-    return float(_integrate_stack(integrand, st.grid, tw))
+    return _total_value(st, pauli_constants(consts.hbar, consts.mass, consts.charge))
 
 
 def averaged_hj_functional(
@@ -520,17 +502,13 @@ def averaged_hj_functional(
     potentials: per-color motion constraints averaged over the color split,
     written with the half action difference R = a*phi."""
     st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    m, q, a = consts.mass, consts.charge, consts.a
-    gauge_sq, phi_sq, cross = _kinetic_groups(st, q)
-    cos_t = np.cos(st.theta)
-    # R = a*phi: grad R = a grad phi, dR/dt = a dphi/dt
-    kinetic = (gauge_sq + a**2 * phi_sq - 2.0 * a * cos_t * cross) / (2.0 * m)
-    time_part = st.ds_dt - a * cos_t * st.dphi_dt
+    terms = _polar_terms(st, consts)
     v0 = 0.5 * (v_plus.values + v_minus.values)
     v1 = 0.5 * (v_plus.values - v_minus.values)
-    integrand = (kinetic + time_part + v0 + v1 * cos_t) * st.p * st.mask
-    tw = _time_weights(st.p.shape[0], dt, time_periodic)
-    return float(_integrate_stack(integrand, st.grid, tw))
+    integrand = (
+        terms["kinetic"] + terms["time"] + v0 + v1 * np.cos(st.theta)
+    ) * st.p * st.mask
+    return float(_integrate_stack(integrand, st.grid, st.tw))
 
 
 # ---------------------------------------------------------------------------
@@ -690,21 +668,11 @@ def total_functional_breakdown(
 ) -> dict[str, float]:
     """Per-term values of lam * Fisher + knowledge functional, for reporting."""
     st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    tw = _time_weights(st.p.shape[0], dt, time_periodic)
-    m, q, a = consts.mass, consts.charge, consts.a
-    gauge_sq, phi_sq, cross = _kinetic_groups(st, q)
-    cos_t = np.cos(st.theta)
-
-    def part(integrand):
-        return float(_integrate_stack(integrand * st.mask, st.grid, tw))
-
-    fisher = consts.lam * _fisher_density(st.p, st.theta, st.grid, scheme)
     terms = {
-        "fisher": part(fisher),
-        "kinetic": part((gauge_sq + a**2 * phi_sq - 2.0 * a * cos_t * cross) * st.p / (2.0 * m)),
-        "time": part((st.ds_dt - a * cos_t * st.dphi_dt) * st.p),
-        "potential": part((q * st.phi_pot + st.u) * st.p),
-        "moment_coupling": part(-a * consts.gamma * _moment_dot_b(st) * st.p),
+        name: float(_integrate_stack(
+            (dens if name == "fisher" else dens * st.p) * st.mask, st.grid, st.tw
+        ))
+        for name, dens in _polar_terms(st, consts).items()
     }
     terms["total"] = sum(terms.values())
     return terms
@@ -753,8 +721,10 @@ def equivalence_residual(
     on the same fields, and cross-check the spinor route on the mapped
     wavefunction."""
     _check_identification(consts)
-    qp = q_polar(polar_frames, em_frames, consts, dt, time_periodic, scheme)
-    tot = total_functional(polar_frames, em_frames, consts, dt, time_periodic, scheme)
+    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
+    qp = _total_value(st, pauli_constants(consts.hbar, consts.mass, consts.charge))
+    tot = _total_value(st, consts)
+    del st  # the spinor route allocates its own stacks; do not hold both
     polar = _as_list(polar_frames, PolarFields)
     spinors = [spinor_from_polar(fr, consts) for fr in polar]
     qs = q_spinor(spinors, em_frames, consts, dt, time_periodic, scheme)
@@ -820,7 +790,7 @@ def stationarity_residual_static(
 
     r_phase = dr_dt - d_coupling_dz
     r_tilt = dz_dt + d_coupling_dr
-    r_density = st.s * st.dp_dt
+    r_density = st.s * _time_derivative(st.p, dt, time_periodic, CENTRAL)
     r_action = st.ds_dt - z * dr_dt + coupling
 
     def norm(arr):
@@ -943,7 +913,7 @@ def random_smooth_configuration(
         )
         a_vals = np.stack([a_comp[c][i] for c in range(3)], axis=-1)
         a_field = VectorField3(grid, a_vals)
-        b_field = derived_b(a_field, scheme=SPECTRAL)
+        b_field = curl(a_field, scheme=SPECTRAL)
         em_frames.append(
             EMConfiguration(
                 grid,

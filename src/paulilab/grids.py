@@ -141,8 +141,7 @@ class VectorField3:
     """Real 3-vector per lattice cell.
 
     The three components are carried on grids of any dimension; derivatives
-    along axes the grid does not have are structurally zero.  curl requires a
-    3-dimensional grid.
+    along axes the grid does not have are structurally zero.
     """
 
     grid: Grid
@@ -348,11 +347,13 @@ def divergence(v: VectorField3, scheme: str = CENTRAL) -> ScalarField:
 
 
 def curl(v: VectorField3, scheme: str = CENTRAL) -> VectorField3:
+    """Curl on a grid of any dimension; derivatives along axes the grid does
+    not have are zero."""
     g = v.grid
-    if g.dim != 3:
-        raise GridError("curl requires a 3-dimensional grid")
 
     def d(comp: int, ax: int) -> np.ndarray:
+        if ax >= g.dim:
+            return np.zeros(g.shape)
         return derive_along(v.values[..., comp], g.spacing[ax], ax, g.boundary, scheme)
 
     out = np.empty(g.shape + (3,))
@@ -408,31 +409,3 @@ def normalize(f: ScalarField) -> ScalarField:
     if mass <= 0:
         raise GridError(f"normalize requires positive mass, got {mass}")
     return ScalarField(f.grid, f.values / mass)
-
-
-def random_band_limited(
-    grid: Grid, rng: np.random.Generator, max_mode: int, amplitude: float
-) -> np.ndarray:
-    """Zero-mean random field with Fourier content only in |k_i| <= max_mode.
-
-    Periodic grids only.  The field is scaled so its max-abs equals
-    ``amplitude``; it is analytic, which keeps spectral-derivative error at
-    round-off for these tests.
-    """
-    if grid.boundary != PERIODIC:
-        raise GridError("random_band_limited requires a periodic grid")
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    ranges = [
-        np.r_[0 : max_mode + 1, n - max_mode : n] if n > 2 * max_mode else np.arange(n)
-        for n in grid.shape
-    ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    idx = tuple(m.ravel() for m in mesh)
-    vals = rng.normal(size=len(idx[0])) + 1j * rng.normal(size=len(idx[0]))
-    spec[idx] = vals
-    field = np.fft.ifftn(spec).real
-    field -= field.mean()
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        field *= amplitude / peak
-    return field

@@ -1,17 +1,20 @@
 """Scenario documents: JSON in, validated runs out.
 
 A scenario is a single JSON object selecting one named pipeline and its
-parameters.  Parsing validates against a per-kind schema and reports every
-violation at once; running executes the mapped modules, writes the data
-outputs atomically, and returns a report with one record per executed check.
-All data outputs are byte-deterministic for a fixed (scenario, seed,
-version); the report carries the wall time and is the one timing-dependent
-artifact.
+parameters.  Parsing validates types, ranges and choices against a per-kind
+schema and reports every violation at once; running executes the mapped
+modules, writes the data outputs atomically, and returns a report with one
+record per executed check.  Data outputs are byte-deterministic for a fixed
+(scenario, seed, version), with one exception: ``verify_all``'s
+``verification.csv`` carries the measured values of the two runtime gates,
+``box.runtime_seconds`` and ``equivalence.runtime_seconds``.  The report
+carries the wall time and is timing-dependent as well.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import __version__, classical, fieldio, functionals, inference, pauli, variational, verification
 from .functionals import EMConfiguration, pauli_constants
-from .grids import DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid, ScalarField, VectorField3
+from .grids import DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid, ScalarField, SpinorField, VectorField3
 from .verification import CheckRecord, check_in, check_leq, check_true
 
 
@@ -34,65 +37,90 @@ class ScenarioError(ValueError):
 
 REQUIRED = object()
 
+# A rule is (op, limit) or (op, limit, setups): a range such as (">", 0), or
+# ("in", choices).  With setups it applies only when the kind's "setup"
+# parameter takes one of those values.
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne, "in": lambda v, c: v in c}
+
+
+def _rule_text(rule) -> str:
+    op, limit, *setups = rule
+    text = "one of " + " | ".join(limit) if op == "in" else f"{op} {limit:g}"
+    return text + "".join(f" when setup is {' | '.join(s)}" for s in setups)
+
+
+def _admits(rule, value, setup) -> bool:
+    op, limit, *setups = rule
+    return any(setup not in s for s in setups) or _OPERATORS[op](value, limit)
+
+
+_POSITIVE = (">", 0)
+_NONNEGATIVE = (">=", 0)
+_COUNT = (">=", 1)
+_PACKETS = ("free_packet", "uniform_field")
+
 _COMMON_CONSTANTS = {
-    "hbar": (float, 1.0, "Planck constant over 2 pi"),
-    "mass": (float, 1.0, "particle mass"),
+    "hbar": (float, 1.0, "Planck constant over 2 pi", _POSITIVE),
+    "mass": (float, 1.0, "particle mass", _POSITIVE),
     "charge": (float, 1.0, "particle charge"),
 }
 
+# name -> (type, default, help[, rule])
 SCHEMAS: dict[str, dict[str, tuple]] = {
     "sample": {
-        "cells": (int, 160, "voxels per axis"),
-        "sigma": (float, 10.0, "table width in lattice spacings"),
-        "slices": (int, 2, "time slices"),
+        "cells": (int, 160, "voxels per axis", (">=", 2)),
+        "sigma": (float, 10.0, "table width in lattice spacings", _POSITIVE),
+        "slices": (int, 2, "time slices", _COUNT),
         "color_angle": (float, 0.6, "color split angle"),
-        "repetitions": (int, 10**6, "events per slice"),
+        "repetitions": (int, 10**6, "events per slice", _NONNEGATIVE),
     },
     "evidence": {
-        "cells": (int, 200, "voxels per axis"),
-        "repetitions": (int, 10**6, "events per slice"),
+        "cells": (int, 200, "voxels per axis", (">=", 4)),
+        "repetitions": (int, 10**6, "events per slice", _COUNT),
         "shift": (list, [0.25, 0.0, 0.0], "position shift in lattice spacings"),
     },
     "fisher_discrete": {
-        "cells": (int, 256, "voxels per axis"),
-        "sigma": (float, 10.0, "table width in lattice spacings"),
-        "slices": (int, 1, "time slices"),
+        "cells": (int, 256, "voxels per axis", (">=", 3)),
+        "sigma": (float, 10.0, "table width in lattice spacings", _POSITIVE),
+        "slices": (int, 1, "time slices", _COUNT),
     },
     "box_minimize": {
-        "cells": (int, 512, "lattice points"),
-        "length": (float, 1.0, "box length"),
+        "cells": (int, 512, "lattice points", (">=", 3)),
+        "length": (float, 1.0, "box length", _POSITIVE),
         "modes": (int, 3, "stationary modes to scan"),
-        "multistarts": (int, 8, "random starts"),
-        "grad_tol": (float, 1e-6, "projected-gradient tolerance"),
-        "max_iterations": (int, 20000, "iteration cap"),
+        "multistarts": (int, 8, "random starts", _COUNT),
+        "grad_tol": (float, 1e-6, "projected-gradient tolerance", _POSITIVE),
+        "max_iterations": (int, 20000, "iteration cap", _COUNT),
     },
     "equivalence": {
-        "cells": (int, 24, "points per axis (3-d)"),
-        "frames": (int, 12, "time snapshots"),
-        "sets": (int, 20, "random field sets"),
+        "cells": (int, 24, "points per axis (3-d)", (">=", 3)),
+        "frames": (int, 12, "time snapshots", (">=", 3)),
+        "sets": (int, 20, "random field sets", _COUNT),
         "max_mode": (int, 1, "band limit"),
         "amplitude": (float, 0.15, "field amplitude"),
         **_COMMON_CONSTANTS,
     },
     "pauli_evolve": {
-        "setup": (str, "larmor", "larmor | free_packet | uniform_field"),
-        "cells": (int, 1024, "lattice points"),
-        "extent": (float, 60.0, "box length"),
-        "periods": (float, 10.0, "precession periods (larmor)"),
-        "t_final": (float, 6.0, "duration (packet setups)"),
-        "steps": (int, 1000, "time steps"),
-        "scheme": (str, "split_operator", "split_operator | crank_nicolson"),
-        "bz": (float, 1.3, "axial field"),
-        "gamma_energy": (float, 0.8, "moment coupling, energy per field"),
-        "sigma": (float, 1.5, "packet width"),
-        "e0": (float, 0.2, "electric field (uniform_field)"),
-        "record_every": (int, 10, "recording stride"),
+        "setup": (str, "larmor", "initial state and field", ("in", ("larmor",) + _PACKETS)),
+        "cells": (int, 1024, "lattice points", (">=", 1, _PACKETS)),
+        "extent": (float, 60.0, "box length", (">", 0, _PACKETS)),
+        "periods": (float, 10.0, "precession periods (larmor)", (">", 0, ("larmor",))),
+        "t_final": (float, 6.0, "duration (packet setups)", (">", 0, _PACKETS)),
+        "steps": (int, 1000, "time steps", _COUNT),
+        "scheme": (str, "split_operator", "propagator",
+                   ("in", ("split_operator", "crank_nicolson"))),
+        "bz": (float, 1.3, "axial field", (">", 0, ("larmor",))),
+        "gamma_energy": (float, 0.8, "moment coupling, energy per field", (">", 0, ("larmor",))),
+        "sigma": (float, 1.5, "packet width", (">", 0, _PACKETS)),
+        "e0": (float, 0.2, "electric field (uniform_field)", ("!=", 0, ("uniform_field",))),
+        "record_every": (int, 10, "recording stride", _COUNT),
         **_COMMON_CONSTANTS,
+        "charge": (float, 1.0, "particle charge", ("!=", 0, ("uniform_field",))),
     },
     "stern_gerlach": {
-        "extent": (float, 60.0, "beam axis length"),
-        "cells": (int, 768, "lattice points"),
-        "sigma": (float, 2.0, "packet width"),
+        "extent": (float, 60.0, "beam axis length", _POSITIVE),
+        "cells": (int, 768, "lattice points", _COUNT),
+        "sigma": (float, 2.0, "packet width", _POSITIVE),
         "center": (float, 30.0, "packet center"),
         "velocity": (float, 0.0, "packet velocity"),
         "spin_up_weight": (float, 1.0, "first color amplitude"),
@@ -100,9 +128,9 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "field_gradient": (float, REQUIRED, "axial field gradient dBz/dz"),
         "field_offset": (float, 0.5, "axial field at z=0"),
         "gamma_energy": (float, 1.0, "moment coupling, energy per field"),
-        "dt": (float, 0.01, "time step"),
-        "t_final": (float, 10.0, "flight time"),
-        "record_every": (int, 50, "recording stride"),
+        "dt": (float, 0.01, "time step", _POSITIVE),
+        "t_final": (float, 10.0, "flight time", _POSITIVE),
+        "record_every": (int, 50, "recording stride", _COUNT),
         **_COMMON_CONSTANTS,
     },
     "moment": {
@@ -110,19 +138,19 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "gamma": (float, 1.7, "angular rate per field"),
         "phi0": (float, 0.7, "initial azimuth"),
         "z0": (float, 0.35, "initial cos(theta)"),
-        "t_final": (float, 2.0, "duration"),
-        "dt": (float, 1e-3, "time step"),
+        "t_final": (float, 2.0, "duration", _NONNEGATIVE),
+        "dt": (float, 1e-3, "time step", _POSITIVE),
     },
     "lorentz": {
-        "setup": (str, "uniform_b", "uniform_e | uniform_b"),
+        "setup": (str, "uniform_b", "field configuration", ("in", ("uniform_e", "uniform_b"))),
         "e0": (float, 0.5, "electric field (uniform_e)"),
-        "bz": (float, 1.0, "magnetic field (uniform_b)"),
-        "charge": (float, 1.0, "particle charge"),
-        "mass": (float, 1.0, "particle mass"),
-        "speed": (float, 0.5, "initial speed"),
-        "turns": (float, 10.0, "cyclotron turns (uniform_b)"),
-        "t_final": (float, 2.0, "duration (uniform_e)"),
-        "steps_per_turn": (int, 300, "resolution"),
+        "bz": (float, 1.0, "magnetic field (uniform_b)", (">", 0, ("uniform_b",))),
+        "charge": (float, 1.0, "particle charge", ("!=", 0, ("uniform_b",))),
+        "mass": (float, 1.0, "particle mass", _POSITIVE),
+        "speed": (float, 0.5, "initial speed", (">", 0, ("uniform_b",))),
+        "turns": (float, 10.0, "cyclotron turns (uniform_b)", (">=", 0, ("uniform_b",))),
+        "t_final": (float, 2.0, "duration (uniform_e)", (">=", 0, ("uniform_e",))),
+        "steps_per_turn": (int, 300, "resolution", (">=", 1, ("uniform_b",))),
     },
     "verify_all": {
         "fast": (bool, True, "reduced resolution"),
@@ -183,9 +211,10 @@ def schema_text(kind: str) -> str:
     if kind not in SCHEMAS:
         raise ScenarioError([f"unknown kind {kind!r}; choose from {sorted(SCHEMAS)}"])
     lines = [f"parameters for kind {kind!r}:"]
-    for name, (typ, default, help_text) in sorted(SCHEMAS[kind].items()):
+    for name, (typ, default, help_text, *rule) in sorted(SCHEMAS[kind].items()):
         default_text = "REQUIRED" if default is REQUIRED else repr(default)
-        lines.append(f"  {name} ({typ.__name__}, default {default_text}): {help_text}")
+        rule_text = "".join(f", {_rule_text(r)}" for r in rule)
+        lines.append(f"  {name} ({typ.__name__}, default {default_text}{rule_text}): {help_text}")
     return "\n".join(lines)
 
 
@@ -207,7 +236,7 @@ def parse_scenario(document: str) -> Scenario:
         violations.append("parameters must be an object")
         raw = {}
     params: dict = {}
-    for name, (typ, default, _help) in schema.items():
+    for name, (typ, default, _help, *_rule) in schema.items():
         if name in raw:
             value = raw[name]
             if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -229,6 +258,11 @@ def parse_scenario(document: str) -> Scenario:
     for name in raw:
         if name not in schema:
             violations.append(f"unknown parameter {name!r} for kind {kind!r}")
+    for name, (_typ, _default, _help, *rule) in schema.items():
+        if rule and name in params and not _admits(rule[0], params[name], params.get("setup")):
+            violations.append(
+                f"parameter {name!r} must be {_rule_text(rule[0])}, got {params[name]!r}"
+            )
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         violations.append("seed must be an integer")
@@ -415,11 +449,11 @@ def _run_pauli_evolve(scenario: Scenario, out):
         dt = period / p["steps"]
         vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
         vals[:] = np.array([1.0, 1.0]) / np.sqrt(2.0 * grid.extents[0])
-        em = _uniform_bz_em(grid, p["bz"])
+        em = verification._uniform_b_em(grid, p["bz"])
         config = pauli.SolverConfig(scheme, dt, consts, em, neutral=True,
                                     gamma_energy=p["gamma_energy"])
         traj = pauli.evolve(
-            pauli.PauliState(_spinor(grid, vals)), config, p["periods"] * period,
+            pauli.PauliState(SpinorField(grid, vals)), config, p["periods"] * period,
             record_every=p["record_every"],
         )
         measured = verification._zero_crossing_frequency(traj.times, traj.spins[:, 0])
@@ -451,7 +485,7 @@ def _run_pauli_evolve(scenario: Scenario, out):
             consts.hbar * p["t_final"] / (2 * consts.mass * p["sigma"])
         ) ** 2
         checks.append(check_leq("pauli.spreading_rel_error", abs(width_sq - expect) / expect, 5e-3))
-    elif p["setup"] == "uniform_field":
+    else:  # uniform_field
         grid = Grid((p["extent"],), (p["cells"],), PERIODIC)
         x = grid.axis_coordinates(0)
         em = EMConfiguration(grid, ScalarField(grid, -p["e0"] * x), VectorField3.zero(grid))
@@ -468,27 +502,10 @@ def _run_pauli_evolve(scenario: Scenario, out):
                 1e-3,
             )
         )
-    else:
-        raise ScenarioError([f"unknown setup {p['setup']!r}"])
     checks.append(check_leq("pauli.norm_drift", float(np.max(np.abs(traj.norms - 1.0))), 1e-10))
     path = out("trajectory.csv")
     fieldio.write_pauli_trajectory_csv(path, traj)
     return checks, [path] + extra_outputs
-
-
-def _uniform_bz_em(grid, bz):
-    vals = np.zeros(grid.shape + (3,))
-    vals[..., 2] = bz
-    return EMConfiguration(
-        grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
-        b=VectorField3(grid, vals),
-    )
-
-
-def _spinor(grid, vals):
-    from .grids import SpinorField
-
-    return SpinorField(grid, vals)
 
 
 def _run_stern_gerlach(scenario: Scenario, out):
@@ -582,11 +599,7 @@ def _run_lorentz(scenario: Scenario, out):
         period = 2 * np.pi * m / (abs(q) * bz)
         extent = max(8.0, 6 * radius)
         g = Grid((extent,) * 3, (9,) * 3, DIRICHLET_ZERO)
-        b_vals = np.zeros(g.shape + (3,))
-        b_vals[..., 2] = bz
-        em = EMConfiguration(
-            g, ScalarField.full(g, 0.0), VectorField3.zero(g), b=VectorField3(g, b_vals)
-        )
+        em = verification._uniform_b_em(g, bz)
         center = np.full(3, extent / 2)
         state = classical.ChargedParticleState(
             center + np.array([radius, 0, 0]), (0.0, -p["speed"], 0.0)
@@ -602,7 +615,7 @@ def _run_lorentz(scenario: Scenario, out):
             check_leq("lorentz.speed_rel_drift",
                       float(np.max(np.abs(speeds - p["speed"]))) / p["speed"], 1e-6),
         ]
-    elif p["setup"] == "uniform_e":
+    else:  # uniform_e
         e0 = p["e0"]
         extent = 50.0
         g = Grid((extent,) * 3, (11,) * 3, DIRICHLET_ZERO)
@@ -622,8 +635,6 @@ def _run_lorentz(scenario: Scenario, out):
                 1e-8 * max(1.0, float(np.max(np.abs(exact)))),
             )
         ]
-    else:
-        raise ScenarioError([f"unknown setup {p['setup']!r}"])
     path = out("particle.csv")
     fieldio.write_particle_trajectory_csv(path, traj)
     return checks, [path]

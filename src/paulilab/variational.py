@@ -16,12 +16,20 @@ renormalization and positivity by clipping at the floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .functionals import EMConfiguration, PhysicalConstants, natural_constants
+from .functionals import (
+    EMConfiguration,
+    PhysicalConstants,
+    _knowledge,
+    _polar_terms,
+    _stacks,
+    _total_value,
+    natural_constants,
+)
 from .grids import (
     CENTRAL,
     DIRICHLET_ZERO,
@@ -29,9 +37,8 @@ from .grids import (
     POSITIVITY_FLOOR,
     Grid,
     ScalarField,
-    derive_along,
+    VectorField3,
     derive_along_adjoint,
-    phase_derive_along,
     quadrature_weights,
 )
 
@@ -182,69 +189,46 @@ class TotalObjective:
     def __init__(self, grid: Grid, em: EMConfiguration, consts: PhysicalConstants,
                  scheme: str = CENTRAL):
         self.grid = grid
-        self.em = em
+        # resolve B = curl(A) once rather than on every evaluation
+        self.em = replace(em, b=VectorField3(grid, em.b_values(scheme)))
         self.consts = consts
         self.scheme = scheme
         self.w = quadrature_weights(grid)
-        self.b = em.b_values(scheme)
-        self.v0 = consts.charge * em.phi_pot.values + em.u_values()
-
-    def _derive(self, arr, ax, angle=False):
-        g = self.grid
-        if angle and self.scheme == CENTRAL:
-            return phase_derive_along(arr, g.spacing[ax], ax, g.boundary)
-        return derive_along(arr, g.spacing[ax], ax, g.boundary, self.scheme)
 
     def _adjoint(self, arr, ax):
+        # arrays carry the one-frame axis of the stacks in front
         g = self.grid
-        return derive_along_adjoint(arr, g.spacing[ax], ax, g.boundary, self.scheme)
+        return derive_along_adjoint(arr, g.spacing[ax], 1 + ax, g.boundary, self.scheme)
 
-    def _pieces(self, f: dict):
-        g = self.grid
-        c = self.consts
-        p, theta, s, phi = f["p"], f["theta"], f["s"], f["phi"]
-        gp = [self._derive(p, ax) for ax in range(g.dim)]
-        gtheta = [self._derive(theta, ax, angle=True) for ax in range(g.dim)]
-        gs = [self._derive(s, ax) for ax in range(g.dim)]
-        gphi = [self._derive(phi, ax, angle=True) for ax in range(g.dim)]
-        gauge = [gs[ax] - c.charge * self.em.a_pot.values[..., ax] for ax in range(g.dim)]
-        gauge_sq = sum(gg * gg for gg in gauge)
-        for ax in range(g.dim, 3):
-            gauge_sq = gauge_sq + (c.charge * self.em.a_pot.values[..., ax]) ** 2
-        phi_sq = sum(gg * gg for gg in gphi)
-        cross = sum(gphi[ax] * gauge[ax] for ax in range(g.dim))
-        return p, theta, s, phi, gp, gtheta, gs, gphi, gauge, gauge_sq, phi_sq, cross
+    def _frame(self, f: dict):
+        # iterates and finite-difference probes are not normalized, so the
+        # one-frame stack skips the PolarFields checks
+        frame = {name: f[name][None] for name in POLAR_FIELDS}
+        return _stacks(self.grid, frame, np.ones_like(frame["p"]), [self.em], 0.0, False,
+                       self.scheme)
 
     def value(self, f: dict) -> float:
-        c = self.consts
-        p, theta, _, phi, gp, gtheta, _, _, _, gauge_sq, phi_sq, cross = self._pieces(f)
-        included = p >= POSITIVITY_FLOOR
-        safe_p = np.where(included, p, 1.0)
-        fisher = np.where(included, sum(gg * gg for gg in gp) / safe_p, 0.0)
-        fisher = fisher + sum(gg * gg for gg in gtheta) * p
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        kinetic = (gauge_sq + c.a**2 * phi_sq - 2.0 * c.a * cos_t * cross) / (2.0 * c.mass)
-        moment = sin_t * (self.b[..., 0] * np.cos(phi) + self.b[..., 1] * np.sin(phi)) + cos_t * self.b[..., 2]
-        potential = self.v0 - c.a * c.gamma * moment
-        return float(np.sum(self.w * (c.lam * fisher + (kinetic + potential) * p)))
+        return _total_value(self._frame(f), self.consts)
 
     def gradient(self, f: dict) -> dict:
         c = self.consts
         g = self.grid
-        p, theta, _, phi, gp, gtheta, _, gphi, gauge, gauge_sq, phi_sq, cross = self._pieces(f)
+        st = self._frame(f)
+        p, theta, phi, b = st.p, st.theta, st.phi, st.b
+        gp, gtheta, gphi = st.grad_p, st.grad_theta, st.grad_phi
+        gauge = [st.grad_s[ax] - c.charge * st.a_pot[..., ax] for ax in range(g.dim)]
+        cross = sum(gphi[ax] * gauge[ax] for ax in range(g.dim))
         included = p >= POSITIVITY_FLOOR
         safe_p = np.where(included, p, 1.0)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        bx, by, bz = self.b[..., 0], self.b[..., 1], self.b[..., 2]
+        bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
         in_plane = bx * np.cos(phi) + by * np.sin(phi)
-        moment = sin_t * in_plane + cos_t * bz
-        kinetic = (gauge_sq + c.a**2 * phi_sq - 2.0 * c.a * cos_t * cross) / (2.0 * c.mass)
         out: dict[str, np.ndarray] = {}
 
         grad_p = self.w * (
             c.lam * (-np.where(included, sum(gg * gg for gg in gp) / safe_p**2, 0.0)
                      + sum(gg * gg for gg in gtheta))
-            + kinetic + self.v0 - c.a * c.gamma * moment
+            + _knowledge(_polar_terms(st, c))  # the rest of the integrand is linear in P
         )
         for ax in range(g.dim):
             grad_p += self._adjoint(
@@ -260,7 +244,7 @@ class TotalObjective:
             grad_theta += self._adjoint(2.0 * c.lam * self.w * p * gtheta[ax], ax)
         out["theta"] = grad_theta
 
-        grad_s = np.zeros(g.shape)
+        grad_s = np.zeros_like(p)
         for ax in range(g.dim):
             grad_s += self._adjoint(
                 self.w * p * (gauge[ax] - c.a * cos_t * gphi[ax]) / c.mass, ax
@@ -273,7 +257,7 @@ class TotalObjective:
                 self.w * p * (c.a**2 * gphi[ax] - c.a * cos_t * gauge[ax]) / c.mass, ax
             )
         out["phi"] = grad_phi
-        return out
+        return {name: grad[0] for name, grad in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulilab.grids import (
     CENTRAL,
@@ -27,6 +29,7 @@ from paulilab.functionals import (
     fisher_joint,
     lambda_functional,
     natural_constants,
+    pauli_constants,
     polar_from_spinor,
     q_polar,
     q_spinor,
@@ -327,6 +330,22 @@ def test_equivalence_stencil_refinement_second_order():
         errs.append(rep.spinor_abs_residual)
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
+
+
+_unit_range = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hbar=_unit_range, mass=_unit_range,
+       charge=st.one_of(_unit_range, _unit_range.map(lambda q: -q)))
+def test_equivalence_holds_for_any_constants(seed, hbar, mass, charge):
+    # 12 frames: at 8, time resolution alone puts the spinor route near 1e-8
+    consts = pauli_constants(hbar, mass, charge)
+    g = Grid((1.0, 1.0), (32, 32), PERIODIC)
+    polar, em, dt = random_smooth_configuration(g, frames=12, consts=consts, seed=seed)
+    rep = equivalence_residual(polar, em, consts, dt=dt, time_periodic=True, scheme=SPECTRAL)
+    assert rep.rel_residual <= 1e-12
+    assert rep.spinor_rel_residual <= 1e-8
 
 
 def test_global_phase_invariance():

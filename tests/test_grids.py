@@ -80,10 +80,18 @@ def test_curl_linear_field():
     np.testing.assert_allclose(c[interior + (1,)], 0.0, atol=1e-12)
 
 
-def test_curl_requires_dim3():
-    g = Grid((1.0,), (8,))
-    with pytest.raises(GridError):
-        curl(VectorField3.zero(g))
+def test_curl_on_2d_grid_has_zero_z_derivatives():
+    g = Grid((1.0, 1.0), (16, 12))
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=g.shape + (3,))
+    c = curl(VectorField3(g, vals)).values
+
+    def d(comp, ax):
+        return derive_along(vals[..., comp], g.spacing[ax], ax, g.boundary)
+
+    np.testing.assert_array_equal(c[..., 0], d(2, 1))
+    np.testing.assert_array_equal(c[..., 1], -d(2, 0))
+    np.testing.assert_array_equal(c[..., 2], d(1, 0) - d(0, 1))
 
 
 def test_divergence_constant_field():

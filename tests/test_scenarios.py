@@ -141,7 +141,48 @@ def test_cli_schema_and_version(capsys):
     assert cli.main(["schema", "box_minimize"]) == 0
     out = capsys.readouterr().out
     assert "grad_tol" in out
+    assert cli.main(["schema", "pauli_evolve"]) == 0
+    out = capsys.readouterr().out
+    assert "steps (int, default 1000, >= 1)" in out
+    assert "one of split_operator | crank_nicolson" in out
+    assert "> 0 when setup is larmor" in out
     assert cli.main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("kind,parameters,offending", [
+    ("pauli_evolve", {"steps": 0}, "steps"),
+    ("pauli_evolve", {"record_every": 0}, "record_every"),
+    ("pauli_evolve", {"scheme": "rk4"}, "scheme"),
+    ("lorentz", {"setup": "uniform_b", "bz": 0.0}, "bz"),
+    ("stern_gerlach", {"field_gradient": 0.02, "dt": 0.0}, "dt"),
+    ("moment", {"dt": 0.0}, "dt"),
+    ("sample", {"repetitions": -1}, "repetitions"),
+    ("equivalence", {"sets": 0}, "sets"),
+    ("equivalence", {"cells": 2}, "cells"),
+])
+def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"parameter {offending!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_range_errors_are_all_listed(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "pauli_evolve",
+                               "parameters": {"steps": 0, "scheme": "rk4"}}))
+    assert cli.main(["run", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "parameter 'steps' must be >= 1" in err
+    assert "parameter 'scheme' must be one of" in err
+
+
+def test_setup_rules_admit_other_setups(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "lorentz",
+                               "parameters": {"setup": "uniform_e", "bz": 0.0, "t_final": 0.2}}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 0
 
 
 def test_cli_seed_override(tmp_path):
@@ -196,3 +237,51 @@ def test_equivalence_scenario_small(tmp_path):
     report = run(Scenario("equivalence", params, seed=4, output_dir=str(tmp_path)))
     assert report.passed
     assert (tmp_path / "breakdown.csv").exists()
+
+
+def _read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+# Values written by the equivalence runner before the polar functionals shared
+# one integrand; they pin that refactor to round-off.
+@pytest.mark.parametrize("seed,constants,pinned,terms", [
+    (0, {}, (0.5370582134468099, 0.5370582134468099, 0.5370582134805348), {
+        "fisher": 0.06513793202308854,
+        "kinetic": 0.49717213491738166,
+        "moment_coupling": -0.017850939564490118,
+        "potential": -0.004899758847983583,
+        "time": -0.0025011550811864895,
+        "total": 0.5370582134468099,
+    }),
+    (3, {"hbar": 0.7, "mass": 1.9, "charge": -1.3},
+     (0.44412034347456913, 0.44412034347456913, 0.4441203434633656), {
+        "fisher": 0.03326524331906373,
+        "kinetic": 0.35105100953852175,
+        "moment_coupling": 0.006153777335933219,
+        "potential": 0.05247043232474221,
+        "time": 0.0011798809563082942,
+        "total": 0.44412034347456913,
+    }),
+])
+def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
+    params = {"cells": 12, "frames": 8, "sets": 1, **constants}
+    report = run(parse_scenario(json.dumps({
+        "kind": "equivalence", "seed": seed, "parameters": params,
+        "output_dir": str(tmp_path),
+    })))
+    assert report.passed
+    header, rows = _read_csv(tmp_path / "equivalence.csv")
+    assert header == ["seed", "q_polar", "total_functional", "q_spinor", "rel_residual",
+                      "spinor_rel_residual"]
+    (row,) = rows
+    assert int(row[0]) == seed
+    for got, want in zip(row[1:4], pinned):
+        assert float(got) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert float(row[4]) <= 1e-8 and float(row[5]) <= 1e-8
+    header, rows = _read_csv(tmp_path / "breakdown.csv")
+    got_terms = {name: float(value) for name, value in rows}
+    assert sorted(got_terms) == sorted(terms)
+    for name, want in terms.items():
+        assert got_terms[name] == pytest.approx(want, rel=1e-14, abs=0.0)
