@@ -289,6 +289,33 @@ def second_derive_along(
     return out
 
 
+def laplacian_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
+    """Sparse 3-point lattice Laplacian over the C-ordered flattened grid.
+
+    Periodic grids wrap around; dirichlet_zero grids take zero ghost values
+    beyond the lattice, so on the interior cells this is the discrete
+    dirichlet Laplacian.
+    """
+    total = None
+    for ax in range(grid.dim):
+        n = grid.cells[ax]
+        mat = scipy.sparse.diags(
+            [np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1], format="lil"
+        )
+        if grid.boundary == PERIODIC:
+            # added, not set: on one or two cells the wrapped link doubles an
+            # ordinary one
+            mat[0, n - 1] += 1.0
+            mat[n - 1, 0] += 1.0
+        ops = [scipy.sparse.identity(m) for m in grid.cells]
+        ops[ax] = (mat / grid.spacing[ax] ** 2).tocsr()
+        term = ops[0]
+        for op in ops[1:]:
+            term = scipy.sparse.kron(term, op)
+        total = term if total is None else total + term
+    return total.tocsr()
+
+
 def wrap_angle(delta: np.ndarray) -> np.ndarray:
     """Fold angle differences into (-pi, pi]."""
     return delta - 2.0 * np.pi * np.round(delta / (2.0 * np.pi))

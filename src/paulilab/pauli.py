@@ -28,6 +28,7 @@ from .grids import (
     VectorField3,
     derive_along,
     integrate_values,
+    laplacian_matrix,
     quadrature_weights,
     second_derive_along,
 )
@@ -216,33 +217,6 @@ class _SplitOperatorPropagator:
         )
 
 
-def _laplacian_matrix_1d(n: int, h: float, boundary: str) -> scipy.sparse.spmatrix:
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    mat = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    if boundary == PERIODIC:
-        mat[0, n - 1] = 1.0
-        mat[n - 1, 0] = 1.0
-    # dirichlet_zero: ghost values vanish; no edge modification
-    return (mat / h**2).tocsr()
-
-
-def _space_laplacian(grid: Grid) -> scipy.sparse.spmatrix:
-    mats = [
-        _laplacian_matrix_1d(grid.cells[ax], grid.spacing[ax], grid.boundary)
-        for ax in range(grid.dim)
-    ]
-    total = None
-    for ax, m in enumerate(mats):
-        ops = [scipy.sparse.identity(grid.cells[a]) for a in range(grid.dim)]
-        ops[ax] = m
-        term = ops[0]
-        for op in ops[1:]:
-            term = scipy.sparse.kron(term, op)
-        total = term if total is None else total + term
-    return total.tocsr()
-
-
 class _CrankNicolsonPropagator:
     """Unitary Cayley step (I + i dt H / 2 hbar) psi' = (I - i dt H / 2 hbar) psi."""
 
@@ -263,7 +237,7 @@ class _CrankNicolsonPropagator:
                 "the implicit propagator supports zero vector potential only"
             )
         n = grid.size
-        kin = -(consts.hbar**2) / (2.0 * consts.mass) * _space_laplacian(grid)
+        kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
         q = config.kinetic_charge()
         v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(n)
         b = em.b_values(CENTRAL).reshape(n, 3)

@@ -87,7 +87,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "box_minimize": {
         "cells": (int, 512, "lattice points", (">=", 3)),
         "length": (float, 1.0, "box length", _POSITIVE),
-        "modes": (int, 3, "stationary modes to scan"),
+        "modes": (int, 3, "stationary modes to scan", (">=", 1)),
         "multistarts": (int, 8, "random starts", _COUNT),
         "grad_tol": (float, 1e-6, "projected-gradient tolerance", _POSITIVE),
         "max_iterations": (int, 20000, "iteration cap", _COUNT),
@@ -601,8 +601,9 @@ def _run_lorentz(scenario: Scenario, out):
         g = Grid((extent,) * 3, (9,) * 3, DIRICHLET_ZERO)
         em = verification._uniform_b_em(g, bz)
         center = np.full(3, extent / 2)
+        # bz > 0: the orbit turns clockwise for q > 0 and counterclockwise for q < 0
         state = classical.ChargedParticleState(
-            center + np.array([radius, 0, 0]), (0.0, -p["speed"], 0.0)
+            center + np.array([radius, 0, 0]), (0.0, -np.sign(q) * p["speed"], 0.0)
         )
         traj = classical.lorentz_evolve(
             state, em, q, m, p["turns"] * period, period / p["steps_per_turn"]

@@ -4,9 +4,10 @@ The density-only Fisher objective is minimized through the square-root
 substitution: the functional becomes a quadratic form in psi = sqrt(P) built
 from forward differences (the same 3-point family as the grid operators),
 whose discrete stationary points on the dirichlet lattice are exact sine
-modes.  A spectral-projected-gradient loop (Barzilai-Borwein steps with a
-monotone backtracking safeguard) runs on the unit sphere of psi; deflation
-against converged modes yields the excited family.
+modes.  On the unit sphere of psi it is the eigenproblem K psi = rho W psi,
+solved by single-vector LOPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with
+the factored lattice Laplacian as preconditioner; deflation against
+converged modes yields the excited family.
 
 General objectives (the static total functional over a chosen subset of the
 polar fields, or a user-supplied value/gradient pair) run through a projected
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .functionals import (
     EMConfiguration,
@@ -39,6 +42,7 @@ from .grids import (
     ScalarField,
     VectorField3,
     derive_along_adjoint,
+    laplacian_matrix,
     quadrature_weights,
 )
 
@@ -371,17 +375,69 @@ def _retract(psi, w, free, deflate):
     return _normalize_psi(psi, w)
 
 
+@dataclass(frozen=True)
+class _FisherOperator:
+    """The Fisher quadratic form on the free cells and its preconditioner.
+
+    On the sphere sum(w psi^2) = 1 the psi objective is psi^T K psi with
+    K = 4 * cell_volume * (-Laplacian) restricted to the free cells; T = K + eps W
+    is factored once and serves every start and deflated mode of a grid.
+    """
+
+    free: np.ndarray  # flat indices of the free cells
+    stiffness: scipy.sparse.csr_matrix  # K
+    lu: scipy.sparse.linalg.SuperLU  # factor of T
+
+
+def _fisher_operator(grid: Grid) -> _FisherOperator:
+    free = np.flatnonzero(_boundary_mask(grid))
+    stiffness = ((-4.0 * grid.cell_volume) * laplacian_matrix(grid))[free][:, free]
+    # eps is the scale of the lowest continuum modes: it keeps T positive
+    # definite on periodic grids, where K annihilates the constants
+    eps = sum((2.0 * np.pi / extent) ** 2 for extent in grid.extents)
+    w = quadrature_weights(grid).ravel()[free]
+    lu = scipy.sparse.linalg.splu((stiffness + eps * scipy.sparse.diags(w)).tocsc())
+    return _FisherOperator(free, stiffness, lu)
+
+
+def _ritz_basis(columns, w: np.ndarray, modes) -> np.ndarray:
+    """w-orthonormal basis of span(columns) that is w-orthogonal to the
+    (w-orthonormal) deflated modes: Gram-Schmidt, twice, dropping directions
+    that lie numerically inside the span of the earlier ones."""
+    basis = list(modes)
+    for v in columns:
+        size = np.sqrt(float(np.sum(w * v * v)))
+        for _ in range(2):
+            for q in basis:
+                v = v - float(np.sum(w * q * v)) * q
+        norm = np.sqrt(float(np.sum(w * v * v)))
+        if norm > 1e-10 * size:
+            basis.append(v / norm)
+    return np.stack(basis[len(modes):], axis=1)
+
+
 def _sphere_minimize(
     grid: Grid,
+    op: _FisherOperator,
     psi0: np.ndarray,
     deflate: Sequence[np.ndarray],
     grad_tol: float,
     step_tol: float,
     max_iterations: int,
 ):
-    """Barzilai-Borwein projected descent for the quadratic psi objective."""
+    """Locally optimal preconditioned descent (single-vector LOPCG) for the
+    quadratic psi objective.
+
+    Each iteration runs Rayleigh-Ritz over span{psi, T^-1 g, previous step},
+    with g the tangent gradient and T the factored preconditioner.  psi lies
+    in that span, so an accepted value never increases; a candidate above
+    the current value by more than round-off, or a step below ``step_tol``,
+    stops the descent.
+    """
     w = quadrature_weights(grid)
     free = _boundary_mask(grid)
+    wf = w.ravel()[op.free]
+    modes = [mode.ravel()[op.free] for mode in deflate]
     psi = _retract(psi0, w, free, deflate)
 
     def tangent_grad(psi, g):
@@ -397,31 +453,24 @@ def _sphere_minimize(
     grad = tangent_grad(psi, fisher_gradient_psi(psi, grid))
     gnorm = float(np.linalg.norm(grad))
     trace = [(0, value, gnorm)]
-    alpha = 1.0 / max(gnorm, 1.0)
-    prev_psi = None
-    prev_grad = None
+    step: list[np.ndarray] = []
     iterations = 0
     converged = gnorm <= grad_tol
     while not converged and iterations < max_iterations:
-        if prev_psi is not None:
-            dpsi = psi - prev_psi
-            dgrad = grad - prev_grad
-            denom = float(np.sum(dpsi * dgrad))
-            if denom > 0:
-                alpha = float(np.sum(dpsi * dpsi)) / denom
-            alpha = min(max(alpha, 1e-12), 1e12)
-        accepted = False
-        trial_alpha = alpha
-        for _ in range(60):
-            candidate = _retract(psi - trial_alpha * grad, w, free, deflate)
-            cand_value = fisher_value_psi(candidate, grid)
-            if cand_value <= value + 1e-12 * max(1.0, abs(value)):
-                accepted = True
-                break
-            trial_alpha *= 0.5
-        if not accepted or float(np.linalg.norm(candidate - psi)) < step_tol:
+        columns = [psi.ravel()[op.free], op.lu.solve(grad.ravel()[op.free])] + step
+        basis = _ritz_basis(columns, wf, modes)
+        _, ritz_vectors = np.linalg.eigh(basis.T @ (op.stiffness @ basis))
+        coeffs = ritz_vectors[:, 0] * (1.0 if ritz_vectors[0, 0] >= 0 else -1.0)
+        candidate = np.zeros(grid.size)
+        candidate[op.free] = basis @ coeffs
+        candidate = _retract(candidate.reshape(grid.shape), w, free, deflate)
+        cand_value = fisher_value_psi(candidate, grid)
+        if cand_value > value + 1e-12 * max(1.0, abs(value)):
             break
-        prev_psi, prev_grad = psi, grad
+        if float(np.linalg.norm(candidate - psi)) < step_tol:
+            break
+        # the step away from psi, formed without cancellation
+        step = [basis[:, 1:] @ coeffs[1:]]
         psi = candidate
         value = cand_value
         grad = tangent_grad(psi, fisher_gradient_psi(psi, grid))
@@ -454,13 +503,13 @@ def _random_initial_psi(grid: Grid, rng: np.random.Generator) -> np.ndarray:
 
 
 def _minimize_fisher(
-    problem: MinimizationProblem, deflate=()
+    problem: MinimizationProblem, op: _FisherOperator, deflate=()
 ) -> tuple[MinimizationResult, np.ndarray]:
     grid = problem.grid
     if problem.initial is not None:
         psi0 = np.sqrt(np.maximum(np.asarray(problem.initial["p"], dtype=float), 0.0))
         out = _sphere_minimize(
-            grid, psi0, deflate, problem.grad_tol, problem.step_tol, problem.max_iterations
+            grid, op, psi0, deflate, problem.grad_tol, problem.step_tol, problem.max_iterations
         )
         return _fisher_density_result(grid, *out, index=0), out[0]
     best = None
@@ -469,6 +518,7 @@ def _minimize_fisher(
         rng = np.random.default_rng(problem.seed + start)
         out = _sphere_minimize(
             grid,
+            op,
             _random_initial_psi(grid, rng),
             deflate,
             problem.grad_tol,
@@ -590,7 +640,7 @@ def minimize(problem: MinimizationProblem) -> MinimizationResult:
     normalization and positivity constraints after projection.
     """
     if problem.objective == FISHER:
-        return _minimize_fisher(problem)[0]
+        return _minimize_fisher(problem, _fisher_operator(problem.grid))[0]
     return _minimize_generic(problem)
 
 
@@ -604,10 +654,11 @@ def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[tuple[f
         raise VariationalError("mode_count must be positive")
     grid = problem.grid
     w = quadrature_weights(grid)
+    op = _fisher_operator(grid)
     out: list[tuple[float, ScalarField]] = []
     deflate: list[np.ndarray] = []
     for _ in range(mode_count):
-        result, psi = _minimize_fisher(problem, deflate=tuple(deflate))
+        result, psi = _minimize_fisher(problem, op, deflate=tuple(deflate))
         # keep the signed profile: deflation needs the oscillatory modes
         deflate.append(_normalize_psi(psi, w))
         out.append((result.objective_value, ScalarField(grid, result.fields["p"])))

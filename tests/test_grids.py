@@ -20,6 +20,7 @@ from paulilab.grids import (
     gradient,
     integrate,
     laplacian,
+    laplacian_matrix,
     normalize,
     phase_derive_along,
     quadrature_weights,
@@ -78,6 +79,22 @@ def test_curl_linear_field():
     np.testing.assert_allclose(c[interior + (2,)], 2.0, atol=1e-12)
     np.testing.assert_allclose(c[interior + (0,)], 0.0, atol=1e-12)
     np.testing.assert_allclose(c[interior + (1,)], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cells", [(1,), (2,), (5,), (2, 6), (3, 1, 4)])
+def test_periodic_laplacian_matrix_annihilates_constants(cells):
+    # on one or two cells the wrapped link coincides with an ordinary one
+    grid = Grid((1.0,) * len(cells), cells, PERIODIC)
+    np.testing.assert_array_equal(laplacian_matrix(grid) @ np.ones(grid.size), 0.0)
+
+
+def test_periodic_laplacian_matrix_matches_stencil():
+    grid = Grid((1.0, 1.7, 0.8), (5, 6, 4), PERIODIC)
+    f = ScalarField(grid, np.random.default_rng(4).standard_normal(grid.shape))
+    np.testing.assert_allclose(
+        (laplacian_matrix(grid) @ f.values.ravel()).reshape(grid.shape),
+        laplacian(f).values, rtol=1e-12, atol=1e-10,
+    )
 
 
 def test_curl_on_2d_grid_has_zero_z_derivatives():

@@ -159,6 +159,7 @@ def test_cli_schema_and_version(capsys):
     ("sample", {"repetitions": -1}, "repetitions"),
     ("equivalence", {"sets": 0}, "sets"),
     ("equivalence", {"cells": 2}, "cells"),
+    ("box_minimize", {"modes": 0}, "modes"),
 ])
 def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
     doc = tmp_path / "doc.json"
@@ -206,6 +207,7 @@ def test_cli_seed_override(tmp_path):
                       "scheme": "crank_nicolson"}),
     ("lorentz", {"setup": "uniform_e", "t_final": 1.0}),
     ("lorentz", {"setup": "uniform_b", "turns": 2.0}),
+    ("lorentz", {"setup": "uniform_b", "turns": 0.5, "charge": -1.0}),
 ])
 def test_scenario_kinds_pass(tmp_path, kind, extra):
     base = parse_scenario(json.dumps({"kind": kind, "parameters": {}})) if kind != "stern_gerlach" else None

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulilab.functionals import EMConfiguration, natural_constants
 from paulilab.grids import (
@@ -12,6 +15,7 @@ from paulilab.grids import (
     VectorField3,
     quadrature_weights,
 )
+from paulilab import variational
 from paulilab.variational import (
     FISHER,
     TOTAL,
@@ -70,6 +74,29 @@ def test_monotone_descent_trace():
     res = minimize(fisher_problem(grid, multistarts=1))
     objectives = res.trace[:, 1]
     assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       boundary=st.sampled_from([DIRICHLET_ZERO, PERIODIC]), depth=st.integers(0, 2))
+def test_deflated_descent_is_monotone_and_feasible(seed, dim, boundary, depth):
+    rng = np.random.default_rng(seed)
+    low, high = {1: (6, 40), 2: (5, 14), 3: (5, 8)}[dim]
+    grid = Grid(tuple(0.5 + rng.random(dim)), tuple(rng.integers(low, high, dim)), boundary)
+    problem = fisher_problem(grid, multistarts=1, seed=seed)
+    op = variational._fisher_operator(grid)
+    w = quadrature_weights(grid)
+    deflate = []
+    for _ in range(depth + 1):
+        res, psi = variational._minimize_fisher(problem, op, tuple(deflate))
+        objectives = res.trace[:, 1]
+        assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
+        p = res.fields["p"]
+        assert abs(float(np.sum(w * p)) - 1.0) < 1e-8
+        assert np.min(p) >= 0.0
+        if boundary == DIRICHLET_ZERO:
+            assert np.all(p[~variational._boundary_mask(grid)] == 0.0)
+        deflate.append(variational._normalize_psi(psi, w))
 
 
 def test_constraints_hold_at_optimum():
@@ -244,6 +271,26 @@ def test_spectrum_scan_reproduces_mode_family():
     for n, (value, p_field) in enumerate(scan, start=1):
         assert value == pytest.approx((2 * n * np.pi / L) ** 2, rel=0.01)
         assert abs(float(np.sum(quadrature_weights(grid) * p_field.values)) - 1.0) < 1e-8
+
+
+def test_spectrum_scan_matches_discrete_oracle():
+    # K = 4 h (-Laplacian) on the interior and W = h, so the scan values are
+    # the eigenvalues of the interior tridiagonal (8, -4, -4) / h^2
+    grid = box_grid(512)
+    h = grid.spacing[0]
+    interior = grid.cells[0] - 2
+    oracle = scipy.linalg.eigh_tridiagonal(
+        np.full(interior, 8.0 / h**2), np.full(interior - 1, -4.0 / h**2),
+        select="i", select_range=(0, 2), eigvals_only=True,
+    )
+    problem = fisher_problem(grid, multistarts=2, max_iterations=50)
+    res = minimize(problem)
+    assert res.converged
+    assert res.objective_value == pytest.approx(oracle[0], rel=1e-9)
+    # every deflated solve also stops at 50 iterations: a mode that had not
+    # converged by then would miss its eigenvalue
+    values = [value for value, _ in spectrum_scan(problem, 3)]
+    np.testing.assert_allclose(values, oracle, rtol=1e-9)
 
 
 def test_spectrum_scan_single_mode_matches_minimize():
