@@ -4,14 +4,17 @@ The moment integrators use the angular-rate gyromagnetic convention
 (rad/(s*T)); the spherical-chart integrator exhibits the conjugate pair
 (phi, z = cos theta) and refuses the chart's poles, while the vector torque
 integrator is pole-free.  Particle motion follows the force law built from
-the potentials, with grid fields sampled by multilinear interpolation.
+the potentials, with grid fields sampled by a multilinear stencil, not scipy.interpolate.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
+
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .functionals import EMConfiguration, PhysicalConstants
 from .grids import CENTRAL, PERIODIC, Grid, ScalarField, VectorField3, derive_along, gradient
@@ -91,6 +94,12 @@ def _field_at(b, t: float) -> np.ndarray:
     return np.asarray(b, dtype=np.float64).reshape(3)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors by np.cross's formula, so with its bits."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _rk4(state: np.ndarray, t: float, dt: float, rhs) -> np.ndarray:
     k1 = rhs(t, state)
     k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
@@ -140,14 +149,14 @@ def torque_evolve(
         for i in range(1, steps + 1):
             m = (
                 cos_a * m
-                + sin_a * np.cross(axis, m)
+                + sin_a * _cross(axis, m)
                 + (1.0 - cos_a) * axis * np.dot(axis, m)
             )
             out[i] = m
         return MomentTrajectory(times, out)
 
     def rhs(t, m):
-        return gamma * np.cross(m, _field_at(b, t))
+        return gamma * _cross(m, _field_at(b, t))
 
     m = out[0].copy()
     for i in range(1, steps + 1):
@@ -233,47 +242,41 @@ def moment_action(
 # ---------------------------------------------------------------------------
 
 
-def _component_interpolator(grid: Grid, values: np.ndarray):
-    axes = [grid.axis_coordinates(ax) for ax in range(grid.dim)]
-    vals = values
-    if grid.boundary == PERIODIC:
-        # append the wrap point so the interpolation covers [0, L]
-        for ax in range(grid.dim):
-            axes[ax] = np.append(axes[ax], grid.extents[ax])
-            first = np.take(vals, [0], axis=ax)
-            vals = np.concatenate([vals, first], axis=ax)
-    return RegularGridInterpolator(axes, vals, method="linear", bounds_error=True)
-
-
 class _FieldSampler:
-    """Multilinear sampler of force fields over the particle domain."""
+    """Multilinear stencil over the stacked (E, B, grad u) block.  Cell
+    bracketing, corner order, weight products and the +0.0 start of the sum
+    follow scipy's linear RegularGridInterpolator, so it gives the same bits."""
 
     def __init__(self, em: EMConfiguration, scheme: str = CENTRAL):
         g = em.grid
         self.grid = g
         e_vals = em.e.values if em.e is not None else -gradient(em.phi_pot, scheme).values
         b_vals = em.b_values(scheme)
-        grad_u = (
-            gradient(em.u, scheme).values
-            if em.u is not None
-            else np.zeros(g.shape + (3,))
-        )
-        # one interpolator over a stacked (E, B, grad u) value block
+        grad_u = gradient(em.u, scheme).values if em.u is not None else np.zeros(g.shape + (3,))
         block = np.concatenate([e_vals, b_vals, grad_u], axis=-1)
-        self._fields = _component_interpolator(g, block)
+        self._axes = [g.axis_coordinates(ax).tolist() for ax in range(g.dim)]
+        if g.boundary == PERIODIC:
+            # append the wrap point so the stencil covers [0, L]
+            for ax in range(g.dim):
+                self._axes[ax].append(g.extents[ax])
+                block = np.concatenate([block, np.take(block, [0], axis=ax)], axis=ax)
+        self._block = block
 
-    def _wrap(self, x: np.ndarray) -> np.ndarray:
+    def sample(self, x: np.ndarray):
         p = np.asarray(x[: self.grid.dim], dtype=np.float64)
         if self.grid.boundary == PERIODIC:
             p = np.mod(p, np.asarray(self.grid.extents))
-        return p
-
-    def sample(self, x: np.ndarray):
-        p = self._wrap(x)
-        try:
-            vals = self._fields(p)[0]
-        except ValueError as err:
-            raise ClassicalError(f"particle left the grid at x={x}") from err
+        corners = []
+        for c, xs in zip(p.tolist(), self._axes):
+            if not xs[0] <= c <= xs[-1]:
+                raise ClassicalError(f"particle left the grid at x={x}")
+            i = min(bisect.bisect_right(xs, c) - 1, len(xs) - 2)  # upper face: last cell
+            y = (c - xs[i]) / (xs[i + 1] - xs[i])
+            corners.append(((i, 1 - y), (i + 1, y)))
+        vals = 0.0
+        for corner in itertools.product(*corners):
+            index, weights = zip(*corner)
+            vals = vals + self._block[index] * math.prod(weights)
         return vals[0:3], vals[3:6], vals[6:9]
 
 
@@ -299,7 +302,7 @@ def lorentz_evolve(
     def rhs(t, state):
         x, v = state[:3], state[3:]
         e, b, gu = sampler.sample(x)
-        acc = (-gu + charge * e + charge * np.cross(v, b)) / mass
+        acc = (-gu + charge * e + charge * _cross(v, b)) / mass
         return np.concatenate([v, acc])
 
     state = np.concatenate([initial.x, initial.v])

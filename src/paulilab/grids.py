@@ -131,10 +131,6 @@ class ScalarField:
     def full(grid: Grid, value: float) -> "ScalarField":
         return ScalarField(grid, np.full(grid.shape, float(value)))
 
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "ScalarField":
-        return ScalarField(grid, fn(*grid.meshgrid()) * np.ones(grid.shape))
-
 
 @dataclass(frozen=True)
 class VectorField3:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -174,6 +175,8 @@ class _SplitOperatorPropagator:
         consts = config.consts
         # exp(-i (dt/2) (hbar^2 k^2 / 2m) / hbar)
         self._half_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (4.0 * consts.mass))
+        # 1-D transforms, last axis first as np.fft.fftn runs them: its bits, less overhead
+        self._axes = tuple(reversed(range(grid.dim)))
         self._static_cell = None
         if not callable(config.em):
             self._static_cell = self._cell_factors(config.em)
@@ -198,11 +201,16 @@ class _SplitOperatorPropagator:
         u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
         return u11, u12, u21, u22
 
+    def _kinetic(self, psi: np.ndarray) -> np.ndarray:
+        for ax in self._axes:
+            psi = scipy.fft.fft(psi, axis=ax)
+        psi *= self._half_kinetic[..., None]
+        for ax in self._axes:
+            psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
+        return psi
+
     def step(self, psi: np.ndarray, t: float) -> np.ndarray:
-        axes = tuple(range(self.grid.dim))
-        out = np.fft.ifftn(
-            np.fft.fftn(psi, axes=axes) * self._half_kinetic[..., None], axes=axes
-        )
+        out = self._kinetic(psi)
         if self._static_cell is not None:
             u11, u12, u21, u22 = self._static_cell
         else:
@@ -212,9 +220,7 @@ class _SplitOperatorPropagator:
         c0 = u11 * out[..., 0] + u12 * out[..., 1]
         c1 = u21 * out[..., 0] + u22 * out[..., 1]
         out[..., 0], out[..., 1] = c0, c1
-        return np.fft.ifftn(
-            np.fft.fftn(out, axes=axes) * self._half_kinetic[..., None], axes=axes
-        )
+        return self._kinetic(out)
 
 
 class _CrankNicolsonPropagator:
@@ -349,6 +355,11 @@ class PauliTrajectory:
     snapshots: list[PauliState] = field(default_factory=list)
 
 
+def _trajectory(times: list, records: list[Observables], snapshots=()) -> PauliTrajectory:
+    columns = zip(*((o.norm, o.position, o.spin, o.color_masses) for o in records))
+    return PauliTrajectory(np.array(times), *map(np.array, columns), list(snapshots))
+
+
 def evolve(
     initial: PauliState,
     config: SolverConfig,
@@ -363,17 +374,12 @@ def evolve(
     prop = _make_propagator(config, initial.phi.grid)
     psi = initial.phi.values.copy()
     t = initial.t
-    rec_t, rec_norm, rec_pos, rec_spin, rec_mass = [], [], [], [], []
-    snapshots: list[PauliState] = []
+    times, records, snapshots = [], [], []
 
     def record():
         st = PauliState(SpinorField(initial.phi.grid, psi), t)
-        obs = observables(st)
-        rec_t.append(t)
-        rec_norm.append(obs.norm)
-        rec_pos.append(obs.position)
-        rec_spin.append(obs.spin)
-        rec_mass.append(obs.color_masses)
+        times.append(t)
+        records.append(observables(st))
         if keep_snapshots:
             snapshots.append(st)
 
@@ -383,14 +389,7 @@ def evolve(
         t = initial.t + i * config.dt
         if i % record_every == 0 or i == steps:
             record()
-    return PauliTrajectory(
-        np.array(rec_t),
-        np.array(rec_norm),
-        np.array(rec_pos),
-        np.array(rec_spin),
-        np.array(rec_mass),
-        snapshots,
-    )
+    return _trajectory(times, records, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +483,7 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     w = quadrature_weights(grid)
     edge = max(3, config.cells // 64)
 
-    times, centers, separations, overlaps = [], [], [], []
-    rec_t, rec_norm, rec_pos, rec_spin, rec_mass = [], [], [], [], []
+    times, centers, separations, overlaps, records = [], [], [], [], []
 
     def check_boundary(t):
         dens = np.sum(np.abs(psi) ** 2, axis=-1)
@@ -513,26 +511,14 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
         norm1 = rho[0] / masses[0] if masses[0] > 1e-12 else rho[0]
         norm2 = rho[1] / masses[1] if masses[1] > 1e-12 else rho[1]
         overlaps.append(float(np.sum(w * np.sqrt(norm1 * norm2))))
-        st = PauliState(SpinorField(grid, psi), t)
-        obs = observables(st)
-        rec_t.append(t)
-        rec_norm.append(obs.norm)
-        rec_pos.append(obs.position)
-        rec_spin.append(obs.spin)
-        rec_mass.append(obs.color_masses)
+        records.append(observables(PauliState(SpinorField(grid, psi), t)))
 
     record(0.0)
     for i in range(1, steps + 1):
         psi = prop.step(psi, (i - 1) * config.dt)
         if i % config.record_every == 0 or i == steps:
             record(i * config.dt)
-    traj = PauliTrajectory(
-        np.array(rec_t),
-        np.array(rec_norm),
-        np.array(rec_pos),
-        np.array(rec_spin),
-        np.array(rec_mass),
-    )
     return SternGerlachResult(
-        np.array(times), np.array(centers), np.array(separations), np.array(overlaps), traj
+        np.array(times), np.array(centers), np.array(separations), np.array(overlaps),
+        _trajectory(times, records),
     )

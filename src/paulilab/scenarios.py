@@ -40,7 +40,8 @@ REQUIRED = object()
 # A rule is (op, limit) or (op, limit, setups): a range such as (">", 0), or
 # ("in", choices).  With setups it applies only when the kind's "setup"
 # parameter takes one of those values.
-_OPERATORS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne, "in": lambda v, c: v in c}
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne, "in": lambda v, c: v in c,
+              "|x| <=": lambda v, c: abs(v) <= c, "len ==": lambda v, c: len(v) == c}
 
 
 def _rule_text(rule) -> str:
@@ -58,6 +59,7 @@ _POSITIVE = (">", 0)
 _NONNEGATIVE = (">=", 0)
 _COUNT = (">=", 1)
 _PACKETS = ("free_packet", "uniform_field")
+_EVIDENCE_SCALES = (1.0, 0.5, 0.25)  # multiples of the shift the evidence runner takes
 
 _COMMON_CONSTANTS = {
     "hbar": (float, 1.0, "Planck constant over 2 pi", _POSITIVE),
@@ -134,10 +136,10 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         **_COMMON_CONSTANTS,
     },
     "moment": {
-        "b": (list, [0.4, -0.3, 0.85], "static field vector"),
+        "b": (list, [0.4, -0.3, 0.85], "static field vector", ("len ==", 3)),
         "gamma": (float, 1.7, "angular rate per field"),
         "phi0": (float, 0.7, "initial azimuth"),
-        "z0": (float, 0.35, "initial cos(theta)"),
+        "z0": (float, 0.35, "initial cos(theta)", ("|x| <=", 1.0 - classical.POLE_BAND)),
         "t_final": (float, 2.0, "duration", _NONNEGATIVE),
         "dt": (float, 1e-3, "time step", _POSITIVE),
     },
@@ -155,6 +157,33 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "verify_all": {
         "fast": (bool, True, "reduced resolution"),
     },
+}
+
+
+def _evidence_shift_keeps_support(p: dict) -> bool:
+    """The evidence runner's shifts keep its table positive where it has events."""
+    grid, table = verification._skewed_table(p["cells"])
+    data = inference.expected_counts(table, p["repetitions"])
+    try:
+        for scale in _EVIDENCE_SCALES:
+            inference.evidence(table, data, np.array([p["shift"]]) * grid.spacing[0] * scale)
+    except inference.InferenceError:
+        return False
+    return True
+
+
+# kind -> ((text, test), ...): rules that tie parameters together, checked
+# once every parameter has its type and meets its own rule
+JOINT_RULES = {
+    "evidence": (("shift lies along x, and shift, shift/2 and shift/4 keep the table "
+                  "positive on its support (the default shift needs cells >= 96)",
+                  _evidence_shift_keeps_support),),
+    "stern_gerlach": (
+        ("spin_up_weight and spin_down_weight are not both 0",
+         lambda p: p["spin_up_weight"] != 0 or p["spin_down_weight"] != 0),
+        ("gamma_energy != 0 when field_gradient != 0",
+         lambda p: p["gamma_energy"] != 0 or p["field_gradient"] == 0),
+    ),
 }
 
 
@@ -215,6 +244,7 @@ def schema_text(kind: str) -> str:
         default_text = "REQUIRED" if default is REQUIRED else repr(default)
         rule_text = "".join(f", {_rule_text(r)}" for r in rule)
         lines.append(f"  {name} ({typ.__name__}, default {default_text}{rule_text}): {help_text}")
+    lines += [f"  requires: {text}" for text, _test in JOINT_RULES.get(kind, ())]
     return "\n".join(lines)
 
 
@@ -258,11 +288,16 @@ def parse_scenario(document: str) -> Scenario:
     for name in raw:
         if name not in schema:
             violations.append(f"unknown parameter {name!r} for kind {kind!r}")
+    well_formed = len(params) == len(schema)
     for name, (_typ, _default, _help, *rule) in schema.items():
         if rule and name in params and not _admits(rule[0], params[name], params.get("setup")):
             violations.append(
                 f"parameter {name!r} must be {_rule_text(rule[0])}, got {params[name]!r}"
             )
+            well_formed = False
+    if well_formed:
+        violations += [f"parameters must satisfy: {text}"
+                       for text, test in JOINT_RULES.get(kind, ()) if not test(params)]
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         violations.append("seed must be an integer")
@@ -314,7 +349,7 @@ def _run_evidence(scenario: Scenario, out):
     shift = np.array([[float(s) * h for s in p["shift"]]])
     rows = []
     residuals = []
-    for eps_scale in (1.0, 0.5, 0.25):
+    for eps_scale in _EVIDENCE_SCALES:
         ev = inference.evidence(table, data, shift * eps_scale)
         terms = inference.evidence_taylor_terms(table, data, shift * eps_scale)
         resid = abs(ev + terms.second_order_square / 2.0)

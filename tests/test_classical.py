@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
+from paulilab import classical
 from paulilab.classical import (
     ChargedParticleState,
     ClassicalError,
@@ -16,7 +20,7 @@ from paulilab.classical import (
     velocity_field,
 )
 from paulilab.functionals import EMConfiguration, natural_constants
-from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3
+from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3, gradient
 
 CONSTS = natural_constants()
 
@@ -256,6 +260,82 @@ def test_gradient_force_from_u():
     traj = lorentz_evolve(state, em, charge=0.0, mass=2.0, t_final=1.0, dt=1e-3)
     exact_x = 5.0 - 0.5 * (0.7 / 2.0) * traj.times**2
     np.testing.assert_allclose(traj.positions[:, 0], exact_x, atol=1e-10)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _rgi_oracle(em):
+    """The linear RegularGridInterpolator the field sampler replaces."""
+    g = em.grid
+    grad_u = gradient(em.u).values if em.u is not None else np.zeros(g.shape + (3,))
+    block = np.concatenate([em.e.values, em.b_values(), grad_u], axis=-1)
+    axes = [g.axis_coordinates(ax) for ax in range(g.dim)]
+    if g.boundary == PERIODIC:
+        for ax in range(g.dim):
+            axes[ax] = np.append(axes[ax], g.extents[ax])
+            block = np.concatenate([block, np.take(block, [0], axis=ax)], axis=ax)
+    return RegularGridInterpolator(axes, block, method="linear", bounds_error=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       boundary=st.sampled_from([DIRICHLET_ZERO, PERIODIC]), with_u=st.booleans())
+def test_field_sampler_matches_regular_grid_interpolator_bitwise(seed, dim, boundary, with_u):
+    rng = np.random.default_rng(seed)
+    # grad u needs three cells per axis; without u two-cell axes are drawn too
+    cells = rng.integers(3 if with_u else 2, 7, dim)
+    g = Grid(tuple(0.5 + 4 * rng.random(dim)), tuple(cells), boundary)
+    rand = lambda *shape: rng.standard_normal(g.shape + shape) * 10.0 ** rng.integers(-3, 4)
+    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
+                         b=VectorField3(g, rand(3)), e=VectorField3(g, rand(3)),
+                         u=ScalarField(g, rand()) if with_u else None)
+    sampler = classical._FieldSampler(em)
+    oracle = _rgi_oracle(em)
+    tops = np.array([g.axis_coordinates(ax)[-1] for ax in range(dim)])
+    if boundary == PERIODIC:
+        tops = np.array(g.extents)
+    # interior points, lattice points, lower and upper faces and corners
+    points = [rng.random(dim) * tops for _ in range(20)]
+    points += [np.array([rng.choice(g.axis_coordinates(ax)) for ax in range(dim)])
+               for _ in range(10)]
+    points += [np.where(rng.random(dim) < 0.5, 0.0, tops) for _ in range(6)]
+    points += [np.where(rng.random(dim) < 0.5, rng.random(dim) * tops, tops) for _ in range(6)]
+    if boundary == PERIODIC:
+        # whole periods either way, and negative round-off that wraps onto L
+        points += [p + rng.integers(-3, 4, dim) * tops for p in points[:12]]
+        points += [np.full(dim, -1e-300), np.full(dim, -0.0)]
+    for p in points:
+        x = np.zeros(3)
+        x[:dim] = p
+        want = oracle(np.mod(p, tops) if boundary == PERIODIC else p)[0]
+        got = np.concatenate(sampler.sample(x))
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    if boundary == DIRICHLET_ZERO:
+        # just past a face, or not a number: off the grid
+        for ax in range(dim):
+            for bad in (-1e-12, tops[ax] * (1 + 1e-12), np.nan):
+                x = np.zeros(3)
+                x[:dim] = 0.5 * tops
+                x[ax] = bad
+                with pytest.raises(ClassicalError, match="left the grid"):
+                    sampler.sample(x)
+                with pytest.raises(ValueError):
+                    oracle(x[:dim])
+
+
+_FINITE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(_FINITE, min_size=3, max_size=3), b=st.lists(_FINITE, min_size=3, max_size=3))
+@example(a=[0.0, -0.0, 0.0], b=[-0.0, 0.0, -0.0])
+@example(a=[-0.0, 1.0, -0.0], b=[1.0, -0.0, 0.0])
+@example(a=[5e-324, -1e150, 2.5e-308], b=[1e150, 5e-324, -1e-300])
+def test_cross_matches_numpy_bitwise(a, b):
+    a, b = np.array(a), np.array(b)
+    np.testing.assert_array_equal(_bits(classical._cross(a, b)), _bits(np.cross(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Tests for scenario parsing, execution, reports, and the CLI."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,10 @@ def test_cli_schema_and_version(capsys):
     ("equivalence", {"sets": 0}, "sets"),
     ("equivalence", {"cells": 2}, "cells"),
     ("box_minimize", {"modes": 0}, "modes"),
+    ("moment", {"z0": 1.5}, "z0"),
+    ("moment", {"z0": 1.0}, "z0"),
+    ("moment", {"z0": -1.0}, "z0"),
+    ("moment", {"b": [0.0, 1.0]}, "b"),
 ])
 def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
     doc = tmp_path / "doc.json"
@@ -167,6 +175,55 @@ def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
     assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
     assert f"parameter {offending!r} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,parameters,rules", [
+    ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0},
+     ["spin_up_weight and spin_down_weight are not both 0"]),
+    ("stern_gerlach", {"field_gradient": 0.02, "gamma_energy": 0.0},
+     ["gamma_energy != 0 when field_gradient != 0"]),
+    ("stern_gerlach", {"field_gradient": -0.02, "gamma_energy": 0.0, "spin_up_weight": 0.0,
+                       "spin_down_weight": 0.0},
+     ["spin_up_weight and spin_down_weight are not both 0",
+      "gamma_energy != 0 when field_gradient != 0"]),
+    ("evidence", {"cells": 12}, ["shift lies along x"]),
+    ("evidence", {"shift": [1.0, 0.0, 0.0]}, ["shift lies along x"]),
+    ("evidence", {"shift": [0.25, 0.1, 0.0]}, ["shift lies along x"]),
+    ("evidence", {"shift": [0.25, 0.0]}, ["shift lies along x"]),
+])
+def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("parameters must satisfy") == len(rules)
+    for rule in rules:
+        assert f"parameters must satisfy: {rule}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_joint_rules_admit_the_documents_that_run(tmp_path):
+    for kind, parameters in [
+        ("stern_gerlach", {"field_gradient": 0.0, "gamma_energy": 0.0, "cells": 256, "dt": 0.1}),
+        ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "cells": 256,
+                           "dt": 0.1, "t_final": 1.0}),
+        ("evidence", {"cells": 96}),
+        ("evidence", {"shift": [0.25]}),
+    ]:
+        parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
+
+
+def test_cli_schema_prints_joint_rules(capsys):
+    assert cli.main(["schema", "stern_gerlach"]) == 0
+    out = capsys.readouterr().out
+    assert "requires: spin_up_weight and spin_down_weight are not both 0" in out
+    assert "requires: gamma_energy != 0 when field_gradient != 0" in out
+    assert cli.main(["schema", "moment"]) == 0
+    out = capsys.readouterr().out
+    assert "z0 (float, default 0.35, |x| <= 0.999999)" in out
+    assert "b (list, default [0.4, -0.3, 0.85], len == 3)" in out
+    assert cli.main(["schema", "evidence"]) == 0
+    assert "requires: shift lies along x" in capsys.readouterr().out
 
 
 def test_cli_range_errors_are_all_listed(tmp_path, capsys):
@@ -177,6 +234,20 @@ def test_cli_range_errors_are_all_listed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "parameter 'steps' must be >= 1" in err
     assert "parameter 'scheme' must be one of" in err
+
+
+def test_scenarios_import_leaves_scipy_interpolate_out():
+    # the field sampler is a direct stencil; scipy.interpolate costs import
+    # time and memory in every run
+    import paulilab
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paulilab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, paulilab.scenarios; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_setup_rules_admit_other_setups(tmp_path):
@@ -287,3 +358,71 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
     assert sorted(got_terms) == sorted(terms)
     for name, want in terms.items():
         assert got_terms[name] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+# sha256 of every data output and of the check names and values, written by
+# the stepping kernels before they moved off np.fft.fftn,
+# RegularGridInterpolator and np.cross; the kernels must keep every bit.
+# Recorded with numpy 2.4 and scipy 1.17 on x86-64: other builds of the
+# transcendental and FFT kernels may round differently.
+_GOLDEN_DIGESTS = [
+    ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200}, {
+        "trajectory.csv": "5ad1049b310b56129d77349675ca7933d980a53082244baeb06649747a4aea36",
+        "checks": "d3fcc317d710025d8a1f966f32180487755d3efe850c30f49ce3c96894c73374",
+    }),
+    ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200,
+                      "scheme": "crank_nicolson"}, {
+        "trajectory.csv": "89f2c29d85e7d5d6789e9db2ce8db83522c1c587885d0335b3e5a0bdf2ffc0e5",
+        "checks": "1e2cccfa46664db3fd07ed1ddccc317335f2b81ecd730033517570301968b13e",
+    }),
+    ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100}, {
+        "trajectory.csv": "f2b1bf4ddc3b72b15645108bc3cce9b3b41b9856340111258f38e03b83676548",
+        "checks": "569e40e1ac2d2d0e9969f9e7070b3d85d204dcaa2fc3ec0a5e95989a4a2698f3",
+    }),
+    ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100, "t_final": 1.0,
+                      "scheme": "crank_nicolson"}, {
+        "trajectory.csv": "7394e5d16c784924a0af9e618b317cd66b76d0148f605b5e6e6a58a2caac42da",
+        "checks": "962f7770c79a6d66b046ee263b8c162603367fd463793e63781697a38341c234",
+    }),
+    ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100,
+                      "record_every": 20}, {
+        "trajectory.csv": "a1c1fe01c8815fd3945752b14af4851c35483d859aa0d50b501d0bcb7c690b4a",
+        "snapshots.bin": "eea99d5c68a787c50bf61da5d2f3a5d20d3965e49bc160bd68790d0cc6694a53",
+        "checks": "cb8b7ef37e69424a29af3b3dc5a17e6779a10951213d00010bcf2c163c57372d",
+    }),
+    ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100, "record_every": 20,
+                      "t_final": 1.0, "scheme": "crank_nicolson"}, {
+        "trajectory.csv": "f4a5d06155049702e7cb042fdf6e1a62ce8e7009759d7185abd84b3edae7d088",
+        "snapshots.bin": "0640975cec13943a764f15d8956e555b1e1b78de812dedd17d28b3a8ba2a6f65",
+        "checks": "a1cc2dd7dc1bba7126e7f7746f4bf0b9bc4f2599c15b6c970c701c53bfc5254d",
+    }),
+    ("stern_gerlach", {"field_gradient": 0.02, "cells": 256, "dt": 0.1, "record_every": 10}, {
+        "separation.csv": "1af8bce494511dc300d5e35717be8fd2d163a992fafec8d934dfdc3b7b01f774",
+        "checks": "f3b1d0876c9a1805dcdf00dfb97939447084bf15b0daa3b6b09505559f67504c",
+    }),
+    ("lorentz", {"setup": "uniform_b", "turns": 0.5, "steps_per_turn": 100}, {
+        "particle.csv": "d56485a9f24fca67b5575c9d1b8b32542b77765823af01eec9fd068d20551dd7",
+        "checks": "fa36294c2c689f543dbc32b07200f2c1f063f1993eec3c2d442b1f30b9f24efe",
+    }),
+    ("lorentz", {"setup": "uniform_e", "t_final": 0.2}, {
+        "particle.csv": "d6cfe9c278bb90e2b4d8e6050bab9f61671725aa920011b0a461bf1f9bde922c",
+        "checks": "063d5e1c595530c7f8813915e7a3a0a843522cf2737be24a6c03ae7b9fb37318",
+    }),
+    ("moment", {"t_final": 0.2}, {
+        "moment.csv": "0e4ad52b79a539cc7cce49420fffab49c24b73184196d23d11250679aa6a8ff1",
+        "canonical.csv": "629aabdeac8dc06fcf563db72b4180df5719afa03587f17f8604eda7c8aa996e",
+        "checks": "9705f9e861e61d8ab3db3e4dadf8836d3cb7e371cd2b438afb3ac827c2f36097",
+    }),
+]
+
+
+@pytest.mark.parametrize("kind,parameters,digests", _GOLDEN_DIGESTS)
+def test_stepping_outputs_match_golden_digests(tmp_path, kind, parameters, digests):
+    report = run(parse_scenario(json.dumps({
+        "kind": kind, "parameters": parameters, "output_dir": str(tmp_path),
+    })))
+    got = {os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+           for path in report.outputs}
+    checks = "\n".join(f"{c.name} {c.value!r}" for c in report.checks)
+    got["checks"] = hashlib.sha256(checks.encode()).hexdigest()
+    assert got == digests
