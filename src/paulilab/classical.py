@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import EMConfiguration, PhysicalConstants
-from .grids import CENTRAL, PERIODIC, Grid, ScalarField, VectorField3, derive_along, gradient
+from .grids import CENTRAL, PERIODIC, ScalarField, VectorField3, derive_along, gradient
 
 
 class ClassicalError(ValueError):

@@ -355,19 +355,20 @@ class PauliTrajectory:
     snapshots: list[PauliState] = field(default_factory=list)
 
 
-def _trajectory(times: list, records: list[Observables], snapshots=()) -> PauliTrajectory:
-    columns = zip(*((o.norm, o.position, o.spin, o.color_masses) for o in records))
-    return PauliTrajectory(np.array(times), *map(np.array, columns), list(snapshots))
-
-
 def evolve(
     initial: PauliState,
     config: SolverConfig,
     t_final: float,
     record_every: int = 1,
     keep_snapshots: bool = False,
+    on_record: Callable[[np.ndarray, float], None] | None = None,
 ) -> PauliTrajectory:
-    """Repeated stepping with periodic recording of the observables."""
+    """Repeated stepping with periodic recording of the observables.
+
+    ``on_record(psi, t)``, when given, sees the raw wavefunction array at
+    each recorded step before its observables are taken; it may raise to
+    abort the run.
+    """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
     steps = int(round(t_final / config.dt))
@@ -377,6 +378,8 @@ def evolve(
     times, records, snapshots = [], [], []
 
     def record():
+        if on_record is not None:
+            on_record(psi, t)
         st = PauliState(SpinorField(initial.phi.grid, psi), t)
         times.append(t)
         records.append(observables(st))
@@ -389,7 +392,8 @@ def evolve(
         t = initial.t + i * config.dt
         if i % record_every == 0 or i == steps:
             record()
-    return _trajectory(times, records, snapshots)
+    columns = zip(*((o.norm, o.position, o.spin, o.color_masses) for o in records))
+    return PauliTrajectory(np.array(times), *map(np.array, columns), snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -460,32 +464,18 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     z = grid.axis_coordinates(0)
     b_vals = np.zeros(grid.shape + (3,))
     b_vals[..., 2] = config.field_offset + config.field_gradient * z
-    em = EMConfiguration(
-        grid,
-        ScalarField.full(grid, 0.0),
-        VectorField3.zero(grid),
-        b=VectorField3(grid, b_vals),
-    )
-    solver = SolverConfig(
-        SPLIT_OPERATOR,
-        config.dt,
-        config.consts,
-        em,
-        neutral=True,
-        gamma_energy=config.gamma_energy,
-    )
+    em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
+                         b=VectorField3(grid, b_vals))
+    solver = SolverConfig(SPLIT_OPERATOR, config.dt, config.consts, em, neutral=True,
+                          gamma_energy=config.gamma_energy)
     state = gaussian_packet_state(
         grid, config.sigma, config.center, config.velocity, config.spin_weights, config.consts
     )
-    steps = int(round(config.t_final / config.dt))
-    prop = _make_propagator(solver, grid)
-    psi = state.phi.values.copy()
     w = quadrature_weights(grid)
     edge = max(3, config.cells // 64)
+    centers, separations, overlaps = [], [], []
 
-    times, centers, separations, overlaps, records = [], [], [], [], []
-
-    def check_boundary(t):
+    def record(psi, t):
         dens = np.sum(np.abs(psi) ** 2, axis=-1)
         boundary_mass = float(np.sum((w * dens)[:edge]) + np.sum((w * dens)[-edge:]))
         if boundary_mass > config.boundary_mass_tol:
@@ -493,32 +483,17 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
                 f"packet reached the grid boundary at t={t:.6g} "
                 f"(edge mass {boundary_mass:.3e} > {config.boundary_mass_tol:.1e})"
             )
-
-    def record(t):
-        check_boundary(t)
         rho = [np.abs(psi[..., k]) ** 2 for k in (0, 1)]
         masses = [float(np.sum(w * r)) for r in rho]
-        cs = []
-        for k in (0, 1):
-            cs.append(
-                float(np.sum(w * z * rho[k])) / masses[k] if masses[k] > 1e-12 else np.nan
-            )
-        times.append(t)
+        occupied = [m > 1e-12 for m in masses]
+        cs = [float(np.sum(w * z * r)) / m if o else np.nan
+              for r, m, o in zip(rho, masses, occupied)]
         centers.append(cs)
-        separations.append(
-            cs[0] - cs[1] if all(m > 1e-12 for m in masses) else 0.0
-        )
-        norm1 = rho[0] / masses[0] if masses[0] > 1e-12 else rho[0]
-        norm2 = rho[1] / masses[1] if masses[1] > 1e-12 else rho[1]
+        separations.append(cs[0] - cs[1] if all(occupied) else 0.0)
+        norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
         overlaps.append(float(np.sum(w * np.sqrt(norm1 * norm2))))
-        records.append(observables(PauliState(SpinorField(grid, psi), t)))
 
-    record(0.0)
-    for i in range(1, steps + 1):
-        psi = prop.step(psi, (i - 1) * config.dt)
-        if i % config.record_every == 0 or i == steps:
-            record(i * config.dt)
+    traj = evolve(state, solver, config.t_final, config.record_every, on_record=record)
     return SternGerlachResult(
-        np.array(times), np.array(centers), np.array(separations), np.array(overlaps),
-        _trajectory(times, records),
+        traj.times, np.array(centers), np.array(separations), np.array(overlaps), traj
     )

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, classical, fieldio, functionals, inference, pauli, variational, verification
+from . import __version__, classical, fieldio, functionals, inference, pauli, verification
 from .functionals import EMConfiguration, pauli_constants
-from .grids import DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid, ScalarField, SpinorField, VectorField3
-from .verification import CheckRecord, check_in, check_leq, check_true
+from .grids import DIRICHLET_ZERO, SPECTRAL, Grid, ScalarField, VectorField3
+from .verification import CheckRecord, check_leq, check_true
 
 
 class ScenarioError(ValueError):
@@ -59,7 +59,6 @@ _POSITIVE = (">", 0)
 _NONNEGATIVE = (">=", 0)
 _COUNT = (">=", 1)
 _PACKETS = ("free_packet", "uniform_field")
-_EVIDENCE_SCALES = (1.0, 0.5, 0.25)  # multiples of the shift the evidence runner takes
 
 _COMMON_CONSTANTS = {
     "hbar": (float, 1.0, "Planck constant over 2 pi", _POSITIVE),
@@ -162,11 +161,8 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
 
 def _evidence_shift_keeps_support(p: dict) -> bool:
     """The evidence runner's shifts keep its table positive where it has events."""
-    grid, table = verification._skewed_table(p["cells"])
-    data = inference.expected_counts(table, p["repetitions"])
     try:
-        for scale in _EVIDENCE_SCALES:
-            inference.evidence(table, data, np.array([p["shift"]]) * grid.spacing[0] * scale)
+        verification.evidence_rows(p["cells"], p["repetitions"], p["shift"])
     except inference.InferenceError:
         return False
     return True
@@ -319,14 +315,9 @@ def parse_scenario(document: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_table(cells: int, sigma: float, slices: int, color_angle: float):
-    grid = Grid((float(cells - 1),), (cells,), DIRICHLET_ZERO)
-    return grid, inference.gaussian_table(grid, sigma, slices=slices, color_angle=color_angle)
-
-
 def _run_sample(scenario: Scenario, out):
     p = scenario.parameters
-    grid, table = _lattice_table(p["cells"], p["sigma"], p["slices"], p["color_angle"])
+    table = verification.lattice_table(p["cells"], p["sigma"], p["slices"], p["color_angle"])
     data = inference.sample_dataset(table, p["repetitions"], scenario.seed)
     path = out("dataset.csv")
     fieldio.write_dataset_csv(path, data)
@@ -343,22 +334,7 @@ def _run_sample(scenario: Scenario, out):
 
 def _run_evidence(scenario: Scenario, out):
     p = scenario.parameters
-    grid, table = verification._skewed_table(p["cells"])
-    data = inference.expected_counts(table, p["repetitions"])
-    h = grid.spacing[0]
-    shift = np.array([[float(s) * h for s in p["shift"]]])
-    rows = []
-    residuals = []
-    for eps_scale in _EVIDENCE_SCALES:
-        ev = inference.evidence(table, data, shift * eps_scale)
-        terms = inference.evidence_taylor_terms(table, data, shift * eps_scale)
-        resid = abs(ev + terms.second_order_square / 2.0)
-        residuals.append(resid)
-        rows.append(
-            (eps_scale, ev, terms.first_order, terms.second_order_square,
-             terms.second_order_curvature, resid)
-        )
-    term, bound = inference.cauchy_schwarz_bound(table, shift, repetitions=p["repetitions"])
+    rows, checks = verification.evidence_rows(p["cells"], p["repetitions"], p["shift"])
     path = out("evidence.csv")
     fieldio.write_table_csv(
         path,
@@ -366,178 +342,89 @@ def _run_evidence(scenario: Scenario, out):
          "second_order_curvature", "cubic_residual"],
         rows,
     )
-    checks = [
-        check_leq("evidence.first_order_vanishes", abs(rows[0][2]), 1e-12 * p["repetitions"]),
-        check_leq("evidence.curvature_vanishes", abs(rows[0][4]), 1e-12 * p["repetitions"]),
-        check_in("evidence.cubic_ratio", residuals[0] / residuals[1], 6.0, 10.0),
-        check_true("evidence.cauchy_schwarz_bound", term <= bound * (1 + 1e-12),
-                   note=f"term {term:.4g} <= bound {bound:.4g}"),
-    ]
     return checks, [path]
 
 
 def _run_fisher_discrete(scenario: Scenario, out):
     p = scenario.parameters
-    grid, table = _lattice_table(p["cells"], p["sigma"], p["slices"], 0.0)
-    value = inference.discrete_fisher(table)
-    oracle = p["slices"] / p["sigma"] ** 2
+    value, oracle, checks = verification.discrete_fisher_oracle(
+        p["cells"], p["sigma"], p["slices"], "fisher.rel_error"
+    )
     path = out("fisher.csv")
     fieldio.write_table_csv(path, ["discrete_fisher", "oracle"], [(value, oracle)])
-    return [check_leq("fisher.rel_error", abs(value - oracle) / oracle, 0.02)], [path]
+    return checks, [path]
 
 
 def _run_box_minimize(scenario: Scenario, out):
     p = scenario.parameters
-    grid = Grid((p["length"],), (p["cells"],), DIRICHLET_ZERO)
-    problem = variational.MinimizationProblem(
-        objective=variational.FISHER,
-        grid=grid,
-        grad_tol=p["grad_tol"],
-        max_iterations=p["max_iterations"],
-        multistarts=p["multistarts"],
-        seed=scenario.seed,
+    scan, x, exact, checks = verification.box_spectrum(
+        p["length"], p["cells"], p["modes"], p["grad_tol"], p["multistarts"], scenario.seed,
+        p["max_iterations"],
     )
-    result = variational.minimize(problem)
-    scan = variational.spectrum_scan(problem, p["modes"]) if p["modes"] > 1 else [
-        (result.objective_value, ScalarField(grid, result.fields["p"]))
-    ]
-    x = grid.axis_coordinates(0)
-    exact = (2 / p["length"]) * np.sin(np.pi * x / p["length"]) ** 2
     density_path = out("density.csv")
     fieldio.write_table_csv(
-        density_path, ["x", "density", "exact"], zip(x, result.fields["p"], exact)
+        density_path, ["x", "density", "exact"], zip(x, scan[0].fields["p"], exact)
     )
     trace_path = out("trace.csv")
-    fieldio.write_convergence_trace_csv(trace_path, result.trace)
-    target = (2 * np.pi / p["length"]) ** 2
-    checks = [
-        check_leq(
-            "box.objective_rel_error", abs(result.objective_value - target) / target, 0.01
-        ),
-        check_leq(
-            "box.density_max_error",
-            float(np.max(np.abs(result.fields["p"] - exact)) / np.max(exact)),
-            0.02,
-        ),
-        check_true("box.converged", result.converged),
-    ]
-    for mode, (value, _field) in enumerate(scan, start=1):
-        mode_target = (2 * mode * np.pi / p["length"]) ** 2
-        checks.append(
-            check_leq(
-                f"box.mode_{mode}_rel_error", abs(value - mode_target) / mode_target, 0.01
-            )
-        )
+    fieldio.write_convergence_trace_csv(trace_path, scan[0].trace)
     return checks, [density_path, trace_path]
 
 
 def _run_equivalence(scenario: Scenario, out):
     p = scenario.parameters
     consts = pauli_constants(p["hbar"], p["mass"], p["charge"])
-    grid = Grid((1.0, 1.0, 1.0), (p["cells"],) * 3, PERIODIC)
-    rows = []
-    worst = 0.0
-    for index in range(p["sets"]):
-        polar, em, dt = functionals.random_smooth_configuration(
-            grid, frames=p["frames"], consts=consts, seed=scenario.seed + index,
-            max_mode=p["max_mode"], amplitude=p["amplitude"],
-        )
-        rep = functionals.equivalence_residual(
-            polar, em, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
-        )
-        worst = max(worst, rep.rel_residual, rep.spinor_rel_residual)
-        last_polar, last_em, last_dt = polar, em, dt
-        rows.append(
-            (scenario.seed + index, rep.q_polar, rep.total, rep.q_spinor,
-             rep.rel_residual, rep.spinor_rel_residual)
-        )
+    reports, (polar, em, dt), checks = verification.equivalence_sets(
+        p["cells"], p["frames"], p["sets"], scenario.seed, consts, p["max_mode"],
+        p["amplitude"], worst=f"equivalence.worst_rel_residual_{p['sets']}_sets",
+    )
     path = out("equivalence.csv")
     fieldio.write_table_csv(
         path,
         ["seed", "q_polar", "total_functional", "q_spinor", "rel_residual",
          "spinor_rel_residual"],
-        rows,
+        [(scenario.seed + index, rep.q_polar, rep.total, rep.q_spinor, rep.rel_residual,
+          rep.spinor_rel_residual) for index, rep in enumerate(reports)],
     )
     breakdown = functionals.total_functional_breakdown(
-        last_polar, last_em, consts, dt=last_dt, time_periodic=True, scheme=SPECTRAL
+        polar, em, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
     )
     breakdown_path = out("breakdown.csv")
     fieldio.write_table_csv(
         breakdown_path, ["term", "value"], sorted(breakdown.items())
     )
-    return (
-        [check_leq(f"equivalence.worst_rel_residual_{p['sets']}_sets", worst, 1e-8)],
-        [path, breakdown_path],
-    )
+    return checks, [path, breakdown_path]
 
 
 def _run_pauli_evolve(scenario: Scenario, out):
     p = scenario.parameters
     consts = pauli_constants(p["hbar"], p["mass"], p["charge"])
     scheme = p["scheme"]
-    checks = []
     extra_outputs = []
     if p["setup"] == "larmor":
-        grid = Grid((1.0,), (8,), PERIODIC)
-        omega = 2 * p["gamma_energy"] * p["bz"] / consts.hbar
-        period = 2 * np.pi / omega
-        dt = period / p["steps"]
-        vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
-        vals[:] = np.array([1.0, 1.0]) / np.sqrt(2.0 * grid.extents[0])
-        em = verification._uniform_b_em(grid, p["bz"])
-        config = pauli.SolverConfig(scheme, dt, consts, em, neutral=True,
-                                    gamma_energy=p["gamma_energy"])
-        traj = pauli.evolve(
-            pauli.PauliState(SpinorField(grid, vals)), config, p["periods"] * period,
-            record_every=p["record_every"],
+        traj, checks = verification.larmor_precession(
+            p["gamma_energy"], p["bz"], consts, p["steps"], p["periods"], p["record_every"],
+            scheme,
         )
-        measured = verification._zero_crossing_frequency(traj.times, traj.spins[:, 0])
-        checks.append(check_leq("pauli.precession_rel_error", abs(measured - omega) / omega, 1e-3))
     elif p["setup"] == "free_packet":
-        grid = Grid((p["extent"],), (p["cells"],), PERIODIC)
-        state = pauli.gaussian_packet_state(
-            grid, p["sigma"], p["extent"] / 2, 0.0, (1.0, 0.0), consts
+        traj, checks = verification.free_packet_spreading(
+            p["extent"], p["cells"], p["sigma"], p["t_final"], p["steps"], consts,
+            p["record_every"], scheme,
         )
-        config = pauli.SolverConfig(
-            scheme, p["t_final"] / p["steps"], consts, EMConfiguration.zero(grid)
-        )
-        traj = pauli.evolve(state, config, p["t_final"], record_every=p["record_every"],
-                            keep_snapshots=True)
         snap_path = out("snapshots.bin")
         fieldio.write_field_snapshots(
             snap_path,
-            grid,
-            config.dt * p["record_every"],
+            traj.snapshots[0].phi.grid,
+            p["t_final"] / p["steps"] * p["record_every"],
             {"wavefunction": np.stack([s.phi.values for s in traj.snapshots])},
             metadata={"setup": "free_packet"},
         )
         extra_outputs.append(snap_path)
-        x = grid.axis_coordinates(0)
-        dens = np.sum(np.abs(traj.snapshots[-1].phi.values) ** 2, axis=-1)
-        mean = float(np.sum(x * dens) * grid.cell_volume)
-        width_sq = float(np.sum((x - mean) ** 2 * dens) * grid.cell_volume)
-        expect = p["sigma"] ** 2 + (
-            consts.hbar * p["t_final"] / (2 * consts.mass * p["sigma"])
-        ) ** 2
-        checks.append(check_leq("pauli.spreading_rel_error", abs(width_sq - expect) / expect, 5e-3))
     else:  # uniform_field
-        grid = Grid((p["extent"],), (p["cells"],), PERIODIC)
-        x = grid.axis_coordinates(0)
-        em = EMConfiguration(grid, ScalarField(grid, -p["e0"] * x), VectorField3.zero(grid))
-        start = p["extent"] / 3
-        state = pauli.gaussian_packet_state(grid, p["sigma"], start, 0.0, (1.0, 0.0), consts)
-        config = pauli.SolverConfig(scheme, p["t_final"] / p["steps"], consts, em)
-        traj = pauli.evolve(state, config, p["t_final"], record_every=p["record_every"])
-        expect = start + 0.5 * (consts.charge * p["e0"] / consts.mass) * traj.times**2
-        disp = expect[-1] - start
-        checks.append(
-            check_leq(
-                "pauli.uniform_field_rel_error",
-                float(np.max(np.abs(traj.positions[:, 0] - expect))) / disp,
-                1e-3,
-            )
+        traj, checks = verification.uniform_field_drift(
+            p["extent"], p["cells"], p["sigma"], p["extent"] / 3, p["e0"], p["t_final"],
+            p["steps"], consts, p["record_every"], scheme,
         )
-    checks.append(check_leq("pauli.norm_drift", float(np.max(np.abs(traj.norms - 1.0))), 1e-10))
+    checks.append(verification.norm_drift("pauli.norm_drift", traj))
     path = out("trajectory.csv")
     fieldio.write_pauli_trajectory_csv(path, traj)
     return checks, [path] + extra_outputs
@@ -545,24 +432,15 @@ def _run_pauli_evolve(scenario: Scenario, out):
 
 def _run_stern_gerlach(scenario: Scenario, out):
     p = scenario.parameters
-    consts = pauli_constants(p["hbar"], p["mass"], p["charge"])
     config = pauli.SternGerlachConfig(
-        extent=p["extent"],
-        cells=p["cells"],
-        sigma=p["sigma"],
-        center=p["center"],
-        velocity=p["velocity"],
         spin_weights=(p["spin_up_weight"], p["spin_down_weight"]),
-        field_gradient=p["field_gradient"],
-        field_offset=p["field_offset"],
-        consts=consts,
-        gamma_energy=p["gamma_energy"],
-        dt=p["dt"],
-        t_final=p["t_final"],
-        record_every=p["record_every"],
+        consts=pauli_constants(p["hbar"], p["mass"], p["charge"]),
+        **{name: p[name] for name in ("extent", "cells", "sigma", "center", "velocity",
+                                      "field_gradient", "field_offset", "gamma_energy", "dt",
+                                      "t_final", "record_every")},
     )
     try:
-        result = pauli.stern_gerlach(config)
+        result, law_checks = verification.stern_gerlach_law(config)
     except pauli.SolverError as err:
         return [check_true("stern_gerlach.completed", False, note=str(err))], []
     path = out("separation.csv")
@@ -572,56 +450,21 @@ def _run_stern_gerlach(scenario: Scenario, out):
         zip(result.times, result.centers[:, 0], result.centers[:, 1],
             result.separation, result.overlap),
     )
-    law = (p["gamma_energy"] * p["field_gradient"] / consts.mass) * result.times**2
-    checks = [check_true("stern_gerlach.completed", True)]
-    if p["field_gradient"] != 0.0:
-        checks.append(
-            check_leq(
-                "stern_gerlach.separation_rel_error",
-                abs(result.separation[-1] - law[-1]) / abs(law[-1]),
-                0.01,
-            )
-        )
-    else:
-        checks.append(
-            check_leq("stern_gerlach.zero_gradient_separation",
-                      float(np.max(np.abs(result.separation))), 0.0)
-        )
-    return checks, [path]
+    return [check_true("stern_gerlach.completed", True)] + law_checks, [path]
 
 
 def _run_moment(scenario: Scenario, out):
     p = scenario.parameters
-    b = np.asarray(p["b"], dtype=float)
-    m0 = classical.MomentState.from_angles(p["phi0"], p["z0"])
-    torque = classical.torque_evolve(m0, b, p["gamma"], p["t_final"], p["dt"])
-    ct = classical.canonical_evolve(p["phi0"], p["z0"], b, p["gamma"], p["t_final"], p["dt"])
-    m_c = np.stack(
-        [np.sqrt(1 - ct.z**2) * np.cos(ct.phi), np.sqrt(1 - ct.z**2) * np.sin(ct.phi), ct.z],
-        axis=-1,
-    )
-    dots = np.clip(np.sum(m_c * torque.moments, axis=-1), -1.0, 1.0)
-    h_vals = np.array(
-        [classical.moment_hamiltonian(ph, z, b, p["gamma"]) for ph, z in zip(ct.phi, ct.z)]
+    angles = (p["phi0"], p["z0"])
+    torque, ct, energies, checks = verification.moment_checks(
+        p["b"], p["gamma"], p["t_final"], p["dt"],
+        moment=classical.MomentState.from_angles(*angles), angles=angles,
     )
     path_t = out("moment.csv")
     fieldio.write_moment_trajectory_csv(path_t, torque)
     path_c = out("canonical.csv")
     fieldio.write_table_csv(path_c, ["t", "phi", "z", "energy_rate"],
-                            zip(ct.times, ct.phi, ct.z, h_vals))
-    checks = [
-        check_leq(
-            "moment.norm_drift",
-            float(np.max(np.abs(np.linalg.norm(torque.moments, axis=1) - 1))),
-            1e-9,
-        ),
-        check_leq("moment.torque_vs_canonical_angle", float(np.max(np.arccos(dots))), 1e-6),
-        check_leq(
-            "moment.energy_rel_drift",
-            float(np.max(np.abs(h_vals - h_vals[0]))) / max(abs(h_vals[0]), 1e-30),
-            1e-8,
-        ),
-    ]
+                            zip(ct.times, ct.phi, ct.z, energies))
     return checks, [path_t, path_c]
 
 

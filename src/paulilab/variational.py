@@ -39,7 +39,6 @@ from .grids import (
     PERIODIC,
     POSITIVITY_FLOOR,
     Grid,
-    ScalarField,
     VectorField3,
     derive_along_adjoint,
     laplacian_matrix,
@@ -640,26 +639,25 @@ def minimize(problem: MinimizationProblem) -> MinimizationResult:
     normalization and positivity constraints after projection.
     """
     if problem.objective == FISHER:
-        return _minimize_fisher(problem, _fisher_operator(problem.grid))[0]
+        return spectrum_scan(problem, 1)[0]
     return _minimize_generic(problem)
 
 
-def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[tuple[float, ScalarField]]:
+def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[MinimizationResult]:
     """Stationary family of the density-only Fisher objective, found by
     deflation: each mode is minimized in the orthogonal complement of the
-    previous square-root profiles."""
+    previous square-root profiles.  The first mode is ``minimize``'s result."""
     if problem.objective != FISHER:
         raise VariationalError("spectrum scans apply to the fisher objective")
     if mode_count < 1:
         raise VariationalError("mode_count must be positive")
-    grid = problem.grid
-    w = quadrature_weights(grid)
-    op = _fisher_operator(grid)
-    out: list[tuple[float, ScalarField]] = []
+    w = quadrature_weights(problem.grid)
+    op = _fisher_operator(problem.grid)
+    out: list[MinimizationResult] = []
     deflate: list[np.ndarray] = []
     for _ in range(mode_count):
         result, psi = _minimize_fisher(problem, op, deflate=tuple(deflate))
         # keep the signed profile: deflation needs the oscillatory modes
         deflate.append(_normalize_psi(psi, w))
-        out.append((result.objective_value, ScalarField(grid, result.fields["p"])))
+        out.append(result)
     return out

@@ -5,6 +5,7 @@ criterion 10 drives the command-line ``verify-all --fast`` end to end and
 holds it to its runtime and report contract.
 """
 
+import hashlib
 import json
 import time
 
@@ -70,4 +71,12 @@ def test_criterion_10_verify_all_fast(tmp_path):
     assert report["passed"] is True
     failures = [c for c in report["checks"] if not c["pass"]]
     assert failures == []
+    # every check name and value but the two runtime gates, as computed
+    # before the scenario runners and the criteria shared their checks
+    # (numpy 2.4, scipy 1.17, x86-64)
+    checks = "\n".join(f"{c['name']} {c['value']!r}" for c in report["checks"]
+                       if c["name"] not in ("box.runtime_seconds", "equivalence.runtime_seconds"))
+    assert hashlib.sha256(checks.encode()).hexdigest() == (
+        "e4d90b523e607d664a4b81b8b0bcd8c799472ca8442f3d617526126594fa07c6"
+    )
     assert (tmp_path / "verification.csv").exists()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid
 from paulilab.inference import (
@@ -360,3 +362,17 @@ def test_evidence_linear_interpolation_option():
     )
     rolled_quadratic = shift_table_values(table.probs[0], grid, np.array([2.0]))
     np.testing.assert_array_equal(rolled_linear, rolled_quadratic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cells=st.integers(3, 48), extent=st.floats(0.5, 50.0),
+       slices=st.integers(1, 3), fractions=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       repetitions=st.integers(1, 10**6))
+def test_cauchy_schwarz_bound_holds_for_random_tables(seed, cells, extent, slices, fractions,
+                                                      repetitions):
+    grid = Grid((extent,), (cells,), PERIODIC)
+    raw = np.random.default_rng(seed).random((slices,) + grid.shape + (2,)) + 1e-3
+    table = IProbTable(grid, raw / raw.sum(axis=(1, 2), keepdims=True))
+    shifts = [(f * grid.spacing[0], 0.0, 0.0) for f in fractions[:slices]]
+    term, bound = cauchy_schwarz_bound(table, shifts, repetitions=repetitions)
+    assert term <= bound * (1 + 1e-12)

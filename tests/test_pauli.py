@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulilab.classical import MomentState, torque_evolve
 from paulilab.functionals import (
@@ -377,3 +379,36 @@ def test_stern_gerlach_separation_law():
 def test_stern_gerlach_boundary_abort():
     with pytest.raises(SolverError):
         stern_gerlach(sg_config(velocity=5.0, t_final=10.0))
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights=st.tuples(_WEIGHT, _WEIGHT).filter(any), sign=st.sampled_from([1.0, -1.0]),
+       size=st.floats(0.005, 0.05), gamma_energy=st.floats(0.2, 2.0),
+       field_offset=st.floats(-1.0, 1.0))
+def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, gamma_energy,
+                                                    field_offset):
+    cfg = sg_config(cells=256, dt=0.1, record_every=10, spin_weights=weights,
+                    field_gradient=sign * size, gamma_energy=gamma_energy,
+                    field_offset=field_offset)
+    result = stern_gerlach(cfg)
+    # each color is pushed by +-gamma b / m: spin up along +z, spin down along -z
+    half_law = cfg.gamma_energy * cfg.field_gradient * cfg.t_final**2 / (2 * cfg.consts.mass)
+    for color, direction in ((0, 1.0), (1, -1.0)):
+        if weights[color]:
+            moved = result.centers[-1, color] - cfg.center
+            assert abs(moved - direction * half_law) <= 0.01 * abs(half_law)
+    grid = Grid((cfg.extent,), (cfg.cells,), PERIODIC)
+    b_vals = np.zeros(grid.shape + (3,))
+    b_vals[..., 2] = cfg.field_offset + cfg.field_gradient * grid.axis_coordinates(0)
+    em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
+                         b=VectorField3(grid, b_vals))
+    solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, neutral=True,
+                          gamma_energy=cfg.gamma_energy)
+    packet = gaussian_packet_state(grid, cfg.sigma, cfg.center, cfg.velocity, weights, CONSTS)
+    traj = evolve(packet, solver, cfg.t_final, record_every=cfg.record_every)
+    for name in ("times", "norms", "positions", "spins", "color_masses"):
+        got, want = getattr(result.trajectory, name), getattr(traj, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name

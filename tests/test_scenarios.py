@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from paulilab import cli, scenarios
+from paulilab import cli, scenarios, variational
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
 
 
@@ -279,13 +279,32 @@ def test_cli_seed_override(tmp_path):
     ("lorentz", {"setup": "uniform_e", "t_final": 1.0}),
     ("lorentz", {"setup": "uniform_b", "turns": 2.0}),
     ("lorentz", {"setup": "uniform_b", "turns": 0.5, "charge": -1.0}),
+    # polarized beams do not split: the lone color is deflected instead
+    ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "cells": 256, "dt": 0.1}),
+    ("stern_gerlach", {"field_gradient": 0.02, "spin_down_weight": 0.0, "cells": 256,
+                       "dt": 0.1}),
 ])
 def test_scenario_kinds_pass(tmp_path, kind, extra):
-    base = parse_scenario(json.dumps({"kind": kind, "parameters": {}})) if kind != "stern_gerlach" else None
-    params = dict(base.parameters)
-    params.update(extra)
+    params = dict(parse_scenario(json.dumps({"kind": kind, "parameters": extra})).parameters)
     report = run(Scenario(kind, params, seed=0, output_dir=str(tmp_path)))
     assert report.passed, [c.line() for c in report.checks if not c.passed]
+
+
+def test_box_document_solves_each_mode_once(tmp_path, monkeypatch):
+    calls = []
+    solve = variational._sphere_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_sphere_minimize", counted)
+    report = run(parse_scenario(json.dumps({
+        "kind": "box_minimize", "output_dir": str(tmp_path),
+        "parameters": {"cells": 32, "multistarts": 2, "modes": 3},
+    })))
+    assert report.passed
+    assert len(calls) == 2 * 3
 
 
 def test_free_packet_scenario_dumps_snapshots(tmp_path):
@@ -360,11 +379,13 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
         assert got_terms[name] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-# sha256 of every data output and of the check names and values, written by
-# the stepping kernels before they moved off np.fft.fftn,
-# RegularGridInterpolator and np.cross; the kernels must keep every bit.
-# Recorded with numpy 2.4 and scipy 1.17 on x86-64: other builds of the
-# transcendental and FFT kernels may round differently.
+# sha256 of every data output and of the check names and values. The
+# stepping documents were recorded before the kernels moved off np.fft.fftn,
+# RegularGridInterpolator and np.cross, the others before the scenario
+# runners and the acceptance criteria shared one check per guarantee; both
+# changes must keep every bit. Recorded with numpy 2.4 and scipy 1.17 on
+# x86-64: other builds of the transcendental and FFT kernels may round
+# differently.
 _GOLDEN_DIGESTS = [
     ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200}, {
         "trajectory.csv": "5ad1049b310b56129d77349675ca7933d980a53082244baeb06649747a4aea36",
@@ -412,6 +433,28 @@ _GOLDEN_DIGESTS = [
         "moment.csv": "0e4ad52b79a539cc7cce49420fffab49c24b73184196d23d11250679aa6a8ff1",
         "canonical.csv": "629aabdeac8dc06fcf563db72b4180df5719afa03587f17f8604eda7c8aa996e",
         "checks": "9705f9e861e61d8ab3db3e4dadf8836d3cb7e371cd2b438afb3ac827c2f36097",
+    }),
+    ("sample", {"cells": 64, "sigma": 5.0, "slices": 2, "repetitions": 1000}, {
+        "dataset.csv": "8c85089ae65056f8a1feadfe6f569137ce490c983e4185471f6276375de8fe61",
+        "checks": "b1c31595cb636235d0c0813f131cfc2241c4380223112d43a8734736f34febb1",
+    }),
+    ("evidence", {"cells": 160}, {
+        "evidence.csv": "aeaf6926b11494724363f24a6dc92c6c2ef903abf565503b94791a9c3e0c2ba1",
+        "checks": "f82be5bcdba4315901f76820c9dba91a1e91f87acb2e1683ba9c7af9a84fdcfb",
+    }),
+    ("fisher_discrete", {"cells": 160}, {
+        "fisher.csv": "e94b4efcbc6aab91e71971c5215bc44a5685a68da02c91c8a567c99d863a14e9",
+        "checks": "64dd1387c4ee058fac785e498aea8d7ed41231e270f87a3b474a4181b2f63ddd",
+    }),
+    ("box_minimize", {"cells": 64, "multistarts": 1, "modes": 3}, {
+        "density.csv": "9ead0384d37cc761366550636dfde04485e8cd40889233c4c4dacf65c077f73c",
+        "trace.csv": "f9154a06aa9e19384407169aca48440b487f0aee24401e4a3868005b5b9f7576",
+        "checks": "2468ea51ac88f54eb821de0ffd971c07b830537f684ef5b7277a9af2f0150ccf",
+    }),
+    ("equivalence", {"cells": 12, "frames": 12, "sets": 1}, {
+        "equivalence.csv": "7c5a31606ff34d207a175795dbe3784d363148e4b5b142d13214bbf5833d2acd",
+        "breakdown.csv": "cc39ccfac65059d5a571800e42d6d1fcea77c55b8181be1a805a15e61b0fd499",
+        "checks": "c70c54c25e2d75f6fd569149543849bf61d9c6183e546ffb695b02f9ddd19e55",
     }),
 ]
 

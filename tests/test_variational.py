@@ -268,9 +268,10 @@ def test_spectrum_scan_reproduces_mode_family():
     grid = box_grid(256)
     problem = fisher_problem(grid, multistarts=2, grad_tol=1e-5)
     scan = spectrum_scan(problem, 3)
-    for n, (value, p_field) in enumerate(scan, start=1):
+    for n, result in enumerate(scan, start=1):
+        value, p = result.objective_value, result.fields["p"]
         assert value == pytest.approx((2 * n * np.pi / L) ** 2, rel=0.01)
-        assert abs(float(np.sum(quadrature_weights(grid) * p_field.values)) - 1.0) < 1e-8
+        assert abs(float(np.sum(quadrature_weights(grid) * p)) - 1.0) < 1e-8
 
 
 def test_spectrum_scan_matches_discrete_oracle():
@@ -289,17 +290,17 @@ def test_spectrum_scan_matches_discrete_oracle():
     assert res.objective_value == pytest.approx(oracle[0], rel=1e-9)
     # every deflated solve also stops at 50 iterations: a mode that had not
     # converged by then would miss its eigenvalue
-    values = [value for value, _ in spectrum_scan(problem, 3)]
+    values = [result.objective_value for result in spectrum_scan(problem, 3)]
     np.testing.assert_allclose(values, oracle, rtol=1e-9)
 
 
 def test_spectrum_scan_single_mode_matches_minimize():
     grid = box_grid(128)
     problem = fisher_problem(grid, multistarts=2)
-    scan = spectrum_scan(problem, 1)
+    (first,) = spectrum_scan(problem, 1)
     res = minimize(problem)
-    assert scan[0][0] == res.objective_value
-    np.testing.assert_array_equal(scan[0][1].values, res.fields["p"])
+    assert first.objective_value == res.objective_value
+    np.testing.assert_array_equal(first.fields["p"], res.fields["p"])
 
 
 def test_no_stationary_point_below_ground_value():
@@ -307,7 +308,7 @@ def test_no_stationary_point_below_ground_value():
     problem = fisher_problem(grid, multistarts=2, grad_tol=1e-5)
     scan = spectrum_scan(problem, 3)
     ground = (2 * np.pi / L) ** 2
-    assert min(v for v, _ in scan) >= 0.99 * ground
+    assert min(result.objective_value for result in scan) >= 0.99 * ground
 
 
 # ---------------------------------------------------------------------------
