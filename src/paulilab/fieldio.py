@@ -6,6 +6,8 @@ through an atomic temp-file replace, so a run never leaves partial outputs.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
 import struct
@@ -18,6 +20,7 @@ from .grids import Grid
 from .inference import DetectionDataset
 
 SNAPSHOT_MAGIC = b"PLFS1\n"
+_DATASET_COLUMNS = "tau,j1,j2,j3,k,count"
 
 
 class FormatError(ValueError):
@@ -29,18 +32,25 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_chunks(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` one after another to a temp file,
+    then replace ``path`` with it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    atomic_write_chunks(path, (data,))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -77,7 +87,8 @@ def write_dataset_csv(path: str, dataset: DetectionDataset) -> None:
     """Counts as (tau, j1, j2, j3, k, count) rows under a JSON header line.
 
     Zero-count cells are omitted; the header carries everything needed to
-    rebuild the full array, and the round trip is bit-exact.
+    rebuild the full array, and the round trip is bit-exact.  Rows follow
+    the C order of the count array; counts print as ``_fmt`` prints them.
     """
     header = {
         "format": "paulilab-dataset-1",
@@ -86,23 +97,34 @@ def write_dataset_csv(path: str, dataset: DetectionDataset) -> None:
         "grid": dataset.grid.descriptor(),
         "slices": dataset.slices,
     }
-    lines = ["# " + json.dumps(header, sort_keys=True)]
-    lines.append("tau,j1,j2,j3,k,count")
     counts = dataset.counts
-    dim = dataset.grid.dim
-    for index in np.argwhere(counts != 0):
-        tau = index[0]
-        voxel = [0, 0, 0]
-        voxel[:dim] = list(index[1 : 1 + dim])
-        k = 1 if index[-1] == 0 else -1
-        value = counts[tuple(index)]
-        lines.append(
-            f"{tau},{voxel[0]},{voxel[1]},{voxel[2]},{k},{_fmt(value)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    index = np.nonzero(counts)
+    values = counts[index]
+    rows = np.zeros((values.size, 6), dtype=np.int64)  # tau, j1, j2, j3, k, count
+    rows[:, 0] = index[0]
+    for ax in range(dataset.grid.dim):
+        rows[:, 1 + ax] = index[1 + ax]
+    rows[:, 4] = 1 - 2 * index[-1]  # color 0 -> k = 1, color 1 -> k = -1
+    if np.all(np.abs(values) < 1e15) and np.all(np.trunc(values) == values):
+        rows[:, 5] = values
+        body = "%d,%d,%d,%d,%d,%d\n" * values.size % tuple(rows.ravel().tolist())
+    else:
+        cells = rows[:, :5].tolist()
+        for cell, value in zip(cells, values.tolist()):
+            cell.append(_fmt(value))
+        body = "%d,%d,%d,%d,%d,%s\n" * len(cells) % tuple(itertools.chain(*cells))
+    atomic_write_text(path, "# " + json.dumps(header, sort_keys=True) + "\n"
+                      + _DATASET_COLUMNS + "\n" + body)
 
 
 def read_dataset_csv(path: str) -> DetectionDataset:
+    """Inverse of ``write_dataset_csv``.
+
+    Raises ``FormatError`` for a malformed header or row: a row must have
+    six cells, integral indices inside the grid (0 on axes the grid does not
+    have), k = 1 or -1, a finite nonnegative count, and a cell no other row
+    names.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
         if not first.startswith("# "):
@@ -111,18 +133,36 @@ def read_dataset_csv(path: str) -> DetectionDataset:
         if header.get("format") != "paulilab-dataset-1":
             raise FormatError(f"unknown dataset format {header.get('format')!r}")
         column_line = handle.readline().strip()
-        if column_line != "tau,j1,j2,j3,k,count":
+        if column_line != _DATASET_COLUMNS:
             raise FormatError(f"unexpected column header {column_line!r}")
-        grid = Grid.from_descriptor(header["grid"])
-        counts = np.zeros((header["slices"],) + grid.shape + (2,))
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            tau_s, j1, j2, j3, k_s, count_s = line.split(",")
-            voxel = tuple(int(j) for j in (j1, j2, j3))[: grid.dim]
-            color = 0 if int(k_s) == 1 else 1
-            counts[(int(tau_s),) + voxel + (color,)] = float(count_s)
+        body = handle.read()
+    grid = Grid.from_descriptor(header["grid"])
+    shape = (header["slices"],) + grid.shape + (1,) * (3 - grid.dim)
+    rows = np.empty((0, 6))
+    if body.strip():
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.float64,
+                              comments=None, ndmin=2)
+        except ValueError as err:
+            raise FormatError(f"malformed dataset row: {err}") from None
+    if rows.shape[1] != 6:
+        raise FormatError(f"dataset rows need 6 cells, got {rows.shape[1]}")
+    cell, k, value = rows[:, :4], rows[:, 4], rows[:, 5]
+    bad = (cell != np.trunc(cell)) | (cell < 0) | (cell >= shape)
+    if np.any(bad):
+        row, col = np.argwhere(bad)[0]
+        raise FormatError(f"data row {row + 1}: {_DATASET_COLUMNS.split(',')[col]} "
+                          f"{cell[row, col]:g} is not an index below {shape[col]}")
+    for ok, rule in (((k == 1) | (k == -1), "k must be 1 or -1"),
+                     (np.isfinite(value) & (value >= 0), "count must be finite and >= 0")):
+        if not np.all(ok):
+            raise FormatError(f"data row {np.flatnonzero(~ok)[0] + 1}: {rule}")
+    index = tuple(cell[:, : 1 + grid.dim].astype(np.intp).T) + ((k == -1).astype(np.intp),)
+    counts = np.zeros((header["slices"],) + grid.shape + (2,))
+    flat = np.ravel_multi_index(index, counts.shape)
+    if np.unique(flat).size != flat.size:
+        raise FormatError("a (tau, j1, j2, j3, k) cell appears in more than one row")
+    counts[index] = value
     return DetectionDataset(grid, counts, header["repetitions"], seed=header["seed"])
 
 
@@ -144,7 +184,7 @@ def write_field_snapshots(
     header records grid, dt, dtypes and shapes for exact reconstruction.
     """
     entries = []
-    bodies = []
+    arrays = []
     count = None
     for name, stack in fields.items():
         arr = np.ascontiguousarray(stack)
@@ -153,7 +193,7 @@ def write_field_snapshots(
         elif arr.shape[0] != count:
             raise FormatError("all field stacks must have the same snapshot count")
         entries.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
-        bodies.append(arr.tobytes())
+        arrays.append(arr)
     header = {
         "format": "paulilab-snapshots-1",
         "grid": grid.descriptor(),
@@ -163,13 +203,9 @@ def write_field_snapshots(
         "metadata": metadata or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = bytearray()
-    out += SNAPSHOT_MAGIC
-    out += struct.pack("<Q", len(blob))
-    out += blob
-    for body in bodies:
-        out += body
-    atomic_write_bytes(path, bytes(out))
+    # each body goes to the file straight from the array's buffer, uncopied
+    atomic_write_chunks(path, [SNAPSHOT_MAGIC, struct.pack("<Q", len(blob)), blob]
+                        + [memoryview(arr) for arr in arrays])
 
 
 def read_field_snapshots(path: str):

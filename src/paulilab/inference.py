@@ -14,6 +14,7 @@ real-valued by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,8 +412,15 @@ def cauchy_schwarz_bound(
     Returns (term, bound) with term <= bound guaranteed cellwise by the
     Cauchy-Schwarz inequality; ``bound`` is N * max_tau|eps_tau|^2 times the
     discrete Fisher information.
+
+    Both sides are quadratic in the shifts.  They are computed for the
+    shifts scaled by an exact power of two to a largest component in
+    [1/2, 1), then scaled back, so that a tiny shift does not round either
+    side in the subnormal range before the two are compared.
     """
     eps = _as_shift_array(table, shifts)
+    exponent = math.frexp(float(np.max(np.abs(eps))))[1] if eps.size else 0
+    eps = np.ldexp(eps, -exponent)
     grid = table.grid
     term = 0.0
     for m in range(table.slices):
@@ -425,4 +433,4 @@ def cauchy_schwarz_bound(
         term += float(np.sum(np.where(included, directional**2 / safe_p, 0.0)))
     eps_hat_sq = float(np.max(np.sum(eps**2, axis=1))) if eps.size else 0.0
     bound = repetitions * eps_hat_sq * discrete_fisher(table)
-    return repetitions * term, bound
+    return math.ldexp(repetitions * term, 2 * exponent), math.ldexp(bound, 2 * exponent)

@@ -316,29 +316,46 @@ class Observables:
     color_masses: np.ndarray  # (2,)
 
 
+def _observable_weights(grid: Grid):
+    """Quadrature weights w, 2w and w * x_ax per axis: what every record of
+    the observables on ``grid`` multiplies by."""
+    w = quadrature_weights(grid)
+    return w, w * 2.0, [w * x for x in grid.meshgrid()]
+
+
+def _observe(psi: np.ndarray, weights, position, spin, masses):
+    """Observables of a raw (..., 2) wavefunction array, written into the
+    rows ``position`` (3,), ``spin`` (3,) and ``masses`` (2,); returns the
+    norm and the two color densities.
+
+    Each sum is ``np.add.reduce`` of the product that ``np.sum(w * ...)``
+    would reduce, factors multiplied left to right, so the values carry the
+    bits of the plain formulas.
+    """
+    w, w2, wx = weights
+    add = np.add.reduce
+    rho1 = np.abs(psi[..., 0]) ** 2
+    rho2 = np.abs(psi[..., 1]) ** 2
+    dens = rho1 + rho2
+    norm = float(add(w * dens, axis=None))
+    for ax, w_x in enumerate(wx):
+        position[ax] = float(add(w_x * dens, axis=None)) / norm
+    cross = np.conj(psi[..., 0]) * psi[..., 1]
+    spin[0] = float(add(w2 * cross.real, axis=None)) / norm
+    spin[1] = float(add(w2 * cross.imag, axis=None)) / norm
+    spin[2] = float(add(w * (rho1 - rho2), axis=None)) / norm
+    masses[0] = float(add(w * rho1, axis=None))
+    masses[1] = float(add(w * rho2, axis=None))
+    return norm, rho1, rho2
+
+
 def observables(state: PauliState, with_densities: bool = False):
     """Norm, mean position, spin expectation, per-color masses (and
     optionally the two color densities as fields)."""
     grid = state.phi.grid
-    psi = state.phi.values
-    w = quadrature_weights(grid)
-    rho1 = np.abs(psi[..., 0]) ** 2
-    rho2 = np.abs(psi[..., 1]) ** 2
-    dens = rho1 + rho2
-    norm = float(np.sum(w * dens))
-    position = np.zeros(3)
-    mesh = grid.meshgrid()
-    for ax in range(grid.dim):
-        position[ax] = float(np.sum(w * mesh[ax] * dens)) / norm
-    cross = np.conj(psi[..., 0]) * psi[..., 1]
-    spin = np.array(
-        [
-            float(np.sum(w * 2.0 * np.real(cross))),
-            float(np.sum(w * 2.0 * np.imag(cross))),
-            float(np.sum(w * (rho1 - rho2))),
-        ]
-    ) / norm
-    masses = np.array([float(np.sum(w * rho1)), float(np.sum(w * rho2))])
+    position, spin, masses = np.zeros(3), np.empty(3), np.empty(2)
+    norm, rho1, rho2 = _observe(state.phi.values, _observable_weights(grid), position, spin,
+                                masses)
     obs = Observables(norm, position, spin, masses)
     if with_densities:
         return obs, (ScalarField(grid, rho1), ScalarField(grid, rho2))
@@ -371,20 +388,31 @@ def evolve(
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
+    if record_every < 1:
+        raise SolverError("record_every must be at least 1")
     steps = int(round(t_final / config.dt))
-    prop = _make_propagator(config, initial.phi.grid)
+    grid = initial.phi.grid
+    prop = _make_propagator(config, grid)
     psi = initial.phi.values.copy()
     t = initial.t
-    times, records, snapshots = [], [], []
+    weights = _observable_weights(grid)
+    rows = 1 + steps // record_every + (steps % record_every != 0)
+    times, norms = np.empty(rows), np.empty(rows)
+    positions, spins, masses = np.zeros((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
+    snapshots = []
+    row = 0
 
     def record():
+        nonlocal row
         if on_record is not None:
             on_record(psi, t)
-        st = PauliState(SpinorField(initial.phi.grid, psi), t)
-        times.append(t)
-        records.append(observables(st))
+        norm = _observe(psi, weights, positions[row], spins[row], masses[row])[0]
+        if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
+            raise SolverError(f"state norm {norm} left 1 +- 1e-10 at t={t:.6g}")
+        times[row], norms[row] = t, norm
         if keep_snapshots:
-            snapshots.append(st)
+            snapshots.append(PauliState(SpinorField(grid, psi), t))
+        row += 1
 
     record()
     for i in range(1, steps + 1):
@@ -392,8 +420,7 @@ def evolve(
         t = initial.t + i * config.dt
         if i % record_every == 0 or i == steps:
             record()
-    columns = zip(*((o.norm, o.position, o.spin, o.color_masses) for o in records))
-    return PauliTrajectory(np.array(times), *map(np.array, columns), snapshots)
+    return PauliTrajectory(times, norms, positions, spins, masses, snapshots)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,15 @@ from paulilab.functionals import (
     pauli_constants,
     polar_from_spinor,
 )
-from paulilab.grids import PERIODIC, Grid, ScalarField, SpinorField, VectorField3
+from paulilab.grids import (
+    PERIODIC,
+    Grid,
+    ScalarField,
+    SpinorField,
+    VectorField3,
+    integrate_values,
+    quadrature_weights,
+)
 from paulilab.pauli import (
     CRANK_NICOLSON,
     SPLIT_OPERATOR,
@@ -250,6 +258,81 @@ def test_evolve_zero_duration():
     traj = evolve(state, config, 0.0)
     assert traj.times.shape == (1,)
     assert traj.norms[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def plain_observables(psi, grid):
+    """Norm, position, spin and color masses as plain ``np.sum`` formulas:
+    the bit oracle for the recorded columns."""
+    w = quadrature_weights(grid)
+    rho1 = np.abs(psi[..., 0]) ** 2
+    rho2 = np.abs(psi[..., 1]) ** 2
+    dens = rho1 + rho2
+    norm = float(np.sum(w * dens))
+    position = np.zeros(3)
+    mesh = grid.meshgrid()
+    for ax in range(grid.dim):
+        position[ax] = float(np.sum(w * mesh[ax] * dens)) / norm
+    cross = np.conj(psi[..., 0]) * psi[..., 1]
+    spin = np.array([float(np.sum(w * 2.0 * np.real(cross))),
+                     float(np.sum(w * 2.0 * np.imag(cross))),
+                     float(np.sum(w * (rho1 - rho2)))]) / norm
+    masses = np.array([float(np.sum(w * rho1)), float(np.sum(w * rho2))])
+    return norm, position, spin, masses
+
+
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+@pytest.mark.parametrize("extents,cells", [((3.0,), (16,)), ((2.0, 1.5), (6, 5)),
+                                           ((1.0, 1.2, 0.8), (4, 3, 5))])
+def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents, cells):
+    g = Grid(extents, cells, PERIODIC)
+    rng = np.random.default_rng(len(cells))
+    vals = rng.standard_normal(g.shape + (2,)) + 1j * rng.standard_normal(g.shape + (2,))
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
+    em = EMConfiguration(g, ScalarField(g, rng.random(g.shape)), VectorField3.zero(g),
+                         b=VectorField3(g, rng.standard_normal(g.shape + (3,))))
+    config = SolverConfig(scheme, 1e-3, CONSTS, em)
+    traj = evolve(PauliState(SpinorField(g, vals), 0.25), config, 0.011, record_every=3,
+                  keep_snapshots=True)
+    assert len(traj.snapshots) == len(traj.times) == 5  # steps 0, 3, 6, 9 and the last, 11
+    for i, snap in enumerate(traj.snapshots):
+        assert traj.times[i] == snap.t
+        recorded = (traj.norms[i], traj.positions[i], traj.spins[i], traj.color_masses[i])
+        obs = observables(snap)
+        public = (obs.norm, obs.position, obs.spin, obs.color_masses)
+        for got, want, plain in zip(recorded, public, plain_observables(snap.phi.values, g)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()
+
+
+@pytest.mark.parametrize("spoil", ["scale", "nan"])
+def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
+    g = Grid((1.0,), (16,), PERIODIC)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
+    seen = []
+
+    def on_record(psi, t):
+        seen.append(t)
+        if len(seen) == 4:
+            if spoil == "scale":
+                psi *= 1.0 + 1e-9  # norm 1 + 2e-9
+            else:
+                psi[3, 1] = np.nan
+
+    with pytest.raises(SolverError):
+        evolve(uniform_state(g), config, 0.1, on_record=on_record)
+    assert len(seen) == 4
+
+    def drift(psi, t):
+        psi *= 1.0 + 1e-12  # 11 records: norm 1 + 2.2e-11, inside the tolerance
+
+    assert len(evolve(uniform_state(g), config, 0.1, on_record=drift).times) == 11
+
+
+def test_evolve_rejects_record_every_below_one():
+    g = Grid((1.0,), (8,), PERIODIC)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
+    with pytest.raises(SolverError):
+        evolve(uniform_state(g), config, 0.1, record_every=0)
 
 
 def measured_frequency(times, values):
