@@ -88,12 +88,6 @@ class ParticleTrajectory:
     velocities: np.ndarray  # (n, 3)
 
 
-def _field_at(b, t: float) -> np.ndarray:
-    if callable(b):
-        return np.asarray(b(t), dtype=np.float64).reshape(3)
-    return np.asarray(b, dtype=np.float64).reshape(3)
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b of two 3-vectors by np.cross's formula, so with its bits."""
     (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
@@ -121,11 +115,11 @@ def torque_evolve(
     dt: float,
     exact_rotation: bool = False,
 ) -> MomentTrajectory:
-    """Integrate dm/dt = gamma * m x B.
+    """Integrate dm/dt = gamma * m x B in the static field ``b``.
 
-    Fourth-order stepping with per-step renormalization of |m|; for constant
-    fields ``exact_rotation`` switches to the closed-form rotation about the
-    field axis.
+    Fourth-order stepping with per-step renormalization of |m|;
+    ``exact_rotation`` switches to the closed-form rotation about the field
+    axis.
     """
     if dt <= 0:
         raise ClassicalError("dt must be positive")
@@ -133,11 +127,9 @@ def torque_evolve(
     times = dt * np.arange(steps + 1)
     out = np.empty((steps + 1, 3))
     out[0] = initial.m
+    bvec = np.asarray(b, dtype=np.float64).reshape(3)
 
     if exact_rotation:
-        if callable(b):
-            raise ClassicalError("exact rotation requires a constant field")
-        bvec = _field_at(b, 0.0)
         bnorm = float(np.linalg.norm(bvec))
         if bnorm == 0.0:
             out[1:] = initial.m
@@ -156,7 +148,7 @@ def torque_evolve(
         return MomentTrajectory(times, out)
 
     def rhs(t, m):
-        return gamma * _cross(m, _field_at(b, t))
+        return gamma * _cross(m, bvec)
 
     m = out[0].copy()
     for i in range(1, steps + 1):
@@ -166,11 +158,11 @@ def torque_evolve(
     return MomentTrajectory(times, out)
 
 
-def moment_hamiltonian(phi: float, z: float, b, gamma: float, t: float = 0.0) -> float:
+def moment_hamiltonian(phi: float, z: float, b, gamma: float) -> float:
     """Spherical-chart energy rate: -gamma [z Bz + sqrt(1-z^2)(Bx cos phi + By sin phi)]."""
     if abs(z) > 1.0:
         raise ClassicalError("|z| must not exceed 1")
-    bx, by, bz = _field_at(b, t)
+    bx, by, bz = np.asarray(b, dtype=np.float64).reshape(3)
     return float(
         -gamma * (z * bz + np.sqrt(1.0 - z * z) * (bx * np.cos(phi) + by * np.sin(phi)))
     )
@@ -196,12 +188,12 @@ def canonical_evolve(
     phi = np.empty(steps + 1)
     z = np.empty(steps + 1)
     phi[0], z[0] = phi0, z0
+    bx, by, bz = np.asarray(b, dtype=np.float64).reshape(3)
 
     def rhs(t, state):
         ph, zz = state
         zz = min(max(zz, -1.0), 1.0)
         s = np.sqrt(max(1.0 - zz * zz, 0.0))
-        bx, by, bz = _field_at(b, t)
         in_plane = bx * np.cos(ph) + by * np.sin(ph)
         dphi = gamma * (-bz + (zz / s) * in_plane) if s > 0 else 0.0
         dz = gamma * s * (-bx * np.sin(ph) + by * np.cos(ph))
@@ -227,11 +219,9 @@ def moment_action(
     z = np.asarray(z, dtype=np.float64)
     if phi.shape != z.shape or phi.ndim != 1 or phi.size < 3:
         raise ClassicalError("need aligned 1-d phi and z samples (at least 3)")
-    times = dt * np.arange(phi.size)
     dphi_dt = np.gradient(phi, dt, edge_order=2)
     h_vals = np.array(
-        [moment_hamiltonian(p, max(min(c, 1.0), -1.0), b, gamma, t)
-         for p, c, t in zip(phi, z, times)]
+        [moment_hamiltonian(p, max(min(c, 1.0), -1.0), b, gamma) for p, c in zip(phi, z)]
     )
     integrand = -z * dphi_dt + h_vals
     return float(0.5 * dt * np.sum(integrand[1:] + integrand[:-1]))

@@ -233,7 +233,7 @@ def read_field_snapshots(path: str):
 # ---------------------------------------------------------------------------
 
 
-def write_pauli_trajectory_csv(path: str, traj, separation: np.ndarray | None = None) -> None:
+def write_pauli_trajectory_csv(path: str, traj) -> None:
     header = [
         "t", "norm", "x", "y", "z", "sx", "sy", "sz", "mass_plus", "mass_minus",
     ]
@@ -243,9 +243,6 @@ def write_pauli_trajectory_csv(path: str, traj, separation: np.ndarray | None = 
         traj.spins[:, 0], traj.spins[:, 1], traj.spins[:, 2],
         traj.color_masses[:, 0], traj.color_masses[:, 1],
     ]
-    if separation is not None:
-        header.append("separation")
-        columns.append(separation)
     write_table_csv(path, header, zip(*columns))
 
 

@@ -579,15 +579,14 @@ def q_spinor(
     dt: float = 0.0,
     time_periodic: bool = False,
     scheme: str = CENTRAL,
-    imag_tolerance: float = 1e-10,
 ) -> float:
     """Quadratic form evaluated directly on the two-component wavefunction.
 
     The integrand combines the antisymmetrized time term, the
     gauge-covariant kinetic product, the scalar-potential term (q*phi_pot
     plus the optional u), and the moment coupling.  The result must be real;
-    an imaginary residue above ``imag_tolerance`` (relative) raises, since it
-    signals a broken discrete symmetry in the inputs.
+    an imaginary residue above 1e-10 relative to the terms' magnitude raises,
+    since it signals a broken discrete symmetry in the inputs.
     """
     frames = _as_list(phi_frames, SpinorField)
     em = _as_list(em_frames, EMConfiguration)
@@ -651,7 +650,7 @@ def q_spinor(
     # the residue is judged against the magnitude of the constituent terms,
     # which stays meaningful when the integrand cancels pointwise
     scale = float(_integrate_stack(term_scale, grid, np.abs(tw)))
-    if scale > 0 and abs(total.imag) > imag_tolerance * scale:
+    if scale > 0 and abs(total.imag) > 1e-10 * scale:
         raise FunctionalError(
             f"imaginary residue {total.imag:.3e} exceeds tolerance (scale {scale:.3e})"
         )

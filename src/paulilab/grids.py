@@ -150,9 +150,6 @@ class VectorField3:
     def zero(grid: Grid) -> "VectorField3":
         return VectorField3(grid, np.zeros(grid.shape + (3,)))
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[..., i]
-
 
 @dataclass(frozen=True)
 class SpinorField:
@@ -163,9 +160,6 @@ class SpinorField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _locked(self.values, np.complex128, self.grid.shape + (2,)))
-
-    def component(self, k: int) -> np.ndarray:
-        return self.values[..., k]
 
 
 # ---------------------------------------------------------------------------

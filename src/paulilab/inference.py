@@ -30,9 +30,6 @@ from .grids import (
 
 COLOR_VALUES = (1, -1)  # color axis index 0 <-> k=+1, index 1 <-> k=-1
 
-QUADRATIC = "quadratic"
-LINEAR = "linear"
-
 # Tables are truncated to exact zeros well below the positivity floor, so the
 # expansion identities (sums of lattice differences over the support) hold to
 # round-off rather than to floor-sized residuals.
@@ -53,7 +50,6 @@ class IProbTable:
 
     grid: Grid
     probs: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.probs, dtype=np.float64)
@@ -61,10 +57,11 @@ class IProbTable:
             raise InferenceError(
                 f"table shape {arr.shape} does not match (slices,)+{self.grid.shape}+(2,)"
             )
-        if np.any(arr < 0) or np.any(arr > 1):
+        # written so that NaN fails every comparison
+        if not np.all((arr >= 0) & (arr <= 1)):
             raise InferenceError("table entries must lie in [0, 1]")
         sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
+        if not np.all(np.abs(sums - 1.0) <= 1e-12):
             raise InferenceError(f"table slices must sum to 1, got sums {sums}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -88,10 +85,10 @@ class DetectionDataset:
         arr = np.ascontiguousarray(self.counts, dtype=np.float64)
         if arr.ndim != self.grid.dim + 2 or arr.shape[1:] != self.grid.shape + (2,):
             raise InferenceError("count array shape does not match grid")
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise InferenceError("counts must be nonnegative")
         sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
-        if np.any(np.abs(sums - self.repetitions) > 1e-6 * max(1.0, self.repetitions)):
+        if not np.all(np.abs(sums - self.repetitions) <= 1e-6 * max(1.0, self.repetitions)):
             raise InferenceError(
                 f"per-slice counts must sum to repetitions={self.repetitions}, got {sums}"
             )
@@ -124,17 +121,7 @@ def gaussian_table(
     """
     if center is None:
         center = tuple(e / 2 for e in grid.extents)
-    r2 = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.meshgrid()):
-        r2 = r2 + (x - center[ax]) ** 2
-    spatial = np.exp(-r2 / (2.0 * sigma**2))
-    spatial /= spatial.sum()
-    spatial[spatial < TABLE_TRUNCATION] = 0.0
-    spatial /= spatial.sum()
-    one = np.empty(grid.shape + (2,))
-    one[..., 0] = spatial * np.cos(color_angle / 2.0) ** 2
-    one[..., 1] = spatial * np.sin(color_angle / 2.0) ** 2
-    return IProbTable(grid, np.broadcast_to(one, (slices,) + one.shape).copy())
+    return gaussian_mixture_table(grid, [(1.0, center, sigma)], slices, color_angle)
 
 
 def gaussian_mixture_table(
@@ -225,14 +212,13 @@ def shift_table_values(
     grid: Grid,
     shift: np.ndarray,
     axis_offset: int = 0,
-    interpolation: str = QUADRATIC,
 ) -> np.ndarray:
     """Evaluate a lattice array at displacement (d - shift).
 
     ``shift`` is a physical displacement per grid axis; off-lattice parts are
-    interpolated.  The quadratic rule is a 3-point Lagrange stencil per axis
-    whose small-shift expansion reproduces the central first and second
-    lattice differences exactly; ``linear`` keeps the 2-point rule.
+    interpolated by a 3-point Lagrange stencil per axis, whose small-shift
+    expansion reproduces the central first and second lattice differences
+    exactly.
     """
     periodic = grid.boundary == PERIODIC
     out = np.array(values, dtype=np.float64, copy=True)
@@ -251,22 +237,14 @@ def shift_table_values(
         out = _roll_fill(out, n_int, arr_axis, periodic)
         if frac == 0.0:
             continue
-        if interpolation == QUADRATIC:
-            wm = frac * (frac + 1.0) / 2.0
-            w0 = 1.0 - frac * frac
-            wp = frac * (frac - 1.0) / 2.0
-            out = (
-                wm * _roll_fill(out, 1, arr_axis, periodic)
-                + w0 * out
-                + wp * _roll_fill(out, -1, arr_axis, periodic)
-            )
-        elif interpolation == LINEAR:
-            if frac > 0:
-                out = (1.0 - frac) * out + frac * _roll_fill(out, 1, arr_axis, periodic)
-            else:
-                out = (1.0 + frac) * out - frac * _roll_fill(out, -1, arr_axis, periodic)
-        else:
-            raise InferenceError(f"unknown interpolation {interpolation!r}")
+        wm = frac * (frac + 1.0) / 2.0
+        w0 = 1.0 - frac * frac
+        wp = frac * (frac - 1.0) / 2.0
+        out = (
+            wm * _roll_fill(out, 1, arr_axis, periodic)
+            + w0 * out
+            + wp * _roll_fill(out, -1, arr_axis, periodic)
+        )
     return out
 
 
@@ -303,7 +281,6 @@ def evidence(
     table: IProbTable,
     data: DetectionDataset,
     shifts,
-    interpolation: str = QUADRATIC,
 ) -> float:
     """Log-ratio of dataset plausibilities under shifted vs unshifted positions.
 
@@ -315,7 +292,7 @@ def evidence(
     for m in range(table.slices):
         p = table.probs[m]
         c = data.counts[m]
-        shifted = shift_table_values(p, table.grid, eps[m], interpolation=interpolation)
+        shifted = shift_table_values(p, table.grid, eps[m])
         occupied = c > 0
         if np.any(p[occupied] <= 0):
             raise InferenceError("dataset has events in zero-plausibility cells")

@@ -10,7 +10,7 @@ couples the spin through an independent energy-per-field coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,11 @@ from .grids import (
 
 SPLIT_OPERATOR = "split_operator"
 CRANK_NICOLSON = "crank_nicolson"
+
+# relative residual above which an implicit solve is refused
+_RESIDUAL_TOL = 1e-12
+# density within a few edge cells above which a Stern-Gerlach run aborts
+_BOUNDARY_MASS_TOL = 1e-8
 
 
 class SolverError(ValueError):
@@ -63,8 +68,7 @@ class PauliState:
 class SolverConfig:
     """Propagation parameters.
 
-    ``em`` is a static field configuration or a callable t -> configuration;
-    time-dependent fields are sampled at half steps.  ``neutral`` zeroes the
+    ``em`` is the static field configuration.  ``neutral`` zeroes the
     charge in the kinetic and scalar-potential terms and couples the spin
     with ``gamma_energy`` (J/T); the charged coupling is q*hbar/(2m).
     """
@@ -72,7 +76,7 @@ class SolverConfig:
     scheme: str
     dt: float
     consts: PhysicalConstants
-    em: EMConfiguration | Callable[[float], EMConfiguration]
+    em: EMConfiguration
     neutral: bool = False
     gamma_energy: float | None = None
 
@@ -83,9 +87,6 @@ class SolverConfig:
             raise SolverError("dt must be positive")
         if self.neutral and self.gamma_energy is None:
             raise SolverError("neutral mode requires gamma_energy")
-
-    def em_at(self, t: float) -> EMConfiguration:
-        return self.em(t) if callable(self.em) else self.em
 
     def spin_coupling(self) -> float:
         """Energy-per-field coefficient of the sigma.B term."""
@@ -123,7 +124,7 @@ def apply_hamiltonian(
     if scheme is None:
         scheme = SPECTRAL if grid.boundary == PERIODIC else CENTRAL
     consts = config.consts
-    em = config.em_at(state.t)
+    em = config.em
     if em.grid != grid:
         raise SolverError("field configuration and state live on different grids")
     hbar, m = consts.hbar, consts.mass
@@ -164,8 +165,6 @@ class _SplitOperatorPropagator:
     def __init__(self, config: SolverConfig, grid: Grid):
         if grid.boundary != PERIODIC:
             raise SolverError("split-operator propagation requires a periodic grid")
-        self.config = config
-        self.grid = grid
         k_sq = np.zeros(grid.shape)
         for ax in range(grid.dim):
             k = 2.0 * np.pi * np.fft.fftfreq(grid.cells[ax], d=grid.spacing[ax])
@@ -177,17 +176,11 @@ class _SplitOperatorPropagator:
         self._half_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (4.0 * consts.mass))
         # 1-D transforms, last axis first as np.fft.fftn runs them: its bits, less overhead
         self._axes = tuple(reversed(range(grid.dim)))
-        self._static_cell = None
-        if not callable(config.em):
-            self._static_cell = self._cell_factors(config.em)
-
-    def _cell_factors(self, em: EMConfiguration):
-        config = self.config
-        consts = config.consts
+        em = config.em
         if np.any(em.a_pot.values != 0.0):
             raise SolverError("split-operator scheme requires zero vector potential")
         q = config.kinetic_charge()
-        v = q * em.phi_pot.values if q != 0.0 else np.zeros(self.grid.shape)
+        v = q * em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
         c = -config.spin_coupling() * em.b_values(SPECTRAL)
         c_norm = np.sqrt(np.sum(c * c, axis=-1))
         alpha = c_norm * config.dt / consts.hbar
@@ -199,7 +192,7 @@ class _SplitOperatorPropagator:
         u22 = phase * (cos_a + 1j * sinc * c[..., 2])
         u12 = phase * (-1j * sinc * (c[..., 0] - 1j * c[..., 1]))
         u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
-        return u11, u12, u21, u22
+        self._cell = u11, u12, u21, u22
 
     def _kinetic(self, psi: np.ndarray) -> np.ndarray:
         for ax in self._axes:
@@ -209,14 +202,9 @@ class _SplitOperatorPropagator:
             psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
         return psi
 
-    def step(self, psi: np.ndarray, t: float) -> np.ndarray:
+    def step(self, psi: np.ndarray) -> np.ndarray:
         out = self._kinetic(psi)
-        if self._static_cell is not None:
-            u11, u12, u21, u22 = self._static_cell
-        else:
-            u11, u12, u21, u22 = self._cell_factors(
-                self.config.em_at(t + 0.5 * self.config.dt)
-            )
+        u11, u12, u21, u22 = self._cell
         c0 = u11 * out[..., 0] + u12 * out[..., 1]
         c1 = u21 * out[..., 0] + u22 * out[..., 1]
         out[..., 0], out[..., 1] = c0, c1
@@ -226,18 +214,10 @@ class _SplitOperatorPropagator:
 class _CrankNicolsonPropagator:
     """Unitary Cayley step (I + i dt H / 2 hbar) psi' = (I - i dt H / 2 hbar) psi."""
 
-    def __init__(self, config: SolverConfig, grid: Grid, residual_tol: float = 1e-12):
-        self.config = config
+    def __init__(self, config: SolverConfig, grid: Grid):
         self.grid = grid
-        self.residual_tol = residual_tol
-        self._lu = None
-        if not callable(config.em):
-            self._lu = self._factor(self._assemble(config.em))
-
-    def _assemble(self, em: EMConfiguration) -> scipy.sparse.spmatrix:
-        config = self.config
         consts = config.consts
-        grid = self.grid
+        em = config.em
         if np.any(em.a_pot.values != 0.0):
             raise SolverError(
                 "the implicit propagator supports zero vector potential only"
@@ -254,28 +234,20 @@ class _CrankNicolsonPropagator:
         h22 = kin + scipy.sparse.diags(v + bz)
         h12 = scipy.sparse.diags(-bxy)
         h21 = scipy.sparse.diags(-np.conj(bxy))
-        return scipy.sparse.bmat([[h11, h12], [h21, h22]], format="csr")
+        ham = scipy.sparse.bmat([[h11, h12], [h21, h22]], format="csr")
+        z = 0.5j * config.dt / consts.hbar
+        eye = scipy.sparse.identity(ham.shape[0], dtype=np.complex128, format="csr")
+        self._a_plus = (eye + z * ham).tocsr()
+        self._a_minus = (eye - z * ham).tocsr()
+        self._lu = scipy.sparse.linalg.splu(self._a_plus.tocsc())
 
-    def _factor(self, ham: scipy.sparse.spmatrix):
-        z = 0.5j * self.config.dt / self.config.consts.hbar
-        n2 = ham.shape[0]
-        eye = scipy.sparse.identity(n2, dtype=np.complex128, format="csr")
-        a_plus = (eye + z * ham).tocsr()
-        a_minus = (eye - z * ham).tocsr()
-        return scipy.sparse.linalg.splu(a_plus.tocsc()), a_plus, a_minus
-
-    def step(self, psi: np.ndarray, t: float) -> np.ndarray:
-        if self._lu is None:
-            ham = self._assemble(self.config.em_at(t + 0.5 * self.config.dt))
-            lu, a_plus, a_minus = self._factor(ham)
-        else:
-            lu, a_plus, a_minus = self._lu
+    def step(self, psi: np.ndarray) -> np.ndarray:
         flat = np.concatenate([psi[..., 0].ravel(), psi[..., 1].ravel()])
-        rhs = a_minus @ flat
-        sol = lu.solve(rhs)
-        residual = np.linalg.norm(a_plus @ sol - rhs)
+        rhs = self._a_minus @ flat
+        sol = self._lu.solve(rhs)
+        residual = np.linalg.norm(self._a_plus @ sol - rhs)
         scale = np.linalg.norm(rhs)
-        if scale > 0 and residual > self.residual_tol * scale:
+        if scale > 0 and residual > _RESIDUAL_TOL * scale:
             raise SolverError(
                 f"implicit solve residual {residual / scale:.3e} above tolerance"
             )
@@ -299,7 +271,7 @@ def step(state: PauliState, config: SolverConfig) -> PauliState:
     implicit scheme factorizes its system once) over the whole run.
     """
     prop = _make_propagator(config, state.phi.grid)
-    out = prop.step(state.phi.values.copy(), state.t)
+    out = prop.step(state.phi.values.copy())
     return PauliState(SpinorField(state.phi.grid, out), state.t + config.dt)
 
 
@@ -369,7 +341,7 @@ class PauliTrajectory:
     positions: np.ndarray  # (n, 3)
     spins: np.ndarray  # (n, 3)
     color_masses: np.ndarray  # (n, 2)
-    snapshots: list[PauliState] = field(default_factory=list)
+    snapshots: np.ndarray | None = None  # (n,) + grid.shape + (2,) wavefunctions, if kept
 
 
 def evolve(
@@ -399,7 +371,7 @@ def evolve(
     rows = 1 + steps // record_every + (steps % record_every != 0)
     times, norms = np.empty(rows), np.empty(rows)
     positions, spins, masses = np.zeros((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
-    snapshots = []
+    snapshots = np.empty((rows,) + psi.shape, dtype=psi.dtype) if keep_snapshots else None
     row = 0
 
     def record():
@@ -411,12 +383,12 @@ def evolve(
             raise SolverError(f"state norm {norm} left 1 +- 1e-10 at t={t:.6g}")
         times[row], norms[row] = t, norm
         if keep_snapshots:
-            snapshots.append(PauliState(SpinorField(grid, psi), t))
+            snapshots[row] = psi
         row += 1
 
     record()
     for i in range(1, steps + 1):
-        psi = prop.step(psi, t)
+        psi = prop.step(psi)
         t = initial.t + i * config.dt
         if i % record_every == 0 or i == steps:
             record()
@@ -449,7 +421,6 @@ class SternGerlachConfig:
     dt: float
     t_final: float
     record_every: int = 10
-    boundary_mass_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -505,10 +476,10 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     def record(psi, t):
         dens = np.sum(np.abs(psi) ** 2, axis=-1)
         boundary_mass = float(np.sum((w * dens)[:edge]) + np.sum((w * dens)[-edge:]))
-        if boundary_mass > config.boundary_mass_tol:
+        if boundary_mass > _BOUNDARY_MASS_TOL:
             raise SolverError(
                 f"packet reached the grid boundary at t={t:.6g} "
-                f"(edge mass {boundary_mass:.3e} > {config.boundary_mass_tol:.1e})"
+                f"(edge mass {boundary_mass:.3e} > {_BOUNDARY_MASS_TOL:.1e})"
             )
         rho = [np.abs(psi[..., k]) ** 2 for k in (0, 1)]
         masses = [float(np.sum(w * r)) for r in rho]

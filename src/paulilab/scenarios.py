@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, classical, fieldio, functionals, inference, pauli, verification
 from .functionals import EMConfiguration, pauli_constants
-from .grids import DIRICHLET_ZERO, SPECTRAL, Grid, ScalarField, VectorField3
+from .grids import DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid, ScalarField, VectorField3
 from .verification import CheckRecord, check_leq, check_true
 
 
@@ -413,9 +413,9 @@ def _run_pauli_evolve(scenario: Scenario, out):
         snap_path = out("snapshots.bin")
         fieldio.write_field_snapshots(
             snap_path,
-            traj.snapshots[0].phi.grid,
+            Grid((p["extent"],), (p["cells"],), PERIODIC),
             p["t_final"] / p["steps"] * p["record_every"],
-            {"wavefunction": np.stack([s.phi.values for s in traj.snapshots])},
+            {"wavefunction": traj.snapshots},
             metadata={"setup": "free_packet"},
         )
         extra_outputs.append(snap_path)

@@ -1,4 +1,4 @@
-"""Constrained minimization of the discretized functionals.
+"""Fisher minimum and excited family of the discretized density functional.
 
 The density-only Fisher objective is minimized through the square-root
 substitution: the functional becomes a quadratic form in psi = sqrt(P) built
@@ -9,15 +9,14 @@ solved by single-vector LOPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with
 the factored lattice Laplacian as preconditioner; deflation against
 converged modes yields the excited family.
 
-General objectives (the static total functional over a chosen subset of the
-polar fields, or a user-supplied value/gradient pair) run through a projected
-gradient loop in the fields themselves, with normalization enforced by
-renormalization and positivity by clipping at the floor.
+``TotalObjective`` gives the static Fisher + knowledge functional over the
+four polar fields and its exact discrete gradient, which criterion 8 checks
+against finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ from .functionals import (
     _polar_terms,
     _stacks,
     _total_value,
-    natural_constants,
 )
 from .grids import (
     CENTRAL,
@@ -45,11 +43,10 @@ from .grids import (
     quadrature_weights,
 )
 
-FISHER = "fisher"
-TOTAL = "total"
-
 POLAR_FIELDS = ("p", "theta", "s", "phi")
-KNOWN_CONSTRAINTS = ("normalization", "positivity", "dirichlet")
+
+# a sphere step shorter than this ends the descent
+_STEP_TOL = 1e-14
 
 
 class VariationalError(ValueError):
@@ -58,40 +55,20 @@ class VariationalError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizationProblem:
-    """Specification of one constrained minimization.
+    """Specification of one Fisher minimization over the density on ``grid``,
+    normalized, nonnegative and zero on a dirichlet boundary.
 
-    ``objective`` is "fisher", "total", or a (value, gradient) callable pair
-    over a dict of field arrays; ``free_fields`` names the polar components
-    being varied.  When ``initial`` fields are supplied the solver starts
-    there (single run); otherwise it draws ``multistarts`` random starts from
-    ``seed`` and returns the best result.
+    When an ``initial`` density is supplied the solver starts there (single
+    run); otherwise it draws ``multistarts`` random starts from ``seed`` and
+    returns the best result.
     """
 
-    objective: object
     grid: Grid
-    free_fields: tuple[str, ...] = ("p",)
-    constraints: tuple[str, ...] = ("normalization", "positivity")
-    em: EMConfiguration | None = None
-    consts: PhysicalConstants = field(default_factory=natural_constants)
     initial: dict | None = None
     grad_tol: float = 1e-8
-    step_tol: float = 1e-14
     max_iterations: int = 20000
     multistarts: int = 8
     seed: int = 0
-    scheme: str = CENTRAL
-
-    def __post_init__(self) -> None:
-        if not self.free_fields:
-            raise VariationalError("at least one free field is required")
-        for name in self.free_fields:
-            if name not in POLAR_FIELDS:
-                raise VariationalError(f"unknown field {name!r}")
-        for name in self.constraints:
-            if name not in KNOWN_CONSTRAINTS:
-                raise VariationalError(f"unknown constraint {name!r}")
-        if self.objective in (FISHER,) and self.free_fields != ("p",):
-            raise VariationalError("the fisher objective varies the density only")
 
 
 @dataclass(frozen=True)
@@ -264,98 +241,6 @@ class TotalObjective:
 
 
 # ---------------------------------------------------------------------------
-# the shared projected-gradient machinery
-# ---------------------------------------------------------------------------
-
-
-def projected_density_gradient(
-    grad_p: np.ndarray, p: np.ndarray, grid: Grid
-) -> np.ndarray:
-    """Project a density gradient onto the tangent of the constraint set:
-    remove the normalization direction, pin boundary cells, freeze cells
-    held at the positivity floor."""
-    w = quadrature_weights(grid)
-    free = _boundary_mask(grid)
-    g = np.where(free, grad_p, 0.0)
-    wf = np.where(free, w, 0.0)
-    denom = float(np.sum(wf * wf))
-    if denom > 0:
-        g = g - (float(np.sum(g * wf)) / denom) * wf
-    active = (p <= POSITIVITY_FLOOR) & (g > 0)
-    g = np.where(active, 0.0, g)
-    return g
-
-
-def functional_gradient(problem: MinimizationProblem, fields: dict) -> dict:
-    """Exact gradient of the chosen discretized objective.
-
-    Matches central finite differences of the objective value; the density
-    component is returned raw (unprojected).
-    """
-    if problem.objective == FISHER:
-        return {"p": fisher_gradient_density(np.asarray(fields["p"], dtype=float), problem.grid)}
-    if problem.objective == TOTAL:
-        if problem.em is None:
-            raise VariationalError("the total objective requires field configuration")
-        obj = TotalObjective(problem.grid, problem.em, problem.consts, problem.scheme)
-        full = obj.gradient(_fill_fields(fields, problem.grid))
-        return {name: full[name] for name in problem.free_fields}
-    value_fn, grad_fn = _callable_pair(problem.objective)
-    if grad_fn is not None:
-        return grad_fn(fields)
-    return _fd_gradient(value_fn, fields)
-
-
-def objective_value(problem: MinimizationProblem, fields: dict) -> float:
-    if problem.objective == FISHER:
-        return fisher_value_density(np.asarray(fields["p"], dtype=float), problem.grid)
-    if problem.objective == TOTAL:
-        obj = TotalObjective(problem.grid, problem.em, problem.consts, problem.scheme)
-        return obj.value(_fill_fields(fields, problem.grid))
-    value_fn, _ = _callable_pair(problem.objective)
-    return float(value_fn(fields))
-
-
-def _fill_fields(fields: dict, grid: Grid) -> dict:
-    out = {}
-    for name in POLAR_FIELDS:
-        if name in fields:
-            out[name] = np.asarray(fields[name], dtype=float)
-        else:
-            out[name] = np.zeros(grid.shape)
-    return out
-
-
-def _callable_pair(objective):
-    if callable(objective):
-        return objective, None
-    if isinstance(objective, tuple) and len(objective) == 2:
-        return objective
-    raise VariationalError(f"unsupported objective {objective!r}")
-
-
-def _fd_gradient(value_fn, fields: dict, delta: float = 1e-6) -> dict:
-    out = {}
-    for name, arr in fields.items():
-        arr = np.asarray(arr, dtype=float)
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            probe = dict(fields)
-            bumped = arr.copy().ravel()
-            bumped[i] += delta
-            probe[name] = bumped.reshape(arr.shape)
-            up = value_fn(probe)
-            bumped[i] -= 2 * delta
-            probe[name] = bumped.reshape(arr.shape)
-            down = value_fn(probe)
-            gflat[i] = (up - down) / (2 * delta)
-        out[name] = g
-    return out
-
-
-# ---------------------------------------------------------------------------
 # sphere solver for the square-root variable
 # ---------------------------------------------------------------------------
 
@@ -421,7 +306,6 @@ def _sphere_minimize(
     psi0: np.ndarray,
     deflate: Sequence[np.ndarray],
     grad_tol: float,
-    step_tol: float,
     max_iterations: int,
 ):
     """Locally optimal preconditioned descent (single-vector LOPCG) for the
@@ -430,7 +314,7 @@ def _sphere_minimize(
     Each iteration runs Rayleigh-Ritz over span{psi, T^-1 g, previous step},
     with g the tangent gradient and T the factored preconditioner.  psi lies
     in that span, so an accepted value never increases; a candidate above
-    the current value by more than round-off, or a step below ``step_tol``,
+    the current value by more than round-off, or a step below ``_STEP_TOL``,
     stops the descent.
     """
     w = quadrature_weights(grid)
@@ -466,7 +350,7 @@ def _sphere_minimize(
         cand_value = fisher_value_psi(candidate, grid)
         if cand_value > value + 1e-12 * max(1.0, abs(value)):
             break
-        if float(np.linalg.norm(candidate - psi)) < step_tol:
+        if float(np.linalg.norm(candidate - psi)) < _STEP_TOL:
             break
         # the step away from psi, formed without cancellation
         step = [basis[:, 1:] @ coeffs[1:]]
@@ -507,9 +391,7 @@ def _minimize_fisher(
     grid = problem.grid
     if problem.initial is not None:
         psi0 = np.sqrt(np.maximum(np.asarray(problem.initial["p"], dtype=float), 0.0))
-        out = _sphere_minimize(
-            grid, op, psi0, deflate, problem.grad_tol, problem.step_tol, problem.max_iterations
-        )
+        out = _sphere_minimize(grid, op, psi0, deflate, problem.grad_tol, problem.max_iterations)
         return _fisher_density_result(grid, *out, index=0), out[0]
     best = None
     best_psi = None
@@ -521,7 +403,6 @@ def _minimize_fisher(
             _random_initial_psi(grid, rng),
             deflate,
             problem.grad_tol,
-            problem.step_tol,
             problem.max_iterations,
         )
         result = _fisher_density_result(grid, *out, index=start)
@@ -531,124 +412,19 @@ def _minimize_fisher(
     return best, best_psi
 
 
-# ---------------------------------------------------------------------------
-# generic projected-gradient path
-# ---------------------------------------------------------------------------
-
-
-def _project_fields(fields: dict, problem: MinimizationProblem) -> dict:
-    out = dict(fields)
-    if "p" in out:
-        p = np.asarray(out["p"], dtype=float)
-        if "positivity" in problem.constraints:
-            p = np.maximum(p, 0.0)
-        p = np.where(_boundary_mask(problem.grid), p, 0.0) if problem.grid.boundary == DIRICHLET_ZERO else p
-        if "normalization" in problem.constraints:
-            w = quadrature_weights(problem.grid)
-            mass = float(np.sum(w * p))
-            if mass <= 0:
-                raise VariationalError("density lost all mass under projection")
-            p = p / mass
-        out["p"] = p
-    return out
-
-
-def _concat(fields: dict, names):
-    return np.concatenate([np.asarray(fields[n], dtype=float).ravel() for n in names])
-
-
-def _minimize_generic(problem: MinimizationProblem) -> MinimizationResult:
-    grid = problem.grid
-    names = list(problem.free_fields)
-
-    def run(fields0: dict, index: int) -> MinimizationResult:
-        fields = _project_fields(fields0, problem)
-        value = objective_value(problem, fields)
-        alpha = None
-        prev_x = None
-        prev_g = None
-        trace = []
-        iterations = 0
-        for it in range(problem.max_iterations + 1):
-            grads = functional_gradient(problem, fields)
-            if "p" in grads:
-                grads = dict(grads)
-                grads["p"] = projected_density_gradient(
-                    grads["p"], np.asarray(fields["p"], dtype=float), grid
-                )
-            gvec = _concat(grads, names)
-            gnorm = float(np.linalg.norm(gvec))
-            trace.append((it, value, gnorm))
-            if gnorm <= problem.grad_tol:
-                return MinimizationResult(fields, value, gnorm, it, index, True, np.array(trace))
-            xvec = _concat(fields, names)
-            if prev_x is not None:
-                dx = xvec - prev_x
-                dg = gvec - prev_g
-                denom = float(np.dot(dx, dg))
-                alpha = float(np.dot(dx, dx)) / denom if denom > 0 else None
-            if alpha is None:
-                alpha = 1.0 / max(gnorm, 1.0)
-            alpha = min(max(alpha, 1e-14), 1e10)
-            accepted = False
-            trial = alpha
-            for _ in range(60):
-                cand = dict(fields)
-                offset = 0
-                for n in names:
-                    size = np.asarray(fields[n]).size
-                    cand[n] = (
-                        np.asarray(fields[n], dtype=float).ravel()
-                        - trial * gvec[offset : offset + size]
-                    ).reshape(np.asarray(fields[n]).shape)
-                    offset += size
-                cand = _project_fields(cand, problem)
-                cand_value = objective_value(problem, cand)
-                if cand_value <= value + 1e-12 * max(1.0, abs(value)):
-                    accepted = True
-                    break
-                trial *= 0.5
-            if not accepted:
-                return MinimizationResult(fields, value, gnorm, it, index, False, np.array(trace))
-            prev_x, prev_g = xvec, gvec
-            fields, value = cand, cand_value
-            iterations = it + 1
-        return MinimizationResult(fields, value, gnorm, iterations, index, False, np.array(trace))
-
-    if problem.initial is not None:
-        return run(problem.initial, 0)
-    best = None
-    for start in range(problem.multistarts):
-        rng = np.random.default_rng(problem.seed + start)
-        fields0 = {}
-        for n in names:
-            if n == "p":
-                fields0[n] = rng.random(grid.shape) + 0.1
-            else:
-                fields0[n] = 0.5 * rng.standard_normal(grid.shape)
-        result = run(fields0, start)
-        if best is None or result.objective_value < best.objective_value:
-            best = result
-    return best
-
-
 def minimize(problem: MinimizationProblem) -> MinimizationResult:
-    """Best projected-descent minimum of the chosen objective.
+    """Best Fisher minimum over the starts: the first mode of ``spectrum_scan``.
 
-    Accepted steps never increase the objective; every iterate satisfies the
-    normalization and positivity constraints after projection.
+    Accepted steps never increase the objective; every iterate is normalized,
+    nonnegative and zero on a dirichlet boundary.
     """
-    if problem.objective == FISHER:
-        return spectrum_scan(problem, 1)[0]
-    return _minimize_generic(problem)
+    return spectrum_scan(problem, 1)[0]
 
 
 def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[MinimizationResult]:
     """Stationary family of the density-only Fisher objective, found by
     deflation: each mode is minimized in the orthogonal complement of the
     previous square-root profiles.  The first mode is ``minimize``'s result."""
-    if problem.objective != FISHER:
-        raise VariationalError("spectrum scans apply to the fisher objective")
     if mode_count < 1:
         raise VariationalError("mode_count must be positive")
     w = quadrature_weights(problem.grid)

@@ -83,7 +83,7 @@ def box_spectrum(length: float, cells: int, modes: int, grad_tol: float, multist
     """
     grid = Grid((length,), (cells,), DIRICHLET_ZERO)
     scan = variational.spectrum_scan(variational.MinimizationProblem(
-        objective=variational.FISHER, grid=grid, grad_tol=grad_tol,
+        grid=grid, grad_tol=grad_tol,
         max_iterations=max_iterations, multistarts=multistarts, seed=seed,
     ), modes)
     x = grid.axis_coordinates(0)
@@ -360,7 +360,7 @@ def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: floa
     config = pauli.SolverConfig(scheme, t_final / steps, consts, EMConfiguration.zero(grid))
     traj = pauli.evolve(packet, config, t_final, record_every=record_every, keep_snapshots=True)
     x = grid.axis_coordinates(0)
-    dens = np.sum(np.abs(traj.snapshots[-1].phi.values) ** 2, axis=-1)
+    dens = np.sum(np.abs(traj.snapshots[-1]) ** 2, axis=-1)
     mean = float(np.sum(x * dens) * grid.cell_volume)
     width_sq = float(np.sum((x - mean) ** 2 * dens) * grid.cell_volume)
     expect = sigma**2 + (consts.hbar * t_final / (2 * consts.mass * sigma)) ** 2
@@ -564,14 +564,8 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
         "s": 0.4 * np.sin(2 * np.pi * (x - y)) * ones,
         "phi": 0.5 * np.cos(2 * np.pi * x + 1.0) * ones,
     }
-    problem = variational.MinimizationProblem(
-        objective=variational.TOTAL,
-        grid=grid2,
-        free_fields=("p", "theta", "s", "phi"),
-        em=em,
-        consts=CONSTS,
-    )
-    grads = variational.functional_gradient(problem, fields)
+    objective = variational.TotalObjective(grid2, em, CONSTS)
+    grads = objective.gradient(fields)
     names = list(fields)
     for _ in range(components):
         name = names[rng.integers(len(names))]
@@ -586,10 +580,7 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
         arr_dn = arr.copy()
         arr_dn[idx] -= step
         down[name] = arr_dn
-        fd = (
-            variational.objective_value(problem, up)
-            - variational.objective_value(problem, down)
-        ) / (2 * step)
+        fd = (objective.value(up) - objective.value(down)) / (2 * step)
         denom = max(abs(grads[name][idx]), 1e-9)
         worst = max(worst, abs(fd - grads[name][idx]) / denom)
     records = [
@@ -601,10 +592,7 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
     grid1 = Grid((1.0,), (48,), PERIODIC)
     p1 = 1.0 + 0.5 * rng.random(grid1.shape)
     p1 /= np.sum(p1 * grid1.cell_volume)
-    fisher_problem = variational.MinimizationProblem(
-        objective=variational.FISHER, grid=grid1
-    )
-    grad = variational.functional_gradient(fisher_problem, {"p": p1})["p"]
+    grad = variational.fisher_gradient_density(p1, grid1)
     worst_f = 0.0
     for _ in range(components // 2):
         idx = (int(rng.integers(grid1.shape[0])),)
@@ -613,10 +601,8 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
         up[idx] += step
         down = p1.copy()
         down[idx] -= step
-        fd = (
-            variational.objective_value(fisher_problem, {"p": up})
-            - variational.objective_value(fisher_problem, {"p": down})
-        ) / (2 * step)
+        fd = (variational.fisher_value_density(up, grid1)
+              - variational.fisher_value_density(down, grid1)) / (2 * step)
         worst_f = max(worst_f, abs(fd - grad[idx]) / max(abs(grad[idx]), 1e-9))
     records.append(check_leq("gradients.fisher_fd_rel_error", worst_f, 1e-5))
     return records

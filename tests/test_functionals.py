@@ -195,22 +195,26 @@ def test_polar_from_spinor_direct_values():
 
 def smooth_polar(grid, seed=0, amplitude=0.3):
     rng = np.random.default_rng(seed)
-    x = grid.axis_coordinates(0)
-    k = 2 * np.pi / grid.extents[0]
-    p = 1.0 + amplitude * np.sin(k * x + rng.uniform(0, 2 * np.pi))
+    # k . x with one period per axis
+    kx = sum(2 * np.pi / extent * x for extent, x in zip(grid.extents, grid.meshgrid()))
+    p = 1.0 + amplitude * np.sin(kx + rng.uniform(0, 2 * np.pi))
     p /= p.sum() * grid.cell_volume
-    theta = np.pi / 2 + amplitude * np.cos(k * x + rng.uniform(0, 2 * np.pi))
-    s = amplitude * np.sin(2 * k * x + rng.uniform(0, 2 * np.pi))
-    phi = amplitude * np.cos(k * x + rng.uniform(0, 2 * np.pi))
+    theta = np.pi / 2 + amplitude * np.cos(kx + rng.uniform(0, 2 * np.pi))
+    s = amplitude * np.sin(2 * kx + rng.uniform(0, 2 * np.pi))
+    phi = amplitude * np.cos(kx + rng.uniform(0, 2 * np.pi))
     return PolarFields(
         ScalarField(grid, p), ScalarField(grid, theta),
         ScalarField(grid, s), ScalarField(grid, phi),
     )
 
 
-def test_polar_spinor_round_trip():
-    g = Grid((1.0,), (64,), PERIODIC)
-    polar = smooth_polar(g, seed=3)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_polar_spinor_round_trip(seed, dim):
+    rng = np.random.default_rng(seed)
+    low, high = {1: (3, 128), 2: (3, 24), 3: (3, 10)}[dim]
+    g = Grid(tuple(0.5 + rng.random(dim)), tuple(rng.integers(low, high, dim)), PERIODIC)
+    polar = smooth_polar(g, seed=seed)
     back = polar_from_spinor(spinor_from_polar(polar, CONSTS), CONSTS)
     np.testing.assert_allclose(back.p.values, polar.p.values, rtol=1e-12)
     np.testing.assert_allclose(back.theta.values, polar.theta.values, atol=1e-12)

@@ -53,6 +53,16 @@ def test_table_validation_rejects_bad_normalization():
         IProbTable(g, probs)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: IProbTable(g, np.where(np.arange(8).reshape(1, 4, 2) == 3, np.nan, 1 / 7)),
+    lambda g: DetectionDataset(g, np.where(np.arange(8).reshape(1, 4, 2) == 3, np.nan, 1.0), 7),
+    lambda g: DetectionDataset(g, np.where(np.arange(8).reshape(1, 4, 2) == 3, np.inf, 1.0), 7),
+], ids=["nan_table", "nan_count", "inf_count"])
+def test_validation_rejects_non_finite_entries(build):
+    with pytest.raises(InferenceError):
+        build(small_grid())
+
+
 def test_sample_zero_repetitions():
     g = small_grid()
     data = sample_dataset(uniform_table(g), 0, seed=1)
@@ -345,23 +355,6 @@ def test_bound_holds_on_random_tables():
         eps[1:] = 0.0
         term, bound = cauchy_schwarz_bound(table, [eps], repetitions=100)
         assert term <= bound * (1 + 1e-12)
-
-
-def test_evidence_linear_interpolation_option():
-    sigma = 10.0
-    # wide window: the truncated support must survive a 2-cell shift
-    grid, table = gauss_setup(n=220, sigma_cells=sigma)
-    n = 10**6
-    data = expected_counts(table, n)
-    eps = sigma / 50.0
-    ev = evidence(table, data, np.array([[eps, 0, 0]]), interpolation="linear")
-    assert ev == pytest.approx(-n * eps**2 / (2 * sigma**2), rel=0.02)
-    # integer shifts bypass interpolation entirely: both rules agree exactly
-    rolled_linear = shift_table_values(
-        table.probs[0], grid, np.array([2.0]), interpolation="linear"
-    )
-    rolled_quadratic = shift_table_values(table.probs[0], grid, np.array([2.0]))
-    np.testing.assert_array_equal(rolled_linear, rolled_quadratic)
 
 
 @settings(max_examples=60, deadline=None)

@@ -183,7 +183,8 @@ def test_table_csv_deterministic(tmp_path):
     fieldio.write_table_csv(b, ["i", "x", "n"], rows)
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
-    text = open(a).read()
+    with open(a) as fa:
+        text = fa.read()
     assert text.splitlines()[0] == "i,x,n"
     assert text.splitlines()[1] == "0,0.1,3"
 

@@ -147,8 +147,7 @@ def test_free_packet_spreading():
     traj = evolve(state, config, t_final, record_every=100, keep_snapshots=True)
     np.testing.assert_allclose(traj.positions[:, 0], L / 2, atol=1e-8)
     x = g.axis_coordinates(0)
-    final = traj.snapshots[-1]
-    dens = np.sum(np.abs(final.phi.values) ** 2, axis=-1)
+    dens = np.sum(np.abs(traj.snapshots[-1]) ** 2, axis=-1)
     mean = np.sum(x * dens) * g.cell_volume
     width_sq = np.sum((x - mean) ** 2 * dens) * g.cell_volume
     expect = sigma**2 + (CONSTS.hbar * t_final / (2 * CONSTS.mass * sigma)) ** 2
@@ -166,6 +165,25 @@ def test_unitarity_over_1000_steps(scheme):
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+def test_evolve_reads_the_static_field_once(scheme, monkeypatch):
+    g = Grid((20.0,), (64,), PERIODIC)
+    config = SolverConfig(scheme, 1e-2, CONSTS, uniform_b_em(g, 0.8), neutral=True,
+                          gamma_energy=0.5)
+    reads = []
+    b_values = EMConfiguration.b_values
+
+    def counted(em, *args):
+        reads.append(args)
+        return b_values(em, *args)
+
+    monkeypatch.setattr(EMConfiguration, "b_values", counted)
+    traj = evolve(gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS), config, 0.5,
+                  record_every=10)
+    assert len(reads) == 1  # the propagator's factors, built before the first of 50 steps
+    assert traj.snapshots is None
+
+
 def test_evolution_linearity():
     g = Grid((30.0,), (256,), PERIODIC)
     a = gaussian_packet_state(g, 1.0, 12.0, 0.3, (1.0, 0.0), CONSTS)
@@ -177,11 +195,7 @@ def test_evolution_linearity():
     out_mix = evolve(mix, config, 1.0, record_every=100, keep_snapshots=True).snapshots[-1]
     out_a = evolve(a, config, 1.0, record_every=100, keep_snapshots=True).snapshots[-1]
     out_b = evolve(b, config, 1.0, record_every=100, keep_snapshots=True).snapshots[-1]
-    np.testing.assert_allclose(
-        out_mix.phi.values,
-        ca * out_a.phi.values + cb * out_b.phi.values,
-        atol=1e-8,
-    )
+    np.testing.assert_allclose(out_mix, ca * out_a + cb * out_b, atol=1e-8)
 
 
 def test_spin_position_factorization():
@@ -193,7 +207,7 @@ def test_spin_position_factorization():
     for weights in ((1.0, 0.0), (1.0, 1.0j)):
         state = gaussian_packet_state(g, 2.0, 20.0, 0.4, weights, CONSTS)
         final = evolve(state, config, 2.0, record_every=200, keep_snapshots=True).snapshots[-1]
-        dens.append(np.sum(np.abs(final.phi.values) ** 2, axis=-1))
+        dens.append(np.sum(np.abs(final) ** 2, axis=-1))
     np.testing.assert_allclose(dens[0], dens[1], atol=1e-10)
 
 
@@ -207,7 +221,7 @@ def test_neutral_matches_charged_at_zero_charge():
     state = gaussian_packet_state(g, 1.0, 5.0, 0.2, (0.7, 0.3j), CONSTS)
     a = evolve(state, neutral_cfg, 0.5, record_every=50, keep_snapshots=True).snapshots[-1]
     b = evolve(state, charged_cfg, 0.5, record_every=50, keep_snapshots=True).snapshots[-1]
-    np.testing.assert_allclose(a.phi.values, b.phi.values, atol=1e-12)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +308,12 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
     traj = evolve(PauliState(SpinorField(g, vals), 0.25), config, 0.011, record_every=3,
                   keep_snapshots=True)
     assert len(traj.snapshots) == len(traj.times) == 5  # steps 0, 3, 6, 9 and the last, 11
+    assert traj.snapshots.shape == (5,) + g.shape + (2,)
     for i, snap in enumerate(traj.snapshots):
-        assert traj.times[i] == snap.t
         recorded = (traj.norms[i], traj.positions[i], traj.spins[i], traj.color_masses[i])
-        obs = observables(snap)
+        obs = observables(PauliState(SpinorField(g, snap), traj.times[i]))
         public = (obs.norm, obs.position, obs.spin, obs.color_masses)
-        for got, want, plain in zip(recorded, public, plain_observables(snap.phi.values, g)):
+        for got, want, plain in zip(recorded, public, plain_observables(snap, g)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()
 

@@ -17,14 +17,12 @@ from paulilab.grids import (
 )
 from paulilab import variational
 from paulilab.variational import (
-    FISHER,
-    TOTAL,
     MinimizationProblem,
+    TotalObjective,
     VariationalError,
-    functional_gradient,
+    fisher_gradient_density,
+    fisher_value_density,
     minimize,
-    objective_value,
-    projected_density_gradient,
     spectrum_scan,
 )
 
@@ -42,7 +40,7 @@ def box_density(grid):
 
 
 def fisher_problem(grid, **kw):
-    defaults = dict(objective=FISHER, grid=grid, grad_tol=1e-6, multistarts=4, seed=1)
+    defaults = dict(grid=grid, grad_tol=1e-6, multistarts=4, seed=1)
     defaults.update(kw)
     return MinimizationProblem(**defaults)
 
@@ -132,28 +130,6 @@ def test_multistart_determinism():
     np.testing.assert_array_equal(a.fields["p"], b.fields["p"])
 
 
-def test_two_cell_toy_matches_brute_force():
-    grid = Grid((2.0,), (2,), PERIODIC)  # two cells of unit volume
-    coeff = np.array([1.0, 3.0])
-
-    def value(fields):
-        p = np.asarray(fields["p"], dtype=float)
-        return float(np.sum(coeff * p * p))
-
-    problem = MinimizationProblem(
-        objective=value, grid=grid, grad_tol=1e-10, multistarts=3, seed=2,
-        max_iterations=500,
-    )
-    res = minimize(problem)
-
-    best = None
-    for p1 in np.linspace(0.0, 1.0, 2001):
-        val = coeff[0] * p1**2 + coeff[1] * (1 - p1) ** 2
-        best = val if best is None or val < best else best
-    assert res.objective_value == pytest.approx(best, abs=1e-6)
-    assert res.fields["p"][0] == pytest.approx(0.75, abs=1e-4)
-
-
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -161,22 +137,12 @@ def test_two_cell_toy_matches_brute_force():
 
 def test_gradient_zero_for_constant_density_periodic():
     grid = Grid((L,), (64,), PERIODIC)
-    problem = fisher_problem(grid)
-    g = functional_gradient(problem, {"p": np.full(grid.shape, 1.0 / L)})
-    np.testing.assert_allclose(g["p"], 0.0, atol=1e-12)
+    g = fisher_gradient_density(np.full(grid.shape, 1.0 / L), grid)
+    np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
-def test_projected_gradient_vanishes_at_box_optimum():
-    grid = box_grid(512)
-    problem = fisher_problem(grid)
-    p = box_density(grid)
-    grad = functional_gradient(problem, {"p": p})["p"]
-    proj = projected_density_gradient(grad, p, grid)
-    assert float(np.linalg.norm(proj)) < 1e-6
-
-
-def fd_check(problem, fields, components, rel_tol=1e-5, delta=3e-6):
-    grads = functional_gradient(problem, fields)
+def fd_check(value, gradient, fields, components, rel_tol=1e-5, delta=3e-6):
+    grads = gradient(fields)
     base = dict(fields)
     rng = np.random.default_rng(7)
     for _ in range(components):
@@ -188,10 +154,7 @@ def fd_check(problem, fields, components, rel_tol=1e-5, delta=3e-6):
         up[idx] += step
         down = arr.copy()
         down[idx] -= step
-        fd = (
-            objective_value(problem, {**base, name: up})
-            - objective_value(problem, {**base, name: down})
-        ) / (2 * step)
+        fd = (value({**base, name: up}) - value({**base, name: down})) / (2 * step)
         analytic = grads[name][idx]
         assert fd == pytest.approx(analytic, rel=rel_tol, abs=1e-9)
 
@@ -201,10 +164,12 @@ def test_fisher_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     p = 1.0 + 0.5 * rng.random(grid.shape)
     p /= np.sum(p * grid.cell_volume)
-    fd_check(fisher_problem(grid), {"p": p}, components=40)
+    fd_check(lambda f: fisher_value_density(f["p"], grid),
+             lambda f: {"p": fisher_gradient_density(f["p"], grid)}, {"p": p}, components=40)
 
 
 def smooth_total_problem(n=24):
+    """The total objective in a smooth field, and smooth polar fields."""
     grid = Grid((L, L), (n, n), PERIODIC)
     rng = np.random.default_rng(11)
     x, y = grid.meshgrid()
@@ -223,40 +188,12 @@ def smooth_total_problem(n=24):
         "s": 0.4 * np.sin(2 * np.pi * (x - y)) * ones,
         "phi": 0.5 * np.cos(2 * np.pi * x + 1.0) * ones,
     }
-    problem = MinimizationProblem(
-        objective=TOTAL,
-        grid=grid,
-        free_fields=("p", "theta", "s", "phi"),
-        em=em,
-        consts=CONSTS,
-        seed=0,
-    )
-    return problem, fields
+    return TotalObjective(grid, em, CONSTS), fields
 
 
 def test_total_gradient_matches_finite_differences():
-    problem, fields = smooth_total_problem()
-    fd_check(problem, fields, components=100)
-
-
-def test_total_objective_descends():
-    problem, fields = smooth_total_problem(n=16)
-    problem = MinimizationProblem(
-        objective=TOTAL,
-        grid=problem.grid,
-        free_fields=("s",),
-        em=problem.em,
-        consts=problem.consts,
-        initial={**fields},
-        grad_tol=1e-8,
-        max_iterations=3000,
-    )
-    start = objective_value(problem, fields)
-    res = minimize(problem)
-    assert res.objective_value < start
-    # the kinetic cost of the action gradient has been relaxed away
-    grads = functional_gradient(problem, res.fields)
-    assert float(np.linalg.norm(grads["s"])) < 1e-6
+    objective, fields = smooth_total_problem()
+    fd_check(objective.value, objective.gradient, fields, components=100)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +254,5 @@ def test_no_stationary_point_below_ground_value():
 
 
 def test_problem_validation():
-    grid = box_grid(32)
     with pytest.raises(VariationalError):
-        MinimizationProblem(objective=FISHER, grid=grid, free_fields=())
-    with pytest.raises(VariationalError):
-        MinimizationProblem(objective=FISHER, grid=grid, free_fields=("q",))
-    with pytest.raises(VariationalError):
-        MinimizationProblem(objective=FISHER, grid=grid, free_fields=("p", "s"))
-    with pytest.raises(VariationalError):
-        spectrum_scan(MinimizationProblem(objective=TOTAL, grid=grid), 2)
+        spectrum_scan(MinimizationProblem(grid=box_grid(32)), 0)
