@@ -31,6 +31,7 @@ from .grids import (
     SpinorField,
     VectorField3,
     curl,
+    curl_stack,
     derive_along,
     gradient,
     integrate,
@@ -430,11 +431,27 @@ def _knowledge(terms: dict[str, np.ndarray]) -> np.ndarray:
     return terms["kinetic"] + terms["time"] + (terms["potential"] + terms["moment_coupling"])
 
 
-def _total_value(st: _PolarStacks, consts: PhysicalConstants) -> float:
-    """Integral of lam * Fisher + knowledge functional over the stacks."""
-    terms = _polar_terms(st, consts)
+def _total_of_terms(st: _PolarStacks, terms: dict[str, np.ndarray]) -> float:
+    """Integral of lam * Fisher + knowledge functional from its term densities."""
     integrand = (terms["fisher"] + _knowledge(terms) * st.p) * st.mask
     return float(_integrate_stack(integrand, st.grid, st.tw))
+
+
+def _total_value(st: _PolarStacks, consts: PhysicalConstants) -> float:
+    """Integral of lam * Fisher + knowledge functional over the stacks."""
+    return _total_of_terms(st, _polar_terms(st, consts))
+
+
+def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, float]:
+    """Integral of each term density, and their sum under ``"total"``."""
+    values = {
+        name: float(_integrate_stack(
+            (dens if name == "fisher" else dens * st.p) * st.mask, st.grid, st.tw
+        ))
+        for name, dens in terms.items()
+    }
+    values["total"] = sum(values.values())
+    return values
 
 
 def lambda_functional(
@@ -657,26 +674,6 @@ def q_spinor(
     return float(total.real)
 
 
-def total_functional_breakdown(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> dict[str, float]:
-    """Per-term values of lam * Fisher + knowledge functional, for reporting."""
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    terms = {
-        name: float(_integrate_stack(
-            (dens if name == "fisher" else dens * st.p) * st.mask, st.grid, st.tw
-        ))
-        for name, dens in _polar_terms(st, consts).items()
-    }
-    terms["total"] = sum(terms.values())
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # equivalence verifier
 # ---------------------------------------------------------------------------
@@ -693,6 +690,8 @@ class EquivalenceReport:
     rel_residual: float
     spinor_abs_residual: float
     spinor_rel_residual: float
+    # per-term values of lam * Fisher + knowledge functional, and "total"
+    breakdown: dict[str, float]
 
 
 def _check_identification(consts: PhysicalConstants) -> None:
@@ -721,9 +720,13 @@ def equivalence_residual(
     wavefunction."""
     _check_identification(consts)
     st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    qp = _total_value(st, pauli_constants(consts.hbar, consts.mass, consts.charge))
-    tot = _total_value(st, consts)
-    del st  # the spinor route allocates its own stacks; do not hold both
+    terms = _polar_terms(st, consts)
+    tot = _total_of_terms(st, terms)
+    pauli = pauli_constants(consts.hbar, consts.mass, consts.charge)
+    # the same constants give the same term densities, so Q_polar is the total
+    qp = tot if consts == pauli else _total_value(st, pauli)
+    breakdown = _term_values(st, terms)
+    del st, terms  # the spinor route allocates its own stacks; do not hold both
     polar = _as_list(polar_frames, PolarFields)
     spinors = [spinor_from_polar(fr, consts) for fr in polar]
     qs = q_spinor(spinors, em_frames, consts, dt, time_periodic, scheme)
@@ -741,6 +744,7 @@ def equivalence_residual(
         rel_residual=rel(abs(qp - tot), denom),
         spinor_abs_residual=abs(qs - qp),
         spinor_rel_residual=rel(abs(qs - qp), s_denom),
+        breakdown=breakdown,
     )
 
 
@@ -846,19 +850,28 @@ def _band_limited_spacetime(
     frames: int, grid: Grid, rng: np.random.Generator, max_mode: int, amplitude: float,
     zero_spatial_mean: bool = False,
 ) -> np.ndarray:
-    """Space-time periodic random field, band-limited on every axis."""
+    """Space-time periodic random field, band-limited on every axis.
+
+    The spectrum is nonzero only on the band, so the inverse transform runs
+    ``np.fft.ifftn``'s per-axis ``ifft``s, last axis first, over the lines the
+    band reaches: the bits of ``ifftn`` over the full spectrum, for less work.
+    """
     shape = (frames,) + grid.shape
-    spec = np.zeros(shape, dtype=np.complex128)
     ranges = [
         np.r_[0 : max_mode + 1, n - max_mode : n] if n > 2 * max_mode else np.arange(n)
         for n in shape
     ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    idx = tuple(m.ravel() for m in mesh)
-    spec[idx] = rng.normal(size=len(idx[0])) + 1j * rng.normal(size=len(idx[0]))
+    band = tuple(len(r) for r in ranges)
+    count = int(np.prod(band))
+    block = (rng.normal(size=count) + 1j * rng.normal(size=count)).reshape(band)
     if zero_spatial_mean:
-        spec[(slice(None),) + (0,) * grid.dim] = 0.0
-    field = np.fft.ifftn(spec).real
+        block[(slice(None),) + (0,) * grid.dim] = 0.0  # every range starts at mode 0
+    for ax in reversed(range(len(shape))):
+        # widen this axis to its full length, zeros off the band, then invert it
+        wide = np.zeros(block.shape[:ax] + (shape[ax],) + block.shape[ax + 1 :], np.complex128)
+        wide[(slice(None),) * ax + (ranges[ax],)] = block
+        block = np.fft.ifft(wide, axis=ax)
+    field = block.real
     peak = np.max(np.abs(field))
     if peak > 0:
         field *= amplitude / peak
@@ -893,8 +906,10 @@ def random_smooth_configuration(
     phi = 2.0 * amplitude * bl(1.0)
     phi_pot = consts.hbar * scale_k * bl(amplitude) / max(abs(consts.charge), 1e-30)
     a_scale = consts.hbar * scale_k / max(abs(consts.charge), 1e-30)
-    a_comp = [a_scale * bl(amplitude) for _ in range(3)]
+    a = np.stack([a_scale * bl(amplitude) for _ in range(3)], axis=-1)
     u = consts.hbar * scale_k * bl(amplitude)
+    # one spectral derivative per component and axis covers every frame
+    b = curl_stack(a, grid, SPECTRAL)
 
     period = 2.0 * np.pi / (scale_k * consts.hbar / consts.mass)
     dt = period / frames
@@ -910,15 +925,12 @@ def random_smooth_configuration(
                 ScalarField(grid, phi[i]),
             )
         )
-        a_vals = np.stack([a_comp[c][i] for c in range(3)], axis=-1)
-        a_field = VectorField3(grid, a_vals)
-        b_field = curl(a_field, scheme=SPECTRAL)
         em_frames.append(
             EMConfiguration(
                 grid,
                 ScalarField(grid, phi_pot[i]),
-                a_field,
-                b=b_field,
+                VectorField3(grid, a[i]),
+                b=VectorField3(grid, b[i]),
                 u=ScalarField(grid, u[i]),
             )
         )

@@ -366,18 +366,25 @@ def divergence(v: VectorField3, scheme: str = CENTRAL) -> ScalarField:
 def curl(v: VectorField3, scheme: str = CENTRAL) -> VectorField3:
     """Curl on a grid of any dimension; derivatives along axes the grid does
     not have are zero."""
-    g = v.grid
+    return VectorField3(v.grid, curl_stack(v.values, v.grid, scheme))
+
+
+def curl_stack(values: np.ndarray, g: Grid, scheme: str = CENTRAL) -> np.ndarray:
+    """Curl of 3-vector values shaped ``lead + g.shape + (3,)``, taken over the
+    grid axes for every leading index at once (for example a stack of frames).
+    Each leading index gets the bits :func:`curl` gives for it alone."""
+    lead = values.ndim - 1 - g.dim
 
     def d(comp: int, ax: int) -> np.ndarray:
         if ax >= g.dim:
-            return np.zeros(g.shape)
-        return derive_along(v.values[..., comp], g.spacing[ax], ax, g.boundary, scheme)
+            return np.zeros(values.shape[:-1])
+        return derive_along(values[..., comp], g.spacing[ax], lead + ax, g.boundary, scheme)
 
-    out = np.empty(g.shape + (3,))
+    out = np.empty(values.shape)
     out[..., 0] = d(2, 1) - d(1, 2)
     out[..., 1] = d(0, 2) - d(2, 0)
     out[..., 2] = d(1, 0) - d(0, 1)
-    return VectorField3(g, out)
+    return out
 
 
 def laplacian(f: ScalarField, scheme: str = CENTRAL) -> ScalarField:

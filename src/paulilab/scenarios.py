@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, classical, fieldio, functionals, inference, pauli, verification
+from . import __version__, classical, fieldio, inference, pauli, verification
 from .functionals import EMConfiguration, pauli_constants
-from .grids import DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid, ScalarField, VectorField3
+from .grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3
 from .verification import CheckRecord, check_leq, check_true
 
 
@@ -159,26 +159,28 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _evidence_shift_keeps_support(p: dict) -> bool:
+def _evidence_shift_keeps_support(cells: int, repetitions: int, shift: list) -> bool:
     """The evidence runner's shifts keep its table positive where it has events."""
     try:
-        verification.evidence_rows(p["cells"], p["repetitions"], p["shift"])
+        verification.evidence_rows(cells, repetitions, shift)
     except inference.InferenceError:
         return False
     return True
 
 
-# kind -> ((text, test), ...): rules that tie parameters together, checked
-# once every parameter has its type and meets its own rule
+# kind -> ((text, parameters, test), ...): rules that tie parameters together.
+# test takes the named parameters in order; a rule is checked once each of
+# them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
     "evidence": (("shift lies along x, and shift, shift/2 and shift/4 keep the table "
                   "positive on its support (the default shift needs cells >= 96)",
-                  _evidence_shift_keeps_support),),
+                  ("cells", "repetitions", "shift"), _evidence_shift_keeps_support),),
     "stern_gerlach": (
         ("spin_up_weight and spin_down_weight are not both 0",
-         lambda p: p["spin_up_weight"] != 0 or p["spin_down_weight"] != 0),
+         ("spin_up_weight", "spin_down_weight"), lambda up, down: up != 0 or down != 0),
         ("gamma_energy != 0 when field_gradient != 0",
-         lambda p: p["gamma_energy"] != 0 or p["field_gradient"] == 0),
+         ("gamma_energy", "field_gradient"),
+         lambda energy, gradient: energy != 0 or gradient == 0),
     ),
 }
 
@@ -240,7 +242,7 @@ def schema_text(kind: str) -> str:
         default_text = "REQUIRED" if default is REQUIRED else repr(default)
         rule_text = "".join(f", {_rule_text(r)}" for r in rule)
         lines.append(f"  {name} ({typ.__name__}, default {default_text}{rule_text}): {help_text}")
-    lines += [f"  requires: {text}" for text, _test in JOINT_RULES.get(kind, ())]
+    lines += [f"  requires: {text}" for text, *_ in JOINT_RULES.get(kind, ())]
     return "\n".join(lines)
 
 
@@ -284,16 +286,16 @@ def parse_scenario(document: str) -> Scenario:
     for name in raw:
         if name not in schema:
             violations.append(f"unknown parameter {name!r} for kind {kind!r}")
-    well_formed = len(params) == len(schema)
+    admitted = set(params)
     for name, (_typ, _default, _help, *rule) in schema.items():
         if rule and name in params and not _admits(rule[0], params[name], params.get("setup")):
             violations.append(
                 f"parameter {name!r} must be {_rule_text(rule[0])}, got {params[name]!r}"
             )
-            well_formed = False
-    if well_formed:
-        violations += [f"parameters must satisfy: {text}"
-                       for text, test in JOINT_RULES.get(kind, ()) if not test(params)]
+            admitted.discard(name)
+    violations += [f"parameters must satisfy: {text}"
+                   for text, names, test in JOINT_RULES.get(kind, ())
+                   if admitted.issuperset(names) and not test(*(params[n] for n in names))]
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         violations.append("seed must be an integer")
@@ -373,7 +375,7 @@ def _run_box_minimize(scenario: Scenario, out):
 def _run_equivalence(scenario: Scenario, out):
     p = scenario.parameters
     consts = pauli_constants(p["hbar"], p["mass"], p["charge"])
-    reports, (polar, em, dt), checks = verification.equivalence_sets(
+    reports, checks = verification.equivalence_sets(
         p["cells"], p["frames"], p["sets"], scenario.seed, consts, p["max_mode"],
         p["amplitude"], worst=f"equivalence.worst_rel_residual_{p['sets']}_sets",
     )
@@ -385,12 +387,9 @@ def _run_equivalence(scenario: Scenario, out):
         [(scenario.seed + index, rep.q_polar, rep.total, rep.q_spinor, rep.rel_residual,
           rep.spinor_rel_residual) for index, rep in enumerate(reports)],
     )
-    breakdown = functionals.total_functional_breakdown(
-        polar, em, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
-    )
     breakdown_path = out("breakdown.csv")
     fieldio.write_table_csv(
-        breakdown_path, ["term", "value"], sorted(breakdown.items())
+        breakdown_path, ["term", "value"], sorted(reports[-1].breakdown.items())
     )
     return checks, [path, breakdown_path]
 

@@ -14,11 +14,11 @@ from paulilab.grids import (
     ScalarField,
     SpinorField,
     VectorField3,
+    curl,
     gradient,
 )
 from paulilab.functionals import (
     EMConfiguration,
-    total_functional_breakdown,
     FunctionalError,
     PhysicalConstants,
     PolarFields,
@@ -37,6 +37,7 @@ from paulilab.functionals import (
     spinor_from_polar,
     stationarity_residual_static,
     total_functional,
+    _band_limited_spacetime,
 )
 
 CONSTS = natural_constants()
@@ -352,6 +353,49 @@ def test_equivalence_holds_for_any_constants(seed, hbar, mass, charge):
     assert rep.spinor_rel_residual <= 1e-8
 
 
+def _band_limited_by_ifftn(frames, grid, rng, max_mode, amplitude, zero_spatial_mean):
+    # reference: the whole spectrum through np.fft.ifftn
+    shape = (frames,) + grid.shape
+    spec = np.zeros(shape, dtype=np.complex128)
+    ranges = [
+        np.r_[0 : max_mode + 1, n - max_mode : n] if n > 2 * max_mode else np.arange(n)
+        for n in shape
+    ]
+    idx = tuple(m.ravel() for m in np.meshgrid(*ranges, indexing="ij"))
+    spec[idx] = rng.normal(size=len(idx[0])) + 1j * rng.normal(size=len(idx[0]))
+    if zero_spatial_mean:
+        spec[(slice(None),) + (0,) * grid.dim] = 0.0
+    field = np.fft.ifftn(spec).real
+    field *= amplitude / np.max(np.abs(field))
+    return field
+
+
+@pytest.mark.parametrize("zero_mean", [False, True])
+@pytest.mark.parametrize("max_mode", [1, 2])
+@pytest.mark.parametrize("cells,frames", [
+    ((16,), 12), ((5,), 4), ((12, 9), 6), ((4, 16), 12), ((10, 10, 10), 8), ((16, 5, 7), 3),
+])
+def test_band_limited_synthesis_matches_ifftn(cells, frames, max_mode, zero_mean):
+    # (5,), (4, 16) and (16, 5, 7) hold axes with n <= 2 * max_mode, where
+    # the band covers the whole axis
+    g = Grid((1.0,) * len(cells), cells, PERIODIC)
+    seed = 3 + sum(cells) + frames
+    got = _band_limited_spacetime(frames, g, np.random.default_rng(seed), max_mode, 0.7,
+                                  zero_mean)
+    want = _band_limited_by_ifftn(frames, g, np.random.default_rng(seed), max_mode, 0.7,
+                                  zero_mean)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("cells", [(16, 12), (10, 10, 10)])
+def test_random_configuration_b_is_spectral_curl(cells):
+    g = Grid((1.0,) * len(cells), cells, PERIODIC)
+    _polar, em, _dt = random_smooth_configuration(g, frames=5, consts=CONSTS, seed=4)
+    for cfg in em:
+        assert cfg.b.values.tobytes() == curl(cfg.a_pot, SPECTRAL).values.tobytes()
+
+
 def test_global_phase_invariance():
     # the map ambiguity: S shifts by any constant (a global wavefunction
     # phase), the relative phase by whole turns
@@ -548,11 +592,25 @@ def test_averaged_hj_matches_lambda_under_substitution():
 def test_breakdown_terms_sum_to_total():
     g = Grid((1.0, 1.0), (16, 16), PERIODIC)
     polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
-    breakdown = total_functional_breakdown(polar, em, CONSTS, dt=dt, time_periodic=True)
+    breakdown = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True).breakdown
     total = total_functional(polar, em, CONSTS, dt=dt, time_periodic=True)
     assert breakdown["total"] == pytest.approx(total, rel=1e-12)
     parts = sum(v for k, v in breakdown.items() if k != "total")
     assert parts == pytest.approx(total, rel=1e-12)
+
+
+def test_equivalence_with_near_identified_constants_keeps_both_routes():
+    # lam off the identification by round-off passes the identification
+    # check; Q_polar then takes the exact constants and the total these ones
+    g = Grid((1.0, 1.0), (16, 16), PERIODIC)
+    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
+    near = PhysicalConstants(1.0, 1.0, 1.0, gamma=1.0, lam=0.125 * (1.0 + 1e-13), a=0.5,
+                             identification=True)
+    rep = equivalence_residual(polar, em, near, dt=dt, time_periodic=True)
+    assert rep.q_polar == q_polar(polar, em, near, dt=dt, time_periodic=True)
+    assert rep.total == total_functional(polar, em, near, dt=dt, time_periodic=True)
+    assert rep.total != rep.q_polar
+    assert rep.breakdown["total"] == pytest.approx(rep.total, rel=1e-12)
 
 
 def test_fisher_rejects_unnormalized_density():

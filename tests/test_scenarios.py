@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from paulilab import cli, scenarios, variational
+from paulilab import cli, functionals, scenarios, variational
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
 
 
@@ -177,28 +177,44 @@ def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
     assert not (tmp_path / "out").exists()
 
 
+_JOINT = "parameters must satisfy: "
+
+
+# rules: the start of each violation the document must list, and no other
 @pytest.mark.parametrize("kind,parameters,rules", [
     ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0},
-     ["spin_up_weight and spin_down_weight are not both 0"]),
+     [_JOINT + "spin_up_weight and spin_down_weight are not both 0"]),
     ("stern_gerlach", {"field_gradient": 0.02, "gamma_energy": 0.0},
-     ["gamma_energy != 0 when field_gradient != 0"]),
+     [_JOINT + "gamma_energy != 0 when field_gradient != 0"]),
     ("stern_gerlach", {"field_gradient": -0.02, "gamma_energy": 0.0, "spin_up_weight": 0.0,
                        "spin_down_weight": 0.0},
-     ["spin_up_weight and spin_down_weight are not both 0",
-      "gamma_energy != 0 when field_gradient != 0"]),
-    ("evidence", {"cells": 12}, ["shift lies along x"]),
-    ("evidence", {"shift": [1.0, 0.0, 0.0]}, ["shift lies along x"]),
-    ("evidence", {"shift": [0.25, 0.1, 0.0]}, ["shift lies along x"]),
-    ("evidence", {"shift": [0.25, 0.0]}, ["shift lies along x"]),
+     [_JOINT + "spin_up_weight and spin_down_weight are not both 0",
+      _JOINT + "gamma_energy != 0 when field_gradient != 0"]),
+    ("evidence", {"cells": 12}, [_JOINT + "shift lies along x"]),
+    ("evidence", {"shift": [1.0, 0.0, 0.0]}, [_JOINT + "shift lies along x"]),
+    ("evidence", {"shift": [0.25, 0.1, 0.0]}, [_JOINT + "shift lies along x"]),
+    ("evidence", {"shift": [0.25, 0.0]}, [_JOINT + "shift lies along x"]),
+    # a range violation leaves the joint rules of the other parameters in force
+    ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0,
+                       "cells": -5},
+     ["parameter 'cells' must be >= 1, got -5",
+      _JOINT + "spin_up_weight and spin_down_weight are not both 0"]),
+    # ... and suspends the joint rules that read it
+    ("evidence", {"cells": 12, "repetitions": 0}, ["parameter 'repetitions' must be >= 1"]),
+    ("stern_gerlach", {"field_gradient": 0.02, "gamma_energy": "x", "spin_up_weight": 0.0,
+                       "spin_down_weight": 0.0},
+     ["parameter 'gamma_energy' must be of type float",
+      _JOINT + "spin_up_weight and spin_down_weight are not both 0"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"kind": kind, "parameters": parameters}))
     assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("parameters must satisfy") == len(rules)
+    listed = [line.removeprefix("scenario error: ")
+              for line in capsys.readouterr().err.splitlines()]
+    assert len(listed) == len(rules)
     for rule in rules:
-        assert f"parameters must satisfy: {rule}" in err
+        assert any(line.startswith(rule) for line in listed), (rule, listed)
     assert not (tmp_path / "out").exists()
 
 
@@ -329,6 +345,24 @@ def test_equivalence_scenario_small(tmp_path):
     report = run(Scenario("equivalence", params, seed=4, output_dir=str(tmp_path)))
     assert report.passed
     assert (tmp_path / "breakdown.csv").exists()
+
+
+def test_equivalence_document_prepares_each_set_once(tmp_path, monkeypatch):
+    calls = {"_prepare": 0, "_polar_terms": 0}
+    for name in calls:
+        original = getattr(functionals, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, name, counted)
+    report = run(parse_scenario(json.dumps({
+        "kind": "equivalence", "output_dir": str(tmp_path),
+        "parameters": {"cells": 12, "frames": 8, "sets": 2},
+    })))
+    assert report.passed
+    assert calls == {"_prepare": 2, "_polar_terms": 2}
 
 
 def _read_csv(path):
