@@ -306,6 +306,20 @@ def laplacian_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     return total.tocsr()
 
 
+def interior_mask(grid: Grid) -> np.ndarray:
+    """True on the cells a boundary condition leaves free: every cell of a
+    periodic grid, all but the outer layer of a dirichlet_zero grid."""
+    mask = np.ones(grid.shape, dtype=bool)
+    if grid.boundary == DIRICHLET_ZERO:
+        for ax in range(grid.dim):
+            sl = [slice(None)] * grid.dim
+            sl[ax] = 0
+            mask[tuple(sl)] = False
+            sl[ax] = -1
+            mask[tuple(sl)] = False
+    return mask
+
+
 def wrap_angle(delta: np.ndarray) -> np.ndarray:
     """Fold angle differences into (-pi, pi]."""
     return delta - 2.0 * np.pi * np.round(delta / (2.0 * np.pi))

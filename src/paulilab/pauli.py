@@ -3,9 +3,15 @@
 Two unitary schemes: a split-operator propagator (spectral kinetic half-steps
 around an exact per-cell 2x2 exponential of the potential/spin block) for
 periodic grids with zero vector potential, and a Cayley-form implicit step
-assembled as a sparse system for stencil kinetics on any boundary.  The
-neutral variant drops the charge from the kinetic and potential terms and
-couples the spin through an independent energy-per-field coefficient.
+assembled as a sparse system for stencil kinetics on any boundary, over the
+cells a dirichlet_zero boundary leaves free.  The neutral variant drops the
+charge from the kinetic and potential terms and couples the spin through an
+independent energy-per-field coefficient.
+
+A propagator advances several steps per call.  Between two records the
+split-operator scheme runs the trailing kinetic half-step of one step and
+the leading half-step of the next as one full step (Strang splitting), which
+moves its output at round-off only.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ from .grids import (
     ScalarField,
     SpinorField,
     VectorField3,
-    derive_along,
     integrate_values,
+    interior_mask,
     laplacian_matrix,
     quadrature_weights,
-    second_derive_along,
 )
 
 SPLIT_OPERATOR = "split_operator"
@@ -100,67 +105,13 @@ class SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian application
-# ---------------------------------------------------------------------------
-
-
-def _laplacian_stack(values: np.ndarray, grid: Grid, scheme: str) -> np.ndarray:
-    """Componentwise Laplacian of a (...,2) complex array."""
-    out = np.zeros_like(values)
-    for ax in range(grid.dim):
-        out += second_derive_along(values, grid.spacing[ax], ax, grid.boundary, scheme)
-    return out
-
-
-def apply_hamiltonian(
-    state: PauliState, config: SolverConfig, scheme: str | None = None
-) -> SpinorField:
-    """H applied to the wavefunction.
-
-    Charged: (1/2m)(-i hbar grad - qA)^2 + q phi_pot - (q hbar / 2m) sigma.B.
-    Neutral: -(hbar^2/2m) grad^2 - gamma_energy sigma.B.
-    """
-    grid = state.phi.grid
-    if scheme is None:
-        scheme = SPECTRAL if grid.boundary == PERIODIC else CENTRAL
-    consts = config.consts
-    em = config.em
-    if em.grid != grid:
-        raise SolverError("field configuration and state live on different grids")
-    hbar, m = consts.hbar, consts.mass
-    q = config.kinetic_charge()
-    psi = state.phi.values
-    out = -(hbar**2) / (2.0 * m) * _laplacian_stack(psi, grid, scheme)
-    if q != 0.0:
-        a_vals = em.a_pot.values
-        for ax in range(grid.dim):
-            h = grid.spacing[ax]
-            a_ax = a_vals[..., ax][..., None]
-            d_psi = derive_along(psi, h, ax, grid.boundary, scheme)
-            d_apsi = derive_along(a_ax * psi, h, ax, grid.boundary, scheme)
-            out += (1j * hbar * q / (2.0 * m)) * (d_apsi + a_ax * d_psi)
-        a_sq = np.sum(a_vals**2, axis=-1)[..., None]
-        out += (q**2 / (2.0 * m)) * a_sq * psi
-        out += q * em.phi_pot.values[..., None] * psi
-    coupling = config.spin_coupling()
-    if coupling != 0.0:
-        b = em.b_values(scheme)
-        out[..., 0] += -coupling * (
-            b[..., 2] * psi[..., 0] + (b[..., 0] - 1j * b[..., 1]) * psi[..., 1]
-        )
-        out[..., 1] += -coupling * (
-            (b[..., 0] + 1j * b[..., 1]) * psi[..., 0] - b[..., 2] * psi[..., 1]
-        )
-    return SpinorField(grid, out)
-
-
-# ---------------------------------------------------------------------------
 # propagators
 # ---------------------------------------------------------------------------
 
 
 class _SplitOperatorPropagator:
-    """Half kinetic (spectral) / full potential+spin (exact 2x2) / half kinetic."""
+    """Strang splitting K/2 V K/2: spectral kinetic factors K around an exact
+    per-cell 2x2 exponential V of the potential/spin block."""
 
     def __init__(self, config: SolverConfig, grid: Grid):
         if grid.boundary != PERIODIC:
@@ -172,8 +123,9 @@ class _SplitOperatorPropagator:
             shape[ax] = grid.cells[ax]
             k_sq = k_sq + (k.reshape(shape)) ** 2
         consts = config.consts
-        # exp(-i (dt/2) (hbar^2 k^2 / 2m) / hbar)
+        # exp(-i (dt/2) (hbar^2 k^2 / 2m) / hbar), and the full step's factor
         self._half_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (4.0 * consts.mass))
+        self._full_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (2.0 * consts.mass))
         # 1-D transforms, last axis first as np.fft.fftn runs them: its bits, less overhead
         self._axes = tuple(reversed(range(grid.dim)))
         em = config.em
@@ -194,39 +146,53 @@ class _SplitOperatorPropagator:
         u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
         self._cell = u11, u12, u21, u22
 
-    def _kinetic(self, psi: np.ndarray) -> np.ndarray:
+    def _kinetic(self, psi: np.ndarray, factor: np.ndarray) -> np.ndarray:
         for ax in self._axes:
             psi = scipy.fft.fft(psi, axis=ax)
-        psi *= self._half_kinetic[..., None]
+        psi *= factor[..., None]
         for ax in self._axes:
             psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
         return psi
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        out = self._kinetic(psi)
+    def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
+        """n steps as K/2 (V K)^(n-1) V K/2: nothing observes the state
+        between the trailing half-step of one step and the leading half of
+        the next, so they run as one full kinetic step.  n = 1 is one step's
+        operations in their order."""
         u11, u12, u21, u22 = self._cell
-        c0 = u11 * out[..., 0] + u12 * out[..., 1]
-        c1 = u21 * out[..., 0] + u22 * out[..., 1]
-        out[..., 0], out[..., 1] = c0, c1
-        return self._kinetic(out)
+        psi = self._kinetic(psi, self._half_kinetic)
+        for i in range(n):
+            c0 = u11 * psi[..., 0] + u12 * psi[..., 1]
+            c1 = u21 * psi[..., 0] + u22 * psi[..., 1]
+            psi[..., 0], psi[..., 1] = c0, c1
+            psi = self._kinetic(psi, self._full_kinetic if i < n - 1 else self._half_kinetic)
+        return psi
 
 
 class _CrankNicolsonPropagator:
-    """Unitary Cayley step (I + i dt H / 2 hbar) psi' = (I - i dt H / 2 hbar) psi."""
+    """Unitary Cayley step (I + i dt H / 2 hbar) psi' = (I - i dt H / 2 hbar) psi.
+
+    The system spans the free cells only.  The boundary cells of a
+    dirichlet_zero grid stay 0 and serve as the stencil's zero neighbours,
+    so the step conserves the trapezoid-weighted norm that evolve checks.
+    """
 
     def __init__(self, config: SolverConfig, grid: Grid):
-        self.grid = grid
         consts = config.consts
         em = config.em
         if np.any(em.a_pot.values != 0.0):
             raise SolverError(
                 "the implicit propagator supports zero vector potential only"
             )
-        n = grid.size
-        kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
+        self._free = interior_mask(grid)
+        self._edge = ~self._free
+        free = np.flatnonzero(self._free)
+        if free.size == 0:
+            raise SolverError("a dirichlet_zero grid needs at least 3 cells per axis")
+        kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)[free][:, free]
         q = config.kinetic_charge()
-        v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(n)
-        b = em.b_values(CENTRAL).reshape(n, 3)
+        v = q * em.phi_pot.values.ravel()[free] if q != 0.0 else np.zeros(free.size)
+        b = em.b_values(CENTRAL).reshape(grid.size, 3)[free]
         coupling = config.spin_coupling()
         bz = coupling * b[:, 2]
         bxy = coupling * (b[:, 0] - 1j * b[:, 1])
@@ -241,20 +207,30 @@ class _CrankNicolsonPropagator:
         self._a_minus = (eye - z * ham).tocsr()
         self._lu = scipy.sparse.linalg.splu(self._a_plus.tocsc())
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        flat = np.concatenate([psi[..., 0].ravel(), psi[..., 1].ravel()])
-        rhs = self._a_minus @ flat
-        sol = self._lu.solve(rhs)
-        residual = np.linalg.norm(self._a_plus @ sol - rhs)
-        scale = np.linalg.norm(rhs)
-        if scale > 0 and residual > _RESIDUAL_TOL * scale:
+    def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
+        """n Cayley solves on the flat [psi_0; psi_1] block of the free
+        cells, converted once at each end; every solve's residual is
+        checked."""
+        boundary = np.abs(psi[self._edge])
+        if boundary.size and boundary.max() > 0.0:
             raise SolverError(
-                f"implicit solve residual {residual / scale:.3e} above tolerance"
+                "a dirichlet_zero state must vanish on the boundary cells; largest "
+                f"boundary amplitude {boundary.max():.3e}"
             )
-        out = np.empty_like(psi)
+        flat = np.concatenate([psi[..., 0][self._free], psi[..., 1][self._free]])
+        for _ in range(n):
+            rhs = self._a_minus @ flat
+            flat = self._lu.solve(rhs)
+            residual = np.linalg.norm(self._a_plus @ flat - rhs)
+            scale = np.linalg.norm(rhs)
+            if scale > 0 and residual > _RESIDUAL_TOL * scale:
+                raise SolverError(
+                    f"implicit solve residual {residual / scale:.3e} above tolerance"
+                )
+        out = np.zeros_like(psi)
         half = flat.size // 2
-        out[..., 0] = sol[:half].reshape(self.grid.shape)
-        out[..., 1] = sol[half:].reshape(self.grid.shape)
+        out[..., 0][self._free] = flat[:half]
+        out[..., 1][self._free] = flat[half:]
         return out
 
 
@@ -268,10 +244,11 @@ def step(state: PauliState, config: SolverConfig) -> PauliState:
     """Advance one time step; norm is preserved to 1e-12 per step.
 
     Builds a fresh propagator each call; evolve() amortizes the setup (the
-    implicit scheme factorizes its system once) over the whole run.
+    implicit scheme factorizes its system once) over the whole run, and
+    between two records fuses the split-operator half-steps that meet.
     """
     prop = _make_propagator(config, state.phi.grid)
-    out = prop.step(state.phi.values.copy())
+    out = prop.advance(state.phi.values.copy(), 1)
     return PauliState(SpinorField(state.phi.grid, out), state.t + config.dt)
 
 
@@ -354,6 +331,12 @@ def evolve(
 ) -> PauliTrajectory:
     """Repeated stepping with periodic recording of the observables.
 
+    The propagator advances from one record to the next in one call.  The
+    split-operator scheme fuses the two kinetic half-steps that meet between
+    unrecorded steps into one full step, which moves its output at round-off
+    only; with ``record_every=1``, and for Crank-Nicolson at any
+    ``record_every``, every step runs as ``step`` runs it.
+
     ``on_record(psi, t)``, when given, sees the raw wavefunction array at
     each recorded step before its observables are taken; it may raise to
     abort the run.
@@ -387,11 +370,11 @@ def evolve(
         row += 1
 
     record()
-    for i in range(1, steps + 1):
-        psi = prop.step(psi)
-        t = initial.t + i * config.dt
-        if i % record_every == 0 or i == steps:
-            record()
+    for i in range(0, steps, record_every):
+        n = min(record_every, steps - i)
+        psi = prop.advance(psi, n)
+        t = initial.t + (i + n) * config.dt
+        record()
     return PauliTrajectory(times, norms, positions, spins, masses, snapshots)
 
 
@@ -470,21 +453,23 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
         grid, config.sigma, config.center, config.velocity, config.spin_weights, config.consts
     )
     w = quadrature_weights(grid)
+    wz = w * z
     edge = max(3, config.cells // 64)
     centers, separations, overlaps = [], [], []
 
     def record(psi, t):
-        dens = np.sum(np.abs(psi) ** 2, axis=-1)
-        boundary_mass = float(np.sum((w * dens)[:edge]) + np.sum((w * dens)[-edge:]))
+        rho = [np.abs(psi[..., k]) ** 2 for k in (0, 1)]
+        dens = rho[0] + rho[1]
+        boundary_mass = float(np.sum(w[:edge] * dens[:edge])
+                              + np.sum(w[-edge:] * dens[-edge:]))
         if boundary_mass > _BOUNDARY_MASS_TOL:
             raise SolverError(
                 f"packet reached the grid boundary at t={t:.6g} "
                 f"(edge mass {boundary_mass:.3e} > {_BOUNDARY_MASS_TOL:.1e})"
             )
-        rho = [np.abs(psi[..., k]) ** 2 for k in (0, 1)]
         masses = [float(np.sum(w * r)) for r in rho]
         occupied = [m > 1e-12 for m in masses]
-        cs = [float(np.sum(w * z * r)) / m if o else np.nan
+        cs = [float(np.sum(wz * r)) / m if o else np.nan
               for r, m, o in zip(rho, masses, occupied)]
         centers.append(cs)
         separations.append(cs[0] - cs[1] if all(occupied) else 0.0)

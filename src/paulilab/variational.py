@@ -33,12 +33,12 @@ from .functionals import (
 )
 from .grids import (
     CENTRAL,
-    DIRICHLET_ZERO,
     PERIODIC,
     POSITIVITY_FLOOR,
     Grid,
     VectorField3,
     derive_along_adjoint,
+    interior_mask,
     laplacian_matrix,
     quadrature_weights,
 )
@@ -144,18 +144,6 @@ def fisher_gradient_density(p: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # static total-functional objective over polar fields
 # ---------------------------------------------------------------------------
-
-
-def _boundary_mask(grid: Grid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    if grid.boundary == DIRICHLET_ZERO:
-        for ax in range(grid.dim):
-            sl = [slice(None)] * grid.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = False
-            sl[ax] = -1
-            mask[tuple(sl)] = False
-    return mask
 
 
 class TotalObjective:
@@ -274,7 +262,7 @@ class _FisherOperator:
 
 
 def _fisher_operator(grid: Grid) -> _FisherOperator:
-    free = np.flatnonzero(_boundary_mask(grid))
+    free = np.flatnonzero(interior_mask(grid))
     stiffness = ((-4.0 * grid.cell_volume) * laplacian_matrix(grid))[free][:, free]
     # eps is the scale of the lowest continuum modes: it keeps T positive
     # definite on periodic grids, where K annihilates the constants
@@ -318,7 +306,7 @@ def _sphere_minimize(
     stops the descent.
     """
     w = quadrature_weights(grid)
-    free = _boundary_mask(grid)
+    free = interior_mask(grid)
     wf = w.ravel()[op.free]
     modes = [mode.ravel()[op.free] for mode in deflate]
     psi = _retract(psi0, w, free, deflate)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +14,21 @@ from paulilab.functionals import (
     polar_from_spinor,
 )
 from paulilab.grids import (
+    CENTRAL,
+    DIRICHLET_ZERO,
     PERIODIC,
+    SPECTRAL,
     Grid,
     ScalarField,
     SpinorField,
     VectorField3,
+    derive_along,
     integrate_values,
+    interior_mask,
     quadrature_weights,
+    second_derive_along,
 )
+from paulilab import pauli
 from paulilab.pauli import (
     CRANK_NICOLSON,
     SPLIT_OPERATOR,
@@ -28,7 +36,6 @@ from paulilab.pauli import (
     SolverConfig,
     SolverError,
     SternGerlachConfig,
-    apply_hamiltonian,
     evolve,
     gaussian_packet_state,
     observables,
@@ -59,6 +66,54 @@ def uniform_state(grid, weights=(1.0, 0.0)):
 # ---------------------------------------------------------------------------
 # Hamiltonian application
 # ---------------------------------------------------------------------------
+
+
+def _laplacian_stack(values, grid, scheme):
+    """Componentwise Laplacian of a (...,2) complex array."""
+    out = np.zeros_like(values)
+    for ax in range(grid.dim):
+        out += second_derive_along(values, grid.spacing[ax], ax, grid.boundary, scheme)
+    return out
+
+
+def apply_hamiltonian(state, config, scheme=None):
+    """H applied to the wavefunction, term by term: the oracle for the
+    generator of the propagators.
+
+    Charged: (1/2m)(-i hbar grad - qA)^2 + q phi_pot - (q hbar / 2m) sigma.B.
+    Neutral: -(hbar^2/2m) grad^2 - gamma_energy sigma.B.
+    """
+    grid = state.phi.grid
+    if scheme is None:
+        scheme = SPECTRAL if grid.boundary == PERIODIC else CENTRAL
+    consts = config.consts
+    em = config.em
+    assert em.grid == grid
+    hbar, m = consts.hbar, consts.mass
+    q = config.kinetic_charge()
+    psi = state.phi.values
+    out = -(hbar**2) / (2.0 * m) * _laplacian_stack(psi, grid, scheme)
+    if q != 0.0:
+        a_vals = em.a_pot.values
+        for ax in range(grid.dim):
+            h = grid.spacing[ax]
+            a_ax = a_vals[..., ax][..., None]
+            d_psi = derive_along(psi, h, ax, grid.boundary, scheme)
+            d_apsi = derive_along(a_ax * psi, h, ax, grid.boundary, scheme)
+            out += (1j * hbar * q / (2.0 * m)) * (d_apsi + a_ax * d_psi)
+        a_sq = np.sum(a_vals**2, axis=-1)[..., None]
+        out += (q**2 / (2.0 * m)) * a_sq * psi
+        out += q * em.phi_pot.values[..., None] * psi
+    coupling = config.spin_coupling()
+    if coupling != 0.0:
+        b = em.b_values(scheme)
+        out[..., 0] += -coupling * (
+            b[..., 2] * psi[..., 0] + (b[..., 0] - 1j * b[..., 1]) * psi[..., 1]
+        )
+        out[..., 1] += -coupling * (
+            (b[..., 0] + 1j * b[..., 1]) * psi[..., 0] - b[..., 2] * psi[..., 1]
+        )
+    return SpinorField(grid, out)
 
 
 def test_hamiltonian_plane_wave_eigenvalue():
@@ -104,6 +159,29 @@ def test_hamiltonian_linearity():
     left = h_of(2.0 * a_vals + 0.5j * b_vals)
     right = 2.0 * h_of(a_vals) + 0.5j * h_of(b_vals)
     np.testing.assert_allclose(left, right, atol=1e-10)
+
+
+@pytest.mark.parametrize("scheme,kinetic", [(SPLIT_OPERATOR, SPECTRAL),
+                                             (CRANK_NICOLSON, CENTRAL)])
+def test_one_step_is_generated_by_the_hamiltonian(scheme, kinetic):
+    # i hbar (U psi - psi) / dt -> H psi, first order in dt, with the
+    # scheme's own kinetic discretization
+    g = Grid((12.0,), (96,), PERIODIC)
+    wave = 2 * np.pi * g.axis_coordinates(0) / 12.0
+    b_vals = np.zeros(g.shape + (3,))
+    b_vals[..., 0] = 0.3 * np.sin(wave)
+    b_vals[..., 2] = 0.5 + 0.2 * np.cos(wave)
+    em = EMConfiguration(g, ScalarField(g, 0.4 * np.cos(wave)), VectorField3.zero(g),
+                         b=VectorField3(g, b_vals))
+    state = gaussian_packet_state(g, 1.2, 6.0, 0.5, (0.8, 0.6j), CONSTS)
+    errors = []
+    for dt in (1e-4, 1e-5):
+        config = SolverConfig(scheme, dt, CONSTS, em)
+        h_psi = apply_hamiltonian(state, config, kinetic).values
+        generated = 1j * CONSTS.hbar * (step(state, config).phi.values - state.phi.values) / dt
+        errors.append(np.max(np.abs(generated - h_psi)) / np.max(np.abs(h_psi)))
+    assert errors[1] < 2e-4
+    assert 9.0 < errors[0] / errors[1] < 11.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +300,164 @@ def test_neutral_matches_charged_at_zero_charge():
     a = evolve(state, neutral_cfg, 0.5, record_every=50, keep_snapshots=True).snapshots[-1]
     b = evolve(state, charged_cfg, 0.5, record_every=50, keep_snapshots=True).snapshots[-1]
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fused stepping against the stepwise oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_kinetic_half(prop, psi):
+    for ax in prop._axes:
+        psi = scipy.fft.fft(psi, axis=ax)
+    psi *= prop._half_kinetic[..., None]
+    for ax in prop._axes:
+        psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
+    return psi
+
+
+def oracle_step(prop, psi):
+    """One step as its own operations, on the propagator's factors: half K,
+    cell 2x2, half K for the split operator; a flat Cayley solve with the
+    layout converted on the way in and out for Crank-Nicolson."""
+    if isinstance(prop, pauli._SplitOperatorPropagator):
+        out = _oracle_kinetic_half(prop, psi)
+        u11, u12, u21, u22 = prop._cell
+        c0 = u11 * out[..., 0] + u12 * out[..., 1]
+        c1 = u21 * out[..., 0] + u22 * out[..., 1]
+        out[..., 0], out[..., 1] = c0, c1
+        return _oracle_kinetic_half(prop, out)
+    flat = np.concatenate([psi[..., 0].ravel(), psi[..., 1].ravel()])
+    sol = prop._lu.solve(prop._a_minus @ flat)
+    out = np.empty_like(psi)
+    half = flat.size // 2
+    out[..., 0] = sol[:half].reshape(psi.shape[:-1])
+    out[..., 1] = sol[half:].reshape(psi.shape[:-1])
+    return out
+
+
+def oracle_states(state, config, steps):
+    """The wavefunction after each of 0..steps single steps."""
+    prop = pauli._make_propagator(config, state.phi.grid)
+    psi = state.phi.values.copy()
+    out = [psi.copy()]
+    for _ in range(steps):
+        psi = oracle_step(prop, psi)
+        out.append(psi.copy())
+    return out
+
+
+def random_run(grid, seed, neutral, scheme, dt):
+    """A normalized random state and a random static phi and B on ``grid``;
+    on a dirichlet_zero grid the state vanishes on the boundary cells."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    vals[~interior_mask(grid)] = 0.0
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), grid))
+    em = EMConfiguration(grid, ScalarField(grid, 3.0 * rng.random(grid.shape)),
+                         VectorField3.zero(grid),
+                         b=VectorField3(grid, rng.standard_normal(grid.shape + (3,))))
+    config = SolverConfig(scheme, dt, CONSTS, em, neutral=neutral,
+                          gamma_energy=0.7 if neutral else None)
+    return PauliState(SpinorField(grid, vals)), config
+
+
+_PERIODIC_GRIDS = [((3.0,), (16,)), ((2.0, 1.5), (6, 5)), ((1.0, 1.2, 0.8), (4, 3, 5))]
+
+
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+@pytest.mark.parametrize("extents,cells", _PERIODIC_GRIDS)
+def test_evolve_recording_every_step_is_the_stepwise_oracle_bitwise(scheme, extents, cells):
+    g = Grid(extents, cells, PERIODIC)
+    state, config = random_run(g, len(cells), False, scheme, 1e-2)
+    traj = evolve(state, config, 0.3, record_every=1, keep_snapshots=True)
+    oracle = oracle_states(state, config, 30)
+    assert len(traj.snapshots) == 31
+    for snap, want in zip(traj.snapshots, oracle):
+        assert snap.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 7, 50])
+@pytest.mark.parametrize("extents,cells", _PERIODIC_GRIDS)
+def test_crank_nicolson_is_the_stepwise_oracle_bitwise_at_any_record_every(extents, cells,
+                                                                           record_every):
+    g = Grid(extents, cells, PERIODIC)
+    state, config = random_run(g, 10 + len(cells), True, CRANK_NICOLSON, 1e-2)
+    traj = evolve(state, config, 0.3, record_every=record_every, keep_snapshots=True)
+    oracle = oracle_states(state, config, 30)
+    recorded = list(range(0, 30, record_every)) + [30]
+    assert len(traj.snapshots) == len(recorded)
+    for snap, i in zip(traj.snapshots, recorded):
+        assert snap.tobytes() == oracle[i].tobytes()
+
+
+@st.composite
+def grids(draw, boundaries=(PERIODIC,)):
+    dim = draw(st.integers(1, 3))
+    top = (48, 10, 5)[dim - 1]
+    cells = tuple(draw(st.lists(st.integers(3, top), min_size=dim, max_size=dim)))
+    extents = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=dim, max_size=dim)))
+    return Grid(extents, cells, draw(st.sampled_from(boundaries)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1), neutral=st.booleans(),
+       dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 200), record_every=st.integers(1, 50))
+def test_fused_split_operator_stays_at_round_off_from_the_stepwise_oracle(
+        grid, seed, neutral, dt, steps, record_every):
+    state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt)
+    traj = evolve(state, config, steps * dt, record_every=record_every, keep_snapshots=True)
+    oracle = oracle_states(state, config, steps)
+    recorded = list(range(0, steps, record_every)) + [steps]
+    assert len(traj.snapshots) == len(recorded)
+    for snap, i in zip(traj.snapshots, recorded):
+        want = oracle[i]
+        assert np.max(np.abs(snap - want)) <= 1e-14 * i * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from([SPLIT_OPERATOR, CRANK_NICOLSON]),
+       seed=st.integers(0, 2**32 - 1), neutral=st.booleans(), dt=st.floats(1e-3, 5e-2),
+       steps=st.integers(1, 200), record_every=st.integers(1, 50))
+def test_every_recorded_norm_stays_within_1e12_of_one(data, scheme, seed, neutral, dt, steps,
+                                                      record_every):
+    boundaries = (PERIODIC,) if scheme == SPLIT_OPERATOR else (PERIODIC, DIRICHLET_ZERO)
+    grid = data.draw(grids(boundaries))
+    state, config = random_run(grid, seed, neutral, scheme, dt)
+    traj = evolve(state, config, steps * dt, record_every=record_every)
+    assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+
+
+def test_crank_nicolson_holds_dirichlet_boundary_cells_at_zero():
+    g = Grid((2.0, 1.5), (7, 6), DIRICHLET_ZERO)
+    state, config = random_run(g, 4, False, CRANK_NICOLSON, 1e-2)
+    traj = evolve(state, config, 0.2, record_every=5, keep_snapshots=True)
+    edge = ~np.pad(np.ones((5, 4), dtype=bool), 1)
+    assert np.all(traj.snapshots[:, edge] == 0.0)
+    assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+
+
+def test_crank_nicolson_refuses_a_dirichlet_state_off_zero_on_the_boundary():
+    g = Grid((2.0,), (9,), DIRICHLET_ZERO)
+    state, config = random_run(g, 5, True, CRANK_NICOLSON, 1e-2)
+    vals = state.phi.values.copy()
+    vals[-1, 1] = 0.25
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
+    spoiled = PauliState(SpinorField(g, vals))
+    amplitude = f"{abs(vals[-1, 1]):.3e}"
+    with pytest.raises(SolverError, match=amplitude):
+        evolve(spoiled, config, 0.1)
+    with pytest.raises(SolverError, match=amplitude):
+        step(spoiled, config)
+
+
+def test_crank_nicolson_refuses_a_dirichlet_grid_without_interior_cells():
+    g = Grid((2.0, 1.0), (9, 2), DIRICHLET_ZERO)
+    vals = np.full(g.shape + (2,), 0.5 + 0.0j)
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
+    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, EMConfiguration.zero(g))
+    with pytest.raises(SolverError, match="3 cells"):
+        step(PauliState(SpinorField(g, vals)), config)
 
 
 # ---------------------------------------------------------------------------

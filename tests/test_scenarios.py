@@ -417,9 +417,12 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
 # stepping documents were recorded before the kernels moved off np.fft.fftn,
 # RegularGridInterpolator and np.cross, the others before the scenario
 # runners and the acceptance criteria shared one check per guarantee; both
-# changes must keep every bit. Recorded with numpy 2.4 and scipy 1.17 on
-# x86-64: other builds of the transcendental and FFT kernels may round
-# differently.
+# changes must keep every bit. The split-operator documents that record
+# every k > 1 steps (uniform_field, free_packet, stern_gerlach) were
+# recorded again when the kinetic half-steps between records were fused
+# into full steps, which moves them at round-off. Recorded with numpy 2.4
+# and scipy 1.17 on x86-64: other builds of the transcendental and FFT
+# kernels may round differently.
 _GOLDEN_DIGESTS = [
     ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200}, {
         "trajectory.csv": "5ad1049b310b56129d77349675ca7933d980a53082244baeb06649747a4aea36",
@@ -431,8 +434,8 @@ _GOLDEN_DIGESTS = [
         "checks": "1e2cccfa46664db3fd07ed1ddccc317335f2b81ecd730033517570301968b13e",
     }),
     ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100}, {
-        "trajectory.csv": "f2b1bf4ddc3b72b15645108bc3cce9b3b41b9856340111258f38e03b83676548",
-        "checks": "569e40e1ac2d2d0e9969f9e7070b3d85d204dcaa2fc3ec0a5e95989a4a2698f3",
+        "trajectory.csv": "1eaf5c0745bc0ed229680690fbbbc39245471f8e348179c58afcb2fb5e85f598",
+        "checks": "2595bbb83e2006b48278c815eb187f0cf4c15f541ad9ce2502d66816144c2a4f",
     }),
     ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100, "t_final": 1.0,
                       "scheme": "crank_nicolson"}, {
@@ -441,9 +444,9 @@ _GOLDEN_DIGESTS = [
     }),
     ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100,
                       "record_every": 20}, {
-        "trajectory.csv": "a1c1fe01c8815fd3945752b14af4851c35483d859aa0d50b501d0bcb7c690b4a",
-        "snapshots.bin": "eea99d5c68a787c50bf61da5d2f3a5d20d3965e49bc160bd68790d0cc6694a53",
-        "checks": "cb8b7ef37e69424a29af3b3dc5a17e6779a10951213d00010bcf2c163c57372d",
+        "trajectory.csv": "c9b81ba347d2d9b71134c790f0521a78e17ee3ecfe701de81adff733f8e04cbd",
+        "snapshots.bin": "7887e477c61461c26831ebafee967543ce2a910d0304b81eac5f5f3f2f7ff8f9",
+        "checks": "6b5c3093ccde5a6c38d615a1ed4761a434ea5d35981e3364dcf6e602aa8a8928",
     }),
     ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100, "record_every": 20,
                       "t_final": 1.0, "scheme": "crank_nicolson"}, {
@@ -452,8 +455,8 @@ _GOLDEN_DIGESTS = [
         "checks": "a1cc2dd7dc1bba7126e7f7746f4bf0b9bc4f2599c15b6c970c701c53bfc5254d",
     }),
     ("stern_gerlach", {"field_gradient": 0.02, "cells": 256, "dt": 0.1, "record_every": 10}, {
-        "separation.csv": "1af8bce494511dc300d5e35717be8fd2d163a992fafec8d934dfdc3b7b01f774",
-        "checks": "f3b1d0876c9a1805dcdf00dfb97939447084bf15b0daa3b6b09505559f67504c",
+        "separation.csv": "8a20aca5bdf21673d011d079bc7d6a0a2eafe179b4b4bdcdbaf9674c37589a42",
+        "checks": "8c6dbbd74e4722fb469a0464ac435ee66f545f4b35dffd3c49412637477d4cbd",
     }),
     ("lorentz", {"setup": "uniform_b", "turns": 0.5, "steps_per_turn": 100}, {
         "particle.csv": "d56485a9f24fca67b5575c9d1b8b32542b77765823af01eec9fd068d20551dd7",

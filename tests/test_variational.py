@@ -13,6 +13,7 @@ from paulilab.grids import (
     Grid,
     ScalarField,
     VectorField3,
+    interior_mask,
     quadrature_weights,
 )
 from paulilab import variational
@@ -93,7 +94,7 @@ def test_deflated_descent_is_monotone_and_feasible(seed, dim, boundary, depth):
         assert abs(float(np.sum(w * p)) - 1.0) < 1e-8
         assert np.min(p) >= 0.0
         if boundary == DIRICHLET_ZERO:
-            assert np.all(p[~variational._boundary_mask(grid)] == 0.0)
+            assert np.all(p[~interior_mask(grid)] == 0.0)
         deflate.append(variational._normalize_psi(psi, w))
 
 
