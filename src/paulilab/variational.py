@@ -4,10 +4,11 @@ The density-only Fisher objective is minimized through the square-root
 substitution: the functional becomes a quadratic form in psi = sqrt(P) built
 from forward differences (the same 3-point family as the grid operators),
 whose discrete stationary points on the dirichlet lattice are exact sine
-modes.  On the unit sphere of psi it is the eigenproblem K psi = rho W psi,
-solved by single-vector LOPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with
-the factored lattice Laplacian as preconditioner; deflation against
-converged modes yields the excited family.
+modes.  On the unit sphere of psi it is the eigenproblem K psi = rho W psi.
+Its lowest modes, the minimum and the excited family, are solved together
+as one block by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with the
+factored lattice Laplacian as preconditioner, so degenerate partners are
+found together.
 
 ``TotalObjective`` gives the static Fisher + knowledge functional over the
 four polar fields and its exact discrete gradient, which criterion 8 checks
@@ -17,7 +18,6 @@ against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse
@@ -229,22 +229,8 @@ class TotalObjective:
 
 
 # ---------------------------------------------------------------------------
-# sphere solver for the square-root variable
+# block sphere solver for the square-root variable
 # ---------------------------------------------------------------------------
-
-
-def _normalize_psi(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    norm = float(np.sum(w * psi * psi))
-    if norm <= 0:
-        raise VariationalError("degenerate density iterate")
-    return psi / np.sqrt(norm)
-
-
-def _retract(psi, w, free, deflate):
-    psi = np.where(free, psi, 0.0)
-    for mode in deflate:
-        psi = psi - float(np.sum(w * psi * mode)) * mode
-    return _normalize_psi(psi, w)
 
 
 @dataclass(frozen=True)
@@ -253,7 +239,8 @@ class _FisherOperator:
 
     On the sphere sum(w psi^2) = 1 the psi objective is psi^T K psi with
     K = 4 * cell_volume * (-Laplacian) restricted to the free cells; T = K + eps W
-    is factored once and serves every start and deflated mode of a grid.
+    is factored once and serves every start of a grid.  W is the cell volume
+    on every free cell: the half-weight cells are never free.
     """
 
     free: np.ndarray  # flat indices of the free cells
@@ -272,132 +259,95 @@ def _fisher_operator(grid: Grid) -> _FisherOperator:
     return _FisherOperator(free, stiffness, lu)
 
 
-def _ritz_basis(columns, w: np.ndarray, modes) -> np.ndarray:
-    """w-orthonormal basis of span(columns) that is w-orthogonal to the
-    (w-orthonormal) deflated modes: Gram-Schmidt, twice, dropping directions
-    that lie numerically inside the span of the earlier ones."""
-    basis = list(modes)
-    for v in columns:
-        size = np.sqrt(float(np.sum(w * v * v)))
-        for _ in range(2):
-            for q in basis:
-                v = v - float(np.sum(w * q * v)) * q
-        norm = np.sqrt(float(np.sum(w * v * v)))
-        if norm > 1e-10 * size:
-            basis.append(v / norm)
-    return np.stack(basis[len(modes):], axis=1)
+def _ritz_basis(blocks, cell_volume: float) -> np.ndarray:
+    """W-orthonormal basis of the span of the column ``blocks``, block by
+    block: each block's unit columns are projected off the basis so far and
+    replaced by the left singular vectors of what remains, twice once there
+    is a basis to project off, dropping directions that lie numerically
+    inside the span of the earlier ones."""
+    basis = np.empty((len(blocks[0]), 0))
+    for block in blocks:
+        norms = np.linalg.norm(block, axis=0)
+        v = block[:, norms > 0] / norms[norms > 0]
+        for _ in range(2 if basis.shape[1] else 1):
+            u, sigma, _ = np.linalg.svd(v - basis @ (basis.T @ v), full_matrices=False)
+            v = u[:, sigma > 1e-10]
+        basis = np.hstack([basis, v])
+    return basis / np.sqrt(cell_volume)
 
 
-def _sphere_minimize(
-    grid: Grid,
-    op: _FisherOperator,
-    psi0: np.ndarray,
-    deflate: Sequence[np.ndarray],
-    grad_tol: float,
-    max_iterations: int,
-):
-    """Locally optimal preconditioned descent (single-vector LOPCG) for the
-    quadratic psi objective.
+def _block_lobpcg(grid: Grid, op: _FisherOperator, x0: np.ndarray, grad_tol: float,
+                  max_iterations: int, index: int) -> list[MinimizationResult]:
+    """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
+    modes of the psi objective, one per column of ``x0`` (free cells x modes).
 
-    Each iteration runs Rayleigh-Ritz over span{psi, T^-1 g, previous step},
-    with g the tangent gradient and T the factored preconditioner.  psi lies
-    in that span, so an accepted value never increases; a candidate above
-    the current value by more than round-off, or a step below ``_STEP_TOL``,
-    stops the descent.
+    Each iteration runs Rayleigh-Ritz over span[X, T^-1 R, P]: X the current
+    modes, R their tangent gradients, P the previous step and T the factored
+    preconditioner.  X is a Ritz basis inside that span, so no mode's value
+    increases; a candidate value above the current one by more than
+    round-off, or a step below ``_STEP_TOL``, stops the descent.  Every mode
+    has converged once its tangent-gradient norm is at most ``grad_tol``.
     """
-    w = quadrature_weights(grid)
-    free = interior_mask(grid)
-    wf = w.ravel()[op.free]
-    modes = [mode.ravel()[op.free] for mode in deflate]
-    psi = _retract(psi0, w, free, deflate)
+    cv = grid.cell_volume
+    modes = x0.shape[1]
 
-    def tangent_grad(psi, g):
-        g = np.where(free, g, 0.0)
-        wp = w * psi
-        g = g - (float(np.sum(g * wp)) / float(np.sum(wp * wp))) * wp
-        for mode in deflate:
-            wm = w * mode
-            g = g - (float(np.sum(g * wm)) / float(np.sum(wm * wm))) * wm
-        return g
+    def rayleigh_ritz(blocks):
+        basis = _ritz_basis(blocks, cv)
+        coeffs = np.linalg.eigh(basis.T @ (op.stiffness @ basis))[1][:, :modes]
+        x = basis @ coeffs
+        return basis, coeffs, x / np.sqrt(cv * np.sum(x * x, axis=0))
 
-    value = fisher_value_psi(psi, grid)
-    grad = tangent_grad(psi, fisher_gradient_psi(psi, grid))
-    gnorm = float(np.linalg.norm(grad))
-    trace = [(0, value, gnorm)]
+    def evaluate(x):
+        # each column on the grid, and its value
+        psi = np.zeros((modes, grid.size))
+        psi[:, op.free] = x.T
+        psi = psi.reshape((modes,) + grid.shape)
+        return psi, np.array([fisher_value_psi(column, grid) for column in psi])
+
+    def tangent_grad(x, psi):
+        g = np.stack([fisher_gradient_psi(column, grid).ravel()[op.free] for column in psi],
+                     axis=1)
+        return g - x * (np.sum(g * x, axis=0) / np.sum(x * x, axis=0))
+
+    basis, _, x = rayleigh_ritz([x0])
+    if basis.shape[1] < modes:
+        raise VariationalError("degenerate density iterate")
+    psi, values = evaluate(x)
+    grad = tangent_grad(x, psi)
+    gnorms = np.linalg.norm(grad, axis=0)
+    traces = [[(0, value, gnorm)] for value, gnorm in zip(values, gnorms)]
     step: list[np.ndarray] = []
     iterations = 0
-    converged = gnorm <= grad_tol
-    while not converged and iterations < max_iterations:
-        columns = [psi.ravel()[op.free], op.lu.solve(grad.ravel()[op.free])] + step
-        basis = _ritz_basis(columns, wf, modes)
-        _, ritz_vectors = np.linalg.eigh(basis.T @ (op.stiffness @ basis))
-        coeffs = ritz_vectors[:, 0] * (1.0 if ritz_vectors[0, 0] >= 0 else -1.0)
-        candidate = np.zeros(grid.size)
-        candidate[op.free] = basis @ coeffs
-        candidate = _retract(candidate.reshape(grid.shape), w, free, deflate)
-        cand_value = fisher_value_psi(candidate, grid)
-        if cand_value > value + 1e-12 * max(1.0, abs(value)):
+    while np.any(gnorms > grad_tol) and iterations < max_iterations:
+        basis, coeffs, candidate = rayleigh_ritz([x, np.hstack([op.lu.solve(grad)] + step)])
+        cand_psi, cand_values = evaluate(candidate)
+        if np.any(cand_values > values + 1e-12 * np.maximum(1.0, np.abs(values))):
             break
-        if float(np.linalg.norm(candidate - psi)) < _STEP_TOL:
+        # the step away from span X, formed without cancellation
+        step = [basis[:, modes:] @ coeffs[modes:]]
+        if float(np.linalg.norm(step[0])) < _STEP_TOL:
             break
-        # the step away from psi, formed without cancellation
-        step = [basis[:, 1:] @ coeffs[1:]]
-        psi = candidate
-        value = cand_value
-        grad = tangent_grad(psi, fisher_gradient_psi(psi, grid))
-        gnorm = float(np.linalg.norm(grad))
+        x, psi, values = candidate, cand_psi, cand_values
+        grad = tangent_grad(x, psi)
+        gnorms = np.linalg.norm(grad, axis=0)
         iterations += 1
-        trace.append((iterations, value, gnorm))
-        converged = gnorm <= grad_tol
-    return psi, value, gnorm, iterations, converged, np.array(trace)
-
-
-def _fisher_density_result(grid, psi, value, gnorm_psi, iterations, converged, trace, index):
-    w = quadrature_weights(grid)
-    p = psi * psi
-    p = p / float(np.sum(w * p))
+        for trace, value, gnorm in zip(traces, values, gnorms):
+            trace.append((iterations, value, gnorm))
+    densities = psi**2
     # gradient_norm is the solver's own convergence metric (projected
     # square-root-space gradient), so converged implies norm <= tolerance
-    return MinimizationResult(
-        fields={"p": p},
-        objective_value=value,
-        gradient_norm=gnorm_psi,
-        iterations=iterations,
-        multistart_index=index,
-        converged=converged,
-        trace=trace,
-    )
-
-
-def _random_initial_psi(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    return rng.random(grid.shape) + 0.1
-
-
-def _minimize_fisher(
-    problem: MinimizationProblem, op: _FisherOperator, deflate=()
-) -> tuple[MinimizationResult, np.ndarray]:
-    grid = problem.grid
-    if problem.initial is not None:
-        psi0 = np.sqrt(np.maximum(np.asarray(problem.initial["p"], dtype=float), 0.0))
-        out = _sphere_minimize(grid, op, psi0, deflate, problem.grad_tol, problem.max_iterations)
-        return _fisher_density_result(grid, *out, index=0), out[0]
-    best = None
-    best_psi = None
-    for start in range(problem.multistarts):
-        rng = np.random.default_rng(problem.seed + start)
-        out = _sphere_minimize(
-            grid,
-            op,
-            _random_initial_psi(grid, rng),
-            deflate,
-            problem.grad_tol,
-            problem.max_iterations,
+    return [
+        MinimizationResult(
+            fields={"p": p / (cv * float(np.sum(p)))},
+            objective_value=float(value),
+            gradient_norm=float(gnorm),
+            iterations=iterations,
+            multistart_index=index,
+            converged=bool(gnorm <= grad_tol),
+            trace=np.array(trace),
         )
-        result = _fisher_density_result(grid, *out, index=start)
-        if best is None or result.objective_value < best.objective_value:
-            best = result
-            best_psi = out[0]
-    return best, best_psi
+        for p, value, gnorm, trace in zip(densities, values, gnorms, traces)
+    ]
 
 
 def minimize(problem: MinimizationProblem) -> MinimizationResult:
@@ -410,18 +360,25 @@ def minimize(problem: MinimizationProblem) -> MinimizationResult:
 
 
 def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[MinimizationResult]:
-    """Stationary family of the density-only Fisher objective, found by
-    deflation: each mode is minimized in the orthogonal complement of the
-    previous square-root profiles.  The first mode is ``minimize``'s result."""
+    """The lowest ``mode_count`` stationary modes of the density-only Fisher
+    objective, solved together as one block from each start; the start with
+    the lowest sum of values wins.  Each random start draws ``mode_count``
+    columns in turn from its generator; an ``initial`` density starts the
+    one mode.  The first mode is ``minimize``'s result."""
     if mode_count < 1:
         raise VariationalError("mode_count must be positive")
-    w = quadrature_weights(problem.grid)
-    op = _fisher_operator(problem.grid)
-    out: list[MinimizationResult] = []
-    deflate: list[np.ndarray] = []
-    for _ in range(mode_count):
-        result, psi = _minimize_fisher(problem, op, deflate=tuple(deflate))
-        # keep the signed profile: deflation needs the oscillatory modes
-        deflate.append(_normalize_psi(psi, w))
-        out.append(result)
-    return out
+    grid = problem.grid
+    op = _fisher_operator(grid)
+    if problem.initial is not None:
+        if mode_count > 1:
+            raise VariationalError("an initial density starts a single mode")
+        psi = np.sqrt(np.maximum(np.asarray(problem.initial["p"], dtype=float), 0.0))
+        starts = [psi.ravel()[op.free, None]]
+    else:
+        rngs = (np.random.default_rng(problem.seed + start)
+                for start in range(problem.multistarts))
+        starts = (np.stack([rng.random(grid.size)[op.free] + 0.1 for _ in range(mode_count)],
+                           axis=1) for rng in rngs)
+    scans = (_block_lobpcg(grid, op, x0, problem.grad_tol, problem.max_iterations, index)
+             for index, x0 in enumerate(starts))
+    return min(scans, key=lambda modes: sum(r.objective_value for r in modes))

@@ -74,7 +74,7 @@ def box_spectrum(length: float, cells: int, modes: int, grad_tol: float, multist
                  mode: str | None = "box.mode_{}_rel_error", floor: str | None = None):
     """Fisher minimum and stationary modes of a dirichlet box of ``length``.
 
-    One deflated scan of ``modes`` modes; its first mode is the minimum, of
+    One block scan of ``modes`` modes; its first mode is the minimum, of
     density (2 / length) sin^2(pi x / length).  Records: the minimum's value,
     density and convergence (the three names ``minimum``), each mode k
     against (2 k pi / length)^2 (``mode`` formatted with k), and no mode

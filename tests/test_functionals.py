@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulilab.grids import (
-    CENTRAL,
     DIRICHLET_ZERO,
     PERIODIC,
     SPECTRAL,
@@ -312,29 +311,6 @@ def test_equivalence_requires_identification():
     loose = PhysicalConstants(1.0, 1.0, 1.0, gamma=0.3, lam=0.2, a=0.5)
     with pytest.raises(FunctionalError):
         equivalence_residual(uniform_polar(g), EMConfiguration.zero(g), loose)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_equivalence_spectral_random_fields(seed):
-    g = Grid((1.0, 1.0, 1.0), (24, 24, 24), PERIODIC)
-    polar, em, dt = random_smooth_configuration(
-        g, frames=12, consts=CONSTS, seed=seed, max_mode=1, amplitude=0.15
-    )
-    rep = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
-    assert rep.rel_residual < 1e-8
-    assert rep.spinor_rel_residual < 1e-8
-
-
-def test_equivalence_stencil_refinement_second_order():
-    errs = []
-    for n, frames in ((32, 8), (64, 16), (128, 32)):
-        g = Grid((1.0, 1.0), (n, n), PERIODIC)
-        polar, em, dt = random_smooth_configuration(g, frames=frames, consts=CONSTS, seed=7)
-        rep = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True, scheme=CENTRAL)
-        assert rep.rel_residual < 1e-12  # same-expression route stays exact
-        errs.append(rep.spinor_abs_residual)
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
-    assert 3.5 <= errs[1] / errs[2] <= 4.5
 
 
 _unit_range = st.floats(0.5, 2.0)

@@ -14,9 +14,9 @@ from paulilab.grids import (
     ScalarField,
     VectorField3,
     interior_mask,
+    laplacian_matrix,
     quadrature_weights,
 )
-from paulilab import variational
 from paulilab.variational import (
     MinimizationProblem,
     TotalObjective,
@@ -75,19 +75,24 @@ def test_monotone_descent_trace():
     assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
 
 
+def dense_spectrum(grid):
+    """Eigenvalues of the dense K / cell_volume over the free cells."""
+    free = interior_mask(grid).ravel()
+    stiffness = -4.0 * laplacian_matrix(grid).toarray()[free][:, free]
+    return scipy.linalg.eigh(stiffness, eigvals_only=True)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
-       boundary=st.sampled_from([DIRICHLET_ZERO, PERIODIC]), depth=st.integers(0, 2))
-def test_deflated_descent_is_monotone_and_feasible(seed, dim, boundary, depth):
+       boundary=st.sampled_from([DIRICHLET_ZERO, PERIODIC]), mode_count=st.integers(1, 4))
+def test_block_descent_is_monotone_feasible_and_lowest(seed, dim, boundary, mode_count):
     rng = np.random.default_rng(seed)
     low, high = {1: (6, 40), 2: (5, 14), 3: (5, 8)}[dim]
     grid = Grid(tuple(0.5 + rng.random(dim)), tuple(rng.integers(low, high, dim)), boundary)
-    problem = fisher_problem(grid, multistarts=1, seed=seed)
-    op = variational._fisher_operator(grid)
+    problem = fisher_problem(grid, multistarts=1, seed=seed, grad_tol=1e-8)
     w = quadrature_weights(grid)
-    deflate = []
-    for _ in range(depth + 1):
-        res, psi = variational._minimize_fisher(problem, op, tuple(deflate))
+    scan = spectrum_scan(problem, mode_count)
+    for res in scan:
         objectives = res.trace[:, 1]
         assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
         p = res.fields["p"]
@@ -95,7 +100,9 @@ def test_deflated_descent_is_monotone_and_feasible(seed, dim, boundary, depth):
         assert np.min(p) >= 0.0
         if boundary == DIRICHLET_ZERO:
             assert np.all(p[~interior_mask(grid)] == 0.0)
-        deflate.append(variational._normalize_psi(psi, w))
+    oracle = dense_spectrum(grid)[:mode_count]
+    values = [res.objective_value for res in scan]
+    np.testing.assert_allclose(values, oracle, rtol=1e-8, atol=1e-8)
 
 
 def test_constraints_hold_at_optimum():
@@ -226,7 +233,7 @@ def test_spectrum_scan_matches_discrete_oracle():
     res = minimize(problem)
     assert res.converged
     assert res.objective_value == pytest.approx(oracle[0], rel=1e-9)
-    # every deflated solve also stops at 50 iterations: a mode that had not
+    # the block solve also stops at 50 iterations: a mode that had not
     # converged by then would miss its eigenvalue
     values = [result.objective_value for result in spectrum_scan(problem, 3)]
     np.testing.assert_allclose(values, oracle, rtol=1e-9)
@@ -239,6 +246,18 @@ def test_spectrum_scan_single_mode_matches_minimize():
     res = minimize(problem)
     assert first.objective_value == res.objective_value
     np.testing.assert_array_equal(first.fields["p"], res.fields["p"])
+
+
+def test_spectrum_scan_finds_degenerate_partners():
+    # on this periodic grid the second and third modes share one value, and
+    # the scan must return both partners
+    grid = Grid((1.0, 1.3), (20, 17), PERIODIC)
+    problem = fisher_problem(grid, multistarts=1, seed=5, grad_tol=1e-8)
+    values = [result.objective_value for result in spectrum_scan(problem, 3)]
+    oracle = dense_spectrum(grid)[:3]
+    assert oracle[1:] == pytest.approx([92.381187, 92.381187], abs=1e-6)
+    assert abs(values[0]) < 1e-8
+    np.testing.assert_allclose(values[1:], oracle[1:], rtol=1e-8)
 
 
 def test_no_stationary_point_below_ground_value():
@@ -255,5 +274,8 @@ def test_no_stationary_point_below_ground_value():
 
 
 def test_problem_validation():
+    grid = box_grid(32)
     with pytest.raises(VariationalError):
-        spectrum_scan(MinimizationProblem(grid=box_grid(32)), 0)
+        spectrum_scan(MinimizationProblem(grid=grid), 0)
+    with pytest.raises(VariationalError):
+        spectrum_scan(MinimizationProblem(grid=grid, initial={"p": box_density(grid)}), 2)
