@@ -260,6 +260,72 @@ def test_spectrum_scan_finds_degenerate_partners():
     np.testing.assert_allclose(values[1:], oracle[1:], rtol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "extents, cells, boundary, multiplicities",
+    [
+        ((1.0, 1.0), (14, 14), DIRICHLET_ZERO, (1, 2)),
+        ((1.0,), (24,), PERIODIC, (1, 2, 2)),
+        ((1.0, 1.0), (12, 12), PERIODIC, (1, 4)),
+        ((1.0, 1.0, 1.0), (7, 7, 7), DIRICHLET_ZERO, (1, 3)),
+        ((1.0, 1.0, 1.0), (6, 6, 6), PERIODIC, (1, 3)),
+    ],
+    ids=["dirichlet_square", "periodic_ring", "periodic_square", "dirichlet_cube",
+         "periodic_cube"],
+)
+def test_spectrum_scan_returns_whole_degenerate_levels(extents, cells, boundary,
+                                                       multiplicities):
+    # a symmetric grid repeats its levels; every mode of each requested level
+    # must come back, not just one per level.  The periodic cube's first
+    # excited level has six partners, and the block takes three of them.
+    grid = Grid(extents, cells, boundary)
+    mode_count = sum(multiplicities)
+    oracle = dense_spectrum(grid)[:mode_count]
+    levels = np.split(oracle, np.cumsum(multiplicities)[:-1])
+    for level in levels:
+        assert np.ptp(level) <= 1e-9 * max(1.0, abs(level[0]))
+    assert all(b[0] > a[0] + 1.0 for a, b in zip(levels, levels[1:]))
+    problem = fisher_problem(grid, multistarts=1, seed=3, grad_tol=1e-8)
+    scan = spectrum_scan(problem, mode_count)
+    assert all(result.converged for result in scan)
+    values = [result.objective_value for result in scan]
+    np.testing.assert_allclose(values, oracle, rtol=1e-8, atol=1e-8)
+
+
+def test_best_start_has_lowest_value_sum():
+    # start k draws from default_rng(seed + k), so it is the single start of
+    # the problem seeded seed + k; three iterations leave the starts apart
+    grid = box_grid(64)
+    problem = fisher_problem(grid, multistarts=3, seed=4, max_iterations=3)
+    singles = [spectrum_scan(fisher_problem(grid, multistarts=1, seed=4 + k, max_iterations=3), 3)
+               for k in range(3)]
+    sums = [sum(result.objective_value for result in scan) for scan in singles]
+    best = int(np.argmin(sums))
+    scan = spectrum_scan(problem, 3)
+    assert [result.multistart_index for result in scan] == [best] * 3
+    assert [result.objective_value for result in scan] == [
+        result.objective_value for result in singles[best]]
+
+
+def test_block_solve_stops_at_max_iterations():
+    grid = box_grid(64)
+    scan = spectrum_scan(fisher_problem(grid, multistarts=1, max_iterations=2, grad_tol=1e-12), 3)
+    for result in scan:
+        assert result.iterations == 2
+        assert not result.converged
+        assert result.gradient_norm > 1e-12
+        assert result.trace.shape == (3, 3)
+        np.testing.assert_array_equal(result.trace[:, 0], [0, 1, 2])
+        assert result.trace[-1, 1] == result.objective_value
+
+
+def test_spectrum_scan_needs_a_free_cell_per_mode():
+    # a 4-cell dirichlet box has two free cells, too few for three modes
+    grid = box_grid(4)
+    with pytest.raises(VariationalError):
+        spectrum_scan(fisher_problem(grid, multistarts=1), 3)
+    assert len(spectrum_scan(fisher_problem(grid, multistarts=1), 2)) == 2
+
+
 def test_no_stationary_point_below_ground_value():
     grid = box_grid(256)
     problem = fisher_problem(grid, multistarts=2, grad_tol=1e-5)
