@@ -27,6 +27,7 @@ from .grids import (
     POSITIVITY_FLOOR,
     SPECTRAL,
     Grid,
+    GridError,
     ScalarField,
     SpinorField,
     VectorField3,
@@ -87,6 +88,16 @@ def natural_constants() -> PhysicalConstants:
     return pauli_constants(1.0, 1.0, 1.0)
 
 
+def _check_density(p: np.ndarray, grid: Grid) -> None:
+    """A nonnegative density of unit mass in each frame of a (frames,) + shape stack."""
+    if np.any(p < -1e-13):
+        raise FunctionalError("density must be nonnegative")
+    w = quadrature_weights(grid)
+    for total in (float(np.sum(w * frame)) for frame in p):
+        if abs(total - 1.0) > 1e-10:
+            raise FunctionalError(f"density must integrate to 1, got {total}")
+
+
 @dataclass(frozen=True)
 class PolarFields:
     """One time slice of the polar parameterization.
@@ -107,11 +118,7 @@ class PolarFields:
         for f in (self.theta, self.s, self.phi):
             if f.grid != g:
                 raise FunctionalError("polar fields must share one grid")
-        if np.any(self.p.values < -1e-13):
-            raise FunctionalError("density must be nonnegative")
-        total = integrate(self.p)
-        if abs(total - 1.0) > 1e-10:
-            raise FunctionalError(f"density must integrate to 1, got {total}")
+        _check_density(self.p.values[None], g)
         if self.mask is not None:
             m = np.asarray(self.mask, dtype=bool)
             if m.shape != g.shape:
@@ -320,6 +327,10 @@ def fisher_joint(
 # ---------------------------------------------------------------------------
 
 
+_POLAR = ("p", "theta", "s", "phi")
+_VECTORS = ("a_pot", "b")
+
+
 @dataclass(frozen=True)
 class _PolarStacks:
     grid: Grid
@@ -341,51 +352,62 @@ class _PolarStacks:
     u: np.ndarray
 
 
-def _stacks(grid, fields, mask, em, dt, time_periodic, scheme) -> _PolarStacks:
-    """Derivatives, time weights and potential stacks for (frames,) +
-    grid.shape polar arrays, taken as given: no density checks."""
-    p, theta, s, phi = (fields[name] for name in ("p", "theta", "s", "phi"))
+def _stacks(grid, fields, mask, dt, time_periodic, scheme) -> _PolarStacks:
+    """Derivatives and time weights for the (frames,) + grid.shape stacks in
+    ``fields`` (vector components first), taken as given: no density checks."""
     return _PolarStacks(
         grid=grid,
-        p=p,
-        theta=theta,
-        s=s,
-        phi=phi,
         mask=mask,
-        ds_dt=_time_derivative(s, dt, time_periodic, scheme),
-        dphi_dt=_time_derivative(phi, dt, time_periodic, scheme),
-        tw=_time_weights(p.shape[0], dt, time_periodic),
-        grad_p=_grad_stack(p, grid, scheme),
-        grad_theta=_grad_stack(theta, grid, scheme, angle=True),
-        grad_s=_grad_stack(s, grid, scheme),
-        grad_phi=_grad_stack(phi, grid, scheme, angle=True),
-        phi_pot=np.stack([cfg.phi_pot.values for cfg in em]),
-        a_pot=np.stack([cfg.a_pot.values for cfg in em]),
-        b=np.stack([cfg.b_values(scheme) for cfg in em]),
-        u=np.stack([cfg.u_values() for cfg in em]),
+        **fields,
+        ds_dt=_time_derivative(fields["s"], dt, time_periodic, scheme),
+        dphi_dt=_time_derivative(fields["phi"], dt, time_periodic, scheme),
+        tw=_time_weights(fields["p"].shape[0], dt, time_periodic),
+        grad_p=_grad_stack(fields["p"], grid, scheme),
+        grad_theta=_grad_stack(fields["theta"], grid, scheme, angle=True),
+        grad_s=_grad_stack(fields["s"], grid, scheme),
+        grad_phi=_grad_stack(fields["phi"], grid, scheme, angle=True),
     )
 
 
-def _prepare(polar_frames, em_frames, dt, time_periodic, scheme) -> _PolarStacks:
-    polar = _as_list(polar_frames, PolarFields)
+def _components(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-frame shape + (c,) arrays as one contiguous (c, frames) + shape stack."""
+    return np.ascontiguousarray(np.moveaxis(np.stack(values), -1, 0))
+
+
+def _em_stacks(em_frames, grid: Grid, count: int, scheme: str) -> dict[str, np.ndarray]:
+    """Potential stacks of ``count`` frames from one EMConfiguration each or one for all."""
     em = _as_list(em_frames, EMConfiguration)
     if len(em) == 1:
-        em = em * len(polar)
-    if len(em) != len(polar):
+        em = em * count
+    if len(em) != count:
         raise FunctionalError("field and potential sequences must align")
-    grid = polar[0].grid
-    for fr, cfg in zip(polar, em):
-        if fr.grid != grid or cfg.grid != grid:
-            raise FunctionalError("all snapshots must share one grid")
-    fields = {
-        name: _scalar_stack([getattr(fr, name) for fr in polar])
-        for name in ("p", "theta", "s", "phi")
+    if any(cfg.grid != grid for cfg in em):
+        raise FunctionalError("all snapshots must share one grid")
+    return {
+        "phi_pot": np.stack([cfg.phi_pot.values for cfg in em]),
+        "a_pot": _components([cfg.a_pot.values for cfg in em]),
+        "b": _components([cfg.b_values(scheme) for cfg in em]),
+        "u": np.stack([cfg.u_values() for cfg in em]),
     }
+
+
+def _frame_stacks(polar_frames, em_frames, scheme):
+    """(grid, stacks, mask) of polar frames and their potentials."""
+    polar = _as_list(polar_frames, PolarFields)
+    grid = polar[0].grid
+    if any(fr.grid != grid for fr in polar):
+        raise FunctionalError("all snapshots must share one grid")
+    fields = {name: _scalar_stack([getattr(fr, name) for fr in polar]) for name in _POLAR}
+    fields.update(_em_stacks(em_frames, grid, len(polar), scheme))
     mask = np.ones_like(fields["p"])
     for i, fr in enumerate(polar):
         if fr.mask is not None:
             mask[i] = fr.mask.astype(float)
-    return _stacks(grid, fields, mask, em, dt, time_periodic, scheme)
+    return grid, fields, mask
+
+
+def _prepare(polar_frames, em_frames, dt, time_periodic, scheme) -> _PolarStacks:
+    return _stacks(*_frame_stacks(polar_frames, em_frames, scheme), dt, time_periodic, scheme)
 
 
 def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.ndarray]:
@@ -402,19 +424,19 @@ def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.nd
     phi_sq = np.zeros_like(st.p)
     cross = np.zeros_like(st.p)
     for ax in range(st.grid.dim):
-        gauge = st.grad_s[ax] - q * st.a_pot[..., ax]
+        gauge = st.grad_s[ax] - q * st.a_pot[ax]
         gauge_sq += gauge * gauge
         phi_sq += st.grad_phi[ax] ** 2
         cross += st.grad_phi[ax] * gauge
     for ax in range(st.grid.dim, 3):
         # gradients along missing axes vanish; the vector potential still acts
-        gauge_sq += (q * st.a_pot[..., ax]) ** 2
+        gauge_sq += (q * st.a_pot[ax]) ** 2
     cos_t = np.cos(st.theta)
     sin_t = np.sin(st.theta)
     moment_dot_b = (
-        st.b[..., 0] * sin_t * np.cos(st.phi)
-        + st.b[..., 1] * sin_t * np.sin(st.phi)
-        + st.b[..., 2] * cos_t
+        st.b[0] * sin_t * np.cos(st.phi)
+        + st.b[1] * sin_t * np.sin(st.phi)
+        + st.b[2] * cos_t
     )
     return {
         "fisher": consts.lam * _fisher_density(st.p, st.grad_p, st.grad_theta),
@@ -533,20 +555,21 @@ def averaged_hj_functional(
 # ---------------------------------------------------------------------------
 
 
+def _spinor_stack(p, theta, s, phi, consts: PhysicalConstants) -> np.ndarray:
+    """The two colors sqrt(P_k) exp(i S_k / hbar) of polar arrays, stacked first."""
+    half = 0.5 * theta
+    amp1 = np.sqrt(np.maximum(p, 0.0)) * np.cos(half)
+    amp2 = np.sqrt(np.maximum(p, 0.0)) * np.sin(half)
+    s1 = (s - consts.a * phi) / consts.hbar
+    s2 = (s + consts.a * phi) / consts.hbar
+    return np.stack([amp1 * np.exp(1j * s1), amp2 * np.exp(1j * s2)])
+
+
 def spinor_from_polar(polar: PolarFields, consts: PhysicalConstants) -> SpinorField:
     """Two-component wavefunction sqrt(P_k) exp(i S_k / hbar) with
     S_k = S -+ a*phi for the two colors."""
-    g = polar.grid
-    p = polar.p.values
-    half = 0.5 * polar.theta.values
-    amp1 = np.sqrt(np.maximum(p, 0.0)) * np.cos(half)
-    amp2 = np.sqrt(np.maximum(p, 0.0)) * np.sin(half)
-    s1 = (polar.s.values - consts.a * polar.phi.values) / consts.hbar
-    s2 = (polar.s.values + consts.a * polar.phi.values) / consts.hbar
-    out = np.empty(g.shape + (2,), dtype=np.complex128)
-    out[..., 0] = amp1 * np.exp(1j * s1)
-    out[..., 1] = amp2 * np.exp(1j * s2)
-    return SpinorField(g, out)
+    fields = (getattr(polar, name).values for name in _POLAR)
+    return SpinorField(polar.grid, np.moveaxis(_spinor_stack(*fields, consts), 0, -1))
 
 
 def _unwrap_raster(angles: np.ndarray) -> np.ndarray:
@@ -606,22 +629,20 @@ def q_spinor(
     since it signals a broken discrete symmetry in the inputs.
     """
     frames = _as_list(phi_frames, SpinorField)
-    em = _as_list(em_frames, EMConfiguration)
-    if len(em) == 1:
-        em = em * len(frames)
-    if len(em) != len(frames):
-        raise FunctionalError("field and potential sequences must align")
     grid = frames[0].grid
-    stack = np.stack([f.values for f in frames])  # (nt,)+shape+(2,)
-    hbar, m, q = consts.hbar, consts.mass, consts.charge
-    a_pot = np.stack([cfg.a_pot.values for cfg in em])
-    phi_pot = np.stack([cfg.phi_pot.values for cfg in em])
-    b = np.stack([cfg.b_values(scheme) for cfg in em])
-    u = np.stack([cfg.u_values() for cfg in em])
+    em = _em_stacks(em_frames, grid, len(frames), scheme)
+    psi = _components([f.values for f in frames])
+    return _q_spinor_stacks(grid, psi, em, consts, dt, time_periodic, scheme)
 
-    dpsi_dt = _time_derivative(stack, dt, time_periodic, scheme)
-    integrand = np.zeros(stack.shape[:-1], dtype=np.complex128)
-    term_scale = np.zeros(stack.shape[:-1])
+
+def _q_spinor_stacks(grid, psi, em, consts, dt, time_periodic, scheme) -> float:
+    """:func:`q_spinor` of the (2, frames) + grid.shape wavefunction stack
+    ``psi`` under the potential stacks ``em``."""
+    hbar, m, q = consts.hbar, consts.mass, consts.charge
+    a_pot, b = em["a_pot"], em["b"]
+    dpsi_dt = [_time_derivative(color, dt, time_periodic, scheme) for color in psi]
+    integrand = np.zeros(psi.shape[1:], dtype=np.complex128)
+    term_scale = np.zeros(psi.shape[1:])
 
     def add(term):
         nonlocal integrand, term_scale
@@ -630,39 +651,30 @@ def q_spinor(
 
     # (i hbar / 2) (dPsi*/dt Psi - Psi* dPsi/dt)
     for k in (0, 1):
-        add(
-            (0.5j * hbar)
-            * (
-                np.conj(dpsi_dt[..., k]) * stack[..., k]
-                - np.conj(stack[..., k]) * dpsi_dt[..., k]
-            )
-        )
+        add((0.5j * hbar) * (np.conj(dpsi_dt[k]) * psi[k] - np.conj(psi[k]) * dpsi_dt[k]))
 
     # (1/2m) (i hbar grad Psi* - qA Psi*) . (-i hbar grad Psi - qA Psi)
     for ax in range(grid.dim):
         h = grid.spacing[ax]
         for k in (0, 1):
-            d = derive_along(stack[..., k], h, 1 + ax, grid.boundary, scheme)
-            left = 1j * hbar * np.conj(d) - q * a_pot[..., ax] * np.conj(stack[..., k])
-            right = -1j * hbar * d - q * a_pot[..., ax] * stack[..., k]
+            d = derive_along(psi[k], h, 1 + ax, grid.boundary, scheme)
+            left = 1j * hbar * np.conj(d) - q * a_pot[ax] * np.conj(psi[k])
+            right = -1j * hbar * d - q * a_pot[ax] * psi[k]
             add(left * right / (2.0 * m))
     # axes beyond the grid dimension contribute only the A^2 piece
-    norm_sq = np.abs(stack[..., 0]) ** 2 + np.abs(stack[..., 1]) ** 2
+    norm_sq = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
     for ax in range(grid.dim, 3):
-        add((q * a_pot[..., ax]) ** 2 * norm_sq / (2.0 * m))
+        add((q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m))
 
-    add((q * phi_pot + u) * norm_sq)
+    add((q * em["phi_pot"] + em["u"]) * norm_sq)
 
-    cross = np.conj(stack[..., 0]) * stack[..., 1]
+    cross = np.conj(psi[0]) * psi[1]
     sigma_x = 2.0 * np.real(cross)
     sigma_y = 2.0 * np.imag(cross)
-    sigma_z = np.abs(stack[..., 0]) ** 2 - np.abs(stack[..., 1]) ** 2
-    add(
-        -(q * hbar / (2.0 * m))
-        * (b[..., 0] * sigma_x + b[..., 1] * sigma_y + b[..., 2] * sigma_z)
-    )
+    sigma_z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
+    add(-(q * hbar / (2.0 * m)) * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z))
 
-    tw = _time_weights(len(frames), dt, time_periodic)
+    tw = _time_weights(psi.shape[1], dt, time_periodic)
     total = _integrate_stack(integrand, grid, tw)
     # the residue is judged against the magnitude of the constituent terms,
     # which stays meaningful when the integrand cancels pointwise
@@ -707,19 +719,43 @@ def _check_identification(consts: PhysicalConstants) -> None:
             raise FunctionalError(f"identification violated: {name}={got}, expected {want}")
 
 
-def equivalence_residual(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> EquivalenceReport:
+def _check_stacks(grid: Grid, fields: dict[str, np.ndarray]) -> None:
+    """The checks the frame objects make, run once over the stacks: shapes,
+    finite values, and a nonnegative density of unit mass in every frame."""
+    frames = (len(fields["p"]),) + grid.shape
+    for name, values in fields.items():
+        want = ((3,) if name in _VECTORS else ()) + frames
+        if values.shape != want:
+            raise FunctionalError(f"{name} stack shape {values.shape}, expected {want}")
+        if not np.all(np.isfinite(values)):
+            raise GridError("field values must be finite")
+    _check_density(fields["p"], grid)
+
+
+def equivalence_residual(polar_frames, em_frames, consts: PhysicalConstants, dt: float = 0.0,
+                         time_periodic: bool = False, scheme: str = CENTRAL) -> EquivalenceReport:
+    """:func:`equivalence_residual_stacks` on the stacks of polar frames and
+    their potentials."""
+    grid, fields, mask = _frame_stacks(polar_frames, em_frames, scheme)
+    return equivalence_residual_stacks(grid, fields, consts, dt, time_periodic, scheme, mask)
+
+
+def equivalence_residual_stacks(grid: Grid, fields: dict[str, np.ndarray],
+                                consts: PhysicalConstants, dt: float = 0.0,
+                                time_periodic: bool = False, scheme: str = CENTRAL,
+                                mask: np.ndarray | None = None) -> EquivalenceReport:
     """Compare the quadratic form against lam * Fisher + knowledge functional
     on the same fields, and cross-check the spinor route on the mapped
-    wavefunction."""
+    wavefunction.
+
+    ``fields`` holds the stacks :func:`random_smooth_stacks` returns; the
+    frame objects' checks run once over them.  ``mask`` (frames,) +
+    grid.shape weights the polar route's cells (None means everywhere).
+    """
     _check_identification(consts)
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
+    _check_stacks(grid, fields)
+    mask = np.ones_like(fields["p"]) if mask is None else mask
+    st = _stacks(grid, fields, mask, dt, time_periodic, scheme)
     terms = _polar_terms(st, consts)
     tot = _total_of_terms(st, terms)
     pauli = pauli_constants(consts.hbar, consts.mass, consts.charge)
@@ -727,9 +763,10 @@ def equivalence_residual(
     qp = tot if consts == pauli else _total_value(st, pauli)
     breakdown = _term_values(st, terms)
     del st, terms  # the spinor route allocates its own stacks; do not hold both
-    polar = _as_list(polar_frames, PolarFields)
-    spinors = [spinor_from_polar(fr, consts) for fr in polar]
-    qs = q_spinor(spinors, em_frames, consts, dt, time_periodic, scheme)
+    psi = _spinor_stack(*(fields[name] for name in _POLAR), consts)
+    if not np.all(np.isfinite(psi)):
+        raise GridError("field values must be finite")
+    qs = _q_spinor_stacks(grid, psi, fields, consts, dt, time_periodic, scheme)
     denom = max(abs(qp), abs(tot))
     s_denom = max(abs(qp), abs(qs))
 
@@ -780,7 +817,7 @@ def stationarity_residual_static(
     a, gam = consts.a, consts.gamma
     z = np.cos(st.theta)
     sin_t = np.sin(st.theta)
-    bx, by, bz = st.b[..., 0], st.b[..., 1], st.b[..., 2]
+    bx, by, bz = st.b
     in_plane = bx * np.cos(st.phi) + by * np.sin(st.phi)
     coupling = -a * gam * (sin_t * in_plane + z * bz)  # the split potential
     off_pole = np.abs(sin_t) > 1e-12
@@ -878,17 +915,14 @@ def _band_limited_spacetime(
     return field
 
 
-def random_smooth_configuration(
-    grid: Grid,
-    frames: int,
-    consts: PhysicalConstants,
-    seed: int,
-    max_mode: int = 1,
-    amplitude: float = 0.2,
-) -> tuple[list[PolarFields], list[EMConfiguration], float]:
-    """Seeded band-limited periodic polar + potential snapshots.
+def random_smooth_stacks(grid: Grid, frames: int, consts: PhysicalConstants, seed: int,
+                         max_mode: int = 1, amplitude: float = 0.2
+                         ) -> tuple[dict[str, np.ndarray], float]:
+    """Seeded band-limited periodic polar + potential stacks.
 
-    Returns (polar frames, potential frames, dt) with all fields periodic in
+    Returns (stacks, dt): ``p``, ``theta``, ``s``, ``phi``, ``phi_pot`` and
+    ``u`` shaped (frames,) + grid.shape, and ``a_pot`` and ``b`` = curl
+    ``a_pot`` shaped (3, frames) + grid.shape.  Every field is periodic in
     space and time, suitable for the spectral equivalence check.
     """
     if grid.boundary != PERIODIC:
@@ -906,32 +940,27 @@ def random_smooth_configuration(
     phi = 2.0 * amplitude * bl(1.0)
     phi_pot = consts.hbar * scale_k * bl(amplitude) / max(abs(consts.charge), 1e-30)
     a_scale = consts.hbar * scale_k / max(abs(consts.charge), 1e-30)
-    a = np.stack([a_scale * bl(amplitude) for _ in range(3)], axis=-1)
+    a = np.stack([a_scale * bl(amplitude) for _ in range(3)])
     u = consts.hbar * scale_k * bl(amplitude)
-    # one spectral derivative per component and axis covers every frame
-    b = curl_stack(a, grid, SPECTRAL)
-
     period = 2.0 * np.pi / (scale_k * consts.hbar / consts.mass)
-    dt = period / frames
+    # one spectral derivative per component and axis covers every frame
+    stacks = {"p": p, "theta": theta, "s": s, "phi": phi, "phi_pot": phi_pot, "a_pot": a,
+              "b": curl_stack(a, grid, SPECTRAL), "u": u}
+    return stacks, period / frames
 
-    polar_frames = []
-    em_frames = []
-    for i in range(frames):
-        polar_frames.append(
-            PolarFields(
-                ScalarField(grid, p[i]),
-                ScalarField(grid, theta[i]),
-                ScalarField(grid, s[i]),
-                ScalarField(grid, phi[i]),
-            )
-        )
-        em_frames.append(
-            EMConfiguration(
-                grid,
-                ScalarField(grid, phi_pot[i]),
-                VectorField3(grid, a[i]),
-                b=VectorField3(grid, b[i]),
-                u=ScalarField(grid, u[i]),
-            )
-        )
+
+def random_smooth_configuration(grid: Grid, frames: int, consts: PhysicalConstants, seed: int,
+                                max_mode: int = 1, amplitude: float = 0.2
+                                ) -> tuple[list[PolarFields], list[EMConfiguration], float]:
+    """:func:`random_smooth_stacks` as (polar frames, potential frames, dt)."""
+    st, dt = random_smooth_stacks(grid, frames, consts, seed, max_mode, amplitude)
+
+    def field(name, i):
+        if name in _VECTORS:
+            return VectorField3(grid, np.moveaxis(st[name][:, i], 0, -1))
+        return ScalarField(grid, st[name][i])
+
+    polar_frames = [PolarFields(*(field(name, i) for name in _POLAR)) for i in range(frames)]
+    em_frames = [EMConfiguration(grid, field("phi_pot", i), field("a_pot", i), b=field("b", i),
+                                 u=field("u", i)) for i in range(frames)]
     return polar_frames, em_frames, dt

@@ -191,8 +191,10 @@ def _spectral_wavenumbers(n: int, h: float) -> np.ndarray:
 
 
 def _spectral_derive(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    # a real array takes the half spectrum, rfft/irfft over the wavenumbers >= 0
+    real = np.isrealobj(values)
     n = values.shape[axis]
-    k = _spectral_wavenumbers(n, h)
+    k = _spectral_wavenumbers(n, h)[: n // 2 + 1 if real else n]
     if order == 1:
         mult = 1j * k
         if n % 2 == 0:
@@ -200,11 +202,10 @@ def _spectral_derive(values: np.ndarray, h: float, axis: int, order: int) -> np.
     else:
         mult = -(k * k)
     shape = [1] * values.ndim
-    shape[axis] = n
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    shape[axis] = len(k)
+    if real:
+        return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult.reshape(shape), n, axis=axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
 
 
 def derive_along(
@@ -380,25 +381,22 @@ def divergence(v: VectorField3, scheme: str = CENTRAL) -> ScalarField:
 def curl(v: VectorField3, scheme: str = CENTRAL) -> VectorField3:
     """Curl on a grid of any dimension; derivatives along axes the grid does
     not have are zero."""
-    return VectorField3(v.grid, curl_stack(v.values, v.grid, scheme))
+    values = curl_stack(np.moveaxis(v.values, -1, 0), v.grid, scheme)
+    return VectorField3(v.grid, np.moveaxis(values, 0, -1))
 
 
 def curl_stack(values: np.ndarray, g: Grid, scheme: str = CENTRAL) -> np.ndarray:
-    """Curl of 3-vector values shaped ``lead + g.shape + (3,)``, taken over the
+    """Curl of 3-vector values shaped ``(3,) + lead + g.shape``, taken over the
     grid axes for every leading index at once (for example a stack of frames).
     Each leading index gets the bits :func:`curl` gives for it alone."""
     lead = values.ndim - 1 - g.dim
 
     def d(comp: int, ax: int) -> np.ndarray:
         if ax >= g.dim:
-            return np.zeros(values.shape[:-1])
-        return derive_along(values[..., comp], g.spacing[ax], lead + ax, g.boundary, scheme)
+            return np.zeros(values.shape[1:])
+        return derive_along(values[comp], g.spacing[ax], lead + ax, g.boundary, scheme)
 
-    out = np.empty(values.shape)
-    out[..., 0] = d(2, 1) - d(1, 2)
-    out[..., 1] = d(0, 2) - d(2, 0)
-    out[..., 2] = d(1, 0) - d(0, 1)
-    return out
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)])
 
 
 def laplacian(f: ScalarField, scheme: str = CENTRAL) -> ScalarField:

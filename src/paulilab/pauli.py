@@ -327,7 +327,7 @@ def evolve(
     t_final: float,
     record_every: int = 1,
     keep_snapshots: bool = False,
-    on_record: Callable[[np.ndarray, float], None] | None = None,
+    on_record: Callable[[np.ndarray, float, np.ndarray, np.ndarray], None] | None = None,
 ) -> PauliTrajectory:
     """Repeated stepping with periodic recording of the observables.
 
@@ -337,8 +337,9 @@ def evolve(
     only; with ``record_every=1``, and for Crank-Nicolson at any
     ``record_every``, every step runs as ``step`` runs it.
 
-    ``on_record(psi, t)``, when given, sees the raw wavefunction array at
-    each recorded step before its observables are taken; it may raise to
+    ``on_record(psi, t, rho1, rho2)``, when given, sees the raw wavefunction
+    array and its two color densities at each recorded step, after the
+    observables are taken and before the norm is checked; it may raise to
     abort the run.
     """
     if t_final < 0:
@@ -359,9 +360,9 @@ def evolve(
 
     def record():
         nonlocal row
+        norm, rho1, rho2 = _observe(psi, weights, positions[row], spins[row], masses[row])
         if on_record is not None:
-            on_record(psi, t)
-        norm = _observe(psi, weights, positions[row], spins[row], masses[row])[0]
+            on_record(psi, t, rho1, rho2)
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise SolverError(f"state norm {norm} left 1 +- 1e-10 at t={t:.6g}")
         times[row], norms[row] = t, norm
@@ -457,8 +458,7 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     edge = max(3, config.cells // 64)
     centers, separations, overlaps = [], [], []
 
-    def record(psi, t):
-        rho = [np.abs(psi[..., k]) ** 2 for k in (0, 1)]
+    def record(psi, t, *rho):
         dens = rho[0] + rho[1]
         boundary_mass = float(np.sum(w[:edge] * dens[:edge])
                               + np.sum(w[-edge:] * dens[-edge:]))

@@ -172,6 +172,8 @@ def _evidence_shift_keeps_support(cells: int, repetitions: int, shift: list) -> 
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
+    "box_minimize": (("modes <= cells - 2: one free cell per mode inside the walls",
+                      ("modes", "cells"), lambda modes, cells: modes <= cells - 2),),
     "evidence": (("shift lies along x, and shift, shift/2 and shift/4 keep the table "
                   "positive on its support (the default shift needs cells >= 96)",
                   ("cells", "repetitions", "shift"), _evidence_shift_keeps_support),),

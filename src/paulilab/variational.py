@@ -17,7 +17,7 @@ against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -26,6 +26,7 @@ import scipy.sparse.linalg
 from .functionals import (
     EMConfiguration,
     PhysicalConstants,
+    _em_stacks,
     _knowledge,
     _polar_terms,
     _stacks,
@@ -36,7 +37,6 @@ from .grids import (
     PERIODIC,
     POSITIVITY_FLOOR,
     Grid,
-    VectorField3,
     derive_along_adjoint,
     interior_mask,
     laplacian_matrix,
@@ -157,8 +157,9 @@ class TotalObjective:
     def __init__(self, grid: Grid, em: EMConfiguration, consts: PhysicalConstants,
                  scheme: str = CENTRAL):
         self.grid = grid
-        # resolve B = curl(A) once rather than on every evaluation
-        self.em = replace(em, b=VectorField3(grid, em.b_values(scheme)))
+        # stack the potentials, B = curl(A) among them, once rather than on
+        # every evaluation
+        self.em = _em_stacks(em, grid, 1, scheme)
         self.consts = consts
         self.scheme = scheme
         self.w = quadrature_weights(grid)
@@ -172,7 +173,7 @@ class TotalObjective:
         # iterates and finite-difference probes are not normalized, so the
         # one-frame stack skips the PolarFields checks
         frame = {name: f[name][None] for name in POLAR_FIELDS}
-        return _stacks(self.grid, frame, np.ones_like(frame["p"]), [self.em], 0.0, False,
+        return _stacks(self.grid, {**frame, **self.em}, np.ones_like(frame["p"]), 0.0, False,
                        self.scheme)
 
     def value(self, f: dict) -> float:
@@ -184,12 +185,12 @@ class TotalObjective:
         st = self._frame(f)
         p, theta, phi, b = st.p, st.theta, st.phi, st.b
         gp, gtheta, gphi = st.grad_p, st.grad_theta, st.grad_phi
-        gauge = [st.grad_s[ax] - c.charge * st.a_pot[..., ax] for ax in range(g.dim)]
+        gauge = [st.grad_s[ax] - c.charge * st.a_pot[ax] for ax in range(g.dim)]
         cross = sum(gphi[ax] * gauge[ax] for ax in range(g.dim))
         included = p >= POSITIVITY_FLOOR
         safe_p = np.where(included, p, 1.0)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+        bx, by, bz = b
         in_plane = bx * np.cos(phi) + by * np.sin(phi)
         out: dict[str, np.ndarray] = {}
 

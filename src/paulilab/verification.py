@@ -136,12 +136,12 @@ def equivalence_sets(cells: int, frames: int, sets: int, seed: int, consts,
     grid = Grid((1.0, 1.0, 1.0), (cells, cells, cells), PERIODIC)
     reports = []
     for index in range(sets):
-        polar_frames, em_frames, dt = functionals.random_smooth_configuration(
+        fields, dt = functionals.random_smooth_stacks(
             grid, frames=frames, consts=consts, seed=seed + index, max_mode=max_mode,
             amplitude=amplitude,
         )
-        reports.append(functionals.equivalence_residual(
-            polar_frames, em_frames, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
+        reports.append(functionals.equivalence_residual_stacks(
+            grid, fields, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
         ))
     worst_polar = max(r.rel_residual for r in reports)
     worst_spinor = max(r.spinor_rel_residual for r in reports)
@@ -161,11 +161,9 @@ def check_equivalence(fast: bool = False) -> list[CheckRecord]:
     errors = []
     for cells_2d, fr in levels:
         g2 = Grid((1.0, 1.0), (cells_2d, cells_2d), PERIODIC)
-        polar, em, dt = functionals.random_smooth_configuration(
-            g2, frames=fr, consts=CONSTS, seed=7
-        )
-        rep = functionals.equivalence_residual(
-            polar, em, CONSTS, dt=dt, time_periodic=True, scheme=CENTRAL
+        fields, dt = functionals.random_smooth_stacks(g2, frames=fr, consts=CONSTS, seed=7)
+        rep = functionals.equivalence_residual_stacks(
+            g2, fields, CONSTS, dt=dt, time_periodic=True, scheme=CENTRAL
         )
         records.append(
             check_leq(

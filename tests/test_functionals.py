@@ -1,5 +1,7 @@
 """Tests for the continuum functionals and the dual-route equivalence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from paulilab.grids import (
     PERIODIC,
     SPECTRAL,
     Grid,
+    GridError,
     ScalarField,
     SpinorField,
     VectorField3,
     curl,
     gradient,
 )
+from paulilab import verification
 from paulilab.functionals import (
     EMConfiguration,
     FunctionalError,
@@ -23,6 +27,7 @@ from paulilab.functionals import (
     PolarFields,
     averaged_hj_functional,
     equivalence_residual,
+    equivalence_residual_stacks,
     euler_lagrange_residual,
     fisher_continuum,
     fisher_joint,
@@ -33,6 +38,7 @@ from paulilab.functionals import (
     q_polar,
     q_spinor,
     random_smooth_configuration,
+    random_smooth_stacks,
     spinor_from_polar,
     stationarity_residual_static,
     total_functional,
@@ -370,6 +376,43 @@ def test_random_configuration_b_is_spectral_curl(cells):
     _polar, em, _dt = random_smooth_configuration(g, frames=5, consts=CONSTS, seed=4)
     for cfg in em:
         assert cfg.b.values.tobytes() == curl(cfg.a_pot, SPECTRAL).values.tobytes()
+
+
+def test_stack_path_report_equals_frame_path_report():
+    # the equivalence scenario's stack path and the frame-list wrappers share
+    # one implementation: the same report, bit for bit
+    consts = pauli_constants(0.7, 1.9, -1.3)
+    (stacked,), _ = verification.equivalence_sets(12, 8, 1, 3, consts)
+    g = Grid((1.0, 1.0, 1.0), (12, 12, 12), PERIODIC)
+    polar, em, dt = random_smooth_configuration(g, frames=8, consts=consts, seed=3,
+                                                amplitude=0.15)
+    framed = equivalence_residual(polar, em, consts, dt=dt, time_periodic=True,
+                                  scheme=SPECTRAL)
+    assert repr(stacked) == repr(framed)
+
+
+@pytest.mark.parametrize("name,spoil", [
+    ("p", "scaled"), ("p", "negative"), ("p", "nan"), ("b", "nan"),
+])
+def test_stack_path_raises_the_frame_path_errors(name, spoil):
+    # the NaN in b reaches neither the density checks nor the wavefunction
+    g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
+    stacks, dt = random_smooth_stacks(g, frames=4, consts=CONSTS, seed=2, amplitude=0.15)
+    values = stacks[name].copy()
+    frame = values[:, 2] if name == "b" else values[2]
+    if spoil == "scaled":
+        frame *= 1.01
+    else:
+        frame[..., 1, 2, 3] = -0.5 if spoil == "negative" else np.nan
+    with pytest.raises((GridError, FunctionalError)) as framed:
+        if name == "b":
+            VectorField3(g, np.moveaxis(frame, 0, -1))
+        else:
+            PolarFields(ScalarField(g, frame), *(ScalarField(g, stacks[other][2])
+                                                 for other in ("theta", "s", "phi")))
+    with pytest.raises(type(framed.value), match=f"^{re.escape(str(framed.value))}$"):
+        equivalence_residual_stacks(g, {**stacks, name: values}, CONSTS, dt=dt,
+                                    time_periodic=True, scheme=SPECTRAL)
 
 
 def test_global_phase_invariance():

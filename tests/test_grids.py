@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulilab import grids
 from paulilab.grids import (
@@ -259,6 +261,56 @@ def test_derivative_adjoint_identity(boundary, scheme):
     du = derive_along(u, h, 0, boundary, scheme)
     dtv = derive_along_adjoint(v, h, 0, boundary, scheme)
     assert np.vdot(du, v) == pytest.approx(np.vdot(u, dtv), rel=1e-12, abs=1e-12)
+
+
+def _full_fft_derivative(values, h, axis, order):
+    """The spectral derivative by the full complex FFT, real part taken."""
+    n = values.shape[axis]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    mult = 1j * k if order == 1 else -(k * k)
+    if order == 1 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = n
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis).real
+
+
+# stacks of 1-4 axes with odd and even lengths, the axis taken modulo their count
+_SPECTRAL_CASES = dict(shape=st.lists(st.integers(3, 10), min_size=1, max_size=4),
+                       axis=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+                       h=st.floats(0.05, 3.0), scale=st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.sampled_from([1, 2]), **_SPECTRAL_CASES)
+def test_spectral_derivative_of_real_stack_matches_full_fft(order, shape, axis, seed, h, scale):
+    # real stacks take the half spectrum; the result is real and agrees with
+    # the full complex transform at round-off: measured at most 4.1e-16 of
+    # k_max^order * max|u| over 3,000 random stacks, bound ten times that
+    axis %= len(shape)
+    u = np.random.default_rng(seed).normal(size=shape) * 10.0**scale
+    derive = derive_along if order == 1 else second_derive_along
+    got = derive(u, h, axis, PERIODIC, SPECTRAL)
+    assert got.dtype == np.float64 and got.shape == u.shape
+    k_max = np.pi / h
+    err = np.max(np.abs(got - _full_fft_derivative(u, h, axis, order)))
+    assert err <= 4e-15 * k_max**order * np.max(np.abs(u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_values=st.booleans(), **_SPECTRAL_CASES)
+def test_spectral_derivative_is_antisymmetric(complex_values, shape, axis, seed, h, scale):
+    # <Du, v> = -<u, Dv> for real stacks (half spectrum) and complex ones
+    # (full spectrum): measured at most 1.5e-16 of |Du||v| + |u||Dv| over 3,000
+    # random stacks, bound ten times that
+    axis %= len(shape)
+    u, v, iu, iv = np.random.default_rng(seed).normal(size=(4,) + tuple(shape)) * 10.0**scale
+    if complex_values:
+        u, v = u + 1j * iu, v + 1j * iv
+    du, dv = (derive_along(x, h, axis, PERIODIC, SPECTRAL) for x in (u, v))
+    assert np.isrealobj(du) != complex_values
+    scale_of = np.linalg.norm(du) * np.linalg.norm(v) + np.linalg.norm(u) * np.linalg.norm(dv)
+    assert abs(np.vdot(du, v) + np.vdot(u, dv)) <= 1.5e-15 * scale_of
 
 
 def test_dirichlet_adjoint_matches_np_gradient_matrix():

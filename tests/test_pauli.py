@@ -560,20 +560,21 @@ def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
     seen = []
 
-    def on_record(psi, t):
+    def on_record(psi, t, rho1, rho2):
         seen.append(t)
         if len(seen) == 4:
             if spoil == "scale":
-                psi *= 1.0 + 1e-9  # norm 1 + 2e-9
+                psi *= 1.0 + 1e-9  # norm 1 + 2e-9 from the next record on
             else:
                 psi[3, 1] = np.nan
 
+    # the callback runs after its record's observables, so the next record aborts
     with pytest.raises(SolverError):
         evolve(uniform_state(g), config, 0.1, on_record=on_record)
-    assert len(seen) == 4
+    assert len(seen) == 5
 
-    def drift(psi, t):
-        psi *= 1.0 + 1e-12  # 11 records: norm 1 + 2.2e-11, inside the tolerance
+    def drift(psi, t, rho1, rho2):
+        psi *= 1.0 + 1e-12  # 11 records: norm 1 + 2e-11, inside the tolerance
 
     assert len(evolve(uniform_state(g), config, 0.1, on_record=drift).times) == 11
 

@@ -194,6 +194,9 @@ _JOINT = "parameters must satisfy: "
     ("evidence", {"shift": [1.0, 0.0, 0.0]}, [_JOINT + "shift lies along x"]),
     ("evidence", {"shift": [0.25, 0.1, 0.0]}, [_JOINT + "shift lies along x"]),
     ("evidence", {"shift": [0.25, 0.0]}, [_JOINT + "shift lies along x"]),
+    # three modes need three free cells; four cells leave two inside the walls
+    ("box_minimize", {"cells": 4, "multistarts": 1, "modes": 3},
+     [_JOINT + "modes <= cells - 2"]),
     # a range violation leaves the joint rules of the other parameters in force
     ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0,
                        "cells": -5},
@@ -227,6 +230,19 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("evidence", {"shift": [0.25]}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
+
+
+def test_box_document_with_one_free_cell_per_mode_runs(tmp_path):
+    # the smallest box the modes rule admits for three modes: its modes are far
+    # from the continuum ones, but the block solve finishes and writes its outputs
+    report = run(parse_scenario(json.dumps({
+        "kind": "box_minimize", "output_dir": str(tmp_path),
+        "parameters": {"cells": 5, "multistarts": 1, "modes": 3},
+    })))
+    checks = {c.name: c for c in report.checks}
+    assert checks["box.converged"].passed
+    assert checks["box.density_max_error"].passed
+    assert (tmp_path / "density.csv").exists() and (tmp_path / "trace.csv").exists()
 
 
 def test_cli_schema_prints_joint_rules(capsys):
@@ -353,7 +369,9 @@ def test_equivalence_scenario_small(tmp_path):
 
 
 def test_equivalence_document_prepares_each_set_once(tmp_path, monkeypatch):
-    calls = {"_prepare": 0, "_polar_terms": 0}
+    # the document runs on stacks: each set is checked, prepared and split into
+    # its polar terms once, and no set goes through the frame preparation
+    calls = {"_check_stacks": 0, "_stacks": 0, "_polar_terms": 0, "_prepare": 0}
     for name in calls:
         original = getattr(functionals, name)
 
@@ -367,7 +385,7 @@ def test_equivalence_document_prepares_each_set_once(tmp_path, monkeypatch):
         "parameters": {"cells": 12, "frames": 8, "sets": 2},
     })))
     assert report.passed
-    assert calls == {"_prepare": 2, "_polar_terms": 2}
+    assert calls == {"_check_stacks": 2, "_stacks": 2, "_polar_terms": 2, "_prepare": 0}
 
 
 def _read_csv(path):
@@ -428,7 +446,10 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
 # into full steps, which moves them at round-off. The box_minimize document
 # was recorded again when the spectrum scan became one block solve, which
 # moves the density at solver-convergence level (|dp| <= 8.3e-11) and
-# lengthens the first mode's trace to the block's iterations. Recorded with
+# lengthens the first mode's trace to the block's iterations. The
+# equivalence document was recorded again when spectral derivatives of real
+# stacks moved to the half spectrum (rfft/irfft), which moves its values at
+# round-off (at most 2.3e-15 relative, the small time term). Recorded with
 # numpy 2.4 and scipy 1.17 on x86-64: other builds of the transcendental and
 # FFT kernels may round differently.
 _GOLDEN_DIGESTS = [
@@ -497,9 +518,9 @@ _GOLDEN_DIGESTS = [
         "checks": "4fb06d11730a609aa18f371168fe73a2c01f531d775d094bb720143630c9554b",
     }),
     ("equivalence", {"cells": 12, "frames": 12, "sets": 1}, {
-        "equivalence.csv": "7c5a31606ff34d207a175795dbe3784d363148e4b5b142d13214bbf5833d2acd",
-        "breakdown.csv": "cc39ccfac65059d5a571800e42d6d1fcea77c55b8181be1a805a15e61b0fd499",
-        "checks": "c70c54c25e2d75f6fd569149543849bf61d9c6183e546ffb695b02f9ddd19e55",
+        "equivalence.csv": "85d1cf5b8af635edb10937b5ef47c6e9c98cae649fb1b8b5dcd34b642f69c0ee",
+        "breakdown.csv": "064b55b93f6f0909f221dcba95abca49beabc57eb5f9a05ab26a5934f12d7688",
+        "checks": "98fadf3bb6350d81d5d8b89cabd9cb7abbc2ae6e03759d4280d5d61eb3c48684",
     }),
 ]
 
