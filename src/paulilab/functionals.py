@@ -1,12 +1,19 @@
 """Continuum functionals over polar and spinor fields.
 
-The same physics is carried by two parameterizations: a polar set
-(density P, color angle theta, action S, relative phase phi) and a complex
-two-component wavefunction.  This module evaluates the Fisher-information
-functional, the classical-knowledge functional, their weighted sum, the
-quadratic form whose stationary points solve the two-component wave
-equation, and the numerical verifier that the two routes agree once the
-physical identification of the coefficients is switched on.
+The same physics is carried by three parameterizations, one per step of
+the derivation:
+
+- the joint route: per-color densities P+- and actions S+-, with the Fisher
+  information and the motion constraint of each color summed;
+- the polar route: density P, color angle theta, action S and relative
+  phase phi, where lam * Fisher + knowledge functional is one integrand;
+- the spinor route: the quadratic form on the complex two-component
+  wavefunction, whose stationary points solve the wave equation.
+
+The equivalence verifier evaluates all three on one configuration once the
+physical identification of the coefficients is switched on.  The joint
+route reuses the polar route's derivatives, so it agrees to round-off; the
+spinor route takes its own and agrees to the discretization error.
 
 Time is an outer sequence of spatial snapshots.  Time integrals are
 trapezoidal (rectangle rule when the sequence is periodic); time derivatives
@@ -302,26 +309,6 @@ def fisher_continuum(
     return float(_integrate_stack(dens, grid, tw))
 
 
-def fisher_joint(
-    p_plus_frames,
-    p_minus_frames,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
-    """Fisher information in the joint (position, color) form: sum over the
-    two per-color densities of |grad P_k|^2 / P_k."""
-    plus = _as_list(p_plus_frames, ScalarField)
-    minus = _as_list(p_minus_frames, ScalarField)
-    if len(plus) != len(minus):
-        raise FunctionalError("per-color sequences must align")
-    grid = plus[0].grid
-    stacks = (_scalar_stack(plus), _scalar_stack(minus))
-    total = sum(_fisher_density(stack, _grad_stack(stack, grid, scheme)) for stack in stacks)
-    tw = _time_weights(len(plus), dt, time_periodic)
-    return float(_integrate_stack(total, grid, tw))
-
-
 # ---------------------------------------------------------------------------
 # polar-side functionals
 # ---------------------------------------------------------------------------
@@ -377,18 +364,19 @@ def _components(values: Sequence[np.ndarray]) -> np.ndarray:
 def _em_stacks(em_frames, grid: Grid, count: int, scheme: str) -> dict[str, np.ndarray]:
     """Potential stacks of ``count`` frames from one EMConfiguration each or one for all."""
     em = _as_list(em_frames, EMConfiguration)
-    if len(em) == 1:
-        em = em * count
-    if len(em) != count:
+    if len(em) not in (1, count):
         raise FunctionalError("field and potential sequences must align")
     if any(cfg.grid != grid for cfg in em):
         raise FunctionalError("all snapshots must share one grid")
-    return {
+    stacks = {
         "phi_pot": np.stack([cfg.phi_pot.values for cfg in em]),
         "a_pot": _components([cfg.a_pot.values for cfg in em]),
         "b": _components([cfg.b_values(scheme) for cfg in em]),
         "u": np.stack([cfg.u_values() for cfg in em]),
     }
+    if len(em) < count:  # one configuration for every frame: stacked once, then repeated
+        stacks = {name: np.repeat(v, count, axis=-1 - grid.dim) for name, v in stacks.items()}
+    return stacks
 
 
 def _frame_stacks(polar_frames, em_frames, scheme):
@@ -464,6 +452,33 @@ def _total_value(st: _PolarStacks, consts: PhysicalConstants) -> float:
     return _total_of_terms(st, _polar_terms(st, consts))
 
 
+def _joint_total(st: _PolarStacks, shared: np.ndarray, consts: PhysicalConstants) -> float:
+    """The same integral by the joint (position, color) route.
+
+    Over the color densities P+- = P cos^2(theta/2), P sin^2(theta/2) and the
+    color actions S+- = S -+ a*phi the integrand is the sum over both colors
+    of lam |grad P+-|^2 / P+- + P+- (dS+-/dt + |grad S+- - qA|^2 / 2m), plus
+    P times ``shared``, the scalar potential and moment coupling per unit
+    density.  grad P+- follows from grad P and grad theta by the product
+    rule, so no derivative is taken beyond the polar route's.
+    """
+    q, a = consts.charge, consts.a
+    rotate = 0.5 * st.p * np.sin(st.theta)  # -+ d P+- / d theta
+    integrand = shared * st.p
+    for trig, sign in ((np.cos, -1.0), (np.sin, 1.0)):
+        weight = trig(0.5 * st.theta) ** 2
+        grad_p_k = (weight * gp + sign * rotate * gt for gp, gt in zip(st.grad_p, st.grad_theta))
+        integrand += consts.lam * _fisher_density(weight * st.p, grad_p_k)
+        motion = st.ds_dt + sign * a * st.dphi_dt
+        for ax in range(3):
+            gauge = -q * st.a_pot[ax]
+            if ax < st.grid.dim:  # gradients along missing axes vanish
+                gauge += st.grad_s[ax] + sign * a * st.grad_phi[ax]
+            motion += gauge * gauge / (2.0 * consts.mass)
+        integrand += weight * st.p * motion
+    return float(_integrate_stack(integrand * st.mask, st.grid, st.tw))
+
+
 def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, float]:
     """Integral of each term density, and their sum under ``"total"``."""
     values = {
@@ -474,80 +489,6 @@ def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, fl
     }
     values["total"] = sum(values.values())
     return values
-
-
-def lambda_functional(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
-    """Classical-knowledge functional: averaged motion constraint plus the
-    moment-field coupling, weighted by the click density.
-
-    The color-symmetric potential is q*phi_pot + u; the moment coupling is
-    -a*gamma*(m.B) with m the unit vector built from (theta, phi).
-    """
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    integrand = _knowledge(_polar_terms(st, consts)) * st.p * st.mask
-    return float(_integrate_stack(integrand, st.grid, st.tw))
-
-
-def total_functional(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
-    """Weighted sum: lam * Fisher information + knowledge functional."""
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    return _total_value(st, consts)
-
-
-def q_polar(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
-    """Quadratic form of the two-component wave equation in polar variables.
-
-    Coefficients are fixed by hbar, mass, and charge: the form is the total
-    functional under the identification.  The optional non-electromagnetic
-    potential u is added to the scalar-potential group so the polar and
-    spinor routes stay comparable whenever u is present.
-    """
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    return _total_value(st, pauli_constants(consts.hbar, consts.mass, consts.charge))
-
-
-def averaged_hj_functional(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    v_plus: ScalarField,
-    v_minus: ScalarField,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
-    """Pre-identification knowledge functional with explicit per-color
-    potentials: per-color motion constraints averaged over the color split,
-    written with the half action difference R = a*phi."""
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, scheme)
-    terms = _polar_terms(st, consts)
-    v0 = 0.5 * (v_plus.values + v_minus.values)
-    v1 = 0.5 * (v_plus.values - v_minus.values)
-    integrand = (
-        terms["kinetic"] + terms["time"] + v0 + v1 * np.cos(st.theta)
-    ) * st.p * st.mask
-    return float(_integrate_stack(integrand, st.grid, st.tw))
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +563,10 @@ def q_spinor(
 ) -> float:
     """Quadratic form evaluated directly on the two-component wavefunction.
 
-    The integrand combines the antisymmetrized time term, the
-    gauge-covariant kinetic product, the scalar-potential term (q*phi_pot
-    plus the optional u), and the moment coupling.  The result must be real;
-    an imaginary residue above 1e-10 relative to the terms' magnitude raises,
-    since it signals a broken discrete symmetry in the inputs.
+    The integrand combines the time term hbar Im(Psi* dPsi/dt), the
+    gauge-covariant kinetic term |-i hbar grad Psi - qA Psi|^2 / 2m, the
+    scalar-potential term (q*phi_pot plus the optional u), and the moment
+    coupling; each is evaluated in real arithmetic.
     """
     frames = _as_list(phi_frames, SpinorField)
     grid = frames[0].grid
@@ -640,50 +580,37 @@ def _q_spinor_stacks(grid, psi, em, consts, dt, time_periodic, scheme) -> float:
     ``psi`` under the potential stacks ``em``."""
     hbar, m, q = consts.hbar, consts.mass, consts.charge
     a_pot, b = em["a_pot"], em["b"]
-    dpsi_dt = [_time_derivative(color, dt, time_periodic, scheme) for color in psi]
-    integrand = np.zeros(psi.shape[1:], dtype=np.complex128)
-    term_scale = np.zeros(psi.shape[1:])
-
-    def add(term):
-        nonlocal integrand, term_scale
-        integrand = integrand + term
-        term_scale = term_scale + np.abs(term)
-
-    # (i hbar / 2) (dPsi*/dt Psi - Psi* dPsi/dt)
+    re, im = np.ascontiguousarray(psi.real), np.ascontiguousarray(psi.imag)
+    integrand = np.zeros(psi.shape[1:])
+    # hbar Im(Psi* dPsi/dt) = (i hbar / 2) (dPsi*/dt Psi - Psi* dPsi/dt)
     for k in (0, 1):
-        add((0.5j * hbar) * (np.conj(dpsi_dt[k]) * psi[k] - np.conj(psi[k]) * dpsi_dt[k]))
+        d = _time_derivative(psi[k], dt, time_periodic, scheme)
+        integrand += hbar * (re[k] * d.imag - im[k] * d.real)
 
-    # (1/2m) (i hbar grad Psi* - qA Psi*) . (-i hbar grad Psi - qA Psi)
+    # |-i hbar grad Psi - qA Psi|^2 / 2m, real and imaginary parts squared
     for ax in range(grid.dim):
         h = grid.spacing[ax]
         for k in (0, 1):
             d = derive_along(psi[k], h, 1 + ax, grid.boundary, scheme)
-            left = 1j * hbar * np.conj(d) - q * a_pot[ax] * np.conj(psi[k])
-            right = -1j * hbar * d - q * a_pot[ax] * psi[k]
-            add(left * right / (2.0 * m))
+            qa = q * a_pot[ax]
+            real = hbar * d.imag - qa * re[k]
+            imag = hbar * d.real + qa * im[k]
+            integrand += (real * real + imag * imag) / (2.0 * m)
     # axes beyond the grid dimension contribute only the A^2 piece
-    norm_sq = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
+    dens = re * re + im * im
+    norm_sq = dens[0] + dens[1]
     for ax in range(grid.dim, 3):
-        add((q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m))
+        integrand += (q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m)
 
-    add((q * em["phi_pot"] + em["u"]) * norm_sq)
+    integrand += (q * em["phi_pot"] + em["u"]) * norm_sq
 
-    cross = np.conj(psi[0]) * psi[1]
-    sigma_x = 2.0 * np.real(cross)
-    sigma_y = 2.0 * np.imag(cross)
-    sigma_z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
-    add(-(q * hbar / (2.0 * m)) * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z))
+    sigma_x = 2.0 * (re[0] * re[1] + im[0] * im[1])
+    sigma_y = 2.0 * (re[0] * im[1] - im[0] * re[1])
+    sigma_z = dens[0] - dens[1]
+    integrand += -(q * hbar / (2.0 * m)) * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z)
 
     tw = _time_weights(psi.shape[1], dt, time_periodic)
-    total = _integrate_stack(integrand, grid, tw)
-    # the residue is judged against the magnitude of the constituent terms,
-    # which stays meaningful when the integrand cancels pointwise
-    scale = float(_integrate_stack(term_scale, grid, np.abs(tw)))
-    if scale > 0 and abs(total.imag) > 1e-10 * scale:
-        raise FunctionalError(
-            f"imaginary residue {total.imag:.3e} exceeds tolerance (scale {scale:.3e})"
-        )
-    return float(total.real)
+    return float(_integrate_stack(integrand, grid, tw))
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +620,12 @@ def _q_spinor_stacks(grid, psi, em, consts, dt, time_periodic, scheme) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Dual-route evaluation of the same configuration."""
+    """The polar total against the joint and spinor routes on one configuration."""
 
-    q_polar: float
     total: float
+    joint: float
     q_spinor: float
-    abs_residual: float
+    # joint route against the polar total
     rel_residual: float
     spinor_abs_residual: float
     spinor_rel_residual: float
@@ -721,12 +648,14 @@ def _check_identification(consts: PhysicalConstants) -> None:
 
 def _check_stacks(grid: Grid, fields: dict[str, np.ndarray]) -> None:
     """The checks the frame objects make, run once over the stacks: shapes,
-    finite values, and a nonnegative density of unit mass in every frame."""
+    real finite values, and a nonnegative density of unit mass in every frame."""
     frames = (len(fields["p"]),) + grid.shape
     for name, values in fields.items():
         want = ((3,) if name in _VECTORS else ()) + frames
         if values.shape != want:
             raise FunctionalError(f"{name} stack shape {values.shape}, expected {want}")
+        if np.iscomplexobj(values):
+            raise FunctionalError(f"{name} stack must be real, got {values.dtype}")
         if not np.all(np.isfinite(values)):
             raise GridError("field values must be finite")
     _check_density(fields["p"], grid)
@@ -744,13 +673,14 @@ def equivalence_residual_stacks(grid: Grid, fields: dict[str, np.ndarray],
                                 consts: PhysicalConstants, dt: float = 0.0,
                                 time_periodic: bool = False, scheme: str = CENTRAL,
                                 mask: np.ndarray | None = None) -> EquivalenceReport:
-    """Compare the quadratic form against lam * Fisher + knowledge functional
-    on the same fields, and cross-check the spinor route on the mapped
-    wavefunction.
+    """Evaluate lam * Fisher + knowledge functional on the polar fields, and
+    compare it against the joint (position, color) route over the same
+    derivatives and against the spinor route on the mapped wavefunction.
 
     ``fields`` holds the stacks :func:`random_smooth_stacks` returns; the
     frame objects' checks run once over them.  ``mask`` (frames,) +
-    grid.shape weights the polar route's cells (None means everywhere).
+    grid.shape weights the polar and joint routes' cells (None means
+    everywhere).
     """
     _check_identification(consts)
     _check_stacks(grid, fields)
@@ -758,29 +688,26 @@ def equivalence_residual_stacks(grid: Grid, fields: dict[str, np.ndarray],
     st = _stacks(grid, fields, mask, dt, time_periodic, scheme)
     terms = _polar_terms(st, consts)
     tot = _total_of_terms(st, terms)
-    pauli = pauli_constants(consts.hbar, consts.mass, consts.charge)
-    # the same constants give the same term densities, so Q_polar is the total
-    qp = tot if consts == pauli else _total_value(st, pauli)
     breakdown = _term_values(st, terms)
-    del st, terms  # the spinor route allocates its own stacks; do not hold both
+    shared = terms["potential"] + terms["moment_coupling"]
+    del terms  # each route allocates its own temporaries; hold no more than needed
+    joint = _joint_total(st, shared, consts)
+    del st, shared
     psi = _spinor_stack(*(fields[name] for name in _POLAR), consts)
     if not np.all(np.isfinite(psi)):
         raise GridError("field values must be finite")
     qs = _q_spinor_stacks(grid, psi, fields, consts, dt, time_periodic, scheme)
-    denom = max(abs(qp), abs(tot))
-    s_denom = max(abs(qp), abs(qs))
 
     def rel(absval, d):
         return 0.0 if absval == 0.0 else (absval / d if d > 0 else float("inf"))
 
     return EquivalenceReport(
-        q_polar=qp,
         total=tot,
+        joint=joint,
         q_spinor=qs,
-        abs_residual=abs(qp - tot),
-        rel_residual=rel(abs(qp - tot), denom),
-        spinor_abs_residual=abs(qs - qp),
-        spinor_rel_residual=rel(abs(qs - qp), s_denom),
+        rel_residual=rel(abs(joint - tot), max(abs(joint), abs(tot))),
+        spinor_abs_residual=abs(qs - tot),
+        spinor_rel_residual=rel(abs(qs - tot), max(abs(tot), abs(qs))),
         breakdown=breakdown,
     )
 

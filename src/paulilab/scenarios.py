@@ -384,9 +384,9 @@ def _run_equivalence(scenario: Scenario, out):
     path = out("equivalence.csv")
     fieldio.write_table_csv(
         path,
-        ["seed", "q_polar", "total_functional", "q_spinor", "rel_residual",
+        ["seed", "joint", "total_functional", "q_spinor", "rel_residual",
          "spinor_rel_residual"],
-        [(scenario.seed + index, rep.q_polar, rep.total, rep.q_spinor, rep.rel_residual,
+        [(scenario.seed + index, rep.joint, rep.total, rep.q_spinor, rep.rel_residual,
           rep.spinor_rel_residual) for index, rep in enumerate(reports)],
     )
     breakdown_path = out("breakdown.csv")

@@ -125,13 +125,13 @@ def check_box_minimum(fast: bool = False) -> list[CheckRecord]:
 
 def equivalence_sets(cells: int, frames: int, sets: int, seed: int, consts,
                      max_mode: int = 1, amplitude: float = 0.15, worst: str | None = None,
-                     polar: str | None = None, spinor: str | None = None):
-    """The polar and spinor routes of the Pauli quadratic form on ``sets``
-    random spectral configurations (seeds ``seed``, ``seed`` + 1, ...) of the
-    periodic unit cube.  Records, each <= 1e-8: the worst polar-vs-total
-    residual (``polar``), the worst spinor-vs-polar residual (``spinor``) and
-    the worst of both (``worst``), each left out when None.  Returns (one
-    report per set, records).
+                     joint: str | None = None, spinor: str | None = None):
+    """The polar, joint and spinor routes of the Pauli quadratic form on
+    ``sets`` random spectral configurations (seeds ``seed``, ``seed`` + 1,
+    ...) of the periodic unit cube.  Records, each <= 1e-8: the worst
+    polar-vs-joint residual (``joint``), the worst spinor-vs-polar residual
+    (``spinor``) and the worst of both (``worst``), each left out when None.
+    Returns (one report per set, records).
     """
     grid = Grid((1.0, 1.0, 1.0), (cells, cells, cells), PERIODIC)
     reports = []
@@ -143,10 +143,10 @@ def equivalence_sets(cells: int, frames: int, sets: int, seed: int, consts,
         reports.append(functionals.equivalence_residual_stacks(
             grid, fields, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
         ))
-    worst_polar = max(r.rel_residual for r in reports)
+    worst_joint = max(r.rel_residual for r in reports)
     worst_spinor = max(r.spinor_rel_residual for r in reports)
-    named = ((polar, worst_polar), (spinor, worst_spinor),
-             (worst, max(worst_polar, worst_spinor)))
+    named = ((joint, worst_joint), (spinor, worst_spinor),
+             (worst, max(worst_joint, worst_spinor)))
     return reports, [check_leq(name, value, 1e-8) for name, value in named if name]
 
 
@@ -154,7 +154,7 @@ def check_equivalence(fast: bool = False) -> list[CheckRecord]:
     started = time.perf_counter()
     sets = 5 if fast else 20
     _, records = equivalence_sets(16 if fast else 24, 8 if fast else 12, sets, 0, CONSTS,
-                                  polar=f"equivalence.spectral_polar_vs_total_{sets}_sets",
+                                  joint=f"equivalence.spectral_polar_vs_joint_{sets}_sets",
                                   spinor=f"equivalence.spectral_spinor_vs_polar_{sets}_sets")
 
     levels = ((16, 4), (32, 8), (64, 16)) if fast else ((32, 8), (64, 16), (128, 32))
@@ -167,7 +167,7 @@ def check_equivalence(fast: bool = False) -> list[CheckRecord]:
         )
         records.append(
             check_leq(
-                f"equivalence.stencil_polar_vs_total_n{cells_2d}", rep.rel_residual, 1e-12
+                f"equivalence.stencil_polar_vs_joint_n{cells_2d}", rep.rel_residual, 1e-12
             )
         )
         errors.append(rep.spinor_abs_residual)

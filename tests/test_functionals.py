@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulilab.grids import (
+    CENTRAL,
     DIRICHLET_ZERO,
     PERIODIC,
     SPECTRAL,
@@ -17,6 +18,7 @@ from paulilab.grids import (
     SpinorField,
     VectorField3,
     curl,
+    derive_along,
     gradient,
 )
 from paulilab import verification
@@ -25,24 +27,22 @@ from paulilab.functionals import (
     FunctionalError,
     PhysicalConstants,
     PolarFields,
-    averaged_hj_functional,
     equivalence_residual,
     equivalence_residual_stacks,
     euler_lagrange_residual,
     fisher_continuum,
-    fisher_joint,
-    lambda_functional,
     natural_constants,
     pauli_constants,
     polar_from_spinor,
-    q_polar,
     q_spinor,
     random_smooth_configuration,
     random_smooth_stacks,
     spinor_from_polar,
     stationarity_residual_static,
-    total_functional,
     _band_limited_spacetime,
+    _em_stacks,
+    _q_spinor_stacks,
+    _spinor_stack,
 )
 
 CONSTS = natural_constants()
@@ -96,21 +96,6 @@ def test_fisher_winding_angle_on_torus():
     assert fisher_continuum(p, theta) == pytest.approx((2 * np.pi) ** 2, rel=1e-12)
 
 
-def test_fisher_polar_equals_joint_form():
-    g = Grid((1.0,), (64,), PERIODIC)
-    x = g.axis_coordinates(0)
-    p = 1.0 + 0.2 * np.sin(2 * np.pi * x) + 0.1 * np.cos(4 * np.pi * x)
-    p /= p.sum() * g.cell_volume
-    theta = np.pi / 2 + 0.3 * np.sin(2 * np.pi * x + 0.4)
-    polar = fisher_continuum(ScalarField(g, p), ScalarField(g, theta), scheme=SPECTRAL)
-    joint = fisher_joint(
-        ScalarField(g, p * np.cos(theta / 2) ** 2),
-        ScalarField(g, p * np.sin(theta / 2) ** 2),
-        scheme=SPECTRAL,
-    )
-    assert abs(polar - joint) <= 1e-10 * abs(polar)
-
-
 def test_fisher_rejects_negative_density():
     g = Grid((1.0,), (16,), PERIODIC)
     with pytest.raises(FunctionalError):
@@ -122,20 +107,27 @@ def test_fisher_rejects_negative_density():
 # ---------------------------------------------------------------------------
 
 
-def test_lambda_all_zero():
+def knowledge(rep):
+    # the knowledge functional: every term of the breakdown but the Fisher one
+    return sum(v for k, v in rep.breakdown.items() if k not in ("fisher", "total"))
+
+
+def test_knowledge_all_zero():
     g = Grid((1.0,), (32,), PERIODIC)
-    val = lambda_functional(uniform_polar(g), EMConfiguration.zero(g), CONSTS)
-    assert val == pytest.approx(0.0, abs=1e-14)
+    rep = equivalence_residual(uniform_polar(g), EMConfiguration.zero(g), CONSTS)
+    assert knowledge(rep) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_lambda_moment_coupling_only():
+def test_knowledge_moment_coupling_only():
     g = Grid((1.0,), (32,), PERIODIC)
     bz = 2.5
-    val = lambda_functional(uniform_polar(g, theta=0.0), uniform_b_config(g, bz), CONSTS)
-    assert val == pytest.approx(-CONSTS.a * CONSTS.gamma * bz, rel=1e-12)
+    rep = equivalence_residual(uniform_polar(g, theta=0.0), uniform_b_config(g, bz), CONSTS)
+    assert rep.breakdown["moment_coupling"] == pytest.approx(-CONSTS.a * CONSTS.gamma * bz,
+                                                             rel=1e-12)
+    assert knowledge(rep) == pytest.approx(-CONSTS.a * CONSTS.gamma * bz, rel=1e-12)
 
 
-def test_lambda_plane_wave_cancellation():
+def test_knowledge_plane_wave_cancellation():
     # action linear in x and t: kinetic and time terms cancel exactly
     L, n = 1.0, 65
     g = Grid((L,), (n,), DIRICHLET_ZERO)
@@ -155,11 +147,12 @@ def test_lambda_plane_wave_cancellation():
                 ScalarField.full(g, 0.0),
             )
         )
-    val = lambda_functional(frames, EMConfiguration.zero(g), CONSTS, dt=dt)
-    assert val == pytest.approx(0.0, abs=1e-12)
+    rep = equivalence_residual(frames, EMConfiguration.zero(g), CONSTS, dt=dt)
+    assert rep.breakdown["kinetic"] == pytest.approx(-rep.breakdown["time"], rel=1e-12)
+    assert knowledge(rep) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_total_functional_box_case():
+def test_total_box_case():
     L = 1.0
     g = Grid((L,), (512,), DIRICHLET_ZERO)
     x = g.axis_coordinates(0)
@@ -169,8 +162,10 @@ def test_total_functional_box_case():
         ScalarField.full(g, 0.0),
         ScalarField.full(g, 0.0),
     )
-    val = total_functional(polar, EMConfiguration.zero(g), CONSTS)
-    assert val == pytest.approx(CONSTS.lam * (2 * np.pi / L) ** 2, rel=0.01)
+    rep = equivalence_residual(polar, EMConfiguration.zero(g), CONSTS)
+    assert rep.total == pytest.approx(CONSTS.lam * (2 * np.pi / L) ** 2, rel=0.01)
+    # the empty color's density is zero everywhere: the joint route leaves it out
+    assert rep.joint == pytest.approx(rep.total, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +303,8 @@ def test_q_spinor_plane_wave_dispersion_cancellation():
 def test_equivalence_zero_fields():
     g = Grid((1.0,), (16,), PERIODIC)
     rep = equivalence_residual(uniform_polar(g), EMConfiguration.zero(g), CONSTS)
-    assert rep.abs_residual == pytest.approx(0.0, abs=1e-14)
-    assert rep.rel_residual == 0.0
+    assert rep.total == rep.joint == rep.q_spinor == 0.0
+    assert rep.rel_residual == rep.spinor_rel_residual == 0.0
 
 
 def test_equivalence_requires_identification():
@@ -415,13 +410,86 @@ def test_stack_path_raises_the_frame_path_errors(name, spoil):
                                     time_periodic=True, scheme=SPECTRAL)
 
 
+def test_shared_configuration_is_curled_once(monkeypatch):
+    # one EMConfiguration without b, given for every frame, takes its curl
+    # once; its stacks equal those of the same configuration listed per frame
+    g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
+    x, y, z = np.broadcast_arrays(*g.meshgrid())
+    a_pot = np.stack([np.sin(2 * np.pi * y), np.cos(2 * np.pi * z), np.sin(2 * np.pi * x)], -1)
+    em = EMConfiguration(g, ScalarField(g, np.cos(2 * np.pi * x)), VectorField3(g, a_pot))
+    per_frame = _em_stacks([em] * 12, g, 12, CENTRAL)
+    reads = []
+    b_values = EMConfiguration.b_values
+
+    def counted(cfg, *args):
+        reads.append(args)
+        return b_values(cfg, *args)
+
+    monkeypatch.setattr(EMConfiguration, "b_values", counted)
+    shared = _em_stacks(em, g, 12, CENTRAL)
+    assert len(reads) == 1
+    assert sorted(shared) == sorted(per_frame)
+    for name, stack in shared.items():
+        assert stack.flags.c_contiguous
+        assert stack.shape == per_frame[name].shape
+        assert stack.tobytes() == per_frame[name].tobytes()
+
+
+@pytest.mark.parametrize("name", ["a_pot", "phi_pot"])
+def test_stack_path_rejects_complex_stacks(name):
+    g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
+    stacks, dt = random_smooth_stacks(g, frames=4, consts=CONSTS, seed=2, amplitude=0.15)
+    spoiled = stacks[name] + 0.0j
+    with pytest.raises(FunctionalError, match=f"^{name} stack must be real"):
+        equivalence_residual_stacks(g, {**stacks, name: spoiled}, CONSTS, dt=dt,
+                                    time_periodic=True, scheme=SPECTRAL)
+
+
+def _q_spinor_complex(grid, psi, em, consts, dt, scheme):
+    # oracle: the spinor integrand in complex arithmetic, time-periodic
+    hbar, m, q = consts.hbar, consts.mass, consts.charge
+    a_pot, b = em["a_pot"], em["b"]
+    integrand = np.zeros(psi.shape[1:], dtype=complex)
+    for k in (0, 1):
+        d = derive_along(psi[k], dt, 0, PERIODIC, scheme)
+        integrand += 0.5j * hbar * (np.conj(d) * psi[k] - np.conj(psi[k]) * d)
+        for ax in range(grid.dim):
+            d = derive_along(psi[k], grid.spacing[ax], 1 + ax, grid.boundary, scheme)
+            left = 1j * hbar * np.conj(d) - q * a_pot[ax] * np.conj(psi[k])
+            right = -1j * hbar * d - q * a_pot[ax] * psi[k]
+            integrand += left * right / (2.0 * m)
+    norm_sq = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
+    for ax in range(grid.dim, 3):
+        integrand += (q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m)
+    integrand += (q * em["phi_pot"] + em["u"]) * norm_sq
+    cross = np.conj(psi[0]) * psi[1]
+    sigma = (2.0 * cross.real, 2.0 * cross.imag, np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2)
+    integrand += -(q * hbar / (2.0 * m)) * sum(bc * sc for bc, sc in zip(b, sigma))
+    w = grid.cell_volume * dt
+    return float(np.sum(integrand.real) * w), float(np.sum(integrand.imag) * w)
+
+
+@pytest.mark.parametrize("cells,scheme", [((8, 8, 8), SPECTRAL), ((24, 24), CENTRAL)])
+def test_real_spinor_integrand_matches_complex_form(cells, scheme):
+    consts = pauli_constants(0.7, 1.9, -1.3)
+    g = Grid((1.0,) * len(cells), cells, PERIODIC)
+    stacks, dt = random_smooth_stacks(g, frames=6, consts=consts, seed=5, amplitude=0.15)
+    psi = _spinor_stack(*(stacks[name] for name in ("p", "theta", "s", "phi")), consts)
+    got = _q_spinor_stacks(g, psi, stacks, consts, dt, True, scheme)
+    real, imag = _q_spinor_complex(g, psi, stacks, consts, dt, scheme)
+    assert got == pytest.approx(real, rel=1e-14)
+    assert abs(imag) <= 1e-14 * abs(real)
+
+
+ROUTES = ("total", "joint", "q_spinor")
+
+
 def test_global_phase_invariance():
     # the map ambiguity: S shifts by any constant (a global wavefunction
-    # phase), the relative phase by whole turns
+    # phase), the relative phase by whole turns; every route is blind to it
     g = Grid((1.0, 1.0), (24, 24), PERIODIC)
     polar, em, dt = random_smooth_configuration(g, frames=6, consts=CONSTS, seed=11)
-    base_q = q_polar(polar, em, CONSTS, dt=dt, time_periodic=True)
-    base_t = total_functional(polar, em, CONSTS, dt=dt, time_periodic=True)
+    base = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True)
     shifted = [
         PolarFields(
             fr.p,
@@ -431,19 +499,16 @@ def test_global_phase_invariance():
         )
         for fr in polar
     ]
-    assert q_polar(shifted, em, CONSTS, dt=dt, time_periodic=True) == pytest.approx(
-        base_q, rel=1e-12
-    )
-    assert total_functional(shifted, em, CONSTS, dt=dt, time_periodic=True) == pytest.approx(
-        base_t, rel=1e-12
-    )
+    rep = equivalence_residual(shifted, em, CONSTS, dt=dt, time_periodic=True)
+    for route in ROUTES:
+        assert getattr(rep, route) == pytest.approx(getattr(base, route), rel=1e-12)
 
 
 def test_gauge_covariance():
+    # S -> S + q chi with A -> A + grad chi leaves every route unchanged
     g = Grid((1.0, 1.0), (24, 24), PERIODIC)
     polar, em, dt = random_smooth_configuration(g, frames=6, consts=CONSTS, seed=13)
-    base = q_polar(polar, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
-    rng = np.random.default_rng(5)
+    base = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     x, y = g.meshgrid()
     chi = 0.2 * np.sin(2 * np.pi * x + 0.3) * np.cos(2 * np.pi * y)
     grad_chi = gradient(ScalarField(g, chi), scheme=SPECTRAL).values
@@ -462,8 +527,52 @@ def test_gauge_covariance():
         )
         for cfg in em
     ]
-    val = q_polar(polar2, em2, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
-    assert val == pytest.approx(base, rel=1e-11)
+    rep = equivalence_residual(polar2, em2, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
+    for route in ROUTES:
+        assert getattr(rep, route) == pytest.approx(getattr(base, route), rel=1e-11)
+
+
+def test_breakdown_terms_sum_to_total():
+    g = Grid((1.0, 1.0), (16, 16), PERIODIC)
+    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
+    rep = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True)
+    assert rep.breakdown["total"] == pytest.approx(rep.total, rel=1e-12)
+    parts = sum(v for k, v in rep.breakdown.items() if k != "total")
+    assert parts == pytest.approx(rep.total, rel=1e-12)
+
+
+def test_equivalence_with_near_identified_constants_uses_them():
+    # lam off the identification by round-off passes the identification
+    # check, and the polar and joint routes both take these constants
+    g = Grid((1.0, 1.0), (16, 16), PERIODIC)
+    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
+    near = PhysicalConstants(1.0, 1.0, 1.0, gamma=1.0, lam=0.125 * (1.0 + 1e-13), a=0.5,
+                             identification=True)
+    rep = equivalence_residual(polar, em, near, dt=dt, time_periodic=True)
+    exact = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True)
+    assert rep.total != exact.total
+    assert rep.total == pytest.approx(exact.total, rel=1e-12)
+    assert rep.rel_residual <= 1e-15
+    assert rep.breakdown["total"] == pytest.approx(rep.total, rel=1e-12)
+
+
+def test_total_fisher_only_prefactor():
+    # static density-only configuration: the quadratic form reduces to the
+    # hbar^2/8m multiple of the Fisher information
+    g = Grid((1.0,), (128,), PERIODIC)
+    x = g.axis_coordinates(0)
+    p = 1.0 + 0.3 * np.sin(2 * np.pi * x)
+    p /= p.sum() * g.cell_volume
+    theta = 0.4 * np.cos(2 * np.pi * x)
+    polar = PolarFields(
+        ScalarField(g, p), ScalarField(g, theta),
+        ScalarField.full(g, 0.0), ScalarField.full(g, 0.0),
+    )
+    rep = equivalence_residual(polar, EMConfiguration.zero(g), CONSTS)
+    fisher = fisher_continuum(ScalarField(g, p), ScalarField(g, theta))
+    expect = CONSTS.hbar**2 / (8 * CONSTS.mass) * fisher
+    assert rep.total == pytest.approx(expect, rel=1e-12)
+    assert rep.breakdown["fisher"] == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -561,97 +670,7 @@ def test_box_perturbation_raises_objective_quadratically():
     assert 3.5 <= deltas[0] / deltas[1] <= 4.5
 
 
-# ---------------------------------------------------------------------------
-# pre-identification knowledge functional
-# ---------------------------------------------------------------------------
-
-
-def test_averaged_hj_symmetric_potentials_ignore_color():
-    g = Grid((1.0,), (32,), PERIODIC)
-    v = ScalarField(g, 0.7 + 0.1 * np.sin(2 * np.pi * g.axis_coordinates(0)))
-    em = EMConfiguration.zero(g)
-    a_val = averaged_hj_functional(uniform_polar(g, theta=0.4), em, CONSTS, v, v)
-    b_val = averaged_hj_functional(uniform_polar(g, theta=2.1), em, CONSTS, v, v)
-    assert a_val == pytest.approx(b_val, rel=1e-12)
-
-
-def test_averaged_hj_single_action_limit():
-    # phi = 0: reduces to the single-action averaged motion constraint
-    g = Grid((1.0,), (65,), DIRICHLET_ZERO)
-    x = g.axis_coordinates(0)
-    p = np.sin(np.pi * x) ** 2
-    p /= np.sum(p * np.r_[0.5, np.ones(63), 0.5] * g.spacing[0])
-    s = 0.3 * np.sin(np.pi * x)
-    polar = PolarFields(
-        ScalarField(g, p), ScalarField.full(g, 0.9),
-        ScalarField(g, s), ScalarField.full(g, 0.0),
-    )
-    v = ScalarField(g, 0.5 + 0.2 * np.cos(np.pi * x))
-    em = EMConfiguration.zero(g)
-    got = averaged_hj_functional(polar, em, CONSTS, v, v)
-    grad_s = gradient(ScalarField(g, s)).values[..., 0]
-    integrand = (grad_s**2 / (2 * CONSTS.mass) + v.values) * p
-    w = np.r_[0.5, np.ones(63), 0.5] * g.spacing[0]
-    assert got == pytest.approx(float(np.sum(integrand * w)), rel=1e-12)
-
-
-def test_averaged_hj_matches_lambda_under_substitution():
-    g = Grid((1.0,), (64,), PERIODIC)
-    polar = smooth_polar(g, seed=21)
-    bz = 1.3
-    em = uniform_b_config(g, bz)
-    split = CONSTS.a * CONSTS.gamma * bz
-    v_plus = ScalarField.full(g, -split)
-    v_minus = ScalarField.full(g, +split)
-    got = averaged_hj_functional(polar, em, CONSTS, v_plus, v_minus)
-    want = lambda_functional(polar, em, CONSTS)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_breakdown_terms_sum_to_total():
-    g = Grid((1.0, 1.0), (16, 16), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
-    breakdown = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True).breakdown
-    total = total_functional(polar, em, CONSTS, dt=dt, time_periodic=True)
-    assert breakdown["total"] == pytest.approx(total, rel=1e-12)
-    parts = sum(v for k, v in breakdown.items() if k != "total")
-    assert parts == pytest.approx(total, rel=1e-12)
-
-
-def test_equivalence_with_near_identified_constants_keeps_both_routes():
-    # lam off the identification by round-off passes the identification
-    # check; Q_polar then takes the exact constants and the total these ones
-    g = Grid((1.0, 1.0), (16, 16), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
-    near = PhysicalConstants(1.0, 1.0, 1.0, gamma=1.0, lam=0.125 * (1.0 + 1e-13), a=0.5,
-                             identification=True)
-    rep = equivalence_residual(polar, em, near, dt=dt, time_periodic=True)
-    assert rep.q_polar == q_polar(polar, em, near, dt=dt, time_periodic=True)
-    assert rep.total == total_functional(polar, em, near, dt=dt, time_periodic=True)
-    assert rep.total != rep.q_polar
-    assert rep.breakdown["total"] == pytest.approx(rep.total, rel=1e-12)
-
-
 def test_fisher_rejects_unnormalized_density():
     g = Grid((1.0,), (32,), PERIODIC)
     with pytest.raises(FunctionalError):
         fisher_continuum(ScalarField.full(g, 3.0))
-
-
-def test_q_polar_fisher_only_prefactor():
-    # static density-only configuration: the quadratic form reduces to the
-    # hbar^2/8m multiple of the Fisher information
-    g = Grid((1.0,), (128,), PERIODIC)
-    x = g.axis_coordinates(0)
-    p = 1.0 + 0.3 * np.sin(2 * np.pi * x)
-    p /= p.sum() * g.cell_volume
-    theta = 0.4 * np.cos(2 * np.pi * x)
-    polar = PolarFields(
-        ScalarField(g, p), ScalarField(g, theta),
-        ScalarField.full(g, 0.0), ScalarField.full(g, 0.0),
-    )
-    em = EMConfiguration.zero(g)
-    got = q_polar(polar, em, CONSTS)
-    fisher = fisher_continuum(ScalarField(g, p), ScalarField(g, theta))
-    expect = CONSTS.hbar**2 / (8 * CONSTS.mass) * fisher
-    assert got == pytest.approx(expect, rel=1e-12)

@@ -1,0 +1,116 @@
+"""Planted defects: every check record must be able to fail.
+
+Each row replaces one function with a broken copy, runs its criterion at
+fast settings, and names exactly the records that fail.  A record that no
+row fails, and that is not on the allow-list with its reason, fails the
+table: such a record would read as a pass whatever the code does.
+"""
+
+import numpy as np
+import pytest
+
+from paulilab import functionals, verification
+from paulilab.grids import CENTRAL, PERIODIC
+
+# criterion 2, fast settings
+SPECTRAL_JOINT = "equivalence.spectral_polar_vs_joint_5_sets"
+SPECTRAL_SPINOR = "equivalence.spectral_spinor_vs_polar_5_sets"
+STENCIL_JOINT = {f"equivalence.stencil_polar_vs_joint_n{n}" for n in (16, 32, 64)}
+RATIOS = {"equivalence.refinement_ratio_1", "equivalence.refinement_ratio_2"}
+EVERY_ROUTE = {SPECTRAL_JOINT, SPECTRAL_SPINOR} | STENCIL_JOINT | RATIOS
+
+# records no planted defect in the physics can fail, with the reason
+ALLOWED = {
+    "equivalence.runtime_seconds": "a wall-clock gate, not a property of the numbers",
+}
+
+
+def _without_theta(fisher_density):
+    # the polar Fisher density loses |grad theta|^2 P; the joint route,
+    # which passes no angle gradients, keeps its own
+    def planted(p_stack, grad_p, grad_theta=()):
+        return fisher_density(p_stack, grad_p)
+    return planted
+
+
+def _edit_terms(edit):
+    def wrap(polar_terms):
+        def planted(st, consts):
+            terms = polar_terms(st, consts)
+            edit(terms, st, consts)
+            return terms
+        return planted
+    return wrap
+
+
+def _flip_kinetic_cross(terms, st, consts):
+    # -2a cos(theta) grad phi.(grad S - qA) / 2m becomes +
+    cross = sum(st.grad_phi[ax] * (st.grad_s[ax] - consts.charge * st.a_pot[ax])
+                for ax in range(st.grid.dim))
+    terms["kinetic"] = terms["kinetic"] + 2.0 * consts.a * np.cos(st.theta) * cross / consts.mass
+
+
+def _flip_time_cross(terms, st, consts):
+    # -a cos(theta) dphi/dt becomes +
+    terms["time"] = terms["time"] + 2.0 * consts.a * np.cos(st.theta) * st.dphi_dt
+
+
+def _flip_moment_coupling(terms, st, consts):
+    terms["moment_coupling"] = -terms["moment_coupling"]
+
+
+def _swap_colors(spinor_stack):
+    def planted(*args):
+        return spinor_stack(*args)[::-1]
+    return planted
+
+
+def _first_order_central(derive_along):
+    # a one-sided difference in place of the central stencil
+    def planted(values, h, axis, boundary, scheme=CENTRAL):
+        if scheme == CENTRAL and boundary == PERIODIC:
+            return (np.roll(values, -1, axis=axis) - values) / h
+        return derive_along(values, h, axis, boundary, scheme)
+    return planted
+
+
+# row: (function replaced in paulilab.functionals, broken copy, records that fail)
+ROWS = {
+    "fisher_theta_part_dropped": ("_fisher_density", _without_theta, EVERY_ROUTE),
+    "kinetic_cross_term_flipped": ("_polar_terms", _edit_terms(_flip_kinetic_cross),
+                                   EVERY_ROUTE),
+    "time_cross_term_flipped": ("_polar_terms", _edit_terms(_flip_time_cross), EVERY_ROUTE),
+    # the moment coupling is shared by the polar and joint routes
+    "moment_coupling_sign_flipped": ("_polar_terms", _edit_terms(_flip_moment_coupling),
+                                     {SPECTRAL_SPINOR} | RATIOS),
+    "spinor_colors_swapped": ("_spinor_stack", _swap_colors, {SPECTRAL_SPINOR} | RATIOS),
+    # every route takes the same first-order derivatives: only the
+    # spinor route's convergence order shows them
+    "first_order_central_derivative": ("derive_along", _first_order_central, RATIOS),
+}
+
+
+def _failed(records) -> set[str]:
+    return {r.name for r in records if not r.passed}
+
+
+@pytest.fixture(scope="module")
+def unplanted():
+    return verification.check_equivalence(fast=True)
+
+
+def test_unplanted_run_passes(unplanted):
+    assert _failed(unplanted) == set()
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_planted_defect_fails_its_records(row, monkeypatch):
+    target, broken, expected = ROWS[row]
+    monkeypatch.setattr(functionals, target, broken(getattr(functionals, target)))
+    assert _failed(verification.check_equivalence(fast=True)) == expected
+
+
+def test_every_record_fails_under_some_row(unplanted):
+    caught = set().union(*(expected for _, _, expected in ROWS.values()))
+    names = {r.name for r in unplanted}
+    assert names - caught == set(ALLOWED)

@@ -394,7 +394,8 @@ def _read_csv(path):
 
 
 # Values written by the equivalence runner before the polar functionals shared
-# one integrand; they pin that refactor to round-off.
+# one integrand; they pin that refactor to round-off.  The first pinned value
+# was Q_polar's column, which the joint route's column replaced.
 @pytest.mark.parametrize("seed,constants,pinned,terms", [
     (0, {}, (0.5370582134468099, 0.5370582134468099, 0.5370582134805348), {
         "fisher": 0.06513793202308854,
@@ -422,7 +423,7 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
     })))
     assert report.passed
     header, rows = _read_csv(tmp_path / "equivalence.csv")
-    assert header == ["seed", "q_polar", "total_functional", "q_spinor", "rel_residual",
+    assert header == ["seed", "joint", "total_functional", "q_spinor", "rel_residual",
                       "spinor_rel_residual"]
     (row,) = rows
     assert int(row[0]) == seed
@@ -449,7 +450,10 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
 # lengthens the first mode's trace to the block's iterations. The
 # equivalence document was recorded again when spectral derivatives of real
 # stacks moved to the half spectrum (rfft/irfft), which moves its values at
-# round-off (at most 2.3e-15 relative, the small time term). Recorded with
+# round-off (at most 2.3e-15 relative, the small time term), and again when
+# the joint route's column replaced Q_polar's and the spinor integrand moved
+# to real arithmetic, which moves q_spinor and its residual at round-off
+# (2.1e-16 and 1.1e-2 relative; the residual is itself 1.8e-14). Recorded with
 # numpy 2.4 and scipy 1.17 on x86-64: other builds of the transcendental and
 # FFT kernels may round differently.
 _GOLDEN_DIGESTS = [
@@ -518,9 +522,9 @@ _GOLDEN_DIGESTS = [
         "checks": "4fb06d11730a609aa18f371168fe73a2c01f531d775d094bb720143630c9554b",
     }),
     ("equivalence", {"cells": 12, "frames": 12, "sets": 1}, {
-        "equivalence.csv": "85d1cf5b8af635edb10937b5ef47c6e9c98cae649fb1b8b5dcd34b642f69c0ee",
+        "equivalence.csv": "52119e97c1b48636b0fce8330b1e13a2cdd521d6d001bf1b144fc125ed9b3dac",
         "breakdown.csv": "064b55b93f6f0909f221dcba95abca49beabc57eb5f9a05ab26a5934f12d7688",
-        "checks": "98fadf3bb6350d81d5d8b89cabd9cb7abbc2ae6e03759d4280d5d61eb3c48684",
+        "checks": "c70c54c25e2d75f6fd569149543849bf61d9c6183e546ffb695b02f9ddd19e55",
     }),
 ]
 
