@@ -285,26 +285,24 @@ def laplacian_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
 
     Periodic grids wrap around; dirichlet_zero grids take zero ghost values
     beyond the lattice, so on the interior cells this is the discrete
-    dirichlet Laplacian.
+    dirichlet Laplacian.  Links are added, not set: on 2 periodic cells the
+    wrapped link doubles an ordinary one, and 1 periodic cell adds nothing.
     """
-    total = None
-    for ax in range(grid.dim):
-        n = grid.cells[ax]
-        mat = scipy.sparse.diags(
-            [np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1], format="lil"
-        )
-        if grid.boundary == PERIODIC:
-            # added, not set: on one or two cells the wrapped link doubles an
-            # ordinary one
-            mat[0, n - 1] += 1.0
-            mat[n - 1, 0] += 1.0
-        ops = [scipy.sparse.identity(m) for m in grid.cells]
-        ops[ax] = (mat / grid.spacing[ax] ** 2).tocsr()
-        term = ops[0]
-        for op in ops[1:]:
-            term = scipy.sparse.kron(term, op)
-        total = term if total is None else total + term
-    return total.tocsr()
+    cells = np.arange(grid.size).reshape(grid.shape)
+    periodic = grid.boundary == PERIODIC
+    diag, rows, cols, vals = 0.0, [cells.ravel()], [cells.ravel()], []
+    for ax, n in enumerate(grid.cells):
+        if periodic and n == 1:
+            continue
+        h_sq = grid.spacing[ax] ** 2
+        diag += -2.0 / h_sq
+        here = (cells if periodic else np.delete(cells, -1, axis=ax)).ravel()
+        there = (np.roll(cells, -1, axis=ax) if periodic else np.delete(cells, 0, axis=ax)).ravel()
+        rows, cols = rows + [here, there], cols + [there, here]
+        vals.append(np.full(2 * here.size, 1.0 / h_sq))
+    data = np.concatenate([np.full(grid.size, diag)] + vals)
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    return scipy.sparse.csr_matrix((data, ij), shape=(grid.size, grid.size))
 
 
 def interior_mask(grid: Grid) -> np.ndarray:

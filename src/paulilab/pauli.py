@@ -2,11 +2,11 @@
 
 Two unitary schemes: a split-operator propagator (spectral kinetic half-steps
 around an exact per-cell 2x2 exponential of the potential/spin block) for
-periodic grids with zero vector potential, and a Cayley-form implicit step
-assembled as a sparse system for stencil kinetics on any boundary, over the
-cells a dirichlet_zero boundary leaves free.  The neutral variant drops the
-charge from the kinetic and potential terms and couples the spin through an
-independent energy-per-field coefficient.
+periodic grids with zero vector potential, and a Cayley step psi' =
+2 (I + zH)^-1 psi - psi (one solve, factored once without pivoting, and one
+residual check) for stencil kinetics on any boundary, over the free cells.
+The neutral variant drops the charge from the kinetic and potential terms
+and couples the spin through an independent energy-per-field coefficient.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -170,7 +170,14 @@ class _SplitOperatorPropagator:
 
 
 class _CrankNicolsonPropagator:
-    """Unitary Cayley step (I + i dt H / 2 hbar) psi' = (I - i dt H / 2 hbar) psi.
+    """Unitary Cayley step (I + zH) psi' = (I - zH) psi, z = i dt / 2 hbar, as
+    psi' = 2y - psi with A y = psi, A = I + zH, since I - zH = 2I - A.
+
+    A's Hermitian part is I, so every symmetric permutation of A factors
+    without pivoting, with bounded growth: A is factored once in a
+    minimum-degree ordering of A^T + A, diagonal pivots only.  Every solve is
+    still checked: 2 |A y - psi| <= tol |psi| bounds |A psi' - (I - zH) psi|
+    = 2 |A y - psi| by tol |(I - zH) psi|, since |(I - zH) psi| >= |psi|.
 
     The system spans the free cells only.  The boundary cells of a
     dirichlet_zero grid stay 0 and serve as the stencil's zero neighbours,
@@ -178,14 +185,10 @@ class _CrankNicolsonPropagator:
     """
 
     def __init__(self, config: SolverConfig, grid: Grid):
-        consts = config.consts
-        em = config.em
+        consts, em = config.consts, config.em
         if np.any(em.a_pot.values != 0.0):
-            raise SolverError(
-                "the implicit propagator supports zero vector potential only"
-            )
+            raise SolverError("the implicit propagator supports zero vector potential only")
         self._free = interior_mask(grid)
-        self._edge = ~self._free
         free = np.flatnonzero(self._free)
         if free.size == 0:
             raise SolverError("a dirichlet_zero grid needs at least 3 cells per axis")
@@ -194,43 +197,38 @@ class _CrankNicolsonPropagator:
         v = q * em.phi_pot.values.ravel()[free] if q != 0.0 else np.zeros(free.size)
         b = em.b_values(CENTRAL).reshape(grid.size, 3)[free]
         coupling = config.spin_coupling()
-        bz = coupling * b[:, 2]
-        bxy = coupling * (b[:, 0] - 1j * b[:, 1])
-        h11 = kin + scipy.sparse.diags(v - bz)
-        h22 = kin + scipy.sparse.diags(v + bz)
-        h12 = scipy.sparse.diags(-bxy)
-        h21 = scipy.sparse.diags(-np.conj(bxy))
-        ham = scipy.sparse.bmat([[h11, h12], [h21, h22]], format="csr")
+        bz, bxy = coupling * b[:, 2], coupling * (b[:, 0] - 1j * b[:, 1])
+        diags = scipy.sparse.diags
+        ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],
+                                 [diags(-np.conj(bxy)), kin + diags(v + bz)]], format="csr")
         z = 0.5j * config.dt / consts.hbar
         eye = scipy.sparse.identity(ham.shape[0], dtype=np.complex128, format="csr")
         self._a_plus = (eye + z * ham).tocsr()
-        self._a_minus = (eye - z * ham).tocsr()
-        self._lu = scipy.sparse.linalg.splu(self._a_plus.tocsc())
+        self._lu = scipy.sparse.linalg.splu(self._a_plus.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                            diag_pivot_thresh=0.0)
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """n Cayley solves on the flat [psi_0; psi_1] block of the free
+        """n Cayley steps on the flat [psi_0; psi_1] block of the free
         cells, converted once at each end; every solve's residual is
-        checked."""
-        boundary = np.abs(psi[self._edge])
+        checked, and a NaN residual fails the check."""
+        boundary = np.abs(psi[~self._free])
         if boundary.size and boundary.max() > 0.0:
-            raise SolverError(
-                "a dirichlet_zero state must vanish on the boundary cells; largest "
-                f"boundary amplitude {boundary.max():.3e}"
-            )
+            raise SolverError("a dirichlet_zero state must vanish on the boundary cells; "
+                              f"largest boundary amplitude {boundary.max():.3e}")
         flat = np.concatenate([psi[..., 0][self._free], psi[..., 1][self._free]])
-        for _ in range(n):
-            rhs = self._a_minus @ flat
-            flat = self._lu.solve(rhs)
-            residual = np.linalg.norm(self._a_plus @ flat - rhs)
-            scale = np.linalg.norm(rhs)
-            if scale > 0 and residual > _RESIDUAL_TOL * scale:
-                raise SolverError(
-                    f"implicit solve residual {residual / scale:.3e} above tolerance"
-                )
+        for i in range(n):
+            y = self._lu.solve(flat)
+            r = self._a_plus @ y
+            r -= flat
+            residual, scale = np.vdot(r, r).real, np.vdot(flat, flat).real  # squared norms
+            if not 4.0 * residual <= _RESIDUAL_TOL**2 * scale:
+                rel = 2.0 * np.sqrt(residual / scale) if scale > 0 else np.inf
+                raise SolverError(f"implicit solve {i} of {n}: relative residual {rel:.3e} "
+                                  f"above bound {_RESIDUAL_TOL:.0e}")
+            y *= 2.0
+            flat = np.subtract(y, flat, out=y)
         out = np.zeros_like(psi)
-        half = flat.size // 2
-        out[..., 0][self._free] = flat[:half]
-        out[..., 1][self._free] = flat[half:]
+        out[self._free] = flat.reshape(2, -1).T
         return out
 
 

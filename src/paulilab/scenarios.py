@@ -50,11 +50,16 @@ def _rule_text(rule) -> str:
     return text + "".join(f" when setup is {' | '.join(s)}" for s in setups)
 
 
+def _finite(value) -> bool:  # not a bool, NaN, +-Infinity (json reads both) or a huge int
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= _MAX
+
+
 def _admits(rule, value, setup) -> bool:
     op, limit, *setups = rule
     return any(setup not in s for s in setups) or _OPERATORS[op](value, limit)
 
 
+_MAX = float(np.finfo(np.float64).max)  # a Python float: compared exactly with any int
 _POSITIVE = (">", 0)
 _NONNEGATIVE = (">=", 0)
 _COUNT = (">=", 1)
@@ -269,18 +274,17 @@ def parse_scenario(document: str) -> Scenario:
     for name, (typ, default, _help, *_rule) in schema.items():
         if name in raw:
             value = raw[name]
-            if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if typ is float and _finite(value):
                 params[name] = float(value)
             elif typ is int and isinstance(value, int) and not isinstance(value, bool):
                 params[name] = int(value)
-            elif typ is bool and isinstance(value, bool):
+            elif typ in (bool, str) and isinstance(value, typ):
                 params[name] = value
-            elif typ is str and isinstance(value, str):
-                params[name] = value
-            elif typ is list and isinstance(value, list):
+            elif typ is list and isinstance(value, list) and all(map(_finite, value)):
                 params[name] = [float(v) for v in value]
             else:
-                violations.append(f"parameter {name!r} must be of type {typ.__name__}")
+                finite = " (finite)" if typ in (float, list) else ""
+                violations.append(f"parameter {name!r} must be of type {typ.__name__}{finite}")
         elif default is REQUIRED:
             violations.append(f"missing required parameter {name!r}")
         else:

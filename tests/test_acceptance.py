@@ -72,20 +72,21 @@ def test_criterion_10_verify_all_fast(tmp_path):
     failures = [c for c in report["checks"] if not c["pass"]]
     assert failures == []
     # every check name and value but the two runtime gates, as computed
-    # before the scenario runners and the criteria shared their checks, and
-    # recorded again when the split-operator half-steps between records
-    # were fused, which moves four values at round-off, and again when the
-    # spectrum scan became one block solve, which moves four box values at
-    # solver-convergence level, and again when spectral derivatives of real
-    # stacks moved to the half spectrum (rfft/irfft), which moves three
-    # equivalence values at round-off, and again when the joint route
-    # replaced the polar-vs-total records (renamed polar_vs_joint; the
-    # spectral one reads 1.9e-16) and the spinor integrand moved to real
-    # arithmetic, which moves both refinement ratios at round-off (numpy 2.4,
-    # scipy 1.17, x86-64)
+    # before the scenario runners and the criteria shared their checks.
+    # Recorded again, each time for a move at round-off or at
+    # solver-convergence level (numpy 2.4, scipy 1.17, x86-64), when:
+    # - the split-operator half-steps between records were fused (four values)
+    # - the spectrum scan became one block solve (four box values)
+    # - spectral derivatives of real stacks moved to the half spectrum
+    #   (rfft/irfft; three equivalence values)
+    # - the joint route replaced the polar-vs-total records (renamed
+    #   polar_vs_joint; the spectral one reads 1.9e-16) and the spinor
+    #   integrand moved to real arithmetic (both refinement ratios)
+    # - Crank-Nicolson took the Cayley form 2 (I + zH)^-1 psi - psi with one
+    #   factor (pauli.norm_drift_crank_nicolson_1000_steps, 1.3e-13 -> 4.1e-13)
     checks = "\n".join(f"{c['name']} {c['value']!r}" for c in report["checks"]
                        if c["name"] not in ("box.runtime_seconds", "equivalence.runtime_seconds"))
     assert hashlib.sha256(checks.encode()).hexdigest() == (
-        "79550d1bdff0fa215ed53d75f5df85c38190b6a8806b5d7a08ecb3ab9271ea03"
+        "26ac439120e2ab37ae91d62ec114f5c3edff2cf7921608655d3742627af613a9"
     )
     assert (tmp_path / "verification.csv").exists()

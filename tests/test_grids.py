@@ -90,6 +90,31 @@ def test_periodic_laplacian_matrix_annihilates_constants(cells):
     np.testing.assert_array_equal(laplacian_matrix(grid) @ np.ones(grid.size), 0.0)
 
 
+@pytest.mark.parametrize("boundary,cells", [
+    (PERIODIC, (2,)), (PERIODIC, (5,)), (PERIODIC, (2, 6)), (PERIODIC, (3, 1, 4)),
+    (PERIODIC, (2, 2, 3)), (DIRICHLET_ZERO, (2,)), (DIRICHLET_ZERO, (5,)),
+    (DIRICHLET_ZERO, (2, 6)), (DIRICHLET_ZERO, (3, 2, 4)),
+])
+def test_laplacian_matrix_is_the_kron_sum_of_the_axis_stencils(boundary, cells):
+    # dense 1-D stencils, the wrapped links added, summed over the axes in order
+    grid = Grid((1.0, 1.7, 0.8)[:len(cells)], cells, boundary)
+    want = np.zeros((grid.size, grid.size))
+    for ax, n in enumerate(cells):
+        stencil = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        if boundary == PERIODIC:
+            stencil[0, -1] += 1.0
+            stencil[-1, 0] += 1.0
+        ops = [np.eye(m) for m in cells]
+        ops[ax] = stencil / grid.spacing[ax] ** 2
+        term = ops[0]
+        for op in ops[1:]:
+            term = np.kron(term, op)
+        want += term
+    got = laplacian_matrix(grid)
+    np.testing.assert_array_equal(got.toarray(), want)
+    assert got.nnz == np.count_nonzero(want)  # no stored zeros
+
+
 def test_periodic_laplacian_matrix_matches_stencil():
     grid = Grid((1.0, 1.7, 0.8), (5, 6, 4), PERIODIC)
     f = ScalarField(grid, np.random.default_rng(4).standard_normal(grid.shape))

@@ -177,6 +177,25 @@ def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind,parameters,offending", [
+    # json reads NaN and Infinity; each of these failed at run time with exit 3
+    ("stern_gerlach", {"field_gradient": 0.02, "center": float("nan")}, "center"),
+    ("stern_gerlach", {"field_gradient": 0.02, "velocity": float("inf")}, "velocity"),
+    ("stern_gerlach", {"field_gradient": float("inf")}, "field_gradient"),
+    ("pauli_evolve", {"setup": "free_packet", "extent": float("inf")}, "extent"),
+    ("moment", {"t_final": float("inf")}, "t_final"),
+    ("moment", {"b": [float("nan"), 0.0, 1.0]}, "b"),
+])
+def test_cli_non_finite_floats_exit_2(tmp_path, capsys, kind, parameters, offending):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"parameter {offending!r} must be of type" in err
+    assert "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 _JOINT = "parameters must satisfy: "
 
 
@@ -453,7 +472,11 @@ def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
 # round-off (at most 2.3e-15 relative, the small time term), and again when
 # the joint route's column replaced Q_polar's and the spinor integrand moved
 # to real arithmetic, which moves q_spinor and its residual at round-off
-# (2.1e-16 and 1.1e-2 relative; the residual is itself 1.8e-14). Recorded with
+# (2.1e-16 and 1.1e-2 relative; the residual is itself 1.8e-14). The three
+# crank_nicolson documents were recorded again when the implicit step took
+# its Cayley form 2 (I + zH)^-1 psi - psi with one factor in a minimum-degree
+# symmetric ordering, which moves them at round-off (trajectories at most
+# 4.0e-14, 2.1e-14 and 7.1e-15 absolute). Recorded with
 # numpy 2.4 and scipy 1.17 on x86-64: other builds of the transcendental and
 # FFT kernels may round differently.
 _GOLDEN_DIGESTS = [
@@ -463,8 +486,8 @@ _GOLDEN_DIGESTS = [
     }),
     ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200,
                       "scheme": "crank_nicolson"}, {
-        "trajectory.csv": "89f2c29d85e7d5d6789e9db2ce8db83522c1c587885d0335b3e5a0bdf2ffc0e5",
-        "checks": "1e2cccfa46664db3fd07ed1ddccc317335f2b81ecd730033517570301968b13e",
+        "trajectory.csv": "3fe353dd8034f786989df276f2e3a784dc0006709b6fad5a4a0e296c13c8eef1",
+        "checks": "89f49047f47f1881ea2d1e003e3734c8ddce114e58d13102d0b9e28cb8c235fe",
     }),
     ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100}, {
         "trajectory.csv": "1eaf5c0745bc0ed229680690fbbbc39245471f8e348179c58afcb2fb5e85f598",
@@ -472,8 +495,8 @@ _GOLDEN_DIGESTS = [
     }),
     ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100, "t_final": 1.0,
                       "scheme": "crank_nicolson"}, {
-        "trajectory.csv": "7394e5d16c784924a0af9e618b317cd66b76d0148f605b5e6e6a58a2caac42da",
-        "checks": "962f7770c79a6d66b046ee263b8c162603367fd463793e63781697a38341c234",
+        "trajectory.csv": "de7b48bece004d0ac07643698614c79cdd633e6520275cdac0c1293a715779ad",
+        "checks": "8d3399a7b16103ab56171e3e7a7fce658f8196f39161e7d690f58822ed593800",
     }),
     ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100,
                       "record_every": 20}, {
@@ -483,9 +506,9 @@ _GOLDEN_DIGESTS = [
     }),
     ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100, "record_every": 20,
                       "t_final": 1.0, "scheme": "crank_nicolson"}, {
-        "trajectory.csv": "f4a5d06155049702e7cb042fdf6e1a62ce8e7009759d7185abd84b3edae7d088",
-        "snapshots.bin": "0640975cec13943a764f15d8956e555b1e1b78de812dedd17d28b3a8ba2a6f65",
-        "checks": "a1cc2dd7dc1bba7126e7f7746f4bf0b9bc4f2599c15b6c970c701c53bfc5254d",
+        "trajectory.csv": "cef4bec45f032b4eab0c446df93d2a1ccc5e309ef638fff7daa37f7ad22c19ea",
+        "snapshots.bin": "8f0815ff3c36ab25d811d7d46b3746f0849973509dec8c50a31ffde1f82c1b42",
+        "checks": "9016830f0dad59bbb9e475f00875eaa6ea781f1a4af1f62c4c6a01b88d3fca8c",
     }),
     ("stern_gerlach", {"field_gradient": 0.02, "cells": 256, "dt": 0.1, "record_every": 10}, {
         "separation.csv": "8a20aca5bdf21673d011d079bc7d6a0a2eafe179b4b4bdcdbaf9674c37589a42",
