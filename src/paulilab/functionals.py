@@ -15,9 +15,13 @@ physical identification of the coefficients is switched on.  The joint
 route reuses the polar route's derivatives, so it agrees to round-off; the
 spinor route takes its own and agrees to the discretization error.
 
-Time is an outer sequence of spatial snapshots.  Time integrals are
-trapezoidal (rectangle rule when the sequence is periodic); time derivatives
-use the same stencil family as the spatial operators.
+Every field enters as one array stack: a scalar field as (frames,) +
+grid.shape, a vector field and the wavefunction with their components first,
+(3, frames) + grid.shape and (2, frames) + grid.shape.  The frames are
+snapshots in time; time integrals are trapezoidal (rectangle rule when the
+sequence is periodic), and time derivatives use the same stencil family as
+the spatial operators.  An ``EMConfiguration`` holds one instant's
+potentials and is stacked over the frames once.
 """
 
 from __future__ import annotations
@@ -36,12 +40,10 @@ from .grids import (
     Grid,
     GridError,
     ScalarField,
-    SpinorField,
     VectorField3,
     curl,
     curl_stack,
     derive_along,
-    gradient,
     integrate,
     phase_derive_along,
     quadrature_weights,
@@ -106,40 +108,6 @@ def _check_density(p: np.ndarray, grid: Grid) -> None:
 
 
 @dataclass(frozen=True)
-class PolarFields:
-    """One time slice of the polar parameterization.
-
-    ``p`` integrates to one over the grid; ``theta`` is the color angle;
-    ``s`` the common action; ``phi`` the relative phase.  ``mask`` flags
-    cells where the parameterization is valid (None means everywhere).
-    """
-
-    p: ScalarField
-    theta: ScalarField
-    s: ScalarField
-    phi: ScalarField
-    mask: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        g = self.p.grid
-        for f in (self.theta, self.s, self.phi):
-            if f.grid != g:
-                raise FunctionalError("polar fields must share one grid")
-        _check_density(self.p.values[None], g)
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool)
-            if m.shape != g.shape:
-                raise FunctionalError("mask shape does not match grid")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "mask", m)
-
-    @property
-    def grid(self) -> Grid:
-        return self.p.grid
-
-
-@dataclass(frozen=True)
 class EMConfiguration:
     """Electromagnetic potentials and derived fields on one grid.
 
@@ -170,21 +138,6 @@ class EMConfiguration:
             grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid)
         )
 
-    @staticmethod
-    def from_potentials(
-        phi_pot: ScalarField,
-        a_pot: VectorField3,
-        scheme: str = CENTRAL,
-        da_dt: VectorField3 | None = None,
-    ) -> "EMConfiguration":
-        """Derive b = curl(a_pot) and e = -grad(phi) - da/dt."""
-        g = phi_pot.grid
-        b = curl(a_pot, scheme=scheme) if g.dim == 3 else None
-        e_vals = -gradient(phi_pot, scheme=scheme).values
-        if da_dt is not None:
-            e_vals = e_vals - da_dt.values
-        return EMConfiguration(g, phi_pot, a_pot, b=b, e=VectorField3(g, e_vals))
-
     def b_values(self, scheme: str = CENTRAL) -> np.ndarray:
         if self.b is not None:
             return self.b.values
@@ -201,15 +154,6 @@ class EMConfiguration:
 # ---------------------------------------------------------------------------
 # snapshot stacking and time derivatives
 # ---------------------------------------------------------------------------
-
-
-def _as_list(obj, kind) -> list:
-    if isinstance(obj, kind):
-        return [obj]
-    out = list(obj)
-    if not out or not all(isinstance(x, kind) for x in out):
-        raise FunctionalError(f"expected {kind.__name__} or a sequence of them")
-    return out
 
 
 def _time_weights(n: int, dt: float, periodic: bool) -> np.ndarray:
@@ -233,10 +177,6 @@ def _time_derivative(stack: np.ndarray, dt: float, periodic: bool, scheme: str) 
     boundary = PERIODIC if periodic else DIRICHLET_ZERO
     use_scheme = scheme if (scheme == SPECTRAL and periodic) else CENTRAL
     return derive_along(stack, dt, 0, boundary, use_scheme)
-
-
-def _scalar_stack(frames: Sequence[ScalarField]) -> np.ndarray:
-    return np.stack([f.values for f in frames], axis=0)
 
 
 def _grad_stack(stack: np.ndarray, grid: Grid, scheme: str, angle: bool = False) -> list[np.ndarray]:
@@ -277,36 +217,23 @@ def _fisher_density(
     return dens
 
 
-def fisher_continuum(
-    p_frames,
-    theta_frames=None,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
-    """Position sensitivity of the click statistics, polar form.
+def fisher_continuum(p: ScalarField, theta: ScalarField | None = None,
+                     scheme: str = CENTRAL) -> float:
+    """Position sensitivity of the click statistics at one instant, polar form.
 
-    Integrates |grad P|^2 / P + |grad theta|^2 P over space, trapezoidal in
-    time.  Cells below the positivity floor are excluded from the 1/P part.
+    Integrates |grad P|^2 / P + |grad theta|^2 P over space.  Cells below the
+    positivity floor are excluded from the 1/P part.
     """
-    p_frames = _as_list(p_frames, ScalarField)
-    grid = p_frames[0].grid
-    p_stack = _scalar_stack(p_frames)
+    grid = p.grid
+    p_stack = p.values[None]
     if np.any(p_stack < 0):
         raise FunctionalError("density must be nonnegative")
-    for frame in p_frames:
-        mass = integrate(frame)
-        if abs(mass - 1.0) > 1e-6:
-            raise FunctionalError(f"density must integrate to 1, got {mass}")
-    grad_theta = ()
-    if theta_frames is not None:
-        theta_frames = _as_list(theta_frames, ScalarField)
-        if len(theta_frames) != len(p_frames):
-            raise FunctionalError("P and theta sequences must align")
-        grad_theta = _grad_stack(_scalar_stack(theta_frames), grid, scheme, angle=True)
+    mass = integrate(p)
+    if abs(mass - 1.0) > 1e-6:
+        raise FunctionalError(f"density must integrate to 1, got {mass}")
+    grad_theta = () if theta is None else _grad_stack(theta.values[None], grid, scheme, angle=True)
     dens = _fisher_density(p_stack, _grad_stack(p_stack, grid, scheme), grad_theta)
-    tw = _time_weights(len(p_frames), dt, time_periodic)
-    return float(_integrate_stack(dens, grid, tw))
+    return float(_integrate_stack(dens, grid, np.ones(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +241,7 @@ def fisher_continuum(
 # ---------------------------------------------------------------------------
 
 
-_POLAR = ("p", "theta", "s", "phi")
+POLAR_FIELDS = ("p", "theta", "s", "phi")
 _VECTORS = ("a_pot", "b")
 
 
@@ -325,7 +252,6 @@ class _PolarStacks:
     theta: np.ndarray
     s: np.ndarray
     phi: np.ndarray
-    mask: np.ndarray
     tw: np.ndarray
     ds_dt: np.ndarray
     dphi_dt: np.ndarray
@@ -339,12 +265,11 @@ class _PolarStacks:
     u: np.ndarray
 
 
-def _stacks(grid, fields, mask, dt, time_periodic, scheme) -> _PolarStacks:
+def _stacks(grid, fields, dt, time_periodic, scheme) -> _PolarStacks:
     """Derivatives and time weights for the (frames,) + grid.shape stacks in
     ``fields`` (vector components first), taken as given: no density checks."""
     return _PolarStacks(
         grid=grid,
-        mask=mask,
         **fields,
         ds_dt=_time_derivative(fields["s"], dt, time_periodic, scheme),
         dphi_dt=_time_derivative(fields["phi"], dt, time_periodic, scheme),
@@ -356,46 +281,19 @@ def _stacks(grid, fields, mask, dt, time_periodic, scheme) -> _PolarStacks:
     )
 
 
-def _components(values: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-frame shape + (c,) arrays as one contiguous (c, frames) + shape stack."""
-    return np.ascontiguousarray(np.moveaxis(np.stack(values), -1, 0))
-
-
-def _em_stacks(em_frames, grid: Grid, count: int, scheme: str) -> dict[str, np.ndarray]:
-    """Potential stacks of ``count`` frames from one EMConfiguration each or one for all."""
-    em = _as_list(em_frames, EMConfiguration)
-    if len(em) not in (1, count):
-        raise FunctionalError("field and potential sequences must align")
-    if any(cfg.grid != grid for cfg in em):
-        raise FunctionalError("all snapshots must share one grid")
-    stacks = {
-        "phi_pot": np.stack([cfg.phi_pot.values for cfg in em]),
-        "a_pot": _components([cfg.a_pot.values for cfg in em]),
-        "b": _components([cfg.b_values(scheme) for cfg in em]),
-        "u": np.stack([cfg.u_values() for cfg in em]),
+def _em_stacks(em: EMConfiguration, grid: Grid, count: int, scheme: str) -> dict[str, np.ndarray]:
+    """Potential stacks of ``count`` frames that all take the one configuration
+    ``em``: each field, B = curl A among them, is taken once, then repeated."""
+    if em.grid != grid:
+        raise FunctionalError("potentials must share the fields' grid")
+    frame = {
+        "phi_pot": em.phi_pot.values,
+        "a_pot": np.moveaxis(em.a_pot.values, -1, 0),
+        "b": np.moveaxis(em.b_values(scheme), -1, 0),
+        "u": em.u_values(),
     }
-    if len(em) < count:  # one configuration for every frame: stacked once, then repeated
-        stacks = {name: np.repeat(v, count, axis=-1 - grid.dim) for name, v in stacks.items()}
-    return stacks
-
-
-def _frame_stacks(polar_frames, em_frames, scheme):
-    """(grid, stacks, mask) of polar frames and their potentials."""
-    polar = _as_list(polar_frames, PolarFields)
-    grid = polar[0].grid
-    if any(fr.grid != grid for fr in polar):
-        raise FunctionalError("all snapshots must share one grid")
-    fields = {name: _scalar_stack([getattr(fr, name) for fr in polar]) for name in _POLAR}
-    fields.update(_em_stacks(em_frames, grid, len(polar), scheme))
-    mask = np.ones_like(fields["p"])
-    for i, fr in enumerate(polar):
-        if fr.mask is not None:
-            mask[i] = fr.mask.astype(float)
-    return grid, fields, mask
-
-
-def _prepare(polar_frames, em_frames, dt, time_periodic, scheme) -> _PolarStacks:
-    return _stacks(*_frame_stacks(polar_frames, em_frames, scheme), dt, time_periodic, scheme)
+    axis = -1 - grid.dim  # the frame axis, after any vector components
+    return {name: np.repeat(np.expand_dims(v, axis), count, axis) for name, v in frame.items()}
 
 
 def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.ndarray]:
@@ -443,7 +341,7 @@ def _knowledge(terms: dict[str, np.ndarray]) -> np.ndarray:
 
 def _total_of_terms(st: _PolarStacks, terms: dict[str, np.ndarray]) -> float:
     """Integral of lam * Fisher + knowledge functional from its term densities."""
-    integrand = (terms["fisher"] + _knowledge(terms) * st.p) * st.mask
+    integrand = terms["fisher"] + _knowledge(terms) * st.p
     return float(_integrate_stack(integrand, st.grid, st.tw))
 
 
@@ -476,15 +374,13 @@ def _joint_total(st: _PolarStacks, shared: np.ndarray, consts: PhysicalConstants
                 gauge += st.grad_s[ax] + sign * a * st.grad_phi[ax]
             motion += gauge * gauge / (2.0 * consts.mass)
         integrand += weight * st.p * motion
-    return float(_integrate_stack(integrand * st.mask, st.grid, st.tw))
+    return float(_integrate_stack(integrand, st.grid, st.tw))
 
 
 def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, float]:
     """Integral of each term density, and their sum under ``"total"``."""
     values = {
-        name: float(_integrate_stack(
-            (dens if name == "fisher" else dens * st.p) * st.mask, st.grid, st.tw
-        ))
+        name: float(_integrate_stack(dens if name == "fisher" else dens * st.p, st.grid, st.tw))
         for name, dens in terms.items()
     }
     values["total"] = sum(values.values())
@@ -496,21 +392,15 @@ def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, fl
 # ---------------------------------------------------------------------------
 
 
-def _spinor_stack(p, theta, s, phi, consts: PhysicalConstants) -> np.ndarray:
-    """The two colors sqrt(P_k) exp(i S_k / hbar) of polar arrays, stacked first."""
+def spinor_from_polar(p, theta, s, phi, consts: PhysicalConstants) -> np.ndarray:
+    """Two-component wavefunction sqrt(P_k) exp(i S_k / hbar) with
+    S_k = S -+ a*phi for the two colors, of polar arrays, colors stacked first."""
     half = 0.5 * theta
     amp1 = np.sqrt(np.maximum(p, 0.0)) * np.cos(half)
     amp2 = np.sqrt(np.maximum(p, 0.0)) * np.sin(half)
     s1 = (s - consts.a * phi) / consts.hbar
     s2 = (s + consts.a * phi) / consts.hbar
     return np.stack([amp1 * np.exp(1j * s1), amp2 * np.exp(1j * s2)])
-
-
-def spinor_from_polar(polar: PolarFields, consts: PhysicalConstants) -> SpinorField:
-    """Two-component wavefunction sqrt(P_k) exp(i S_k / hbar) with
-    S_k = S -+ a*phi for the two colors."""
-    fields = (getattr(polar, name).values for name in _POLAR)
-    return SpinorField(polar.grid, np.moveaxis(_spinor_stack(*fields, consts), 0, -1))
 
 
 def _unwrap_raster(angles: np.ndarray) -> np.ndarray:
@@ -520,32 +410,23 @@ def _unwrap_raster(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def polar_from_spinor(phi: SpinorField, consts: PhysicalConstants) -> PolarFields:
-    """Invert the polar map: density, color angle in [0, pi], action, and
-    relative phase (unwrapped along a fixed raster order).
+def polar_from_spinor(psi: np.ndarray, consts: PhysicalConstants):
+    """Invert the polar map on a colors-first wavefunction stack: density,
+    color angle in [0, pi], action, and relative phase (unwrapped along a
+    fixed raster order), and the mask of cells where they are valid.
 
-    Cells where both components fall below the positivity floor are flagged
-    in the mask and carry zero angle fields.
+    Cells where both components fall below the positivity floor are left out
+    of the mask and carry zero angle fields.  Returns (p, theta, s, phi, mask).
     """
-    g = phi.grid
-    c1 = phi.values[..., 0]
-    c2 = phi.values[..., 1]
-    p1 = np.abs(c1) ** 2
-    p2 = np.abs(c2) ** 2
-    p = p1 + p2
+    c1, c2 = psi
+    p = np.abs(c1) ** 2 + np.abs(c2) ** 2
     valid = p >= POSITIVITY_FLOOR
     theta = np.where(valid, 2.0 * np.arctan2(np.abs(c2), np.abs(c1)), 0.0)
     a1 = _unwrap_raster(np.where(valid, np.angle(c1), 0.0))
     a2 = _unwrap_raster(np.where(valid, np.angle(c2), 0.0))
     s = consts.hbar * (a1 + a2) / 2.0
     rel = consts.hbar * (a2 - a1) / (2.0 * consts.a)
-    return PolarFields(
-        ScalarField(g, p),
-        ScalarField(g, theta),
-        ScalarField(g, np.where(valid, s, 0.0)),
-        ScalarField(g, np.where(valid, rel, 0.0)),
-        mask=valid,
-    )
+    return p, theta, np.where(valid, s, 0.0), np.where(valid, rel, 0.0), valid
 
 
 # ---------------------------------------------------------------------------
@@ -553,31 +434,17 @@ def polar_from_spinor(phi: SpinorField, consts: PhysicalConstants) -> PolarField
 # ---------------------------------------------------------------------------
 
 
-def q_spinor(
-    phi_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float = 0.0,
-    time_periodic: bool = False,
-    scheme: str = CENTRAL,
-) -> float:
+def q_spinor(grid: Grid, psi: np.ndarray, em: dict[str, np.ndarray], consts: PhysicalConstants,
+             dt: float = 0.0, time_periodic: bool = False, scheme: str = CENTRAL) -> float:
     """Quadratic form evaluated directly on the two-component wavefunction.
 
     The integrand combines the time term hbar Im(Psi* dPsi/dt), the
     gauge-covariant kinetic term |-i hbar grad Psi - qA Psi|^2 / 2m, the
     scalar-potential term (q*phi_pot plus the optional u), and the moment
-    coupling; each is evaluated in real arithmetic.
+    coupling; each is evaluated in real arithmetic.  ``psi`` is the
+    (2, frames) + grid.shape wavefunction stack and ``em`` holds the
+    potential stacks ``phi_pot``, ``a_pot``, ``b`` and ``u``.
     """
-    frames = _as_list(phi_frames, SpinorField)
-    grid = frames[0].grid
-    em = _em_stacks(em_frames, grid, len(frames), scheme)
-    psi = _components([f.values for f in frames])
-    return _q_spinor_stacks(grid, psi, em, consts, dt, time_periodic, scheme)
-
-
-def _q_spinor_stacks(grid, psi, em, consts, dt, time_periodic, scheme) -> float:
-    """:func:`q_spinor` of the (2, frames) + grid.shape wavefunction stack
-    ``psi`` under the potential stacks ``em``."""
     hbar, m, q = consts.hbar, consts.mass, consts.charge
     a_pot, b = em["a_pot"], em["b"]
     re, im = np.ascontiguousarray(psi.real), np.ascontiguousarray(psi.imag)
@@ -647,8 +514,8 @@ def _check_identification(consts: PhysicalConstants) -> None:
 
 
 def _check_stacks(grid: Grid, fields: dict[str, np.ndarray]) -> None:
-    """The checks the frame objects make, run once over the stacks: shapes,
-    real finite values, and a nonnegative density of unit mass in every frame."""
+    """The stacks' shapes, real finite values, and a nonnegative density of
+    unit mass in every frame."""
     frames = (len(fields["p"]),) + grid.shape
     for name, values in fields.items():
         want = ((3,) if name in _VECTORS else ()) + frames
@@ -661,31 +528,19 @@ def _check_stacks(grid: Grid, fields: dict[str, np.ndarray]) -> None:
     _check_density(fields["p"], grid)
 
 
-def equivalence_residual(polar_frames, em_frames, consts: PhysicalConstants, dt: float = 0.0,
-                         time_periodic: bool = False, scheme: str = CENTRAL) -> EquivalenceReport:
-    """:func:`equivalence_residual_stacks` on the stacks of polar frames and
-    their potentials."""
-    grid, fields, mask = _frame_stacks(polar_frames, em_frames, scheme)
-    return equivalence_residual_stacks(grid, fields, consts, dt, time_periodic, scheme, mask)
-
-
-def equivalence_residual_stacks(grid: Grid, fields: dict[str, np.ndarray],
-                                consts: PhysicalConstants, dt: float = 0.0,
-                                time_periodic: bool = False, scheme: str = CENTRAL,
-                                mask: np.ndarray | None = None) -> EquivalenceReport:
+def equivalence_residual(grid: Grid, fields: dict[str, np.ndarray], consts: PhysicalConstants,
+                         dt: float = 0.0, time_periodic: bool = False,
+                         scheme: str = CENTRAL) -> EquivalenceReport:
     """Evaluate lam * Fisher + knowledge functional on the polar fields, and
     compare it against the joint (position, color) route over the same
     derivatives and against the spinor route on the mapped wavefunction.
 
-    ``fields`` holds the stacks :func:`random_smooth_stacks` returns; the
-    frame objects' checks run once over them.  ``mask`` (frames,) +
-    grid.shape weights the polar and joint routes' cells (None means
-    everywhere).
+    ``fields`` holds the polar and potential stacks, as
+    :func:`random_smooth_configuration` returns them; they are checked once.
     """
     _check_identification(consts)
     _check_stacks(grid, fields)
-    mask = np.ones_like(fields["p"]) if mask is None else mask
-    st = _stacks(grid, fields, mask, dt, time_periodic, scheme)
+    st = _stacks(grid, fields, dt, time_periodic, scheme)
     terms = _polar_terms(st, consts)
     tot = _total_of_terms(st, terms)
     breakdown = _term_values(st, terms)
@@ -693,10 +548,10 @@ def equivalence_residual_stacks(grid: Grid, fields: dict[str, np.ndarray],
     del terms  # each route allocates its own temporaries; hold no more than needed
     joint = _joint_total(st, shared, consts)
     del st, shared
-    psi = _spinor_stack(*(fields[name] for name in _POLAR), consts)
+    psi = spinor_from_polar(*(fields[name] for name in POLAR_FIELDS), consts)
     if not np.all(np.isfinite(psi)):
         raise GridError("field values must be finite")
-    qs = _q_spinor_stacks(grid, psi, fields, consts, dt, time_periodic, scheme)
+    qs = q_spinor(grid, psi, fields, consts, dt, time_periodic, scheme)
 
     def rel(absval, d):
         return 0.0 if absval == 0.0 else (absval / d if d > 0 else float("inf"))
@@ -727,20 +582,18 @@ class StationarityResiduals:
     action_rate: float
 
 
-def stationarity_residual_static(
-    polar_frames,
-    em_frames,
-    consts: PhysicalConstants,
-    dt: float,
-    time_periodic: bool = False,
-) -> StationarityResiduals:
+def stationarity_residual_static(grid: Grid, fields: dict[str, np.ndarray],
+                                 consts: PhysicalConstants, dt: float,
+                                 time_periodic: bool = False) -> StationarityResiduals:
     """Residuals of the heavy-mass stationary equations with the moment
     coupling -a*gamma*(m.B) substituted for the color-splitting potential.
 
     The four equations govern the rates of the half action difference R,
-    of cos(theta), the frozen density, and the common action.
+    of cos(theta), the frozen density, and the common action.  ``fields``
+    holds the stacks :func:`equivalence_residual` takes.
     """
-    st = _prepare(polar_frames, em_frames, dt, time_periodic, CENTRAL)
+    _check_stacks(grid, fields)
+    st = _stacks(grid, fields, dt, time_periodic, CENTRAL)
     a, gam = consts.a, consts.gamma
     z = np.cos(st.theta)
     sin_t = np.sin(st.theta)
@@ -761,48 +614,35 @@ def stationarity_residual_static(
     r_action = st.ds_dt - z * dr_dt + coupling
 
     def norm(arr):
-        return float(np.max(np.abs(arr * st.mask)))
+        return float(np.max(np.abs(arr)))
 
     return StationarityResiduals(norm(r_phase), norm(r_tilt), norm(r_density), norm(r_action))
 
 
-def euler_lagrange_residual(
-    p_fields,
-    sources,
-    consts: PhysicalConstants,
-    scheme: str = CENTRAL,
-) -> list[ScalarField]:
-    """Pointwise residual of the stationarity equation per color:
+def euler_lagrange_residual(p_field: ScalarField, source: float | ScalarField,
+                            consts: PhysicalConstants, scheme: str = CENTRAL) -> ScalarField:
+    """Pointwise residual of the stationarity equation of one color density:
 
         lam (grad P)^2 / P^2 + 2 lam div(grad P / P) - F = 0.
 
     Cells below the positivity floor are masked to zero in the output.
     """
-    p_fields = _as_list(p_fields, ScalarField)
-    if isinstance(sources, (int, float)):
-        sources = [float(sources)] * len(p_fields)
-    elif isinstance(sources, ScalarField):
-        sources = [sources] * len(p_fields)
-    out = []
-    lam = consts.lam
-    for p_field, src in zip(p_fields, sources):
-        g = p_field.grid
-        p = p_field.values
-        included = p >= POSITIVITY_FLOOR
-        if not np.any(included):
-            raise FunctionalError("density entirely below the positivity floor")
-        safe = np.where(included, p, 1.0)
-        grad_sq = np.zeros(g.shape)
-        div_ratio = np.zeros(g.shape)
-        for ax in range(g.dim):
-            gp = derive_along(p, g.spacing[ax], ax, g.boundary, scheme)
-            grad_sq += gp * gp
-            ratio = np.where(included, gp / safe, 0.0)
-            div_ratio += derive_along(ratio, g.spacing[ax], ax, g.boundary, scheme)
-        f_vals = src.values if isinstance(src, ScalarField) else float(src)
-        resid = lam * grad_sq / safe**2 + 2.0 * lam * div_ratio - f_vals
-        out.append(ScalarField(g, np.where(included, resid, 0.0)))
-    return out
+    g = p_field.grid
+    p = p_field.values
+    included = p >= POSITIVITY_FLOOR
+    if not np.any(included):
+        raise FunctionalError("density entirely below the positivity floor")
+    safe = np.where(included, p, 1.0)
+    grad_sq = np.zeros(g.shape)
+    div_ratio = np.zeros(g.shape)
+    for ax in range(g.dim):
+        gp = derive_along(p, g.spacing[ax], ax, g.boundary, scheme)
+        grad_sq += gp * gp
+        ratio = np.where(included, gp / safe, 0.0)
+        div_ratio += derive_along(ratio, g.spacing[ax], ax, g.boundary, scheme)
+    f_vals = source.values if isinstance(source, ScalarField) else float(source)
+    resid = consts.lam * grad_sq / safe**2 + 2.0 * consts.lam * div_ratio - f_vals
+    return ScalarField(g, np.where(included, resid, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +682,9 @@ def _band_limited_spacetime(
     return field
 
 
-def random_smooth_stacks(grid: Grid, frames: int, consts: PhysicalConstants, seed: int,
-                         max_mode: int = 1, amplitude: float = 0.2
-                         ) -> tuple[dict[str, np.ndarray], float]:
+def random_smooth_configuration(grid: Grid, frames: int, consts: PhysicalConstants, seed: int,
+                                max_mode: int = 1, amplitude: float = 0.2
+                                ) -> tuple[dict[str, np.ndarray], float]:
     """Seeded band-limited periodic polar + potential stacks.
 
     Returns (stacks, dt): ``p``, ``theta``, ``s``, ``phi``, ``phi_pot`` and
@@ -874,20 +714,3 @@ def random_smooth_stacks(grid: Grid, frames: int, consts: PhysicalConstants, see
     stacks = {"p": p, "theta": theta, "s": s, "phi": phi, "phi_pot": phi_pot, "a_pot": a,
               "b": curl_stack(a, grid, SPECTRAL), "u": u}
     return stacks, period / frames
-
-
-def random_smooth_configuration(grid: Grid, frames: int, consts: PhysicalConstants, seed: int,
-                                max_mode: int = 1, amplitude: float = 0.2
-                                ) -> tuple[list[PolarFields], list[EMConfiguration], float]:
-    """:func:`random_smooth_stacks` as (polar frames, potential frames, dt)."""
-    st, dt = random_smooth_stacks(grid, frames, consts, seed, max_mode, amplitude)
-
-    def field(name, i):
-        if name in _VECTORS:
-            return VectorField3(grid, np.moveaxis(st[name][:, i], 0, -1))
-        return ScalarField(grid, st[name][i])
-
-    polar_frames = [PolarFields(*(field(name, i) for name in _POLAR)) for i in range(frames)]
-    em_frames = [EMConfiguration(grid, field("phi_pot", i), field("a_pot", i), b=field("b", i),
-                                 u=field("u", i)) for i in range(frames)]
-    return polar_frames, em_frames, dt

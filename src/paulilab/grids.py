@@ -433,13 +433,3 @@ def integrate_values(values: np.ndarray, grid: Grid) -> float | complex:
 def integrate(f: ScalarField) -> float:
     """Integral of a scalar field: cell sum (periodic) or trapezoid (dirichlet)."""
     return float(integrate_values(f.values, f.grid))
-
-
-def normalize(f: ScalarField) -> ScalarField:
-    """Rescale a nonnegative field to unit integral."""
-    if np.any(f.values < 0):
-        raise GridError("normalize requires a nonnegative field")
-    mass = integrate(f)
-    if mass <= 0:
-        raise GridError(f"normalize requires positive mass, got {mass}")
-    return ScalarField(f.grid, f.values / mass)

@@ -24,6 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .functionals import (
+    POLAR_FIELDS,
     EMConfiguration,
     PhysicalConstants,
     _em_stacks,
@@ -42,8 +43,6 @@ from .grids import (
     laplacian_matrix,
     quadrature_weights,
 )
-
-POLAR_FIELDS = ("p", "theta", "s", "phi")
 
 # a sphere step shorter than this ends the descent
 _STEP_TOL = 1e-14
@@ -171,10 +170,9 @@ class TotalObjective:
 
     def _frame(self, f: dict):
         # iterates and finite-difference probes are not normalized, so the
-        # one-frame stack skips the PolarFields checks
+        # one-frame stack skips the density checks
         frame = {name: f[name][None] for name in POLAR_FIELDS}
-        return _stacks(self.grid, {**frame, **self.em}, np.ones_like(frame["p"]), 0.0, False,
-                       self.scheme)
+        return _stacks(self.grid, {**frame, **self.em}, 0.0, False, self.scheme)
 
     def value(self, f: dict) -> float:
         return _total_value(self._frame(f), self.consts)

@@ -136,11 +136,11 @@ def equivalence_sets(cells: int, frames: int, sets: int, seed: int, consts,
     grid = Grid((1.0, 1.0, 1.0), (cells, cells, cells), PERIODIC)
     reports = []
     for index in range(sets):
-        fields, dt = functionals.random_smooth_stacks(
+        fields, dt = functionals.random_smooth_configuration(
             grid, frames=frames, consts=consts, seed=seed + index, max_mode=max_mode,
             amplitude=amplitude,
         )
-        reports.append(functionals.equivalence_residual_stacks(
+        reports.append(functionals.equivalence_residual(
             grid, fields, consts, dt=dt, time_periodic=True, scheme=SPECTRAL
         ))
     worst_joint = max(r.rel_residual for r in reports)
@@ -161,8 +161,8 @@ def check_equivalence(fast: bool = False) -> list[CheckRecord]:
     errors = []
     for cells_2d, fr in levels:
         g2 = Grid((1.0, 1.0), (cells_2d, cells_2d), PERIODIC)
-        fields, dt = functionals.random_smooth_stacks(g2, frames=fr, consts=CONSTS, seed=7)
-        rep = functionals.equivalence_residual_stacks(
+        fields, dt = functionals.random_smooth_configuration(g2, frames=fr, consts=CONSTS, seed=7)
+        rep = functionals.equivalence_residual(
             g2, fields, CONSTS, dt=dt, time_periodic=True, scheme=CENTRAL
         )
         records.append(

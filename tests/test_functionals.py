@@ -1,7 +1,5 @@
 """Tests for the continuum functionals and the dual-route equivalence."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,20 +13,17 @@ from paulilab.grids import (
     Grid,
     GridError,
     ScalarField,
-    SpinorField,
     VectorField3,
     curl,
     derive_along,
     gradient,
 )
-from paulilab import verification
 from paulilab.functionals import (
+    POLAR_FIELDS,
     EMConfiguration,
     FunctionalError,
     PhysicalConstants,
-    PolarFields,
     equivalence_residual,
-    equivalence_residual_stacks,
     euler_lagrange_residual,
     fisher_continuum,
     natural_constants,
@@ -36,26 +31,29 @@ from paulilab.functionals import (
     polar_from_spinor,
     q_spinor,
     random_smooth_configuration,
-    random_smooth_stacks,
     spinor_from_polar,
     stationarity_residual_static,
     _band_limited_spacetime,
     _em_stacks,
-    _q_spinor_stacks,
-    _spinor_stack,
 )
 
 CONSTS = natural_constants()
 
 
-def uniform_polar(grid, theta=0.0, s=0.0, phi=0.0):
-    vol = float(np.prod(grid.extents))
-    return PolarFields(
-        ScalarField.full(grid, 1.0 / vol),
-        ScalarField.full(grid, theta),
-        ScalarField.full(grid, s),
-        ScalarField.full(grid, phi),
-    )
+def polar_stacks(grid, em, frames=1, p=None, theta=0.0, s=0.0, phi=0.0):
+    """The (frames,) + grid.shape stacks of the polar fields, each given as a
+    number, one frame or every frame (a uniform unit density by default),
+    and the potential stacks of ``em`` for every frame."""
+    polar = {"p": 1.0 / float(np.prod(grid.extents)) if p is None else p,
+             "theta": theta, "s": s, "phi": phi}
+    shape = (frames,) + grid.shape
+    fields = {name: np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
+              for name, v in polar.items()}
+    return {**fields, **_em_stacks(em, grid, frames, CENTRAL)}
+
+
+def spinor_of(fields, consts=CONSTS):
+    return spinor_from_polar(*(fields[name] for name in POLAR_FIELDS), consts)
 
 
 def uniform_b_config(grid, bz):
@@ -114,14 +112,14 @@ def knowledge(rep):
 
 def test_knowledge_all_zero():
     g = Grid((1.0,), (32,), PERIODIC)
-    rep = equivalence_residual(uniform_polar(g), EMConfiguration.zero(g), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g)), CONSTS)
     assert knowledge(rep) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_knowledge_moment_coupling_only():
     g = Grid((1.0,), (32,), PERIODIC)
     bz = 2.5
-    rep = equivalence_residual(uniform_polar(g, theta=0.0), uniform_b_config(g, bz), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g, uniform_b_config(g, bz)), CONSTS)
     assert rep.breakdown["moment_coupling"] == pytest.approx(-CONSTS.a * CONSTS.gamma * bz,
                                                              rel=1e-12)
     assert knowledge(rep) == pytest.approx(-CONSTS.a * CONSTS.gamma * bz, rel=1e-12)
@@ -136,18 +134,9 @@ def test_knowledge_plane_wave_cancellation():
     hbar, m = CONSTS.hbar, CONSTS.mass
     omega = hbar * k**2 / (2 * m)
     dt = 0.01
-    frames = []
-    for i in range(3):
-        s = hbar * (k * x - omega * i * dt)
-        frames.append(
-            PolarFields(
-                ScalarField.full(g, 1.0 / L),
-                ScalarField.full(g, 0.0),
-                ScalarField(g, s),
-                ScalarField.full(g, 0.0),
-            )
-        )
-    rep = equivalence_residual(frames, EMConfiguration.zero(g), CONSTS, dt=dt)
+    s = np.stack([hbar * (k * x - omega * i * dt) for i in range(3)])
+    fields = polar_stacks(g, EMConfiguration.zero(g), frames=3, s=s)
+    rep = equivalence_residual(g, fields, CONSTS, dt=dt)
     assert rep.breakdown["kinetic"] == pytest.approx(-rep.breakdown["time"], rel=1e-12)
     assert knowledge(rep) == pytest.approx(0.0, abs=1e-12)
 
@@ -156,13 +145,8 @@ def test_total_box_case():
     L = 1.0
     g = Grid((L,), (512,), DIRICHLET_ZERO)
     x = g.axis_coordinates(0)
-    polar = PolarFields(
-        ScalarField(g, (2 / L) * np.sin(np.pi * x / L) ** 2),
-        ScalarField.full(g, 0.0),
-        ScalarField.full(g, 0.0),
-        ScalarField.full(g, 0.0),
-    )
-    rep = equivalence_residual(polar, EMConfiguration.zero(g), CONSTS)
+    fields = polar_stacks(g, EMConfiguration.zero(g), p=(2 / L) * np.sin(np.pi * x / L) ** 2)
+    rep = equivalence_residual(g, fields, CONSTS)
     assert rep.total == pytest.approx(CONSTS.lam * (2 * np.pi / L) ** 2, rel=0.01)
     # the empty color's density is zero everywhere: the joint route leaves it out
     assert rep.joint == pytest.approx(rep.total, rel=1e-14)
@@ -175,23 +159,22 @@ def test_total_box_case():
 
 def test_spinor_from_polar_poles():
     g = Grid((1.0,), (8,), PERIODIC)
-    up = spinor_from_polar(uniform_polar(g, theta=0.0), CONSTS)
-    np.testing.assert_allclose(up.values[..., 0], 1.0, atol=1e-14)
-    np.testing.assert_allclose(up.values[..., 1], 0.0, atol=1e-14)
-    down = spinor_from_polar(uniform_polar(g, theta=np.pi), CONSTS)
-    np.testing.assert_allclose(np.abs(down.values[..., 1]), 1.0, atol=1e-14)
-    np.testing.assert_allclose(down.values[..., 0], 0.0, atol=1e-8)
+    zero = EMConfiguration.zero(g)
+    up = spinor_of(polar_stacks(g, zero, theta=0.0))
+    np.testing.assert_allclose(up[0], 1.0, atol=1e-14)
+    np.testing.assert_allclose(up[1], 0.0, atol=1e-14)
+    down = spinor_of(polar_stacks(g, zero, theta=np.pi))
+    np.testing.assert_allclose(np.abs(down[1]), 1.0, atol=1e-14)
+    np.testing.assert_allclose(down[0], 0.0, atol=1e-8)
 
 
 def test_polar_from_spinor_direct_values():
     g = Grid((1.0,), (4,), PERIODIC)
-    vals = np.zeros(g.shape + (2,), dtype=complex)
-    vals[..., 0] = 1 / np.sqrt(2)
-    vals[..., 1] = 1j / np.sqrt(2)
-    polar = polar_from_spinor(SpinorField(g, vals), CONSTS)
-    np.testing.assert_allclose(polar.theta.values, np.pi / 2, rtol=1e-12)
-    np.testing.assert_allclose(polar.phi.values, np.pi / 2, rtol=1e-12)
-    np.testing.assert_allclose(polar.p.values, 1.0, rtol=1e-12)
+    psi = np.stack([np.full(g.shape, 1 / np.sqrt(2)), np.full(g.shape, 1j / np.sqrt(2))])
+    p, theta, _s, phi, _mask = polar_from_spinor(psi, CONSTS)
+    np.testing.assert_allclose(theta, np.pi / 2, rtol=1e-12)
+    np.testing.assert_allclose(phi, np.pi / 2, rtol=1e-12)
+    np.testing.assert_allclose(p, 1.0, rtol=1e-12)
 
 
 def smooth_polar(grid, seed=0, amplitude=0.3):
@@ -203,10 +186,7 @@ def smooth_polar(grid, seed=0, amplitude=0.3):
     theta = np.pi / 2 + amplitude * np.cos(kx + rng.uniform(0, 2 * np.pi))
     s = amplitude * np.sin(2 * kx + rng.uniform(0, 2 * np.pi))
     phi = amplitude * np.cos(kx + rng.uniform(0, 2 * np.pi))
-    return PolarFields(
-        ScalarField(grid, p), ScalarField(grid, theta),
-        ScalarField(grid, s), ScalarField(grid, phi),
-    )
+    return p, theta, s, phi
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,12 +195,14 @@ def test_polar_spinor_round_trip(seed, dim):
     rng = np.random.default_rng(seed)
     low, high = {1: (3, 128), 2: (3, 24), 3: (3, 10)}[dim]
     g = Grid(tuple(0.5 + rng.random(dim)), tuple(rng.integers(low, high, dim)), PERIODIC)
-    polar = smooth_polar(g, seed=seed)
-    back = polar_from_spinor(spinor_from_polar(polar, CONSTS), CONSTS)
-    np.testing.assert_allclose(back.p.values, polar.p.values, rtol=1e-12)
-    np.testing.assert_allclose(back.theta.values, polar.theta.values, atol=1e-12)
-    np.testing.assert_allclose(back.s.values, polar.s.values, atol=1e-12)
-    np.testing.assert_allclose(back.phi.values, polar.phi.values, atol=1e-12)
+    p, theta, s, phi = smooth_polar(g, seed=seed)
+    back_p, back_theta, back_s, back_phi, mask = polar_from_spinor(
+        spinor_from_polar(p, theta, s, phi, CONSTS), CONSTS)
+    assert np.all(mask)
+    np.testing.assert_allclose(back_p, p, rtol=1e-12)
+    np.testing.assert_allclose(back_theta, theta, atol=1e-12)
+    np.testing.assert_allclose(back_s, s, atol=1e-12)
+    np.testing.assert_allclose(back_phi, phi, atol=1e-12)
 
 
 def test_spinor_polar_spinor_round_trip_global_phase():
@@ -232,23 +214,22 @@ def test_spinor_polar_spinor_round_trip_global_phase():
     raw /= np.maximum(norm, 1e-9)
     mass = np.sum(np.sum(np.abs(raw) ** 2, axis=-1) * g.cell_volume)
     raw /= np.sqrt(mass)
-    phi = SpinorField(g, raw)
-    back = spinor_from_polar(polar_from_spinor(phi, CONSTS), CONSTS)
+    psi = np.moveaxis(raw, -1, 0)
+    back = spinor_from_polar(*polar_from_spinor(psi, CONSTS)[:4], CONSTS)
     # equal up to a cellwise-common phase; compare via the gauge-invariant ratio
-    ratio = np.where(np.abs(phi.values) > 1e-12, back.values / phi.values, 1.0)
+    ratio = np.where(np.abs(psi) > 1e-12, back / psi, 1.0)
     np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-10)
-    rel_phase = ratio[..., 0] / ratio[..., 1]
+    rel_phase = ratio[0] / ratio[1]
     np.testing.assert_allclose(rel_phase, 1.0, atol=1e-10)
 
 
 def test_polar_from_spinor_masks_dead_cells():
     g = Grid((1.0,), (16,), PERIODIC)
-    vals = np.zeros(g.shape + (2,), dtype=complex)
-    vals[:8, 0] = np.sqrt(2.0)  # unit total mass on half the box
-    polar = polar_from_spinor(SpinorField(g, vals), CONSTS)
-    assert polar.mask is not None
-    assert not polar.mask[12]
-    assert polar.mask[3]
+    psi = np.zeros((2,) + g.shape, dtype=complex)
+    psi[0, :8] = np.sqrt(2.0)  # unit total mass on half the box
+    *_, mask = polar_from_spinor(psi, CONSTS)
+    assert not mask[12]
+    assert mask[3]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +240,9 @@ def test_polar_from_spinor_masks_dead_cells():
 def test_q_spinor_static_uniform_zero():
     g = Grid((2.0,), (16,), PERIODIC)
     vol = 2.0
-    vals = np.zeros(g.shape + (2,), dtype=complex)
-    vals[..., 0] = 1 / np.sqrt(vol)
-    val = q_spinor(SpinorField(g, vals), EMConfiguration.zero(g), CONSTS)
+    psi = np.zeros((2, 1) + g.shape, dtype=complex)
+    psi[0] = 1 / np.sqrt(vol)
+    val = q_spinor(g, psi, _em_stacks(EMConfiguration.zero(g), g, 1, CENTRAL), CONSTS)
     assert val == pytest.approx(0.0, abs=1e-14)
 
 
@@ -269,9 +250,8 @@ def test_q_spinor_uniform_b_coupling():
     g = Grid((1.0,), (16,), PERIODIC)
     bz = 1.7
     theta = 1.1  # <sigma_z> = cos(theta)
-    polar = uniform_polar(g, theta=theta)
-    phi = spinor_from_polar(polar, CONSTS)
-    val = q_spinor(phi, uniform_b_config(g, bz), CONSTS)
+    fields = polar_stacks(g, uniform_b_config(g, bz), theta=theta)
+    val = q_spinor(g, spinor_of(fields), fields, CONSTS)
     expect = -(CONSTS.charge * CONSTS.hbar / (2 * CONSTS.mass)) * bz * np.cos(theta)
     assert val == pytest.approx(expect, rel=1e-12)
 
@@ -285,13 +265,11 @@ def test_q_spinor_plane_wave_dispersion_cancellation():
     energy = hbar**2 * k**2 / (2 * m)
     period = 2 * np.pi * hbar / energy
     dt = period / frames
-    snaps = []
+    psi = np.zeros((2, frames) + g.shape, dtype=complex)
     for i in range(frames):
-        vals = np.zeros(g.shape + (2,), dtype=complex)
-        vals[..., 0] = np.exp(1j * (k * x - energy * i * dt / hbar)) / np.sqrt(L)
-        snaps.append(SpinorField(g, vals))
-    val = q_spinor(snaps, EMConfiguration.zero(g), CONSTS, dt=dt,
-                   time_periodic=True, scheme=SPECTRAL)
+        psi[0, i] = np.exp(1j * (k * x - energy * i * dt / hbar)) / np.sqrt(L)
+    em = _em_stacks(EMConfiguration.zero(g), g, frames, CENTRAL)
+    val = q_spinor(g, psi, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
@@ -302,7 +280,7 @@ def test_q_spinor_plane_wave_dispersion_cancellation():
 
 def test_equivalence_zero_fields():
     g = Grid((1.0,), (16,), PERIODIC)
-    rep = equivalence_residual(uniform_polar(g), EMConfiguration.zero(g), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g)), CONSTS)
     assert rep.total == rep.joint == rep.q_spinor == 0.0
     assert rep.rel_residual == rep.spinor_rel_residual == 0.0
 
@@ -311,7 +289,7 @@ def test_equivalence_requires_identification():
     g = Grid((1.0,), (16,), PERIODIC)
     loose = PhysicalConstants(1.0, 1.0, 1.0, gamma=0.3, lam=0.2, a=0.5)
     with pytest.raises(FunctionalError):
-        equivalence_residual(uniform_polar(g), EMConfiguration.zero(g), loose)
+        equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g)), loose)
 
 
 _unit_range = st.floats(0.5, 2.0)
@@ -324,8 +302,8 @@ def test_equivalence_holds_for_any_constants(seed, hbar, mass, charge):
     # 12 frames: at 8, time resolution alone puts the spinor route near 1e-8
     consts = pauli_constants(hbar, mass, charge)
     g = Grid((1.0, 1.0), (32, 32), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=12, consts=consts, seed=seed)
-    rep = equivalence_residual(polar, em, consts, dt=dt, time_periodic=True, scheme=SPECTRAL)
+    fields, dt = random_smooth_configuration(g, frames=12, consts=consts, seed=seed)
+    rep = equivalence_residual(g, fields, consts, dt=dt, time_periodic=True, scheme=SPECTRAL)
     assert rep.rel_residual <= 1e-12
     assert rep.spinor_rel_residual <= 1e-8
 
@@ -368,56 +346,47 @@ def test_band_limited_synthesis_matches_ifftn(cells, frames, max_mode, zero_mean
 @pytest.mark.parametrize("cells", [(16, 12), (10, 10, 10)])
 def test_random_configuration_b_is_spectral_curl(cells):
     g = Grid((1.0,) * len(cells), cells, PERIODIC)
-    _polar, em, _dt = random_smooth_configuration(g, frames=5, consts=CONSTS, seed=4)
-    for cfg in em:
-        assert cfg.b.values.tobytes() == curl(cfg.a_pot, SPECTRAL).values.tobytes()
+    fields, _dt = random_smooth_configuration(g, frames=5, consts=CONSTS, seed=4)
+    for i in range(5):
+        a_pot = VectorField3(g, np.moveaxis(fields["a_pot"][:, i], 0, -1))
+        b = np.moveaxis(fields["b"][:, i], 0, -1)
+        assert b.tobytes() == curl(a_pot, SPECTRAL).values.tobytes()
 
 
-def test_stack_path_report_equals_frame_path_report():
-    # the equivalence scenario's stack path and the frame-list wrappers share
-    # one implementation: the same report, bit for bit
-    consts = pauli_constants(0.7, 1.9, -1.3)
-    (stacked,), _ = verification.equivalence_sets(12, 8, 1, 3, consts)
-    g = Grid((1.0, 1.0, 1.0), (12, 12, 12), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=8, consts=consts, seed=3,
-                                                amplitude=0.15)
-    framed = equivalence_residual(polar, em, consts, dt=dt, time_periodic=True,
-                                  scheme=SPECTRAL)
-    assert repr(stacked) == repr(framed)
-
-
-@pytest.mark.parametrize("name,spoil", [
-    ("p", "scaled"), ("p", "negative"), ("p", "nan"), ("b", "nan"),
+@pytest.mark.parametrize("name,spoil,error,message", [
+    ("p", "scaled", FunctionalError, "density must integrate to 1, got "),
+    ("p", "negative", FunctionalError, "density must be nonnegative$"),
+    ("p", "nan", GridError, "field values must be finite$"),
+    ("b", "nan", GridError, "field values must be finite$"),
 ])
-def test_stack_path_raises_the_frame_path_errors(name, spoil):
+def test_equivalence_rejects_spoiled_stacks(name, spoil, error, message):
     # the NaN in b reaches neither the density checks nor the wavefunction
     g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
-    stacks, dt = random_smooth_stacks(g, frames=4, consts=CONSTS, seed=2, amplitude=0.15)
+    stacks, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2, amplitude=0.15)
     values = stacks[name].copy()
     frame = values[:, 2] if name == "b" else values[2]
     if spoil == "scaled":
         frame *= 1.01
     else:
         frame[..., 1, 2, 3] = -0.5 if spoil == "negative" else np.nan
-    with pytest.raises((GridError, FunctionalError)) as framed:
-        if name == "b":
-            VectorField3(g, np.moveaxis(frame, 0, -1))
-        else:
-            PolarFields(ScalarField(g, frame), *(ScalarField(g, stacks[other][2])
-                                                 for other in ("theta", "s", "phi")))
-    with pytest.raises(type(framed.value), match=f"^{re.escape(str(framed.value))}$"):
-        equivalence_residual_stacks(g, {**stacks, name: values}, CONSTS, dt=dt,
-                                    time_periodic=True, scheme=SPECTRAL)
+    with pytest.raises(error, match=f"^{message}"):
+        equivalence_residual(g, {**stacks, name: values}, CONSTS, dt=dt, time_periodic=True,
+                             scheme=SPECTRAL)
 
 
 def test_shared_configuration_is_curled_once(monkeypatch):
-    # one EMConfiguration without b, given for every frame, takes its curl
-    # once; its stacks equal those of the same configuration listed per frame
+    # one EMConfiguration for every frame takes its curl once; its stacks
+    # repeat its fields over the frames, vector components first
     g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
     x, y, z = np.broadcast_arrays(*g.meshgrid())
     a_pot = np.stack([np.sin(2 * np.pi * y), np.cos(2 * np.pi * z), np.sin(2 * np.pi * x)], -1)
     em = EMConfiguration(g, ScalarField(g, np.cos(2 * np.pi * x)), VectorField3(g, a_pot))
-    per_frame = _em_stacks([em] * 12, g, 12, CENTRAL)
+    per_frame = {
+        "phi_pot": np.stack([em.phi_pot.values] * 12),
+        "a_pot": np.moveaxis(np.stack([a_pot] * 12), -1, 0),
+        "b": np.moveaxis(np.stack([curl(em.a_pot, CENTRAL).values] * 12), -1, 0),
+        "u": np.zeros((12,) + g.shape),
+    }
     reads = []
     b_values = EMConfiguration.b_values
 
@@ -436,13 +405,13 @@ def test_shared_configuration_is_curled_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["a_pot", "phi_pot"])
-def test_stack_path_rejects_complex_stacks(name):
+def test_equivalence_rejects_complex_stacks(name):
     g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
-    stacks, dt = random_smooth_stacks(g, frames=4, consts=CONSTS, seed=2, amplitude=0.15)
+    stacks, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2, amplitude=0.15)
     spoiled = stacks[name] + 0.0j
     with pytest.raises(FunctionalError, match=f"^{name} stack must be real"):
-        equivalence_residual_stacks(g, {**stacks, name: spoiled}, CONSTS, dt=dt,
-                                    time_periodic=True, scheme=SPECTRAL)
+        equivalence_residual(g, {**stacks, name: spoiled}, CONSTS, dt=dt, time_periodic=True,
+                             scheme=SPECTRAL)
 
 
 def _q_spinor_complex(grid, psi, em, consts, dt, scheme):
@@ -473,9 +442,9 @@ def _q_spinor_complex(grid, psi, em, consts, dt, scheme):
 def test_real_spinor_integrand_matches_complex_form(cells, scheme):
     consts = pauli_constants(0.7, 1.9, -1.3)
     g = Grid((1.0,) * len(cells), cells, PERIODIC)
-    stacks, dt = random_smooth_stacks(g, frames=6, consts=consts, seed=5, amplitude=0.15)
-    psi = _spinor_stack(*(stacks[name] for name in ("p", "theta", "s", "phi")), consts)
-    got = _q_spinor_stacks(g, psi, stacks, consts, dt, True, scheme)
+    stacks, dt = random_smooth_configuration(g, frames=6, consts=consts, seed=5, amplitude=0.15)
+    psi = spinor_of(stacks, consts)
+    got = q_spinor(g, psi, stacks, consts, dt, True, scheme)
     real, imag = _q_spinor_complex(g, psi, stacks, consts, dt, scheme)
     assert got == pytest.approx(real, rel=1e-14)
     assert abs(imag) <= 1e-14 * abs(real)
@@ -488,18 +457,10 @@ def test_global_phase_invariance():
     # the map ambiguity: S shifts by any constant (a global wavefunction
     # phase), the relative phase by whole turns; every route is blind to it
     g = Grid((1.0, 1.0), (24, 24), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=6, consts=CONSTS, seed=11)
-    base = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True)
-    shifted = [
-        PolarFields(
-            fr.p,
-            fr.theta,
-            ScalarField(fr.grid, fr.s.values + 1.37),
-            ScalarField(fr.grid, fr.phi.values + 2.0 * np.pi),
-        )
-        for fr in polar
-    ]
-    rep = equivalence_residual(shifted, em, CONSTS, dt=dt, time_periodic=True)
+    fields, dt = random_smooth_configuration(g, frames=6, consts=CONSTS, seed=11)
+    base = equivalence_residual(g, fields, CONSTS, dt=dt, time_periodic=True)
+    shifted = {**fields, "s": fields["s"] + 1.37, "phi": fields["phi"] + 2.0 * np.pi}
+    rep = equivalence_residual(g, shifted, CONSTS, dt=dt, time_periodic=True)
     for route in ROUTES:
         assert getattr(rep, route) == pytest.approx(getattr(base, route), rel=1e-12)
 
@@ -507,35 +468,22 @@ def test_global_phase_invariance():
 def test_gauge_covariance():
     # S -> S + q chi with A -> A + grad chi leaves every route unchanged
     g = Grid((1.0, 1.0), (24, 24), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=6, consts=CONSTS, seed=13)
-    base = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
+    fields, dt = random_smooth_configuration(g, frames=6, consts=CONSTS, seed=13)
+    base = equivalence_residual(g, fields, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     x, y = g.meshgrid()
     chi = 0.2 * np.sin(2 * np.pi * x + 0.3) * np.cos(2 * np.pi * y)
     grad_chi = gradient(ScalarField(g, chi), scheme=SPECTRAL).values
-    q = CONSTS.charge
-    polar2 = [
-        PolarFields(fr.p, fr.theta, ScalarField(g, fr.s.values + q * chi), fr.phi)
-        for fr in polar
-    ]
-    em2 = [
-        EMConfiguration(
-            g,
-            cfg.phi_pot,
-            VectorField3(g, cfg.a_pot.values + grad_chi),
-            b=cfg.b,
-            u=cfg.u,
-        )
-        for cfg in em
-    ]
-    rep = equivalence_residual(polar2, em2, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
+    gauged = {**fields, "s": fields["s"] + CONSTS.charge * chi,
+              "a_pot": fields["a_pot"] + np.moveaxis(grad_chi, -1, 0)[:, None]}
+    rep = equivalence_residual(g, gauged, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     for route in ROUTES:
         assert getattr(rep, route) == pytest.approx(getattr(base, route), rel=1e-11)
 
 
 def test_breakdown_terms_sum_to_total():
     g = Grid((1.0, 1.0), (16, 16), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
-    rep = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True)
+    fields, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
+    rep = equivalence_residual(g, fields, CONSTS, dt=dt, time_periodic=True)
     assert rep.breakdown["total"] == pytest.approx(rep.total, rel=1e-12)
     parts = sum(v for k, v in rep.breakdown.items() if k != "total")
     assert parts == pytest.approx(rep.total, rel=1e-12)
@@ -545,11 +493,11 @@ def test_equivalence_with_near_identified_constants_uses_them():
     # lam off the identification by round-off passes the identification
     # check, and the polar and joint routes both take these constants
     g = Grid((1.0, 1.0), (16, 16), PERIODIC)
-    polar, em, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
+    fields, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
     near = PhysicalConstants(1.0, 1.0, 1.0, gamma=1.0, lam=0.125 * (1.0 + 1e-13), a=0.5,
                              identification=True)
-    rep = equivalence_residual(polar, em, near, dt=dt, time_periodic=True)
-    exact = equivalence_residual(polar, em, CONSTS, dt=dt, time_periodic=True)
+    rep = equivalence_residual(g, fields, near, dt=dt, time_periodic=True)
+    exact = equivalence_residual(g, fields, CONSTS, dt=dt, time_periodic=True)
     assert rep.total != exact.total
     assert rep.total == pytest.approx(exact.total, rel=1e-12)
     assert rep.rel_residual <= 1e-15
@@ -564,11 +512,8 @@ def test_total_fisher_only_prefactor():
     p = 1.0 + 0.3 * np.sin(2 * np.pi * x)
     p /= p.sum() * g.cell_volume
     theta = 0.4 * np.cos(2 * np.pi * x)
-    polar = PolarFields(
-        ScalarField(g, p), ScalarField(g, theta),
-        ScalarField.full(g, 0.0), ScalarField.full(g, 0.0),
-    )
-    rep = equivalence_residual(polar, EMConfiguration.zero(g), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g), p=p, theta=theta),
+                               CONSTS)
     fisher = fisher_continuum(ScalarField(g, p), ScalarField(g, theta))
     expect = CONSTS.hbar**2 / (8 * CONSTS.mass) * fisher
     assert rep.total == pytest.approx(expect, rel=1e-12)
@@ -580,29 +525,19 @@ def test_total_fisher_only_prefactor():
 # ---------------------------------------------------------------------------
 
 
-def precessing_frames(grid, bz, frames, dt, theta0=1.2):
-    consts = CONSTS
-    out = []
-    vol = float(np.prod(grid.extents))
-    for i in range(frames):
-        phi_t = -consts.gamma * bz * i * dt  # canonical phase rate for B || z
-        out.append(
-            PolarFields(
-                ScalarField.full(grid, 1.0 / vol),
-                ScalarField.full(grid, theta0),
-                ScalarField.full(grid, 0.0),
-                ScalarField.full(grid, phi_t),
-            )
-        )
-    return out
+def phase_frames(rate, frames, dt):
+    # a uniform relative phase advancing at ``rate``, one frame per row
+    return np.array([rate * i * dt for i in range(frames)])[:, None]
 
 
 def test_stationarity_on_precessing_solution():
     g = Grid((1.0,), (8,), PERIODIC)
     bz = 2.0
     dt = 1e-3 / (CONSTS.gamma * bz)
-    frames = precessing_frames(g, bz, 9, dt)
-    res = stationarity_residual_static(frames, uniform_b_config(g, bz), CONSTS, dt=dt)
+    # the canonical phase rate for B || z
+    fields = polar_stacks(g, uniform_b_config(g, bz), frames=9, theta=1.2,
+                          phi=phase_frames(-CONSTS.gamma * bz, 9, dt))
+    res = stationarity_residual_static(g, fields, CONSTS, dt=dt)
     assert res.phase_rate < 1e-6
     assert res.tilt_rate < 1e-6
     assert res.density_motion < 1e-6
@@ -611,8 +546,8 @@ def test_stationarity_on_precessing_solution():
 
 def test_stationarity_zero_field_static():
     g = Grid((1.0,), (8,), PERIODIC)
-    frames = [uniform_polar(g, theta=0.7, s=0.2, phi=0.4)] * 5
-    res = stationarity_residual_static(frames, EMConfiguration.zero(g), CONSTS, dt=0.1)
+    fields = polar_stacks(g, EMConfiguration.zero(g), frames=5, theta=0.7, s=0.2, phi=0.4)
+    res = stationarity_residual_static(g, fields, CONSTS, dt=0.1)
     assert max(res.phase_rate, res.tilt_rate, res.density_motion, res.action_rate) == 0.0
 
 
@@ -620,10 +555,9 @@ def test_stationarity_detects_non_solution():
     g = Grid((1.0,), (8,), PERIODIC)
     bz = 2.0
     dt = 0.05
-    frames = []
-    for i in range(7):
-        frames.append(uniform_polar(g, theta=1.2, s=0.0, phi=+0.5 * i * dt))  # wrong rate sign
-    res = stationarity_residual_static(frames, uniform_b_config(g, bz), CONSTS, dt=dt)
+    fields = polar_stacks(g, uniform_b_config(g, bz), frames=7, theta=1.2,
+                          phi=phase_frames(+0.5, 7, dt))  # wrong rate sign
+    res = stationarity_residual_static(g, fields, CONSTS, dt=dt)
     assert res.phase_rate > 1e-3
 
 
@@ -635,7 +569,7 @@ def test_stationarity_detects_non_solution():
 def test_el_residual_constant_density():
     g = Grid((1.0,), (64,), PERIODIC)
     out = euler_lagrange_residual(ScalarField.full(g, 1.0), 0.0, CONSTS)
-    np.testing.assert_allclose(out[0].values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
 
 
 def box_density(n, L=1.0):
@@ -649,7 +583,7 @@ def test_el_residual_box_solution_converges():
     for n in (129, 257):
         g, p = box_density(n)
         mu = -4.0 * CONSTS.lam * (np.pi / 1.0) ** 2
-        res = euler_lagrange_residual(p, mu, CONSTS)[0].values
+        res = euler_lagrange_residual(p, mu, CONSTS).values
         lo, hi = n // 4, 3 * n // 4
         interior_max.append(np.max(np.abs(res[lo:hi])))
     assert 3.0 <= interior_max[0] / interior_max[1] <= 5.0

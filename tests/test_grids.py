@@ -23,7 +23,6 @@ from paulilab.grids import (
     integrate,
     laplacian,
     laplacian_matrix,
-    normalize,
     phase_derive_along,
     quadrature_weights,
     second_derive_along,
@@ -216,40 +215,6 @@ def test_integrate_linearity():
     lhs = integrate(ScalarField(g, 2.5 * f.values + 0.3 * h.values))
     rhs = 2.5 * integrate(f) + 0.3 * integrate(h)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-def test_normalize_constant():
-    g = Grid((4.0,), (32,))
-    out = normalize(ScalarField.full(g, 7.0))
-    np.testing.assert_allclose(out.values, 0.25, rtol=1e-13)
-
-
-def test_normalize_idempotent_and_scale_invariant():
-    g = Grid((1.0,), (64,))
-    x = g.axis_coordinates(0)
-    f = ScalarField(g, np.sin(np.pi * x) ** 2 + 0.1)
-    once = normalize(f)
-    np.testing.assert_allclose(normalize(once).values, once.values, rtol=1e-12)
-    np.testing.assert_allclose(normalize(ScalarField(g, 17.0 * f.values)).values, once.values, rtol=1e-12)
-    assert abs(integrate(once) - 1.0) < 1e-12
-
-
-def test_normalize_box_profile():
-    L = 2.0
-    g = Grid((L,), (513,), DIRICHLET_ZERO)
-    x = g.axis_coordinates(0)
-    out = normalize(ScalarField(g, np.sin(np.pi * x / L) ** 2))
-    np.testing.assert_allclose(out.values, (2 / L) * np.sin(np.pi * x / L) ** 2, atol=1e-10)
-
-
-def test_normalize_errors():
-    g = Grid((1.0,), (16,))
-    with pytest.raises(GridError):
-        normalize(ScalarField.full(g, 0.0))
-    vals = np.ones(g.shape)
-    vals[3] = -0.5
-    with pytest.raises(GridError):
-        normalize(ScalarField(g, vals))
 
 
 def test_small_grid_rejected_by_operators():

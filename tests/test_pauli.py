@@ -542,9 +542,8 @@ def test_observables_match_polar_decomposition():
     g = Grid((8.0,), (64,), PERIODIC)
     state = gaussian_packet_state(g, 1.0, 4.0, 0.3, (0.8, 0.4 + 0.3j), CONSTS)
     obs = observables(state)
-    polar = polar_from_spinor(state.phi, CONSTS)
+    p, th, _s, ph, _mask = polar_from_spinor(np.moveaxis(state.phi.values, -1, 0), CONSTS)
     w = g.cell_volume
-    p, th, ph = polar.p.values, polar.theta.values, polar.phi.values
     expect = np.array(
         [
             np.sum(w * p * np.sin(th) * np.cos(ph)),

@@ -1,7 +1,7 @@
 """Planted defects: every check record must be able to fail.
 
-Each row replaces one function with a broken copy, runs its criterion at
-fast settings, and names exactly the records that fail.  A record that no
+Each row replaces one function with a broken copy, runs its own criterion
+at fast settings, and names exactly the records that fail.  A record that no
 row fails, and that is not on the allow-list with its reason, fails the
 table: such a record would read as a pass whatever the code does.
 """
@@ -9,19 +9,31 @@ table: such a record would read as a pass whatever the code does.
 import numpy as np
 import pytest
 
-from paulilab import functionals, verification
+from paulilab import classical, functionals, verification
 from paulilab.grids import CENTRAL, PERIODIC
 
-# criterion 2, fast settings
+# the criteria the table covers, each run at fast settings
+CRITERIA = {
+    "equivalence": verification.check_equivalence,
+    "classical": verification.check_classical_correspondence,
+}
+
+# criterion 2
 SPECTRAL_JOINT = "equivalence.spectral_polar_vs_joint_5_sets"
 SPECTRAL_SPINOR = "equivalence.spectral_spinor_vs_polar_5_sets"
 STENCIL_JOINT = {f"equivalence.stencil_polar_vs_joint_n{n}" for n in (16, 32, 64)}
 RATIOS = {"equivalence.refinement_ratio_1", "equivalence.refinement_ratio_2"}
 EVERY_ROUTE = {SPECTRAL_JOINT, SPECTRAL_SPINOR} | STENCIL_JOINT | RATIOS
 
+# criterion 6
+MOMENT_PATHS = {"classical.spin_vs_torque_max_dev", "classical.torque_vs_canonical_angle"}
+ENERGY = "classical.energy_rel_drift"
+
 # records no planted defect in the physics can fail, with the reason
 ALLOWED = {
     "equivalence.runtime_seconds": "a wall-clock gate, not a property of the numbers",
+    "classical.moment_norm_drift": "torque_evolve renormalizes m every step, so the record "
+                                   "can fail only on a non-finite state",
 }
 
 
@@ -59,9 +71,9 @@ def _flip_moment_coupling(terms, st, consts):
     terms["moment_coupling"] = -terms["moment_coupling"]
 
 
-def _swap_colors(spinor_stack):
+def _swap_colors(spinor_from_polar):
     def planted(*args):
-        return spinor_stack(*args)[::-1]
+        return spinor_from_polar(*args)[::-1]
     return planted
 
 
@@ -74,19 +86,42 @@ def _first_order_central(derive_along):
     return planted
 
 
-# row: (function replaced in paulilab.functionals, broken copy, records that fail)
+def _negated(cross):
+    def planted(a, b):
+        return -cross(a, b)
+    return planted
+
+
+def _forward_euler(rk4):
+    # one first-order step in place of the four-stage one
+    def planted(state, t, dt, rhs):
+        return state + dt * rhs(t, state)
+    return planted
+
+
+# row: (criterion, module, function replaced in it, broken copy, records that fail)
 ROWS = {
-    "fisher_theta_part_dropped": ("_fisher_density", _without_theta, EVERY_ROUTE),
-    "kinetic_cross_term_flipped": ("_polar_terms", _edit_terms(_flip_kinetic_cross),
-                                   EVERY_ROUTE),
-    "time_cross_term_flipped": ("_polar_terms", _edit_terms(_flip_time_cross), EVERY_ROUTE),
+    "fisher_theta_part_dropped": ("equivalence", functionals, "_fisher_density", _without_theta,
+                                  EVERY_ROUTE),
+    "kinetic_cross_term_flipped": ("equivalence", functionals, "_polar_terms",
+                                   _edit_terms(_flip_kinetic_cross), EVERY_ROUTE),
+    "time_cross_term_flipped": ("equivalence", functionals, "_polar_terms",
+                                _edit_terms(_flip_time_cross), EVERY_ROUTE),
     # the moment coupling is shared by the polar and joint routes
-    "moment_coupling_sign_flipped": ("_polar_terms", _edit_terms(_flip_moment_coupling),
+    "moment_coupling_sign_flipped": ("equivalence", functionals, "_polar_terms",
+                                     _edit_terms(_flip_moment_coupling),
                                      {SPECTRAL_SPINOR} | RATIOS),
-    "spinor_colors_swapped": ("_spinor_stack", _swap_colors, {SPECTRAL_SPINOR} | RATIOS),
+    "spinor_colors_swapped": ("equivalence", functionals, "spinor_from_polar", _swap_colors,
+                              {SPECTRAL_SPINOR} | RATIOS),
     # every route takes the same first-order derivatives: only the
     # spinor route's convergence order shows them
-    "first_order_central_derivative": ("derive_along", _first_order_central, RATIOS),
+    "first_order_central_derivative": ("equivalence", functionals, "derive_along",
+                                       _first_order_central, RATIOS),
+    # the torque run precesses the wrong way; the conjugate-pair run, which
+    # takes no cross product, and the renormalized norm do not see it
+    "cross_product_sign_flipped": ("classical", classical, "_cross", _negated, MOMENT_PATHS),
+    "rk4_as_forward_euler": ("classical", classical, "_rk4", _forward_euler,
+                             MOMENT_PATHS | {ENERGY}),
 }
 
 
@@ -96,21 +131,22 @@ def _failed(records) -> set[str]:
 
 @pytest.fixture(scope="module")
 def unplanted():
-    return verification.check_equivalence(fast=True)
+    return {criterion: check(fast=True) for criterion, check in CRITERIA.items()}
 
 
 def test_unplanted_run_passes(unplanted):
-    assert _failed(unplanted) == set()
+    assert {criterion: _failed(records) for criterion, records in unplanted.items()} == {
+        criterion: set() for criterion in CRITERIA}
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_planted_defect_fails_its_records(row, monkeypatch):
-    target, broken, expected = ROWS[row]
-    monkeypatch.setattr(functionals, target, broken(getattr(functionals, target)))
-    assert _failed(verification.check_equivalence(fast=True)) == expected
+    criterion, module, target, broken, expected = ROWS[row]
+    monkeypatch.setattr(module, target, broken(getattr(module, target)))
+    assert _failed(CRITERIA[criterion](fast=True)) == expected
 
 
 def test_every_record_fails_under_some_row(unplanted):
-    caught = set().union(*(expected for _, _, expected in ROWS.values()))
-    names = {r.name for r in unplanted}
+    caught = set().union(*(expected for *_, expected in ROWS.values()))
+    names = {r.name for records in unplanted.values() for r in records}
     assert names - caught == set(ALLOWED)

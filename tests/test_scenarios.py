@@ -388,9 +388,8 @@ def test_equivalence_scenario_small(tmp_path):
 
 
 def test_equivalence_document_prepares_each_set_once(tmp_path, monkeypatch):
-    # the document runs on stacks: each set is checked, prepared and split into
-    # its polar terms once, and no set goes through the frame preparation
-    calls = {"_check_stacks": 0, "_stacks": 0, "_polar_terms": 0, "_prepare": 0}
+    # each set is checked, prepared and split into its polar terms once
+    calls = {"_check_stacks": 0, "_stacks": 0, "_polar_terms": 0}
     for name in calls:
         original = getattr(functionals, name)
 
@@ -404,7 +403,7 @@ def test_equivalence_document_prepares_each_set_once(tmp_path, monkeypatch):
         "parameters": {"cells": 12, "frames": 8, "sets": 2},
     })))
     assert report.passed
-    assert calls == {"_check_stacks": 2, "_stacks": 2, "_polar_terms": 2, "_prepare": 0}
+    assert calls == {"_check_stacks": 2, "_stacks": 2, "_polar_terms": 2}
 
 
 def _read_csv(path):

@@ -13,6 +13,8 @@ from paulilab.grids import (
     Grid,
     ScalarField,
     VectorField3,
+    curl,
+    gradient,
     interior_mask,
     laplacian_matrix,
     quadrature_weights,
@@ -185,8 +187,9 @@ def smooth_total_problem(n=24):
     for i in range(3):
         a_vals[..., i] = 0.3 * np.sin(2 * np.pi * x + i) * np.cos(2 * np.pi * y - i)
     phi_pot = ScalarField(grid, 0.4 * np.cos(2 * np.pi * (x + y)))
-    em = EMConfiguration.from_potentials(phi_pot, VectorField3(grid, a_vals))
-    em = EMConfiguration(grid, phi_pot, em.a_pot, b=em.b, e=em.e)
+    a_pot = VectorField3(grid, a_vals)
+    em = EMConfiguration(grid, phi_pot, a_pot, b=curl(a_pot),
+                         e=VectorField3(grid, -gradient(phi_pot).values))
     ones = np.ones(grid.shape)
     p = 1.0 + 0.4 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     p /= np.sum(p * grid.cell_volume)
