@@ -15,6 +15,8 @@ until the map changes with it.
 import ast
 from pathlib import Path
 
+import pytest
+
 import paulilab
 
 SOURCE = Path(paulilab.__file__).parent
@@ -75,6 +77,20 @@ def unreferenced_public_functions() -> set[str]:
     }
     used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
     return public - used
+
+
+@pytest.mark.parametrize("module,source,name,counted", [
+    ("scenarios", "from . import pauli\npauli.step(s)", "pauli.step", True),
+    ("scenarios", "from .pauli import step\nstep(s)", "pauli.step", True),
+    ("scenarios", "from .pauli import step as once\nonce(s)", "pauli.step", True),
+    ("pauli", "def advance(s):\n    return step(s)", "pauli.step", True),
+    ("scenarios", "from .pauli import step", "pauli.step", False),
+    ("variational", "step = 0.5\nx = 2 * step", "pauli.step", False),
+    ("verification", "from . import functionals\nrep.q_spinor", "functionals.q_spinor", False),
+], ids=["module-attribute", "imported-name", "imported-alias", "own-module",
+        "import-alone", "local-variable", "other-object-attribute"])
+def test_a_use_counts_only_where_it_resolves_to_the_defining_module(module, source, name, counted):
+    assert (name in _uses(module, ast.parse(source))) is counted
 
 
 def test_test_only_functions_match_the_pinned_map():
