@@ -5,12 +5,16 @@ The moment integrators use the angular-rate gyromagnetic convention
 (phi, z = cos theta) and refuses the chart's poles, while the vector torque
 integrator is pole-free.  Particle motion follows the force law built from
 the potentials, with grid fields sampled by a multilinear stencil, not scipy.interpolate.
+
+The integrators step lists of Python floats, each operation in the order of
+numpy's array formulas, so with their bits.  numpy stays where plain floats
+would change them: np.linalg.norm (a BLAS dot) renormalizes the torque run,
+np.mod wraps periodic positions, and np.arctan2 gives the azimuth.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,18 +92,22 @@ class ParticleTrajectory:
     velocities: np.ndarray  # (n, 3)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vectors by np.cross's formula, so with its bits."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _cross(a, b) -> list:
+    """a x b of two float 3-sequences by np.cross's formula, so with its bits."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _rk4(state: np.ndarray, t: float, dt: float, rhs) -> np.ndarray:
+def _rk4(state: list, t: float, dt: float, rhs) -> list:
+    """One fourth-order step of a list of floats, each element's operations
+    in the order numpy's array formulas take them, so with their bits."""
+    h = 0.5 * dt
     k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + h, [s + h * k for s, k in zip(state, k1)])
+    k3 = rhs(t + h, [s + h * k for s, k in zip(state, k2)])
+    k4 = rhs(t + dt, [s + dt * k for s, k in zip(state, k3)])
+    w = dt / 6.0
+    return [s + w * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,47 +133,46 @@ def torque_evolve(
         raise ClassicalError("dt must be positive")
     steps = int(round(t_final / dt))
     times = dt * np.arange(steps + 1)
-    out = np.empty((steps + 1, 3))
-    out[0] = initial.m
     bvec = np.asarray(b, dtype=np.float64).reshape(3)
+    m = initial.m.tolist()
+    moments = [m]
 
     if exact_rotation:
         bnorm = float(np.linalg.norm(bvec))
         if bnorm == 0.0:
-            out[1:] = initial.m
-            return MomentTrajectory(times, out)
-        axis = bvec / bnorm
+            return MomentTrajectory(times, np.tile(initial.m, (steps + 1, 1)))
+        axis = (bvec / bnorm).tolist()
         angle = -gamma * bnorm * dt  # dm/dt = gamma m x B == (-gamma B) x m
-        cos_a, sin_a = np.cos(angle), np.sin(angle)
-        m = out[0].copy()
-        for i in range(1, steps + 1):
-            m = (
-                cos_a * m
-                + sin_a * _cross(axis, m)
-                + (1.0 - cos_a) * axis * np.dot(axis, m)
-            )
-            out[i] = m
-        return MomentTrajectory(times, out)
+        cos_a, sin_a = float(np.cos(angle)), float(np.sin(angle))
+        for _ in range(steps):
+            d = float(np.dot(axis, m))
+            m = [cos_a * mk + sin_a * ck + (1.0 - cos_a) * ak * d
+                 for mk, ck, ak in zip(m, _cross(axis, m), axis)]
+            moments.append(m)
+        return MomentTrajectory(times, np.array(moments))
+
+    bl = bvec.tolist()
 
     def rhs(t, m):
-        return gamma * _cross(m, bvec)
+        return [gamma * c for c in _cross(m, bl)]
 
-    m = out[0].copy()
     for i in range(1, steps + 1):
         m = _rk4(m, times[i - 1], dt, rhs)
-        m /= np.linalg.norm(m)
-        out[i] = m
-    return MomentTrajectory(times, out)
+        norm = float(np.linalg.norm(m))
+        m = [c / norm for c in m]
+        moments.append(m)
+    return MomentTrajectory(times, np.array(moments))
 
 
-def moment_hamiltonian(phi: float, z: float, b, gamma: float) -> float:
-    """Spherical-chart energy rate: -gamma [z Bz + sqrt(1-z^2)(Bx cos phi + By sin phi)]."""
-    if abs(z) > 1.0:
+def moment_hamiltonian(phi, z, b, gamma: float):
+    """Spherical-chart energy rate: -gamma [z Bz + sqrt(1-z^2)(Bx cos phi + By sin phi)],
+    a float for scalar (phi, z) and an array for arrays of them."""
+    phi, z = np.asarray(phi, dtype=np.float64), np.asarray(z, dtype=np.float64)
+    if np.any(np.abs(z) > 1.0):
         raise ClassicalError("|z| must not exceed 1")
     bx, by, bz = np.asarray(b, dtype=np.float64).reshape(3)
-    return float(
-        -gamma * (z * bz + np.sqrt(1.0 - z * z) * (bx * np.cos(phi) + by * np.sin(phi)))
-    )
+    h = -gamma * (z * bz + np.sqrt(1.0 - z * z) * (bx * np.cos(phi) + by * np.sin(phi)))
+    return float(h) if h.ndim == 0 else h
 
 
 POLE_BAND = 1e-6
@@ -185,28 +192,29 @@ def canonical_evolve(
         raise ClassicalError(f"initial z={z0} inside the pole band")
     steps = int(round(t_final / dt))
     times = dt * np.arange(steps + 1)
-    phi = np.empty(steps + 1)
-    z = np.empty(steps + 1)
-    phi[0], z[0] = phi0, z0
-    bx, by, bz = np.asarray(b, dtype=np.float64).reshape(3)
+    bx, by, bz = np.asarray(b, dtype=np.float64).reshape(3).tolist()
 
     def rhs(t, state):
         ph, zz = state
         zz = min(max(zz, -1.0), 1.0)
-        s = np.sqrt(max(1.0 - zz * zz, 0.0))
-        in_plane = bx * np.cos(ph) + by * np.sin(ph)
+        s = math.sqrt(max(1.0 - zz * zz, 0.0))
+        # numpy's nan for an infinite angle, where math raises: a diverged run fails its checks
+        cos_p, sin_p = (math.nan, math.nan) if math.isinf(ph) else (math.cos(ph), math.sin(ph))
+        in_plane = bx * cos_p + by * sin_p
         dphi = gamma * (-bz + (zz / s) * in_plane) if s > 0 else 0.0
-        dz = gamma * s * (-bx * np.sin(ph) + by * np.cos(ph))
-        return np.array([dphi, dz])
+        dz = gamma * s * (-bx * sin_p + by * cos_p)
+        return [dphi, dz]
 
-    state = np.array([phi0, z0])
+    state = [float(phi0), float(z0)]
+    states = [state]
     for i in range(1, steps + 1):
         state = _rk4(state, times[i - 1], dt, rhs)
         if abs(state[1]) > 1.0 - POLE_BAND:
             raise ClassicalError(
                 f"trajectory reached the pole band at t={times[i]:.6g} (z={state[1]:.6g})"
             )
-        phi[i], z[i] = state
+        states.append(state)
+    phi, z = np.array(states).T.copy()
     return CanonicalTrajectory(times, phi, z)
 
 
@@ -220,10 +228,7 @@ def moment_action(
     if phi.shape != z.shape or phi.ndim != 1 or phi.size < 3:
         raise ClassicalError("need aligned 1-d phi and z samples (at least 3)")
     dphi_dt = np.gradient(phi, dt, edge_order=2)
-    h_vals = np.array(
-        [moment_hamiltonian(p, max(min(c, 1.0), -1.0), b, gamma) for p, c in zip(phi, z)]
-    )
-    integrand = -z * dphi_dt + h_vals
+    integrand = -z * dphi_dt + moment_hamiltonian(phi, np.clip(z, -1.0, 1.0), b, gamma)
     return float(0.5 * dt * np.sum(integrand[1:] + integrand[:-1]))
 
 
@@ -233,9 +238,10 @@ def moment_action(
 
 
 class _FieldSampler:
-    """Multilinear stencil over the stacked (E, B, grad u) block.  Cell
-    bracketing, corner order, weight products and the +0.0 start of the sum
-    follow scipy's linear RegularGridInterpolator, so it gives the same bits."""
+    """Multilinear stencil over the stacked (E, B, grad u) block, kept as a
+    list of cell rows with a flat stride per axis.  Cell bracketing, corner
+    order, weight products and the +0.0 start of the sum follow scipy's
+    linear RegularGridInterpolator, so it gives the same bits."""
 
     def __init__(self, em: EMConfiguration, scheme: str = CENTRAL):
         g = em.grid
@@ -250,23 +256,24 @@ class _FieldSampler:
             for ax in range(g.dim):
                 self._axes[ax].append(g.extents[ax])
                 block = np.concatenate([block, np.take(block, [0], axis=ax)], axis=ax)
-        self._block = block
+        self._rows = block.reshape(-1, 9).tolist()
+        self._strides = [math.prod(block.shape[ax + 1:-1]) for ax in range(g.dim)]
 
-    def sample(self, x: np.ndarray):
-        p = np.asarray(x[: self.grid.dim], dtype=np.float64)
+    def sample(self, x):
+        p = x[: self.grid.dim]
         if self.grid.boundary == PERIODIC:
-            p = np.mod(p, np.asarray(self.grid.extents))
-        corners = []
-        for c, xs in zip(p.tolist(), self._axes):
+            p = np.mod(p, np.asarray(self.grid.extents)).tolist()
+        corners = [(0, 1.0)]  # (row, weight) in product order, weights multiplied axis by axis
+        for c, xs, stride in zip(p, self._axes, self._strides):
             if not xs[0] <= c <= xs[-1]:
-                raise ClassicalError(f"particle left the grid at x={x}")
+                raise ClassicalError(f"particle left the grid at x={np.asarray(x)}")
             i = min(bisect.bisect_right(xs, c) - 1, len(xs) - 2)  # upper face: last cell
             y = (c - xs[i]) / (xs[i + 1] - xs[i])
-            corners.append(((i, 1 - y), (i + 1, y)))
-        vals = 0.0
-        for corner in itertools.product(*corners):
-            index, weights = zip(*corner)
-            vals = vals + self._block[index] * math.prod(weights)
+            corners = [(k + j * stride, w * wj) for k, w in corners
+                       for j, wj in ((i, 1 - y), (i + 1, y))]
+        vals = [0.0] * 9
+        for k, w in corners:
+            vals = [v + r * w for v, r in zip(vals, self._rows[k])]
         return vals[0:3], vals[3:6], vals[6:9]
 
 
@@ -282,23 +289,24 @@ def lorentz_evolve(
     """Integrate m x'' = -grad u + q E + q x' cross B with grid-sampled fields."""
     if dt <= 0:
         raise ClassicalError("dt must be positive")
+    if mass == 0:
+        raise ClassicalError("mass must be nonzero")
     sampler = _FieldSampler(em, scheme)
     steps = int(round(t_final / dt))
     times = dt * np.arange(steps + 1)
-    xs = np.empty((steps + 1, 3))
-    vs = np.empty((steps + 1, 3))
-    xs[0], vs[0] = initial.x, initial.v
 
     def rhs(t, state):
-        x, v = state[:3], state[3:]
-        e, b, gu = sampler.sample(x)
-        acc = (-gu + charge * e + charge * _cross(v, b)) / mass
-        return np.concatenate([v, acc])
+        v = state[3:]
+        e, b, gu = sampler.sample(state[:3])
+        return v + [(-g + charge * ek + charge * ck) / mass
+                    for g, ek, ck in zip(gu, e, _cross(v, b))]
 
-    state = np.concatenate([initial.x, initial.v])
+    state = initial.x.tolist() + initial.v.tolist()
+    states = [state]
     for i in range(1, steps + 1):
         state = _rk4(state, times[i - 1], dt, rhs)
-        xs[i], vs[i] = state[:3], state[3:]
+        states.append(state)
+    xs, vs = np.array(states).reshape(-1, 2, 3).transpose(1, 0, 2).copy()
     return ParticleTrajectory(times, xs, vs)
 
 

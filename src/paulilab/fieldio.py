@@ -71,11 +71,23 @@ def _fmt(value) -> str:
     return repr(f)
 
 
+def _fmt_column(cells: tuple) -> list[str]:
+    """``_fmt`` of each cell; an all-float column is converted in one call."""
+    if not set(map(type, cells)) <= {float, np.float64}:
+        return [_fmt(v) for v in cells]
+    floats = np.array(cells, dtype=np.float64).tolist()
+    return [str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f) for f in floats]
+
+
 def write_table_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Rows of cells under a header line, each column formatted as ``_fmt``
+    formats its cells; a row whose width is not the header's raises."""
+    rows = list(rows)
+    if any(len(row) != len(header) for row in rows):
+        raise FormatError(f"every row needs {len(header)} cells, one per header name")
+    columns = [_fmt_column(cells) for cells in zip(*rows)]
+    lines = list(map(",".join, zip(*columns)))
+    atomic_write_text(path, "\n".join([",".join(header)] + lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def _observable_weights(grid: Grid):
 def _observe(psi: np.ndarray, weights, position, spin, masses):
     """Observables of a raw (..., 2) wavefunction array, written into the
     rows ``position`` (3,), ``spin`` (3,) and ``masses`` (2,); returns the
-    norm and the two color densities.
+    norm, the two color densities and their sum.
 
     Each sum is ``np.add.reduce`` of the product that ``np.sum(w * ...)``
     would reduce, factors multiplied left to right, so the values carry the
@@ -293,7 +293,7 @@ def _observe(psi: np.ndarray, weights, position, spin, masses):
     spin[2] = float(add(w * (rho1 - rho2), axis=None)) / norm
     masses[0] = float(add(w * rho1, axis=None))
     masses[1] = float(add(w * rho2, axis=None))
-    return norm, rho1, rho2
+    return norm, rho1, rho2, dens
 
 
 def observables(state: PauliState, with_densities: bool = False):
@@ -301,8 +301,8 @@ def observables(state: PauliState, with_densities: bool = False):
     optionally the two color densities as fields)."""
     grid = state.phi.grid
     position, spin, masses = np.zeros(3), np.empty(3), np.empty(2)
-    norm, rho1, rho2 = _observe(state.phi.values, _observable_weights(grid), position, spin,
-                                masses)
+    norm, rho1, rho2, _ = _observe(state.phi.values, _observable_weights(grid), position,
+                                   spin, masses)
     obs = Observables(norm, position, spin, masses)
     if with_densities:
         return obs, (ScalarField(grid, rho1), ScalarField(grid, rho2))
@@ -325,7 +325,7 @@ def evolve(
     t_final: float,
     record_every: int = 1,
     keep_snapshots: bool = False,
-    on_record: Callable[[np.ndarray, float, np.ndarray, np.ndarray], None] | None = None,
+    on_record: Callable[..., None] | None = None,
 ) -> PauliTrajectory:
     """Repeated stepping with periodic recording of the observables.
 
@@ -335,10 +335,10 @@ def evolve(
     only; with ``record_every=1``, and for Crank-Nicolson at any
     ``record_every``, every step runs as ``step`` runs it.
 
-    ``on_record(psi, t, rho1, rho2)``, when given, sees the raw wavefunction
-    array and its two color densities at each recorded step, after the
-    observables are taken and before the norm is checked; it may raise to
-    abort the run.
+    ``on_record(psi, t, rho1, rho2, dens, masses)``, when given, sees the
+    raw wavefunction array, its two color densities, their sum and the
+    recorded color masses (2,) at each recorded step, after the observables
+    are taken and before the norm is checked; it may raise to abort the run.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
@@ -358,9 +358,9 @@ def evolve(
 
     def record():
         nonlocal row
-        norm, rho1, rho2 = _observe(psi, weights, positions[row], spins[row], masses[row])
+        norm, rho1, rho2, dens = _observe(psi, weights, positions[row], spins[row], masses[row])
         if on_record is not None:
-            on_record(psi, t, rho1, rho2)
+            on_record(psi, t, rho1, rho2, dens, masses[row])
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise SolverError(f"state norm {norm} left 1 +- 1e-10 at t={t:.6g}")
         times[row], norms[row] = t, norm
@@ -456,8 +456,7 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     edge = max(3, config.cells // 64)
     centers, separations, overlaps = [], [], []
 
-    def record(psi, t, *rho):
-        dens = rho[0] + rho[1]
+    def record(psi, t, rho1, rho2, dens, color_masses):
         boundary_mass = float(np.sum(w[:edge] * dens[:edge])
                               + np.sum(w[-edge:] * dens[-edge:]))
         if boundary_mass > _BOUNDARY_MASS_TOL:
@@ -465,7 +464,7 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
                 f"packet reached the grid boundary at t={t:.6g} "
                 f"(edge mass {boundary_mass:.3e} > {_BOUNDARY_MASS_TOL:.1e})"
             )
-        masses = [float(np.sum(w * r)) for r in rho]
+        rho, masses = (rho1, rho2), color_masses.tolist()
         occupied = [m > 1e-12 for m in masses]
         cs = [float(np.sum(wz * r)) / m if o else np.nan
               for r, m, o in zip(rho, masses, occupied)]

@@ -437,8 +437,7 @@ def moment_checks(b, gamma: float, t_final: float, dt: float, moment=None, angle
         dots = np.clip(np.sum(m_c * torque.moments, axis=-1), -1.0, 1.0)
         records.append(check_leq(angle, float(np.max(np.arccos(dots))), 1e-6))
     if canonical is not None and energy:
-        energies = np.array([classical.moment_hamiltonian(phi, z, b, gamma)
-                             for phi, z in zip(canonical.phi, canonical.z)])
+        energies = classical.moment_hamiltonian(canonical.phi, canonical.z, b, gamma)
         drift = float(np.max(np.abs(energies - energies[0]))) / max(abs(energies[0]), 1e-30)
         records.append(check_leq(energy, drift, 1e-8))
     return torque, canonical, energies, records

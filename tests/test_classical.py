@@ -334,8 +334,41 @@ _FINITE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_in
 @example(a=[-0.0, 1.0, -0.0], b=[1.0, -0.0, 0.0])
 @example(a=[5e-324, -1e150, 2.5e-308], b=[1e150, 5e-324, -1e-300])
 def test_cross_matches_numpy_bitwise(a, b):
-    a, b = np.array(a), np.array(b)
-    np.testing.assert_array_equal(_bits(classical._cross(a, b)), _bits(np.cross(a, b)))
+    np.testing.assert_array_equal(_bits(classical._cross(a, b)),
+                                  _bits(np.cross(np.array(a), np.array(b))))
+
+
+def rk4_on_arrays(state, t, dt, rhs):
+    """The array RK4 step the float kernel replaces: the bit oracle for
+    ``classical._rk4``."""
+    k1 = rhs(t, state)
+    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
+    k4 = rhs(t + dt, state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_MODERATE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.sampled_from([2, 3, 6]).flatmap(
+           lambda n: st.lists(_MODERATE, min_size=n, max_size=n)),
+       coeffs=st.lists(_MODERATE, min_size=3, max_size=3),
+       dt=st.floats(min_value=1e-6, max_value=10.0), t=_MODERATE)
+def test_rk4_on_floats_matches_the_array_step_bitwise(state, coeffs, dt, t):
+    size = len(state)
+
+    def rhs(t, s):
+        # nonlinear, coupled and time-dependent, with a cross product for 3-vectors
+        head = classical._cross(s, coeffs) if size == 3 else []
+        rest = [coeffs[0] * s[i - 1] - coeffs[1] * s[i] * s[i] + coeffs[2] * t
+                for i in range(len(head), size)]
+        return head + rest
+
+    got = classical._rk4(state, t, dt, rhs)
+    want = rk4_on_arrays(np.array(state), t, dt, lambda t, s: np.array(rhs(t, s.tolist())))
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,57 @@ def test_table_csv_deterministic(tmp_path):
     assert text.splitlines()[1] == "0,0.1,3"
 
 
+def cell_loop_table_csv(header, rows) -> bytes:
+    """The table as the one-cell-at-a-time writer produced it: the byte
+    oracle for ``fieldio.write_table_csv``."""
+    lines = [",".join(header)] + [",".join(fieldio._fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e15, -1e15, 1e15 - 1.0, 1e15 + 2.0,
+                999999999999999.9, -999999999999999.0, 2.0**53, 1e300, 5e-324, 0.1, -3.0]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                    st.integers(-2**60, 2**60).map(float))
+_INTS = st.integers(-2**62, 2**62)
+_CELLS = {
+    "float": _FLOATS,
+    "float64": _FLOATS.map(np.float64),
+    "mixed_floats": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "int": st.one_of(_INTS, _INTS.map(np.int64)),
+    "text": st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",)),
+                    max_size=6),
+    "any": st.one_of(_FLOATS, _FLOATS.map(np.float64), _INTS, st.booleans(),
+                     st.sampled_from(["", "x", "nan"])),
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and its rows, each column drawn from one kind of cell."""
+    n_rows = draw(st.integers(0, 10))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    columns = [draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return kinds, list(zip(*columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_table_csv_matches_cell_loop_writer(tmp_path_factory, table):
+    header, rows = table
+    path = str(tmp_path_factory.mktemp("table") / "table.csv")
+    fieldio.write_table_csv(path, header, iter(rows))
+    with open(path, "rb") as handle:
+        assert handle.read() == cell_loop_table_csv(header, rows)
+
+
+@pytest.mark.parametrize("rows", [[(1, 2.0), (3,)], [(1, 2.0, 4)], [(0.5, 1.0), (0.5, 1.0, 2.0)]])
+def test_table_csv_rejects_rows_of_another_width(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    with pytest.raises(fieldio.FormatError, match="every row needs 2 cells"):
+        fieldio.write_table_csv(str(path), ["a", "b"], rows)
+    assert not path.exists()
+
+
 def test_atomic_write_no_residue(tmp_path):
     target = tmp_path / "file.txt"
     fieldio.atomic_write_text(str(target), "payload")

@@ -618,7 +618,7 @@ def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
     seen = []
 
-    def on_record(psi, t, rho1, rho2):
+    def on_record(psi, t, *observed):
         seen.append(t)
         if len(seen) == 4:
             if spoil == "scale":
@@ -631,7 +631,7 @@ def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
         evolve(uniform_state(g), config, 0.1, on_record=on_record)
     assert len(seen) == 5
 
-    def drift(psi, t, rho1, rho2):
+    def drift(psi, t, *observed):
         psi *= 1.0 + 1e-12  # 11 records: norm 1 + 2e-11, inside the tolerance
 
     assert len(evolve(uniform_state(g), config, 0.1, on_record=drift).times) == 11
