@@ -31,7 +31,7 @@ from paulilab.grids import (
     quadrature_weights,
     second_derive_along,
 )
-from paulilab import pauli
+from paulilab import pauli, verification
 from paulilab.pauli import (
     CRANK_NICOLSON,
     SPLIT_OPERATOR,
@@ -351,16 +351,20 @@ def oracle_states(state, config, steps):
     return out
 
 
-def random_run(grid, seed, neutral, scheme, dt):
+def random_run(grid, seed, neutral, scheme, dt, axial=False):
     """A normalized random state and a random static phi and B on ``grid``;
-    on a dirichlet_zero grid the state vanishes on the boundary cells."""
+    on a dirichlet_zero grid the state vanishes on the boundary cells.  An
+    ``axial`` B has B_x = B_y = 0 exactly, which leaves the colors
+    uncoupled."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
     vals[~interior_mask(grid)] = 0.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), grid))
+    b_vals = rng.standard_normal(grid.shape + (3,))
+    if axial:
+        b_vals[..., :2] = 0.0
     em = EMConfiguration(grid, ScalarField(grid, 3.0 * rng.random(grid.shape)),
-                         VectorField3.zero(grid),
-                         b=VectorField3(grid, rng.standard_normal(grid.shape + (3,))))
+                         VectorField3.zero(grid), b=VectorField3(grid, b_vals))
     config = SolverConfig(scheme, dt, CONSTS, em, neutral=neutral,
                           gamma_energy=0.7 if neutral else None)
     return PauliState(SpinorField(grid, vals)), config
@@ -369,16 +373,73 @@ def random_run(grid, seed, neutral, scheme, dt):
 _PERIODIC_GRIDS = [((3.0,), (16,)), ((2.0, 1.5), (6, 5)), ((1.0, 1.2, 0.8), (4, 3, 5))]
 
 
-@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
-@pytest.mark.parametrize("extents,cells", _PERIODIC_GRIDS)
-def test_evolve_recording_every_step_is_the_stepwise_oracle_bitwise(scheme, extents, cells):
-    g = Grid(extents, cells, PERIODIC)
-    state, config = random_run(g, len(cells), False, scheme, 1e-2)
-    traj = evolve(state, config, 0.3, record_every=1, keep_snapshots=True)
-    oracle = oracle_states(state, config, 30)
-    assert len(traj.snapshots) == 31
+def assert_steps_are_the_oracle_bitwise(state, config, steps):
+    traj = evolve(state, config, steps * config.dt, record_every=1, keep_snapshots=True)
+    oracle = oracle_states(state, config, steps)
+    assert len(traj.snapshots) == steps + 1
     for snap, want in zip(traj.snapshots, oracle):
         assert snap.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axial", [False, True])
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+@pytest.mark.parametrize("extents,cells", _PERIODIC_GRIDS)
+def test_evolve_recording_every_step_is_the_stepwise_oracle_bitwise(scheme, extents, cells,
+                                                                    axial):
+    # an axial field takes the split operator's per-color multiplies, and
+    # the oracle the full 2x2 product
+    g = Grid(extents, cells, PERIODIC)
+    state, config = random_run(g, len(cells), False, scheme, 1e-2, axial)
+    if scheme == SPLIT_OPERATOR:
+        assert pauli._make_propagator(config, g)._diagonal == axial
+    assert_steps_are_the_oracle_bitwise(state, config, 30)
+
+
+def gradient_field_run(weights, transverse=0.0):
+    """A packet in B_z = 0.5 + 0.02 x on 64 periodic cells, with B_y =
+    ``transverse`` in one cell."""
+    g = Grid((20.0,), (64,), PERIODIC)
+    b_vals = np.zeros(g.shape + (3,))
+    b_vals[..., 2] = 0.5 + 0.02 * g.axis_coordinates(0)
+    b_vals[40, 1] = transverse
+    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
+                         b=VectorField3(g, b_vals))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, em, neutral=True, gamma_energy=1.0)
+    return gaussian_packet_state(g, 1.5, 10.0, 0.3, weights, CONSTS), config
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)])
+def test_split_operator_with_one_color_empty_is_the_oracle_bitwise(weights):
+    # the empty color stays exactly zero, and the kinetic FFTs carry the sign
+    # of its zeros into the output bytes: the per-color step must give the
+    # 2x2 product's signed zeros
+    state, config = gradient_field_run(weights)
+    assert pauli._make_propagator(config, state.phi.grid)._diagonal
+    assert_steps_are_the_oracle_bitwise(state, config, 30)
+
+
+def test_split_operator_with_transverse_field_in_one_cell_takes_the_2x2_product():
+    state, config = gradient_field_run((0.8, 0.6j), transverse=0.3)
+    assert not pauli._make_propagator(config, state.phi.grid)._diagonal
+    assert_steps_are_the_oracle_bitwise(state, config, 30)
+
+
+def test_every_split_operator_document_runs_uncoupled_colors(monkeypatch):
+    # the per-color step is a speed-up only while the field-built runs take it
+    built = []
+    make = pauli._make_propagator
+
+    def recording(config, grid):
+        built.append(make(config, grid))
+        return built[-1]
+
+    monkeypatch.setattr(pauli, "_make_propagator", recording)
+    verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10)
+    stern_gerlach(sg_config(cells=256, dt=0.1, t_final=1.0, record_every=10))
+    verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10)
+    verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10)
+    assert len(built) == 4
+    assert all(prop._diagonal for prop in built)
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
@@ -428,10 +489,11 @@ def grids(draw, boundaries=(PERIODIC,)):
 
 @settings(max_examples=40, deadline=None)
 @given(grid=grids(), seed=st.integers(0, 2**32 - 1), neutral=st.booleans(),
-       dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 200), record_every=st.integers(1, 50))
+       dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 200), record_every=st.integers(1, 50),
+       axial=st.booleans())
 def test_fused_split_operator_stays_at_round_off_from_the_stepwise_oracle(
-        grid, seed, neutral, dt, steps, record_every):
-    state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt)
+        grid, seed, neutral, dt, steps, record_every, axial):
+    state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt, axial)
     traj = evolve(state, config, steps * dt, record_every=record_every, keep_snapshots=True)
     oracle = oracle_states(state, config, steps)
     recorded = list(range(0, steps, record_every)) + [steps]
@@ -654,6 +716,13 @@ def measured_frequency(times, values):
             crossings.append(t0 - v0 * (t1 - t0) / (v1 - v0))
     spacing = np.diff(crossings)
     return np.pi / np.mean(spacing)
+
+
+@pytest.mark.parametrize("values", [np.linspace(1.0, 2.0, 11), np.linspace(1.0, -1.0, 11)])
+def test_zero_crossing_frequency_is_nan_without_two_crossings(values):
+    # a monotone <sigma_x> crosses zero never or once: NaN, and no warning
+    times = np.linspace(0.0, 1.0, 11)
+    assert np.isnan(verification._zero_crossing_frequency(times, values))
 
 
 def test_larmor_frequency_neutral():

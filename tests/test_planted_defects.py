@@ -34,16 +34,14 @@ PRECESSION = "pauli.precession_rel_error"
 MOMENT_PATHS = {"classical.spin_vs_torque_max_dev", "classical.torque_vs_canonical_angle"}
 ENERGY = "classical.energy_rel_drift"
 
-NORM_GUARD = ("evolve raises SolverError at every record whose norm leaves 1 +- 1e-10, the "
-              "record's own bound, so a run that would fail the record raises instead")
+SPLIT_NORM = "pauli.norm_drift_split_operator_1000_steps"
+CAYLEY_NORM = "pauli.norm_drift_crank_nicolson_1000_steps"
 
 # records no planted defect in the physics can fail, with the reason
 ALLOWED = {
     "equivalence.runtime_seconds": "a wall-clock gate, not a property of the numbers",
     "classical.moment_norm_drift": "torque_evolve renormalizes m every step, so the record "
                                    "can fail only on a non-finite state",
-    "pauli.norm_drift_split_operator_1000_steps": NORM_GUARD,
-    "pauli.norm_drift_crank_nicolson_1000_steps": NORM_GUARD,
 }
 
 
@@ -104,6 +102,36 @@ def _half_kinetic_for_full(init):
     return planted
 
 
+def _second_color_takes_u11(init):
+    # the per-color step of an axial field multiplies both colors by u11
+    def planted(self, config, grid):
+        init(self, config, grid)
+        if self._diagonal:
+            u11, u12, u21, _ = self._cell
+            self._cell = u11, u12, u21, u11
+    return planted
+
+
+def _cell_factor_scaled(init):
+    # a cell factor 1e-7 off unitary
+    def planted(self, config, grid):
+        init(self, config, grid)
+        self._cell = tuple((1.0 + 1e-7) * u for u in self._cell)
+    return planted
+
+
+def _backward_euler(advance):
+    # (I + zH) psi' = psi, the solve alone: first order and not unitary
+    def planted(self, psi, n):
+        flat = np.concatenate([psi[..., 0][self._free], psi[..., 1][self._free]])
+        for _ in range(n):
+            flat = self._lu.solve(flat)
+        out = np.zeros_like(psi)
+        out[self._free] = flat.reshape(2, -1).T
+        return out
+    return planted
+
+
 def _doubled(spin_coupling):
     def planted(self):
         return 2.0 * spin_coupling(self)
@@ -149,6 +177,15 @@ ROWS = {
     # a packet with no field, and the unitary norm, do not see the coupling
     "spin_coupling_doubled": ("pauli", pauli.SolverConfig, "spin_coupling", _doubled,
                               {PRECESSION}),
+    # both colors of the Larmor run turn alike: <sigma_x> never crosses zero
+    "diagonal_step_second_color_takes_u11": ("pauli", pauli._SplitOperatorPropagator,
+                                             "__init__", _second_color_takes_u11,
+                                             {PRECESSION}),
+    # evolve aborts every split-operator run on its norm, and the abort fails its record
+    "cell_factor_off_unitary": ("pauli", pauli._SplitOperatorPropagator, "__init__",
+                                _cell_factor_scaled, {SPLIT_NORM, PRECESSION, SPREADING}),
+    "crank_nicolson_as_backward_euler": ("pauli", pauli._CrankNicolsonPropagator, "advance",
+                                         _backward_euler, {CAYLEY_NORM}),
     # the torque run precesses the wrong way; the conjugate-pair run, which
     # takes no cross product, and the renormalized norm do not see it
     "cross_product_sign_flipped": ("classical", classical, "_cross", _negated, MOMENT_PATHS),
