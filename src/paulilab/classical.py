@@ -76,6 +76,7 @@ class ChargedParticleState:
 class MomentTrajectory:
     times: np.ndarray
     moments: np.ndarray  # (n, 3)
+    norm_errors: np.ndarray  # (n,) |m| - 1 of each moment before it was renormalized
 
 
 @dataclass(frozen=True)
@@ -121,37 +122,21 @@ def torque_evolve(
     gamma: float,
     t_final: float,
     dt: float,
-    exact_rotation: bool = False,
 ) -> MomentTrajectory:
     """Integrate dm/dt = gamma * m x B in the static field ``b``.
 
-    Fourth-order stepping with per-step renormalization of |m|;
-    ``exact_rotation`` switches to the closed-form rotation about the field
-    axis.
+    Fourth-order stepping with per-step renormalization of |m|; the
+    trajectory keeps the norm error each renormalization removed, so a
+    stepper that does not conserve |m| shows in it.
     """
     if dt <= 0:
         raise ClassicalError("dt must be positive")
     steps = int(round(t_final / dt))
     times = dt * np.arange(steps + 1)
-    bvec = np.asarray(b, dtype=np.float64).reshape(3)
+    bl = np.asarray(b, dtype=np.float64).reshape(3).tolist()
     m = initial.m.tolist()
     moments = [m]
-
-    if exact_rotation:
-        bnorm = float(np.linalg.norm(bvec))
-        if bnorm == 0.0:
-            return MomentTrajectory(times, np.tile(initial.m, (steps + 1, 1)))
-        axis = (bvec / bnorm).tolist()
-        angle = -gamma * bnorm * dt  # dm/dt = gamma m x B == (-gamma B) x m
-        cos_a, sin_a = float(np.cos(angle)), float(np.sin(angle))
-        for _ in range(steps):
-            d = float(np.dot(axis, m))
-            m = [cos_a * mk + sin_a * ck + (1.0 - cos_a) * ak * d
-                 for mk, ck, ak in zip(m, _cross(axis, m), axis)]
-            moments.append(m)
-        return MomentTrajectory(times, np.array(moments))
-
-    bl = bvec.tolist()
+    norm_errors = [float(np.linalg.norm(m)) - 1.0]
 
     def rhs(t, m):
         return [gamma * c for c in _cross(m, bl)]
@@ -161,7 +146,8 @@ def torque_evolve(
         norm = float(np.linalg.norm(m))
         m = [c / norm for c in m]
         moments.append(m)
-    return MomentTrajectory(times, np.array(moments))
+        norm_errors.append(norm - 1.0)
+    return MomentTrajectory(times, np.array(moments), np.array(norm_errors))
 
 
 def moment_hamiltonian(phi, z, b, gamma: float):
@@ -238,25 +224,22 @@ def moment_action(
 
 
 class _FieldSampler:
-    """Multilinear stencil over the stacked (E, B, grad u) block, kept as a
-    list of cell rows with a flat stride per axis.  Cell bracketing, corner
+    """Multilinear stencil over the stacked (E, B) block, E = -grad phi, kept
+    as a list of cell rows with a flat stride per axis.  Cell bracketing, corner
     order, weight products and the +0.0 start of the sum follow scipy's
     linear RegularGridInterpolator, so it gives the same bits."""
 
-    def __init__(self, em: EMConfiguration, scheme: str = CENTRAL):
+    def __init__(self, em: EMConfiguration):
         g = em.grid
         self.grid = g
-        e_vals = em.e.values if em.e is not None else -gradient(em.phi_pot, scheme).values
-        b_vals = em.b_values(scheme)
-        grad_u = gradient(em.u, scheme).values if em.u is not None else np.zeros(g.shape + (3,))
-        block = np.concatenate([e_vals, b_vals, grad_u], axis=-1)
+        block = np.concatenate([-gradient(em.phi_pot).values, em.b_values()], axis=-1)
         self._axes = [g.axis_coordinates(ax).tolist() for ax in range(g.dim)]
         if g.boundary == PERIODIC:
             # append the wrap point so the stencil covers [0, L]
             for ax in range(g.dim):
                 self._axes[ax].append(g.extents[ax])
                 block = np.concatenate([block, np.take(block, [0], axis=ax)], axis=ax)
-        self._rows = block.reshape(-1, 9).tolist()
+        self._rows = block.reshape(-1, 6).tolist()
         self._strides = [math.prod(block.shape[ax + 1:-1]) for ax in range(g.dim)]
 
     def sample(self, x):
@@ -271,10 +254,10 @@ class _FieldSampler:
             y = (c - xs[i]) / (xs[i + 1] - xs[i])
             corners = [(k + j * stride, w * wj) for k, w in corners
                        for j, wj in ((i, 1 - y), (i + 1, y))]
-        vals = [0.0] * 9
+        vals = [0.0] * 6
         for k, w in corners:
             vals = [v + r * w for v, r in zip(vals, self._rows[k])]
-        return vals[0:3], vals[3:6], vals[6:9]
+        return vals[0:3], vals[3:6]
 
 
 def lorentz_evolve(
@@ -284,22 +267,20 @@ def lorentz_evolve(
     mass: float,
     t_final: float,
     dt: float,
-    scheme: str = CENTRAL,
 ) -> ParticleTrajectory:
-    """Integrate m x'' = -grad u + q E + q x' cross B with grid-sampled fields."""
+    """Integrate m x'' = q E + q x' cross B with grid-sampled fields."""
     if dt <= 0:
         raise ClassicalError("dt must be positive")
     if mass == 0:
         raise ClassicalError("mass must be nonzero")
-    sampler = _FieldSampler(em, scheme)
+    sampler = _FieldSampler(em)
     steps = int(round(t_final / dt))
     times = dt * np.arange(steps + 1)
 
     def rhs(t, state):
         v = state[3:]
-        e, b, gu = sampler.sample(state[:3])
-        return v + [(-g + charge * ek + charge * ck) / mass
-                    for g, ek, ck in zip(gu, e, _cross(v, b))]
+        e, b = sampler.sample(state[:3])
+        return v + [(charge * ek + charge * ck) / mass for ek, ck in zip(e, _cross(v, b))]
 
     state = initial.x.tolist() + initial.v.tolist()
     states = [state]

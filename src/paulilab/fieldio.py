@@ -27,6 +27,25 @@ class FormatError(ValueError):
     """Raised for malformed files."""
 
 
+def _header(text, keys: tuple[str, ...]) -> dict:
+    """The JSON object ``text`` of a file header, which must hold ``keys``."""
+    try:
+        header = json.loads(text)
+    except ValueError as err:  # bad JSON, or bytes that are not UTF-8
+        raise FormatError(f"malformed JSON header: {err}") from None
+    missing = [key for key in keys if not isinstance(header, dict) or key not in header]
+    if missing:
+        raise FormatError(f"the header lacks {', '.join(map(repr, missing))}")
+    return header
+
+
+def _read(handle, size: int, what: str) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise FormatError(f"truncated {what}: {len(data)} of {size} bytes")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------
@@ -132,7 +151,8 @@ def write_dataset_csv(path: str, dataset: DetectionDataset) -> None:
 def read_dataset_csv(path: str) -> DetectionDataset:
     """Inverse of ``write_dataset_csv``.
 
-    Raises ``FormatError`` for a malformed header or row: a row must have
+    Raises ``FormatError`` for a malformed header or row: the header must be
+    a JSON object with every key the writer writes, and a row must have
     six cells, integral indices inside the grid (0 on axes the grid does not
     have), k = 1 or -1, a finite nonnegative count, and a cell no other row
     names.
@@ -141,9 +161,9 @@ def read_dataset_csv(path: str) -> DetectionDataset:
         first = handle.readline()
         if not first.startswith("# "):
             raise FormatError("missing JSON header line")
-        header = json.loads(first[2:])
-        if header.get("format") != "paulilab-dataset-1":
-            raise FormatError(f"unknown dataset format {header.get('format')!r}")
+        header = _header(first[2:], ("format", "repetitions", "seed", "grid", "slices"))
+        if header["format"] != "paulilab-dataset-1":
+            raise FormatError(f"unknown dataset format {header['format']!r}")
         column_line = handle.readline().strip()
         if column_line != _DATASET_COLUMNS:
             raise FormatError(f"unexpected column header {column_line!r}")
@@ -221,22 +241,25 @@ def write_field_snapshots(
 
 
 def read_field_snapshots(path: str):
+    """Inverse of ``write_field_snapshots``: (grid, dt, fields, metadata).
+    Raises ``FormatError`` unless the file is one whole snapshot file."""
     with open(path, "rb") as handle:
         magic = handle.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise FormatError("not a snapshot file")
-        (length,) = struct.unpack("<Q", handle.read(8))
-        header = json.loads(handle.read(length).decode("utf-8"))
+        (length,) = struct.unpack("<Q", _read(handle, 8, "header length"))
+        header = _header(_read(handle, length, "header"),
+                         ("format", "grid", "dt", "snapshots", "fields", "metadata"))
         grid = Grid.from_descriptor(header["grid"])
         fields = {}
         for entry in header["fields"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
             n_bytes = dtype.itemsize * int(np.prod(shape))
-            raw = handle.read(n_bytes)
-            if len(raw) != n_bytes:
-                raise FormatError(f"truncated body for field {entry['name']!r}")
+            raw = _read(handle, n_bytes, f"body of field {entry['name']!r}")
             fields[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if handle.read(1):
+            raise FormatError("bytes after the last field")
     return grid, header["dt"], fields, header["metadata"]
 
 

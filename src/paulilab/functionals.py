@@ -10,8 +10,8 @@ the derivation:
 - the spinor route: the quadratic form on the complex two-component
   wavefunction, whose stationary points solve the wave equation.
 
-The equivalence verifier evaluates all three on one configuration once the
-physical identification of the coefficients is switched on.  The joint
+The equivalence verifier evaluates all three on one configuration under
+the physical identification of the coefficients.  The joint
 route reuses the polar route's derivatives, so it agrees to round-off; the
 spinor route takes its own and agrees to the discretization error.
 
@@ -61,9 +61,9 @@ class PhysicalConstants:
     ``gamma`` is the angular-rate gyromagnetic coefficient (rad/(s*T)); the
     moment coupling in the knowledge functional is -a*gamma*(m.B), which is an
     energy.  ``lam`` weights the Fisher information, ``a`` converts the
-    relative phase into half the action difference of the two colors.  With
-    ``identification`` active the values satisfy a = hbar/2, gamma = q/m,
-    lam = hbar^2/(8m); the equivalence verifier refuses to run otherwise.
+    relative phase into half the action difference of the two colors.  The
+    equivalence verifier refuses values off the identification a = hbar/2,
+    gamma = q/m, lam = hbar^2/(8m), which ``pauli_constants`` applies.
     """
 
     hbar: float
@@ -72,7 +72,6 @@ class PhysicalConstants:
     gamma: float
     lam: float
     a: float
-    identification: bool = False
 
     def gamma_energy(self) -> float:
         """Moment-field coupling in J/T (the a*gamma product)."""
@@ -88,7 +87,6 @@ def pauli_constants(hbar: float = 1.0, mass: float = 1.0, charge: float = 1.0) -
         gamma=charge / mass,
         lam=hbar**2 / (8.0 * mass),
         a=hbar / 2.0,
-        identification=True,
     )
 
 
@@ -113,23 +111,18 @@ class EMConfiguration:
 
     ``b`` defaults to the curl of ``a_pot``; supplying ``b`` directly is the
     standard idealization for uniform or prescribed fields whose vector
-    potential is not represented.  ``u`` is a non-electromagnetic scalar
-    potential entering the color-symmetric part of the knowledge functional.
+    potential is not represented.  E is always -grad ``phi_pot``: the
+    potentials are static.
     """
 
     grid: Grid
     phi_pot: ScalarField
     a_pot: VectorField3
     b: VectorField3 | None = None
-    e: VectorField3 | None = None
-    u: ScalarField | None = None
 
     def __post_init__(self) -> None:
-        fields = [self.phi_pot, self.a_pot] + [
-            f for f in (self.b, self.e, self.u) if f is not None
-        ]
-        for f in fields:
-            if f.grid != self.grid:
+        for f in (self.phi_pot, self.a_pot, self.b):
+            if f is not None and f.grid != self.grid:
                 raise FunctionalError("electromagnetic fields must share one grid")
 
     @staticmethod
@@ -144,11 +137,6 @@ class EMConfiguration:
         if np.all(self.a_pot.values == 0.0):
             return np.zeros(self.grid.shape + (3,))
         return curl(self.a_pot, scheme=scheme).values
-
-    def u_values(self) -> np.ndarray:
-        if self.u is None:
-            return np.zeros(self.grid.shape)
-        return self.u.values
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +205,7 @@ def _fisher_density(
     return dens
 
 
-def fisher_continuum(p: ScalarField, theta: ScalarField | None = None,
-                     scheme: str = CENTRAL) -> float:
+def fisher_continuum(p: ScalarField, theta: ScalarField | None = None) -> float:
     """Position sensitivity of the click statistics at one instant, polar form.
 
     Integrates |grad P|^2 / P + |grad theta|^2 P over space.  Cells below the
@@ -231,8 +218,8 @@ def fisher_continuum(p: ScalarField, theta: ScalarField | None = None,
     mass = integrate(p)
     if abs(mass - 1.0) > 1e-6:
         raise FunctionalError(f"density must integrate to 1, got {mass}")
-    grad_theta = () if theta is None else _grad_stack(theta.values[None], grid, scheme, angle=True)
-    dens = _fisher_density(p_stack, _grad_stack(p_stack, grid, scheme), grad_theta)
+    grad_theta = () if theta is None else _grad_stack(theta.values[None], grid, CENTRAL, angle=True)
+    dens = _fisher_density(p_stack, _grad_stack(p_stack, grid, CENTRAL), grad_theta)
     return float(_integrate_stack(dens, grid, np.ones(1)))
 
 
@@ -290,7 +277,7 @@ def _em_stacks(em: EMConfiguration, grid: Grid, count: int, scheme: str) -> dict
         "phi_pot": em.phi_pot.values,
         "a_pot": np.moveaxis(em.a_pot.values, -1, 0),
         "b": np.moveaxis(em.b_values(scheme), -1, 0),
-        "u": em.u_values(),
+        "u": np.zeros(grid.shape),  # ``em`` has no non-electromagnetic potential
     }
     axis = -1 - grid.dim  # the frame axis, after any vector components
     return {name: np.repeat(np.expand_dims(v, axis), count, axis) for name, v in frame.items()}
@@ -501,8 +488,6 @@ class EquivalenceReport:
 
 
 def _check_identification(consts: PhysicalConstants) -> None:
-    if not consts.identification:
-        raise FunctionalError("equivalence check requires the identification preset")
     expect = (
         ("a", consts.a, consts.hbar / 2.0),
         ("gamma", consts.gamma, consts.charge / consts.mass),

@@ -22,7 +22,6 @@ BOUNDARIES = (PERIODIC, DIRICHLET_ZERO)
 
 CENTRAL = "central"
 SPECTRAL = "spectral"
-SCHEMES = (CENTRAL, SPECTRAL)
 
 # Cells whose density falls below this are excluded from 1/P sums everywhere.
 POSITIVITY_FLOOR = 1e-12
@@ -59,7 +58,8 @@ class Grid:
             raise GridError(f"unknown boundary {self.boundary!r}")
         min_cells = 2 if self.boundary == DIRICHLET_ZERO else 1
         if any(n < min_cells for n in self.cells):
-            raise GridError("all cell counts must be strictly positive")
+            raise GridError(f"every {self.boundary} axis needs at least {min_cells} cells, "
+                            f"got {self.cells}")
 
     @property
     def dim(self) -> int:
@@ -229,14 +229,11 @@ def derive_along(
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
-def derive_along_adjoint(
-    values: np.ndarray, h: float, axis: int, boundary: str, scheme: str = CENTRAL
-) -> np.ndarray:
-    """Adjoint of :func:`derive_along` in the plain (unweighted) dot product."""
-    if scheme == SPECTRAL or boundary == PERIODIC:
-        # Both the wrapped central stencil and the spectral operator are
-        # antisymmetric as real matrices.
-        return -derive_along(values, h, axis, boundary, scheme)
+def derive_along_adjoint(values: np.ndarray, h: float, axis: int, boundary: str) -> np.ndarray:
+    """Adjoint of the central :func:`derive_along` in the plain (unweighted) dot product."""
+    if boundary == PERIODIC:
+        # the wrapped central stencil is antisymmetric as a real matrix
+        return -derive_along(values, h, axis, boundary)
     n = values.shape[axis]
     mat = _dirichlet_first_derivative_matrix(n, h).T.tocsr()
     return _apply_matrix_along(mat, values, axis)

@@ -28,8 +28,6 @@ from .grids import (
     second_derive_along,
 )
 
-COLOR_VALUES = (1, -1)  # color axis index 0 <-> k=+1, index 1 <-> k=-1
-
 # Tables are truncated to exact zeros well below the positivity floor, so the
 # expansion identities (sums of lattice differences over the support) hold to
 # round-off rather than to floor-sized residuals.
@@ -110,17 +108,15 @@ def gaussian_table(
     grid: Grid,
     sigma: float,
     slices: int = 1,
-    center: tuple[float, ...] | None = None,
     color_angle: float = 0.0,
 ) -> IProbTable:
-    """Isotropic Gaussian click table of width ``sigma``, cos^2/sin^2 color split.
+    """Isotropic Gaussian click table of width ``sigma``, centred, cos^2/sin^2 color split.
 
     Entries below the positivity floor are truncated to exactly zero and the
     slice is renormalized, which gives the table compact support away from the
     window edge.
     """
-    if center is None:
-        center = tuple(e / 2 for e in grid.extents)
+    center = tuple(e / 2 for e in grid.extents)
     return gaussian_mixture_table(grid, [(1.0, center, sigma)], slices, color_angle)
 
 
@@ -211,7 +207,6 @@ def shift_table_values(
     values: np.ndarray,
     grid: Grid,
     shift: np.ndarray,
-    axis_offset: int = 0,
 ) -> np.ndarray:
     """Evaluate a lattice array at displacement (d - shift).
 
@@ -233,17 +228,16 @@ def shift_table_values(
         elif frac < -0.5:
             n_int -= 1
             frac += 1.0
-        arr_axis = ax + axis_offset
-        out = _roll_fill(out, n_int, arr_axis, periodic)
+        out = _roll_fill(out, n_int, ax, periodic)
         if frac == 0.0:
             continue
         wm = frac * (frac + 1.0) / 2.0
         w0 = 1.0 - frac * frac
         wp = frac * (frac - 1.0) / 2.0
         out = (
-            wm * _roll_fill(out, 1, arr_axis, periodic)
+            wm * _roll_fill(out, 1, ax, periodic)
             + w0 * out
-            + wp * _roll_fill(out, -1, arr_axis, periodic)
+            + wp * _roll_fill(out, -1, ax, periodic)
         )
     return out
 

@@ -310,17 +310,12 @@ def _observe(psi: np.ndarray, weights, position, spin, masses):
     return norm, rho1, rho2, dens
 
 
-def observables(state: PauliState, with_densities: bool = False):
-    """Norm, mean position, spin expectation, per-color masses (and
-    optionally the two color densities as fields)."""
+def observables(state: PauliState) -> Observables:
+    """Norm, mean position, spin expectation and per-color masses."""
     grid = state.phi.grid
     position, spin, masses = np.zeros(3), np.empty(3), np.empty(2)
-    norm, rho1, rho2, _ = _observe(state.phi.values, _observable_weights(grid), position,
-                                   spin, masses)
-    obs = Observables(norm, position, spin, masses)
-    if with_densities:
-        return obs, (ScalarField(grid, rho1), ScalarField(grid, rho2))
-    return obs
+    norm, *_ = _observe(state.phi.values, _observable_weights(grid), position, spin, masses)
+    return Observables(norm, position, spin, masses)
 
 
 @dataclass(frozen=True)

@@ -57,13 +57,11 @@ class MinimizationProblem:
     """Specification of one Fisher minimization over the density on ``grid``,
     normalized, nonnegative and zero on a dirichlet boundary.
 
-    When an ``initial`` density is supplied the solver starts there (single
-    run); otherwise it draws ``multistarts`` random starts from ``seed`` and
-    returns the best result.
+    The solver draws ``multistarts`` random starts from ``seed`` and returns
+    the best result.
     """
 
     grid: Grid
-    initial: dict | None = None
     grad_tol: float = 1e-8
     max_iterations: int = 20000
     multistarts: int = 8
@@ -153,26 +151,24 @@ class TotalObjective:
     with the grid derivative stencils.
     """
 
-    def __init__(self, grid: Grid, em: EMConfiguration, consts: PhysicalConstants,
-                 scheme: str = CENTRAL):
+    def __init__(self, grid: Grid, em: EMConfiguration, consts: PhysicalConstants):
         self.grid = grid
         # stack the potentials, B = curl(A) among them, once rather than on
         # every evaluation
-        self.em = _em_stacks(em, grid, 1, scheme)
+        self.em = _em_stacks(em, grid, 1, CENTRAL)
         self.consts = consts
-        self.scheme = scheme
         self.w = quadrature_weights(grid)
 
     def _adjoint(self, arr, ax):
         # arrays carry the one-frame axis of the stacks in front
         g = self.grid
-        return derive_along_adjoint(arr, g.spacing[ax], 1 + ax, g.boundary, self.scheme)
+        return derive_along_adjoint(arr, g.spacing[ax], 1 + ax, g.boundary)
 
     def _frame(self, f: dict):
         # iterates and finite-difference probes are not normalized, so the
         # one-frame stack skips the density checks
         frame = {name: f[name][None] for name in POLAR_FIELDS}
-        return _stacks(self.grid, {**frame, **self.em}, 0.0, False, self.scheme)
+        return _stacks(self.grid, {**frame, **self.em}, 0.0, False, CENTRAL)
 
     def value(self, f: dict) -> float:
         return _total_value(self._frame(f), self.consts)
@@ -362,22 +358,15 @@ def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[Minimiz
     """The lowest ``mode_count`` stationary modes of the density-only Fisher
     objective, solved together as one block from each start; the start with
     the lowest sum of values wins.  Each random start draws ``mode_count``
-    columns in turn from its generator; an ``initial`` density starts the
-    one mode.  The first mode is ``minimize``'s result."""
+    columns in turn from its generator.  The first mode is ``minimize``'s
+    result."""
     if mode_count < 1:
         raise VariationalError("mode_count must be positive")
     grid = problem.grid
     op = _fisher_operator(grid)
-    if problem.initial is not None:
-        if mode_count > 1:
-            raise VariationalError("an initial density starts a single mode")
-        psi = np.sqrt(np.maximum(np.asarray(problem.initial["p"], dtype=float), 0.0))
-        starts = [psi.ravel()[op.free, None]]
-    else:
-        rngs = (np.random.default_rng(problem.seed + start)
-                for start in range(problem.multistarts))
-        starts = (np.stack([rng.random(grid.size)[op.free] + 0.1 for _ in range(mode_count)],
-                           axis=1) for rng in rngs)
+    rngs = (np.random.default_rng(problem.seed + start) for start in range(problem.multistarts))
+    starts = (np.stack([rng.random(grid.size)[op.free] + 0.1 for _ in range(mode_count)],
+                       axis=1) for rng in rngs)
     scans = (_block_lobpcg(grid, op, x0, problem.grad_tol, problem.max_iterations, index)
              for index, x0 in enumerate(starts))
     return min(scans, key=lambda modes: sum(r.objective_value for r in modes))

@@ -51,10 +51,8 @@ def check_leq(name: str, value: float, bound: float, note: str = "") -> CheckRec
     return CheckRecord(name, float(value), f"<= {bound:g}", bool(value <= bound), note)
 
 
-def check_in(name: str, value: float, lo: float, hi: float, note: str = "") -> CheckRecord:
-    return CheckRecord(
-        name, float(value), f"in [{lo:g} .. {hi:g}]", bool(lo <= value <= hi), note
-    )
+def check_in(name: str, value: float, lo: float, hi: float) -> CheckRecord:
+    return CheckRecord(name, float(value), f"in [{lo:g} .. {hi:g}]", bool(lo <= value <= hi))
 
 
 def check_true(name: str, ok: bool, note: str = "") -> CheckRecord:
@@ -333,8 +331,7 @@ def norm_drift(name: str, traj: pauli.PauliTrajectory) -> CheckRecord:
 
 
 def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: int,
-                      periods: float, record_every: int, scheme: str = pauli.SPLIT_OPERATOR,
-                      name: str = "pauli.precession_rel_error"):
+                      periods: float, record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
     """A neutral spin-x state on 8 periodic cells of a uniform axial field
     precesses at omega = 2 gamma_energy bz / hbar; the zero crossings of
     <sigma_x> give omega within 1e-3.  Returns (trajectory, records)."""
@@ -349,12 +346,12 @@ def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: 
                         periods * period, record_every=record_every)
     measured = _zero_crossing_frequency(traj.times, traj.spins[:, 0])
     note = "" if np.isfinite(measured) else "<sigma_x> crossed zero fewer than twice"
-    return traj, [check_leq(name, abs(measured - omega) / omega, 1e-3, note)]
+    return traj, [check_leq("pauli.precession_rel_error", abs(measured - omega) / omega, 1e-3,
+                            note)]
 
 
 def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: float, steps: int,
-                          consts, record_every: int, scheme: str = pauli.SPLIT_OPERATOR,
-                          name: str = "pauli.spreading_rel_error"):
+                          consts, record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
     """A free packet of width ``sigma`` centred on a periodic line spreads to
     the variance sigma^2 + (hbar t / (2 m sigma))^2 at ``t_final``, within
     5e-3.  Returns (trajectory with snapshots, records)."""
@@ -367,7 +364,7 @@ def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: floa
     mean = float(np.sum(x * dens) * grid.cell_volume)
     width_sq = float(np.sum((x - mean) ** 2 * dens) * grid.cell_volume)
     expect = sigma**2 + (consts.hbar * t_final / (2 * consts.mass * sigma)) ** 2
-    return traj, [check_leq(name, abs(width_sq - expect) / expect, 5e-3)]
+    return traj, [check_leq("pauli.spreading_rel_error", abs(width_sq - expect) / expect, 5e-3)]
 
 
 def uniform_field_drift(extent: float, cells: int, sigma: float, start: float, e0: float,
@@ -436,11 +433,12 @@ def moment_checks(b, gamma: float, t_final: float, dt: float, moment=None, angle
     from the ``moment`` state and the conjugate-pair run from ``angles`` =
     (phi0, z0), either left out when None.
 
-    Records, for the runs made: the torque run keeps unit norm within 1e-9
-    (``norm``), the two runs agree in angle within 1e-6 (``angle``), and the
-    conjugate-pair run keeps its energy within 1e-8 relative (``energy``);
-    a None name leaves its record out.  Returns (torque run, conjugate-pair
-    run, its energies, records), None for what was not computed.
+    Records, for the runs made: no torque step moves |m| off 1 by more than
+    1e-9 before it is renormalized (``norm``), the two runs agree in angle
+    within 1e-6 (``angle``), and the conjugate-pair run keeps its energy
+    within 1e-8 relative (``energy``); a None name leaves its record out.
+    Returns (torque run, conjugate-pair run, its energies, records), None
+    for what was not computed.
     """
     b = np.asarray(b, dtype=float)
     torque = canonical = energies = None
@@ -450,8 +448,7 @@ def moment_checks(b, gamma: float, t_final: float, dt: float, moment=None, angle
     if angles is not None:
         canonical = classical.canonical_evolve(*angles, b, gamma, t_final, dt)
     if torque is not None and norm:
-        drift = float(np.max(np.abs(np.linalg.norm(torque.moments, axis=1) - 1)))
-        records.append(check_leq(norm, drift, 1e-9))
+        records.append(check_leq(norm, float(np.max(np.abs(torque.norm_errors))), 1e-9))
     if torque is not None and canonical is not None and angle:
         sin_theta = np.sqrt(1 - canonical.z**2)
         m_c = np.stack([sin_theta * np.cos(canonical.phi), sin_theta * np.sin(canonical.phi),
@@ -499,7 +496,6 @@ def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
 
 def stern_gerlach_law(config: pauli.SternGerlachConfig,
                       separation: str = "stern_gerlach.separation_rel_error",
-                      deflection: str = "stern_gerlach.deflection_rel_error",
                       zero: str = "stern_gerlach.zero_gradient_separation",
                       overlap: str | None = None):
     """A neutral packet in the axial field b0 + b z, where each color is
@@ -509,7 +505,7 @@ def stern_gerlach_law(config: pauli.SternGerlachConfig,
     t_final and within 1%, two occupied colors separate by gamma b t^2 / m
     (``separation``), and a lone occupied color moves from
     center + velocity t by +-gamma b t^2 / (2 m), + for spin up
-    (``deflection``).  With ``overlap``, the color overlap never grows.  A
+    (stern_gerlach.deflection_rel_error).  With ``overlap``, the color overlap never grows.  A
     packet that reaches the grid edge raises ``pauli.SolverError``.
     Returns (result, records).
     """
@@ -527,7 +523,8 @@ def stern_gerlach_law(config: pauli.SternGerlachConfig,
             drifted = config.center + config.velocity * result.times[-1]
             moved = result.centers[-1, color] - drifted
             expect = (0.5 if color == 0 else -0.5) * law[-1]
-            records = [check_leq(deflection, abs(moved - expect) / abs(expect), 0.01)]
+            records = [check_leq("stern_gerlach.deflection_rel_error",
+                                 abs(moved - expect) / abs(expect), 0.01)]
     if overlap:
         records.append(check_true(overlap, bool(np.all(np.diff(result.overlap) <= 1e-12))))
     return result, records

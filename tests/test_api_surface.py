@@ -1,18 +1,23 @@
-"""Public functions of ``src/paulilab`` that no ``src/`` module references.
+"""The API surface of ``src/paulilab`` that only tests use.
 
-Each such function is called only from tests (or from the benchmark), so it
-needs a reason to stay public.  The pinned map gives each one its rule
-(ROADMAP item I):
+Public functions that no ``src/`` module references are called only from
+tests (or from the benchmark), so each needs a reason to stay public.  The
+pinned map gives each one its rule (ROADMAP item I):
 
 - a: a step of the paper's derivation that is to become a check record
 - b: the inverse or frame-object partner of something ``src/`` writes or maps
 - c: a test oracle, to move into ``tests/`` or be deleted
 
-A new test-only function, or one that leaves the list, fails this test
-until the map changes with it.
+Options, the defaulted parameters and dataclass fields, that no ``src/``
+call passes are set only by tests, and each doubles the configurations the
+tests must cover; the few allowed to stay are pinned with their reason.
+
+A new test-only function or option, or one that leaves its list, fails
+these tests until the list changes with it.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -67,8 +72,12 @@ def _uses(module: str, tree: ast.Module) -> set[str]:
     return used
 
 
+def _source_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+
+
 def unreferenced_public_functions() -> set[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    trees = _source_trees()
     public = {
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -96,3 +105,123 @@ def test_a_use_counts_only_where_it_resolves_to_the_defining_module(module, sour
 def test_test_only_functions_match_the_pinned_map():
     assert unreferenced_public_functions() == set(PINNED)
     assert set(PINNED.values()) <= {"a", "b", "c"}
+
+
+# options no src/ call passes, allowed to stay; the options of the rule (a)
+# and (c) functions in PINNED are exempt, since nothing in src/ calls those
+PINNED_OPTIONS = {
+    "cli.main.argv": "the test seam: tests run the command line on an argument list",
+    "functionals.fisher_continuum.theta": "the angle part of the polar Fisher information, "
+                                          "which the Fisher-only quadratic form is held to",
+}
+
+
+def _options(trees: dict[str, ast.Module]):
+    """The defaulted options, as {"module.qualname.option": (qualname, option)},
+    and each callable's parameters by the name a call uses for it, as
+    {name: [(qualname, parameters, implicit leading arguments)]}.
+
+    A function or method is called by its own name, a class by the class
+    name, which reaches its ``__init__`` or, for a dataclass, its fields.
+    """
+    options, callables = {}, {}
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, prefix, in_class)
+                continue
+            qual = f"{prefix}.{child.name}"
+            if isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    fields = [f for f in child.body
+                              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                    callables.setdefault(child.name, []).append(
+                        (qual, [f.target.id for f in fields], 0))
+                    options.update({f"{qual}.{f.target.id}": (qual, f.target.id)
+                                    for f in fields if f.value is not None})
+                visit(child, qual, True)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(ast.unparse(d) == "staticmethod" for d in child.decorator_list)
+                name = prefix.rsplit(".", 1)[1] if child.name == "__init__" else child.name
+                callables.setdefault(name, []).append(
+                    (qual, positional + [a.arg for a in args.kwonlyargs],
+                     int(in_class and not static)))
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                options.update({f"{qual}.{p}": (qual, p) for p in defaulted})
+                visit(child, qual, False)
+
+    for module, tree in trees.items():
+        visit(tree, module, False)
+    return options, callables
+
+
+def _passed(trees: dict[str, ast.Module], callables) -> tuple[set, set]:
+    """The (qualname, parameter) pairs some call passes, and the keywords
+    passed through a variable: a call of a local name, such as ``fn(fast=fast)``
+    over a table of functions, passes its keywords to every function.
+
+    A call ``name(...)`` or ``anything.name(...)`` counts for every callable
+    of that name; a starred argument passes every parameter.
+    """
+    pairs, anywhere = set(), set()
+    for tree in trees.values():
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+            elif isinstance(func, ast.Name):
+                name = imported.get(func.id, func.id)
+                if name not in callables:
+                    if func.id not in imported and not hasattr(builtins, func.id):
+                        anywhere.update(k.arg for k in call.keywords if k.arg)
+                    continue
+            else:
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(k.arg is None for k in call.keywords))
+            for qual, params, implicit in callables.get(name, ()):
+                given = params if starred else (
+                    params[implicit:implicit + len(call.args)] + [k.arg for k in call.keywords])
+                pairs.update((qual, p) for p in given)
+    return pairs, anywhere
+
+
+def unpassed_options(trees: dict[str, ast.Module]) -> set[str]:
+    options, callables = _options(trees)
+    pairs, anywhere = _passed(trees, callables)
+    return {key for key, (qual, option) in options.items()
+            if (qual, option) not in pairs and option not in anywhere}
+
+
+@pytest.mark.parametrize("source,unpassed", [
+    ("def f(x, y=1):\n    pass\nf(0)", {"m.f.y"}),
+    ("def f(x, y=1):\n    pass\nf(0, 2)", set()),
+    ("def f(x, y=1):\n    pass\nf(0, y=2)", set()),
+    ("def f(x, *, y=1):\n    pass\nf(0, y=2)", set()),
+    ("def f(x, y=1):\n    pass\nf(*args)", set()),
+    ("def f(x, y=1):\n    pass\nfor fn in (f,):\n    fn(0, y=2)", set()),
+    ("def f(x, y=1):\n    pass\nprint(0, y=2)", {"m.f.y"}),
+    ("class C:\n    def go(self, y=1):\n        pass\nc.go(2)", set()),
+    ("class C:\n    def __init__(self, y=1):\n        pass\nC()", {"m.C.__init__.y"}),
+    ("class C:\n    def __init__(self, y=1):\n        pass\nC(2)", set()),
+    ("@dataclass\nclass D:\n    x: int\n    y: int = 0\nD(1)", {"m.D.y"}),
+    ("@dataclass\nclass D:\n    x: int\n    y: int = 0\nD(1, 2)", set()),
+    ("@dataclass\nclass D:\n    x: int\n    y: int = 0\nD(x=1, **more)", set()),
+], ids=["unpassed", "positional", "keyword", "keyword-only", "starred", "through-a-variable",
+        "builtin-keywords", "method", "constructor-unpassed", "constructor", "field-unpassed",
+        "field-positional", "field-double-starred"])
+def test_an_option_counts_as_passed_only_where_a_call_passes_it(source, unpassed):
+    assert unpassed_options({"m": ast.parse(source)}) == unpassed
+
+
+def test_only_pinned_options_go_unpassed():
+    exempt = {name for name, rule in PINNED.items() if rule in ("a", "c")}
+    unpassed = {key for key in unpassed_options(_source_trees())
+                if not any(key.startswith(name + ".") for name in exempt)}
+    assert unpassed == set(PINNED_OPTIONS)

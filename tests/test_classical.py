@@ -26,8 +26,9 @@ CONSTS = natural_constants()
 
 
 def angle_between(a, b):
-    dots = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
-    return np.arccos(dots)
+    # atan2 of |a x b| and a.b: arccos of the dot product turns its round-off
+    # near 1 into angles of order 1e-8
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +61,20 @@ def test_torque_precession_oracle():
     assert np.max(np.abs(traj.moments - exact)) < 1e-6
 
 
+def exact_rotation(m0, b, gamma, times):
+    """The closed-form rotation of m0 about the field axis: dm/dt = gamma m x B
+    turns m by -gamma |B| t about B / |B| (Rodrigues' formula)."""
+    axis = b / np.linalg.norm(b)
+    angles = -gamma * np.linalg.norm(b) * times[:, None]
+    return (np.cos(angles) * m0 + np.sin(angles) * np.cross(axis, m0)
+            + (1.0 - np.cos(angles)) * axis * np.dot(axis, m0))
+
+
 def test_torque_exact_rotation_matches_rk4():
     b = np.array([0.3, -0.4, 0.8])
     rk = torque_evolve(MomentState((1, 0, 0)), b, 2.0, 3.0, 1e-3)
-    ex = torque_evolve(MomentState((1, 0, 0)), b, 2.0, 3.0, 1e-3, exact_rotation=True)
-    assert np.max(angle_between(rk.moments, ex.moments)) < 1e-8
+    ex = exact_rotation(np.array([1.0, 0.0, 0.0]), b, 2.0, rk.times)
+    assert np.max(angle_between(rk.moments, ex)) < 1e-8
 
 
 def test_moment_norm_conserved():
@@ -72,6 +82,21 @@ def test_moment_norm_conserved():
     traj = torque_evolve(MomentState((0, 1, 0)), b, 3.0, 10.0, 1e-3)
     norms = np.linalg.norm(traj.moments, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
+    assert np.max(np.abs(traj.norm_errors)) < 1e-9
+
+
+def test_torque_keeps_the_norm_error_each_step_removes(monkeypatch):
+    # a forward-Euler step moves |m| to sqrt(1 + (dt gamma |m x B|)^2)
+    def forward_euler(state, t, dt, rhs):
+        return [s + dt * k for s, k in zip(state, rhs(t, state))]
+
+    monkeypatch.setattr(classical, "_rk4", forward_euler)
+    b, gamma, dt = np.array([0.0, 0.0, 2.0]), 1.5, 1e-2
+    traj = torque_evolve(MomentState((1, 0, 0)), b, gamma, 5 * dt, dt)
+    np.testing.assert_allclose(np.linalg.norm(traj.moments, axis=1), 1.0, atol=1e-15)
+    assert traj.norm_errors[0] == 0.0
+    np.testing.assert_allclose(traj.norm_errors[1:], np.sqrt(1 + (dt * gamma * 2.0) ** 2) - 1,
+                               rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +215,7 @@ def test_action_time_reversal_with_field_flip():
 # ---------------------------------------------------------------------------
 
 
-def box_em(extent=8.0, cells=9, phi_fn=None, b_uniform=None, u_fn=None):
+def box_em(extent=8.0, cells=9, phi_fn=None, b_uniform=None):
     g = Grid((extent,) * 3, (cells,) * 3, DIRICHLET_ZERO)
     x, y, z = g.meshgrid()
     ones = np.ones(g.shape)
@@ -200,8 +225,7 @@ def box_em(extent=8.0, cells=9, phi_fn=None, b_uniform=None, u_fn=None):
         vals = np.zeros(g.shape + (3,))
         vals[:] = np.asarray(b_uniform)
         b = VectorField3(g, vals)
-    u = ScalarField(g, u_fn(x, y, z) * ones) if u_fn else None
-    return g, EMConfiguration(g, phi, VectorField3.zero(g), b=b, u=u)
+    return g, EMConfiguration(g, phi, VectorField3.zero(g), b=b)
 
 
 def test_lorentz_free_particle():
@@ -254,14 +278,6 @@ def test_lorentz_exit_grid_raises():
         lorentz_evolve(state, em, 0.0, 1.0, 10.0, 1e-2)
 
 
-def test_gradient_force_from_u():
-    g, em = box_em(extent=10.0, cells=11, u_fn=lambda x, y, z: 0.7 * x)
-    state = ChargedParticleState((5.0, 5.0, 5.0), (0.0, 0.0, 0.0))
-    traj = lorentz_evolve(state, em, charge=0.0, mass=2.0, t_final=1.0, dt=1e-3)
-    exact_x = 5.0 - 0.5 * (0.7 / 2.0) * traj.times**2
-    np.testing.assert_allclose(traj.positions[:, 0], exact_x, atol=1e-10)
-
-
 def _bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
@@ -269,8 +285,7 @@ def _bits(values):
 def _rgi_oracle(em):
     """The linear RegularGridInterpolator the field sampler replaces."""
     g = em.grid
-    grad_u = gradient(em.u).values if em.u is not None else np.zeros(g.shape + (3,))
-    block = np.concatenate([em.e.values, em.b_values(), grad_u], axis=-1)
+    block = np.concatenate([-gradient(em.phi_pot).values, em.b_values()], axis=-1)
     axes = [g.axis_coordinates(ax) for ax in range(g.dim)]
     if g.boundary == PERIODIC:
         for ax in range(g.dim):
@@ -281,16 +296,15 @@ def _rgi_oracle(em):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
-       boundary=st.sampled_from([DIRICHLET_ZERO, PERIODIC]), with_u=st.booleans())
-def test_field_sampler_matches_regular_grid_interpolator_bitwise(seed, dim, boundary, with_u):
+       boundary=st.sampled_from([DIRICHLET_ZERO, PERIODIC]))
+def test_field_sampler_matches_regular_grid_interpolator_bitwise(seed, dim, boundary):
     rng = np.random.default_rng(seed)
-    # grad u needs three cells per axis; without u two-cell axes are drawn too
-    cells = rng.integers(3 if with_u else 2, 7, dim)
+    # E = -grad phi needs three cells per axis
+    cells = rng.integers(3, 7, dim)
     g = Grid(tuple(0.5 + 4 * rng.random(dim)), tuple(cells), boundary)
     rand = lambda *shape: rng.standard_normal(g.shape + shape) * 10.0 ** rng.integers(-3, 4)
-    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
-                         b=VectorField3(g, rand(3)), e=VectorField3(g, rand(3)),
-                         u=ScalarField(g, rand()) if with_u else None)
+    em = EMConfiguration(g, ScalarField(g, rand()), VectorField3.zero(g),
+                         b=VectorField3(g, rand(3)))
     sampler = classical._FieldSampler(em)
     oracle = _rgi_oracle(em)
     tops = np.array([g.axis_coordinates(ax)[-1] for ax in range(dim)])

@@ -494,8 +494,7 @@ def test_equivalence_with_near_identified_constants_uses_them():
     # check, and the polar and joint routes both take these constants
     g = Grid((1.0, 1.0), (16, 16), PERIODIC)
     fields, dt = random_smooth_configuration(g, frames=4, consts=CONSTS, seed=2)
-    near = PhysicalConstants(1.0, 1.0, 1.0, gamma=1.0, lam=0.125 * (1.0 + 1e-13), a=0.5,
-                             identification=True)
+    near = PhysicalConstants(1.0, 1.0, 1.0, gamma=1.0, lam=0.125 * (1.0 + 1e-13), a=0.5)
     rep = equivalence_residual(g, fields, near, dt=dt, time_periodic=True)
     exact = equivalence_residual(g, fields, CONSTS, dt=dt, time_periodic=True)
     assert rep.total != exact.total

@@ -46,6 +46,14 @@ def test_grid_validation():
         Grid((1.0,), (4,), "reflecting")
 
 
+@pytest.mark.parametrize("cells,boundary,minimum", [
+    ((1,), DIRICHLET_ZERO, 2), ((4, 1), DIRICHLET_ZERO, 2), ((0,), PERIODIC, 1),
+])
+def test_grid_names_the_minimum_cell_count(cells, boundary, minimum):
+    with pytest.raises(GridError, match=f"every {boundary} axis needs at least {minimum} cells"):
+        Grid((1.0,) * len(cells), cells, boundary)
+
+
 def test_gradient_affine_dirichlet_interior():
     g = Grid((1.0,), (33,), DIRICHLET_ZERO)
     f = ScalarField(g, 2.0 * g.axis_coordinates(0))
@@ -249,7 +257,10 @@ def test_derivative_adjoint_identity(boundary, scheme):
     u = rng.normal(size=(n, 5))
     v = rng.normal(size=(n, 5))
     du = derive_along(u, h, 0, boundary, scheme)
-    dtv = derive_along_adjoint(v, h, 0, boundary, scheme)
+    if scheme == SPECTRAL:  # antisymmetric: its adjoint is its negative
+        dtv = -derive_along(v, h, 0, boundary, scheme)
+    else:
+        dtv = derive_along_adjoint(v, h, 0, boundary)
     assert np.vdot(du, v) == pytest.approx(np.vdot(u, dtv), rel=1e-12, abs=1e-12)
 
 

@@ -216,7 +216,8 @@ def test_evidence_antisymmetry_under_role_swap():
     data = sample_dataset(table, 10**5, seed=21)
     zeta = np.array([3.0, 0.0, 0.0])  # lattice vector: exact table shift
     ev = evidence(table, data, [zeta])
-    shifted = IProbTable(grid, shift_table_values(table.probs, grid, zeta[:1], axis_offset=1))
+    shifted = IProbTable(grid, np.stack([shift_table_values(probs, grid, zeta[:1])
+                                         for probs in table.probs]))
     ev_swapped = evidence(shifted, data, [-zeta])
     assert ev_swapped == pytest.approx(-ev, rel=1e-12)
 

@@ -136,6 +136,18 @@ def test_dataset_csv_rejects_malformed_rows(tmp_path, rows, repetitions):
         fieldio.read_dataset_csv(_dataset_file(tmp_path / "bad.csv", rows, repetitions))
 
 
+@pytest.mark.parametrize("header_line,message", [
+    ('# {"format": "paulilab-dataset-1", "grid": ', "malformed JSON header"),
+    ('# {"format": "paulilab-dataset-1", "repetitions": 2, "seed": 0, "slices": 1}',
+     "lacks 'grid'"),
+], ids=["bad_json", "missing_key"])
+def test_dataset_csv_rejects_malformed_header(tmp_path, header_line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(header_line + "\ntau,j1,j2,j3,k,count\n0,1,0,0,1,2\n")
+    with pytest.raises(fieldio.FormatError, match=message):
+        fieldio.read_dataset_csv(str(path))
+
+
 def test_snapshot_binary_round_trip(tmp_path):
     grid = Grid((1.0, 2.0), (8, 12), PERIODIC)
     rng = np.random.default_rng(0)
@@ -172,6 +184,21 @@ def test_snapshot_rejects_wrong_magic(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"NOTAFILE")
     with pytest.raises(fieldio.FormatError):
+        fieldio.read_field_snapshots(str(path))
+
+
+@pytest.mark.parametrize("cut,message", [
+    (lambda raw, length: raw[:10], "truncated header length"),
+    (lambda raw, length: raw[:14 + length - 1], "truncated header"),
+    (lambda raw, length: raw + b"\0", "bytes after the last field"),
+], ids=["length_prefix_cut", "header_cut", "trailing_bytes"])
+def test_snapshot_rejects_a_file_that_is_not_whole(tmp_path, cut, message):
+    path = tmp_path / "snap.bin"
+    fieldio.write_field_snapshots(str(path), Grid((1.0,), (4,), PERIODIC), 0.5,
+                                  {"psi": np.ones((2, 4))})
+    raw = path.read_bytes()
+    path.write_bytes(cut(raw, int.from_bytes(raw[6:14], "little")))
+    with pytest.raises(fieldio.FormatError, match=message):
         fieldio.read_field_snapshots(str(path))
 
 

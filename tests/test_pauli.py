@@ -588,9 +588,11 @@ def test_crank_nicolson_refuses_a_dirichlet_grid_without_interior_cells():
 
 def test_observables_spin_up():
     g = Grid((1.0,), (16,), PERIODIC)
-    obs, (rho1, rho2) = observables(uniform_state(g, (1.0, 0.0)), with_densities=True)
+    state = uniform_state(g, (1.0, 0.0))
+    obs = observables(state)
     assert obs.spin[2] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(rho2.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(state.phi.values[..., 1]) ** 2, 0.0, atol=1e-14)
+    assert obs.color_masses[1] == 0.0
 
 
 def test_observables_sigma_x_eigenstate():

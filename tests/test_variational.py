@@ -14,7 +14,6 @@ from paulilab.grids import (
     ScalarField,
     VectorField3,
     curl,
-    gradient,
     interior_mask,
     laplacian_matrix,
     quadrature_weights,
@@ -24,6 +23,7 @@ from paulilab.variational import (
     TotalObjective,
     VariationalError,
     fisher_gradient_density,
+    fisher_gradient_psi,
     fisher_value_density,
     minimize,
     spectrum_scan,
@@ -64,10 +64,15 @@ def test_box_minimum_objective_and_density():
 
 
 def test_analytic_optimum_is_fixed_point():
+    # the exact sine mode is a discrete stationary point: its tangent
+    # gradient on the unit sphere is below the solver's tolerance
     grid = box_grid(512)
-    res = minimize(fisher_problem(grid, initial={"p": box_density(grid)}))
-    assert res.iterations == 0
-    assert res.converged
+    free = interior_mask(grid)
+    psi = np.sqrt(box_density(grid))
+    grad = fisher_gradient_psi(psi, grid)[free]
+    x = psi[free]
+    tangent = grad - x * (np.dot(grad, x) / np.dot(x, x))
+    assert np.linalg.norm(tangent) <= fisher_problem(grid).grad_tol
 
 
 def test_monotone_descent_trace():
@@ -117,17 +122,10 @@ def test_constraints_hold_at_optimum():
     assert p[0] == 0.0 and p[-1] == 0.0
 
 
-def test_translation_insensitive_objective():
+def test_different_seeds_reach_the_same_minimum():
     grid = box_grid(256)
-    base = box_density(grid) + 0.3 / L
-    w = quadrature_weights(grid)
-    values = []
-    for shift in (0, 31):
-        init = np.roll(base, shift)
-        init[0] = init[-1] = 0.0
-        init = init / float(np.sum(w * init))
-        res = minimize(fisher_problem(grid, initial={"p": init}, grad_tol=1e-7))
-        values.append(res.objective_value)
+    values = [minimize(fisher_problem(grid, multistarts=1, seed=seed, grad_tol=1e-7))
+              .objective_value for seed in (0, 31)]
     assert values[0] == pytest.approx(values[1], abs=1e-6 * abs(values[0]))
 
 
@@ -188,8 +186,7 @@ def smooth_total_problem(n=24):
         a_vals[..., i] = 0.3 * np.sin(2 * np.pi * x + i) * np.cos(2 * np.pi * y - i)
     phi_pot = ScalarField(grid, 0.4 * np.cos(2 * np.pi * (x + y)))
     a_pot = VectorField3(grid, a_vals)
-    em = EMConfiguration(grid, phi_pot, a_pot, b=curl(a_pot),
-                         e=VectorField3(grid, -gradient(phi_pot).values))
+    em = EMConfiguration(grid, phi_pot, a_pot, b=curl(a_pot))
     ones = np.ones(grid.shape)
     p = 1.0 + 0.4 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     p /= np.sum(p * grid.cell_volume)
@@ -346,5 +343,3 @@ def test_problem_validation():
     grid = box_grid(32)
     with pytest.raises(VariationalError):
         spectrum_scan(MinimizationProblem(grid=grid), 0)
-    with pytest.raises(VariationalError):
-        spectrum_scan(MinimizationProblem(grid=grid, initial={"p": box_density(grid)}), 2)
