@@ -6,6 +6,7 @@ through an atomic temp-file replace, so a run never leaves partial outputs.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -37,6 +38,16 @@ def _header(text, keys: tuple[str, ...]) -> dict:
     if missing:
         raise FormatError(f"the header lacks {', '.join(map(repr, missing))}")
     return header
+
+
+@contextlib.contextmanager
+def _header_parts():
+    """Raise the KeyError, TypeError or ValueError of reading a header's
+    parts (a grid without extents, a field without a dtype) as FormatError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as err:
+        raise FormatError(f"malformed header part: {type(err).__name__}: {err}") from None
 
 
 def _read(handle, size: int, what: str) -> bytes:
@@ -168,7 +179,8 @@ def read_dataset_csv(path: str) -> DetectionDataset:
         if column_line != _DATASET_COLUMNS:
             raise FormatError(f"unexpected column header {column_line!r}")
         body = handle.read()
-    grid = Grid.from_descriptor(header["grid"])
+    with _header_parts():
+        grid = Grid.from_descriptor(header["grid"])
     shape = (header["slices"],) + grid.shape + (1,) * (3 - grid.dim)
     rows = np.empty((0, 6))
     if body.strip():
@@ -250,14 +262,15 @@ def read_field_snapshots(path: str):
         (length,) = struct.unpack("<Q", _read(handle, 8, "header length"))
         header = _header(_read(handle, length, "header"),
                          ("format", "grid", "dt", "snapshots", "fields", "metadata"))
-        grid = Grid.from_descriptor(header["grid"])
+        with _header_parts():
+            grid = Grid.from_descriptor(header["grid"])
+            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
+                       for e in header["fields"]]
         fields = {}
-        for entry in header["fields"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
+        for name, dtype, shape in entries:
             n_bytes = dtype.itemsize * int(np.prod(shape))
-            raw = _read(handle, n_bytes, f"body of field {entry['name']!r}")
-            fields[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            raw = _read(handle, n_bytes, f"body of field {name!r}")
+            fields[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         if handle.read(1):
             raise FormatError("bytes after the last field")
     return grid, header["dt"], fields, header["metadata"]

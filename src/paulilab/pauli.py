@@ -5,9 +5,11 @@ around an exact per-cell 2x2 exponential of the potential/spin block, which
 an axial field leaves diagonal, so each color takes one multiply) for
 periodic grids with zero vector potential, and a Cayley step psi' =
 2 (I + zH)^-1 psi - psi (one solve, factored once without pivoting, and one
-residual check) for stencil kinetics on any boundary, over the free cells.
-The neutral variant drops the charge from the kinetic and potential terms
-and couples the spin through an independent energy-per-field coefficient.
+residual check) for stencil kinetics on any boundary, over the free cells
+and the colors that carry amplitude (an axial field, or none, leaves an
+empty color exactly zero).  The neutral variant drops the charge from the
+kinetic and potential terms and couples the spin through an independent
+energy-per-field coefficient.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -196,9 +198,14 @@ class _CrankNicolsonPropagator:
     The system spans the free cells only.  The boundary cells of a
     dirichlet_zero grid stay 0 and serve as the stencil's zero neighbours,
     so the step conserves the trapezoid-weighted norm that evolve checks.
+    It spans the colors that carry amplitude in ``psi``, the initial
+    wavefunction: with no transverse field in any cell, H does not couple
+    the colors, so an empty color stays exactly 0 and is left out.  The
+    live color's solve has the bits of the two-color one, whose empty block
+    holds only zeros.
     """
 
-    def __init__(self, config: SolverConfig, grid: Grid):
+    def __init__(self, config: SolverConfig, grid: Grid, psi: np.ndarray):
         consts, em = config.consts, config.em
         if np.any(em.a_pot.values != 0.0):
             raise SolverError("the implicit propagator supports zero vector potential only")
@@ -212,9 +219,12 @@ class _CrankNicolsonPropagator:
         b = em.b_values(CENTRAL).reshape(grid.size, 3)[free]
         coupling = config.spin_coupling()
         bz, bxy = coupling * b[:, 2], coupling * (b[:, 0] - 1j * b[:, 1])
+        self._colors = (0, 1) if np.any(bxy) else tuple(c for c in (0, 1) if np.any(psi[..., c]))
         diags = scipy.sparse.diags
-        ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],
-                                 [diags(-np.conj(bxy)), kin + diags(v + bz)]], format="csr")
+        blocks = [[kin + diags(v - bz), diags(-bxy)],
+                  [diags(-np.conj(bxy)), kin + diags(v + bz)]]
+        ham = scipy.sparse.bmat([[blocks[i][j] for j in self._colors] for i in self._colors],
+                                format="csr")
         z = 0.5j * config.dt / consts.hbar
         eye = scipy.sparse.identity(ham.shape[0], dtype=np.complex128, format="csr")
         self._a_plus = (eye + z * ham).tocsr()
@@ -222,14 +232,15 @@ class _CrankNicolsonPropagator:
                                             diag_pivot_thresh=0.0)
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """n Cayley steps on the flat [psi_0; psi_1] block of the free
-        cells, converted once at each end; every solve's residual is
-        checked, and a NaN residual fails the check."""
+        """n Cayley steps on the flat block of the system's colors over the
+        free cells, converted once at each end; every solve's residual is
+        checked, and a NaN residual fails the check.  A color left out of
+        the system comes back as +0."""
         boundary = np.abs(psi[~self._free])
         if boundary.size and boundary.max() > 0.0:
             raise SolverError("a dirichlet_zero state must vanish on the boundary cells; "
                               f"largest boundary amplitude {boundary.max():.3e}")
-        flat = np.concatenate([psi[..., 0][self._free], psi[..., 1][self._free]])
+        flat = np.concatenate([psi[..., c][self._free] for c in self._colors])
         for i in range(n):
             y = self._lu.solve(flat)
             r = self._a_plus @ y
@@ -242,14 +253,18 @@ class _CrankNicolsonPropagator:
             y *= 2.0
             flat = np.subtract(y, flat, out=y)
         out = np.zeros_like(psi)
-        out[self._free] = flat.reshape(2, -1).T
+        for c, block in zip(self._colors, flat.reshape(len(self._colors), -1)):
+            out[..., c][self._free] = block
         return out
 
 
-def _make_propagator(config: SolverConfig, grid: Grid):
+def _make_propagator(config: SolverConfig, initial: PauliState):
+    """The propagator of ``config`` for runs from ``initial``: the implicit
+    scheme builds its system over the colors that carry amplitude in it."""
+    grid = initial.phi.grid
     if config.scheme == SPLIT_OPERATOR:
         return _SplitOperatorPropagator(config, grid)
-    return _CrankNicolsonPropagator(config, grid)
+    return _CrankNicolsonPropagator(config, grid, initial.phi.values)
 
 
 def step(state: PauliState, config: SolverConfig) -> PauliState:
@@ -259,7 +274,7 @@ def step(state: PauliState, config: SolverConfig) -> PauliState:
     implicit scheme factorizes its system once) over the whole run, and
     between two records fuses the split-operator half-steps that meet.
     """
-    prop = _make_propagator(config, state.phi.grid)
+    prop = _make_propagator(config, state)
     out = prop.advance(state.phi.values.copy(), 1)
     return PauliState(SpinorField(state.phi.grid, out), state.t + config.dt)
 
@@ -355,7 +370,7 @@ def evolve(
         raise SolverError("record_every must be at least 1")
     steps = int(round(t_final / config.dt))
     grid = initial.phi.grid
-    prop = _make_propagator(config, grid)
+    prop = _make_propagator(config, initial)
     psi = initial.phi.values.copy()
     t = initial.t
     weights = _observable_weights(grid)

@@ -140,7 +140,9 @@ def test_dataset_csv_rejects_malformed_rows(tmp_path, rows, repetitions):
     ('# {"format": "paulilab-dataset-1", "grid": ', "malformed JSON header"),
     ('# {"format": "paulilab-dataset-1", "repetitions": 2, "seed": 0, "slices": 1}',
      "lacks 'grid'"),
-], ids=["bad_json", "missing_key"])
+    ('# {"format": "paulilab-dataset-1", "grid": {"cells": [4]}, "repetitions": 2, '
+     '"seed": 0, "slices": 1}', "malformed header part: KeyError: 'extents'"),
+], ids=["bad_json", "missing_key", "grid_without_extents"])
 def test_dataset_csv_rejects_malformed_header(tmp_path, header_line, message):
     path = tmp_path / "bad.csv"
     path.write_text(header_line + "\ntau,j1,j2,j3,k,count\n0,1,0,0,1,2\n")
@@ -199,6 +201,20 @@ def test_snapshot_rejects_a_file_that_is_not_whole(tmp_path, cut, message):
     raw = path.read_bytes()
     path.write_bytes(cut(raw, int.from_bytes(raw[6:14], "little")))
     with pytest.raises(fieldio.FormatError, match=message):
+        fieldio.read_field_snapshots(str(path))
+
+
+def test_snapshot_rejects_a_field_entry_without_dtype(tmp_path):
+    path = tmp_path / "snap.bin"
+    fieldio.write_field_snapshots(str(path), Grid((1.0,), (4,), PERIODIC), 0.5,
+                                  {"psi": np.ones((2, 4))})
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[6:14], "little")
+    header = json.loads(raw[14:14 + length])
+    del header["fields"][0]["dtype"]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:6] + len(blob).to_bytes(8, "little") + blob + raw[14 + length:])
+    with pytest.raises(fieldio.FormatError, match="malformed header part: KeyError: 'dtype'"):
         fieldio.read_field_snapshots(str(path))
 
 

@@ -1,10 +1,12 @@
 """Tests for the two-component wavefunction solver."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from paulilab.grids import (
     derive_along,
     integrate_values,
     interior_mask,
+    laplacian_matrix,
     quadrature_weights,
     second_derive_along,
 )
@@ -319,34 +322,57 @@ def _oracle_kinetic_half(prop, psi):
     return psi
 
 
-def oracle_step(prop, psi):
-    """One step as its own operations, on the propagator's factors: half K,
-    cell 2x2, half K for the split operator; a flat Cayley step
-    2 (I + zH)^-1 psi - psi with the layout converted on the way in and out
-    for Crank-Nicolson."""
-    if isinstance(prop, pauli._SplitOperatorPropagator):
-        out = _oracle_kinetic_half(prop, psi)
-        u11, u12, u21, u22 = prop._cell
-        c0 = u11 * out[..., 0] + u12 * out[..., 1]
-        c1 = u21 * out[..., 0] + u22 * out[..., 1]
-        out[..., 0], out[..., 1] = c0, c1
-        return _oracle_kinetic_half(prop, out)
-    flat = np.concatenate([psi[..., 0].ravel(), psi[..., 1].ravel()])
-    sol = 2.0 * prop._lu.solve(flat) - flat
-    out = np.empty_like(psi)
-    half = flat.size // 2
-    out[..., 0] = sol[:half].reshape(psi.shape[:-1])
-    out[..., 1] = sol[half:].reshape(psi.shape[:-1])
-    return out
+def split_operator_oracle_step(prop, psi):
+    """One split-operator step as its own operations, on the propagator's
+    factors: half K, cell 2x2, half K."""
+    out = _oracle_kinetic_half(prop, psi)
+    u11, u12, u21, u22 = prop._cell
+    c0 = u11 * out[..., 0] + u12 * out[..., 1]
+    c1 = u21 * out[..., 0] + u22 * out[..., 1]
+    out[..., 0], out[..., 1] = c0, c1
+    return _oracle_kinetic_half(prop, out)
+
+
+def whole_cayley_oracle_step(config, grid):
+    """The Cayley step 2 (I + zH)^-1 psi - psi on the whole system, both
+    colors of the free cells whatever the state, with its own matrix and
+    factor (bmat, then splu in the propagator's ordering); the layout is
+    converted on the way in and out."""
+    consts, em = config.consts, config.em
+    free = interior_mask(grid)
+    cells = np.flatnonzero(free)
+    kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)[cells][:, cells]
+    q = config.kinetic_charge()
+    v = q * em.phi_pot.values.ravel()[cells] if q != 0.0 else np.zeros(cells.size)
+    b = config.spin_coupling() * em.b_values(CENTRAL).reshape(grid.size, 3)[cells]
+    bz, bxy = b[:, 2], b[:, 0] - 1j * b[:, 1]
+    diags = scipy.sparse.diags
+    ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],
+                             [diags(-np.conj(bxy)), kin + diags(v + bz)]], format="csr")
+    eye = scipy.sparse.identity(ham.shape[0], dtype=np.complex128, format="csr")
+    a_plus = (eye + (0.5j * config.dt / consts.hbar) * ham).tocsr()
+    lu = scipy.sparse.linalg.splu(a_plus.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0)
+
+    def step_once(psi):
+        flat = np.concatenate([psi[..., 0][free], psi[..., 1][free]])
+        out = np.zeros_like(psi)
+        out[free] = (2.0 * lu.solve(flat) - flat).reshape(2, -1).T
+        return out
+    return step_once
 
 
 def oracle_states(state, config, steps):
     """The wavefunction after each of 0..steps single steps."""
-    prop = pauli._make_propagator(config, state.phi.grid)
+    if config.scheme == SPLIT_OPERATOR:
+        prop = pauli._make_propagator(config, state)
+        step_once = functools.partial(split_operator_oracle_step, prop)
+    else:
+        step_once = whole_cayley_oracle_step(config, state.phi.grid)
     psi = state.phi.values.copy()
     out = [psi.copy()]
     for _ in range(steps):
-        psi = oracle_step(prop, psi)
+        psi = step_once(psi)
         out.append(psi.copy())
     return out
 
@@ -379,6 +405,7 @@ def assert_steps_are_the_oracle_bitwise(state, config, steps):
     assert len(traj.snapshots) == steps + 1
     for snap, want in zip(traj.snapshots, oracle):
         assert snap.tobytes() == want.tobytes()
+    return traj
 
 
 @pytest.mark.parametrize("axial", [False, True])
@@ -391,7 +418,7 @@ def test_evolve_recording_every_step_is_the_stepwise_oracle_bitwise(scheme, exte
     g = Grid(extents, cells, PERIODIC)
     state, config = random_run(g, len(cells), False, scheme, 1e-2, axial)
     if scheme == SPLIT_OPERATOR:
-        assert pauli._make_propagator(config, g)._diagonal == axial
+        assert pauli._make_propagator(config, state)._diagonal == axial
     assert_steps_are_the_oracle_bitwise(state, config, 30)
 
 
@@ -414,32 +441,94 @@ def test_split_operator_with_one_color_empty_is_the_oracle_bitwise(weights):
     # of its zeros into the output bytes: the per-color step must give the
     # 2x2 product's signed zeros
     state, config = gradient_field_run(weights)
-    assert pauli._make_propagator(config, state.phi.grid)._diagonal
+    assert pauli._make_propagator(config, state)._diagonal
     assert_steps_are_the_oracle_bitwise(state, config, 30)
 
 
 def test_split_operator_with_transverse_field_in_one_cell_takes_the_2x2_product():
     state, config = gradient_field_run((0.8, 0.6j), transverse=0.3)
-    assert not pauli._make_propagator(config, state.phi.grid)._diagonal
+    assert not pauli._make_propagator(config, state)._diagonal
     assert_steps_are_the_oracle_bitwise(state, config, 30)
+
+
+def record_propagators(monkeypatch):
+    """The list that every propagator built from now on is appended to."""
+    built = []
+    make = pauli._make_propagator
+
+    def recording(config, initial):
+        built.append(make(config, initial))
+        return built[-1]
+
+    monkeypatch.setattr(pauli, "_make_propagator", recording)
+    return built
 
 
 def test_every_split_operator_document_runs_uncoupled_colors(monkeypatch):
     # the per-color step is a speed-up only while the field-built runs take it
-    built = []
-    make = pauli._make_propagator
-
-    def recording(config, grid):
-        built.append(make(config, grid))
-        return built[-1]
-
-    monkeypatch.setattr(pauli, "_make_propagator", recording)
+    built = record_propagators(monkeypatch)
     verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10)
     stern_gerlach(sg_config(cells=256, dt=0.1, t_final=1.0, record_every=10))
     verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10)
     verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10)
     assert len(built) == 4
     assert all(prop._diagonal for prop in built)
+
+
+def axial_gradient_run(grid, color, neutral, transverse=0.0):
+    """A random state in ``color`` alone, 0 on the boundary cells of a
+    dirichlet_zero grid, in B_z = 0.5 + 0.3 x and phi = 1 + cos(2 pi x / L)
+    along the first axis, with B_y = ``transverse`` in the middle cell."""
+    rng = np.random.default_rng(17)
+    vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
+    vals[..., color] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    vals[~interior_mask(grid)] = 0.0
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), grid))
+    x = np.broadcast_to(grid.meshgrid()[0], grid.shape)
+    b_vals = np.zeros(grid.shape + (3,))
+    b_vals[..., 2] = 0.5 + 0.3 * x
+    b_vals[tuple(n // 2 for n in grid.cells) + (1,)] = transverse
+    em = EMConfiguration(grid, ScalarField(grid, 1.0 + np.cos(2 * np.pi * x / grid.extents[0])),
+                         VectorField3.zero(grid), b=VectorField3(grid, b_vals))
+    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, em, neutral=neutral,
+                          gamma_energy=0.7 if neutral else None)
+    return PauliState(SpinorField(grid, vals)), config
+
+
+@pytest.mark.parametrize("neutral", [False, True])
+@pytest.mark.parametrize("color", [0, 1])
+@pytest.mark.parametrize("extents,cells,boundary", [((3.0,), (16,), PERIODIC),
+                                                    ((2.0, 1.5), (7, 6), DIRICHLET_ZERO)])
+def test_crank_nicolson_with_one_color_empty_is_the_whole_system_bitwise(extents, cells,
+                                                                         boundary, color,
+                                                                         neutral):
+    # the empty color is left out of the system and comes back as +0; the
+    # whole system's solve gives the live color the same bits and keeps
+    # the empty one at +0
+    state, config = axial_gradient_run(Grid(extents, cells, boundary), color, neutral)
+    assert pauli._make_propagator(config, state)._colors == (color,)
+    traj = assert_steps_are_the_oracle_bitwise(state, config, 30)
+    assert not traj.snapshots[..., 1 - color].tobytes().strip(b"\0")
+
+
+def test_crank_nicolson_with_transverse_field_in_one_cell_keeps_both_colors():
+    state, config = axial_gradient_run(Grid((3.0,), (16,), PERIODIC), 0, False,
+                                       transverse=0.3)
+    assert pauli._make_propagator(config, state)._colors == (0, 1)
+    traj = assert_steps_are_the_oracle_bitwise(state, config, 30)
+    assert np.all(np.abs(traj.snapshots[1:, ..., 1]) > 0.0)
+
+
+def test_crank_nicolson_packet_documents_solve_one_color(monkeypatch):
+    # the half-size system is a speed-up only while these runs build it; the
+    # Larmor run fills both colors and keeps the whole system
+    built = record_propagators(monkeypatch)
+    verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10, CRANK_NICOLSON)
+    verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10,
+                                     CRANK_NICOLSON)
+    verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10, CRANK_NICOLSON)
+    assert [(prop._colors, prop._lu.shape) for prop in built] == [
+        ((0,), (256, 256)), ((0,), (256, 256)), ((0, 1), (16, 16))]
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
@@ -473,7 +562,7 @@ def test_crank_nicolson_step_is_the_dense_cayley_solve(extents, cells, neutral):
     z = 0.5j * config.dt / CONSTS.hbar
     x = state.phi.values.ravel()
     want = np.linalg.solve(np.eye(size) + z * ham, x - z * (ham @ x))
-    got = pauli._make_propagator(config, g).advance(state.phi.values.copy(), 1).ravel()
+    got = step(state, config).phi.values.ravel()
     # measured at most 1.0e-15 relative over these six cases
     assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 

@@ -118,11 +118,12 @@ def _cell_factor_scaled(init):
 def _backward_euler(advance):
     # (I + zH) psi' = psi, the solve alone: first order and not unitary
     def planted(self, psi, n):
-        flat = np.concatenate([psi[..., 0][self._free], psi[..., 1][self._free]])
+        flat = np.concatenate([psi[..., c][self._free] for c in self._colors])
         for _ in range(n):
             flat = self._lu.solve(flat)
         out = np.zeros_like(psi)
-        out[self._free] = flat.reshape(2, -1).T
+        for c, block in zip(self._colors, flat.reshape(len(self._colors), -1)):
+            out[..., c][self._free] = block
         return out
     return planted
 
