@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify-all", help="run the full acceptance battery")
     verify_p.add_argument("--fast", action="store_true", help="reduced resolution")
     verify_p.add_argument("--output-dir", default=".", help="where to write the report")
-    verify_p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
 
     schema_p = sub.add_parser("schema", help="print the parameter schema of a kind")
     schema_p.add_argument("kind", help="scenario kind")
@@ -78,13 +77,12 @@ def main(argv: list[str] | None = None) -> int:
             scenario = scenarios.parse_scenario(text)
         else:  # verify-all
             scenario = scenarios.Scenario(
-                "verify_all", {"fast": bool(args.fast)}, seed=args.seed,
-                output_dir=args.output_dir,
+                "verify_all", {"fast": bool(args.fast)}, output_dir=args.output_dir
             )
 
         if getattr(args, "output_dir", None) is not None:
             scenario = replace(scenario, output_dir=args.output_dir)
-        if getattr(args, "seed", None) is not None and args.command == "run":
+        if getattr(args, "seed", None) is not None:
             scenario = replace(scenario, seed=args.seed)
 
         report = scenarios.run(scenario)

@@ -163,10 +163,10 @@ def read_dataset_csv(path: str) -> DetectionDataset:
     """Inverse of ``write_dataset_csv``.
 
     Raises ``FormatError`` for a malformed header or row: the header must be
-    a JSON object with every key the writer writes, and a row must have
-    six cells, integral indices inside the grid (0 on axes the grid does not
-    have), k = 1 or -1, a finite nonnegative count, and a cell no other row
-    names.
+    a JSON object with every key the writer writes, its repetitions, seed
+    and slices integers, and a row must have six cells, integral indices
+    inside the grid (0 on axes the grid does not have), k = 1 or -1, a
+    finite nonnegative count, and a cell no other row names.
     """
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
@@ -175,6 +175,10 @@ def read_dataset_csv(path: str) -> DetectionDataset:
         header = _header(first[2:], ("format", "repetitions", "seed", "grid", "slices"))
         if header["format"] != "paulilab-dataset-1":
             raise FormatError(f"unknown dataset format {header['format']!r}")
+        not_int = [key for key in ("repetitions", "seed", "slices")
+                   if not isinstance(header[key], int) or isinstance(header[key], bool)]
+        if not_int:
+            raise FormatError(f"header values must be integers: {', '.join(map(repr, not_int))}")
         column_line = handle.readline().strip()
         if column_line != _DATASET_COLUMNS:
             raise FormatError(f"unexpected column header {column_line!r}")

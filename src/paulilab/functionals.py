@@ -10,8 +10,9 @@ the derivation:
 - the spinor route: the quadratic form on the complex two-component
   wavefunction, whose stationary points solve the wave equation.
 
-The equivalence verifier evaluates all three on one configuration under
-the physical identification of the coefficients.  The joint
+The equivalence verifier evaluates all three on one configuration; the
+coefficients are those ``PhysicalConstants`` derives from hbar, mass and
+charge, so the identification holds by construction.  The joint
 route reuses the polar route's derivatives, so it agrees to round-off; the
 spinor route takes its own and agrees to the discretization error.
 
@@ -56,43 +57,36 @@ class FunctionalError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Coefficient set for the functionals, MKS units.
+    """The particle's constants, MKS units, and the coefficients the
+    functionals take from them under the identification a = hbar/2,
+    gamma = q/m, lam = hbar^2/(8m).
 
     ``gamma`` is the angular-rate gyromagnetic coefficient (rad/(s*T)); the
     moment coupling in the knowledge functional is -a*gamma*(m.B), which is an
     energy.  ``lam`` weights the Fisher information, ``a`` converts the
-    relative phase into half the action difference of the two colors.  The
-    equivalence verifier refuses values off the identification a = hbar/2,
-    gamma = q/m, lam = hbar^2/(8m), which ``pauli_constants`` applies.
+    relative phase into half the action difference of the two colors.
     """
 
     hbar: float
     mass: float
     charge: float
-    gamma: float
-    lam: float
-    a: float
 
-    def gamma_energy(self) -> float:
-        """Moment-field coupling in J/T (the a*gamma product)."""
-        return self.a * self.gamma
+    @property
+    def a(self) -> float:
+        return self.hbar / 2.0
 
+    @property
+    def gamma(self) -> float:
+        return self.charge / self.mass
 
-def pauli_constants(hbar: float = 1.0, mass: float = 1.0, charge: float = 1.0) -> PhysicalConstants:
-    """Constants with the wave-equation identification applied."""
-    return PhysicalConstants(
-        hbar=hbar,
-        mass=mass,
-        charge=charge,
-        gamma=charge / mass,
-        lam=hbar**2 / (8.0 * mass),
-        a=hbar / 2.0,
-    )
+    @property
+    def lam(self) -> float:
+        return self.hbar**2 / (8.0 * self.mass)
 
-
-def natural_constants() -> PhysicalConstants:
-    """hbar = m = q = 1 preset used throughout the tests."""
-    return pauli_constants(1.0, 1.0, 1.0)
+    @property
+    def spin_coupling(self) -> float:
+        """Energy-per-field coefficient q*hbar/(2m) of the charged sigma.B term."""
+        return self.charge * self.hbar / (2.0 * self.mass)
 
 
 def _check_density(p: np.ndarray, grid: Grid) -> None:
@@ -461,7 +455,7 @@ def q_spinor(grid: Grid, psi: np.ndarray, em: dict[str, np.ndarray], consts: Phy
     sigma_x = 2.0 * (re[0] * re[1] + im[0] * im[1])
     sigma_y = 2.0 * (re[0] * im[1] - im[0] * re[1])
     sigma_z = dens[0] - dens[1]
-    integrand += -(q * hbar / (2.0 * m)) * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z)
+    integrand += -consts.spin_coupling * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z)
 
     tw = _time_weights(psi.shape[1], dt, time_periodic)
     return float(_integrate_stack(integrand, grid, tw))
@@ -485,17 +479,6 @@ class EquivalenceReport:
     spinor_rel_residual: float
     # per-term values of lam * Fisher + knowledge functional, and "total"
     breakdown: dict[str, float]
-
-
-def _check_identification(consts: PhysicalConstants) -> None:
-    expect = (
-        ("a", consts.a, consts.hbar / 2.0),
-        ("gamma", consts.gamma, consts.charge / consts.mass),
-        ("lam", consts.lam, consts.hbar**2 / (8.0 * consts.mass)),
-    )
-    for name, got, want in expect:
-        if abs(got - want) > 1e-12 * max(abs(want), 1.0):
-            raise FunctionalError(f"identification violated: {name}={got}, expected {want}")
 
 
 def _check_stacks(grid: Grid, fields: dict[str, np.ndarray]) -> None:
@@ -523,7 +506,6 @@ def equivalence_residual(grid: Grid, fields: dict[str, np.ndarray], consts: Phys
     ``fields`` holds the polar and potential stacks, as
     :func:`random_smooth_configuration` returns them; they are checked once.
     """
-    _check_identification(consts)
     _check_stacks(grid, fields)
     st = _stacks(grid, fields, dt, time_periodic, scheme)
     terms = _polar_terms(st, consts)

@@ -7,9 +7,9 @@ periodic grids with zero vector potential, and a Cayley step psi' =
 2 (I + zH)^-1 psi - psi (one solve, factored once without pivoting, and one
 residual check) for stencil kinetics on any boundary, over the free cells
 and the colors that carry amplitude (an axial field, or none, leaves an
-empty color exactly zero).  The neutral variant drops the charge from the
-kinetic and potential terms and couples the spin through an independent
-energy-per-field coefficient.
+empty color exactly zero).  A run given a moment coupling is chargeless: it
+drops the charge from the kinetic and potential terms and couples the spin
+through that energy-per-field coefficient.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -76,16 +76,16 @@ class PauliState:
 class SolverConfig:
     """Propagation parameters.
 
-    ``em`` is the static field configuration.  ``neutral`` zeroes the
-    charge in the kinetic and scalar-potential terms and couples the spin
-    with ``gamma_energy`` (J/T); the charged coupling is q*hbar/(2m).
+    ``em`` is the static field configuration.  A ``gamma_energy`` (J/T)
+    makes the run chargeless: it zeroes the charge in the kinetic and
+    scalar-potential terms and couples the spin with that coefficient in
+    place of the charged q*hbar/(2m).
     """
 
     scheme: str
     dt: float
     consts: PhysicalConstants
     em: EMConfiguration
-    neutral: bool = False
     gamma_energy: float | None = None
 
     def __post_init__(self) -> None:
@@ -93,18 +93,13 @@ class SolverConfig:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0:
             raise SolverError("dt must be positive")
-        if self.neutral and self.gamma_energy is None:
-            raise SolverError("neutral mode requires gamma_energy")
 
     def spin_coupling(self) -> float:
         """Energy-per-field coefficient of the sigma.B term."""
-        if self.gamma_energy is not None:
-            return self.gamma_energy
-        c = self.consts
-        return c.charge * c.hbar / (2.0 * c.mass)
+        return self.consts.spin_coupling if self.gamma_energy is None else self.gamma_energy
 
     def kinetic_charge(self) -> float:
-        return 0.0 if self.neutral else self.consts.charge
+        return self.consts.charge if self.gamma_energy is None else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +465,7 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     b_vals[..., 2] = config.field_offset + config.field_gradient * z
     em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
                          b=VectorField3(grid, b_vals))
-    solver = SolverConfig(SPLIT_OPERATOR, config.dt, config.consts, em, neutral=True,
-                          gamma_energy=config.gamma_energy)
+    solver = SolverConfig(SPLIT_OPERATOR, config.dt, config.consts, em, config.gamma_energy)
     state = gaussian_packet_state(
         grid, config.sigma, config.center, config.velocity, config.spin_weights, config.consts
     )

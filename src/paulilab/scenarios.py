@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, classical, fieldio, inference, pauli, verification
-from .functionals import EMConfiguration, pauli_constants
+from .functionals import EMConfiguration, PhysicalConstants
 from .grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3
 from .verification import CheckRecord, check_leq, check_true
 
@@ -380,7 +380,7 @@ def _run_box_minimize(scenario: Scenario, out):
 
 def _run_equivalence(scenario: Scenario, out):
     p = scenario.parameters
-    consts = pauli_constants(p["hbar"], p["mass"], p["charge"])
+    consts = PhysicalConstants(p["hbar"], p["mass"], p["charge"])
     reports, checks = verification.equivalence_sets(
         p["cells"], p["frames"], p["sets"], scenario.seed, consts, p["max_mode"],
         p["amplitude"], worst=f"equivalence.worst_rel_residual_{p['sets']}_sets",
@@ -402,7 +402,7 @@ def _run_equivalence(scenario: Scenario, out):
 
 def _run_pauli_evolve(scenario: Scenario, out):
     p = scenario.parameters
-    consts = pauli_constants(p["hbar"], p["mass"], p["charge"])
+    consts = PhysicalConstants(p["hbar"], p["mass"], p["charge"])
     scheme = p["scheme"]
     extra_outputs = []
     if p["setup"] == "larmor":
@@ -439,7 +439,7 @@ def _run_stern_gerlach(scenario: Scenario, out):
     p = scenario.parameters
     config = pauli.SternGerlachConfig(
         spin_weights=(p["spin_up_weight"], p["spin_down_weight"]),
-        consts=pauli_constants(p["hbar"], p["mass"], p["charge"]),
+        consts=PhysicalConstants(p["hbar"], p["mass"], p["charge"]),
         **{name: p[name] for name in ("extent", "cells", "sigma", "center", "velocity",
                                       "field_gradient", "field_offset", "gamma_energy", "dt",
                                       "t_final", "record_every")},
@@ -525,7 +525,7 @@ def _run_lorentz(scenario: Scenario, out):
 
 
 def _run_verify_all(scenario: Scenario, out):
-    records = verification.run_all(fast=scenario.parameters["fast"], echo=None)
+    records = verification.run_all(fast=scenario.parameters["fast"])
     path = out("verification.csv")
     fieldio.write_table_csv(
         path,

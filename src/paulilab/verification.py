@@ -5,10 +5,9 @@ parameters and the names of its check records, and returns its data with
 typed records (name, value, tolerance, passed).  The scenario runners call
 these functions with a document's parameters; the ``check_*`` criteria call
 them with fixed settings, lowered by a ``fast`` flag that never touches the
-tolerances.  ``run_all`` executes the criteria and prints one line per
-record for the command-line ``verify-all`` and the acceptance test suite,
-so a scenario and a criterion that check the same guarantee check it the
-same way.
+tolerances.  ``run_all`` executes the criteria for the ``verify_all``
+scenario.  A scenario and a criterion that check the same guarantee check
+it the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, fieldio, functionals, grids, inference, pauli, variational
-from .functionals import EMConfiguration, natural_constants
+from .functionals import EMConfiguration, PhysicalConstants
 from .grids import (
     CENTRAL,
     DIRICHLET_ZERO,
@@ -30,7 +29,7 @@ from .grids import (
     VectorField3,
 )
 
-CONSTS = natural_constants()
+CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -332,14 +331,14 @@ def norm_drift(name: str, traj: pauli.PauliTrajectory) -> CheckRecord:
 
 def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: int,
                       periods: float, record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
-    """A neutral spin-x state on 8 periodic cells of a uniform axial field
+    """A chargeless spin-x state on 8 periodic cells of a uniform axial field
     precesses at omega = 2 gamma_energy bz / hbar; the zero crossings of
     <sigma_x> give omega within 1e-3.  Returns (trajectory, records)."""
     grid = Grid((1.0,), (8,), PERIODIC)
     omega = 2 * gamma_energy * bz / consts.hbar
     period = 2 * np.pi / omega
     config = pauli.SolverConfig(scheme, period / steps_per_period, consts,
-                                _uniform_b_em(grid, bz), neutral=True, gamma_energy=gamma_energy)
+                                _uniform_b_em(grid, bz), gamma_energy=gamma_energy)
     vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
     vals[:] = np.array([1.0, 1.0]) / np.sqrt(2.0 * grid.extents[0])
     traj = pauli.evolve(pauli.PauliState(grids.SpinorField(grid, vals)), config,
@@ -403,7 +402,7 @@ def check_pauli_solver(fast: bool = False) -> list[CheckRecord]:
     # a run that evolve aborts (norm off 1 +- 1e-10, a failed solve) fails its record
     for scheme in (pauli.SPLIT_OPERATOR, pauli.CRANK_NICOLSON):
         config = pauli.SolverConfig(
-            scheme, 1e-3, CONSTS, _uniform_b_em(g, 0.8), neutral=True, gamma_energy=0.5
+            scheme, 1e-3, CONSTS, _uniform_b_em(g, 0.8), gamma_energy=0.5
         )
         name = f"pauli.norm_drift_{scheme}_{steps}_steps"
         records += _failed_on_solver_error(
@@ -498,7 +497,7 @@ def stern_gerlach_law(config: pauli.SternGerlachConfig,
                       separation: str = "stern_gerlach.separation_rel_error",
                       zero: str = "stern_gerlach.zero_gradient_separation",
                       overlap: str | None = None):
-    """A neutral packet in the axial field b0 + b z, where each color is
+    """A chargeless packet in the axial field b0 + b z, where each color is
     pushed by +-gamma b / m and the closed-form center law is exact.
 
     With b = 0 the separation stays exactly 0 (``zero``).  Otherwise, at
@@ -690,16 +689,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(fast: bool = False, echo=print) -> list[CheckRecord]:
-    """Run criteria 1-9, one pass/fail line per record."""
-    records: list[CheckRecord] = []
-    for group, fn in ALL_CHECKS:
-        started = time.perf_counter()
-        group_records = fn(fast=fast)
-        elapsed = time.perf_counter() - started
-        if echo:
-            echo(f"-- {group} ({elapsed:.1f} s)")
-            for record in group_records:
-                echo("   " + record.line())
-        records.extend(group_records)
-    return records
+def run_all(fast: bool = False) -> list[CheckRecord]:
+    """The records of criteria 1-9, in order."""
+    return [record for _group, fn in ALL_CHECKS for record in fn(fast=fast)]

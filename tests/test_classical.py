@@ -19,10 +19,10 @@ from paulilab.classical import (
     torque_evolve,
     velocity_field,
 )
-from paulilab.functionals import EMConfiguration, natural_constants
+from paulilab.functionals import EMConfiguration, PhysicalConstants
 from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3, gradient
 
-CONSTS = natural_constants()
+CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 
 def angle_between(a, b):

@@ -102,10 +102,14 @@ def test_dataset_csv_matches_row_loop_writer_and_round_trips(tmp_path_factory, d
     assert back.counts.tobytes() == data.counts.tobytes()
 
 
+def _dataset_header(**parts):
+    header = {"format": "paulilab-dataset-1", "repetitions": 2, "seed": 0,
+              "grid": Grid((4.0,), (4,), PERIODIC).descriptor(), "slices": 1, **parts}
+    return "# " + json.dumps(header)
+
+
 def _dataset_file(path, rows, repetitions):
-    header = {"format": "paulilab-dataset-1", "repetitions": repetitions, "seed": 0,
-              "grid": Grid((4.0,), (4,), PERIODIC).descriptor(), "slices": 1}
-    path.write_text("# " + json.dumps(header) + "\ntau,j1,j2,j3,k,count\n"
+    path.write_text(_dataset_header(repetitions=repetitions) + "\ntau,j1,j2,j3,k,count\n"
                     + "".join(row + "\n" for row in rows))
     return str(path)
 
@@ -142,7 +146,14 @@ def test_dataset_csv_rejects_malformed_rows(tmp_path, rows, repetitions):
      "lacks 'grid'"),
     ('# {"format": "paulilab-dataset-1", "grid": {"cells": [4]}, "repetitions": 2, '
      '"seed": 0, "slices": 1}', "malformed header part: KeyError: 'extents'"),
-], ids=["bad_json", "missing_key", "grid_without_extents"])
+    (_dataset_header(slices="a"), "must be integers: 'slices'"),
+    (_dataset_header(slices=1.5), "must be integers: 'slices'"),
+    (_dataset_header(slices=True), "must be integers: 'slices'"),
+    (_dataset_header(repetitions="a"), "must be integers: 'repetitions'"),
+    (_dataset_header(repetitions=100.0), "must be integers: 'repetitions'"),
+    (_dataset_header(seed="x"), "must be integers: 'seed'"),
+], ids=["bad_json", "missing_key", "grid_without_extents", "slices_string", "slices_float",
+        "slices_bool", "repetitions_string", "repetitions_float", "seed_string"])
 def test_dataset_csv_rejects_malformed_header(tmp_path, header_line, message):
     path = tmp_path / "bad.csv"
     path.write_text(header_line + "\ntau,j1,j2,j3,k,count\n0,1,0,0,1,2\n")

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from paulilab.classical import MomentState, torque_evolve
 from paulilab.functionals import (
     EMConfiguration,
-    natural_constants,
-    pauli_constants,
+    PhysicalConstants,
     polar_from_spinor,
 )
 from paulilab.grids import (
@@ -49,7 +48,7 @@ from paulilab.pauli import (
     step,
 )
 
-CONSTS = natural_constants()
+CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 
 def uniform_b_em(grid, bz):
@@ -141,7 +140,7 @@ def test_hamiltonian_uniform_spin_coupling():
     state = uniform_state(g, (1.0, 0.0))
     gamma_e = 0.7
     config = SolverConfig(
-        SPLIT_OPERATOR, 1e-3, CONSTS, uniform_b_em(g, 2.0), neutral=True, gamma_energy=gamma_e
+        SPLIT_OPERATOR, 1e-3, CONSTS, uniform_b_em(g, 2.0), gamma_energy=gamma_e
     )
     out = apply_hamiltonian(state, config)
     np.testing.assert_allclose(out.values, -gamma_e * 2.0 * state.phi.values, atol=1e-12)
@@ -213,7 +212,7 @@ def test_rabi_oscillation(scheme, steps):
     omega = 2 * gamma_e * bz / CONSTS.hbar
     period = 2 * np.pi / omega
     config = SolverConfig(
-        scheme, period / steps, CONSTS, uniform_b_em(g, bz), neutral=True, gamma_energy=gamma_e
+        scheme, period / steps, CONSTS, uniform_b_em(g, bz), gamma_energy=gamma_e
     )
     state = uniform_state(g, (1.0, 1.0))
     traj = evolve(state, config, period, record_every=10)
@@ -243,7 +242,7 @@ def test_unitarity_over_1000_steps(scheme):
     g = Grid((20.0,), (256,), PERIODIC)
     state = gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS)
     config = SolverConfig(
-        scheme, 1e-3, CONSTS, uniform_b_em(g, 0.8), neutral=True, gamma_energy=0.5
+        scheme, 1e-3, CONSTS, uniform_b_em(g, 0.8), gamma_energy=0.5
     )
     traj = evolve(state, config, 1.0, record_every=100)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
@@ -252,8 +251,7 @@ def test_unitarity_over_1000_steps(scheme):
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
 def test_evolve_reads_the_static_field_once(scheme, monkeypatch):
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, uniform_b_em(g, 0.8), neutral=True,
-                          gamma_energy=0.5)
+    config = SolverConfig(scheme, 1e-2, CONSTS, uniform_b_em(g, 0.8), gamma_energy=0.5)
     reads = []
     b_values = EMConfiguration.b_values
 
@@ -285,7 +283,7 @@ def test_evolution_linearity():
 def test_spin_position_factorization():
     g = Grid((40.0,), (512,), PERIODIC)
     config = SolverConfig(
-        SPLIT_OPERATOR, 5e-3, CONSTS, uniform_b_em(g, 1.1), neutral=True, gamma_energy=0.9
+        SPLIT_OPERATOR, 5e-3, CONSTS, uniform_b_em(g, 1.1), gamma_energy=0.9
     )
     dens = []
     for weights in ((1.0, 0.0), (1.0, 1.0j)):
@@ -293,19 +291,6 @@ def test_spin_position_factorization():
         final = evolve(state, config, 2.0, record_every=200, keep_snapshots=True).snapshots[-1]
         dens.append(np.sum(np.abs(final) ** 2, axis=-1))
     np.testing.assert_allclose(dens[0], dens[1], atol=1e-10)
-
-
-def test_neutral_matches_charged_at_zero_charge():
-    g = Grid((10.0,), (128,), PERIODIC)
-    em = uniform_b_em(g, 0.7)
-    gamma_e = 0.45
-    neutral_cfg = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, em, neutral=True, gamma_energy=gamma_e)
-    chargeless = pauli_constants(hbar=1.0, mass=1.0, charge=0.0)
-    charged_cfg = SolverConfig(SPLIT_OPERATOR, 1e-2, chargeless, em, gamma_energy=gamma_e)
-    state = gaussian_packet_state(g, 1.0, 5.0, 0.2, (0.7, 0.3j), CONSTS)
-    a = evolve(state, neutral_cfg, 0.5, record_every=50, keep_snapshots=True).snapshots[-1]
-    b = evolve(state, charged_cfg, 0.5, record_every=50, keep_snapshots=True).snapshots[-1]
-    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +376,7 @@ def random_run(grid, seed, neutral, scheme, dt, axial=False):
         b_vals[..., :2] = 0.0
     em = EMConfiguration(grid, ScalarField(grid, 3.0 * rng.random(grid.shape)),
                          VectorField3.zero(grid), b=VectorField3(grid, b_vals))
-    config = SolverConfig(scheme, dt, CONSTS, em, neutral=neutral,
-                          gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
     return PauliState(SpinorField(grid, vals)), config
 
 
@@ -431,7 +415,7 @@ def gradient_field_run(weights, transverse=0.0):
     b_vals[40, 1] = transverse
     em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
                          b=VectorField3(g, b_vals))
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, em, neutral=True, gamma_energy=1.0)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, em, gamma_energy=1.0)
     return gaussian_packet_state(g, 1.5, 10.0, 0.3, weights, CONSTS), config
 
 
@@ -490,8 +474,7 @@ def axial_gradient_run(grid, color, neutral, transverse=0.0):
     b_vals[tuple(n // 2 for n in grid.cells) + (1,)] = transverse
     em = EMConfiguration(grid, ScalarField(grid, 1.0 + np.cos(2 * np.pi * x / grid.extents[0])),
                          VectorField3.zero(grid), b=VectorField3(grid, b_vals))
-    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, em, neutral=neutral,
-                          gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, em, gamma_energy=0.7 if neutral else None)
     return PauliState(SpinorField(grid, vals)), config
 
 
@@ -822,8 +805,7 @@ def test_larmor_frequency_neutral():
     omega = 2 * gamma_e * bz / CONSTS.hbar
     period = 2 * np.pi / omega
     config = SolverConfig(
-        SPLIT_OPERATOR, period / 1000, CONSTS, uniform_b_em(g, bz), neutral=True,
-        gamma_energy=gamma_e,
+        SPLIT_OPERATOR, period / 1000, CONSTS, uniform_b_em(g, bz), gamma_energy=gamma_e
     )
     traj = evolve(uniform_state(g, (1.0, 1.0)), config, 10 * period, record_every=5)
     assert measured_frequency(traj.times, traj.spins[:, 0]) == pytest.approx(omega, rel=1e-3)
@@ -832,7 +814,7 @@ def test_larmor_frequency_neutral():
 def test_larmor_frequency_charged_identification():
     # coupling q hbar/2m gives precession at q B / m
     g = Grid((1.0,), (8,), PERIODIC)
-    consts = pauli_constants(hbar=1.0, mass=1.3, charge=0.7)
+    consts = PhysicalConstants(hbar=1.0, mass=1.3, charge=0.7)
     bz = 0.9
     omega = consts.charge * bz / consts.mass
     period = 2 * np.pi / omega
@@ -870,7 +852,7 @@ def test_spin_expectation_matches_torque_trajectory():
     period = 2 * np.pi / omega
     dt = period / 400
     config = SolverConfig(
-        SPLIT_OPERATOR, dt, CONSTS, uniform_b_em(g, b[2]), neutral=True, gamma_energy=gamma_e
+        SPLIT_OPERATOR, dt, CONSTS, uniform_b_em(g, b[2]), gamma_energy=gamma_e
     )
     traj = evolve(uniform_state(g, (1.0, 1.0)), config, 10 * period, record_every=1)
     gamma_cl = 2 * gamma_e / CONSTS.hbar
@@ -957,8 +939,7 @@ def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, gamma_e
     b_vals[..., 2] = cfg.field_offset + cfg.field_gradient * grid.axis_coordinates(0)
     em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
                          b=VectorField3(grid, b_vals))
-    solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, neutral=True,
-                          gamma_energy=cfg.gamma_energy)
+    solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, gamma_energy=cfg.gamma_energy)
     packet = gaussian_packet_state(grid, cfg.sigma, cfg.center, cfg.velocity, weights, CONSTS)
     traj = evolve(packet, solver, cfg.t_final, record_every=cfg.record_every)
     for name in ("times", "norms", "positions", "spins", "color_masses"):

@@ -9,7 +9,7 @@ table: such a record would read as a pass whatever the code does.
 import numpy as np
 import pytest
 
-from paulilab import classical, functionals, pauli, verification
+from paulilab import classical, functionals, inference, pauli, variational, verification
 from paulilab.grids import CENTRAL, PERIODIC
 
 # the criteria by their verification.ALL_CHECKS names, each run at fast settings
@@ -21,6 +21,10 @@ SPECTRAL_SPINOR = "equivalence.spectral_spinor_vs_polar_5_sets"
 STENCIL_JOINT = {f"equivalence.stencil_polar_vs_joint_n{n}" for n in (16, 32, 64)}
 RATIOS = {"equivalence.refinement_ratio_1", "equivalence.refinement_ratio_2"}
 EVERY_ROUTE = {SPECTRAL_JOINT, SPECTRAL_SPINOR} | STENCIL_JOINT | RATIOS
+
+# criterion 4
+CONTINUUM_FISHER = "fisher.continuum_rel_error"
+DISCRETE_FISHER = "fisher.discrete_rel_error"
 
 # criterion 5
 SPREADING = "pauli.spreading_rel_error"
@@ -34,10 +38,30 @@ MOMENT_NORM = "classical.moment_norm_drift"
 SPLIT_NORM = "pauli.norm_drift_split_operator_1000_steps"
 CAYLEY_NORM = "pauli.norm_drift_crank_nicolson_1000_steps"
 
+# criterion 8
+TOTAL_GRADIENT = "gradients.total_fd_rel_error_30_components"
+FISHER_GRADIENT = "gradients.fisher_fd_rel_error"
+
 # records no planted defect in the physics can fail, with the reason
 ALLOWED = {
     "equivalence.runtime_seconds": "a wall-clock gate, not a property of the numbers",
 }
+
+
+def _scaled(factor):
+    def wrap(fn):
+        def planted(*args):
+            return factor * fn(*args)
+        return planted
+    return wrap
+
+
+def _s_part_scaled(gradient):
+    # the action's part of the total objective's gradient, 0.1% off
+    def planted(self, f):
+        grads = gradient(self, f)
+        return {**grads, "s": 1.001 * grads["s"]}
+    return planted
 
 
 def _without_theta(fisher_density):
@@ -166,6 +190,11 @@ ROWS = {
     # spinor route's convergence order shows them
     "first_order_central_derivative": ("equivalence", functionals, "derive_along",
                                        _first_order_central, RATIOS),
+    # the Gaussian's continuum Fisher information reads 5% high
+    "fisher_density_scaled": ("gaussian_fisher", functionals, "_fisher_density", _scaled(1.05),
+                              {CONTINUUM_FISHER}),
+    "discrete_fisher_scaled": ("gaussian_fisher", inference, "discrete_fisher", _scaled(0.9),
+                               {DISCRETE_FISHER}),
     # the Larmor run keeps one k = 0 mode, on which both kinetic factors are 1;
     # the free packet, recorded every 250 steps, gets about half its kinetic
     # evolution and spreads too little
@@ -192,6 +221,10 @@ ROWS = {
     # renormalization
     "rk4_as_forward_euler": ("classical_correspondence", classical, "_rk4", _forward_euler,
                              MOMENT_PATHS | {ENERGY, MOMENT_NORM}),
+    "objective_s_gradient_scaled": ("gradients", variational.TotalObjective, "gradient",
+                                    _s_part_scaled, {TOTAL_GRADIENT}),
+    "fisher_gradient_scaled": ("gradients", variational, "fisher_gradient_density",
+                               _scaled(1.001), {FISHER_GRADIENT}),
 }
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulilab.functionals import EMConfiguration, natural_constants
+from paulilab.functionals import EMConfiguration, PhysicalConstants
 from paulilab.grids import (
     DIRICHLET_ZERO,
     PERIODIC,
@@ -29,7 +29,7 @@ from paulilab.variational import (
     spectrum_scan,
 )
 
-CONSTS = natural_constants()
+CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 L = 1.0
 
 
