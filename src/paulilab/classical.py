@@ -4,12 +4,14 @@ The moment integrators use the angular-rate gyromagnetic convention
 (rad/(s*T)); the spherical-chart integrator exhibits the conjugate pair
 (phi, z = cos theta) and refuses the chart's poles, while the vector torque
 integrator is pole-free.  Particle motion follows the force law built from
-the potentials, with grid fields sampled by a multilinear stencil, not scipy.interpolate.
+the potentials, with the fields of a dirichlet_zero grid sampled by a
+multilinear stencil, not scipy.interpolate; a particle that leaves the
+lattice ends the run.
 
 The integrators step lists of Python floats, each operation in the order of
 numpy's array formulas, so with their bits.  numpy stays where plain floats
 would change them: np.linalg.norm (a BLAS dot) renormalizes the torque run,
-np.mod wraps periodic positions, and np.arctan2 gives the azimuth.
+and np.arctan2 gives the azimuth.
 """
 
 from __future__ import annotations
@@ -224,30 +226,24 @@ def moment_action(
 
 
 class _FieldSampler:
-    """Multilinear stencil over the stacked (E, B) block, E = -grad phi, kept
-    as a list of cell rows with a flat stride per axis.  Cell bracketing, corner
-    order, weight products and the +0.0 start of the sum follow scipy's
-    linear RegularGridInterpolator, so it gives the same bits."""
+    """Multilinear stencil over the stacked (E, B) block of a dirichlet_zero
+    grid, whose lattice spans [0, L], E = -grad phi, kept as a list of cell
+    rows with a flat stride per axis.  Cell bracketing, corner order, weight
+    products and the +0.0 start of the sum follow scipy's linear
+    RegularGridInterpolator, so it gives the same bits."""
 
     def __init__(self, em: EMConfiguration):
         g = em.grid
-        self.grid = g
+        if g.boundary == PERIODIC:
+            raise ClassicalError("particle motion needs fields on a dirichlet_zero grid")
         block = np.concatenate([-gradient(em.phi_pot).values, em.b_values()], axis=-1)
         self._axes = [g.axis_coordinates(ax).tolist() for ax in range(g.dim)]
-        if g.boundary == PERIODIC:
-            # append the wrap point so the stencil covers [0, L]
-            for ax in range(g.dim):
-                self._axes[ax].append(g.extents[ax])
-                block = np.concatenate([block, np.take(block, [0], axis=ax)], axis=ax)
         self._rows = block.reshape(-1, 6).tolist()
         self._strides = [math.prod(block.shape[ax + 1:-1]) for ax in range(g.dim)]
 
     def sample(self, x):
-        p = x[: self.grid.dim]
-        if self.grid.boundary == PERIODIC:
-            p = np.mod(p, np.asarray(self.grid.extents)).tolist()
         corners = [(0, 1.0)]  # (row, weight) in product order, weights multiplied axis by axis
-        for c, xs, stride in zip(p, self._axes, self._strides):
+        for c, xs, stride in zip(x, self._axes, self._strides):  # the grid's axes of x
             if not xs[0] <= c <= xs[-1]:
                 raise ClassicalError(f"particle left the grid at x={np.asarray(x)}")
             i = min(bisect.bisect_right(xs, c) - 1, len(xs) - 2)  # upper face: last cell
@@ -268,7 +264,8 @@ def lorentz_evolve(
     t_final: float,
     dt: float,
 ) -> ParticleTrajectory:
-    """Integrate m x'' = q E + q x' cross B with grid-sampled fields."""
+    """Integrate m x'' = q E + q x' cross B with fields sampled on the
+    dirichlet_zero grid of ``em``."""
     if dt <= 0:
         raise ClassicalError("dt must be positive")
     if mass == 0:

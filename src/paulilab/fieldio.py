@@ -164,9 +164,10 @@ def read_dataset_csv(path: str) -> DetectionDataset:
 
     Raises ``FormatError`` for a malformed header or row: the header must be
     a JSON object with every key the writer writes, its repetitions, seed
-    and slices integers, and a row must have six cells, integral indices
-    inside the grid (0 on axes the grid does not have), k = 1 or -1, a
-    finite nonnegative count, and a cell no other row names.
+    and slices integers and slices at least 1, and a row must have six
+    cells, integral indices inside the grid (0 on axes the grid does not
+    have), k = 1 or -1, a finite nonnegative count, and a cell no other row
+    names.
     """
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
@@ -179,6 +180,8 @@ def read_dataset_csv(path: str) -> DetectionDataset:
                    if not isinstance(header[key], int) or isinstance(header[key], bool)]
         if not_int:
             raise FormatError(f"header values must be integers: {', '.join(map(repr, not_int))}")
+        if header["slices"] < 1:
+            raise FormatError(f"header slices must be at least 1, got {header['slices']}")
         column_line = handle.readline().strip()
         if column_line != _DATASET_COLUMNS:
             raise FormatError(f"unexpected column header {column_line!r}")

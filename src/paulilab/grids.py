@@ -167,25 +167,6 @@ class SpinorField:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _dirichlet_first_derivative_matrix(n: int, h: float) -> scipy.sparse.csr_matrix:
-    # Matches np.gradient(..., edge_order=2): central interior, one-sided edges.
-    d = scipy.sparse.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -0.5 / h
-        d[i, i + 1] = 0.5 / h
-    d[0, 0], d[0, 1], d[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    d[n - 1, n - 1], d[n - 1, n - 2], d[n - 1, n - 3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return d.tocsr()
-
-
-def _apply_matrix_along(mat: scipy.sparse.spmatrix, values: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(values, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = mat @ flat
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
-
-
 def _spectral_wavenumbers(n: int, h: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
 
@@ -227,16 +208,6 @@ def derive_along(
             values.imag, h, axis=axis, edge_order=2
         )
     return np.gradient(values, h, axis=axis, edge_order=2)
-
-
-def derive_along_adjoint(values: np.ndarray, h: float, axis: int, boundary: str) -> np.ndarray:
-    """Adjoint of the central :func:`derive_along` in the plain (unweighted) dot product."""
-    if boundary == PERIODIC:
-        # the wrapped central stencil is antisymmetric as a real matrix
-        return -derive_along(values, h, axis, boundary)
-    n = values.shape[axis]
-    mat = _dirichlet_first_derivative_matrix(n, h).T.tocsr()
-    return _apply_matrix_along(mat, values, axis)
 
 
 def second_derive_along(

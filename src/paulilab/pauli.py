@@ -1,15 +1,15 @@
 """Time-dependent solution of the two-component wave equation.
 
-Two unitary schemes: a split-operator propagator (spectral kinetic half-steps
-around an exact per-cell 2x2 exponential of the potential/spin block, which
-an axial field leaves diagonal, so each color takes one multiply) for
-periodic grids with zero vector potential, and a Cayley step psi' =
+Two unitary schemes on periodic grids with zero vector potential: a
+split-operator propagator (spectral kinetic half-steps around an exact
+per-cell 2x2 exponential of the potential/spin block, which an axial field
+leaves diagonal, so each color takes one multiply), and a Cayley step psi' =
 2 (I + zH)^-1 psi - psi (one solve, factored once without pivoting, and one
-residual check) for stencil kinetics on any boundary, over the free cells
-and the colors that carry amplitude (an axial field, or none, leaves an
-empty color exactly zero).  A run given a moment coupling is chargeless: it
-drops the charge from the kinetic and potential terms and couples the spin
-through that energy-per-field coefficient.
+residual check) for stencil kinetics, over the colors that carry amplitude
+(an axial field, or none, leaves an empty color exactly zero).  A run given
+a moment coupling is chargeless: it drops the charge from the kinetic and
+potential terms and couples the spin through that energy-per-field
+coefficient.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -37,7 +37,6 @@ from .grids import (
     SpinorField,
     VectorField3,
     integrate_values,
-    interior_mask,
     laplacian_matrix,
     quadrature_weights,
 )
@@ -114,8 +113,6 @@ class _SplitOperatorPropagator:
     in-place multiply per color, with the bits of the 2x2 product."""
 
     def __init__(self, config: SolverConfig, grid: Grid):
-        if grid.boundary != PERIODIC:
-            raise SolverError("split-operator propagation requires a periodic grid")
         k_sq = np.zeros(grid.shape)
         for ax in range(grid.dim):
             k = 2.0 * np.pi * np.fft.fftfreq(grid.cells[ax], d=grid.spacing[ax])
@@ -190,10 +187,7 @@ class _CrankNicolsonPropagator:
     still checked: 2 |A y - psi| <= tol |psi| bounds |A psi' - (I - zH) psi|
     = 2 |A y - psi| by tol |(I - zH) psi|, since |(I - zH) psi| >= |psi|.
 
-    The system spans the free cells only.  The boundary cells of a
-    dirichlet_zero grid stay 0 and serve as the stencil's zero neighbours,
-    so the step conserves the trapezoid-weighted norm that evolve checks.
-    It spans the colors that carry amplitude in ``psi``, the initial
+    The system spans the colors that carry amplitude in ``psi``, the initial
     wavefunction: with no transverse field in any cell, H does not couple
     the colors, so an empty color stays exactly 0 and is left out.  The
     live color's solve has the bits of the two-color one, whose empty block
@@ -204,14 +198,10 @@ class _CrankNicolsonPropagator:
         consts, em = config.consts, config.em
         if np.any(em.a_pot.values != 0.0):
             raise SolverError("the implicit propagator supports zero vector potential only")
-        self._free = interior_mask(grid)
-        free = np.flatnonzero(self._free)
-        if free.size == 0:
-            raise SolverError("a dirichlet_zero grid needs at least 3 cells per axis")
-        kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)[free][:, free]
+        kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
         q = config.kinetic_charge()
-        v = q * em.phi_pot.values.ravel()[free] if q != 0.0 else np.zeros(free.size)
-        b = em.b_values(CENTRAL).reshape(grid.size, 3)[free]
+        v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
+        b = em.b_values(CENTRAL).reshape(grid.size, 3)
         coupling = config.spin_coupling()
         bz, bxy = coupling * b[:, 2], coupling * (b[:, 0] - 1j * b[:, 1])
         self._colors = (0, 1) if np.any(bxy) else tuple(c for c in (0, 1) if np.any(psi[..., c]))
@@ -227,15 +217,11 @@ class _CrankNicolsonPropagator:
                                             diag_pivot_thresh=0.0)
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """n Cayley steps on the flat block of the system's colors over the
-        free cells, converted once at each end; every solve's residual is
-        checked, and a NaN residual fails the check.  A color left out of
-        the system comes back as +0."""
-        boundary = np.abs(psi[~self._free])
-        if boundary.size and boundary.max() > 0.0:
-            raise SolverError("a dirichlet_zero state must vanish on the boundary cells; "
-                              f"largest boundary amplitude {boundary.max():.3e}")
-        flat = np.concatenate([psi[..., c][self._free] for c in self._colors])
+        """n Cayley steps on the flat block of the system's colors, converted
+        once at each end; every solve's residual is checked, and a NaN
+        residual fails the check.  A color left out of the system comes back
+        as +0."""
+        flat = np.concatenate([psi[..., c].ravel() for c in self._colors])
         for i in range(n):
             y = self._lu.solve(flat)
             r = self._a_plus @ y
@@ -249,14 +235,17 @@ class _CrankNicolsonPropagator:
             flat = np.subtract(y, flat, out=y)
         out = np.zeros_like(psi)
         for c, block in zip(self._colors, flat.reshape(len(self._colors), -1)):
-            out[..., c][self._free] = block
+            out[..., c] = block.reshape(psi.shape[:-1])
         return out
 
 
 def _make_propagator(config: SolverConfig, initial: PauliState):
-    """The propagator of ``config`` for runs from ``initial``: the implicit
-    scheme builds its system over the colors that carry amplitude in it."""
+    """The propagator of ``config`` for runs from ``initial``, whose grid must
+    be periodic: the implicit scheme builds its system over the colors that
+    carry amplitude in it."""
     grid = initial.phi.grid
+    if grid.boundary != PERIODIC:
+        raise SolverError("Pauli propagation requires a periodic grid")
     if config.scheme == SPLIT_OPERATOR:
         return _SplitOperatorPropagator(config, grid)
     return _CrankNicolsonPropagator(config, grid, initial.phi.values)

@@ -38,7 +38,7 @@ from .grids import (
     PERIODIC,
     POSITIVITY_FLOOR,
     Grid,
-    derive_along_adjoint,
+    derive_along,
     interior_mask,
     laplacian_matrix,
     quadrature_weights,
@@ -101,41 +101,18 @@ def fisher_value_psi(psi: np.ndarray, grid: Grid) -> float:
     return total
 
 
-def _neighbor_sum(psi: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    if grid.boundary == PERIODIC:
-        return np.roll(psi, -1, axis=axis) + np.roll(psi, 1, axis=axis)
-    out = np.zeros_like(psi)
-    sl = [slice(None)] * psi.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    out[at(slice(0, -1))] += psi[at(slice(1, None))]
-    out[at(slice(1, None))] += psi[at(slice(0, -1))]
-    return out
-
-
-def fisher_gradient_psi(psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """d/dpsi of fisher_value_psi: -8 w Laplacian(psi) with zero ghosts."""
-    w = grid.cell_volume
-    out = np.zeros_like(psi)
-    for ax in range(grid.dim):
-        h2 = grid.spacing[ax] ** 2
-        out += (8.0 * w / h2) * (2.0 * psi - _neighbor_sum(psi, grid, ax))
-    return out
-
-
 def fisher_value_density(p: np.ndarray, grid: Grid) -> float:
     return fisher_value_psi(np.sqrt(np.maximum(p, 0.0)), grid)
 
 
 def fisher_gradient_density(p: np.ndarray, grid: Grid) -> np.ndarray:
+    """d/dP of fisher_value_density through d/dpsi = -8 w Laplacian(psi),
+    the lattice Laplacian with zero ghosts beyond a dirichlet lattice."""
     # keep exact zeros inside the stencil; guard only the division
     psi = np.sqrt(np.maximum(p, 0.0))
+    grad_psi = (-8.0 * grid.cell_volume) * (laplacian_matrix(grid) @ psi.ravel())
     divisor = np.maximum(psi, np.sqrt(POSITIVITY_FLOOR))
-    return fisher_gradient_psi(psi, grid) / (2.0 * divisor)
+    return grad_psi.reshape(grid.shape) / (2.0 * divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +123,14 @@ def fisher_gradient_density(p: np.ndarray, grid: Grid) -> np.ndarray:
 class TotalObjective:
     """Static (single snapshot) weighted Fisher + knowledge functional.
 
-    Evaluates on a dict of raw arrays for the four polar components and
-    provides the exact gradient of the discretization, adjoint-consistent
-    with the grid derivative stencils.
+    Evaluates on a dict of raw arrays for the four polar components of a
+    periodic grid and provides the exact gradient of the discretization,
+    adjoint-consistent with the central derivative stencil.
     """
 
     def __init__(self, grid: Grid, em: EMConfiguration, consts: PhysicalConstants):
+        if grid.boundary != PERIODIC:
+            raise VariationalError("the total objective requires a periodic grid")
         self.grid = grid
         # stack the potentials, B = curl(A) among them, once rather than on
         # every evaluation
@@ -160,9 +139,9 @@ class TotalObjective:
         self.w = quadrature_weights(grid)
 
     def _adjoint(self, arr, ax):
+        # the wrapped central stencil is antisymmetric as a real matrix;
         # arrays carry the one-frame axis of the stacks in front
-        g = self.grid
-        return derive_along_adjoint(arr, g.spacing[ax], 1 + ax, g.boundary)
+        return -derive_along(arr, self.grid.spacing[ax], 1 + ax, PERIODIC)
 
     def _frame(self, f: dict):
         # iterates and finite-difference probes are not normalized, so the
@@ -299,16 +278,16 @@ def _block_lobpcg(grid: Grid, op: _FisherOperator, x0: np.ndarray, grad_tol: flo
         psi = psi.reshape((modes,) + grid.shape)
         return psi, np.array([fisher_value_psi(column, grid) for column in psi])
 
-    def tangent_grad(x, psi):
-        g = np.stack([fisher_gradient_psi(column, grid).ravel()[op.free] for column in psi],
-                     axis=1)
+    def tangent_grad(x):
+        # the gradient of x^T K x, each column projected onto the sphere's tangent
+        g = 2.0 * (op.stiffness @ x)
         return g - x * (np.sum(g * x, axis=0) / np.sum(x * x, axis=0))
 
     basis, _, x = rayleigh_ritz([x0])
     if basis.shape[1] < modes:
         raise VariationalError("degenerate density iterate")
     psi, values = evaluate(x)
-    grad = tangent_grad(x, psi)
+    grad = tangent_grad(x)
     gnorms = np.linalg.norm(grad, axis=0)
     traces = [[(0, value, gnorm)] for value, gnorm in zip(values, gnorms)]
     step: list[np.ndarray] = []
@@ -323,7 +302,7 @@ def _block_lobpcg(grid: Grid, op: _FisherOperator, x0: np.ndarray, grad_tol: flo
         if float(np.linalg.norm(step[0])) < _STEP_TOL:
             break
         x, psi, values = candidate, cand_psi, cand_values
-        grad = tangent_grad(x, psi)
+        grad = tangent_grad(x)
         gnorms = np.linalg.norm(grad, axis=0)
         iterations += 1
         for trace, value, gnorm in zip(traces, values, gnorms):

@@ -13,7 +13,9 @@ call passes are set only by tests, and each doubles the configurations the
 tests must cover; the few allowed to stay are pinned with their reason.
 
 A new test-only function or option, or one that leaves its list, fails
-these tests until the list changes with it.
+these tests until the list changes with it.  A private top-level function
+or class that no ``src/`` module uses has no pins: it is dead code, such as
+a helper that a deletion left behind, and fails the tests until it goes.
 """
 
 import ast
@@ -76,16 +78,22 @@ def _source_trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
 
 
-def unreferenced_public_functions() -> set[str]:
-    trees = _source_trees()
-    public = {
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
+def _unreferenced(trees: dict[str, ast.Module], wanted) -> set[str]:
+    """The top-level definitions that ``wanted`` picks and no module uses."""
+    defined = {f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body if wanted(node)}
     used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
-    return public - used
+    return defined - used
+
+
+def unreferenced_public_functions() -> set[str]:
+    return _unreferenced(_source_trees(), lambda node: isinstance(node, ast.FunctionDef)
+                         and not node.name.startswith("_"))
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> set[str]:
+    return _unreferenced(trees, lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                         and node.name.startswith("_"))
 
 
 @pytest.mark.parametrize("module,source,name,counted", [
@@ -105,6 +113,23 @@ def test_a_use_counts_only_where_it_resolves_to_the_defining_module(module, sour
 def test_test_only_functions_match_the_pinned_map():
     assert unreferenced_public_functions() == set(PINNED)
     assert set(PINNED.values()) <= {"a", "b", "c"}
+
+
+@pytest.mark.parametrize("sources,unused", [
+    ({"m": "def _helper():\n    pass"}, {"m._helper"}),
+    ({"m": "class _Helper:\n    pass"}, {"m._Helper"}),
+    ({"m": "def _helper():\n    pass\ndef run():\n    return _helper()"}, set()),
+    ({"m": "def _helper():\n    pass", "n": "from .m import _helper\n_helper()"}, set()),
+    ({"m": "def _helper():\n    pass", "n": "from . import m\nm._helper()"}, set()),
+    ({"m": "class C:\n    def _method(self):\n        pass"}, set()),
+], ids=["function", "class", "own-module", "imported-name", "module-attribute", "method"])
+def test_a_private_definition_counts_as_unused_without_a_use(sources, unused):
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    assert unreferenced_private_definitions(trees) == unused
+
+
+def test_every_private_definition_has_a_src_use():
+    assert unreferenced_private_definitions(_source_trees()) == set()
 
 
 # options no src/ call passes, allowed to stay; the options of the rule (a)

@@ -1,11 +1,15 @@
-"""Tests for grids: operators, quadrature, convergence orders."""
+"""Tests for grids: operators, quadrature, convergence orders, and the boundary
+each solver runs on."""
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulilab import grids
+from paulilab import classical, pauli, variational
+from paulilab.functionals import EMConfiguration, PhysicalConstants
 from paulilab.grids import (
     CENTRAL,
     DIRICHLET_ZERO,
@@ -14,13 +18,14 @@ from paulilab.grids import (
     Grid,
     GridError,
     ScalarField,
+    SpinorField,
     VectorField3,
     curl,
     derive_along,
-    derive_along_adjoint,
     divergence,
     gradient,
     integrate,
+    integrate_values,
     laplacian,
     laplacian_matrix,
     phase_derive_along,
@@ -249,18 +254,16 @@ def test_spectral_requires_periodic():
 @pytest.mark.parametrize("boundary,scheme", [
     (PERIODIC, CENTRAL),
     (PERIODIC, SPECTRAL),
-    (DIRICHLET_ZERO, CENTRAL),
 ])
 def test_derivative_adjoint_identity(boundary, scheme):
+    # both periodic schemes are antisymmetric: the adjoint is the negative,
+    # as the total objective's gradient takes it
     rng = np.random.default_rng(3)
     n, h = 24, 0.13
     u = rng.normal(size=(n, 5))
     v = rng.normal(size=(n, 5))
     du = derive_along(u, h, 0, boundary, scheme)
-    if scheme == SPECTRAL:  # antisymmetric: its adjoint is its negative
-        dtv = -derive_along(v, h, 0, boundary, scheme)
-    else:
-        dtv = derive_along_adjoint(v, h, 0, boundary)
+    dtv = -derive_along(v, h, 0, boundary, scheme)
     assert np.vdot(du, v) == pytest.approx(np.vdot(u, dtv), rel=1e-12, abs=1e-12)
 
 
@@ -312,16 +315,6 @@ def test_spectral_derivative_is_antisymmetric(complex_values, shape, axis, seed,
     assert np.isrealobj(du) != complex_values
     scale_of = np.linalg.norm(du) * np.linalg.norm(v) + np.linalg.norm(u) * np.linalg.norm(dv)
     assert abs(np.vdot(du, v) + np.vdot(u, dv)) <= 1.5e-15 * scale_of
-
-
-def test_dirichlet_adjoint_matches_np_gradient_matrix():
-    # The cached sparse operator must agree with the fast np.gradient path.
-    rng = np.random.default_rng(5)
-    n, h = 17, 0.21
-    u = rng.normal(size=n)
-    fast = derive_along(u, h, 0, DIRICHLET_ZERO)
-    mat = grids._dirichlet_first_derivative_matrix(n, h) @ u
-    np.testing.assert_allclose(fast, mat, rtol=1e-13)
 
 
 def test_second_derivative_dirichlet_edges_second_order():
@@ -393,3 +386,44 @@ def test_curl_and_divergence_convergence_order():
         div_err.append(np.max(np.abs(divergence(v).values - div_exact)))
     assert 3.5 <= curl_err[0] / curl_err[1] <= 4.5
     assert 3.5 <= div_err[0] / div_err[1] <= 4.5
+
+
+# ---------------------------------------------------------------------------
+# the boundary each solver runs on
+# ---------------------------------------------------------------------------
+
+_CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
+
+
+def _pauli_run(scheme):
+    g = Grid((2.0,), (9,), DIRICHLET_ZERO)
+    vals = np.zeros(g.shape + (2,), dtype=np.complex128)
+    vals[1:-1, 0] = 1.0
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
+    config = pauli.SolverConfig(scheme, 1e-2, _CONSTS, EMConfiguration.zero(g))
+    pauli.evolve(pauli.PauliState(SpinorField(g, vals)), config, 0.1)
+
+
+def _total_objective():
+    g = Grid((1.0, 1.0), (8, 8), DIRICHLET_ZERO)
+    variational.TotalObjective(g, EMConfiguration.zero(g), _CONSTS)
+
+
+def _lorentz_run():
+    g = Grid((2.0,) * 3, (5,) * 3, PERIODIC)
+    classical.lorentz_evolve(classical.ChargedParticleState((1.0, 1.0, 1.0), (0.1, 0.0, 0.0)),
+                             EMConfiguration.zero(g), 1.0, 1.0, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("run,error,message", [
+    (functools.partial(_pauli_run, pauli.SPLIT_OPERATOR), pauli.SolverError, "periodic grid"),
+    (functools.partial(_pauli_run, pauli.CRANK_NICOLSON), pauli.SolverError, "periodic grid"),
+    (_total_objective, variational.VariationalError, "periodic grid"),
+    (_lorentz_run, classical.ClassicalError, "dirichlet_zero grid"),
+], ids=["pauli_split_operator_on_dirichlet", "pauli_crank_nicolson_on_dirichlet",
+        "total_objective_on_dirichlet", "lorentz_on_periodic"])
+def test_solvers_refuse_the_boundary_they_do_not_run_on(run, error, message):
+    # the Pauli propagators and the total objective run on periodic grids,
+    # the Lorentz field sampler on the dirichlet_zero lattice that spans [0, L]
+    with pytest.raises(error, match=message):
+        run()

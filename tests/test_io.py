@@ -161,6 +161,18 @@ def test_dataset_csv_rejects_malformed_header(tmp_path, header_line, message):
         fieldio.read_dataset_csv(str(path))
 
 
+@pytest.mark.parametrize("parts", [{"slices": -1}, {"slices": 0, "repetitions": 0}],
+                         ids=["slices_negative", "slices_zero"])
+def test_dataset_csv_rejects_slices_below_one_without_rows(tmp_path, parts):
+    # with no data row to check against the slice count, the header bound
+    # alone stands between the count and numpy's shape errors
+    path = tmp_path / "bad.csv"
+    path.write_text(_dataset_header(**parts) + "\ntau,j1,j2,j3,k,count\n")
+    message = f"slices must be at least 1, got {parts['slices']}"
+    with pytest.raises(fieldio.FormatError, match=message):
+        fieldio.read_dataset_csv(str(path))
+
+
 def test_snapshot_binary_round_trip(tmp_path):
     grid = Grid((1.0, 2.0), (8, 12), PERIODIC)
     rng = np.random.default_rng(0)

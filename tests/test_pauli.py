@@ -19,7 +19,6 @@ from paulilab.functionals import (
 )
 from paulilab.grids import (
     CENTRAL,
-    DIRICHLET_ZERO,
     PERIODIC,
     SPECTRAL,
     Grid,
@@ -28,7 +27,6 @@ from paulilab.grids import (
     VectorField3,
     derive_along,
     integrate_values,
-    interior_mask,
     laplacian_matrix,
     quadrature_weights,
     second_derive_along,
@@ -320,16 +318,14 @@ def split_operator_oracle_step(prop, psi):
 
 def whole_cayley_oracle_step(config, grid):
     """The Cayley step 2 (I + zH)^-1 psi - psi on the whole system, both
-    colors of the free cells whatever the state, with its own matrix and
-    factor (bmat, then splu in the propagator's ordering); the layout is
-    converted on the way in and out."""
+    colors of every cell whatever the state, with its own matrix and factor
+    (bmat, then splu in the propagator's ordering); the layout is converted
+    on the way in and out."""
     consts, em = config.consts, config.em
-    free = interior_mask(grid)
-    cells = np.flatnonzero(free)
-    kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)[cells][:, cells]
+    kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
     q = config.kinetic_charge()
-    v = q * em.phi_pot.values.ravel()[cells] if q != 0.0 else np.zeros(cells.size)
-    b = config.spin_coupling() * em.b_values(CENTRAL).reshape(grid.size, 3)[cells]
+    v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
+    b = config.spin_coupling() * em.b_values(CENTRAL).reshape(grid.size, 3)
     bz, bxy = b[:, 2], b[:, 0] - 1j * b[:, 1]
     diags = scipy.sparse.diags
     ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],
@@ -340,10 +336,8 @@ def whole_cayley_oracle_step(config, grid):
                                   diag_pivot_thresh=0.0)
 
     def step_once(psi):
-        flat = np.concatenate([psi[..., 0][free], psi[..., 1][free]])
-        out = np.zeros_like(psi)
-        out[free] = (2.0 * lu.solve(flat) - flat).reshape(2, -1).T
-        return out
+        flat = np.concatenate([psi[..., 0].ravel(), psi[..., 1].ravel()])
+        return (2.0 * lu.solve(flat) - flat).reshape(2, -1).T.reshape(psi.shape)
     return step_once
 
 
@@ -363,13 +357,11 @@ def oracle_states(state, config, steps):
 
 
 def random_run(grid, seed, neutral, scheme, dt, axial=False):
-    """A normalized random state and a random static phi and B on ``grid``;
-    on a dirichlet_zero grid the state vanishes on the boundary cells.  An
-    ``axial`` B has B_x = B_y = 0 exactly, which leaves the colors
+    """A normalized random state and a random static phi and B on ``grid``.
+    An ``axial`` B has B_x = B_y = 0 exactly, which leaves the colors
     uncoupled."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
-    vals[~interior_mask(grid)] = 0.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), grid))
     b_vals = rng.standard_normal(grid.shape + (3,))
     if axial:
@@ -460,13 +452,12 @@ def test_every_split_operator_document_runs_uncoupled_colors(monkeypatch):
 
 
 def axial_gradient_run(grid, color, neutral, transverse=0.0):
-    """A random state in ``color`` alone, 0 on the boundary cells of a
-    dirichlet_zero grid, in B_z = 0.5 + 0.3 x and phi = 1 + cos(2 pi x / L)
-    along the first axis, with B_y = ``transverse`` in the middle cell."""
+    """A random state in ``color`` alone, in B_z = 0.5 + 0.3 x and
+    phi = 1 + cos(2 pi x / L) along the first axis, with B_y = ``transverse``
+    in the middle cell."""
     rng = np.random.default_rng(17)
     vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
     vals[..., color] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    vals[~interior_mask(grid)] = 0.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), grid))
     x = np.broadcast_to(grid.meshgrid()[0], grid.shape)
     b_vals = np.zeros(grid.shape + (3,))
@@ -480,15 +471,13 @@ def axial_gradient_run(grid, color, neutral, transverse=0.0):
 
 @pytest.mark.parametrize("neutral", [False, True])
 @pytest.mark.parametrize("color", [0, 1])
-@pytest.mark.parametrize("extents,cells,boundary", [((3.0,), (16,), PERIODIC),
-                                                    ((2.0, 1.5), (7, 6), DIRICHLET_ZERO)])
+@pytest.mark.parametrize("extents,cells", [((3.0,), (16,)), ((2.0, 1.5), (7, 6))])
 def test_crank_nicolson_with_one_color_empty_is_the_whole_system_bitwise(extents, cells,
-                                                                         boundary, color,
-                                                                         neutral):
+                                                                         color, neutral):
     # the empty color is left out of the system and comes back as +0; the
     # whole system's solve gives the live color the same bits and keeps
     # the empty one at +0
-    state, config = axial_gradient_run(Grid(extents, cells, boundary), color, neutral)
+    state, config = axial_gradient_run(Grid(extents, cells, PERIODIC), color, neutral)
     assert pauli._make_propagator(config, state)._colors == (color,)
     traj = assert_steps_are_the_oracle_bitwise(state, config, 30)
     assert not traj.snapshots[..., 1 - color].tobytes().strip(b"\0")
@@ -551,12 +540,12 @@ def test_crank_nicolson_step_is_the_dense_cayley_solve(extents, cells, neutral):
 
 
 @st.composite
-def grids(draw, boundaries=(PERIODIC,)):
+def grids(draw):
     dim = draw(st.integers(1, 3))
     top = (48, 10, 5)[dim - 1]
     cells = tuple(draw(st.lists(st.integers(3, top), min_size=dim, max_size=dim)))
     extents = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=dim, max_size=dim)))
-    return Grid(extents, cells, draw(st.sampled_from(boundaries)))
+    return Grid(extents, cells, PERIODIC)
 
 
 @settings(max_examples=40, deadline=None)
@@ -576,39 +565,14 @@ def test_fused_split_operator_stays_at_round_off_from_the_stepwise_oracle(
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), scheme=st.sampled_from([SPLIT_OPERATOR, CRANK_NICOLSON]),
+@given(grid=grids(), scheme=st.sampled_from([SPLIT_OPERATOR, CRANK_NICOLSON]),
        seed=st.integers(0, 2**32 - 1), neutral=st.booleans(), dt=st.floats(1e-3, 5e-2),
        steps=st.integers(1, 200), record_every=st.integers(1, 50))
-def test_every_recorded_norm_stays_within_1e12_of_one(data, scheme, seed, neutral, dt, steps,
+def test_every_recorded_norm_stays_within_1e12_of_one(grid, scheme, seed, neutral, dt, steps,
                                                       record_every):
-    boundaries = (PERIODIC,) if scheme == SPLIT_OPERATOR else (PERIODIC, DIRICHLET_ZERO)
-    grid = data.draw(grids(boundaries))
     state, config = random_run(grid, seed, neutral, scheme, dt)
     traj = evolve(state, config, steps * dt, record_every=record_every)
     assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
-
-
-def test_crank_nicolson_holds_dirichlet_boundary_cells_at_zero():
-    g = Grid((2.0, 1.5), (7, 6), DIRICHLET_ZERO)
-    state, config = random_run(g, 4, False, CRANK_NICOLSON, 1e-2)
-    traj = evolve(state, config, 0.2, record_every=5, keep_snapshots=True)
-    edge = ~np.pad(np.ones((5, 4), dtype=bool), 1)
-    assert np.all(traj.snapshots[:, edge] == 0.0)
-    assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
-
-
-def test_crank_nicolson_refuses_a_dirichlet_state_off_zero_on_the_boundary():
-    g = Grid((2.0,), (9,), DIRICHLET_ZERO)
-    state, config = random_run(g, 5, True, CRANK_NICOLSON, 1e-2)
-    vals = state.phi.values.copy()
-    vals[-1, 1] = 0.25
-    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
-    spoiled = PauliState(SpinorField(g, vals))
-    amplitude = f"{abs(vals[-1, 1]):.3e}"
-    with pytest.raises(SolverError, match=amplitude):
-        evolve(spoiled, config, 0.1)
-    with pytest.raises(SolverError, match=amplitude):
-        step(spoiled, config)
 
 
 class _PlantedFactor:
@@ -642,15 +606,6 @@ def test_crank_nicolson_refuses_a_solve_off_its_residual_bound(monkeypatch, spoi
             step(state, config)
         else:
             evolve(state, config, steps * config.dt, record_every=steps)
-
-
-def test_crank_nicolson_refuses_a_dirichlet_grid_without_interior_cells():
-    g = Grid((2.0, 1.0), (9, 2), DIRICHLET_ZERO)
-    vals = np.full(g.shape + (2,), 0.5 + 0.0j)
-    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
-    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, EMConfiguration.zero(g))
-    with pytest.raises(SolverError, match="3 cells"):
-        step(PauliState(SpinorField(g, vals)), config)
 
 
 # ---------------------------------------------------------------------------
