@@ -5,11 +5,12 @@ split-operator propagator (spectral kinetic half-steps around an exact
 per-cell 2x2 exponential of the potential/spin block, which an axial field
 leaves diagonal, so each color takes one multiply), and a Cayley step psi' =
 2 (I + zH)^-1 psi - psi (one solve, factored once without pivoting, and one
-residual check) for stencil kinetics, over the colors that carry amplitude
-(an axial field, or none, leaves an empty color exactly zero).  A run given
-a moment coupling is chargeless: it drops the charge from the kinetic and
-potential terms and couples the spin through that energy-per-field
-coefficient.
+residual check) for stencil kinetics.  Both step only the colors that carry
+amplitude where the field does not couple them: an axial field, or none,
+leaves an empty color exactly zero (``_make_propagator`` picks the colors).
+A run given a moment coupling is chargeless: it drops the charge from the
+kinetic and potential terms and couples the spin through that
+energy-per-field coefficient.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -110,9 +111,11 @@ class _SplitOperatorPropagator:
     """Strang splitting K/2 V K/2: spectral kinetic factors K around an exact
     per-cell 2x2 exponential V of the potential/spin block.  Where B has no
     transverse component in any cell, V is diagonal and applies as one
-    in-place multiply per color, with the bits of the 2x2 product."""
+    in-place multiply per color, with the bits of the 2x2 product.  One live
+    color of ``colors`` steps alone, as one contiguous array of the grid's
+    shape, with the bits it has next to a filled color."""
 
-    def __init__(self, config: SolverConfig, grid: Grid):
+    def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
         k_sq = np.zeros(grid.shape)
         for ax in range(grid.dim):
             k = 2.0 * np.pi * np.fft.fftfreq(grid.cells[ax], d=grid.spacing[ax])
@@ -125,12 +128,9 @@ class _SplitOperatorPropagator:
         self._full_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (2.0 * consts.mass))
         # 1-D transforms, last axis first as np.fft.fftn runs them: its bits, less overhead
         self._axes = tuple(reversed(range(grid.dim)))
-        em = config.em
-        if np.any(em.a_pot.values != 0.0):
-            raise SolverError("split-operator scheme requires zero vector potential")
         q = config.kinetic_charge()
-        v = q * em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
-        c = -config.spin_coupling() * em.b_values(SPECTRAL)
+        v = q * config.em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
+        c = -config.spin_coupling() * b
         c_norm = np.sqrt(np.sum(c * c, axis=-1))
         alpha = c_norm * config.dt / consts.hbar
         cos_a = np.cos(alpha)
@@ -142,13 +142,14 @@ class _SplitOperatorPropagator:
         u12 = phase * (-1j * sinc * (c[..., 0] - 1j * c[..., 1]))
         u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
         self._cell = u11, u12, u21, u22
+        self._colors = colors
         # an axial field (or none) leaves the colors uncoupled in every cell
         self._diagonal = not (np.any(u12) or np.any(u21))
 
     def _kinetic(self, psi: np.ndarray, factor: np.ndarray) -> np.ndarray:
         for ax in self._axes:
             psi = scipy.fft.fft(psi, axis=ax)
-        psi *= factor[..., None]
+        psi *= factor if psi.ndim == factor.ndim else factor[..., None]
         for ax in self._axes:
             psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
         return psi
@@ -159,11 +160,17 @@ class _SplitOperatorPropagator:
         the next, so they run as one full kinetic step.  n = 1 is one step's
         operations in their order.  Uncoupled colors take one multiply each
         in place of the 2x2 product, whose off-diagonal terms add exact
-        zeros."""
+        zeros; an empty color comes back as +0."""
         u11, u12, u21, u22 = self._cell
+        one = len(self._colors) == 1
+        if one:  # the live color, one contiguous array of the grid's shape
+            (c,) = self._colors
+            u, out, psi = (u11, u22)[c], np.zeros_like(psi), psi[..., c]
         psi = self._kinetic(psi, self._half_kinetic)
         for i in range(n):
-            if self._diagonal:
+            if one:
+                np.multiply(u, psi, out=psi)
+            elif self._diagonal:
                 # keep the factor first: numpy's SIMD complex multiply gives
                 # u * psi and psi * u (as `psi[..., 0] *= u11` computes it)
                 # different last bits, and the 2x2 product takes u * psi
@@ -174,6 +181,9 @@ class _SplitOperatorPropagator:
                 c1 = u21 * psi[..., 0] + u22 * psi[..., 1]
                 psi[..., 0], psi[..., 1] = c0, c1
             psi = self._kinetic(psi, self._full_kinetic if i < n - 1 else self._half_kinetic)
+        if one:
+            out[..., c] = psi
+            return out
         return psi
 
 
@@ -187,24 +197,19 @@ class _CrankNicolsonPropagator:
     still checked: 2 |A y - psi| <= tol |psi| bounds |A psi' - (I - zH) psi|
     = 2 |A y - psi| by tol |(I - zH) psi|, since |(I - zH) psi| >= |psi|.
 
-    The system spans the colors that carry amplitude in ``psi``, the initial
-    wavefunction: with no transverse field in any cell, H does not couple
-    the colors, so an empty color stays exactly 0 and is left out.  The
-    live color's solve has the bits of the two-color one, whose empty block
-    holds only zeros.
+    The system spans ``colors``.  A live color's solve has the bits of the
+    two-color one, whose empty block holds only zeros.
     """
 
-    def __init__(self, config: SolverConfig, grid: Grid, psi: np.ndarray):
-        consts, em = config.consts, config.em
-        if np.any(em.a_pot.values != 0.0):
-            raise SolverError("the implicit propagator supports zero vector potential only")
+    def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
+        consts = config.consts
         kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
         q = config.kinetic_charge()
-        v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
-        b = em.b_values(CENTRAL).reshape(grid.size, 3)
+        v = q * config.em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
+        b = b.reshape(grid.size, 3)
         coupling = config.spin_coupling()
         bz, bxy = coupling * b[:, 2], coupling * (b[:, 0] - 1j * b[:, 1])
-        self._colors = (0, 1) if np.any(bxy) else tuple(c for c in (0, 1) if np.any(psi[..., c]))
+        self._colors = colors
         diags = scipy.sparse.diags
         blocks = [[kin + diags(v - bz), diags(-bxy)],
                   [diags(-np.conj(bxy)), kin + diags(v + bz)]]
@@ -240,15 +245,22 @@ class _CrankNicolsonPropagator:
 
 
 def _make_propagator(config: SolverConfig, initial: PauliState):
-    """The propagator of ``config`` for runs from ``initial``, whose grid must
-    be periodic: the implicit scheme builds its system over the colors that
-    carry amplitude in it."""
-    grid = initial.phi.grid
+    """The propagator of ``config`` for runs from ``initial``, on a periodic
+    grid with zero vector potential.  It reads the field once and picks the
+    colors either scheme steps: both where the spin coupling times the
+    transverse field is nonzero in some cell, since only that term couples
+    the colors, else those that carry amplitude in ``initial``."""
+    grid, psi = initial.phi.grid, initial.phi.values
     if grid.boundary != PERIODIC:
         raise SolverError("Pauli propagation requires a periodic grid")
-    if config.scheme == SPLIT_OPERATOR:
-        return _SplitOperatorPropagator(config, grid)
-    return _CrankNicolsonPropagator(config, grid, initial.phi.values)
+    if np.any(config.em.a_pot.values != 0.0):
+        raise SolverError("Pauli propagation requires zero vector potential")
+    split = config.scheme == SPLIT_OPERATOR
+    b = config.em.b_values(SPECTRAL if split else CENTRAL)
+    colors = ((0, 1) if np.any(config.spin_coupling() * b[..., :2])
+              else tuple(c for c in (0, 1) if np.any(psi[..., c])))
+    propagator = _SplitOperatorPropagator if split else _CrankNicolsonPropagator
+    return propagator(config, grid, b, colors)
 
 
 def step(state: PauliState, config: SolverConfig) -> PauliState:

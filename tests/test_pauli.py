@@ -413,11 +413,11 @@ def gradient_field_run(weights, transverse=0.0):
 
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)])
 def test_split_operator_with_one_color_empty_is_the_oracle_bitwise(weights):
-    # the empty color stays exactly zero, and the kinetic FFTs carry the sign
-    # of its zeros into the output bytes: the per-color step must give the
-    # 2x2 product's signed zeros
+    # the live color steps alone and must get the 2x2 product's bits; the
+    # empty color comes back as the +0 the product keeps there
     state, config = gradient_field_run(weights)
-    assert pauli._make_propagator(config, state)._diagonal
+    prop = pauli._make_propagator(config, state)
+    assert prop._diagonal and prop._colors == (weights.index(1.0),)
     assert_steps_are_the_oracle_bitwise(state, config, 30)
 
 
@@ -441,13 +441,15 @@ def record_propagators(monkeypatch):
 
 
 def test_every_split_operator_document_runs_uncoupled_colors(monkeypatch):
-    # the per-color step is a speed-up only while the field-built runs take it
+    # the per-color step and the one-color path are speed-ups only while the
+    # field-built runs take them: the Larmor and Stern-Gerlach runs fill both
+    # colors, the packet runs one
     built = record_propagators(monkeypatch)
     verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10)
     stern_gerlach(sg_config(cells=256, dt=0.1, t_final=1.0, record_every=10))
     verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10)
     verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10)
-    assert len(built) == 4
+    assert [prop._colors for prop in built] == [(0, 1), (0, 1), (0,), (0,)]
     assert all(prop._diagonal for prop in built)
 
 
@@ -501,6 +503,45 @@ def test_crank_nicolson_packet_documents_solve_one_color(monkeypatch):
     verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10, CRANK_NICOLSON)
     assert [(prop._colors, prop._lu.shape) for prop in built] == [
         ((0,), (256, 256)), ((0,), (256, 256)), ((0, 1), (16, 16))]
+
+
+def packet(grid, center, kick):
+    """A normalized Gaussian packet about ``center`` with wave vector
+    ``kick``, one component per axis."""
+    arg = sum(-((x - c) ** 2) / 2.0 + 1j * k * x
+              for x, c, k in zip(grid.meshgrid(), center, kick))
+    vals = np.broadcast_to(np.exp(arg), grid.shape)
+    return vals / np.sqrt(integrate_values(np.abs(vals) ** 2, grid))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("color", [0, 1])
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+@pytest.mark.parametrize("extents,cells", [((20.0,), (256,)), ((10.0, 10.0), (32, 32))])
+def test_one_color_advance_is_that_color_of_the_two_color_advance_bitwise(extents, cells,
+                                                                          scheme, color, n):
+    # an axial field does not mix the colors: the live color steps alone
+    # with the bits it has next to a filled color, spin-down takes the
+    # cell factor u22, and the empty color comes back as +0
+    g = Grid(extents, cells, PERIODIC)
+    x = np.broadcast_to(g.meshgrid()[0], g.shape)
+    b_vals = np.zeros(g.shape + (3,))
+    b_vals[..., 2] = 0.5 + 0.3 * x
+    em = EMConfiguration(g, ScalarField(g, 1.0 + np.cos(2 * np.pi * x / extents[0])),
+                         VectorField3.zero(g), b=VectorField3(g, b_vals))
+    config = SolverConfig(scheme, 1e-2, CONSTS, em)
+    one = np.zeros(g.shape + (2,), dtype=np.complex128)
+    one[..., color] = packet(g, [e / 3.0 for e in extents], [1.5] * g.dim)
+    both = one.copy()
+    both[..., 1 - color] = packet(g, [2.0 * e / 3.0 for e in extents], [-0.8] * g.dim)
+    prop_one = pauli._make_propagator(config, PauliState(SpinorField(g, one)))
+    prop_both = pauli._make_propagator(config, SimpleNamespace(phi=SpinorField(g, both)))  # norm 2
+    assert (prop_one._colors, prop_both._colors) == ((color,), (0, 1))
+    got, want = prop_one.advance(one.copy(), n), prop_both.advance(both.copy(), n)
+    assert got[..., color].tobytes() == want[..., color].tobytes()
+    empty = got[..., 1 - color]
+    assert not np.any(empty)
+    assert not np.any(np.signbit(empty.real)) and not np.any(np.signbit(empty.imag))
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
@@ -573,6 +614,33 @@ def test_every_recorded_norm_stays_within_1e12_of_one(grid, scheme, seed, neutra
     state, config = random_run(grid, seed, neutral, scheme, dt)
     traj = evolve(state, config, steps * dt, record_every=record_every)
     assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.integers(3, 128), extent=st.floats(0.5, 20.0),
+       scheme=st.sampled_from([SPLIT_OPERATOR, CRANK_NICOLSON]),
+       transverse=st.one_of(st.just(0.0), st.floats(0.1, 2.0)), angle=st.floats(0.0, 6.3),
+       bz=st.floats(-2.0, 2.0), filled=st.sampled_from([(0,), (1,), (0, 1)]),
+       seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 20))
+def test_a_uniform_field_keeps_the_norm_and_a_transverse_one_steps_both_colors(
+        cells, extent, scheme, transverse, angle, bz, filled, seed, dt, steps):
+    g = Grid((extent,), (cells,), PERIODIC)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(g.shape + (2,), dtype=np.complex128)
+    for c in filled:
+        vals[..., c] = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
+    b_vals = np.zeros(g.shape + (3,))
+    b_vals[:] = transverse * np.cos(angle), transverse * np.sin(angle), bz
+    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
+                         b=VectorField3(g, b_vals))
+    state = PauliState(SpinorField(g, vals))
+    config = SolverConfig(scheme, dt, CONSTS, em)
+    assert pauli._make_propagator(config, state)._colors == ((0, 1) if transverse else filled)
+    traj = evolve(state, config, steps * dt)
+    assert np.max(np.abs(np.diff(traj.norms))) <= 1e-12
+    if transverse:  # the empty color, if any, takes up amplitude from the first step
+        assert np.all(traj.color_masses[1:] > 0.0)
 
 
 class _PlantedFactor:
@@ -715,7 +783,7 @@ def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
             if spoil == "scale":
                 psi *= 1.0 + 1e-9  # norm 1 + 2e-9 from the next record on
             else:
-                psi[3, 1] = np.nan
+                psi[3, 0] = np.nan  # a cell of the live color
 
     # the callback runs after its record's observables, so the next record aborts
     with pytest.raises(SolverError):
@@ -733,6 +801,16 @@ def test_evolve_rejects_record_every_below_one():
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
     with pytest.raises(SolverError):
         evolve(uniform_state(g), config, 0.1, record_every=0)
+
+
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+def test_evolve_refuses_a_vector_potential(scheme):
+    g = Grid((1.0,), (8,), PERIODIC)
+    a_vals = np.zeros(g.shape + (3,))
+    a_vals[3, 1] = 0.2
+    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3(g, a_vals))
+    with pytest.raises(SolverError, match="zero vector potential"):
+        evolve(uniform_state(g), SolverConfig(scheme, 1e-2, CONSTS, em), 0.1)
 
 
 def measured_frequency(times, values):

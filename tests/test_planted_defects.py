@@ -138,16 +138,16 @@ def _first_order_central(derive_along):
 
 def _half_kinetic_for_full(init):
     # the fused full kinetic step takes the half-step factor
-    def planted(self, config, grid):
-        init(self, config, grid)
+    def planted(self, *args):
+        init(self, *args)
         self._full_kinetic = self._half_kinetic
     return planted
 
 
 def _second_color_takes_u11(init):
     # the per-color step of an axial field multiplies both colors by u11
-    def planted(self, config, grid):
-        init(self, config, grid)
+    def planted(self, *args):
+        init(self, *args)
         if self._diagonal:
             u11, u12, u21, _ = self._cell
             self._cell = u11, u12, u21, u11
@@ -156,8 +156,8 @@ def _second_color_takes_u11(init):
 
 def _cell_factor_scaled(init):
     # a cell factor 1e-7 off unitary
-    def planted(self, config, grid):
-        init(self, config, grid)
+    def planted(self, *args):
+        init(self, *args)
         self._cell = tuple((1.0 + 1e-7) * u for u in self._cell)
     return planted
 
