@@ -211,7 +211,7 @@ def read_dataset_csv(path: str) -> DetectionDataset:
     index = tuple(cell[:, : 1 + grid.dim].astype(np.intp).T) + ((k == -1).astype(np.intp),)
     counts = np.zeros((header["slices"],) + grid.shape + (2,))
     flat = np.ravel_multi_index(index, counts.shape)
-    if np.unique(flat).size != flat.size:
+    if np.bincount(flat, minlength=counts.size).max() > 1:
         raise FormatError("a (tau, j1, j2, j3, k) cell appears in more than one row")
     counts[index] = value
     return DetectionDataset(grid, counts, header["repetitions"], seed=header["seed"])

@@ -289,10 +289,15 @@ class Observables:
 
 
 def _observable_weights(grid: Grid):
-    """Quadrature weights w, 2w and w * x_ax per axis: what every record of
-    the observables on ``grid`` multiplies by."""
+    """The (rows, cells) block of weights every record of the observables on
+    ``grid`` multiplies by, built once per run: w for dens, rho1 and rho2,
+    w * x_ax per axis, 2w for the real and imaginary cross term, w for
+    rho1 - rho2.  A shared weight is stored once per row: a product of two
+    blocks of one shape is one contiguous pass, while broadcasting sends
+    numpy through its general iterator, which costs more than it saves."""
     w = quadrature_weights(grid)
-    return w, w * 2.0, [w * x for x in grid.meshgrid()]
+    rows = [w, w, w, *(w * x for x in grid.meshgrid()), w * 2.0, w * 2.0, w]
+    return np.array(rows).reshape(len(rows), -1)
 
 
 def _observe(psi: np.ndarray, weights, position, spin, masses):
@@ -300,25 +305,26 @@ def _observe(psi: np.ndarray, weights, position, spin, masses):
     rows ``position`` (3,), ``spin`` (3,) and ``masses`` (2,); returns the
     norm, the two color densities and their sum.
 
-    Each sum is ``np.add.reduce`` of the product that ``np.sum(w * ...)``
-    would reduce, factors multiplied left to right, so the values carry the
-    bits of the plain formulas.
+    The terms fill one block of the weights' shape, their products go to a
+    new block, and one ``np.add.reduce(..., axis=1)`` takes every sum.  A
+    reduction along the last, contiguous axis sums each row pairwise exactly
+    as the 1-D reduce of ``np.sum(w * ...)`` does, and real products commute
+    exactly, so the values carry the bits of the plain formulas.
     """
-    w, w2, wx = weights
-    add = np.add.reduce
-    rho1 = np.abs(psi[..., 0]) ** 2
-    rho2 = np.abs(psi[..., 1]) ** 2
-    dens = rho1 + rho2
-    norm = float(add(w * dens, axis=None))
-    for ax, w_x in enumerate(wx):
-        position[ax] = float(add(w_x * dens, axis=None)) / norm
-    cross = np.conj(psi[..., 0]) * psi[..., 1]
-    spin[0] = float(add(w2 * cross.real, axis=None)) / norm
-    spin[1] = float(add(w2 * cross.imag, axis=None)) / norm
-    spin[2] = float(add(w * (rho1 - rho2), axis=None)) / norm
-    masses[0] = float(add(w * rho1, axis=None))
-    masses[1] = float(add(w * rho2, axis=None))
-    return norm, rho1, rho2, dens
+    terms = np.empty((len(weights),) + psi.shape[:-1])
+    flat = terms.reshape(len(weights), -1)  # rows in the weights' order
+    pairs = psi.reshape(-1, 2)
+    np.square(np.abs(pairs.T), out=flat[1:3])
+    np.add(flat[1], flat[2], out=flat[0])
+    flat[3:-3] = flat[0]
+    cross = np.conj(pairs[:, 0]) * pairs[:, 1]
+    flat[-3], flat[-2] = cross.real, cross.imag
+    np.subtract(flat[1], flat[2], out=flat[-1])
+    norm, masses[0], masses[1], *x, s_x, s_y, s_z = np.add.reduce(flat * weights, axis=1).tolist()
+    for ax, value in enumerate(x):
+        position[ax] = value / norm
+    spin[0], spin[1], spin[2] = s_x / norm, s_y / norm, s_z / norm
+    return norm, terms[1], terms[2], terms[0]
 
 
 def observables(state: PauliState) -> Observables:
@@ -358,7 +364,9 @@ def evolve(
     ``on_record(psi, t, rho1, rho2, dens, masses)``, when given, sees the
     raw wavefunction array, its two color densities, their sum and the
     recorded color masses (2,) at each recorded step, after the observables
-    are taken and before the norm is checked; it may raise to abort the run.
+    are taken and before the norm is checked; the three density arrays keep
+    their values for the whole call (the weighted sums write elsewhere), and
+    the callback may raise to abort the run.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
@@ -471,13 +479,14 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
         grid, config.sigma, config.center, config.velocity, config.spin_weights, config.consts
     )
     w = quadrature_weights(grid)
-    wz = w * z
+    weights = np.stack((w * z, w * z, w))  # the two color centers and the overlap
     edge = max(3, config.cells // 64)
     centers, separations, overlaps = [], [], []
 
     def record(psi, t, rho1, rho2, dens, color_masses):
-        boundary_mass = float(np.sum(w[:edge] * dens[:edge])
-                              + np.sum(w[-edge:] * dens[-edge:]))
+        # the edge sums stay apart: padding them into the block would regroup them
+        boundary_mass = float(np.add.reduce(w[:edge] * dens[:edge])
+                              + np.add.reduce(w[-edge:] * dens[-edge:]))
         if boundary_mass > _BOUNDARY_MASS_TOL:
             raise SolverError(
                 f"packet reached the grid boundary at t={t:.6g} "
@@ -485,12 +494,13 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
             )
         rho, masses = (rho1, rho2), color_masses.tolist()
         occupied = [m > 1e-12 for m in masses]
-        cs = [float(np.sum(wz * r)) / m if o else np.nan
-              for r, m, o in zip(rho, masses, occupied)]
+        norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
+        *sums, overlap = np.add.reduce(weights * (rho1, rho2, np.sqrt(norm1 * norm2)),
+                                       axis=1).tolist()
+        cs = [s / m if o else np.nan for s, m, o in zip(sums, masses, occupied)]
         centers.append(cs)
         separations.append(cs[0] - cs[1] if all(occupied) else 0.0)
-        norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
-        overlaps.append(float(np.sum(w * np.sqrt(norm1 * norm2))))
+        overlaps.append(overlap)
 
     traj = evolve(state, solver, config.t_final, config.record_every, on_record=record)
     return SternGerlachResult(

@@ -140,6 +140,31 @@ def test_dataset_csv_rejects_malformed_rows(tmp_path, rows, repetitions):
         fieldio.read_dataset_csv(_dataset_file(tmp_path / "bad.csv", rows, repetitions))
 
 
+# (tau, j1, j2, k) on 2 slices of a 3 x 2 grid
+_CELLS = st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 1),
+                   st.sampled_from([1, -1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(_CELLS, max_size=10), repeat=st.booleans(), data=st.data())
+def test_dataset_csv_rejects_exactly_the_rows_that_repeat_a_cell(tmp_path_factory, rows,
+                                                                  repeat, data):
+    # np.unique is the oracle for the reader's linear-time duplicate check;
+    # zero counts with zero repetitions make any set of distinct cells valid
+    if repeat and rows:
+        rows = rows + [data.draw(st.sampled_from(rows))]
+    header = _dataset_header(grid=Grid((3.0, 2.0), (3, 2), PERIODIC).descriptor(), slices=2,
+                             repetitions=0)
+    path = tmp_path_factory.mktemp("cells") / "rows.csv"
+    path.write_text(header + "\ntau,j1,j2,j3,k,count\n"
+                    + "".join(f"{tau},{j1},{j2},0,{k},0\n" for tau, j1, j2, k in rows))
+    if len(np.unique(np.reshape(rows, (-1, 4)), axis=0)) != len(rows):
+        with pytest.raises(fieldio.FormatError, match="appears in more than one row"):
+            fieldio.read_dataset_csv(str(path))
+    else:
+        assert fieldio.read_dataset_csv(str(path)).counts.shape == (2, 3, 2, 2)
+
+
 @pytest.mark.parametrize("header_line,message", [
     ('# {"format": "paulilab-dataset-1", "grid": ', "malformed JSON header"),
     ('# {"format": "paulilab-dataset-1", "repetitions": 2, "seed": 0, "slices": 1}',

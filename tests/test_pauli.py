@@ -748,15 +748,26 @@ def plain_observables(psi, grid):
 
 
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
-@pytest.mark.parametrize("extents,cells", [((3.0,), (16,)), ((2.0, 1.5), (6, 5)),
-                                           ((1.0, 1.2, 0.8), (4, 3, 5))])
-def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents, cells):
+@pytest.mark.parametrize("extents,cells,spin_up_axial", [
+    pytest.param((3.0,), (16,), False, id="extents0-cells0"),
+    pytest.param((2.0, 1.5), (6, 5), False, id="extents1-cells1"),
+    pytest.param((1.0, 1.2, 0.8), (4, 3, 5), False, id="extents2-cells2"),
+    pytest.param((1.0,), (8,), False, id="larmor_size_8_cells"),
+    # spin down stays exactly zero, so the signs of zero in spin x and y count
+    pytest.param((3.0,), (16,), True, id="spin_up_in_axial_field"),
+])
+def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents, cells,
+                                                                 spin_up_axial):
     g = Grid(extents, cells, PERIODIC)
     rng = np.random.default_rng(len(cells))
     vals = rng.standard_normal(g.shape + (2,)) + 1j * rng.standard_normal(g.shape + (2,))
+    b_vals = rng.standard_normal(g.shape + (3,))
+    if spin_up_axial:
+        vals[..., 1] = 0.0
+        b_vals[..., :2] = 0.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
     em = EMConfiguration(g, ScalarField(g, rng.random(g.shape)), VectorField3.zero(g),
-                         b=VectorField3(g, rng.standard_normal(g.shape + (3,))))
+                         b=VectorField3(g, b_vals))
     config = SolverConfig(scheme, 1e-3, CONSTS, em)
     traj = evolve(PauliState(SpinorField(g, vals), 0.25), config, 0.011, record_every=3,
                   keep_snapshots=True)
@@ -769,6 +780,8 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
         for got, want, plain in zip(recorded, public, plain_observables(snap, g)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()
+    if spin_up_axial:
+        assert not traj.snapshots[..., 1].any() and not traj.color_masses[:, 1].any()
 
 
 @pytest.mark.parametrize("spoil", ["scale", "nan"])
@@ -948,6 +961,47 @@ def test_stern_gerlach_boundary_abort():
         stern_gerlach(sg_config(velocity=5.0, t_final=10.0))
 
 
+def stern_gerlach_on_evolve(cfg, keep_snapshots=False):
+    """The packet, field and solver of ``stern_gerlach(cfg)`` run through
+    ``evolve`` directly: the grid and the trajectory."""
+    grid = Grid((cfg.extent,), (cfg.cells,), PERIODIC)
+    b_vals = np.zeros(grid.shape + (3,))
+    b_vals[..., 2] = cfg.field_offset + cfg.field_gradient * grid.axis_coordinates(0)
+    em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
+                         b=VectorField3(grid, b_vals))
+    solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, gamma_energy=cfg.gamma_energy)
+    packet = gaussian_packet_state(grid, cfg.sigma, cfg.center, cfg.velocity, cfg.spin_weights,
+                                   CONSTS)
+    return grid, evolve(packet, solver, cfg.t_final, record_every=cfg.record_every,
+                        keep_snapshots=keep_snapshots)
+
+
+@pytest.mark.parametrize("spin_weights", [(1.0, 1.0), (0.8, 0.6j), (1.0, 0.0)],
+                         ids=["two_colors_even", "two_colors_uneven", "one_color"])
+def test_stern_gerlach_records_are_plain_sums_over_the_snapshots_bitwise(spin_weights):
+    cfg = sg_config(cells=256, dt=0.1, t_final=4.0, record_every=5, spin_weights=spin_weights)
+    result = stern_gerlach(cfg)
+    grid, traj = stern_gerlach_on_evolve(cfg, keep_snapshots=True)
+    assert len(traj.snapshots) == len(result.times) == 9
+    w = quadrature_weights(grid)
+    z = grid.axis_coordinates(0)
+    for i, snap in enumerate(traj.snapshots):
+        rho = [np.abs(snap[:, c]) ** 2 for c in (0, 1)]
+        masses = [float(np.sum(w * r)) for r in rho]
+        occupied = [m > 1e-12 for m in masses]
+        centers = [float(np.sum(w * z * r)) / m if o else np.nan
+                   for r, m, o in zip(rho, masses, occupied)]
+        separation = centers[0] - centers[1] if all(occupied) else 0.0
+        norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
+        overlap = float(np.sum(w * np.sqrt(norm1 * norm2)))
+        assert result.centers[i].tobytes() == np.array(centers).tobytes()
+        assert result.separation[i].tobytes() == np.float64(separation).tobytes()
+        assert result.overlap[i].tobytes() == np.float64(overlap).tobytes()
+    if not spin_weights[1]:  # the empty color has no center, and nothing to separate or overlap
+        assert np.isnan(result.centers[:, 1]).all()
+        assert not result.separation.any() and not result.overlap.any()
+
+
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
 
 
@@ -967,14 +1021,7 @@ def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, gamma_e
         if weights[color]:
             moved = result.centers[-1, color] - cfg.center
             assert abs(moved - direction * half_law) <= 0.01 * abs(half_law)
-    grid = Grid((cfg.extent,), (cfg.cells,), PERIODIC)
-    b_vals = np.zeros(grid.shape + (3,))
-    b_vals[..., 2] = cfg.field_offset + cfg.field_gradient * grid.axis_coordinates(0)
-    em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
-                         b=VectorField3(grid, b_vals))
-    solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, gamma_energy=cfg.gamma_energy)
-    packet = gaussian_packet_state(grid, cfg.sigma, cfg.center, cfg.velocity, weights, CONSTS)
-    traj = evolve(packet, solver, cfg.t_final, record_every=cfg.record_every)
+    _, traj = stern_gerlach_on_evolve(cfg)
     for name in ("times", "norms", "positions", "spins", "color_masses"):
         got, want = getattr(result.trajectory, name), getattr(traj, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name

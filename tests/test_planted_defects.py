@@ -6,10 +6,12 @@ row fails, and that is not on the allow-list with its reason, fails the
 table: such a record would read as a pass whatever the code does.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from paulilab import classical, functionals, inference, pauli, variational, verification
+from paulilab import classical, fieldio, functionals, inference, pauli, variational, verification
 from paulilab.grids import CENTRAL, PERIODIC
 
 # the criteria by their verification.ALL_CHECKS names, each run at fast settings
@@ -38,7 +40,8 @@ SPREADING = "pauli.spreading_rel_error"
 PRECESSION = "pauli.precession_rel_error"
 
 # criterion 6
-MOMENT_PATHS = {"classical.spin_vs_torque_max_dev", "classical.torque_vs_canonical_angle"}
+SPIN_VS_TORQUE = "classical.spin_vs_torque_max_dev"
+MOMENT_PATHS = {SPIN_VS_TORQUE, "classical.torque_vs_canonical_angle"}
 ENERGY = "classical.energy_rel_drift"
 MOMENT_NORM = "classical.moment_norm_drift"
 
@@ -49,10 +52,19 @@ CAYLEY_NORM = "pauli.norm_drift_crank_nicolson_1000_steps"
 TOTAL_GRADIENT = "gradients.total_fd_rel_error_30_components"
 FISHER_GRADIENT = "gradients.fisher_fd_rel_error"
 
+# criterion 9
+FOUR_SIGMA = "sampling.four_sigma_excess"
+COUNTS_SUM = "sampling.counts_sum_exact"
+RERUN = "sampling.rerun_identical"
+CSV_BYTES = "sampling.csv_bytes_identical"
+ROUND_TRIP = "sampling.csv_round_trip_bit_exact"
+
 # records no planted defect in the physics can fail, with the reason
 ALLOWED = {
     "box.runtime_seconds": "a wall-clock gate, not a property of the numbers",
     "equivalence.runtime_seconds": "a wall-clock gate, not a property of the numbers",
+    COUNTS_SUM: "the empirical table, taken before it, refuses slice sums more than 1e-12 "
+                "relative off the repetitions: a sampler one event short raises first",
 }
 
 
@@ -187,6 +199,50 @@ def _negated(cross):
     return planted
 
 
+def _transverse_spin_by_w(observable_weights):
+    # the record block weighs the real and imaginary cross-term rows by w,
+    # not 2w: <sigma_x> and <sigma_y> read half their size
+    def planted(grid):
+        weights = observable_weights(grid)
+        weights[-3:-1] = weights[0]
+        return weights
+    return planted
+
+
+def _four_cells_raised(sample_dataset):
+    # the draw comes from the table with its four most plausible cells 5%
+    # higher, renormalized
+    def planted(table, repetitions, seed):
+        flat = table.probs.reshape(table.slices, -1).copy()
+        top = np.argsort(flat, axis=1)[:, -4:]
+        np.put_along_axis(flat, top, 1.05 * np.take_along_axis(flat, top, axis=1), axis=1)
+        flat /= flat.sum(axis=1, keepdims=True)
+        raised = inference.IProbTable(table.grid, flat.reshape(table.probs.shape))
+        return sample_dataset(raised, repetitions, seed)
+    return planted
+
+
+def _next_seed_per_call(sample_dataset):
+    # each call draws with the seed after the last one's: the first draw is
+    # the seeded one, and a rerun with the same seed draws other counts
+    calls = itertools.count()
+
+    def planted(table, repetitions, seed):
+        return sample_dataset(table, repetitions, seed + next(calls))
+    return planted
+
+
+def _last_row_dropped(read_dataset_csv):
+    # the reader loses the file's last data row
+    def planted(path):
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[:-1])
+        return read_dataset_csv(path)
+    return planted
+
+
 def _forward_euler(rk4):
     # one first-order step in place of the four-stage one
     def planted(state, t, dt, rhs):
@@ -260,10 +316,23 @@ ROWS = {
     # renormalization
     "rk4_as_forward_euler": ("classical_correspondence", classical, "_rk4", _forward_euler,
                              MOMENT_PATHS | {ENERGY, MOMENT_NORM}),
+    # only the Larmor spin is recorded through the block; the moment runs
+    # take no Pauli records
+    "transverse_spin_weighed_by_w": ("classical_correspondence", pauli, "_observable_weights",
+                                     _transverse_spin_by_w, {SPIN_VS_TORQUE}),
     "objective_s_gradient_scaled": ("gradients", variational.TotalObjective, "gradient",
                                     _s_part_scaled, {TOTAL_GRADIENT}),
     "fisher_gradient_scaled": ("gradients", variational, "fisher_gradient_density",
                                _scaled(1.001), {FISHER_GRADIENT}),
+    # the empirical table leaves the 4-sigma band at the raised cells; the
+    # draws are still exact, repeatable and written as drawn
+    "four_cells_raised_5_percent": ("sampling", inference, "sample_dataset", _four_cells_raised,
+                                    {FOUR_SIGMA}),
+    # the two runs, and so the two files written from them, differ
+    "rerun_draws_the_next_seed": ("sampling", inference, "sample_dataset", _next_seed_per_call,
+                                  {RERUN, CSV_BYTES}),
+    "read_back_drops_last_row": ("sampling", fieldio, "read_dataset_csv", _last_row_dropped,
+                                 {ROUND_TRIP}),
 }
 
 
