@@ -14,6 +14,7 @@ carries the wall time and is timing-dependent as well.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import time
@@ -173,6 +174,27 @@ def _evidence_shift_keeps_support(cells: int, repetitions: int, shift: list) -> 
     return True
 
 
+def _moment_cone_clears_poles(b: list, gamma: float, phi0: float, z0: float,
+                              dt: float) -> bool:
+    """The moment precesses on a cone about b, whose closest approach to the
+    z axis is theta = |arccos(b_z/|b|) - arccos(m0.b/|b|)| from the north
+    pole, |pi - arccos(b_z/|b|) - arccos(m0.b/|b|)| from the south.  Near a
+    pole the conjugate-pair chart turns at about |gamma| |b_xy| / theta, and
+    the RK4 energy error, relative to the energy |m0.b|, grows as
+    (gamma |b_xy| dt)^4 / (theta^3 |m0.b/|b||).  In a survey of random
+    documents (dt 2.5e-4 to 4e-3, up to 10 time units), every one whose
+    ``moment.energy_rel_drift`` exceeded 1e-8 had this ratio at 5.9e-7 or
+    above; the bound is 5e-7."""
+    norm = math.hypot(*b)
+    if norm == 0.0:
+        return True
+    s0 = math.sqrt(1.0 - z0 * z0)
+    cos_alpha = (s0 * (b[0] * math.cos(phi0) + b[1] * math.sin(phi0)) + z0 * b[2]) / norm
+    beta, alpha = math.acos(b[2] / norm), math.acos(min(max(cos_alpha, -1.0), 1.0))
+    theta = min(abs(beta - alpha), abs(math.pi - beta - alpha))
+    return (abs(gamma) * math.hypot(b[0], b[1]) * dt) ** 4 <= 5e-7 * theta**3 * abs(cos_alpha)
+
+
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
@@ -182,6 +204,10 @@ JOINT_RULES = {
     "evidence": (("shift lies along x, and shift, shift/2 and shift/4 keep the table "
                   "positive on its support (the default shift needs cells >= 96)",
                   ("cells", "repetitions", "shift"), _evidence_shift_keeps_support),),
+    "moment": (("the precession cone clears the poles of the (phi, z) chart: "
+                "(gamma |b_xy| dt)^4 <= 5e-7 theta^3 |m0.b|/|b|, where theta is the cone's "
+                "closest approach to the z axis",
+                ("b", "gamma", "phi0", "z0", "dt"), _moment_cone_clears_poles),),
     "stern_gerlach": (
         ("spin_up_weight and spin_down_weight are not both 0",
          ("spin_up_weight", "spin_down_weight"), lambda up, down: up != 0 or down != 0),

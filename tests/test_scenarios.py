@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from paulilab import cli, functionals, scenarios, variational
+from paulilab import cli, functionals, scenarios, variational, verification
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
 
 
@@ -216,6 +216,8 @@ _JOINT = "parameters must satisfy: "
     # three modes need three free cells; four cells leave two inside the walls
     ("box_minimize", {"cells": 4, "multistarts": 1, "modes": 3},
      [_JOINT + "modes <= cells - 2"]),
+    # the default moment passes within 0.0142 rad of the z axis in this field
+    ("moment", {"b": [1.0, 1.0, 2.0]}, [_JOINT + "the precession cone clears the poles"]),
     # a range violation leaves the joint rules of the other parameters in force
     ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0,
                        "cells": -5},
@@ -251,6 +253,29 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
 
 
+@pytest.mark.parametrize("dt,admitted", [(1e-3, False), (2.5e-4, True)])
+def test_moment_pole_rule_refuses_the_runs_that_drift(dt, admitted):
+    # the cone about b = [1, 1, 2] comes within 0.0142 rad of the pole: at the
+    # default dt the conjugate-pair run drifts 9.8e-8 in energy, at a quarter
+    # of it 3.5e-10
+    *_, records = verification.moment_checks([1.0, 1.0, 2.0], 1.7, 2.0, dt, angles=(0.7, 0.35))
+    assert [r.passed for r in records] == [admitted]
+    doc = json.dumps({"kind": "moment", "parameters": {"b": [1.0, 1.0, 2.0], "dt": dt}})
+    if admitted:
+        parse_scenario(doc)
+    else:
+        with pytest.raises(ScenarioError):
+            parse_scenario(doc)
+
+
+def test_moment_document_far_from_the_pole_runs_and_passes(tmp_path):
+    # |b| close to [1, 1, 2]'s, but the cone stays 0.618 rad from the z axis
+    report = run(parse_scenario(json.dumps({
+        "kind": "moment", "output_dir": str(tmp_path), "parameters": {"b": [0.8, -0.6, 1.7]},
+    })))
+    assert report.checks and report.passed
+
+
 def test_box_document_with_one_free_cell_per_mode_runs(tmp_path):
     # the smallest box the modes rule admits for three modes: its modes are far
     # from the continuum ones, but the block solve finishes and writes its outputs
@@ -273,6 +298,7 @@ def test_cli_schema_prints_joint_rules(capsys):
     out = capsys.readouterr().out
     assert "z0 (float, default 0.35, |x| <= 0.999999)" in out
     assert "b (list, default [0.4, -0.3, 0.85], len == 3)" in out
+    assert "requires: the precession cone clears the poles" in out
     assert cli.main(["schema", "evidence"]) == 0
     assert "requires: shift lies along x" in capsys.readouterr().out
 
