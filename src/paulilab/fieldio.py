@@ -1,4 +1,5 @@
-"""File formats: dataset CSV, binary field snapshots, tidy trajectory CSV.
+"""File encodings: dataset CSV, binary field snapshots, and CSV tables whose
+header and columns the runner that writes each table lays out.
 
 All writers are deterministic (repr-exact floats, fixed row order) and go
 through an atomic temp-file replace, so a run never leaves partial outputs.
@@ -281,51 +282,3 @@ def read_field_snapshots(path: str):
         if handle.read(1):
             raise FormatError("bytes after the last field")
     return grid, header["dt"], fields, header["metadata"]
-
-
-# ---------------------------------------------------------------------------
-# trajectory writers
-# ---------------------------------------------------------------------------
-
-
-def write_pauli_trajectory_csv(path: str, traj) -> None:
-    header = [
-        "t", "norm", "x", "y", "z", "sx", "sy", "sz", "mass_plus", "mass_minus",
-    ]
-    columns = [
-        traj.times, traj.norms,
-        traj.positions[:, 0], traj.positions[:, 1], traj.positions[:, 2],
-        traj.spins[:, 0], traj.spins[:, 1], traj.spins[:, 2],
-        traj.color_masses[:, 0], traj.color_masses[:, 1],
-    ]
-    write_table_csv(path, header, zip(*columns))
-
-
-def write_moment_trajectory_csv(path: str, traj) -> None:
-    write_table_csv(
-        path,
-        ["t", "mx", "my", "mz"],
-        zip(traj.times, traj.moments[:, 0], traj.moments[:, 1], traj.moments[:, 2]),
-    )
-
-
-def write_particle_trajectory_csv(path: str, traj) -> None:
-    speed = np.linalg.norm(traj.velocities, axis=1)
-    write_table_csv(
-        path,
-        ["t", "x", "y", "z", "vx", "vy", "vz", "speed"],
-        zip(
-            traj.times,
-            traj.positions[:, 0], traj.positions[:, 1], traj.positions[:, 2],
-            traj.velocities[:, 0], traj.velocities[:, 1], traj.velocities[:, 2],
-            speed,
-        ),
-    )
-
-
-def write_convergence_trace_csv(path: str, trace: np.ndarray) -> None:
-    write_table_csv(
-        path,
-        ["iteration", "objective", "gradient_norm"],
-        ((int(row[0]), row[1], row[2]) for row in trace),
-    )

@@ -42,6 +42,7 @@ from .grids import (
     GridError,
     ScalarField,
     VectorField3,
+    _weights_1d,
     curl,
     curl_stack,
     derive_along,
@@ -125,6 +126,14 @@ class EMConfiguration:
             grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid)
         )
 
+    @staticmethod
+    def axial(grid: Grid, bz: float | np.ndarray) -> "EMConfiguration":
+        """No potentials and B = (0, 0, bz), for ``bz`` a number or a cell array."""
+        b = np.zeros(grid.shape + (3,))
+        b[..., 2] = bz
+        return EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
+                               b=VectorField3(grid, b))
+
     def b_values(self, scheme: str = CENTRAL) -> np.ndarray:
         if self.b is not None:
             return self.b.values
@@ -139,15 +148,12 @@ class EMConfiguration:
 
 
 def _time_weights(n: int, dt: float, periodic: bool) -> np.ndarray:
+    """The space weights' trapezoid rule along time; one frame weighs 1."""
     if n == 1:
         return np.array([1.0])
     if dt <= 0:
         raise FunctionalError("snapshot sequences require dt > 0")
-    if periodic:
-        return np.full(n, dt)
-    w = np.full(n, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
+    return _weights_1d(n, dt, PERIODIC if periodic else DIRICHLET_ZERO)
 
 
 def _time_derivative(stack: np.ndarray, dt: float, periodic: bool, scheme: str) -> np.ndarray:

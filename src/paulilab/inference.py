@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .functionals import _fisher_density
 from .grids import (
     PERIODIC,
     POSITIVITY_FLOOR,
@@ -359,19 +360,12 @@ def discrete_fisher(table: IProbTable) -> float:
     """Sum of squared position-sensitivity over plausibility: the lattice
     Fisher information of the table, cells below the floor excluded."""
     grid = table.grid
-    total = 0.0
-    any_support = False
-    for m in range(table.slices):
-        p = table.probs[m]
-        included = p >= POSITIVITY_FLOOR
-        if np.any(included):
-            any_support = True
-        safe_p = np.where(included, p, 1.0)
-        for ax in range(grid.dim):
-            g = _displacement_gradient(p, grid, ax)
-            total += float(np.sum(np.where(included, g * g / safe_p, 0.0)))
-    if not any_support:
+    if not np.any(table.probs >= POSITIVITY_FLOOR):
         raise InferenceError("table has empty support")
+    total = 0.0
+    for p in table.probs:
+        grads = [_displacement_gradient(p, grid, ax) for ax in range(grid.dim)]
+        total += float(np.sum(_fisher_density(p, grads)))
     return total
 
 
@@ -394,14 +388,9 @@ def cauchy_schwarz_bound(
     eps = np.ldexp(eps, -exponent)
     grid = table.grid
     term = 0.0
-    for m in range(table.slices):
-        p = table.probs[m]
-        included = p >= POSITIVITY_FLOOR
-        safe_p = np.where(included, p, 1.0)
-        directional = np.zeros_like(p)
-        for ax in range(grid.dim):
-            directional += eps[m][ax] * _displacement_gradient(p, grid, ax)
-        term += float(np.sum(np.where(included, directional**2 / safe_p, 0.0)))
+    for p, e in zip(table.probs, eps):
+        directional = sum(e[ax] * _displacement_gradient(p, grid, ax) for ax in range(grid.dim))
+        term += float(np.sum(_fisher_density(p, [directional])))
     eps_hat_sq = float(np.max(np.sum(eps**2, axis=1))) if eps.size else 0.0
     bound = repetitions * eps_hat_sq * discrete_fisher(table)
     return math.ldexp(repetitions * term, 2 * exponent), math.ldexp(bound, 2 * exponent)

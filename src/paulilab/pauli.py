@@ -34,9 +34,8 @@ from .grids import (
     PERIODIC,
     SPECTRAL,
     Grid,
-    ScalarField,
     SpinorField,
-    VectorField3,
+    _spectral_wavenumbers,
     integrate_values,
     laplacian_matrix,
     quadrature_weights,
@@ -118,7 +117,7 @@ class _SplitOperatorPropagator:
     def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
         k_sq = np.zeros(grid.shape)
         for ax in range(grid.dim):
-            k = 2.0 * np.pi * np.fft.fftfreq(grid.cells[ax], d=grid.spacing[ax])
+            k = _spectral_wavenumbers(grid.cells[ax], grid.spacing[ax])
             shape = [1] * grid.dim
             shape[ax] = grid.cells[ax]
             k_sq = k_sq + (k.reshape(shape)) ** 2
@@ -470,10 +469,7 @@ def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
     report per-color centers, their separation, and the density overlap."""
     grid = Grid((config.extent,), (config.cells,), PERIODIC)
     z = grid.axis_coordinates(0)
-    b_vals = np.zeros(grid.shape + (3,))
-    b_vals[..., 2] = config.field_offset + config.field_gradient * z
-    em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
-                         b=VectorField3(grid, b_vals))
+    em = EMConfiguration.axial(grid, config.field_offset + config.field_gradient * z)
     solver = SolverConfig(SPLIT_OPERATOR, config.dt, config.consts, em, config.gamma_energy)
     state = gaussian_packet_state(
         grid, config.sigma, config.center, config.velocity, config.spin_weights, config.consts

@@ -400,7 +400,8 @@ def _run_box_minimize(scenario: Scenario, out):
         density_path, ["x", "density", "exact"], zip(x, scan[0].fields["p"], exact)
     )
     trace_path = out("trace.csv")
-    fieldio.write_convergence_trace_csv(trace_path, scan[0].trace)
+    fieldio.write_table_csv(trace_path, ["iteration", "objective", "gradient_norm"],
+                            ((int(i), value, gnorm) for i, value, gnorm in scan[0].trace))
     return checks, [density_path, trace_path]
 
 
@@ -457,7 +458,9 @@ def _run_pauli_evolve(scenario: Scenario, out):
         )
     checks.append(verification.norm_drift("pauli.norm_drift", traj))
     path = out("trajectory.csv")
-    fieldio.write_pauli_trajectory_csv(path, traj)
+    header = ["t", "norm", "x", "y", "z", "sx", "sy", "sz", "mass_plus", "mass_minus"]
+    fieldio.write_table_csv(path, header, zip(traj.times, traj.norms, *traj.positions.T,
+                                              *traj.spins.T, *traj.color_masses.T))
     return checks, [path] + extra_outputs
 
 
@@ -492,7 +495,7 @@ def _run_moment(scenario: Scenario, out):
         moment=classical.MomentState.from_angles(*angles), angles=angles,
     )
     path_t = out("moment.csv")
-    fieldio.write_moment_trajectory_csv(path_t, torque)
+    fieldio.write_table_csv(path_t, ["t", "mx", "my", "mz"], zip(torque.times, *torque.moments.T))
     path_c = out("canonical.csv")
     fieldio.write_table_csv(path_c, ["t", "phi", "z", "energy_rate"],
                             zip(ct.times, ct.phi, ct.z, energies))
@@ -508,7 +511,7 @@ def _run_lorentz(scenario: Scenario, out):
         period = 2 * np.pi * m / (abs(q) * bz)
         extent = max(8.0, 6 * radius)
         g = Grid((extent,) * 3, (9,) * 3, DIRICHLET_ZERO)
-        em = verification._uniform_b_em(g, bz)
+        em = EMConfiguration.axial(g, bz)
         center = np.full(3, extent / 2)
         # bz > 0: the orbit turns clockwise for q > 0 and counterclockwise for q < 0
         state = classical.ChargedParticleState(
@@ -546,7 +549,9 @@ def _run_lorentz(scenario: Scenario, out):
             )
         ]
     path = out("particle.csv")
-    fieldio.write_particle_trajectory_csv(path, traj)
+    fieldio.write_table_csv(path, ["t", "x", "y", "z", "vx", "vy", "vz", "speed"],
+                            zip(traj.times, *traj.positions.T, *traj.velocities.T,
+                                np.linalg.norm(traj.velocities, axis=1)))
     return checks, [path]
 
 

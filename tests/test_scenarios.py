@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paulilab import cli, functionals, scenarios, variational, verification
+from paulilab.grids import PERIODIC, Grid
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
 
 
@@ -580,6 +582,16 @@ _GOLDEN_DIGESTS = [
         "breakdown.csv": "064b55b93f6f0909f221dcba95abca49beabc57eb5f9a05ab26a5934f12d7688",
         "checks": "c70c54c25e2d75f6fd569149543849bf61d9c6183e546ffb695b02f9ddd19e55",
     }),
+    # one occupied color takes the deflection branch of the center law:
+    # stern_gerlach.deflection_rel_error reads 3.55e-14 (up) and 6.75e-14 (down)
+    ("stern_gerlach", {"field_gradient": 0.02, "spin_down_weight": 0.0}, {
+        "separation.csv": "b109840c44e7407cc147f0a84f20076e9012ab7868ff601a5069e3c305a3e209",
+        "checks": "339d782d12ed3d5fabacc69edee520bfca6c8494dc5fe639486935d35ed57080",
+    }),
+    ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0}, {
+        "separation.csv": "22ba44ac31bedfe4e65fad6f7e236c5677bbd8c64c8143d23f441651e2b48476",
+        "checks": "5f7caf68bd23d546bbf991494573793f5b70c2e7b7f78c7266ef5ef487d6d11f",
+    }),
 ]
 
 
@@ -593,3 +605,13 @@ def test_stepping_outputs_match_golden_digests(tmp_path, kind, parameters, diges
     checks = "\n".join(f"{c.name} {c.value!r}" for c in report.checks)
     got["checks"] = hashlib.sha256(checks.encode()).hexdigest()
     assert got == digests
+
+
+@pytest.mark.parametrize("bz", [0.8, np.linspace(-1.0, 1.0, 6)], ids=["number", "cell_array"])
+def test_axial_field_is_bz_in_component_2_without_potentials(bz):
+    grid = Grid((3.0,), (6,), PERIODIC)
+    em = functionals.EMConfiguration.axial(grid, bz)
+    want = np.zeros(grid.shape + (3,))
+    want[..., 2] = bz
+    assert np.array_equal(em.b_values(), want)
+    assert not np.any(em.phi_pot.values) and not np.any(em.a_pot.values)
