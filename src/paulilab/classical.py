@@ -44,14 +44,6 @@ class MomentState:
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
-    @property
-    def z(self) -> float:
-        return float(self.m[2])
-
-    @property
-    def phi(self) -> float:
-        return float(np.arctan2(self.m[1], self.m[0]))
-
     @staticmethod
     def from_angles(phi: float, z: float) -> "MomentState":
         if abs(z) > 1.0:

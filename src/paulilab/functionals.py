@@ -134,12 +134,12 @@ class EMConfiguration:
         return EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
                                b=VectorField3(grid, b))
 
-    def b_values(self, scheme: str = CENTRAL) -> np.ndarray:
+    def b_values(self) -> np.ndarray:
         if self.b is not None:
             return self.b.values
         if np.all(self.a_pot.values == 0.0):
             return np.zeros(self.grid.shape + (3,))
-        return curl(self.a_pot, scheme=scheme).values
+        return curl(self.a_pot).values
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def _stacks(grid, fields, dt, time_periodic, scheme) -> _PolarStacks:
     )
 
 
-def _em_stacks(em: EMConfiguration, grid: Grid, count: int, scheme: str) -> dict[str, np.ndarray]:
+def _em_stacks(em: EMConfiguration, grid: Grid, count: int) -> dict[str, np.ndarray]:
     """Potential stacks of ``count`` frames that all take the one configuration
     ``em``: each field, B = curl A among them, is taken once, then repeated."""
     if em.grid != grid:
@@ -276,7 +276,7 @@ def _em_stacks(em: EMConfiguration, grid: Grid, count: int, scheme: str) -> dict
     frame = {
         "phi_pot": em.phi_pot.values,
         "a_pot": np.moveaxis(em.a_pot.values, -1, 0),
-        "b": np.moveaxis(em.b_values(scheme), -1, 0),
+        "b": np.moveaxis(em.b_values(), -1, 0),
         "u": np.zeros(grid.shape),  # ``em`` has no non-electromagnetic potential
     }
     axis = -1 - grid.dim  # the frame axis, after any vector components
@@ -330,11 +330,6 @@ def _total_of_terms(st: _PolarStacks, terms: dict[str, np.ndarray]) -> float:
     """Integral of lam * Fisher + knowledge functional from its term densities."""
     integrand = terms["fisher"] + _knowledge(terms) * st.p
     return float(_integrate_stack(integrand, st.grid, st.tw))
-
-
-def _total_value(st: _PolarStacks, consts: PhysicalConstants) -> float:
-    """Integral of lam * Fisher + knowledge functional over the stacks."""
-    return _total_of_terms(st, _polar_terms(st, consts))
 
 
 def _joint_total(st: _PolarStacks, shared: np.ndarray, consts: PhysicalConstants) -> float:

@@ -2,10 +2,10 @@
 
 Grids cover 1 to 3 spatial dimensions with either periodic or zero-boundary
 (dirichlet) topology.  Fields are immutable value objects wrapping numpy
-arrays; every operator here is a pure function.  Second-order central
-stencils are the default derivative scheme; periodic grids additionally
-support Fourier-spectral derivatives for tests that must not be limited by
-stencil error.
+arrays; every operator here is a pure function.  First and second
+derivatives take second-order central stencils; periodic grids also take
+Fourier-spectral first derivatives, for the checks that must not be limited
+by stencil error.
 """
 
 from __future__ import annotations
@@ -171,19 +171,15 @@ def _spectral_wavenumbers(n: int, h: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
 
 
-def _spectral_derive(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+def _spectral_derive(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     # a real array takes the half spectrum, rfft/irfft over the wavenumbers >= 0
     real = np.isrealobj(values)
     n = values.shape[axis]
-    k = _spectral_wavenumbers(n, h)[: n // 2 + 1 if real else n]
-    if order == 1:
-        mult = 1j * k
-        if n % 2 == 0:
-            mult[n // 2] = 0.0  # Nyquist first derivative is ambiguous; drop it
-    else:
-        mult = -(k * k)
+    mult = 1j * _spectral_wavenumbers(n, h)[: n // 2 + 1 if real else n]
+    if n % 2 == 0:
+        mult[n // 2] = 0.0  # Nyquist first derivative is ambiguous; drop it
     shape = [1] * values.ndim
-    shape[axis] = len(k)
+    shape[axis] = len(mult)
     if real:
         return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult.reshape(shape), n, axis=axis)
     return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
@@ -198,7 +194,7 @@ def derive_along(
     if scheme == SPECTRAL:
         if boundary != PERIODIC:
             raise GridError("spectral derivatives require a periodic grid")
-        return _spectral_derive(values, h, axis, order=1)
+        return _spectral_derive(values, h, axis)
     if scheme != CENTRAL:
         raise GridError(f"unknown derivative scheme {scheme!r}")
     if boundary == PERIODIC:
@@ -210,18 +206,12 @@ def derive_along(
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
-def second_derive_along(
-    values: np.ndarray, h: float, axis: int, boundary: str, scheme: str = CENTRAL
-) -> np.ndarray:
-    """Second derivative along one axis, same stencil family as derive_along."""
+def second_derive_along(values: np.ndarray, h: float, axis: int, boundary: str) -> np.ndarray:
+    """Central second derivative along one axis, same stencil family as derive_along."""
     if values.shape[axis] < 4 and boundary == DIRICHLET_ZERO:
         raise GridError("dirichlet second derivative needs at least 4 cells per axis")
     if values.shape[axis] < 3:
         raise GridError("derivatives need at least 3 cells per axis")
-    if scheme == SPECTRAL:
-        if boundary != PERIODIC:
-            raise GridError("spectral derivatives require a periodic grid")
-        return _spectral_derive(values, h, axis, order=2)
     h2 = h * h
     if boundary == PERIODIC:
         return (
@@ -336,18 +326,10 @@ def gradient(f: ScalarField, scheme: str = CENTRAL) -> VectorField3:
     return VectorField3(g, out)
 
 
-def divergence(v: VectorField3, scheme: str = CENTRAL) -> ScalarField:
-    g = v.grid
-    out = np.zeros(g.shape)
-    for ax in range(g.dim):
-        out += derive_along(v.values[..., ax], g.spacing[ax], ax, g.boundary, scheme)
-    return ScalarField(g, out)
-
-
-def curl(v: VectorField3, scheme: str = CENTRAL) -> VectorField3:
-    """Curl on a grid of any dimension; derivatives along axes the grid does
-    not have are zero."""
-    values = curl_stack(np.moveaxis(v.values, -1, 0), v.grid, scheme)
+def curl(v: VectorField3) -> VectorField3:
+    """Central curl on a grid of any dimension; derivatives along axes the
+    grid does not have are zero."""
+    values = curl_stack(np.moveaxis(v.values, -1, 0), v.grid)
     return VectorField3(v.grid, np.moveaxis(values, 0, -1))
 
 
@@ -363,14 +345,6 @@ def curl_stack(values: np.ndarray, g: Grid, scheme: str = CENTRAL) -> np.ndarray
         return derive_along(values[comp], g.spacing[ax], lead + ax, g.boundary, scheme)
 
     return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)])
-
-
-def laplacian(f: ScalarField, scheme: str = CENTRAL) -> ScalarField:
-    g = f.grid
-    out = np.zeros(g.shape)
-    for ax in range(g.dim):
-        out += second_derive_along(f.values, g.spacing[ax], ax, g.boundary, scheme)
-    return ScalarField(g, out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -105,30 +105,16 @@ class DetectionDataset:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_table(
-    grid: Grid,
-    sigma: float,
-    slices: int = 1,
-    color_angle: float = 0.0,
-) -> IProbTable:
-    """Isotropic Gaussian click table of width ``sigma``, centred, cos^2/sin^2 color split.
-
-    Entries below the positivity floor are truncated to exactly zero and the
-    slice is renormalized, which gives the table compact support away from the
-    window edge.
-    """
-    center = tuple(e / 2 for e in grid.extents)
-    return gaussian_mixture_table(grid, [(1.0, center, sigma)], slices, color_angle)
-
-
 def gaussian_mixture_table(
     grid: Grid,
     components: list[tuple[float, tuple[float, ...], float]],
     slices: int = 1,
     color_angle: float = 0.0,
 ) -> IProbTable:
-    """Weighted sum of Gaussians (weight, center, sigma); skewed profiles for
-    expansion tests whose cubic term must not vanish by symmetry."""
+    """Weighted sum of Gaussians (weight, center, sigma), cos^2/sin^2 color
+    split.  Entries below TABLE_TRUNCATION are set to exactly zero and the
+    slice renormalized; several components give the skewed profiles whose
+    cubic expansion term must not vanish by symmetry."""
     spatial = np.zeros(grid.shape)
     mesh = grid.meshgrid()
     for weight, center, sigma in components:
@@ -142,12 +128,6 @@ def gaussian_mixture_table(
     one = np.empty(grid.shape + (2,))
     one[..., 0] = spatial * np.cos(color_angle / 2.0) ** 2
     one[..., 1] = spatial * np.sin(color_angle / 2.0) ** 2
-    return IProbTable(grid, np.broadcast_to(one, (slices,) + one.shape).copy())
-
-
-def uniform_table(grid: Grid, slices: int = 1) -> IProbTable:
-    """Displacement-independent table: uniform over all voxels and colors."""
-    one = np.full(grid.shape + (2,), 1.0 / (2 * grid.size))
     return IProbTable(grid, np.broadcast_to(one, (slices,) + one.shape).copy())
 
 

@@ -30,9 +30,7 @@ import scipy.sparse.linalg
 
 from .functionals import EMConfiguration, PhysicalConstants
 from .grids import (
-    CENTRAL,
     PERIODIC,
-    SPECTRAL,
     Grid,
     SpinorField,
     _spectral_wavenumbers,
@@ -255,7 +253,7 @@ def _make_propagator(config: SolverConfig, initial: PauliState):
     if np.any(config.em.a_pot.values != 0.0):
         raise SolverError("Pauli propagation requires zero vector potential")
     split = config.scheme == SPLIT_OPERATOR
-    b = config.em.b_values(SPECTRAL if split else CENTRAL)
+    b = config.em.b_values()
     colors = ((0, 1) if np.any(config.spin_coupling() * b[..., :2])
               else tuple(c for c in (0, 1) if np.any(psi[..., c])))
     propagator = _SplitOperatorPropagator if split else _CrankNicolsonPropagator

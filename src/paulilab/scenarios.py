@@ -174,17 +174,19 @@ def _evidence_shift_keeps_support(cells: int, repetitions: int, shift: list) -> 
     return True
 
 
-def _moment_cone_clears_poles(b: list, gamma: float, phi0: float, z0: float,
-                              dt: float) -> bool:
+def _moment_cone_clears_poles(b: list, gamma: float, phi0: float, z0: float, dt: float,
+                              t_final: float) -> bool:
     """The moment precesses on a cone about b, whose closest approach to the
     z axis is theta = |arccos(b_z/|b|) - arccos(m0.b/|b|)| from the north
     pole, |pi - arccos(b_z/|b|) - arccos(m0.b/|b|)| from the south.  Near a
     pole the conjugate-pair chart turns at about |gamma| |b_xy| / theta, and
-    the RK4 energy error, relative to the energy |m0.b|, grows as
-    (gamma |b_xy| dt)^4 / (theta^3 |m0.b/|b||).  In a survey of random
-    documents (dt 2.5e-4 to 4e-3, up to 10 time units), every one whose
-    ``moment.energy_rel_drift`` exceeded 1e-8 had this ratio at 5.9e-7 or
-    above; the bound is 5e-7."""
+    the RK4 energy error, relative to the energy |m0.b|, scales as
+    r = (gamma |b_xy| dt)^4 / (theta^3 |m0.b/|b||): a bounded part up to
+    about 0.02 r, and a part that grows by about 4e-4 r per precession
+    period, n = |gamma| |b| t_final / 2 pi periods in all.  In a survey of
+    random documents up to 100 time units, every one whose
+    ``moment.energy_rel_drift`` exceeded 1e-8 had r (1 + n / 52) above 5e-7;
+    the bound on r (1 + n / 25) leaves a factor of 2."""
     norm = math.hypot(*b)
     if norm == 0.0:
         return True
@@ -192,7 +194,9 @@ def _moment_cone_clears_poles(b: list, gamma: float, phi0: float, z0: float,
     cos_alpha = (s0 * (b[0] * math.cos(phi0) + b[1] * math.sin(phi0)) + z0 * b[2]) / norm
     beta, alpha = math.acos(b[2] / norm), math.acos(min(max(cos_alpha, -1.0), 1.0))
     theta = min(abs(beta - alpha), abs(math.pi - beta - alpha))
-    return (abs(gamma) * math.hypot(b[0], b[1]) * dt) ** 4 <= 5e-7 * theta**3 * abs(cos_alpha)
+    periods = abs(gamma) * norm * t_final / (2.0 * math.pi)
+    return ((abs(gamma) * math.hypot(b[0], b[1]) * dt) ** 4 * (1.0 + periods / 25.0)
+            <= 5e-7 * theta**3 * abs(cos_alpha))
 
 
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
@@ -205,15 +209,21 @@ JOINT_RULES = {
                   "positive on its support (the default shift needs cells >= 96)",
                   ("cells", "repetitions", "shift"), _evidence_shift_keeps_support),),
     "moment": (("the precession cone clears the poles of the (phi, z) chart: "
-                "(gamma |b_xy| dt)^4 <= 5e-7 theta^3 |m0.b|/|b|, where theta is the cone's "
-                "closest approach to the z axis",
-                ("b", "gamma", "phi0", "z0", "dt"), _moment_cone_clears_poles),),
+                "(gamma |b_xy| dt)^4 (1 + n / 25) <= 5e-7 theta^3 |m0.b|/|b|, where theta is "
+                "the cone's closest approach to the z axis and n = |gamma b| t_final / 2 pi "
+                "the precession periods",
+                ("b", "gamma", "phi0", "z0", "dt", "t_final"), _moment_cone_clears_poles),),
     "stern_gerlach": (
         ("spin_up_weight and spin_down_weight are not both 0",
          ("spin_up_weight", "spin_down_weight"), lambda up, down: up != 0 or down != 0),
         ("gamma_energy != 0 when field_gradient != 0",
          ("gamma_energy", "field_gradient"),
          lambda energy, gradient: energy != 0 or gradient == 0),
+        # else the colors part at round-off: the zero-gradient record is exact
+        ("field_offset == 0 when field_gradient == 0, gamma_energy != 0 and both spin "
+         "weights are nonzero",
+         ("field_offset", "field_gradient", "gamma_energy", "spin_up_weight", "spin_down_weight"),
+         lambda offset, gradient, *coupled: offset == 0 or gradient != 0 or 0 in coupled),
     ),
 }
 
@@ -473,10 +483,7 @@ def _run_stern_gerlach(scenario: Scenario, out):
                                       "field_gradient", "field_offset", "gamma_energy", "dt",
                                       "t_final", "record_every")},
     )
-    try:
-        result, law_checks = verification.stern_gerlach_law(config)
-    except pauli.SolverError as err:
-        return [check_true("stern_gerlach.completed", False, note=str(err))], []
+    result, law_checks = verification.stern_gerlach_law(config)
     path = out("separation.csv")
     fieldio.write_table_csv(
         path,

@@ -31,7 +31,7 @@ from .functionals import (
     _knowledge,
     _polar_terms,
     _stacks,
-    _total_value,
+    _total_of_terms,
 )
 from .grids import (
     CENTRAL,
@@ -134,7 +134,7 @@ class TotalObjective:
         self.grid = grid
         # stack the potentials, B = curl(A) among them, once rather than on
         # every evaluation
-        self.em = _em_stacks(em, grid, 1, CENTRAL)
+        self.em = _em_stacks(em, grid, 1)
         self.consts = consts
         self.w = quadrature_weights(grid)
 
@@ -150,7 +150,8 @@ class TotalObjective:
         return _stacks(self.grid, {**frame, **self.em}, 0.0, False, CENTRAL)
 
     def value(self, f: dict) -> float:
-        return _total_value(self._frame(f), self.consts)
+        st = self._frame(f)
+        return _total_of_terms(st, _polar_terms(st, self.consts))
 
     def gradient(self, f: dict) -> dict:
         c = self.consts

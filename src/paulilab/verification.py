@@ -271,7 +271,8 @@ def lattice_table(cells: int, sigma: float, slices: int = 1,
                   color_angle: float = 0.0) -> inference.IProbTable:
     """Gaussian click table on the unit-spacing lattice 0, 1, ..., cells - 1."""
     grid = Grid((float(cells - 1),), (cells,), DIRICHLET_ZERO)
-    return inference.gaussian_table(grid, sigma, slices=slices, color_angle=color_angle)
+    return inference.gaussian_mixture_table(grid, [(1.0, ((cells - 1) / 2,), sigma)], slices,
+                                            color_angle)
 
 
 def discrete_fisher_oracle(cells: int, sigma: float, slices: int, name: str):
@@ -565,7 +566,6 @@ def _fd_rel_error(value, x: np.ndarray, grad: np.ndarray, idx: tuple, step: floa
 def check_gradients(fast: bool = False) -> list[CheckRecord]:
     rng = np.random.default_rng(31)
     components = 30 if fast else 100
-    worst = 0.0
 
     grid2 = Grid((1.0, 1.0), (16, 16), PERIODIC)
     x, y = grid2.meshgrid()
@@ -589,28 +589,25 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
     objective = variational.TotalObjective(grid2, em, CONSTS)
     grads = objective.gradient(fields)
     names = list(fields)
+    errors = []
     for _ in range(components):
         name = names[rng.integers(len(names))]
         arr = fields[name]
         idx = tuple(rng.integers(s) for s in arr.shape)
-        worst = max(worst, _fd_rel_error(lambda x: objective.value({**fields, name: x}), arr,
-                                         grads[name], idx, 3e-6 * max(1.0, abs(arr[idx]))))
-    records = [
-        check_leq(
-            f"gradients.total_fd_rel_error_{components}_components", worst, 1e-5
-        )
-    ]
+        errors.append(_fd_rel_error(lambda x: objective.value({**fields, name: x}), arr,
+                                    grads[name], idx, 3e-6 * max(1.0, abs(arr[idx]))))
+    # np.max keeps a NaN error, which the builtin max would drop
+    records = [check_leq(f"gradients.total_fd_rel_error_{components}_components",
+                         np.max(errors), 1e-5)]
 
     grid1 = Grid((1.0,), (48,), PERIODIC)
     p1 = 1.0 + 0.5 * rng.random(grid1.shape)
     p1 /= np.sum(p1 * grid1.cell_volume)
     grad = variational.fisher_gradient_density(p1, grid1)
-    worst_f = 0.0
-    for _ in range(components // 2):
-        idx = (int(rng.integers(grid1.shape[0])),)
-        worst_f = max(worst_f, _fd_rel_error(lambda x: variational.fisher_value_density(x, grid1),
-                                             p1, grad, idx, 3e-6))
-    records.append(check_leq("gradients.fisher_fd_rel_error", worst_f, 1e-5))
+    errors = [_fd_rel_error(lambda x: variational.fisher_value_density(x, grid1), p1, grad,
+                            (int(rng.integers(grid1.shape[0])),), 3e-6)
+              for _ in range(components // 2)]
+    records.append(check_leq("gradients.fisher_fd_rel_error", np.max(errors), 1e-5))
     return records
 
 

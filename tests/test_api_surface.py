@@ -39,10 +39,7 @@ PINNED = {
     "functionals.polar_from_spinor": "b",
     "pauli.observables": "b",
     "pauli.step": "b",
-    "grids.divergence": "c",
-    "grids.laplacian": "c",
     "inference.log_dataset_iprob": "c",
-    "inference.uniform_table": "c",
 }
 
 

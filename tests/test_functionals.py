@@ -15,6 +15,7 @@ from paulilab.grids import (
     ScalarField,
     VectorField3,
     curl,
+    curl_stack,
     derive_along,
     gradient,
 )
@@ -47,7 +48,7 @@ def polar_stacks(grid, em, frames=1, p=None, theta=0.0, s=0.0, phi=0.0):
     shape = (frames,) + grid.shape
     fields = {name: np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
               for name, v in polar.items()}
-    return {**fields, **_em_stacks(em, grid, frames, CENTRAL)}
+    return {**fields, **_em_stacks(em, grid, frames)}
 
 
 def spinor_of(fields, consts=CONSTS):
@@ -240,7 +241,7 @@ def test_q_spinor_static_uniform_zero():
     vol = 2.0
     psi = np.zeros((2, 1) + g.shape, dtype=complex)
     psi[0] = 1 / np.sqrt(vol)
-    val = q_spinor(g, psi, _em_stacks(EMConfiguration.zero(g), g, 1, CENTRAL), CONSTS)
+    val = q_spinor(g, psi, _em_stacks(EMConfiguration.zero(g), g, 1), CONSTS)
     assert val == pytest.approx(0.0, abs=1e-14)
 
 
@@ -266,7 +267,7 @@ def test_q_spinor_plane_wave_dispersion_cancellation():
     psi = np.zeros((2, frames) + g.shape, dtype=complex)
     for i in range(frames):
         psi[0, i] = np.exp(1j * (k * x - energy * i * dt / hbar)) / np.sqrt(L)
-    em = _em_stacks(EMConfiguration.zero(g), g, frames, CENTRAL)
+    em = _em_stacks(EMConfiguration.zero(g), g, frames)
     val = q_spinor(g, psi, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -355,9 +356,8 @@ def test_random_configuration_b_is_spectral_curl(cells):
     g = Grid((1.0,) * len(cells), cells, PERIODIC)
     fields, _dt = random_smooth_configuration(g, frames=5, consts=CONSTS, seed=4)
     for i in range(5):
-        a_pot = VectorField3(g, np.moveaxis(fields["a_pot"][:, i], 0, -1))
-        b = np.moveaxis(fields["b"][:, i], 0, -1)
-        assert b.tobytes() == curl(a_pot, SPECTRAL).values.tobytes()
+        want = curl_stack(fields["a_pot"][:, i], g, SPECTRAL)
+        assert fields["b"][:, i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name,spoil,error,message", [
@@ -391,7 +391,7 @@ def test_shared_configuration_is_curled_once(monkeypatch):
     per_frame = {
         "phi_pot": np.stack([em.phi_pot.values] * 12),
         "a_pot": np.moveaxis(np.stack([a_pot] * 12), -1, 0),
-        "b": np.moveaxis(np.stack([curl(em.a_pot, CENTRAL).values] * 12), -1, 0),
+        "b": np.moveaxis(np.stack([curl(em.a_pot).values] * 12), -1, 0),
         "u": np.zeros((12,) + g.shape),
     }
     reads = []
@@ -402,7 +402,7 @@ def test_shared_configuration_is_curled_once(monkeypatch):
         return b_values(cfg, *args)
 
     monkeypatch.setattr(EMConfiguration, "b_values", counted)
-    shared = _em_stacks(em, g, 12, CENTRAL)
+    shared = _em_stacks(em, g, 12)
     assert len(reads) == 1
     assert sorted(shared) == sorted(per_frame)
     for name, stack in shared.items():

@@ -17,12 +17,11 @@ from paulilab.inference import (
     evidence_taylor_terms,
     expected_counts,
     gaussian_mixture_table,
-    gaussian_table,
     log_dataset_iprob,
     sample_dataset,
     shift_table_values,
-    uniform_table,
 )
+from paulilab.verification import lattice_table
 
 
 def small_grid(n=4):
@@ -31,8 +30,14 @@ def small_grid(n=4):
 
 def gauss_setup(n=160, sigma_cells=10.0, slices=1):
     # unit spacing; support comfortably inside the window
-    grid = Grid((float(n - 1),), (n,), DIRICHLET_ZERO)
-    return grid, gaussian_table(grid, sigma_cells, slices=slices)
+    table = lattice_table(n, sigma_cells, slices)
+    return table.grid, table
+
+
+def uniform_table(grid, slices=1):
+    """Displacement-independent table: uniform over all voxels and colors."""
+    one = np.full(grid.shape + (2,), 1.0 / (2 * grid.size))
+    return IProbTable(grid, np.broadcast_to(one, (slices,) + one.shape).copy())
 
 
 def degenerate_table(grid, slices=1):
@@ -337,7 +342,7 @@ def test_bound_holds_for_gaussian():
 def test_bound_zero_gradient_axis():
     # constant along y: shifting along y is non-informative
     g = Grid((16.0, 8.0), (16, 8), PERIODIC)
-    gauss = gaussian_table(Grid((16.0,), (16,), PERIODIC), sigma=2.0).probs[0]
+    gauss = gaussian_mixture_table(Grid((16.0,), (16,), PERIODIC), [(1.0, (8.0,), 2.0)]).probs[0]
     probs = np.repeat(gauss[:, None, :], 8, axis=1) / 8.0
     table = IProbTable(g, probs[None])
     term, bound = cauchy_schwarz_bound(table, np.array([[0.0, 0.3, 0.0]]))

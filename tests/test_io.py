@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from paulilab import fieldio
 from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid
-from paulilab.inference import IProbTable, expected_counts, gaussian_table, sample_dataset
+from paulilab.inference import IProbTable, expected_counts, sample_dataset
+from paulilab.verification import lattice_table
 
 
 def row_loop_dataset_csv(dataset) -> bytes:
@@ -38,8 +39,7 @@ def row_loop_dataset_csv(dataset) -> bytes:
 
 
 def test_dataset_csv_round_trip_sampled(tmp_path):
-    grid = Grid((63.0,), (64,), DIRICHLET_ZERO)
-    table = gaussian_table(grid, 6.0, slices=2, color_angle=0.8)
+    table = lattice_table(64, 6.0, slices=2, color_angle=0.8)
     data = sample_dataset(table, 5000, seed=3)
     path = str(tmp_path / "data.csv")
     fieldio.write_dataset_csv(path, data)
@@ -51,8 +51,7 @@ def test_dataset_csv_round_trip_sampled(tmp_path):
 
 
 def test_dataset_csv_round_trip_real_counts(tmp_path):
-    grid = Grid((31.0,), (32,), DIRICHLET_ZERO)
-    data = expected_counts(gaussian_table(grid, 4.0), 1000)
+    data = expected_counts(lattice_table(32, 4.0), 1000)
     path = str(tmp_path / "ideal.csv")
     fieldio.write_dataset_csv(path, data)
     back = fieldio.read_dataset_csv(path)

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_fft_derivative
 from paulilab.classical import MomentState, torque_evolve
 from paulilab.functionals import (
     EMConfiguration,
@@ -75,7 +76,9 @@ def _laplacian_stack(values, grid, scheme):
     """Componentwise Laplacian of a (...,2) complex array."""
     out = np.zeros_like(values)
     for ax in range(grid.dim):
-        out += second_derive_along(values, grid.spacing[ax], ax, grid.boundary, scheme)
+        h = grid.spacing[ax]
+        out += (full_fft_derivative(values, h, ax, 2) if scheme == SPECTRAL
+                else second_derive_along(values, h, ax, grid.boundary))
     return out
 
 
@@ -109,7 +112,7 @@ def apply_hamiltonian(state, config, scheme=None):
         out += q * em.phi_pot.values[..., None] * psi
     coupling = config.spin_coupling()
     if coupling != 0.0:
-        b = em.b_values(scheme)
+        b = em.b_values()
         out[..., 0] += -coupling * (
             b[..., 2] * psi[..., 0] + (b[..., 0] - 1j * b[..., 1]) * psi[..., 1]
         )
@@ -325,7 +328,7 @@ def whole_cayley_oracle_step(config, grid):
     kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
     q = config.kinetic_charge()
     v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
-    b = config.spin_coupling() * em.b_values(CENTRAL).reshape(grid.size, 3)
+    b = config.spin_coupling() * em.b_values().reshape(grid.size, 3)
     bz, bxy = b[:, 2], b[:, 0] - 1j * b[:, 1]
     diags = scipy.sparse.diags
     ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],

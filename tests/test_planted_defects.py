@@ -258,6 +258,22 @@ def _transverse_spin_by_w(observable_weights):
     return planted
 
 
+def _nan_every_other_cell(gradient):
+    # the gradient reads NaN in every other cell, of every field for the
+    # total objective; the sampled cells take both kinds
+    def spoiled(values):
+        values = values.copy()
+        values.flat[::2] = np.nan
+        return values
+
+    def planted(*args):
+        grads = gradient(*args)
+        if isinstance(grads, dict):
+            return {name: spoiled(values) for name, values in grads.items()}
+        return spoiled(grads)
+    return planted
+
+
 def _four_cells_raised(sample_dataset):
     # the draw comes from the table with its four most plausible cells 5%
     # higher, renormalized
@@ -417,6 +433,13 @@ ROWS = {
                                     {"gradients": {TOTAL_GRADIENT}}),
     "fisher_gradient_scaled": (variational, "fisher_gradient_density", _scaled(1.001),
                                {"gradients": {FISHER_GRADIENT}}),
+    # a NaN error is the worst error, not one the largest finite error hides
+    "objective_gradient_nan_every_other_cell": (variational.TotalObjective, "gradient",
+                                                _nan_every_other_cell,
+                                                {"gradients": {TOTAL_GRADIENT}}),
+    "fisher_gradient_nan_every_other_cell": (variational, "fisher_gradient_density",
+                                             _nan_every_other_cell,
+                                             {"gradients": {FISHER_GRADIENT}}),
     # the empirical table leaves the 4-sigma band at the raised cells; the
     # draws are still exact, repeatable and written as drawn
     "four_cells_raised_5_percent": (inference, "sample_dataset", _four_cells_raised,

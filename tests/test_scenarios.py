@@ -106,23 +106,7 @@ def test_no_temp_residue_after_run(tmp_path):
     assert leftovers == []
 
 
-def test_stern_gerlach_boundary_failure_report(tmp_path):
-    params = dict(
-        parse_scenario(
-            json.dumps(
-                {"kind": "stern_gerlach", "parameters": {"field_gradient": 0.02,
-                                                         "velocity": 5.0}}
-            )
-        ).parameters
-    )
-    scenario = Scenario("stern_gerlach", params, output_dir=str(tmp_path))
-    report = run(scenario)
-    assert not report.passed
-    failed = [c for c in report.checks if not c.passed]
-    assert "boundary" in failed[0].note
-
-
-def test_cli_run_exit_codes(tmp_path):
+def test_cli_run_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({
         "kind": "moment", "parameters": {"t_final": 0.5}
@@ -135,12 +119,19 @@ def test_cli_run_exit_codes(tmp_path):
 
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
+    # 30 Cayley steps over 10 periods put the precession rate 0.65% off
     failing = tmp_path / "fail.json"
     failing.write_text(json.dumps({
-        "kind": "stern_gerlach",
-        "parameters": {"field_gradient": 0.02, "velocity": 5.0},
+        "kind": "pauli_evolve", "parameters": {"scheme": "crank_nicolson", "steps": 30},
     }))
     assert cli.main(["run", str(failing), "--output-dir", str(tmp_path / "out2")]) == 1
+
+    # an aborted solve is a runtime error, not a failed check, and writes no report
+    aborted = tmp_path / "abort.json"
+    aborted.write_text(json.dumps({"kind": "stern_gerlach", "parameters": {"field_gradient": 0.5}}))
+    assert cli.main(["run", str(aborted), "--output-dir", str(tmp_path / "out3")]) == 3
+    assert "packet reached the grid boundary at t=7.5" in capsys.readouterr().err
+    assert not (tmp_path / "out3" / "report.json").exists()
 
 
 def test_cli_schema_and_version(capsys):
@@ -211,6 +202,11 @@ _JOINT = "parameters must satisfy: "
                        "spin_down_weight": 0.0},
      [_JOINT + "spin_up_weight and spin_down_weight are not both 0",
       _JOINT + "gamma_energy != 0 when field_gradient != 0"]),
+    # without a gradient, a field offset parts two occupied colors at round-off
+    ("stern_gerlach", {"field_gradient": 0.0},
+     [_JOINT + "field_offset == 0 when field_gradient == 0"]),
+    ("stern_gerlach", {"field_gradient": 0.0, "field_offset": -1.2},
+     [_JOINT + "field_offset == 0 when field_gradient == 0"]),
     ("evidence", {"cells": 12}, [_JOINT + "shift lies along x"]),
     ("evidence", {"shift": [1.0, 0.0, 0.0]}, [_JOINT + "shift lies along x"]),
     ("evidence", {"shift": [0.25, 0.1, 0.0]}, [_JOINT + "shift lies along x"]),
@@ -220,6 +216,12 @@ _JOINT = "parameters must satisfy: "
      [_JOINT + "modes <= cells - 2"]),
     # the default moment passes within 0.0142 rad of the z axis in this field
     ("moment", {"b": [1.0, 1.0, 2.0]}, [_JOINT + "the precession cone clears the poles"]),
+    # the rule without t_final admitted this run, which drifts 1.68e-8 in
+    # energy over its 105 periods
+    ("moment", {"b": [0.8645658815307702, -1.954554506283807, -2.722245554429509],
+                "gamma": 1.9073263014114088, "dt": 0.001, "phi0": 0.9255894654223997,
+                "z0": 0.9029837578666249, "t_final": 100.0},
+     [_JOINT + "the precession cone clears the poles"]),
     # a range violation leaves the joint rules of the other parameters in force
     ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0,
                        "cells": -5},
@@ -247,6 +249,8 @@ def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules)
 def test_joint_rules_admit_the_documents_that_run(tmp_path):
     for kind, parameters in [
         ("stern_gerlach", {"field_gradient": 0.0, "gamma_energy": 0.0, "cells": 256, "dt": 0.1}),
+        ("stern_gerlach", {"field_gradient": 0.0, "field_offset": 0.0}),
+        ("stern_gerlach", {"field_gradient": 0.0, "spin_down_weight": 0.0}),
         ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "cells": 256,
                            "dt": 0.1, "t_final": 1.0}),
         ("evidence", {"cells": 96}),
