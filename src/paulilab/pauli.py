@@ -3,14 +3,15 @@
 Two unitary schemes on periodic grids with zero vector potential: a
 split-operator propagator (spectral kinetic half-steps around an exact
 per-cell 2x2 exponential of the potential/spin block, which an axial field
-leaves diagonal, so each color takes one multiply), and a Cayley step psi' =
-2 (I + zH)^-1 psi - psi (one solve, factored once without pivoting, and one
-residual check) for stencil kinetics.  Both step only the colors that carry
-amplitude where the field does not couple them: an axial field, or none,
-leaves an empty color exactly zero (``_make_propagator`` picks the colors).
-A run given a moment coupling is chargeless: it drops the charge from the
-kinetic and potential terms and couples the spin through that
-energy-per-field coefficient.
+leaves diagonal, so the live colors take one stacked multiply), and a
+Cayley step psi' = 2 (I + zH)^-1 psi - psi (one solve, factored once
+without pivoting, and one residual check) for stencil kinetics.  Both step
+the live colors' slice of one colors-first (2,) + grid block in place, and
+only the colors that carry amplitude where the field does not couple them:
+an axial field, or none, leaves an empty color exactly zero
+(``_make_propagator`` picks the colors).  A run given a moment coupling is
+chargeless: it drops the charge from the kinetic and potential terms and
+couples the spin through that energy-per-field coefficient.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -106,11 +107,11 @@ class SolverConfig:
 
 class _SplitOperatorPropagator:
     """Strang splitting K/2 V K/2: spectral kinetic factors K around an exact
-    per-cell 2x2 exponential V of the potential/spin block.  Where B has no
-    transverse component in any cell, V is diagonal and applies as one
-    in-place multiply per color, with the bits of the 2x2 product.  One live
-    color of ``colors`` steps alone, as one contiguous array of the grid's
-    shape, with the bits it has next to a filled color."""
+    per-cell 2x2 exponential V of the potential/spin block, on a colors-first
+    block of the live ``colors``.  Where B has no transverse component in any
+    cell, V is diagonal: its live diagonal entries stack into one factor of
+    the block's shape, applied as one in-place multiply, with the bits of the
+    2x2 product."""
 
     def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
         k_sq = np.zeros(grid.shape)
@@ -120,11 +121,14 @@ class _SplitOperatorPropagator:
             shape[ax] = grid.cells[ax]
             k_sq = k_sq + (k.reshape(shape)) ** 2
         consts = config.consts
-        # exp(-i (dt/2) (hbar^2 k^2 / 2m) / hbar), and the full step's factor
-        self._half_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (4.0 * consts.mass))
-        self._full_kinetic = np.exp(-1j * config.dt * consts.hbar * k_sq / (2.0 * consts.mass))
-        # 1-D transforms, last axis first as np.fft.fftn runs them: its bits, less overhead
-        self._axes = tuple(reversed(range(grid.dim)))
+        # exp(-i (dt/2) (hbar^2 k^2 / 2m) / hbar), and the full step's factor, at
+        # the block's shape: one contiguous pass, where broadcasting costs more
+        block = (len(colors),) + grid.shape
+        self._half_kinetic, self._full_kinetic = (
+            np.broadcast_to(np.exp(-1j * config.dt * consts.hbar * k_sq / (d * consts.mass)),
+                            block).copy() for d in (4.0, 2.0))
+        # 1-D transforms, grid axes last first as np.fft.fftn runs them: its bits, less overhead
+        self._axes = tuple(range(grid.dim, 0, -1))
         q = config.kinetic_charge()
         v = q * config.em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
         c = -config.spin_coupling() * b
@@ -138,49 +142,38 @@ class _SplitOperatorPropagator:
         u22 = phase * (cos_a + 1j * sinc * c[..., 2])
         u12 = phase * (-1j * sinc * (c[..., 0] - 1j * c[..., 1]))
         u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
-        self._cell = u11, u12, u21, u22
         self._colors = colors
         # an axial field (or none) leaves the colors uncoupled in every cell
         self._diagonal = not (np.any(u12) or np.any(u21))
+        self._cell = np.stack([(u11, u22)[c] for c in colors] if self._diagonal
+                              else (u11, u12, u21, u22))
 
     def _kinetic(self, psi: np.ndarray, factor: np.ndarray) -> np.ndarray:
         for ax in self._axes:
             psi = scipy.fft.fft(psi, axis=ax)
-        psi *= factor if psi.ndim == factor.ndim else factor[..., None]
+        psi *= factor
         for ax in self._axes:
             psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
         return psi
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """n steps as K/2 (V K)^(n-1) V K/2: nothing observes the state
-        between the trailing half-step of one step and the leading half of
-        the next, so they run as one full kinetic step.  n = 1 is one step's
-        operations in their order.  Uncoupled colors take one multiply each
-        in place of the 2x2 product, whose off-diagonal terms add exact
-        zeros; an empty color comes back as +0."""
-        u11, u12, u21, u22 = self._cell
-        one = len(self._colors) == 1
-        if one:  # the live color, one contiguous array of the grid's shape
-            (c,) = self._colors
-            u, out, psi = (u11, u22)[c], np.zeros_like(psi), psi[..., c]
-        psi = self._kinetic(psi, self._half_kinetic)
+        """n steps of the live colors' block ``psi``, in place, as
+        K/2 (V K)^(n-1) V K/2: nothing observes the state between the
+        trailing half-step of one step and the leading half of the next, so
+        they run as one full kinetic step.  n = 1 is one step's operations
+        in their order."""
+        out = self._kinetic(psi, self._half_kinetic)
         for i in range(n):
-            if one:
-                np.multiply(u, psi, out=psi)
-            elif self._diagonal:
+            if self._diagonal:
                 # keep the factor first: numpy's SIMD complex multiply gives
-                # u * psi and psi * u (as `psi[..., 0] *= u11` computes it)
-                # different last bits, and the 2x2 product takes u * psi
-                np.multiply(u11, psi[..., 0], out=psi[..., 0])
-                np.multiply(u22, psi[..., 1], out=psi[..., 1])
+                # u * psi and psi * u different last bits, and the 2x2
+                # product takes u * psi
+                np.multiply(self._cell, out, out=out)
             else:
-                c0 = u11 * psi[..., 0] + u12 * psi[..., 1]
-                c1 = u21 * psi[..., 0] + u22 * psi[..., 1]
-                psi[..., 0], psi[..., 1] = c0, c1
-            psi = self._kinetic(psi, self._full_kinetic if i < n - 1 else self._half_kinetic)
-        if one:
-            out[..., c] = psi
-            return out
+                u11, u12, u21, u22 = self._cell
+                out[0], out[1] = u11 * out[0] + u12 * out[1], u21 * out[0] + u22 * out[1]
+            out = self._kinetic(out, self._full_kinetic if i < n - 1 else self._half_kinetic)
+        psi[...] = out
         return psi
 
 
@@ -194,8 +187,9 @@ class _CrankNicolsonPropagator:
     still checked: 2 |A y - psi| <= tol |psi| bounds |A psi' - (I - zH) psi|
     = 2 |A y - psi| by tol |(I - zH) psi|, since |(I - zH) psi| >= |psi|.
 
-    The system spans ``colors``.  A live color's solve has the bits of the
-    two-color one, whose empty block holds only zeros.
+    The system spans ``colors``, in the order of the colors-first block, so
+    its vector is the flat live block.  A live color's solve has the bits of
+    the two-color one, whose empty block holds only zeros.
     """
 
     def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
@@ -219,11 +213,10 @@ class _CrankNicolsonPropagator:
                                             diag_pivot_thresh=0.0)
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """n Cayley steps on the flat block of the system's colors, converted
-        once at each end; every solve's residual is checked, and a NaN
-        residual fails the check.  A color left out of the system comes back
-        as +0."""
-        flat = np.concatenate([psi[..., c].ravel() for c in self._colors])
+        """n Cayley steps of the live colors' contiguous block ``psi``, in
+        place through its flat view; every solve's residual is checked, and
+        a NaN residual fails the check."""
+        flat = psi.reshape(-1)
         for i in range(n):
             y = self._lu.solve(flat)
             r = self._a_plus @ y
@@ -234,11 +227,8 @@ class _CrankNicolsonPropagator:
                 raise SolverError(f"implicit solve {i} of {n}: relative residual {rel:.3e} "
                                   f"above bound {_RESIDUAL_TOL:.0e}")
             y *= 2.0
-            flat = np.subtract(y, flat, out=y)
-        out = np.zeros_like(psi)
-        for c, block in zip(self._colors, flat.reshape(len(self._colors), -1)):
-            out[..., c] = block.reshape(psi.shape[:-1])
-        return out
+            np.subtract(y, flat, out=flat)
+        return psi
 
 
 def _make_propagator(config: SolverConfig, initial: PauliState):
@@ -263,13 +253,12 @@ def _make_propagator(config: SolverConfig, initial: PauliState):
 def step(state: PauliState, config: SolverConfig) -> PauliState:
     """Advance one time step; norm is preserved to 1e-12 per step.
 
-    Builds a fresh propagator each call; evolve() amortizes the setup (the
-    implicit scheme factorizes its system once) over the whole run, and
-    between two records fuses the split-operator half-steps that meet.
+    One recorded step of ``evolve``; a longer run amortizes the setup (the
+    implicit scheme factorizes its system once), and between two records
+    fuses the split-operator half-steps that meet.
     """
-    prop = _make_propagator(config, state)
-    out = prop.advance(state.phi.values.copy(), 1)
-    return PauliState(SpinorField(state.phi.grid, out), state.t + config.dt)
+    traj = evolve(state, config, config.dt, keep_snapshots=True)
+    return PauliState(SpinorField(state.phi.grid, traj.snapshots[-1]), float(traj.times[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +286,8 @@ def _observable_weights(grid: Grid):
     return np.array(rows).reshape(len(rows), -1)
 
 
-def _observe(psi: np.ndarray, weights, position, spin, masses):
-    """Observables of a raw (..., 2) wavefunction array, written into the
+def _observe(block: np.ndarray, weights, position, spin, masses):
+    """Observables of a colors-first (2, ...) wavefunction block, written into the
     rows ``position`` (3,), ``spin`` (3,) and ``masses`` (2,); returns the
     norm, the two color densities and their sum.
 
@@ -308,14 +297,13 @@ def _observe(psi: np.ndarray, weights, position, spin, masses):
     as the 1-D reduce of ``np.sum(w * ...)`` does, and real products commute
     exactly, so the values carry the bits of the plain formulas.
     """
-    terms = np.empty((len(weights),) + psi.shape[:-1])
+    terms = np.empty((len(weights),) + block.shape[1:])
+    np.square(np.abs(block), out=terms[1:3])
     flat = terms.reshape(len(weights), -1)  # rows in the weights' order
-    pairs = psi.reshape(-1, 2)
-    np.square(np.abs(pairs.T), out=flat[1:3])
     np.add(flat[1], flat[2], out=flat[0])
     flat[3:-3] = flat[0]
-    cross = np.conj(pairs[:, 0]) * pairs[:, 1]
-    flat[-3], flat[-2] = cross.real, cross.imag
+    cross = np.conj(block[0]) * block[1]
+    terms[-3], terms[-2] = cross.real, cross.imag
     np.subtract(flat[1], flat[2], out=flat[-1])
     norm, masses[0], masses[1], *x, s_x, s_y, s_z = np.add.reduce(flat * weights, axis=1).tolist()
     for ax, value in enumerate(x):
@@ -328,7 +316,8 @@ def observables(state: PauliState) -> Observables:
     """Norm, mean position, spin expectation and per-color masses."""
     grid = state.phi.grid
     position, spin, masses = np.zeros(3), np.empty(3), np.empty(2)
-    norm, *_ = _observe(state.phi.values, _observable_weights(grid), position, spin, masses)
+    block = np.moveaxis(state.phi.values, -1, 0)
+    norm, *_ = _observe(block, _observable_weights(grid), position, spin, masses)
     return Observables(norm, position, spin, masses)
 
 
@@ -358,12 +347,17 @@ def evolve(
     only; with ``record_every=1``, and for Crank-Nicolson at any
     ``record_every``, every step runs as ``step`` runs it.
 
+    The state is one C-contiguous colors-first (2, ...) block, whose live
+    colors' slice the propagator steps in place; a color it does not step is
+    set to +0 once, after the first record.
+
     ``on_record(psi, t, rho1, rho2, dens, masses)``, when given, sees the
-    raw wavefunction array, its two color densities, their sum and the
-    recorded color masses (2,) at each recorded step, after the observables
-    are taken and before the norm is checked; the three density arrays keep
-    their values for the whole call (the weighted sums write elsewhere), and
-    the callback may raise to abort the run.
+    raw (..., 2) wavefunction array (a view of the block), its two color
+    densities, their sum and the recorded color masses (2,) at each recorded
+    step, after the observables are taken and before the norm is checked;
+    the three density arrays keep their values for the whole call (the
+    weighted sums write elsewhere), and the callback may raise to abort the
+    run.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
@@ -372,7 +366,9 @@ def evolve(
     steps = int(round(t_final / config.dt))
     grid = initial.phi.grid
     prop = _make_propagator(config, initial)
-    psi = initial.phi.values.copy()
+    block = np.moveaxis(initial.phi.values, -1, 0).copy()
+    colors = prop._colors
+    live, psi = block[colors[0]:colors[-1] + 1], np.moveaxis(block, 0, -1)
     t = initial.t
     weights = _observable_weights(grid)
     rows = 1 + steps // record_every + (steps % record_every != 0)
@@ -383,7 +379,7 @@ def evolve(
 
     def record():
         nonlocal row
-        norm, rho1, rho2, dens = _observe(psi, weights, positions[row], spins[row], masses[row])
+        norm, rho1, rho2, dens = _observe(block, weights, positions[row], spins[row], masses[row])
         if on_record is not None:
             on_record(psi, t, rho1, rho2, dens, masses[row])
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
@@ -394,9 +390,11 @@ def evolve(
         row += 1
 
     record()
+    if len(colors) == 1:
+        block[1 - colors[0]] = 0.0
     for i in range(0, steps, record_every):
         n = min(record_every, steps - i)
-        psi = prop.advance(psi, n)
+        prop.advance(live, n)
         t = initial.t + (i + n) * config.dt
         record()
     return PauliTrajectory(times, norms, positions, spins, masses, snapshots)

@@ -65,6 +65,7 @@ _POSITIVE = (">", 0)
 _NONNEGATIVE = (">=", 0)
 _COUNT = (">=", 1)
 _PACKETS = ("free_packet", "uniform_field")
+_LORENTZ_BOX, _LORENTZ_DT = 50.0, 1e-3  # the uniform_e box length and time step
 
 _COMMON_CONSTANTS = {
     "hbar": (float, 1.0, "Planck constant over 2 pi", _POSITIVE),
@@ -199,10 +200,42 @@ def _moment_cone_clears_poles(b: list, gamma: float, phi0: float, z0: float, dt:
             <= 5e-7 * theta**3 * abs(cos_alpha))
 
 
+def _parabola_stays_in_box(setup: str, e0: float, charge: float, mass: float,
+                           t_final: float) -> bool:
+    """The uniform_e particle's closed-form path x(t) = 5 + 0.1 t + a t^2 / 2,
+    a = q e0 / m, stays inside the box [0, 50] over [0, t_final + dt], which
+    covers the last step's rounding of t_final, with a margin |a| dt^2 that
+    covers the RK4 stages' departure from the path (|a| dt^2 / 8 at most)."""
+    if setup != "uniform_e":
+        return True
+    a = charge * e0 / mass
+    end = t_final + _LORENTZ_DT
+    times = [0.0, end] + ([min(max(-0.1 / a, 0.0), end)] if a != 0.0 else [])
+    margin = abs(a) * _LORENTZ_DT**2
+    return all(margin <= 5.0 + 0.1 * t + 0.5 * a * t * t <= _LORENTZ_BOX - margin for t in times)
+
+
+def _table_center_cell_is_nonzero(cells: int, sigma: float) -> bool:
+    """The Gaussian table's largest entry does not underflow to 0: odd cells
+    put a cell on the center, even cells the nearest ones 0.5 from it."""
+    with np.errstate(all="ignore"):  # sigma^2 may overflow or underflow
+        return cells % 2 == 1 or bool(np.exp(-0.25 / (2.0 * np.float64(sigma) ** 2)) > 0.0)
+
+
+_TABLE_RULE = ("for even cells, exp(-0.125 / sigma^2), the Gaussian table's entry 0.5 from "
+               "its center, does not underflow to 0 (sigma above about 0.013)",
+               ("cells", "sigma"), _table_center_cell_is_nonzero)
+
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
+    "sample": (_TABLE_RULE,),
+    "fisher_discrete": (_TABLE_RULE,),
+    "lorentz": (("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
+                 "stays at least |a| dt^2 inside the box [0, 50] over [0, t_final + dt], "
+                 "dt = 0.001",
+                 ("setup", "e0", "charge", "mass", "t_final"), _parabola_stays_in_box),),
     "box_minimize": (("modes <= cells - 2: one free cell per mode inside the walls",
                       ("modes", "cells"), lambda modes, cells: modes <= cells - 2),),
     "evidence": (("shift lies along x, and shift, shift/2 and shift/4 keep the table "
@@ -537,7 +570,7 @@ def _run_lorentz(scenario: Scenario, out):
         ]
     else:  # uniform_e
         e0 = p["e0"]
-        extent = 50.0
+        extent = _LORENTZ_BOX
         g = Grid((extent,) * 3, (11,) * 3, DIRICHLET_ZERO)
         x, _, _ = g.meshgrid()
         em = EMConfiguration(
@@ -546,7 +579,7 @@ def _run_lorentz(scenario: Scenario, out):
         state = classical.ChargedParticleState(
             (5.0, extent / 2, extent / 2), (0.1, 0.0, 0.0)
         )
-        traj = classical.lorentz_evolve(state, em, q, m, p["t_final"], 1e-3)
+        traj = classical.lorentz_evolve(state, em, q, m, p["t_final"], _LORENTZ_DT)
         exact = 5.0 + 0.1 * traj.times + 0.5 * (q * e0 / m) * traj.times**2
         checks = [
             check_leq(

@@ -1,6 +1,5 @@
 """Tests for the two-component wavefunction solver."""
 
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -299,24 +298,46 @@ def test_spin_position_factorization():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_kinetic_half(prop, psi):
-    for ax in prop._axes:
-        psi = scipy.fft.fft(psi, axis=ax)
-    psi *= prop._half_kinetic[..., None]
-    for ax in prop._axes:
-        psi = scipy.fft.ifft(psi, axis=ax, overwrite_x=True)
-    return psi
+def split_operator_oracle_step(config, grid):
+    """One split-operator step as its own operations on a (..., 2) array:
+    half K, cell 2x2, half K, with factors built here from their formulas
+    and not read from the propagator.  K/2 = exp(-i (dt/2) hbar k^2 / 2m)
+    in Fourier space, the 1-D transforms taken last axis first; the cell
+    factor is U = phase (cos(a) I - i sin(a) n.sigma), a = |c| dt / hbar,
+    c = -coupling B, n = c/|c|, phase = exp(-i q phi dt / hbar)."""
+    consts = config.consts
+    waves = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(grid.cells, grid.spacing)]
+    k_sq = sum(k**2 for k in np.meshgrid(*waves, indexing="ij"))
+    half = np.exp(-1j * config.dt * consts.hbar * k_sq / (4.0 * consts.mass))[..., None]
+    q = config.kinetic_charge()
+    v = q * config.em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
+    c = -config.spin_coupling() * config.em.b_values()
+    c_norm = np.sqrt(np.sum(c * c, axis=-1))
+    alpha = c_norm * config.dt / consts.hbar
+    cos_a = np.cos(alpha)
+    sinc = np.where(c_norm > 0, np.sin(alpha) / np.where(c_norm > 0, c_norm, 1.0), 0.0)
+    phase = np.exp(-1j * v * config.dt / consts.hbar)
+    u11 = phase * (cos_a - 1j * sinc * c[..., 2])
+    u22 = phase * (cos_a + 1j * sinc * c[..., 2])
+    u12 = phase * (-1j * sinc * (c[..., 0] - 1j * c[..., 1]))
+    u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
+    axes = tuple(reversed(range(grid.dim)))
 
+    def kinetic_half(psi):
+        for ax in axes:
+            psi = scipy.fft.fft(psi, axis=ax)
+        psi *= half
+        for ax in axes:
+            psi = scipy.fft.ifft(psi, axis=ax)
+        return psi
 
-def split_operator_oracle_step(prop, psi):
-    """One split-operator step as its own operations, on the propagator's
-    factors: half K, cell 2x2, half K."""
-    out = _oracle_kinetic_half(prop, psi)
-    u11, u12, u21, u22 = prop._cell
-    c0 = u11 * out[..., 0] + u12 * out[..., 1]
-    c1 = u21 * out[..., 0] + u22 * out[..., 1]
-    out[..., 0], out[..., 1] = c0, c1
-    return _oracle_kinetic_half(prop, out)
+    def step_once(psi):
+        out = kinetic_half(psi)
+        c0 = u11 * out[..., 0] + u12 * out[..., 1]
+        c1 = u21 * out[..., 0] + u22 * out[..., 1]
+        out[..., 0], out[..., 1] = c0, c1
+        return kinetic_half(out)
+    return step_once
 
 
 def whole_cayley_oracle_step(config, grid):
@@ -346,11 +367,9 @@ def whole_cayley_oracle_step(config, grid):
 
 def oracle_states(state, config, steps):
     """The wavefunction after each of 0..steps single steps."""
-    if config.scheme == SPLIT_OPERATOR:
-        prop = pauli._make_propagator(config, state)
-        step_once = functools.partial(split_operator_oracle_step, prop)
-    else:
-        step_once = whole_cayley_oracle_step(config, state.phi.grid)
+    oracle_step = (split_operator_oracle_step if config.scheme == SPLIT_OPERATOR
+                   else whole_cayley_oracle_step)
+    step_once = oracle_step(config, state.phi.grid)
     psi = state.phi.values.copy()
     out = [psi.copy()]
     for _ in range(steps):
@@ -523,9 +542,9 @@ def packet(grid, center, kick):
 @pytest.mark.parametrize("extents,cells", [((20.0,), (256,)), ((10.0, 10.0), (32, 32))])
 def test_one_color_advance_is_that_color_of_the_two_color_advance_bitwise(extents, cells,
                                                                           scheme, color, n):
-    # an axial field does not mix the colors: the live color steps alone
-    # with the bits it has next to a filled color, spin-down takes the
-    # cell factor u22, and the empty color comes back as +0
+    # an axial field does not mix the colors: the live color's block, a
+    # one-color slice of the colors-first block, steps alone with the bits
+    # it has next to a filled color, and spin-down takes the cell factor u22
     g = Grid(extents, cells, PERIODIC)
     x = np.broadcast_to(g.meshgrid()[0], g.shape)
     b_vals = np.zeros(g.shape + (3,))
@@ -540,11 +559,12 @@ def test_one_color_advance_is_that_color_of_the_two_color_advance_bitwise(extent
     prop_one = pauli._make_propagator(config, PauliState(SpinorField(g, one)))
     prop_both = pauli._make_propagator(config, SimpleNamespace(phi=SpinorField(g, both)))  # norm 2
     assert (prop_one._colors, prop_both._colors) == ((color,), (0, 1))
-    got, want = prop_one.advance(one.copy(), n), prop_both.advance(both.copy(), n)
-    assert got[..., color].tobytes() == want[..., color].tobytes()
-    empty = got[..., 1 - color]
-    assert not np.any(empty)
-    assert not np.any(np.signbit(empty.real)) and not np.any(np.signbit(empty.imag))
+    one_block, both_block = np.moveaxis(one, -1, 0).copy(), np.moveaxis(both, -1, 0).copy()
+    live = one_block[color:color + 1]
+    got, want = prop_one.advance(live, n), prop_both.advance(both_block, n)
+    assert got is live and want is both_block  # each steps its block in place
+    assert got[0].tobytes() == want[color].tobytes()
+    assert not one_block[1 - color].tobytes().strip(b"\0")  # untouched +0
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
@@ -644,6 +664,34 @@ def test_a_uniform_field_keeps_the_norm_and_a_transverse_one_steps_both_colors(
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-12
     if transverse:  # the empty color, if any, takes up amplitude from the first step
         assert np.all(traj.color_masses[1:] > 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.lists(st.integers(3, 16), min_size=1, max_size=2),
+       scheme=st.sampled_from([SPLIT_OPERATOR, CRANK_NICOLSON]), axial=st.booleans(),
+       neutral=st.booleans(), filled=st.sampled_from([(0,), (1,), (0, 1)]),
+       seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 40),
+       record_every=st.integers(1, 10))
+def test_evolve_keeps_the_norm_and_an_empty_color_at_plus_zero_under_an_axial_field(
+        cells, scheme, axial, neutral, filled, seed, dt, steps, record_every):
+    g = Grid((2.0, 1.5)[:len(cells)], tuple(cells), PERIODIC)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(g.shape + (2,), dtype=np.complex128)
+    for c in filled:
+        vals[..., c] = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
+    b_vals = rng.standard_normal(g.shape + (3,))  # tilted: B_x and B_y couple the colors
+    if axial:
+        b_vals[..., :2] = 0.0
+    em = EMConfiguration(g, ScalarField(g, 3.0 * rng.random(g.shape)), VectorField3.zero(g),
+                         b=VectorField3(g, b_vals))
+    config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
+    traj = evolve(PauliState(SpinorField(g, vals)), config, steps * dt,
+                  record_every=record_every, keep_snapshots=True)
+    assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-12
+    if axial:
+        for empty in {0, 1} - set(filled):
+            assert not traj.snapshots[..., empty].tobytes().strip(b"\0")
 
 
 class _PlantedFactor:

@@ -188,12 +188,11 @@ def _half_kinetic_for_full(init):
 
 
 def _second_color_takes_u11(init):
-    # the per-color step of an axial field multiplies both colors by u11
+    # the one multiply of an axial field's two live colors takes u11 for both
     def planted(self, *args):
         init(self, *args)
         if self._diagonal:
-            u11, u12, u21, _ = self._cell
-            self._cell = u11, u12, u21, u11
+            self._cell[1:] = self._cell[0]
     return planted
 
 
@@ -208,13 +207,10 @@ def _cell_factor_scaled(init):
 def _backward_euler(advance):
     # (I + zH) psi' = psi, the solve alone: first order and not unitary
     def planted(self, psi, n):
-        flat = np.concatenate([psi[..., c].ravel() for c in self._colors])
+        flat = psi.reshape(-1)
         for _ in range(n):
-            flat = self._lu.solve(flat)
-        out = np.zeros_like(psi)
-        for c, block in zip(self._colors, flat.reshape(len(self._colors), -1)):
-            out[..., c] = block.reshape(psi.shape[:-1])
-        return out
+            flat[:] = self._lu.solve(flat)
+        return psi
     return planted
 
 
@@ -223,12 +219,12 @@ def _second_color_factor_first(kinetic):
     # the second as K * psi, which numpy's SIMD complex multiply rounds
     # differently (the Stern-Gerlach runs are 1-D)
     def planted(self, psi, factor):
-        if psi.ndim == factor.ndim:
+        if len(psi) == 1:
             return kinetic(self, psi, factor)
-        psi = scipy.fft.fft(psi, axis=0)
-        psi[..., 0] *= factor
-        np.multiply(factor, psi[..., 1], out=psi[..., 1])
-        return scipy.fft.ifft(psi, axis=0)
+        psi = scipy.fft.fft(psi, axis=1)
+        psi[0] *= factor[0]
+        np.multiply(factor[1], psi[1], out=psi[1])
+        return scipy.fft.ifft(psi, axis=1)
     return planted
 
 

@@ -233,6 +233,16 @@ _JOINT = "parameters must satisfy: "
                        "spin_down_weight": 0.0},
      ["parameter 'gamma_energy' must be of type float",
       _JOINT + "spin_up_weight and spin_down_weight are not both 0"]),
+    # the particle reaches x = 50 at t = 13.2 and left the grid at run time
+    # (exit 3); at t_final 1e6 the run built a 1e9-entry time array first
+    ("lorentz", {"setup": "uniform_e", "t_final": 14.0}, [_JOINT + "the uniform_e path"]),
+    ("lorentz", {"setup": "uniform_e", "t_final": 1e6}, [_JOINT + "the uniform_e path"]),
+    ("lorentz", {"setup": "uniform_e", "e0": -0.5, "t_final": 5.0},
+     [_JOINT + "the uniform_e path"]),
+    # each table underflowed to all zeros and exited 3 from a 0/0
+    ("sample", {"sigma": 1e-3}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
+    ("sample", {"sigma": 0.01, "cells": 2}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
+    ("fisher_discrete", {"sigma": 1e-200}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -255,8 +265,28 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
                            "dt": 0.1, "t_final": 1.0}),
         ("evidence", {"cells": 96}),
         ("evidence", {"shift": [0.25]}),
+        ("lorentz", {"setup": "uniform_e", "t_final": 13.0}),
+        ("lorentz", {"setup": "uniform_b", "t_final": 1e6}),
+        ("sample", {"sigma": 1e-3, "cells": 161}),
+        ("fisher_discrete", {"sigma": 0.0135, "cells": 4}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
+
+
+@pytest.mark.parametrize("e0,wall", [(50.0, 50.0), (-50.0, 0.0)])
+@pytest.mark.parametrize("before,admitted", [(1.5e-3, True), (0.5e-3, False)])
+def test_lorentz_box_rule_admits_the_paths_that_stay_inside(tmp_path, e0, wall, before,
+                                                            admitted):
+    # x(t) = 5 + 0.1 t + e0 t^2 / 2 reaches the wall at t_wall; the run steps
+    # by 1e-3 to the multiple of it nearest t_final
+    t_wall = max(np.roots([e0 / 2.0, 0.1, 5.0 - wall]))
+    doc = json.dumps({"kind": "lorentz", "output_dir": str(tmp_path), "parameters": {
+        "setup": "uniform_e", "e0": e0, "t_final": t_wall - before}})
+    if admitted:
+        assert run(parse_scenario(doc)).passed
+    else:
+        with pytest.raises(ScenarioError):
+            parse_scenario(doc)
 
 
 @pytest.mark.parametrize("dt,admitted", [(1e-3, False), (2.5e-4, True)])
