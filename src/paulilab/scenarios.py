@@ -225,13 +225,16 @@ def _table_center_cell_is_nonzero(cells: int, sigma: float) -> bool:
 _TABLE_RULE = ("for even cells, exp(-0.125 / sigma^2), the Gaussian table's entry 0.5 from "
                "its center, does not underflow to 0 (sigma above about 0.013)",
                ("cells", "sigma"), _table_center_cell_is_nonzero)
+# the table and the Fisher oracle square sigma as a Python float, which raises past this
+_SIGMA_SQUARED_RULE = ("sigma^2 is finite (sigma at most about 1.34e154)",
+                       ("sigma",), lambda sigma: math.isfinite(sigma * sigma))
 
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
-    "sample": (_TABLE_RULE,),
-    "fisher_discrete": (_TABLE_RULE,),
+    "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
+    "fisher_discrete": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
     "lorentz": (("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
                  "stays at least |a| dt^2 inside the box [0, 50] over [0, t_final + dt], "
                  "dt = 0.001",

@@ -1,0 +1,71 @@
+"""``tools/manifest.py compare``: which entries moved, and how far."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "manifest", Path(__file__).resolve().parent.parent / "tools" / "manifest.py")
+manifest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(manifest)
+
+_DOC = "evolve/full/seed0/002-pauli_evolve"
+_VALUE = 0.00020720555880658937
+_ENTRIES = {
+    f"{_DOC}/observables.csv": "5e7939e110f8c8c2a0559c3626ff3c8cd0d317563b27d758ae13b5d0373aeff5",
+    f"{_DOC}/check pauli.norm_drift": repr(_VALUE),
+    f"{_DOC}/check pauli.completed": "True",
+}
+
+
+def _write(path: Path, entries: dict[str, str]) -> str:
+    path.write_text("".join(f"{key}\t{value}\n" for key, value in entries.items()),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _compare(tmp_path, capsys, **changed) -> tuple[int, list[str]]:
+    old = _write(tmp_path / "old", _ENTRIES)
+    new = _write(tmp_path / "new", {**_ENTRIES, **changed})
+    code = manifest.main(["compare", old, new])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_compare_of_equal_manifests_exits_0(tmp_path, capsys):
+    assert _compare(tmp_path, capsys) == (0, ["0 of 3 entries moved"])
+
+
+def test_compare_names_a_one_ulp_move_with_its_relative_difference(tmp_path, capsys):
+    key = f"{_DOC}/check pauli.norm_drift"
+    moved = float(np.nextafter(_VALUE, 1.0))
+    code, lines = _compare(tmp_path, capsys, **{key: repr(moved)})
+    diff = moved - _VALUE
+    assert code == 1
+    assert lines == [f"moved: {key}: {_VALUE!r} -> {moved!r} "
+                     f"(abs {diff:.3g}, rel {diff / moved:.3g})", "1 of 3 entries moved"]
+    assert 1e-16 < diff / moved < 2.3e-16  # one ulp, relative
+
+
+def test_compare_names_a_tampered_digest(tmp_path, capsys):
+    key = f"{_DOC}/observables.csv"
+    tampered = _ENTRIES[key][:-1] + "4"
+    code, lines = _compare(tmp_path, capsys, **{key: tampered})
+    assert code == 1
+    assert lines == [f"moved: {key}: bytes differ", "1 of 3 entries moved"]
+
+
+@pytest.mark.parametrize("old,new,distance", [
+    ("True", "False", "True -> False"),
+    ("0.0", "-0.0", "0.0 -> -0.0 (abs 0, rel 0)"),
+    ("1.0", "nan", "1.0 -> nan (abs nan, rel nan)"),
+])
+def test_compare_reports_check_values_that_are_not_plain_numbers(tmp_path, capsys, old, new,
+                                                                 distance):
+    key = f"{_DOC}/check pauli.completed"
+    _write(tmp_path / "old", {key: old})
+    _write(tmp_path / "new", {key: new})
+    assert manifest.compare(str(tmp_path / "old"), str(tmp_path / "new")) == 1
+    assert capsys.readouterr().out.splitlines() == [f"moved: {key}: {distance}",
+                                                    "1 of 1 entries moved"]

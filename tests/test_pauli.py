@@ -298,17 +298,21 @@ def test_spin_position_factorization():
 # ---------------------------------------------------------------------------
 
 
-def split_operator_oracle_step(config, grid):
-    """One split-operator step as its own operations on a (..., 2) array:
-    half K, cell 2x2, half K, with factors built here from their formulas
-    and not read from the propagator.  K/2 = exp(-i (dt/2) hbar k^2 / 2m)
-    in Fourier space, the 1-D transforms taken last axis first; the cell
-    factor is U = phase (cos(a) I - i sin(a) n.sigma), a = |c| dt / hbar,
-    c = -coupling B, n = c/|c|, phase = exp(-i q phi dt / hbar)."""
+def split_operator_oracle(config, grid):
+    """The split operator's operations on a (..., 2) array, with factors
+    built here from their formulas and not read from the propagator.
+    Returns ``kinetic(psi, factor)``, the half and full kinetic factors and
+    ``cell(psi)``.  K/2 = exp(-i (dt/2) hbar k^2 / 2m) and K = exp(-i dt
+    hbar k^2 / 2m) in Fourier space, the 1-D transforms taken last axis
+    first through ``scipy.fft`` (the propagator calls ``scipy.fftpack``,
+    which skips its backend dispatch); the cell factor is U = phase (cos(a)
+    I - i sin(a) n.sigma), a = |c| dt / hbar, c = -coupling B, n = c/|c|,
+    phase = exp(-i q phi dt / hbar), applied as the full 2x2 product."""
     consts = config.consts
     waves = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(grid.cells, grid.spacing)]
     k_sq = sum(k**2 for k in np.meshgrid(*waves, indexing="ij"))
-    half = np.exp(-1j * config.dt * consts.hbar * k_sq / (4.0 * consts.mass))[..., None]
+    half, full = (np.exp(-1j * config.dt * consts.hbar * k_sq / (d * consts.mass))[..., None]
+                  for d in (4.0, 2.0))
     q = config.kinetic_charge()
     v = q * config.em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
     c = -config.spin_coupling() * config.em.b_values()
@@ -323,21 +327,26 @@ def split_operator_oracle_step(config, grid):
     u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
     axes = tuple(reversed(range(grid.dim)))
 
-    def kinetic_half(psi):
+    def kinetic(psi, factor):
         for ax in axes:
             psi = scipy.fft.fft(psi, axis=ax)
-        psi *= half
+        psi *= factor
         for ax in axes:
             psi = scipy.fft.ifft(psi, axis=ax)
         return psi
 
-    def step_once(psi):
-        out = kinetic_half(psi)
-        c0 = u11 * out[..., 0] + u12 * out[..., 1]
-        c1 = u21 * out[..., 0] + u22 * out[..., 1]
-        out[..., 0], out[..., 1] = c0, c1
-        return kinetic_half(out)
-    return step_once
+    def cell(psi):
+        c0 = u11 * psi[..., 0] + u12 * psi[..., 1]
+        c1 = u21 * psi[..., 0] + u22 * psi[..., 1]
+        psi[..., 0], psi[..., 1] = c0, c1
+        return psi
+    return kinetic, half, full, cell
+
+
+def split_operator_oracle_step(config, grid):
+    """One split-operator step as its own operations: half K, cell 2x2, half K."""
+    kinetic, half, _, cell = split_operator_oracle(config, grid)
+    return lambda psi: kinetic(cell(kinetic(psi, half)), half)
 
 
 def whole_cayley_oracle_step(config, grid):
@@ -378,12 +387,13 @@ def oracle_states(state, config, steps):
     return out
 
 
-def random_run(grid, seed, neutral, scheme, dt, axial=False):
-    """A normalized random state and a random static phi and B on ``grid``.
-    An ``axial`` B has B_x = B_y = 0 exactly, which leaves the colors
-    uncoupled."""
+def random_run(grid, seed, neutral, scheme, dt, axial=False, filled=(0, 1)):
+    """A normalized random state, nonzero in the ``filled`` colors only, and
+    a random static phi and B on ``grid``.  An ``axial`` B has B_x = B_y = 0
+    exactly, which leaves the colors uncoupled."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    vals[..., [c for c in (0, 1) if c not in filled]] = 0.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), grid))
     b_vals = rng.standard_normal(grid.shape + (3,))
     if axial:
@@ -626,6 +636,37 @@ def test_fused_split_operator_stays_at_round_off_from_the_stepwise_oracle(
     for snap, i in zip(traj.snapshots, recorded):
         want = oracle[i]
         assert np.max(np.abs(snap - want)) <= 1e-14 * i * np.max(np.abs(want))
+
+
+def fused_oracle_states(state, config, steps, record_every):
+    """The wavefunction at each record of a split-operator run: K/2 (V K)^(n-1)
+    V K/2 for the n steps of each record interval."""
+    kinetic, half, full, cell = split_operator_oracle(config, state.phi.grid)
+    psi = state.phi.values.copy()
+    out = [psi.copy()]
+    for i in range(0, steps, record_every):
+        n = min(record_every, steps - i)
+        psi = kinetic(psi, half)
+        for j in range(n):
+            psi = kinetic(cell(psi), full if j < n - 1 else half)
+        out.append(psi.copy())
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1), neutral=st.booleans(),
+       dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 200), record_every=st.integers(2, 50),
+       axial=st.booleans(), filled=st.sampled_from([(0,), (1,), (0, 1)]))
+def test_fused_split_operator_is_the_fused_oracle_bitwise(grid, seed, neutral, dt, steps,
+                                                         record_every, axial, filled):
+    # the path the evolve benchmark takes at record_every 100: one color or
+    # two, stacked diagonal factors or the 2x2 product, against scipy.fft
+    state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt, axial, filled)
+    traj = evolve(state, config, steps * dt, record_every=record_every, keep_snapshots=True)
+    oracle = fused_oracle_states(state, config, steps, record_every)
+    assert len(traj.snapshots) == len(oracle)
+    for snap, want in zip(traj.snapshots, oracle):
+        assert snap.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

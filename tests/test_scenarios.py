@@ -243,6 +243,9 @@ _JOINT = "parameters must satisfy: "
     ("sample", {"sigma": 1e-3}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
     ("sample", {"sigma": 0.01, "cells": 2}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
     ("fisher_discrete", {"sigma": 1e-200}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
+    # sigma**2 overflowed a Python float in the table, and the run exited 3
+    ("sample", {"sigma": 1e200}, [_JOINT + "sigma^2 is finite"]),
+    ("fisher_discrete", {"sigma": 1e200}, [_JOINT + "sigma^2 is finite"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -269,6 +272,8 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("lorentz", {"setup": "uniform_b", "t_final": 1e6}),
         ("sample", {"sigma": 1e-3, "cells": 161}),
         ("fisher_discrete", {"sigma": 0.0135, "cells": 4}),
+        ("sample", {"sigma": 1e150}),
+        ("fisher_discrete", {"sigma": 1.3407807929942596e154}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
 

@@ -14,7 +14,10 @@ and so are the wall-clock records (``*.runtime_seconds``) and their rows of
 ``verification.csv``, which differ from run to run.
 
 ``compare`` names every entry that is in one manifest and not the other, or
-whose value moved; it exits 1 if any did, else 0.
+whose value moved, and says how far it moved: for a check value whose old
+and new text both parse as floats, the absolute difference and the relative
+difference |new - old| / max(|old|, |new|); for a data output, that its
+bytes differ.  It exits 1 if any entry moved, else 0.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
 _RUNTIME = "runtime_seconds"
+_CHECK = "/check "  # in the key of a check value, not in that of a data output
 
 
 def _digest(path: str) -> str:
@@ -42,7 +46,7 @@ def _digest(path: str) -> str:
 
 def _entries(key: str, report) -> list[str]:
     lines = [f"{key}/{os.path.basename(path)}\t{_digest(path)}" for path in report.outputs]
-    lines += [f"{key}/check {c.name}\t{c.value!r}" for c in report.checks
+    lines += [f"{key}{_CHECK}{c.name}\t{c.value!r}" for c in report.checks
               if not c.name.endswith(_RUNTIME)]
     return lines
 
@@ -74,11 +78,23 @@ def _read(path: str) -> dict[str, str]:
     return entries
 
 
+def _move(key: str, old: str, new: str) -> str:
+    """How far the entry ``key`` moved from ``old`` to ``new``."""
+    if _CHECK not in key:
+        return "bytes differ"
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return f"{old} -> {new}"
+    diff, scale = abs(b - a), max(abs(a), abs(b))
+    return f"{old} -> {new} (abs {diff:.3g}, rel {diff / scale if scale else 0.0:.3g})"
+
+
 def compare(old_path: str, new_path: str) -> int:
     old, new = _read(old_path), _read(new_path)
     moved = [f"only in {old_path}: {key}" for key in old if key not in new]
     moved += [f"only in {new_path}: {key}" for key in new if key not in old]
-    moved += [f"moved: {key}: {old[key]} -> {new[key]}"
+    moved += [f"moved: {key}: {_move(key, old[key], new[key])}"
               for key in old if key in new and old[key] != new[key]]
     for line in moved:
         print(line)
