@@ -3,6 +3,9 @@ header and columns the runner that writes each table lays out.
 
 All writers are deterministic (repr-exact floats, fixed row order) and go
 through an atomic temp-file replace, so a run never leaves partial outputs.
+A snapshot file is written one record at a time through a fixed buffer
+(``field_snapshot_stream``), and a dataset a block of rows at a time, so
+neither writer holds its whole file in memory.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -22,7 +26,11 @@ from .grids import Grid
 from .inference import DetectionDataset
 
 SNAPSHOT_MAGIC = b"PLFS1\n"
+# snapshot records go to their file through a buffer of this size
+_STREAM_BUFFER_BYTES = 1 << 20
 _DATASET_COLUMNS = "tau,j1,j2,j3,k,count"
+# dataset rows are formatted and written this many at a time
+_DATASET_BLOCK_ROWS = 4096
 
 
 class FormatError(ValueError):
@@ -63,21 +71,30 @@ def _read(handle, size: int, what: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_chunks(path: str, chunks: Iterable) -> None:
-    """Write the bytes-like ``chunks`` one after another to a temp file,
-    then replace ``path`` with it."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A binary handle on a temp file beside ``path``, which replaces ``path``
+    when the block exits cleanly; on any error the temp file is removed and
+    ``path`` keeps what it held."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_chunks(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` one after another to a temp file,
+    then replace ``path`` with it."""
+    with _atomic_file(path) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -117,7 +134,9 @@ def write_table_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) 
     if any(len(row) != len(header) for row in rows):
         raise FormatError(f"every row needs {len(header)} cells, one per header name")
     columns = [_fmt_column(cells) for cells in zip(*rows)]
+    del rows  # each stage's cells go before the next stage's are built
     lines = list(map(",".join, zip(*columns)))
+    del columns
     atomic_write_text(path, "\n".join([",".join(header)] + lines) + "\n")
 
 
@@ -126,12 +145,38 @@ def write_table_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) 
 # ---------------------------------------------------------------------------
 
 
+def _dataset_blocks(counts: np.ndarray, dim: int):
+    """The encoded rows of the nonzero cells of ``counts``, in C order,
+    ``_DATASET_BLOCK_ROWS`` rows at a time: only the flat indices of the
+    nonzero cells are held whole."""
+    nonzero = np.flatnonzero(counts)
+    for start in range(0, nonzero.size, _DATASET_BLOCK_ROWS):
+        index = np.unravel_index(nonzero[start:start + _DATASET_BLOCK_ROWS], counts.shape)
+        values = counts[index]
+        rows = np.zeros((values.size, 6), dtype=np.int64)  # tau, j1, j2, j3, k, count
+        rows[:, 0] = index[0]
+        for ax in range(dim):
+            rows[:, 1 + ax] = index[1 + ax]
+        rows[:, 4] = 1 - 2 * index[-1]  # color 0 -> k = 1, color 1 -> k = -1
+        # an integral count prints alike either way, so each block picks its own
+        if np.all(np.abs(values) < 1e15) and np.all(np.trunc(values) == values):
+            rows[:, 5] = values
+            body = "%d,%d,%d,%d,%d,%d\n" * values.size % tuple(rows.ravel().tolist())
+        else:
+            cells = rows[:, :5].tolist()
+            for cell, value in zip(cells, values.tolist()):
+                cell.append(_fmt(value))
+            body = "%d,%d,%d,%d,%d,%s\n" * len(cells) % tuple(itertools.chain(*cells))
+        yield body.encode("utf-8")
+
+
 def write_dataset_csv(path: str, dataset: DetectionDataset) -> None:
     """Counts as (tau, j1, j2, j3, k, count) rows under a JSON header line.
 
     Zero-count cells are omitted; the header carries everything needed to
     rebuild the full array, and the round trip is bit-exact.  Rows follow
     the C order of the count array; counts print as ``_fmt`` prints them.
+    The rows are formatted and written a block at a time.
     """
     header = {
         "format": "paulilab-dataset-1",
@@ -140,24 +185,9 @@ def write_dataset_csv(path: str, dataset: DetectionDataset) -> None:
         "grid": dataset.grid.descriptor(),
         "slices": dataset.slices,
     }
-    counts = dataset.counts
-    index = np.nonzero(counts)
-    values = counts[index]
-    rows = np.zeros((values.size, 6), dtype=np.int64)  # tau, j1, j2, j3, k, count
-    rows[:, 0] = index[0]
-    for ax in range(dataset.grid.dim):
-        rows[:, 1 + ax] = index[1 + ax]
-    rows[:, 4] = 1 - 2 * index[-1]  # color 0 -> k = 1, color 1 -> k = -1
-    if np.all(np.abs(values) < 1e15) and np.all(np.trunc(values) == values):
-        rows[:, 5] = values
-        body = "%d,%d,%d,%d,%d,%d\n" * values.size % tuple(rows.ravel().tolist())
-    else:
-        cells = rows[:, :5].tolist()
-        for cell, value in zip(cells, values.tolist()):
-            cell.append(_fmt(value))
-        body = "%d,%d,%d,%d,%d,%s\n" * len(cells) % tuple(itertools.chain(*cells))
-    atomic_write_text(path, "# " + json.dumps(header, sort_keys=True) + "\n"
-                      + _DATASET_COLUMNS + "\n" + body)
+    head = "# " + json.dumps(header, sort_keys=True) + "\n" + _DATASET_COLUMNS + "\n"
+    atomic_write_chunks(path, itertools.chain(
+        (head.encode("utf-8"),), _dataset_blocks(dataset.counts, dataset.grid.dim)))
 
 
 def read_dataset_csv(path: str) -> DetectionDataset:
@@ -223,45 +253,59 @@ def read_dataset_csv(path: str) -> DetectionDataset:
 # ---------------------------------------------------------------------------
 
 
-def write_field_snapshots(
-    path: str,
-    grid: Grid,
-    dt: float,
-    fields: dict[str, np.ndarray],
-    metadata: dict | None = None,
-) -> None:
-    """Flat binary layout: magic, JSON header, then row-major arrays.
+@contextlib.contextmanager
+def field_snapshot_stream(path: str, grid: Grid, dt: float, name: str, shape: tuple,
+                          dtype, count: int, metadata: dict):
+    """Write a snapshot file of one field, ``count`` records of ``shape`` and
+    ``dtype``, one record at a time.  Yields ``write(record)``.
 
-    Each entry of ``fields`` is a stack of snapshots (time axis first); the
-    header records grid, dt, dtypes and shapes for exact reconstruction.
+    The file is the magic, the length of the JSON header, the header (grid,
+    dt, the record count and the field's dtype and (count,) + shape), then
+    the records in C order, one after another.  ``write`` copies its record
+    into a buffer of ``_STREAM_BUFFER_BYTES`` (of one record, if a record is
+    larger), and each full buffer goes to a temp file; so the caller may
+    overwrite the record once ``write`` returns, and the memory held does not
+    grow with ``count``.  The temp file replaces ``path`` when the block
+    exits cleanly having written exactly ``count`` records; otherwise it is
+    removed, ``path`` keeps what it held, and a wrong count raises
+    ``FormatError``.
     """
-    entries = []
-    arrays = []
-    count = None
-    for name, stack in fields.items():
-        arr = np.ascontiguousarray(stack)
-        if count is None:
-            count = arr.shape[0]
-        elif arr.shape[0] != count:
-            raise FormatError("all field stacks must have the same snapshot count")
-        entries.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
-        arrays.append(arr)
+    shape, dtype = tuple(shape), np.dtype(dtype)
     header = {
         "format": "paulilab-snapshots-1",
         "grid": grid.descriptor(),
         "dt": dt,
-        "snapshots": count or 0,
-        "fields": entries,
-        "metadata": metadata or {},
+        "snapshots": count,
+        "fields": [{"name": name, "dtype": str(dtype), "shape": [count, *shape]}],
+        "metadata": metadata,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    # each body goes to the file straight from the array's buffer, uncopied
-    atomic_write_chunks(path, [SNAPSHOT_MAGIC, struct.pack("<Q", len(blob)), blob]
-                        + [memoryview(arr) for arr in arrays])
+    record_bytes = dtype.itemsize * math.prod(shape)
+    buffer = np.empty((max(1, _STREAM_BUFFER_BYTES // max(1, record_bytes)),) + shape, dtype)
+    filled = written = 0
+    with _atomic_file(path) as handle:
+        handle.write(SNAPSHOT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+
+        def write(record: np.ndarray) -> None:
+            nonlocal filled, written
+            if record.shape != shape:
+                raise FormatError(f"a record of shape {record.shape}, not {shape}")
+            buffer[filled] = record
+            filled += 1
+            written += 1
+            if filled == len(buffer):
+                handle.write(buffer)
+                filled = 0
+
+        yield write
+        if written != count:
+            raise FormatError(f"{written} records written, not the header's {count}")
+        handle.write(buffer[:filled])
 
 
 def read_field_snapshots(path: str):
-    """Inverse of ``write_field_snapshots``: (grid, dt, fields, metadata).
+    """Inverse of ``field_snapshot_stream``: (grid, dt, fields, metadata),
+    ``fields`` a dict of the stacked records of each field in the file.
     Raises ``FormatError`` unless the file is one whole snapshot file."""
     with open(path, "rb") as handle:
         magic = handle.read(len(SNAPSHOT_MAGIC))

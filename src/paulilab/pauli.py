@@ -23,6 +23,12 @@ The kinetic steps take their per-axis transforms through
 directly, with the normalization that ``scipy.fft.fft`` and ``ifft`` pass it
 after their backend dispatch, so they give ``scipy.fft``'s bits; at a few
 cells per axis the dispatch costs more than the transform.
+
+``evolve`` keeps every record's wavefunction only when asked to
+(``keep_snapshots``, for ``step``).  A caller that writes the records out
+takes each one through ``on_record`` instead, as the free-packet scenario
+streams them to its snapshot file, so the run's memory does not grow with
+its record count; ``record_count`` gives that count before the run.
 """
 
 from __future__ import annotations
@@ -340,6 +346,12 @@ class PauliTrajectory:
     snapshots: np.ndarray | None = None  # (n,) + grid.shape + (2,) wavefunctions, if kept
 
 
+def record_count(steps: int, record_every: int) -> int:
+    """The records of an ``evolve`` run of ``steps`` steps: the initial
+    state, every ``record_every``-th step, and the last step."""
+    return 1 + steps // record_every + (steps % record_every != 0)
+
+
 def evolve(
     initial: PauliState,
     config: SolverConfig,
@@ -366,7 +378,8 @@ def evolve(
     step, after the observables are taken and before the norm is checked;
     the three density arrays keep their values for the whole call (the
     weighted sums write elsewhere), and the callback may raise to abort the
-    run.
+    run.  ``psi`` is the same view at every record, and no step changes it
+    after the last record, so after the run it holds the final state.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
@@ -380,7 +393,7 @@ def evolve(
     live, psi = block[colors[0]:colors[-1] + 1], np.moveaxis(block, 0, -1)
     t = initial.t
     weights = _observable_weights(grid)
-    rows = 1 + steps // record_every + (steps % record_every != 0)
+    rows = record_count(steps, record_every)
     times, norms = np.empty(rows), np.empty(rows)
     positions, spins, masses = np.zeros((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
     snapshots = np.empty((rows,) + psi.shape, dtype=psi.dtype) if keep_snapshots else None

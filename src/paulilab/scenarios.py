@@ -229,12 +229,25 @@ _TABLE_RULE = ("for even cells, exp(-0.125 / sigma^2), the Gaussian table's entr
 _SIGMA_SQUARED_RULE = ("sigma^2 is finite (sigma at most about 1.34e154)",
                        ("sigma",), lambda sigma: math.isfinite(sigma * sigma))
 
+# The lattice Fisher oracle slices / sigma^2 holds only while the Gaussian
+# fits inside the lattice.  Over 3 to 16,384 cells, fisher.rel_error stayed
+# within its 0.02 bound up to sigma = 0.136 cells (at 15 and 16 cells),
+# rising to 0.161 cells from 64 cells up, so this rule leaves a factor of
+# at least 1.36 (1.6 at the default 256 cells, where sigma 50 gave 0.078)
+_FISHER_WIDTH_RULE = ("sigma <= cells / 10: the table fits inside the lattice, where the "
+                      "Fisher oracle slices / sigma^2 holds",
+                      ("cells", "sigma"), lambda cells, sigma: sigma <= cells / 10)
+
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
     "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
-    "fisher_discrete": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
+    "fisher_discrete": (_TABLE_RULE, _SIGMA_SQUARED_RULE, _FISHER_WIDTH_RULE),
+    "pauli_evolve": (("steps is a multiple of record_every when setup is free_packet: the "
+                      "snapshot file holds one time step between records",
+                      ("setup", "steps", "record_every"),
+                      lambda setup, steps, every: setup != "free_packet" or steps % every == 0),),
     "lorentz": (("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
                  "stays at least |a| dt^2 inside the box [0, 50] over [0, t_final + dt], "
                  "dt = 0.001",
@@ -484,18 +497,21 @@ def _run_pauli_evolve(scenario: Scenario, out):
             scheme,
         )
     elif p["setup"] == "free_packet":
-        traj, checks = verification.free_packet_spreading(
-            p["extent"], p["cells"], p["sigma"], p["t_final"], p["steps"], consts,
-            p["record_every"], scheme,
-        )
         snap_path = out("snapshots.bin")
-        fieldio.write_field_snapshots(
+        with fieldio.field_snapshot_stream(
             snap_path,
             Grid((p["extent"],), (p["cells"],), PERIODIC),
             p["t_final"] / p["steps"] * p["record_every"],
-            {"wavefunction": traj.snapshots},
-            metadata={"setup": "free_packet"},
-        )
+            "wavefunction",
+            (p["cells"], 2),
+            np.complex128,
+            pauli.record_count(p["steps"], p["record_every"]),
+            {"setup": "free_packet"},
+        ) as write_record:
+            traj, checks = verification.free_packet_spreading(
+                p["extent"], p["cells"], p["sigma"], p["t_final"], p["steps"], consts,
+                p["record_every"], scheme, write_record,
+            )
         extra_outputs.append(snap_path)
     else:  # uniform_field
         traj, checks = verification.uniform_field_drift(

@@ -1,8 +1,12 @@
 """Session setup shared by every test module."""
 
+import json
+import struct
 import warnings
 
 import numpy as np
+
+from paulilab import fieldio
 
 # hypothesis imports libcst to explain a failing example; under the
 # warnings-as-errors filter that import's DeprecationWarning (from
@@ -28,3 +32,24 @@ def full_fft_derivative(values, h, axis, order):
     shape = [1] * values.ndim
     shape[axis] = n
     return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
+
+
+def whole_array_snapshots(grid, dt, fields, metadata) -> bytes:
+    """The snapshot file of the stacks ``fields`` (time axis first) as the
+    whole-array writer encoded it: the byte oracle for
+    ``fieldio.field_snapshot_stream``, and a file of several fields for the
+    reader."""
+    arrays = {name: np.ascontiguousarray(stack) for name, stack in fields.items()}
+    counts = {arr.shape[0] for arr in arrays.values()}
+    header = {
+        "format": "paulilab-snapshots-1",
+        "grid": grid.descriptor(),
+        "dt": dt,
+        "snapshots": counts.pop() if counts else 0,
+        "fields": [{"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
+                   for name, arr in arrays.items()],
+        "metadata": metadata,
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (fieldio.SNAPSHOT_MAGIC + struct.pack("<Q", len(blob)) + blob
+            + b"".join(arr.tobytes() for arr in arrays.values()))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import whole_array_snapshots
 from paulilab import fieldio
 from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid
 from paulilab.inference import IProbTable, expected_counts, sample_dataset
@@ -89,10 +90,15 @@ def datasets(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=datasets())
-def test_dataset_csv_matches_row_loop_writer_and_round_trips(tmp_path_factory, data):
+@given(data=datasets(), block_rows=st.sampled_from([None, 1, 2, 3, 7]))
+def test_dataset_csv_matches_row_loop_writer_and_round_trips(tmp_path_factory, data,
+                                                            block_rows):
+    # small blocks split the rows, and integral and real counts, across blocks
     path = str(tmp_path_factory.mktemp("csv") / "data.csv")
-    fieldio.write_dataset_csv(path, data)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(fieldio, "_DATASET_BLOCK_ROWS", block_rows)
+        fieldio.write_dataset_csv(path, data)
     with open(path, "rb") as handle:
         assert handle.read() == row_loop_dataset_csv(data)
     back = fieldio.read_dataset_csv(path)
@@ -197,6 +203,16 @@ def test_dataset_csv_rejects_slices_below_one_without_rows(tmp_path, parts):
         fieldio.read_dataset_csv(str(path))
 
 
+def stream_stack(path, grid, dt, name, stack, metadata=None, count=None):
+    """Stream the records of ``stack`` to a snapshot file whose header says
+    ``count`` records (default: all of them)."""
+    with fieldio.field_snapshot_stream(str(path), grid, dt, name, stack.shape[1:], stack.dtype,
+                                       len(stack) if count is None else count,
+                                       metadata or {}) as write:
+        for record in stack:
+            write(record)
+
+
 def test_snapshot_binary_round_trip(tmp_path):
     grid = Grid((1.0, 2.0), (8, 12), PERIODIC)
     rng = np.random.default_rng(0)
@@ -205,12 +221,17 @@ def test_snapshot_binary_round_trip(tmp_path):
         "wavefunction": rng.random((3,) + grid.shape + (2,))
         + 1j * rng.random((3,) + grid.shape + (2,)),
     }
-    path = str(tmp_path / "snap.bin")
-    fieldio.write_field_snapshots(path, grid, 0.25, fields, metadata={"note": "test"})
-    grid2, dt, back, meta = fieldio.read_field_snapshots(path)
+    path = tmp_path / "snap.bin"
+    stream_stack(path, grid, 0.25, "wavefunction", fields["wavefunction"], {"note": "test"})
+    grid2, dt, back, meta = fieldio.read_field_snapshots(str(path))
     assert grid2 == grid
     assert dt == 0.25
     assert meta == {"note": "test"}
+    assert list(back) == ["wavefunction"]
+    np.testing.assert_array_equal(back["wavefunction"], fields["wavefunction"])
+    # the reader takes a file of several fields, one after another
+    path.write_bytes(whole_array_snapshots(grid, 0.25, fields, {}))
+    _grid, _dt, back, _meta = fieldio.read_field_snapshots(str(path))
     for name in fields:
         np.testing.assert_array_equal(back[name], fields[name])
 
@@ -219,14 +240,71 @@ def test_snapshot_layout_is_magic_length_header_then_arrays(tmp_path):
     grid = Grid((1.0,), (4,), PERIODIC)
     stack = np.arange(24.0).reshape(3, 4, 2) * (1 + 0.5j)
     path = tmp_path / "snap.bin"
-    fieldio.write_field_snapshots(str(path), grid, 0.5, {"psi": stack[:, :, ::-1],
-                                                        "empty": np.zeros((3, 0))})
+    stream_stack(path, grid, 0.5, "psi", stack[:, :, ::-1])
     raw = path.read_bytes()
     length = int.from_bytes(raw[6:14], "little")
     assert raw[:6] == fieldio.SNAPSHOT_MAGIC
     assert raw[14 + length:] == np.ascontiguousarray(stack[:, :, ::-1]).tobytes()
-    assert json.loads(raw[14:14 + length])["fields"][1] == {
-        "name": "empty", "dtype": "float64", "shape": [3, 0]}
+    assert json.loads(raw[14:14 + length])["fields"] == [
+        {"name": "psi", "dtype": "complex128", "shape": [3, 4, 2]}]
+    stream_stack(path, grid, 0.5, "empty", np.zeros((3, 0)))
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[6:14], "little")
+    assert len(raw) == 14 + length
+    assert json.loads(raw[14:14 + length])["fields"] == [
+        {"name": "empty", "dtype": "float64", "shape": [3, 0]}]
+
+
+@pytest.mark.parametrize("buffer_bytes", [1, 96, 150, 192, 1 << 20])
+@pytest.mark.parametrize("records", [0, 1, 5, 12])
+def test_snapshot_stream_is_the_whole_array_encoding(tmp_path, monkeypatch, buffer_bytes,
+                                                     records):
+    # records of 96 bytes: buffers of one record (also where a record is
+    # larger than the buffer, or than the buffer and a part of one), of two,
+    # and of all; the last buffer full, partly full or empty
+    monkeypatch.setattr(fieldio, "_STREAM_BUFFER_BYTES", buffer_bytes)
+    grid = Grid((1.0,), (3,), PERIODIC)
+    rng = np.random.default_rng(records)
+    stack = rng.random((records, 2, 3)) + 1j * rng.random((records, 2, 3))
+    path = tmp_path / "snap.bin"
+    stream_stack(path, grid, 0.1, "psi", np.moveaxis(stack, 1, -1), {"setup": "x"})
+    assert path.read_bytes() == whole_array_snapshots(
+        grid, 0.1, {"psi": np.moveaxis(stack, 1, -1)}, {"setup": "x"})
+
+
+@pytest.mark.parametrize("count,message", [
+    (4, "3 records written, not the header's 4"),
+    (2, "3 records written, not the header's 2"),
+])
+def test_snapshot_stream_of_the_wrong_count_keeps_the_previous_file(tmp_path, count, message):
+    grid = Grid((1.0,), (4,), PERIODIC)
+    path = tmp_path / "snap.bin"
+    path.write_bytes(b"previous")
+    with pytest.raises(fieldio.FormatError, match=message):
+        stream_stack(path, grid, 0.5, "psi", np.ones((3, 4)), count=count)
+    assert path.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["snap.bin"]
+
+
+def test_snapshot_stream_that_raises_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "snap.bin"
+    path.write_bytes(b"previous")
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        with fieldio.field_snapshot_stream(str(path), Grid((1.0,), (4,), PERIODIC), 0.5, "psi",
+                                           (4,), np.float64, 3, {}) as write:
+            write(np.ones(4))
+            raise RuntimeError("mid-stream")
+    assert path.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["snap.bin"]
+
+
+def test_snapshot_stream_rejects_a_record_of_another_shape(tmp_path):
+    path = tmp_path / "snap.bin"
+    with pytest.raises(fieldio.FormatError, match=r"a record of shape \(1,\), not \(4,\)"):
+        with fieldio.field_snapshot_stream(str(path), Grid((1.0,), (4,), PERIODIC), 0.5, "psi",
+                                           (4,), np.float64, 1, {}) as write:
+            write(np.ones(1))  # would broadcast into the record
+    assert os.listdir(tmp_path) == []
 
 
 def test_snapshot_rejects_wrong_magic(tmp_path):
@@ -243,8 +321,7 @@ def test_snapshot_rejects_wrong_magic(tmp_path):
 ], ids=["length_prefix_cut", "header_cut", "trailing_bytes"])
 def test_snapshot_rejects_a_file_that_is_not_whole(tmp_path, cut, message):
     path = tmp_path / "snap.bin"
-    fieldio.write_field_snapshots(str(path), Grid((1.0,), (4,), PERIODIC), 0.5,
-                                  {"psi": np.ones((2, 4))})
+    stream_stack(path, Grid((1.0,), (4,), PERIODIC), 0.5, "psi", np.ones((2, 4)))
     raw = path.read_bytes()
     path.write_bytes(cut(raw, int.from_bytes(raw[6:14], "little")))
     with pytest.raises(fieldio.FormatError, match=message):
@@ -253,8 +330,7 @@ def test_snapshot_rejects_a_file_that_is_not_whole(tmp_path, cut, message):
 
 def test_snapshot_rejects_a_field_entry_without_dtype(tmp_path):
     path = tmp_path / "snap.bin"
-    fieldio.write_field_snapshots(str(path), Grid((1.0,), (4,), PERIODIC), 0.5,
-                                  {"psi": np.ones((2, 4))})
+    stream_stack(path, Grid((1.0,), (4,), PERIODIC), 0.5, "psi", np.ones((2, 4)))
     raw = path.read_bytes()
     length = int.from_bytes(raw[6:14], "little")
     header = json.loads(raw[14:14 + length])

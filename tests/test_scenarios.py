@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paulilab import cli, functionals, scenarios, variational, verification
+from conftest import whole_array_snapshots
+from paulilab import cli, fieldio, functionals, pauli, scenarios, variational, verification
 from paulilab.grids import PERIODIC, Grid
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
 
@@ -245,7 +247,18 @@ _JOINT = "parameters must satisfy: "
     ("fisher_discrete", {"sigma": 1e-200}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
     # sigma**2 overflowed a Python float in the table, and the run exited 3
     ("sample", {"sigma": 1e200}, [_JOINT + "sigma^2 is finite"]),
-    ("fisher_discrete", {"sigma": 1e200}, [_JOINT + "sigma^2 is finite"]),
+    ("fisher_discrete", {"sigma": 1e200},
+     [_JOINT + "sigma^2 is finite", _JOINT + "sigma <= cells / 10"]),
+    # the snapshot header held one dt, 2.4, for a last record at t = 6.0, not 7.2
+    ("pauli_evolve", {"setup": "free_packet", "steps": 250, "record_every": 100},
+     [_JOINT + "steps is a multiple of record_every when setup is free_packet"]),
+    ("pauli_evolve", {"setup": "free_packet", "steps": 250, "record_every": 100,
+                      "scheme": "crank_nicolson"},
+     [_JOINT + "steps is a multiple of record_every when setup is free_packet"]),
+    # the table overfilled its lattice and the run exited 1 on fisher.rel_error
+    # (0.078 at sigma 50 against the 0.02 bound; 0.024 at 64 cells and sigma 10.5)
+    ("fisher_discrete", {"sigma": 50.0}, [_JOINT + "sigma <= cells / 10"]),
+    ("fisher_discrete", {"sigma": 10.5, "cells": 64}, [_JOINT + "sigma <= cells / 10"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -273,7 +286,11 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("sample", {"sigma": 1e-3, "cells": 161}),
         ("fisher_discrete", {"sigma": 0.0135, "cells": 4}),
         ("sample", {"sigma": 1e150}),
-        ("fisher_discrete", {"sigma": 1.3407807929942596e154}),
+        ("fisher_discrete", {"sigma": 1.3407807929942596e154, "cells": 2 * 10**155}),
+        ("fisher_discrete", {"sigma": 25.6}),
+        ("pauli_evolve", {"setup": "free_packet", "steps": 300, "record_every": 100}),
+        ("pauli_evolve", {"setup": "uniform_field", "steps": 250, "record_every": 100}),
+        ("pauli_evolve", {"setup": "larmor", "steps": 250, "record_every": 100}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
 
@@ -442,6 +459,93 @@ def test_free_packet_scenario_dumps_snapshots(tmp_path):
     grid, dt, fields, meta = fieldio.read_field_snapshots(str(tmp_path / "snapshots.bin"))
     assert meta["setup"] == "free_packet"
     assert fields["wavefunction"].ndim == 3  # (snapshots, cells, 2)
+
+
+def free_packet_document(output_dir, **parameters) -> Scenario:
+    return parse_scenario(json.dumps({"kind": "pauli_evolve", "output_dir": str(output_dir),
+                                      "parameters": {"setup": "free_packet", **parameters}}))
+
+
+@pytest.mark.parametrize("record_every", [1, 2, 5, 100])
+@pytest.mark.parametrize("scheme", ["split_operator", "crank_nicolson"])
+def test_streamed_snapshots_are_the_whole_array_encoding(tmp_path, scheme, record_every):
+    scenario = free_packet_document(tmp_path, cells=128, steps=100, record_every=record_every,
+                                    scheme=scheme)
+    run(scenario)
+    p = scenario.parameters
+    grid = Grid((p["extent"],), (p["cells"],), PERIODIC)
+    consts = functionals.PhysicalConstants(p["hbar"], p["mass"], p["charge"])
+    packet = pauli.gaussian_packet_state(grid, p["sigma"], p["extent"] / 2, 0.0, (1.0, 0.0),
+                                         consts)
+    config = pauli.SolverConfig(scheme, p["t_final"] / p["steps"], consts,
+                                functionals.EMConfiguration.zero(grid))
+    traj = pauli.evolve(packet, config, p["t_final"], record_every, keep_snapshots=True)
+    assert (tmp_path / "snapshots.bin").read_bytes() == whole_array_snapshots(
+        grid, p["t_final"] / p["steps"] * record_every, {"wavefunction": traj.snapshots},
+        {"setup": "free_packet"})
+
+
+def plant_nan_in_third_advance(monkeypatch):
+    advance = pauli._SplitOperatorPropagator.advance
+    calls = []
+
+    def planted(self, psi, n):
+        calls.append(n)
+        advance(self, psi, n)
+        if len(calls) == 3:
+            psi[0, 0] = np.nan
+        return psi
+
+    monkeypatch.setattr(pauli._SplitOperatorPropagator, "advance", planted)
+
+
+def sink_one_record_short(monkeypatch):
+    spreading = verification.free_packet_spreading
+
+    def short(*args):
+        *head, sink = args
+        records = []
+
+        def skip_first(psi):
+            if records:
+                sink(psi)
+            records.append(None)
+
+        return spreading(*head, skip_first)
+
+    monkeypatch.setattr(verification, "free_packet_spreading", short)
+
+
+@pytest.mark.parametrize("plant,error,message", [
+    (plant_nan_in_third_advance, pauli.SolverError, "state norm nan left 1"),
+    (sink_one_record_short, fieldio.FormatError, "10 records written, not the header's 11"),
+], ids=["nan", "short_sink"])
+def test_free_packet_run_that_raises_mid_stream_keeps_the_previous_snapshots(
+        tmp_path, monkeypatch, plant, error, message):
+    previous = tmp_path / "snapshots.bin"
+    previous.write_bytes(b"previous")
+    plant(monkeypatch)
+    with pytest.raises(error, match=message):
+        run(free_packet_document(tmp_path, cells=128, steps=100))
+    assert previous.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["snapshots.bin"]
+
+
+def test_free_packet_memory_does_not_grow_with_its_records(tmp_path):
+    # the records stream to their file through a fixed buffer: a run that
+    # kept them all held 1,024 cells x 2 colors x 16 bytes more per record,
+    # 24.6 MB more at 1,001 records than at 251
+    run(free_packet_document(tmp_path / "warm", steps=250, record_every=1))
+    peaks = []
+    for steps in (250, 1000):
+        scenario = free_packet_document(tmp_path / str(steps), steps=steps, record_every=1)
+        tracemalloc.start()
+        try:
+            run(scenario)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 def test_equivalence_scenario_small(tmp_path):
