@@ -89,16 +89,9 @@ def _atomic_file(path: str):
         raise
 
 
-def atomic_write_chunks(path: str, chunks: Iterable) -> None:
-    """Write the bytes-like ``chunks`` one after another to a temp file,
-    then replace ``path`` with it."""
-    with _atomic_file(path) as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    atomic_write_chunks(path, (data,))
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -186,8 +179,10 @@ def write_dataset_csv(path: str, dataset: DetectionDataset) -> None:
         "slices": dataset.slices,
     }
     head = "# " + json.dumps(header, sort_keys=True) + "\n" + _DATASET_COLUMNS + "\n"
-    atomic_write_chunks(path, itertools.chain(
-        (head.encode("utf-8"),), _dataset_blocks(dataset.counts, dataset.grid.dim)))
+    with _atomic_file(path) as handle:
+        handle.write(head.encode("utf-8"))
+        for block in _dataset_blocks(dataset.counts, dataset.grid.dim):
+            handle.write(block)
 
 
 def read_dataset_csv(path: str) -> DetectionDataset:

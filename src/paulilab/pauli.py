@@ -24,11 +24,11 @@ directly, with the normalization that ``scipy.fft.fft`` and ``ifft`` pass it
 after their backend dispatch, so they give ``scipy.fft``'s bits; at a few
 cells per axis the dispatch costs more than the transform.
 
-``evolve`` keeps every record's wavefunction only when asked to
-(``keep_snapshots``, for ``step``).  A caller that writes the records out
-takes each one through ``on_record`` instead, as the free-packet scenario
-streams them to its snapshot file, so the run's memory does not grow with
-its record count; ``record_count`` gives that count before the run.
+``evolve`` returns the observables of every record and the final state.
+A caller that writes the records' wavefunctions out takes each one through
+``on_record``, as the free-packet scenario streams them to its snapshot
+file, so the run's memory does not grow with its record count;
+``record_count`` gives that count before the run.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def step(state: PauliState, config: SolverConfig) -> PauliState:
     implicit scheme factorizes its system once), and between two records
     fuses the split-operator half-steps that meet.
     """
-    traj = evolve(state, config, config.dt, keep_snapshots=True)
-    return PauliState(SpinorField(state.phi.grid, traj.snapshots[-1]), float(traj.times[-1]))
+    traj = evolve(state, config, config.dt)
+    return PauliState(SpinorField(state.phi.grid, traj.final), float(traj.times[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,9 @@ class PauliTrajectory:
     positions: np.ndarray  # (n, 3)
     spins: np.ndarray  # (n, 3)
     color_masses: np.ndarray  # (n, 2)
-    snapshots: np.ndarray | None = None  # (n,) + grid.shape + (2,) wavefunctions, if kept
+    # grid.shape + (2,) wavefunction after the last step: a view of the run's
+    # colors-first block, not a copy
+    final: np.ndarray
 
 
 def record_count(steps: int, record_every: int) -> int:
@@ -357,7 +359,6 @@ def evolve(
     config: SolverConfig,
     t_final: float,
     record_every: int = 1,
-    keep_snapshots: bool = False,
     on_record: Callable[..., None] | None = None,
 ) -> PauliTrajectory:
     """Repeated stepping with periodic recording of the observables.
@@ -378,8 +379,8 @@ def evolve(
     step, after the observables are taken and before the norm is checked;
     the three density arrays keep their values for the whole call (the
     weighted sums write elsewhere), and the callback may raise to abort the
-    run.  ``psi`` is the same view at every record, and no step changes it
-    after the last record, so after the run it holds the final state.
+    run.  ``psi`` is the same view at every record, which the next step
+    overwrites.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
@@ -396,7 +397,6 @@ def evolve(
     rows = record_count(steps, record_every)
     times, norms = np.empty(rows), np.empty(rows)
     positions, spins, masses = np.zeros((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
-    snapshots = np.empty((rows,) + psi.shape, dtype=psi.dtype) if keep_snapshots else None
     row = 0
 
     def record():
@@ -407,8 +407,6 @@ def evolve(
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise SolverError(f"state norm {norm} left 1 +- 1e-10 at t={t:.6g}")
         times[row], norms[row] = t, norm
-        if keep_snapshots:
-            snapshots[row] = psi
         row += 1
 
     record()
@@ -419,7 +417,7 @@ def evolve(
         prop.advance(live, n)
         t = initial.t + (i + n) * config.dt
         record()
-    return PauliTrajectory(times, norms, positions, spins, masses, snapshots)
+    return PauliTrajectory(times, norms, positions, spins, masses, psi)
 
 
 # ---------------------------------------------------------------------------

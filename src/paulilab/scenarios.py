@@ -237,13 +237,23 @@ _SIGMA_SQUARED_RULE = ("sigma^2 is finite (sigma at most about 1.34e154)",
 _FISHER_WIDTH_RULE = ("sigma <= cells / 10: the table fits inside the lattice, where the "
                       "Fisher oracle slices / sigma^2 holds",
                       ("cells", "sigma"), lambda cells, sigma: sigma <= cells / 10)
+# It also needs a table many cells wide: the lattice differences of a narrow
+# Gaussian overstate its Fisher information (rel_error 0.175 at sigma 1).
+# Over 3 to 16,384 cells, fisher.rel_error stayed within its 0.02 bound down
+# to sigma = 1.71 from 23 cells up, and 1.85 at 20 cells, the fewest the
+# width rule admits at sigma 2; so this rule leaves a factor of at least 1.08
+# (1.17 from 23 cells up), and at sigma 2 the error reads 0.0162 at 20 cells
+# and 0.0104 from 30 cells up.  Together the two rules ask for 20 cells.
+_FISHER_FLOOR_RULE = ("sigma >= 2: the table spans enough cells for the lattice differences, "
+                      "where the Fisher oracle slices / sigma^2 holds",
+                      ("sigma",), lambda sigma: sigma >= 2)
 
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
     "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
-    "fisher_discrete": (_TABLE_RULE, _SIGMA_SQUARED_RULE, _FISHER_WIDTH_RULE),
+    "fisher_discrete": (_SIGMA_SQUARED_RULE, _FISHER_WIDTH_RULE, _FISHER_FLOOR_RULE),
     "pauli_evolve": (("steps is a multiple of record_every when setup is free_packet: the "
                       "snapshot file holds one time step between records",
                       ("setup", "steps", "record_every"),
@@ -510,7 +520,7 @@ def _run_pauli_evolve(scenario: Scenario, out):
         ) as write_record:
             traj, checks = verification.free_packet_spreading(
                 p["extent"], p["cells"], p["sigma"], p["t_final"], p["steps"], consts,
-                p["record_every"], scheme, write_record,
+                p["record_every"], scheme, lambda psi, *_: write_record(psi),
             )
         extra_outputs.append(snap_path)
     else:  # uniform_field

@@ -344,28 +344,17 @@ def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: 
 
 def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: float, steps: int,
                           consts, record_every: int, scheme: str = pauli.SPLIT_OPERATOR,
-                          sink=None):
+                          on_record=None):
     """A free packet of width ``sigma`` centred on a periodic line spreads to
     the variance sigma^2 + (hbar t / (2 m sigma))^2 at ``t_final``, within
-    5e-3.  ``sink(psi)``, when given, receives the (cells, 2) wavefunction
-    of each record, a view that the run overwrites after the call returns.
-    Returns (trajectory, records)."""
+    5e-3.  ``on_record`` goes to ``pauli.evolve``.  Returns (trajectory,
+    records)."""
     grid = Grid((extent,), (cells,), PERIODIC)
     packet = pauli.gaussian_packet_state(grid, sigma, extent / 2, 0.0, (1.0, 0.0), consts)
     config = pauli.SolverConfig(scheme, t_final / steps, consts, EMConfiguration.zero(grid))
-    final = None
-
-    def record(psi, *_):
-        # every record passes the same view of the run's block, which holds
-        # the last record's state once the run returns
-        nonlocal final
-        final = psi
-        if sink is not None:
-            sink(psi)
-
-    traj = pauli.evolve(packet, config, t_final, record_every=record_every, on_record=record)
+    traj = pauli.evolve(packet, config, t_final, record_every=record_every, on_record=on_record)
     x = grid.axis_coordinates(0)
-    dens = np.sum(np.abs(final) ** 2, axis=-1)
+    dens = np.sum(np.abs(traj.final) ** 2, axis=-1)
     mean = float(np.sum(x * dens) * grid.cell_volume)
     width_sq = float(np.sum((x - mean) ** 2 * dens) * grid.cell_volume)
     expect = sigma**2 + (consts.hbar * t_final / (2 * consts.mass * sigma)) ** 2

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from paulilab import fieldio
+from paulilab import fieldio, pauli
 
 # hypothesis imports libcst to explain a failing example; under the
 # warnings-as-errors filter that import's DeprecationWarning (from
@@ -53,3 +53,12 @@ def whole_array_snapshots(grid, dt, fields, metadata) -> bytes:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return (fieldio.SNAPSHOT_MAGIC + struct.pack("<Q", len(blob)) + blob
             + b"".join(arr.tobytes() for arr in arrays.values()))
+
+
+def evolve_with_snapshots(initial, config, t_final, record_every=1):
+    """``pauli.evolve`` with a copy of each record's (..., 2) wavefunction,
+    taken through ``on_record``: (trajectory, stacked snapshots)."""
+    snapshots = []
+    traj = pauli.evolve(initial, config, t_final, record_every,
+                        on_record=lambda psi, *_: snapshots.append(psi.copy()))
+    return traj, np.array(snapshots)

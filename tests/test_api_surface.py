@@ -10,7 +10,8 @@ pinned map gives each one its rule (ROADMAP item I):
 
 Options, the defaulted parameters and dataclass fields, that no ``src/``
 call passes are set only by tests, and each doubles the configurations the
-tests must cover; the few allowed to stay are pinned with their reason.
+tests must cover; the few allowed to stay are pinned with their reason.  A
+call inside a pinned function is a test's call, since only tests run it.
 
 A new test-only function or option, or one that leaves its list, fails
 these tests until the list changes with it.  A private top-level function
@@ -181,19 +182,35 @@ def _options(trees: dict[str, ast.Module]):
     return options, callables
 
 
-def _passed(trees: dict[str, ast.Module], callables) -> tuple[set, set]:
+def _calls(module: str, tree: ast.Module, test_only) -> list[ast.Call]:
+    """The calls in ``tree``, less those inside a top-level function that
+    ``test_only`` names as "module.name"."""
+    skipped = {id(node) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and f"{module}.{node.name}" in test_only}
+    calls, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        todo.extend(child for child in ast.iter_child_nodes(node) if id(child) not in skipped)
+    return calls
+
+
+def _passed(trees: dict[str, ast.Module], callables, test_only) -> tuple[set, set]:
     """The (qualname, parameter) pairs some call passes, and the keywords
     passed through a variable: a call of a local name, such as ``fn(fast=fast)``
     over a table of functions, passes its keywords to every function.
 
     A call ``name(...)`` or ``anything.name(...)`` counts for every callable
-    of that name; a starred argument passes every parameter.
+    of that name; a starred argument passes every parameter.  A call inside
+    a ``test_only`` function does not count: what only it passes is set only
+    by tests.
     """
     pairs, anywhere = set(), set()
-    for tree in trees.values():
+    for module, tree in trees.items():
         imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        for call in _calls(module, tree, test_only):
             func = call.func
             if isinstance(func, ast.Attribute):
                 name = func.attr
@@ -214,9 +231,9 @@ def _passed(trees: dict[str, ast.Module], callables) -> tuple[set, set]:
     return pairs, anywhere
 
 
-def unpassed_options(trees: dict[str, ast.Module]) -> set[str]:
+def unpassed_options(trees: dict[str, ast.Module], test_only) -> set[str]:
     options, callables = _options(trees)
-    pairs, anywhere = _passed(trees, callables)
+    pairs, anywhere = _passed(trees, callables, test_only)
     return {key for key, (qual, option) in options.items()
             if (qual, option) not in pairs and option not in anywhere}
 
@@ -235,15 +252,17 @@ def unpassed_options(trees: dict[str, ast.Module]) -> set[str]:
     ("@dataclass\nclass D:\n    x: int\n    y: int = 0\nD(1)", {"m.D.y"}),
     ("@dataclass\nclass D:\n    x: int\n    y: int = 0\nD(1, 2)", set()),
     ("@dataclass\nclass D:\n    x: int\n    y: int = 0\nD(x=1, **more)", set()),
+    ("def f(x, y=1):\n    pass\ndef test_only():\n    f(0, y=2)", {"m.f.y"}),
+    ("def f(x, y=1):\n    pass\ndef run():\n    f(0, y=2)", set()),
 ], ids=["unpassed", "positional", "keyword", "keyword-only", "starred", "through-a-variable",
         "builtin-keywords", "method", "constructor-unpassed", "constructor", "field-unpassed",
-        "field-positional", "field-double-starred"])
+        "field-positional", "field-double-starred", "test-only-caller", "src-caller"])
 def test_an_option_counts_as_passed_only_where_a_call_passes_it(source, unpassed):
-    assert unpassed_options({"m": ast.parse(source)}) == unpassed
+    assert unpassed_options({"m": ast.parse(source)}, {"m.test_only"}) == unpassed
 
 
 def test_only_pinned_options_go_unpassed():
     exempt = {name for name, rule in PINNED.items() if rule in ("a", "c")}
-    unpassed = {key for key in unpassed_options(_source_trees())
+    unpassed = {key for key in unpassed_options(_source_trees(), PINNED)
                 if not any(key.startswith(name + ".") for name in exempt)}
     assert unpassed == set(PINNED_OPTIONS)

@@ -286,16 +286,36 @@ def test_snapshot_stream_of_the_wrong_count_keeps_the_previous_file(tmp_path, co
     assert os.listdir(tmp_path) == ["snap.bin"]
 
 
-def test_snapshot_stream_that_raises_keeps_the_previous_file(tmp_path):
-    path = tmp_path / "snap.bin"
+def raise_after_the_first_record(path, monkeypatch):  # monkeypatch: the dataset helper's signature
+    with fieldio.field_snapshot_stream(path, Grid((1.0,), (4,), PERIODIC), 0.5, "psi", (4,),
+                                       np.float64, 3, {}) as write:
+        write(np.ones(4))
+        raise RuntimeError("mid-stream")
+
+
+def raise_after_the_first_dataset_block(path, monkeypatch):
+    blocks = fieldio._dataset_blocks
+
+    def first_block_then_raise(counts, dim):
+        yield next(blocks(counts, dim))
+        raise RuntimeError("mid-stream")
+
+    monkeypatch.setattr(fieldio, "_DATASET_BLOCK_ROWS", 2)
+    monkeypatch.setattr(fieldio, "_dataset_blocks", first_block_then_raise)
+    fieldio.write_dataset_csv(path, expected_counts(lattice_table(32, 4.0), 1000))
+
+
+@pytest.mark.parametrize("write", [raise_after_the_first_record,
+                                   raise_after_the_first_dataset_block],
+                         ids=["snapshots", "dataset"])
+def test_writer_that_raises_keeps_the_previous_file(tmp_path, monkeypatch, write):
+    # each writer has put its head and a first record or block in the temp file
+    path = tmp_path / "out"
     path.write_bytes(b"previous")
     with pytest.raises(RuntimeError, match="mid-stream"):
-        with fieldio.field_snapshot_stream(str(path), Grid((1.0,), (4,), PERIODIC), 0.5, "psi",
-                                           (4,), np.float64, 3, {}) as write:
-            write(np.ones(4))
-            raise RuntimeError("mid-stream")
+        write(str(path), monkeypatch)
     assert path.read_bytes() == b"previous"
-    assert os.listdir(tmp_path) == ["snap.bin"]
+    assert os.listdir(tmp_path) == ["out"]
 
 
 def test_snapshot_stream_rejects_a_record_of_another_shape(tmp_path):

@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_fft_derivative
+from conftest import evolve_with_snapshots, full_fft_derivative
 from paulilab.classical import MomentState, torque_evolve
 from paulilab.functionals import (
     EMConfiguration,
@@ -227,10 +227,10 @@ def test_free_packet_spreading():
     state = gaussian_packet_state(g, sigma, L / 2, 0.0, (1.0, 0.0), CONSTS)
     t_final = 6.0
     config = SolverConfig(SPLIT_OPERATOR, t_final / 1000, CONSTS, EMConfiguration.zero(g))
-    traj = evolve(state, config, t_final, record_every=100, keep_snapshots=True)
+    traj = evolve(state, config, t_final, record_every=100)
     np.testing.assert_allclose(traj.positions[:, 0], L / 2, atol=1e-8)
     x = g.axis_coordinates(0)
-    dens = np.sum(np.abs(traj.snapshots[-1]) ** 2, axis=-1)
+    dens = np.sum(np.abs(traj.final) ** 2, axis=-1)
     mean = np.sum(x * dens) * g.cell_volume
     width_sq = np.sum((x - mean) ** 2 * dens) * g.cell_volume
     expect = sigma**2 + (CONSTS.hbar * t_final / (2 * CONSTS.mass * sigma)) ** 2
@@ -260,10 +260,9 @@ def test_evolve_reads_the_static_field_once(scheme, monkeypatch):
         return b_values(em, *args)
 
     monkeypatch.setattr(EMConfiguration, "b_values", counted)
-    traj = evolve(gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS), config, 0.5,
-                  record_every=10)
+    evolve(gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS), config, 0.5,
+           record_every=10)
     assert len(reads) == 1  # the propagator's factors, built before the first of 50 steps
-    assert traj.snapshots is None
 
 
 def test_evolution_linearity():
@@ -274,9 +273,9 @@ def test_evolution_linearity():
     mix_vals = ca * a.phi.values + cb * b.phi.values
     mix = PauliState(SpinorField(g, mix_vals))
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, uniform_b_em(g, 0.4))
-    out_mix = evolve(mix, config, 1.0, record_every=100, keep_snapshots=True).snapshots[-1]
-    out_a = evolve(a, config, 1.0, record_every=100, keep_snapshots=True).snapshots[-1]
-    out_b = evolve(b, config, 1.0, record_every=100, keep_snapshots=True).snapshots[-1]
+    out_mix = evolve(mix, config, 1.0, record_every=100).final
+    out_a = evolve(a, config, 1.0, record_every=100).final
+    out_b = evolve(b, config, 1.0, record_every=100).final
     np.testing.assert_allclose(out_mix, ca * out_a + cb * out_b, atol=1e-8)
 
 
@@ -288,7 +287,7 @@ def test_spin_position_factorization():
     dens = []
     for weights in ((1.0, 0.0), (1.0, 1.0j)):
         state = gaussian_packet_state(g, 2.0, 20.0, 0.4, weights, CONSTS)
-        final = evolve(state, config, 2.0, record_every=200, keep_snapshots=True).snapshots[-1]
+        final = evolve(state, config, 2.0, record_every=200).final
         dens.append(np.sum(np.abs(final) ** 2, axis=-1))
     np.testing.assert_allclose(dens[0], dens[1], atol=1e-10)
 
@@ -408,12 +407,13 @@ _PERIODIC_GRIDS = [((3.0,), (16,)), ((2.0, 1.5), (6, 5)), ((1.0, 1.2, 0.8), (4, 
 
 
 def assert_steps_are_the_oracle_bitwise(state, config, steps):
-    traj = evolve(state, config, steps * config.dt, record_every=1, keep_snapshots=True)
+    traj, snapshots = evolve_with_snapshots(state, config, steps * config.dt)
     oracle = oracle_states(state, config, steps)
-    assert len(traj.snapshots) == steps + 1
-    for snap, want in zip(traj.snapshots, oracle):
+    assert len(snapshots) == steps + 1
+    for snap, want in zip(snapshots, oracle):
         assert snap.tobytes() == want.tobytes()
-    return traj
+    assert traj.final.tobytes() == oracle[-1].tobytes()
+    return snapshots
 
 
 @pytest.mark.parametrize("axial", [False, True])
@@ -513,16 +513,16 @@ def test_crank_nicolson_with_one_color_empty_is_the_whole_system_bitwise(extents
     # the empty one at +0
     state, config = axial_gradient_run(Grid(extents, cells, PERIODIC), color, neutral)
     assert pauli._make_propagator(config, state)._colors == (color,)
-    traj = assert_steps_are_the_oracle_bitwise(state, config, 30)
-    assert not traj.snapshots[..., 1 - color].tobytes().strip(b"\0")
+    snapshots = assert_steps_are_the_oracle_bitwise(state, config, 30)
+    assert not snapshots[..., 1 - color].tobytes().strip(b"\0")
 
 
 def test_crank_nicolson_with_transverse_field_in_one_cell_keeps_both_colors():
     state, config = axial_gradient_run(Grid((3.0,), (16,), PERIODIC), 0, False,
                                        transverse=0.3)
     assert pauli._make_propagator(config, state)._colors == (0, 1)
-    traj = assert_steps_are_the_oracle_bitwise(state, config, 30)
-    assert np.all(np.abs(traj.snapshots[1:, ..., 1]) > 0.0)
+    snapshots = assert_steps_are_the_oracle_bitwise(state, config, 30)
+    assert np.all(np.abs(snapshots[1:, ..., 1]) > 0.0)
 
 
 def test_crank_nicolson_packet_documents_solve_one_color(monkeypatch):
@@ -583,12 +583,13 @@ def test_crank_nicolson_is_the_stepwise_oracle_bitwise_at_any_record_every(exten
                                                                            record_every):
     g = Grid(extents, cells, PERIODIC)
     state, config = random_run(g, 10 + len(cells), True, CRANK_NICOLSON, 1e-2)
-    traj = evolve(state, config, 0.3, record_every=record_every, keep_snapshots=True)
+    traj, snapshots = evolve_with_snapshots(state, config, 0.3, record_every)
     oracle = oracle_states(state, config, 30)
     recorded = list(range(0, 30, record_every)) + [30]
-    assert len(traj.snapshots) == len(recorded)
-    for snap, i in zip(traj.snapshots, recorded):
+    assert len(snapshots) == len(recorded)
+    for snap, i in zip(snapshots, recorded):
         assert snap.tobytes() == oracle[i].tobytes()
+    assert traj.final.tobytes() == oracle[-1].tobytes()
 
 
 @pytest.mark.parametrize("neutral", [False, True])
@@ -629,11 +630,11 @@ def grids(draw):
 def test_fused_split_operator_stays_at_round_off_from_the_stepwise_oracle(
         grid, seed, neutral, dt, steps, record_every, axial):
     state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt, axial)
-    traj = evolve(state, config, steps * dt, record_every=record_every, keep_snapshots=True)
+    _, snapshots = evolve_with_snapshots(state, config, steps * dt, record_every)
     oracle = oracle_states(state, config, steps)
     recorded = list(range(0, steps, record_every)) + [steps]
-    assert len(traj.snapshots) == len(recorded)
-    for snap, i in zip(traj.snapshots, recorded):
+    assert len(snapshots) == len(recorded)
+    for snap, i in zip(snapshots, recorded):
         want = oracle[i]
         assert np.max(np.abs(snap - want)) <= 1e-14 * i * np.max(np.abs(want))
 
@@ -662,11 +663,12 @@ def test_fused_split_operator_is_the_fused_oracle_bitwise(grid, seed, neutral, d
     # the path the evolve benchmark takes at record_every 100: one color or
     # two, stacked diagonal factors or the 2x2 product, against scipy.fft
     state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt, axial, filled)
-    traj = evolve(state, config, steps * dt, record_every=record_every, keep_snapshots=True)
+    traj, snapshots = evolve_with_snapshots(state, config, steps * dt, record_every)
     oracle = fused_oracle_states(state, config, steps, record_every)
-    assert len(traj.snapshots) == len(oracle)
-    for snap, want in zip(traj.snapshots, oracle):
+    assert len(snapshots) == len(oracle)
+    for snap, want in zip(snapshots, oracle):
         assert snap.tobytes() == want.tobytes()
+    assert traj.final.tobytes() == oracle[-1].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -727,12 +729,12 @@ def test_evolve_keeps_the_norm_and_an_empty_color_at_plus_zero_under_an_axial_fi
     em = EMConfiguration(g, ScalarField(g, 3.0 * rng.random(g.shape)), VectorField3.zero(g),
                          b=VectorField3(g, b_vals))
     config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
-    traj = evolve(PauliState(SpinorField(g, vals)), config, steps * dt,
-                  record_every=record_every, keep_snapshots=True)
+    traj, snapshots = evolve_with_snapshots(PauliState(SpinorField(g, vals)), config,
+                                            steps * dt, record_every)
     assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-12
     if axial:
         for empty in {0, 1} - set(filled):
-            assert not traj.snapshots[..., empty].tobytes().strip(b"\0")
+            assert not snapshots[..., empty].tobytes().strip(b"\0")
 
 
 class _PlantedFactor:
@@ -861,11 +863,11 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
     em = EMConfiguration(g, ScalarField(g, rng.random(g.shape)), VectorField3.zero(g),
                          b=VectorField3(g, b_vals))
     config = SolverConfig(scheme, 1e-3, CONSTS, em)
-    traj = evolve(PauliState(SpinorField(g, vals), 0.25), config, 0.011, record_every=3,
-                  keep_snapshots=True)
-    assert len(traj.snapshots) == len(traj.times) == 5  # steps 0, 3, 6, 9 and the last, 11
-    assert traj.snapshots.shape == (5,) + g.shape + (2,)
-    for i, snap in enumerate(traj.snapshots):
+    traj, snapshots = evolve_with_snapshots(PauliState(SpinorField(g, vals), 0.25), config,
+                                            0.011, 3)
+    assert len(snapshots) == len(traj.times) == 5  # steps 0, 3, 6, 9 and the last, 11
+    assert snapshots.shape == (5,) + g.shape + (2,)
+    for i, snap in enumerate(snapshots):
         recorded = (traj.norms[i], traj.positions[i], traj.spins[i], traj.color_masses[i])
         obs = observables(PauliState(SpinorField(g, snap), traj.times[i]))
         public = (obs.norm, obs.position, obs.spin, obs.color_masses)
@@ -873,7 +875,7 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()
     if spin_up_axial:
-        assert not traj.snapshots[..., 1].any() and not traj.color_masses[:, 1].any()
+        assert not snapshots[..., 1].any() and not traj.color_masses[:, 1].any()
 
 
 @pytest.mark.parametrize("spoil", ["scale", "nan"])
@@ -1053,9 +1055,9 @@ def test_stern_gerlach_boundary_abort():
         stern_gerlach(sg_config(velocity=5.0, t_final=10.0))
 
 
-def stern_gerlach_on_evolve(cfg, keep_snapshots=False):
+def stern_gerlach_on_evolve(cfg):
     """The packet, field and solver of ``stern_gerlach(cfg)`` run through
-    ``evolve`` directly: the grid and the trajectory."""
+    ``evolve`` directly: the grid, the trajectory and the snapshots."""
     grid = Grid((cfg.extent,), (cfg.cells,), PERIODIC)
     b_vals = np.zeros(grid.shape + (3,))
     b_vals[..., 2] = cfg.field_offset + cfg.field_gradient * grid.axis_coordinates(0)
@@ -1064,8 +1066,7 @@ def stern_gerlach_on_evolve(cfg, keep_snapshots=False):
     solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, gamma_energy=cfg.gamma_energy)
     packet = gaussian_packet_state(grid, cfg.sigma, cfg.center, cfg.velocity, cfg.spin_weights,
                                    CONSTS)
-    return grid, evolve(packet, solver, cfg.t_final, record_every=cfg.record_every,
-                        keep_snapshots=keep_snapshots)
+    return grid, *evolve_with_snapshots(packet, solver, cfg.t_final, cfg.record_every)
 
 
 @pytest.mark.parametrize("spin_weights", [(1.0, 1.0), (0.8, 0.6j), (1.0, 0.0)],
@@ -1073,11 +1074,11 @@ def stern_gerlach_on_evolve(cfg, keep_snapshots=False):
 def test_stern_gerlach_records_are_plain_sums_over_the_snapshots_bitwise(spin_weights):
     cfg = sg_config(cells=256, dt=0.1, t_final=4.0, record_every=5, spin_weights=spin_weights)
     result = stern_gerlach(cfg)
-    grid, traj = stern_gerlach_on_evolve(cfg, keep_snapshots=True)
-    assert len(traj.snapshots) == len(result.times) == 9
+    grid, _, snapshots = stern_gerlach_on_evolve(cfg)
+    assert len(snapshots) == len(result.times) == 9
     w = quadrature_weights(grid)
     z = grid.axis_coordinates(0)
-    for i, snap in enumerate(traj.snapshots):
+    for i, snap in enumerate(snapshots):
         rho = [np.abs(snap[:, c]) ** 2 for c in (0, 1)]
         masses = [float(np.sum(w * r)) for r in rho]
         occupied = [m > 1e-12 for m in masses]
@@ -1113,7 +1114,7 @@ def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, gamma_e
         if weights[color]:
             moved = result.centers[-1, color] - cfg.center
             assert abs(moved - direction * half_law) <= 0.01 * abs(half_law)
-    _, traj = stern_gerlach_on_evolve(cfg)
-    for name in ("times", "norms", "positions", "spins", "color_masses"):
+    _, traj, _ = stern_gerlach_on_evolve(cfg)
+    for name in ("times", "norms", "positions", "spins", "color_masses", "final"):
         got, want = getattr(result.trajectory, name), getattr(traj, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name

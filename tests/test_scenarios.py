@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import whole_array_snapshots
+from conftest import evolve_with_snapshots, whole_array_snapshots
 from paulilab import cli, fieldio, functionals, pauli, scenarios, variational, verification
 from paulilab.grids import PERIODIC, Grid
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
@@ -244,7 +244,7 @@ _JOINT = "parameters must satisfy: "
     # each table underflowed to all zeros and exited 3 from a 0/0
     ("sample", {"sigma": 1e-3}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
     ("sample", {"sigma": 0.01, "cells": 2}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
-    ("fisher_discrete", {"sigma": 1e-200}, [_JOINT + "for even cells, exp(-0.125 / sigma^2)"]),
+    ("fisher_discrete", {"sigma": 1e-200}, [_JOINT + "sigma >= 2"]),
     # sigma**2 overflowed a Python float in the table, and the run exited 3
     ("sample", {"sigma": 1e200}, [_JOINT + "sigma^2 is finite"]),
     ("fisher_discrete", {"sigma": 1e200},
@@ -259,6 +259,13 @@ _JOINT = "parameters must satisfy: "
     # (0.078 at sigma 50 against the 0.02 bound; 0.024 at 64 cells and sigma 10.5)
     ("fisher_discrete", {"sigma": 50.0}, [_JOINT + "sigma <= cells / 10"]),
     ("fisher_discrete", {"sigma": 10.5, "cells": 64}, [_JOINT + "sigma <= cells / 10"]),
+    # the table was too narrow for the lattice differences, and the run exited 1
+    # on fisher.rel_error (0.175 at sigma 1, 0.0201 at sigma 1.7); below 20
+    # cells no sigma meets both width rules
+    ("fisher_discrete", {"sigma": 1.0}, [_JOINT + "sigma >= 2"]),
+    ("fisher_discrete", {"sigma": 1.7}, [_JOINT + "sigma >= 2"]),
+    ("fisher_discrete", {"sigma": 1.9, "cells": 18},
+     [_JOINT + "sigma <= cells / 10", _JOINT + "sigma >= 2"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -284,7 +291,8 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("lorentz", {"setup": "uniform_e", "t_final": 13.0}),
         ("lorentz", {"setup": "uniform_b", "t_final": 1e6}),
         ("sample", {"sigma": 1e-3, "cells": 161}),
-        ("fisher_discrete", {"sigma": 0.0135, "cells": 4}),
+        ("sample", {"sigma": 0.0135, "cells": 4}),
+        ("fisher_discrete", {"sigma": 2.0, "cells": 20}),
         ("sample", {"sigma": 1e150}),
         ("fisher_discrete", {"sigma": 1.3407807929942596e154, "cells": 2 * 10**155}),
         ("fisher_discrete", {"sigma": 25.6}),
@@ -479,9 +487,9 @@ def test_streamed_snapshots_are_the_whole_array_encoding(tmp_path, scheme, recor
                                          consts)
     config = pauli.SolverConfig(scheme, p["t_final"] / p["steps"], consts,
                                 functionals.EMConfiguration.zero(grid))
-    traj = pauli.evolve(packet, config, p["t_final"], record_every, keep_snapshots=True)
+    _, snapshots = evolve_with_snapshots(packet, config, p["t_final"], record_every)
     assert (tmp_path / "snapshots.bin").read_bytes() == whole_array_snapshots(
-        grid, p["t_final"] / p["steps"] * record_every, {"wavefunction": traj.snapshots},
+        grid, p["t_final"] / p["steps"] * record_every, {"wavefunction": snapshots},
         {"setup": "free_packet"})
 
 
@@ -499,16 +507,16 @@ def plant_nan_in_third_advance(monkeypatch):
     monkeypatch.setattr(pauli._SplitOperatorPropagator, "advance", planted)
 
 
-def sink_one_record_short(monkeypatch):
+def stream_one_record_short(monkeypatch):
     spreading = verification.free_packet_spreading
 
     def short(*args):
-        *head, sink = args
+        *head, on_record = args
         records = []
 
-        def skip_first(psi):
+        def skip_first(*record):
             if records:
-                sink(psi)
+                on_record(*record)
             records.append(None)
 
         return spreading(*head, skip_first)
@@ -518,7 +526,7 @@ def sink_one_record_short(monkeypatch):
 
 @pytest.mark.parametrize("plant,error,message", [
     (plant_nan_in_third_advance, pauli.SolverError, "state norm nan left 1"),
-    (sink_one_record_short, fieldio.FormatError, "10 records written, not the header's 11"),
+    (stream_one_record_short, fieldio.FormatError, "10 records written, not the header's 11"),
 ], ids=["nan", "short_sink"])
 def test_free_packet_run_that_raises_mid_stream_keeps_the_previous_snapshots(
         tmp_path, monkeypatch, plant, error, message):
