@@ -1,8 +1,11 @@
 """Session setup shared by every test module."""
 
+import functools
+import importlib.util
 import json
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +21,28 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:
         pass
+
+# tools/manifest.py: the golden documents, the entries of a run, and the
+# comparison that names each entry that moved
+_SPEC = importlib.util.spec_from_file_location(
+    "manifest", Path(__file__).resolve().parent.parent / "tools" / "manifest.py")
+manifest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(manifest)
+
+
+@functools.cache
+def _pins() -> dict:
+    return manifest.read(manifest.PINS)
+
+
+def pin_moves(key, outputs, checks) -> list[str]:
+    """``manifest.moved`` from the committed entries under ``key`` to those of
+    a run with the data outputs ``outputs`` and the (name, value) check
+    records ``checks``: one line per entry that moved, none if the run
+    matches its pins."""
+    pinned = {name: value for name, value in _pins().items() if name.startswith(key + "/")}
+    return manifest.moved(pinned, manifest.entries(key, outputs, checks),
+                          "tests/manifest.tsv", "this run")
 
 
 def full_fft_derivative(values, h, axis, order):

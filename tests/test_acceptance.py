@@ -2,13 +2,14 @@
 
 Criteria 1-9 call the shared verification battery at full resolution;
 criterion 10 drives the command-line ``verify-all --fast`` end to end and
-holds it to its runtime and report contract.
+holds it to its runtime and report contract, and its outputs and check
+values to their pins in ``tests/manifest.tsv``.
 """
 
-import hashlib
 import json
 import time
 
+from conftest import manifest, pin_moves
 from paulilab import cli, verification
 
 
@@ -71,29 +72,6 @@ def test_criterion_10_verify_all_fast(tmp_path):
     assert report["passed"] is True
     failures = [c for c in report["checks"] if not c["pass"]]
     assert failures == []
-    # every check name and value but the two runtime gates, as computed
-    # before the scenario runners and the criteria shared their checks.
-    # Recorded again, each time for a move at round-off or at
-    # solver-convergence level (numpy 2.4, scipy 1.17, x86-64), when:
-    # - the split-operator half-steps between records were fused (four values)
-    # - the spectrum scan became one block solve (four box values)
-    # - spectral derivatives of real stacks moved to the half spectrum
-    #   (rfft/irfft; three equivalence values)
-    # - the joint route replaced the polar-vs-total records (renamed
-    #   polar_vs_joint; the spectral one reads 1.9e-16) and the spinor
-    #   integrand moved to real arithmetic (both refinement ratios)
-    # - Crank-Nicolson took the Cayley form 2 (I + zH)^-1 psi - psi with one
-    #   factor (pauli.norm_drift_crank_nicolson_1000_steps, 1.3e-13 -> 4.1e-13)
-    # - the block solver took its gradients as one sparse product with the
-    #   stiffness matrix: box values at round-off (scan mode values 1.1e-15
-    #   relative at most, so the three scan records 2.8e-11 relative), the
-    #   winning start of the minimum changed between starts at equal values
-    #   (box.density_max_error 4.7e-11 -> 7.0e-10, bound 0.02), and
-    #   gradients.fisher_fd_rel_error 2.1197e-10 -> 2.1196e-10 from the
-    #   matrix form of the Fisher gradient
-    checks = "\n".join(f"{c['name']} {c['value']!r}" for c in report["checks"]
-                       if c["name"] not in ("box.runtime_seconds", "equivalence.runtime_seconds"))
-    assert hashlib.sha256(checks.encode()).hexdigest() == (
-        "7895b22aefcef42aa8c9d9e4dae37af2bb080ac2c345a767e4e3e994c00089ac"
-    )
-    assert (tmp_path / "verification.csv").exists()
+    key, _ = manifest.VERIFY_ALL
+    moves = pin_moves(key, report["outputs"], [(c["name"], c["value"]) for c in report["checks"]])
+    assert not moves, "\n".join(moves)

@@ -1,15 +1,14 @@
-"""``tools/manifest.py compare``: which entries moved, and how far."""
+"""``tools/manifest.py``: which entries moved and how far, and the pins in
+``tests/manifest.tsv`` failing on a one-ulp change."""
 
-import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "manifest", Path(__file__).resolve().parent.parent / "tools" / "manifest.py")
-manifest = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(manifest)
+from conftest import manifest, pin_moves
+from paulilab.scenarios import parse_scenario, run
 
 _DOC = "evolve/full/seed0/002-pauli_evolve"
 _VALUE = 0.00020720555880658937
@@ -69,3 +68,36 @@ def test_compare_reports_check_values_that_are_not_plain_numbers(tmp_path, capsy
     assert manifest.compare(str(tmp_path / "old"), str(tmp_path / "new")) == 1
     assert capsys.readouterr().out.splitlines() == [f"moved: {key}: {distance}",
                                                     "1 of 1 entries moved"]
+
+
+def _run_golden(tmp_path, kind):
+    """Run the first golden document of ``kind``: its key and report."""
+    key, doc = next((key, doc) for key, doc in manifest.golden() if doc["kind"] == kind)
+    return key, run(parse_scenario(json.dumps({**doc, "output_dir": str(tmp_path)})))
+
+
+def test_pins_name_a_one_ulp_move_of_a_check_value(tmp_path):
+    key, report = _run_golden(tmp_path, "lorentz")
+    checks = {c.name: c.value for c in report.checks}
+    assert pin_moves(key, report.outputs, checks.items()) == []
+    name = "lorentz.speed_rel_drift"
+    value = checks[name]
+    checks[name] = moved = float(np.nextafter(value, np.inf))
+    diff = moved - value
+    assert pin_moves(key, report.outputs, checks.items()) == [
+        f"moved: {key}/check {name}: {value!r} -> {moved!r} "
+        f"(abs {diff:.3g}, rel {diff / moved:.3g})"]
+
+
+def test_pins_name_the_file_and_column_of_a_one_ulp_move_in_a_csv_cell(tmp_path):
+    key, report = _run_golden(tmp_path, "lorentz")
+    checks = [(c.name, c.value) for c in report.checks]
+    path = tmp_path / "particle.csv"
+    header, *rows = path.read_text().splitlines()
+    column = header.split(",").index("vy")
+    cells = rows[25].split(",")
+    cells[column] = repr(float(np.nextafter(float(cells[column]), np.inf)))
+    rows[25] = ",".join(cells)
+    path.write_text("\n".join([header] + rows) + "\n")
+    assert pin_moves(key, report.outputs, checks) == [
+        f"moved: {key}/particle.csv:vy: bytes differ"]

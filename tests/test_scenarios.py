@@ -1,17 +1,15 @@
 """Tests for scenario parsing, execution, reports, and the CLI."""
 
-import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import evolve_with_snapshots, whole_array_snapshots
+from conftest import evolve_with_snapshots, manifest, pin_moves, whole_array_snapshots
 from paulilab import cli, fieldio, functionals, pauli, scenarios, variational, verification
 from paulilab.grids import PERIODIC, Grid
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
@@ -260,12 +258,13 @@ _JOINT = "parameters must satisfy: "
     ("fisher_discrete", {"sigma": 50.0}, [_JOINT + "sigma <= cells / 10"]),
     ("fisher_discrete", {"sigma": 10.5, "cells": 64}, [_JOINT + "sigma <= cells / 10"]),
     # the table was too narrow for the lattice differences, and the run exited 1
-    # on fisher.rel_error (0.175 at sigma 1, 0.0201 at sigma 1.7); below 20
-    # cells no sigma meets both width rules
+    # on fisher.rel_error (0.175 at sigma 1, 0.0201 at sigma 1.7)
     ("fisher_discrete", {"sigma": 1.0}, [_JOINT + "sigma >= 2"]),
     ("fisher_discrete", {"sigma": 1.7}, [_JOINT + "sigma >= 2"]),
+    # below 20 cells no sigma meets both width rules, so the range of cells
+    # says so and suspends the width rule that reads it
     ("fisher_discrete", {"sigma": 1.9, "cells": 18},
-     [_JOINT + "sigma <= cells / 10", _JOINT + "sigma >= 2"]),
+     ["parameter 'cells' must be >= 20, got 18", _JOINT + "sigma >= 2"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -585,177 +584,12 @@ def test_equivalence_document_prepares_each_set_once(tmp_path, monkeypatch):
     assert calls == {"_check_stacks": 2, "_stacks": 2, "_polar_terms": 2}
 
 
-def _read_csv(path):
-    header, *rows = path.read_text().splitlines()
-    return header.split(","), [row.split(",") for row in rows]
-
-
-# Values written by the equivalence runner before the polar functionals shared
-# one integrand; they pin that refactor to round-off.  The first pinned value
-# was Q_polar's column, which the joint route's column replaced.
-@pytest.mark.parametrize("seed,constants,pinned,terms", [
-    (0, {}, (0.5370582134468099, 0.5370582134468099, 0.5370582134805348), {
-        "fisher": 0.06513793202308854,
-        "kinetic": 0.49717213491738166,
-        "moment_coupling": -0.017850939564490118,
-        "potential": -0.004899758847983583,
-        "time": -0.0025011550811864895,
-        "total": 0.5370582134468099,
-    }),
-    (3, {"hbar": 0.7, "mass": 1.9, "charge": -1.3},
-     (0.44412034347456913, 0.44412034347456913, 0.4441203434633656), {
-        "fisher": 0.03326524331906373,
-        "kinetic": 0.35105100953852175,
-        "moment_coupling": 0.006153777335933219,
-        "potential": 0.05247043232474221,
-        "time": 0.0011798809563082942,
-        "total": 0.44412034347456913,
-    }),
-])
-def test_equivalence_outputs_pinned(tmp_path, seed, constants, pinned, terms):
-    params = {"cells": 12, "frames": 8, "sets": 1, **constants}
-    report = run(parse_scenario(json.dumps({
-        "kind": "equivalence", "seed": seed, "parameters": params,
-        "output_dir": str(tmp_path),
-    })))
-    assert report.passed
-    header, rows = _read_csv(tmp_path / "equivalence.csv")
-    assert header == ["seed", "joint", "total_functional", "q_spinor", "rel_residual",
-                      "spinor_rel_residual"]
-    (row,) = rows
-    assert int(row[0]) == seed
-    for got, want in zip(row[1:4], pinned):
-        assert float(got) == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert float(row[4]) <= 1e-8 and float(row[5]) <= 1e-8
-    header, rows = _read_csv(tmp_path / "breakdown.csv")
-    got_terms = {name: float(value) for name, value in rows}
-    assert sorted(got_terms) == sorted(terms)
-    for name, want in terms.items():
-        assert got_terms[name] == pytest.approx(want, rel=1e-14, abs=0.0)
-
-
-# sha256 of every data output and of the check names and values. The
-# stepping documents were recorded before the kernels moved off np.fft.fftn,
-# RegularGridInterpolator and np.cross, the others before the scenario
-# runners and the acceptance criteria shared one check per guarantee; both
-# changes must keep every bit. The split-operator documents that record
-# every k > 1 steps (uniform_field, free_packet, stern_gerlach) were
-# recorded again when the kinetic half-steps between records were fused
-# into full steps, which moves them at round-off. The box_minimize document
-# was recorded again when the spectrum scan became one block solve, which
-# moves the density at solver-convergence level (|dp| <= 8.3e-11) and
-# lengthens the first mode's trace to the block's iterations. The
-# equivalence document was recorded again when spectral derivatives of real
-# stacks moved to the half spectrum (rfft/irfft), which moves its values at
-# round-off (at most 2.3e-15 relative, the small time term), and again when
-# the joint route's column replaced Q_polar's and the spinor integrand moved
-# to real arithmetic, which moves q_spinor and its residual at round-off
-# (2.1e-16 and 1.1e-2 relative; the residual is itself 1.8e-14). The three
-# crank_nicolson documents were recorded again when the implicit step took
-# its Cayley form 2 (I + zH)^-1 psi - psi with one factor in a minimum-degree
-# symmetric ordering, which moves them at round-off (trajectories at most
-# 4.0e-14, 2.1e-14 and 7.1e-15 absolute). The box_minimize document was
-# recorded again when the block solver took its gradients as one sparse
-# product with the factored stiffness matrix in place of the per-column
-# stencil, which moves it at round-off: density at most 4.6e-14 relative
-# (1.1e-14 absolute), trace objectives 5.4e-16 relative, trace gradient norms
-# 9.3e-13 absolute at their round-off floor, the objective record 1.7e-12
-# relative (it is itself 2.1e-4). Recorded with numpy 2.4 and scipy 1.17 on
-# x86-64: other builds of the transcendental and FFT kernels may round
-# differently.
-_GOLDEN_DIGESTS = [
-    ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200}, {
-        "trajectory.csv": "5ad1049b310b56129d77349675ca7933d980a53082244baeb06649747a4aea36",
-        "checks": "d3fcc317d710025d8a1f966f32180487755d3efe850c30f49ce3c96894c73374",
-    }),
-    ("pauli_evolve", {"setup": "larmor", "periods": 1.0, "steps": 200,
-                      "scheme": "crank_nicolson"}, {
-        "trajectory.csv": "3fe353dd8034f786989df276f2e3a784dc0006709b6fad5a4a0e296c13c8eef1",
-        "checks": "89f49047f47f1881ea2d1e003e3734c8ddce114e58d13102d0b9e28cb8c235fe",
-    }),
-    ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100}, {
-        "trajectory.csv": "1eaf5c0745bc0ed229680690fbbbc39245471f8e348179c58afcb2fb5e85f598",
-        "checks": "2595bbb83e2006b48278c815eb187f0cf4c15f541ad9ce2502d66816144c2a4f",
-    }),
-    ("pauli_evolve", {"setup": "uniform_field", "cells": 128, "steps": 100, "t_final": 1.0,
-                      "scheme": "crank_nicolson"}, {
-        "trajectory.csv": "de7b48bece004d0ac07643698614c79cdd633e6520275cdac0c1293a715779ad",
-        "checks": "8d3399a7b16103ab56171e3e7a7fce658f8196f39161e7d690f58822ed593800",
-    }),
-    ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100,
-                      "record_every": 20}, {
-        "trajectory.csv": "c9b81ba347d2d9b71134c790f0521a78e17ee3ecfe701de81adff733f8e04cbd",
-        "snapshots.bin": "7887e477c61461c26831ebafee967543ce2a910d0304b81eac5f5f3f2f7ff8f9",
-        "checks": "6b5c3093ccde5a6c38d615a1ed4761a434ea5d35981e3364dcf6e602aa8a8928",
-    }),
-    ("pauli_evolve", {"setup": "free_packet", "cells": 128, "steps": 100, "record_every": 20,
-                      "t_final": 1.0, "scheme": "crank_nicolson"}, {
-        "trajectory.csv": "cef4bec45f032b4eab0c446df93d2a1ccc5e309ef638fff7daa37f7ad22c19ea",
-        "snapshots.bin": "8f0815ff3c36ab25d811d7d46b3746f0849973509dec8c50a31ffde1f82c1b42",
-        "checks": "9016830f0dad59bbb9e475f00875eaa6ea781f1a4af1f62c4c6a01b88d3fca8c",
-    }),
-    ("stern_gerlach", {"field_gradient": 0.02, "cells": 256, "dt": 0.1, "record_every": 10}, {
-        "separation.csv": "8a20aca5bdf21673d011d079bc7d6a0a2eafe179b4b4bdcdbaf9674c37589a42",
-        "checks": "8c6dbbd74e4722fb469a0464ac435ee66f545f4b35dffd3c49412637477d4cbd",
-    }),
-    ("lorentz", {"setup": "uniform_b", "turns": 0.5, "steps_per_turn": 100}, {
-        "particle.csv": "d56485a9f24fca67b5575c9d1b8b32542b77765823af01eec9fd068d20551dd7",
-        "checks": "fa36294c2c689f543dbc32b07200f2c1f063f1993eec3c2d442b1f30b9f24efe",
-    }),
-    ("lorentz", {"setup": "uniform_e", "t_final": 0.2}, {
-        "particle.csv": "d6cfe9c278bb90e2b4d8e6050bab9f61671725aa920011b0a461bf1f9bde922c",
-        "checks": "063d5e1c595530c7f8813915e7a3a0a843522cf2737be24a6c03ae7b9fb37318",
-    }),
-    ("moment", {"t_final": 0.2}, {
-        "moment.csv": "0e4ad52b79a539cc7cce49420fffab49c24b73184196d23d11250679aa6a8ff1",
-        "canonical.csv": "629aabdeac8dc06fcf563db72b4180df5719afa03587f17f8604eda7c8aa996e",
-        "checks": "9705f9e861e61d8ab3db3e4dadf8836d3cb7e371cd2b438afb3ac827c2f36097",
-    }),
-    ("sample", {"cells": 64, "sigma": 5.0, "slices": 2, "repetitions": 1000}, {
-        "dataset.csv": "8c85089ae65056f8a1feadfe6f569137ce490c983e4185471f6276375de8fe61",
-        "checks": "b1c31595cb636235d0c0813f131cfc2241c4380223112d43a8734736f34febb1",
-    }),
-    ("evidence", {"cells": 160}, {
-        "evidence.csv": "aeaf6926b11494724363f24a6dc92c6c2ef903abf565503b94791a9c3e0c2ba1",
-        "checks": "f82be5bcdba4315901f76820c9dba91a1e91f87acb2e1683ba9c7af9a84fdcfb",
-    }),
-    ("fisher_discrete", {"cells": 160}, {
-        "fisher.csv": "e94b4efcbc6aab91e71971c5215bc44a5685a68da02c91c8a567c99d863a14e9",
-        "checks": "64dd1387c4ee058fac785e498aea8d7ed41231e270f87a3b474a4181b2f63ddd",
-    }),
-    ("box_minimize", {"cells": 64, "multistarts": 1, "modes": 3}, {
-        "density.csv": "5e7939e110f8c8c2a0559c3626ff3c8cd0d317563b27d758ae13b5d0373aeff5",
-        "trace.csv": "8a5f350d5d5d1053d60b623b9cc23112ca2947dc948f687fbea989ed39d64d84",
-        "checks": "4b89cd0926b4616726af48f2057f66e15496b0568e1b8e6d65285feff3d06c3f",
-    }),
-    ("equivalence", {"cells": 12, "frames": 12, "sets": 1}, {
-        "equivalence.csv": "52119e97c1b48636b0fce8330b1e13a2cdd521d6d001bf1b144fc125ed9b3dac",
-        "breakdown.csv": "064b55b93f6f0909f221dcba95abca49beabc57eb5f9a05ab26a5934f12d7688",
-        "checks": "c70c54c25e2d75f6fd569149543849bf61d9c6183e546ffb695b02f9ddd19e55",
-    }),
-    # one occupied color takes the deflection branch of the center law:
-    # stern_gerlach.deflection_rel_error reads 3.55e-14 (up) and 6.75e-14 (down)
-    ("stern_gerlach", {"field_gradient": 0.02, "spin_down_weight": 0.0}, {
-        "separation.csv": "b109840c44e7407cc147f0a84f20076e9012ab7868ff601a5069e3c305a3e209",
-        "checks": "339d782d12ed3d5fabacc69edee520bfca6c8494dc5fe639486935d35ed57080",
-    }),
-    ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0}, {
-        "separation.csv": "22ba44ac31bedfe4e65fad6f7e236c5677bbd8c64c8143d23f441651e2b48476",
-        "checks": "5f7caf68bd23d546bbf991494573793f5b70c2e7b7f78c7266ef5ef487d6d11f",
-    }),
-]
-
-
-@pytest.mark.parametrize("kind,parameters,digests", _GOLDEN_DIGESTS)
-def test_stepping_outputs_match_golden_digests(tmp_path, kind, parameters, digests):
-    report = run(parse_scenario(json.dumps({
-        "kind": kind, "parameters": parameters, "output_dir": str(tmp_path),
-    })))
-    got = {os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
-           for path in report.outputs}
-    checks = "\n".join(f"{c.name} {c.value!r}" for c in report.checks)
-    got["checks"] = hashlib.sha256(checks.encode()).hexdigest()
-    assert got == digests
+@pytest.mark.parametrize("key,document", manifest.golden(),
+                         ids=[key.removeprefix("golden/") for key, _ in manifest.golden()])
+def test_golden_document_matches_its_pins(tmp_path, key, document):
+    report = run(parse_scenario(json.dumps({**document, "output_dir": str(tmp_path)})))
+    moves = pin_moves(key, report.outputs, [(c.name, c.value) for c in report.checks])
+    assert not moves, "\n".join(moves)
 
 
 @pytest.mark.parametrize("bz", [0.8, np.linspace(-1.0, 1.0, 6)], ids=["number", "cell_array"])
