@@ -3,10 +3,12 @@
 The moment integrators use the angular-rate gyromagnetic convention
 (rad/(s*T)); the spherical-chart integrator exhibits the conjugate pair
 (phi, z = cos theta) and refuses the chart's poles, while the vector torque
-integrator is pole-free.  Particle motion follows the force law built from
-the potentials, with the fields of a dirichlet_zero grid sampled by a
-multilinear stencil, not scipy.interpolate; a particle that leaves the
-lattice ends the run.
+integrator is pole-free.  Particle motion follows the force law
+m x'' = q E + q x' x B in uniform fields, each given as a 3-vector: every
+field of the paper's classical limit that a scenario runs is uniform, so
+the motion needs no grid and has no edge to leave.  The domain of a run is
+its scenario's to state: the ``lorentz`` uniform_e box [0, 50], which the
+closed-form path must keep to, also bounds the steps a document can ask for.
 
 The integrators step lists of Python floats, each operation in the order of
 numpy's array formulas, so with their bits.  numpy stays where plain floats
@@ -16,14 +18,13 @@ and np.arctan2 gives the azimuth.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functionals import EMConfiguration, PhysicalConstants
-from .grids import CENTRAL, PERIODIC, ScalarField, VectorField3, derive_along, gradient
+from .grids import CENTRAL, ScalarField, VectorField3, derive_along, gradient
 
 
 class ClassicalError(ValueError):
@@ -217,59 +218,29 @@ def moment_action(
 # ---------------------------------------------------------------------------
 
 
-class _FieldSampler:
-    """Multilinear stencil over the stacked (E, B) block of a dirichlet_zero
-    grid, whose lattice spans [0, L], E = -grad phi, kept as a list of cell
-    rows with a flat stride per axis.  Cell bracketing, corner order, weight
-    products and the +0.0 start of the sum follow scipy's linear
-    RegularGridInterpolator, so it gives the same bits."""
-
-    def __init__(self, em: EMConfiguration):
-        g = em.grid
-        if g.boundary == PERIODIC:
-            raise ClassicalError("particle motion needs fields on a dirichlet_zero grid")
-        block = np.concatenate([-gradient(em.phi_pot).values, em.b_values()], axis=-1)
-        self._axes = [g.axis_coordinates(ax).tolist() for ax in range(g.dim)]
-        self._rows = block.reshape(-1, 6).tolist()
-        self._strides = [math.prod(block.shape[ax + 1:-1]) for ax in range(g.dim)]
-
-    def sample(self, x):
-        corners = [(0, 1.0)]  # (row, weight) in product order, weights multiplied axis by axis
-        for c, xs, stride in zip(x, self._axes, self._strides):  # the grid's axes of x
-            if not xs[0] <= c <= xs[-1]:
-                raise ClassicalError(f"particle left the grid at x={np.asarray(x)}")
-            i = min(bisect.bisect_right(xs, c) - 1, len(xs) - 2)  # upper face: last cell
-            y = (c - xs[i]) / (xs[i + 1] - xs[i])
-            corners = [(k + j * stride, w * wj) for k, w in corners
-                       for j, wj in ((i, 1 - y), (i + 1, y))]
-        vals = [0.0] * 6
-        for k, w in corners:
-            vals = [v + r * w for v, r in zip(vals, self._rows[k])]
-        return vals[0:3], vals[3:6]
-
-
 def lorentz_evolve(
     initial: ChargedParticleState,
-    em: EMConfiguration,
+    e,
+    b,
     charge: float,
     mass: float,
     t_final: float,
     dt: float,
 ) -> ParticleTrajectory:
-    """Integrate m x'' = q E + q x' cross B with fields sampled on the
-    dirichlet_zero grid of ``em``."""
+    """Integrate m x'' = q E + q x' cross B in the uniform fields ``e`` and
+    ``b``, each a 3-vector."""
     if dt <= 0:
         raise ClassicalError("dt must be positive")
     if mass == 0:
         raise ClassicalError("mass must be nonzero")
-    sampler = _FieldSampler(em)
+    el = np.asarray(e, dtype=np.float64).reshape(3).tolist()
+    bl = np.asarray(b, dtype=np.float64).reshape(3).tolist()
     steps = int(round(t_final / dt))
     times = dt * np.arange(steps + 1)
 
     def rhs(t, state):
         v = state[3:]
-        e, b = sampler.sample(state[:3])
-        return v + [(charge * ek + charge * ck) / mass for ek, ck in zip(e, _cross(v, b))]
+        return v + [(charge * ek + charge * ck) / mass for ek, ck in zip(el, _cross(v, bl))]
 
     state = initial.x.tolist() + initial.v.tolist()
     states = [state]

@@ -4,8 +4,8 @@ header and columns the runner that writes each table lays out.
 All writers are deterministic (repr-exact floats, fixed row order) and go
 through an atomic temp-file replace, so a run never leaves partial outputs.
 A snapshot file is written one record at a time through a fixed buffer
-(``field_snapshot_stream``), and a dataset a block of rows at a time, so
-neither writer holds its whole file in memory.
+(``field_snapshot_stream``), and a dataset or a table a block of rows at a
+time, so no writer holds its whole file in memory.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ SNAPSHOT_MAGIC = b"PLFS1\n"
 # snapshot records go to their file through a buffer of this size
 _STREAM_BUFFER_BYTES = 1 << 20
 _DATASET_COLUMNS = "tau,j1,j2,j3,k,count"
-# dataset rows are formatted and written this many at a time
-_DATASET_BLOCK_ROWS = 4096
+# dataset and table rows are formatted and written this many at a time
+_BLOCK_ROWS = 4096
 
 
 class FormatError(ValueError):
@@ -122,15 +122,21 @@ def _fmt_column(cells: tuple) -> list[str]:
 
 def write_table_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Rows of cells under a header line, each column formatted as ``_fmt``
-    formats its cells; a row whose width is not the header's raises."""
-    rows = list(rows)
-    if any(len(row) != len(header) for row in rows):
-        raise FormatError(f"every row needs {len(header)} cells, one per header name")
-    columns = [_fmt_column(cells) for cells in zip(*rows)]
-    del rows  # each stage's cells go before the next stage's are built
-    lines = list(map(",".join, zip(*columns)))
-    del columns
-    atomic_write_text(path, "\n".join([",".join(header)] + lines) + "\n")
+    formats its cells; a row whose width is not the header's raises.  The
+    rows are formatted and written a block at a time, each block's columns
+    formatted alike."""
+    rows = iter(rows)
+    with _atomic_file(path) as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            if any(len(row) != len(header) for row in block):
+                raise FormatError(f"every row needs {len(header)} cells, one per header name")
+            columns = [_fmt_column(cells) for cells in zip(*block)]
+            del block  # each stage's cells go before the next stage's are built
+            lines = list(map(",".join, zip(*columns)))
+            del columns
+            lines.append("")  # the newline after the block's last line
+            handle.write("\n".join(lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +146,11 @@ def write_table_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) 
 
 def _dataset_blocks(counts: np.ndarray, dim: int):
     """The encoded rows of the nonzero cells of ``counts``, in C order,
-    ``_DATASET_BLOCK_ROWS`` rows at a time: only the flat indices of the
+    ``_BLOCK_ROWS`` rows at a time: only the flat indices of the
     nonzero cells are held whole."""
     nonzero = np.flatnonzero(counts)
-    for start in range(0, nonzero.size, _DATASET_BLOCK_ROWS):
-        index = np.unravel_index(nonzero[start:start + _DATASET_BLOCK_ROWS], counts.shape)
+    for start in range(0, nonzero.size, _BLOCK_ROWS):
+        index = np.unravel_index(nonzero[start:start + _BLOCK_ROWS], counts.shape)
         values = counts[index]
         rows = np.zeros((values.size, 6), dtype=np.int64)  # tau, j1, j2, j3, k, count
         rows[:, 0] = index[0]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, classical, fieldio, inference, pauli, verification
-from .functionals import EMConfiguration, PhysicalConstants
-from .grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3
+from .functionals import PhysicalConstants
+from .grids import PERIODIC, Grid
 from .verification import CheckRecord, check_leq, check_true
 
 
@@ -580,15 +580,14 @@ def _run_lorentz(scenario: Scenario, out):
         radius = m * p["speed"] / (abs(q) * bz)
         period = 2 * np.pi * m / (abs(q) * bz)
         extent = max(8.0, 6 * radius)
-        g = Grid((extent,) * 3, (9,) * 3, DIRICHLET_ZERO)
-        em = EMConfiguration.axial(g, bz)
         center = np.full(3, extent / 2)
         # bz > 0: the orbit turns clockwise for q > 0 and counterclockwise for q < 0
         state = classical.ChargedParticleState(
             center + np.array([radius, 0, 0]), (0.0, -np.sign(q) * p["speed"], 0.0)
         )
         traj = classical.lorentz_evolve(
-            state, em, q, m, p["turns"] * period, period / p["steps_per_turn"]
+            state, (0.0, 0.0, 0.0), (0.0, 0.0, bz), q, m, p["turns"] * period,
+            period / p["steps_per_turn"]
         )
         radii = np.linalg.norm(traj.positions[:, :2] - center[:2], axis=1)
         speeds = np.linalg.norm(traj.velocities, axis=1)
@@ -598,18 +597,13 @@ def _run_lorentz(scenario: Scenario, out):
             check_leq("lorentz.speed_rel_drift",
                       float(np.max(np.abs(speeds - p["speed"]))) / p["speed"], 1e-6),
         ]
-    else:  # uniform_e
+    else:  # uniform_e: the joint rule keeps the path inside the box [0, 50]
         e0 = p["e0"]
-        extent = _LORENTZ_BOX
-        g = Grid((extent,) * 3, (11,) * 3, DIRICHLET_ZERO)
-        x, _, _ = g.meshgrid()
-        em = EMConfiguration(
-            g, ScalarField(g, -e0 * x * np.ones(g.shape)), VectorField3.zero(g)
-        )
         state = classical.ChargedParticleState(
-            (5.0, extent / 2, extent / 2), (0.1, 0.0, 0.0)
+            (5.0, _LORENTZ_BOX / 2, _LORENTZ_BOX / 2), (0.1, 0.0, 0.0)
         )
-        traj = classical.lorentz_evolve(state, em, q, m, p["t_final"], _LORENTZ_DT)
+        traj = classical.lorentz_evolve(state, (e0, 0.0, 0.0), (0.0, 0.0, 0.0), q, m,
+                                        p["t_final"], _LORENTZ_DT)
         exact = 5.0 + 0.1 * traj.times + 0.5 * (q * e0 / m) * traj.times**2
         checks = [
             check_leq(

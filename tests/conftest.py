@@ -37,8 +37,8 @@ def _pins() -> dict:
 
 def pin_moves(key, outputs, checks) -> list[str]:
     """``manifest.moved`` from the committed entries under ``key`` to those of
-    a run with the data outputs ``outputs`` and the (name, value) check
-    records ``checks``: one line per entry that moved, none if the run
+    a run with the data outputs ``outputs`` and the (name, value, tolerance)
+    check records ``checks``: one line per entry that moved, none if the run
     matches its pins."""
     pinned = {name: value for name, value in _pins().items() if name.startswith(key + "/")}
     return manifest.moved(pinned, manifest.entries(key, outputs, checks),

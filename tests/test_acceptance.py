@@ -73,5 +73,6 @@ def test_criterion_10_verify_all_fast(tmp_path):
     failures = [c for c in report["checks"] if not c["pass"]]
     assert failures == []
     key, _ = manifest.VERIFY_ALL
-    moves = pin_moves(key, report["outputs"], [(c["name"], c["value"]) for c in report["checks"]])
+    moves = pin_moves(key, report["outputs"],
+                      [(c["name"], c["value"], c["tolerance"]) for c in report["checks"]])
     assert not moves, "\n".join(moves)

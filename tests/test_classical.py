@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import RegularGridInterpolator
 
 from paulilab import classical
 from paulilab.classical import (
@@ -20,7 +19,7 @@ from paulilab.classical import (
     velocity_field,
 )
 from paulilab.functionals import EMConfiguration, PhysicalConstants
-from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3, gradient
+from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
@@ -215,33 +214,22 @@ def test_action_time_reversal_with_field_flip():
 # ---------------------------------------------------------------------------
 
 
-def box_em(extent=8.0, cells=9, phi_fn=None, b_uniform=None):
-    g = Grid((extent,) * 3, (cells,) * 3, DIRICHLET_ZERO)
-    x, y, z = g.meshgrid()
-    ones = np.ones(g.shape)
-    phi = ScalarField(g, phi_fn(x, y, z) * ones if phi_fn else np.zeros(g.shape))
-    b = None
-    if b_uniform is not None:
-        vals = np.zeros(g.shape + (3,))
-        vals[:] = np.asarray(b_uniform)
-        b = VectorField3(g, vals)
-    return g, EMConfiguration(g, phi, VectorField3.zero(g), b=b)
+_ZERO = (0.0, 0.0, 0.0)
 
 
 def test_lorentz_free_particle():
-    g, em = box_em()
+    # a neutral particle feels neither field
     state = ChargedParticleState((4.0, 4.0, 4.0), (0.3, -0.2, 0.1))
-    traj = lorentz_evolve(state, em, charge=0.0, mass=1.0, t_final=2.0, dt=1e-2)
+    traj = lorentz_evolve(state, (0.5, -0.2, 0.1), (0.3, 0.4, -1.0), charge=0.0, mass=1.0,
+                          t_final=2.0, dt=1e-2)
     exact = state.x + np.outer(traj.times, state.v)
     np.testing.assert_allclose(traj.positions, exact, atol=1e-12)
 
 
 def test_lorentz_uniform_field_parabola():
-    e0 = 0.5
-    g, em = box_em(phi_fn=lambda x, y, z: -e0 * x)  # E = +e0 along x
-    q, m = 1.3, 2.0
+    e0, q, m = 0.5, 1.3, 2.0
     state = ChargedParticleState((1.0, 4.0, 4.0), (0.1, 0.0, 0.0))
-    traj = lorentz_evolve(state, em, q, m, t_final=2.0, dt=1e-3)
+    traj = lorentz_evolve(state, (e0, 0.0, 0.0), _ZERO, q, m, t_final=2.0, dt=1e-3)
     exact_x = 1.0 + 0.1 * traj.times + 0.5 * (q * e0 / m) * traj.times**2
     np.testing.assert_allclose(traj.positions[:, 0], exact_x, atol=1e-10)
 
@@ -250,11 +238,10 @@ def test_lorentz_cyclotron_radius_drift():
     bz, q, m, v = 1.0, 1.0, 1.0, 0.5
     radius = m * v / (q * bz)
     period = 2 * np.pi * m / (q * bz)
-    g, em = box_em(extent=8.0, b_uniform=(0.0, 0.0, bz))
     center = np.array([4.0, 4.0, 4.0])
     # v x B must point toward the gyrocenter
     state = ChargedParticleState(center + np.array([radius, 0, 0]), (0.0, -v, 0.0))
-    traj = lorentz_evolve(state, em, q, m, 10 * period, period / 300)
+    traj = lorentz_evolve(state, _ZERO, (0.0, 0.0, bz), q, m, 10 * period, period / 300)
     radii = np.linalg.norm(traj.positions[:, :2] - center[:2], axis=1)
     assert np.max(np.abs(radii - radius)) < 1e-3 * radius
     speeds = np.linalg.norm(traj.velocities, axis=1)
@@ -263,68 +250,15 @@ def test_lorentz_cyclotron_radius_drift():
 
 def test_lorentz_energy_conservation():
     e0, q, m = 0.4, 1.0, 1.0
-    g, em = box_em(extent=50.0, cells=11, phi_fn=lambda x, y, z: -e0 * x)
     state = ChargedParticleState((5.0, 25.0, 25.0), (0.2, 0.1, 0.0))
-    traj = lorentz_evolve(state, em, q, m, 10.0, 1e-3)
+    traj = lorentz_evolve(state, (e0, 0.0, 0.0), _ZERO, q, m, 10.0, 1e-3)
     phi_at = -e0 * traj.positions[:, 0]
     energy = 0.5 * m * np.sum(traj.velocities**2, axis=1) + q * phi_at
     assert np.max(np.abs(energy - energy[0])) < 1e-6 * abs(energy[0])
 
 
-def test_lorentz_exit_grid_raises():
-    g, em = box_em(extent=4.0)
-    state = ChargedParticleState((2.0, 2.0, 2.0), (1.0, 0.0, 0.0))
-    with pytest.raises(ClassicalError):
-        lorentz_evolve(state, em, 0.0, 1.0, 10.0, 1e-2)
-
-
 def _bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-
-
-def _rgi_oracle(em):
-    """The linear RegularGridInterpolator the field sampler replaces."""
-    g = em.grid
-    block = np.concatenate([-gradient(em.phi_pot).values, em.b_values()], axis=-1)
-    axes = [g.axis_coordinates(ax) for ax in range(g.dim)]
-    return RegularGridInterpolator(axes, block, method="linear", bounds_error=True)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
-def test_field_sampler_matches_regular_grid_interpolator_bitwise(seed, dim):
-    rng = np.random.default_rng(seed)
-    # E = -grad phi needs three cells per axis
-    cells = rng.integers(3, 7, dim)
-    g = Grid(tuple(0.5 + 4 * rng.random(dim)), tuple(cells), DIRICHLET_ZERO)
-    rand = lambda *shape: rng.standard_normal(g.shape + shape) * 10.0 ** rng.integers(-3, 4)
-    em = EMConfiguration(g, ScalarField(g, rand()), VectorField3.zero(g),
-                         b=VectorField3(g, rand(3)))
-    sampler = classical._FieldSampler(em)
-    oracle = _rgi_oracle(em)
-    tops = np.array([g.axis_coordinates(ax)[-1] for ax in range(dim)])
-    # interior points, lattice points, lower and upper faces and corners
-    points = [rng.random(dim) * tops for _ in range(20)]
-    points += [np.array([rng.choice(g.axis_coordinates(ax)) for ax in range(dim)])
-               for _ in range(10)]
-    points += [np.where(rng.random(dim) < 0.5, 0.0, tops) for _ in range(6)]
-    points += [np.where(rng.random(dim) < 0.5, rng.random(dim) * tops, tops) for _ in range(6)]
-    for p in points:
-        x = np.zeros(3)
-        x[:dim] = p
-        want = oracle(p)[0]
-        got = np.concatenate(sampler.sample(x))
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-    # just past a face, or not a number: off the grid
-    for ax in range(dim):
-        for bad in (-1e-12, tops[ax] * (1 + 1e-12), np.nan):
-            x = np.zeros(3)
-            x[:dim] = 0.5 * tops
-            x[ax] = bad
-            with pytest.raises(ClassicalError, match="left the grid"):
-                sampler.sample(x)
-            with pytest.raises(ValueError):
-                oracle(x[:dim])
 
 
 _FINITE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
@@ -371,6 +305,35 @@ def test_rk4_on_floats_matches_the_array_step_bitwise(state, coeffs, dt, t):
     got = classical._rk4(state, t, dt, rhs)
     want = rk4_on_arrays(np.array(state), t, dt, lambda t, s: np.array(rhs(t, s.tolist())))
     np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+# a component of either sign, never 0: a tilted field, in which every term
+# of the cross product counts
+_TILTED = st.lists(st.floats(min_value=0.1, max_value=2.0).flatmap(
+    lambda c: st.sampled_from([c, -c])), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=_TILTED, b=_TILTED, x=st.lists(_MODERATE, min_size=3, max_size=3),
+       v=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3, max_size=3),
+       charge=st.floats(min_value=0.1, max_value=3.0).flatmap(lambda q: st.sampled_from([q, -q])),
+       mass=st.floats(min_value=0.1, max_value=5.0), dt=st.floats(min_value=1e-4, max_value=0.1),
+       steps=st.integers(1, 30))
+def test_lorentz_matches_the_array_rk4_bitwise(e, b, x, v, charge, mass, dt, steps):
+    traj = lorentz_evolve(ChargedParticleState(x, v), e, b, charge, mass, steps * dt, dt)
+    e, b = np.array(e), np.array(b)
+
+    def rhs(t, s):
+        return np.concatenate([s[3:], (charge * e + charge * np.cross(s[3:], b)) / mass])
+
+    state = np.array(x + v)
+    want = [state]
+    for t in traj.times[:-1]:
+        state = rk4_on_arrays(state, t, dt, rhs)
+        want.append(state)
+    assert traj.times.size == steps + 1
+    got = np.concatenate([traj.positions, traj.velocities], axis=1)
+    np.testing.assert_array_equal(_bits(got), _bits(np.array(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +452,7 @@ def test_hj_chain_matches_lorentz():
     t_final = 2.0
     drift_x = x0 + (p0 * t_final + 0.5 * q * e0 * t_final**2) / m
     state = ChargedParticleState((x0, 20.0, 20.0), (p0 / m, 0.0, 0.0))
-    traj = lorentz_evolve(state, em, q, m, t_final, 1e-3)
+    traj = lorentz_evolve(state, (e0, 0.0, 0.0), _ZERO, q, m, t_final, 1e-3)
     assert traj.positions[-1, 0] == pytest.approx(drift_x, rel=1e-4)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_fft_derivative
-from paulilab import classical, pauli, variational
+from paulilab import pauli, variational
 from paulilab.functionals import EMConfiguration, PhysicalConstants
 from paulilab.grids import (
     CENTRAL,
@@ -409,21 +409,13 @@ def _total_objective():
     variational.TotalObjective(g, EMConfiguration.zero(g), _CONSTS)
 
 
-def _lorentz_run():
-    g = Grid((2.0,) * 3, (5,) * 3, PERIODIC)
-    classical.lorentz_evolve(classical.ChargedParticleState((1.0, 1.0, 1.0), (0.1, 0.0, 0.0)),
-                             EMConfiguration.zero(g), 1.0, 1.0, 0.1, 1e-2)
-
-
 @pytest.mark.parametrize("run,error,message", [
     (functools.partial(_pauli_run, pauli.SPLIT_OPERATOR), pauli.SolverError, "periodic grid"),
     (functools.partial(_pauli_run, pauli.CRANK_NICOLSON), pauli.SolverError, "periodic grid"),
     (_total_objective, variational.VariationalError, "periodic grid"),
-    (_lorentz_run, classical.ClassicalError, "dirichlet_zero grid"),
 ], ids=["pauli_split_operator_on_dirichlet", "pauli_crank_nicolson_on_dirichlet",
-        "total_objective_on_dirichlet", "lorentz_on_periodic"])
+        "total_objective_on_dirichlet"])
 def test_solvers_refuse_the_boundary_they_do_not_run_on(run, error, message):
-    # the Pauli propagators and the total objective run on periodic grids,
-    # the Lorentz field sampler on the dirichlet_zero lattice that spans [0, L]
+    # the Pauli propagators and the total objective run on periodic grids
     with pytest.raises(error, match=message):
         run()

@@ -97,7 +97,7 @@ def test_dataset_csv_matches_row_loop_writer_and_round_trips(tmp_path_factory, d
     path = str(tmp_path_factory.mktemp("csv") / "data.csv")
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
-            patch.setattr(fieldio, "_DATASET_BLOCK_ROWS", block_rows)
+            patch.setattr(fieldio, "_BLOCK_ROWS", block_rows)
         fieldio.write_dataset_csv(path, data)
     with open(path, "rb") as handle:
         assert handle.read() == row_loop_dataset_csv(data)
@@ -300,19 +300,28 @@ def raise_after_the_first_dataset_block(path, monkeypatch):
         yield next(blocks(counts, dim))
         raise RuntimeError("mid-stream")
 
-    monkeypatch.setattr(fieldio, "_DATASET_BLOCK_ROWS", 2)
+    monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 2)
     monkeypatch.setattr(fieldio, "_dataset_blocks", first_block_then_raise)
     fieldio.write_dataset_csv(path, expected_counts(lattice_table(32, 4.0), 1000))
 
 
-@pytest.mark.parametrize("write", [raise_after_the_first_record,
-                                   raise_after_the_first_dataset_block],
-                         ids=["snapshots", "dataset"])
-def test_writer_that_raises_keeps_the_previous_file(tmp_path, monkeypatch, write):
+def table_row_of_another_width_in_the_second_block(path, monkeypatch):
+    monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 2)
+    fieldio.write_table_csv(path, ["a", "b"], [(1, 2.0), (3, 4.0), (5, 6.0, 7.0)])
+
+
+@pytest.mark.parametrize("write,error,message", [
+    (raise_after_the_first_record, RuntimeError, "mid-stream"),
+    (raise_after_the_first_dataset_block, RuntimeError, "mid-stream"),
+    (table_row_of_another_width_in_the_second_block, fieldio.FormatError,
+     "every row needs 2 cells"),
+], ids=["snapshots", "dataset", "table"])
+def test_writer_that_raises_keeps_the_previous_file(tmp_path, monkeypatch, write, error,
+                                                    message):
     # each writer has put its head and a first record or block in the temp file
     path = tmp_path / "out"
     path.write_bytes(b"previous")
-    with pytest.raises(RuntimeError, match="mid-stream"):
+    with pytest.raises(error, match=message):
         write(str(path), monkeypatch)
     assert path.read_bytes() == b"previous"
     assert os.listdir(tmp_path) == ["out"]
@@ -409,11 +418,15 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=tables())
-def test_table_csv_matches_cell_loop_writer(tmp_path_factory, table):
+@given(table=tables(), block_rows=st.sampled_from([None, 1, 3]))
+def test_table_csv_matches_cell_loop_writer(tmp_path_factory, table, block_rows):
+    # small blocks split a column, and its kinds of cell, across blocks
     header, rows = table
     path = str(tmp_path_factory.mktemp("table") / "table.csv")
-    fieldio.write_table_csv(path, header, iter(rows))
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(fieldio, "_BLOCK_ROWS", block_rows)
+        fieldio.write_table_csv(path, header, iter(rows))
     with open(path, "rb") as handle:
         assert handle.read() == cell_loop_table_csv(header, rows)
 

@@ -1,5 +1,5 @@
 """``tools/manifest.py``: which entries moved and how far, and the pins in
-``tests/manifest.tsv`` failing on a one-ulp change."""
+``tests/manifest.tsv`` failing on a one-ulp change or a moved bound."""
 
 import json
 from pathlib import Path
@@ -15,6 +15,7 @@ _VALUE = 0.00020720555880658937
 _ENTRIES = {
     f"{_DOC}/observables.csv": "5e7939e110f8c8c2a0559c3626ff3c8cd0d317563b27d758ae13b5d0373aeff5",
     f"{_DOC}/check pauli.norm_drift": repr(_VALUE),
+    f"{_DOC}/bound pauli.norm_drift": "<= 1e-10",
     f"{_DOC}/check pauli.completed": "True",
 }
 
@@ -33,7 +34,7 @@ def _compare(tmp_path, capsys, **changed) -> tuple[int, list[str]]:
 
 
 def test_compare_of_equal_manifests_exits_0(tmp_path, capsys):
-    assert _compare(tmp_path, capsys) == (0, ["0 of 3 entries moved"])
+    assert _compare(tmp_path, capsys) == (0, ["0 of 4 entries moved"])
 
 
 def test_compare_names_a_one_ulp_move_with_its_relative_difference(tmp_path, capsys):
@@ -43,7 +44,7 @@ def test_compare_names_a_one_ulp_move_with_its_relative_difference(tmp_path, cap
     diff = moved - _VALUE
     assert code == 1
     assert lines == [f"moved: {key}: {_VALUE!r} -> {moved!r} "
-                     f"(abs {diff:.3g}, rel {diff / moved:.3g})", "1 of 3 entries moved"]
+                     f"(abs {diff:.3g}, rel {diff / moved:.3g})", "1 of 4 entries moved"]
     assert 1e-16 < diff / moved < 2.3e-16  # one ulp, relative
 
 
@@ -52,7 +53,14 @@ def test_compare_names_a_tampered_digest(tmp_path, capsys):
     tampered = _ENTRIES[key][:-1] + "4"
     code, lines = _compare(tmp_path, capsys, **{key: tampered})
     assert code == 1
-    assert lines == [f"moved: {key}: bytes differ", "1 of 3 entries moved"]
+    assert lines == [f"moved: {key}: bytes differ", "1 of 4 entries moved"]
+
+
+def test_compare_names_a_moved_bound_with_its_old_and_new_text(tmp_path, capsys):
+    key = f"{_DOC}/bound pauli.norm_drift"
+    code, lines = _compare(tmp_path, capsys, **{key: "<= 1e-08"})
+    assert code == 1
+    assert lines == [f"moved: {key}: <= 1e-10 -> <= 1e-08", "1 of 4 entries moved"]
 
 
 @pytest.mark.parametrize("old,new,distance", [
@@ -76,22 +84,35 @@ def _run_golden(tmp_path, kind):
     return key, run(parse_scenario(json.dumps({**doc, "output_dir": str(tmp_path)})))
 
 
+def _checks(report) -> dict[str, list]:
+    return {c.name: [c.name, c.value, c.tolerance] for c in report.checks}
+
+
 def test_pins_name_a_one_ulp_move_of_a_check_value(tmp_path):
     key, report = _run_golden(tmp_path, "lorentz")
-    checks = {c.name: c.value for c in report.checks}
-    assert pin_moves(key, report.outputs, checks.items()) == []
+    checks = _checks(report)
+    assert pin_moves(key, report.outputs, checks.values()) == []
     name = "lorentz.speed_rel_drift"
-    value = checks[name]
-    checks[name] = moved = float(np.nextafter(value, np.inf))
+    value = checks[name][1]
+    checks[name][1] = moved = float(np.nextafter(value, np.inf))
     diff = moved - value
-    assert pin_moves(key, report.outputs, checks.items()) == [
+    assert pin_moves(key, report.outputs, checks.values()) == [
         f"moved: {key}/check {name}: {value!r} -> {moved!r} "
         f"(abs {diff:.3g}, rel {diff / moved:.3g})"]
 
 
+def test_pins_name_a_loosened_bound(tmp_path):
+    key, report = _run_golden(tmp_path, "lorentz")
+    checks = _checks(report)
+    name = "lorentz.speed_rel_drift"
+    checks[name][2] = "<= 0.01"
+    assert pin_moves(key, report.outputs, checks.values()) == [
+        f"moved: {key}/bound {name}: <= 1e-06 -> <= 0.01"]
+
+
 def test_pins_name_the_file_and_column_of_a_one_ulp_move_in_a_csv_cell(tmp_path):
     key, report = _run_golden(tmp_path, "lorentz")
-    checks = [(c.name, c.value) for c in report.checks]
+    checks = _checks(report).values()
     path = tmp_path / "particle.csv"
     header, *rows = path.read_text().splitlines()
     column = header.split(",").index("vy")

@@ -1,4 +1,4 @@
-"""Pins: the output bytes and check values of a fixed set of scenario runs.
+"""Pins: the output bytes, check values and bounds of a fixed set of scenario runs.
 
     python tools/manifest.py write MANIFEST
     python tools/manifest.py compare OLD NEW
@@ -17,11 +17,14 @@ and value split by a tab.  A golden document's key is ``golden/NN-kind``,
   ``file.csv:name``, which covers the column's position in the header line
   and its cells in row order;
 - every other output's sha256, under its file name;
-- ``repr(value)`` of each check record, under ``check name``.
+- ``repr(value)`` of each check record, under ``check name``, and next to
+  it the record's bound, its ``tolerance`` text as ``CheckRecord.line()``
+  prints it (``<= 1e-06``), under ``bound name``.
 
 ``report.json`` is left out (it holds the wall time and absolute paths),
-and so are the wall-clock records (``*.runtime_seconds``) and their rows of
-``verification.csv``, which differ from run to run.
+and so are the values of the wall-clock records (``*.runtime_seconds``)
+and their rows of ``verification.csv``, which differ from run to run; their
+bounds are pinned.
 
 The output of ``write`` is committed as ``tests/manifest.tsv``.  The tests
 run each golden document and ``verify-all --fast`` and compare their
@@ -33,8 +36,9 @@ diff names every entry that moved.
 ``compare`` names every entry that is in one manifest and not the other, or
 whose value moved, and says how far it moved: for a check value whose old
 and new text both parse as floats, the absolute difference and the relative
-difference |new - old| / max(|old|, |new|); for a data output or a column,
-that its bytes differ.  It exits 1 if any entry moved, else 0.
+difference |new - old| / max(|old|, |new|); for a bound, or a check value
+that is not a number, the old and the new text; for a data output or a
+column, that its bytes differ.  It exits 1 if any entry moved, else 0.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ PINS = ROOT / "tests" / "manifest.tsv"
 SEEDS = (0, 1)
 _RUNTIME = "runtime_seconds"
 _CHECK = "/check "  # in the key of a check value, not in that of a data output
+_BOUND = "/bound "  # in the key of a check's bound
 
 # (kind, parameters[, seed]): small documents that together take every
 # scenario kind, both propagators and each recording pattern
@@ -120,12 +125,14 @@ def _output_entries(key: str, path: str) -> dict[str, str]:
 
 def entries(key: str, outputs, checks) -> dict[str, str]:
     """The entries of one run under ``key``: ``outputs`` are the paths of its
-    data outputs, ``checks`` its (name, value) check records."""
+    data outputs, ``checks`` its (name, value, tolerance) check records."""
     found = {}
     for path in outputs:
         found.update(_output_entries(key, path))
-    found.update((f"{key}{_CHECK}{name}", repr(value)) for name, value in checks
-                 if not name.endswith(_RUNTIME))
+    for name, value, tolerance in checks:
+        if not name.endswith(_RUNTIME):
+            found[f"{key}{_CHECK}{name}"] = repr(value)
+        found[f"{key}{_BOUND}{name}"] = tolerance
     return found
 
 
@@ -144,7 +151,8 @@ def write(path: str) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             scenario = scenarios.parse_scenario(json.dumps({**doc, "output_dir": tmp}))
             report = scenarios.run(scenario)
-            found.update(entries(key, report.outputs, [(c.name, c.value) for c in report.checks]))
+            found.update(entries(key, report.outputs,
+                                 [(c.name, c.value, c.tolerance) for c in report.checks]))
     Path(path).write_text("".join(f"{key}\t{value}\n" for key, value in found.items()),
                           encoding="utf-8")
     print(f"wrote {len(found)} entries from {len(runs)} documents to {path}")
@@ -161,7 +169,7 @@ def read(path) -> dict[str, str]:
 
 def _move(key: str, old: str, new: str) -> str:
     """How far the entry ``key`` moved from ``old`` to ``new``."""
-    if _CHECK not in key:
+    if _CHECK not in key and _BOUND not in key:
         return "bytes differ"
     try:
         a, b = float(old), float(new)
