@@ -18,11 +18,12 @@ split-operator scheme runs the trailing kinetic half-step of one step and
 the leading half-step of the next as one full step (Strang splitting), which
 moves its output at round-off only.
 
-The kinetic steps take their per-axis transforms through
-``scipy.fftpack.fft`` and ``ifft``.  These call scipy's pocketfft ``c2c``
-directly, with the normalization that ``scipy.fft.fft`` and ``ifft`` pass it
-after their backend dispatch, so they give ``scipy.fft``'s bits; at a few
-cells per axis the dispatch costs more than the transform.
+The kinetic steps call scipy's private compiled transform in place, once
+per grid axis: ``scipy.fft._pocketfft.pypocketfft.c2c(psi, (axis,),
+forward, inorm, psi, 1)``, inorm 0 forward and 2 inverse, ``scipy.fft``'s
+own call without the checks that cost more than a transform of a few cells.
+A scipy that moves it fails this import; a test in ``tests/test_pauli.py``
+and the pins in ``tests/manifest.tsv`` catch a change of its bits.
 
 ``evolve`` returns the observables of every record and the final state.
 A caller that writes the records' wavefunctions out takes each one through
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fftpack
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.fft._pocketfft.pypocketfft import c2c
 
 from .functionals import EMConfiguration, PhysicalConstants
 from .grids import (
@@ -161,14 +162,14 @@ class _SplitOperatorPropagator:
                               else (u11, u12, u21, u22))
 
     def _kinetic(self, psi: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        # in place: pocketfft takes each line through its own buffer, so the
-        # bits do not depend on overwrite_x; ``advance`` writes its result
-        # back over the caller's block, which the first transform overwrites
+        # scipy.fft.fft's c2c call (inorm 0) and ifft's (inorm 2, divide by
+        # the axis length) with out=psi: each line goes through its own
+        # buffer, so writing in place keeps the bits
         for ax in self._axes:
-            psi = scipy.fftpack.fft(psi, axis=ax, overwrite_x=True)
+            c2c(psi, (ax,), True, 0, psi, 1)
         psi *= factor
         for ax in self._axes:
-            psi = scipy.fftpack.ifft(psi, axis=ax, overwrite_x=True)
+            c2c(psi, (ax,), False, 2, psi, 1)
         return psi
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
@@ -177,18 +178,17 @@ class _SplitOperatorPropagator:
         trailing half-step of one step and the leading half of the next, so
         they run as one full kinetic step.  n = 1 is one step's operations
         in their order."""
-        out = self._kinetic(psi, self._half_kinetic)
+        self._kinetic(psi, self._half_kinetic)
         for i in range(n):
             if self._diagonal:
                 # keep the factor first: numpy's SIMD complex multiply gives
                 # u * psi and psi * u different last bits, and the 2x2
                 # product takes u * psi
-                np.multiply(self._cell, out, out=out)
+                np.multiply(self._cell, psi, out=psi)
             else:
                 u11, u12, u21, u22 = self._cell
-                out[0], out[1] = u11 * out[0] + u12 * out[1], u21 * out[0] + u22 * out[1]
-            out = self._kinetic(out, self._full_kinetic if i < n - 1 else self._half_kinetic)
-        psi[...] = out
+                psi[0], psi[1] = u11 * psi[0] + u12 * psi[1], u21 * psi[0] + u22 * psi[1]
+            self._kinetic(psi, self._full_kinetic if i < n - 1 else self._half_kinetic)
         return psi
 
 

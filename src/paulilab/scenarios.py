@@ -249,6 +249,29 @@ _FISHER_FLOOR_RULE = ("sigma >= 2: the table spans enough cells for the lattice 
                       "where the Fisher oracle slices / sigma^2 holds",
                       ("sigma",), lambda sigma: sigma >= 2)
 
+# Step ceilings, from runs on a 2-vCPU x86-64 host.  A uniform_b RK4 step
+# took about 27 us and kept about 400 bytes until the run's end (100,000
+# steps: 2.7 s, 111 MB peak RSS against 71 MB at 3,000), so 500,000 steps,
+# near the 450,000 the uniform_e box admits, take about 14 s and 270 MB.
+# A Pauli step keeps no memory: at the default 1,024 cells a split-operator
+# step took 31 us and a Crank-Nicolson one 99 us, and a Larmor step 4.7 us;
+# a record took about 60 us and 150 bytes (100,000 records: 9.5 s, 83 MB
+# against 69 MB at 100).  So 10^6 steps and 10^5 records take at most
+# about 100 s and 85 MB at 1,024 cells.
+_LORENTZ_STEP_RULE = ("turns * steps_per_turn <= 500000 when setup is uniform_b: the run keeps "
+                      "every RK4 step's state",
+                      ("setup", "turns", "steps_per_turn"),
+                      lambda setup, turns, per_turn: setup != "uniform_b"
+                      or turns * per_turn <= 500_000)
+
+
+def _pauli_run_fits(setup: str, steps: int, periods: float, record_every: int) -> bool:
+    """The run takes at most 10^6 time steps (steps per period times
+    periods for larmor) and 10^5 records."""
+    total = steps * periods if setup == "larmor" else steps
+    return total <= 1_000_000 and pauli.record_count(round(total), record_every) <= 100_000
+
+
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
@@ -258,8 +281,12 @@ JOINT_RULES = {
     "pauli_evolve": (("steps is a multiple of record_every when setup is free_packet: the "
                       "snapshot file holds one time step between records",
                       ("setup", "steps", "record_every"),
-                      lambda setup, steps, every: setup != "free_packet" or steps % every == 0),),
-    "lorentz": (("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
+                      lambda setup, steps, every: setup != "free_packet" or steps % every == 0),
+                     ("at most 10^6 time steps (steps times periods for larmor) and 10^5 "
+                      "records", ("setup", "steps", "periods", "record_every"),
+                      _pauli_run_fits)),
+    "lorentz": (_LORENTZ_STEP_RULE,
+                ("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
                  "stays at least |a| dt^2 inside the box [0, 50] over [0, t_final + dt], "
                  "dt = 0.001",
                  ("setup", "e0", "charge", "mass", "t_final"), _parabola_stays_in_box),),

@@ -217,14 +217,16 @@ def _backward_euler(advance):
 def _second_color_factor_first(kinetic):
     # with two live colors, the first takes the kinetic factor as psi * K and
     # the second as K * psi, which numpy's SIMD complex multiply rounds
-    # differently (the Stern-Gerlach runs are 1-D)
+    # differently (the Stern-Gerlach runs are 1-D); like the kinetic step it
+    # replaces, it writes the block it is given, which ``advance`` steps
     def planted(self, psi, factor):
         if len(psi) == 1:
             return kinetic(self, psi, factor)
-        psi = scipy.fft.fft(psi, axis=1)
-        psi[0] *= factor[0]
-        np.multiply(factor[1], psi[1], out=psi[1])
-        return scipy.fft.ifft(psi, axis=1)
+        k = scipy.fft.fft(psi, axis=1)
+        k[0] *= factor[0]
+        np.multiply(factor[1], k[1], out=k[1])
+        psi[...] = scipy.fft.ifft(k, axis=1)
+        return psi
     return planted
 
 

@@ -266,6 +266,16 @@ _JOINT = "parameters must satisfy: "
     # says so and suspends the width rule that reads it
     ("fisher_discrete", {"sigma": 1.9, "cells": 18},
      ["parameter 'cells' must be >= 20, got 18", _JOINT + "sigma >= 2"]),
+    # 3e11 RK4 steps, whose time array alone would take 2.4 TB
+    ("lorentz", {"setup": "uniform_b", "turns": 1e9}, [_JOINT + "turns * steps_per_turn"]),
+    ("lorentz", {"setup": "uniform_b", "turns": 1000.0, "steps_per_turn": 501},
+     [_JOINT + "turns * steps_per_turn"]),
+    # 10^9 steps, hours at 1,024 cells
+    ("pauli_evolve", {"steps": 1000000000}, [_JOINT + "at most 10^6 time steps"]),
+    ("pauli_evolve", {"setup": "larmor", "steps": 100001, "periods": 10.0, "record_every": 11},
+     [_JOINT + "at most 10^6 time steps"]),
+    ("pauli_evolve", {"setup": "uniform_field", "steps": 100000, "record_every": 1},
+     [_JOINT + "at most 10^6 time steps"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -299,6 +309,14 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("pauli_evolve", {"setup": "free_packet", "steps": 300, "record_every": 100}),
         ("pauli_evolve", {"setup": "uniform_field", "steps": 250, "record_every": 100}),
         ("pauli_evolve", {"setup": "larmor", "steps": 250, "record_every": 100}),
+        # the step ceilings' edges, and the setups they do not read
+        ("lorentz", {"setup": "uniform_b", "turns": 1000.0, "steps_per_turn": 500}),
+        ("lorentz", {"setup": "uniform_e", "turns": 1e9}),
+        ("pauli_evolve", {"setup": "larmor", "steps": 100000, "periods": 10.0,
+                          "record_every": 11}),
+        ("pauli_evolve", {"setup": "uniform_field", "steps": 99999, "record_every": 1}),
+        ("pauli_evolve", {"setup": "free_packet", "steps": 1000000, "record_every": 20}),
+        ("pauli_evolve", {"setup": "uniform_field", "periods": 1e9}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
 
