@@ -26,10 +26,13 @@ A scipy that moves it fails this import; a test in ``tests/test_pauli.py``
 and the pins in ``tests/manifest.tsv`` catch a change of its bits.
 
 ``evolve`` returns the observables of every record and the final state.
-A caller that writes the records' wavefunctions out takes each one through
-``on_record``, as the free-packet scenario streams them to its snapshot
-file, so the run's memory does not grow with its record count;
-``record_count`` gives that count before the run.
+A caller that needs more of each record takes it through ``on_record``:
+the free-packet scenario streams the wavefunctions to its snapshot file,
+so the run's memory does not grow with its record count, and the
+Stern-Gerlach check in ``verification`` sums its color centers and overlap
+from the densities.  ``record_count`` gives the count before the run.
+This module holds no scenario: each run's grid, field and packet are set
+up by the guarantee that checks it.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ CRANK_NICOLSON = "crank_nicolson"
 
 # relative residual above which an implicit solve is refused
 _RESIDUAL_TOL = 1e-12
-# density within a few edge cells above which a Stern-Gerlach run aborts
-_BOUNDARY_MASS_TOL = 1e-8
 
 
 class SolverError(ValueError):
@@ -421,40 +422,8 @@ def evolve(
 
 
 # ---------------------------------------------------------------------------
-# beam-splitting scenario
+# initial states
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SternGerlachConfig:
-    """Neutral packet in a linearly varying axial field B_z(z) = b0 + b z.
-
-    The one-axis linear profile is the standard idealization (its divergence
-    is not zero); the closed-form packet-center oracle is exact for it.
-    """
-
-    extent: float
-    cells: int
-    sigma: float
-    center: float
-    velocity: float
-    spin_weights: tuple[complex, complex]
-    field_gradient: float  # b = dBz/dz
-    field_offset: float  # b0
-    consts: PhysicalConstants
-    gamma_energy: float
-    dt: float
-    t_final: float
-    record_every: int = 10
-
-
-@dataclass(frozen=True)
-class SternGerlachResult:
-    times: np.ndarray
-    centers: np.ndarray  # (n, 2) per-color packet centers
-    separation: np.ndarray  # (n,)
-    overlap: np.ndarray  # (n,)
-    trajectory: PauliTrajectory
 
 
 def gaussian_packet_state(
@@ -478,43 +447,3 @@ def gaussian_packet_state(
     dens = np.sum(np.abs(vals) ** 2, axis=-1)
     vals /= np.sqrt(integrate_values(dens, grid))
     return PauliState(SpinorField(grid, vals), 0.0)
-
-
-def stern_gerlach(config: SternGerlachConfig) -> SternGerlachResult:
-    """Evolve a spin-superposition packet through the field gradient and
-    report per-color centers, their separation, and the density overlap."""
-    grid = Grid((config.extent,), (config.cells,), PERIODIC)
-    z = grid.axis_coordinates(0)
-    em = EMConfiguration.axial(grid, config.field_offset + config.field_gradient * z)
-    solver = SolverConfig(SPLIT_OPERATOR, config.dt, config.consts, em, config.gamma_energy)
-    state = gaussian_packet_state(
-        grid, config.sigma, config.center, config.velocity, config.spin_weights, config.consts
-    )
-    w = quadrature_weights(grid)
-    weights = np.stack((w * z, w * z, w))  # the two color centers and the overlap
-    edge = max(3, config.cells // 64)
-    centers, separations, overlaps = [], [], []
-
-    def record(psi, t, rho1, rho2, dens, color_masses):
-        # the edge sums stay apart: padding them into the block would regroup them
-        boundary_mass = float(np.add.reduce(w[:edge] * dens[:edge])
-                              + np.add.reduce(w[-edge:] * dens[-edge:]))
-        if boundary_mass > _BOUNDARY_MASS_TOL:
-            raise SolverError(
-                f"packet reached the grid boundary at t={t:.6g} "
-                f"(edge mass {boundary_mass:.3e} > {_BOUNDARY_MASS_TOL:.1e})"
-            )
-        rho, masses = (rho1, rho2), color_masses.tolist()
-        occupied = [m > 1e-12 for m in masses]
-        norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
-        *sums, overlap = np.add.reduce(weights * (rho1, rho2, np.sqrt(norm1 * norm2)),
-                                       axis=1).tolist()
-        cs = [s / m if o else np.nan for s, m, o in zip(sums, masses, occupied)]
-        centers.append(cs)
-        separations.append(cs[0] - cs[1] if all(occupied) else 0.0)
-        overlaps.append(overlap)
-
-    traj = evolve(state, solver, config.t_final, config.record_every, on_record=record)
-    return SternGerlachResult(
-        traj.times, np.array(centers), np.array(separations), np.array(overlaps), traj
-    )

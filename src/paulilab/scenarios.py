@@ -265,11 +265,31 @@ _LORENTZ_STEP_RULE = ("turns * steps_per_turn <= 500000 when setup is uniform_b:
                       or turns * per_turn <= 500_000)
 
 
-def _pauli_run_fits(setup: str, steps: int, periods: float, record_every: int) -> bool:
-    """The run takes at most 10^6 time steps (steps per period times
-    periods for larmor) and 10^5 records."""
-    total = steps * periods if setup == "larmor" else steps
-    return total <= 1_000_000 and pauli.record_count(round(total), record_every) <= 100_000
+# Grid ceilings, from the same host.  A Pauli run's memory grows with its
+# cells, not its steps: peak RSS of 10-step runs, from a 67 MB base, read
+# 76 / 101 MB at 16,384 / 65,536 cells for stern_gerlach, 75 / 95 MB for
+# free_packet and 88 / 144 MB for Crank-Nicolson (604, 525 and 1,241 MB at
+# 1,048,576 cells), so 65,536 cells keep a run under about 150 MB.  Its
+# time grows with cells times steps: from 16,384 cells up a step cost
+# 40-74 ns a cell (2,000 stern_gerlach steps at 65,536 cells: 9.3 s), so
+# 1.024e9 cell steps, which the step ceiling admits at 1,024 cells, take
+# at most about 75 s on a larger grid.  The free-packet snapshot file takes
+# 32 bytes a cell and record: 131 MB (4,001 records at 1,024 cells) took
+# 0.5 s to write, so 1 GiB takes a few seconds.
+def _pauli_run_fits(steps: float, record_every: int, cells: int) -> bool:
+    """The run takes at most 10^6 time steps, 10^5 records and 65,536
+    cells, and cells times steps is at most 1.024e9.  ``steps`` is the
+    run's t_final / dt, which it rounds: round(x) <= 10^6 exactly when
+    x <= 10^6 + 0.5, since a half rounds to the even 10^6."""
+    if not steps <= 1_000_000.5:
+        return False
+    steps = round(steps)
+    return (pauli.record_count(steps, record_every) <= 100_000 and cells <= 65_536
+            and cells * steps <= 1.024e9)
+
+
+_PAULI_RUN_TEXT = ("at most 10^6 time steps ({}), 10^5 records and 65,536 cells, and at most "
+                   "1.024e9 cells times time steps")
 
 
 # kind -> ((text, parameters, test), ...): rules that tie parameters together.
@@ -282,9 +302,16 @@ JOINT_RULES = {
                       "snapshot file holds one time step between records",
                       ("setup", "steps", "record_every"),
                       lambda setup, steps, every: setup != "free_packet" or steps % every == 0),
-                     ("at most 10^6 time steps (steps times periods for larmor) and 10^5 "
-                      "records", ("setup", "steps", "periods", "record_every"),
-                      _pauli_run_fits)),
+                     # larmor runs on 8 cells, whatever its cells parameter says
+                     (_PAULI_RUN_TEXT.format("steps, times periods for larmor"),
+                      ("setup", "steps", "periods", "record_every", "cells"),
+                      lambda setup, steps, periods, every, cells:
+                      _pauli_run_fits(steps * periods, every, 8) if setup == "larmor"
+                      else _pauli_run_fits(steps, every, cells)),
+                     ("the free_packet snapshot file, 32 bytes a cell and record, is at most "
+                      "1 GiB", ("setup", "cells", "steps", "record_every"),
+                      lambda setup, cells, steps, every: setup != "free_packet"
+                      or 32 * cells * pauli.record_count(steps, every) <= 2**30)),
     "lorentz": (_LORENTZ_STEP_RULE,
                 ("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
                  "stays at least |a| dt^2 inside the box [0, 50] over [0, t_final + dt], "
@@ -311,6 +338,8 @@ JOINT_RULES = {
          "weights are nonzero",
          ("field_offset", "field_gradient", "gamma_energy", "spin_up_weight", "spin_down_weight"),
          lambda offset, gradient, *coupled: offset == 0 or gradient != 0 or 0 in coupled),
+        (_PAULI_RUN_TEXT.format("t_final / dt"), ("dt", "t_final", "record_every", "cells"),
+         lambda dt, t_final, every, cells: _pauli_run_fits(t_final / dt, every, cells)),
     ),
 }
 
@@ -566,31 +595,27 @@ def _run_pauli_evolve(scenario: Scenario, out):
 
 def _run_stern_gerlach(scenario: Scenario, out):
     p = scenario.parameters
-    config = pauli.SternGerlachConfig(
-        spin_weights=(p["spin_up_weight"], p["spin_down_weight"]),
-        consts=PhysicalConstants(p["hbar"], p["mass"], p["charge"]),
-        **{name: p[name] for name in ("extent", "cells", "sigma", "center", "velocity",
-                                      "field_gradient", "field_offset", "gamma_energy", "dt",
-                                      "t_final", "record_every")},
+    _, rows, checks = verification.stern_gerlach_law(
+        p["extent"], p["cells"], p["sigma"], p["center"], p["velocity"],
+        (p["spin_up_weight"], p["spin_down_weight"]), p["field_gradient"], p["field_offset"],
+        PhysicalConstants(p["hbar"], p["mass"], p["charge"]), p["gamma_energy"], p["dt"],
+        p["t_final"], p["record_every"],
     )
-    result, law_checks = verification.stern_gerlach_law(config)
     path = out("separation.csv")
-    fieldio.write_table_csv(
-        path,
-        ["t", "center_plus", "center_minus", "separation", "overlap"],
-        zip(result.times, result.centers[:, 0], result.centers[:, 1],
-            result.separation, result.overlap),
-    )
-    return law_checks, [path]
+    fieldio.write_table_csv(path, ["t", "center_plus", "center_minus", "separation", "overlap"],
+                            rows)
+    return checks, [path]
 
 
 def _run_moment(scenario: Scenario, out):
     p = scenario.parameters
-    angles = (p["phi0"], p["z0"])
-    torque, ct, energies, checks = verification.moment_checks(
-        p["b"], p["gamma"], p["t_final"], p["dt"],
-        moment=classical.MomentState.from_angles(*angles), angles=angles,
-    )
+    b, gamma, angles = p["b"], p["gamma"], (p["phi0"], p["z0"])
+    torque = classical.torque_evolve(classical.MomentState.from_angles(*angles), b, gamma,
+                                     p["t_final"], p["dt"])
+    ct = classical.canonical_evolve(*angles, b, gamma, p["t_final"], p["dt"])
+    energies, energy = verification.moment_energy_drift("moment.energy_rel_drift", ct, b, gamma)
+    angle = verification.torque_vs_canonical_angle("moment.torque_vs_canonical_angle", torque, ct)
+    checks = [verification.moment_norm_drift("moment.norm_drift", torque), angle, energy]
     path_t = out("moment.csv")
     fieldio.write_table_csv(path_t, ["t", "mx", "my", "mz"], zip(torque.times, *torque.moments.T))
     path_c = out("canonical.csv")

@@ -1,14 +1,16 @@
 """Acceptance checks: every guarantee the package makes, runnable end to end.
 
 Each guarantee is computed by one function here that takes its physical
-parameters and the names of its check records, and returns its data with
-typed records (name, value, tolerance, passed).  The scenario runners call
-these functions with a document's parameters; the ``check_*`` criteria call
-them with fixed settings, lowered by a ``fast`` flag that never touches the
-tolerances.  ``run_all`` executes the criteria for the ``verify_all``
-scenario.  A scenario and a criterion that check the same guarantee check
-it the same way.  A solver run that aborts fails its own record rather
-than ending the battery.
+parameters and the names of its check records, sets up and makes its run,
+and returns its data with typed records (name, value, tolerance, passed);
+the classical-moment records instead each take the trajectories that
+``classical`` integrates, which their callers run.  The scenario runners
+call these functions with a document's parameters; the ``check_*``
+criteria call them with fixed settings, lowered by a ``fast`` flag that
+never touches the tolerances.  ``run_all`` executes the criteria for the
+``verify_all`` scenario.  A scenario and a criterion that check the same
+guarantee check it the same way.  A solver run that aborts fails its own
+record rather than ending the battery.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .grids import (
 )
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
+# density within a few edge cells above which a Stern-Gerlach run aborts
+_BOUNDARY_MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -418,41 +422,29 @@ def check_pauli_solver(fast: bool = False) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def moment_checks(b, gamma: float, t_final: float, dt: float, moment=None, angles=None,
-                  norm: str | None = "moment.norm_drift",
-                  angle: str | None = "moment.torque_vs_canonical_angle",
-                  energy: str | None = "moment.energy_rel_drift"):
-    """A classical moment in the static field ``b``: the vector-torque run
-    from the ``moment`` state and the conjugate-pair run from ``angles`` =
-    (phi0, z0), either left out when None.
+def moment_norm_drift(name: str, torque: classical.MomentTrajectory) -> CheckRecord:
+    """No step of the vector-torque run moves |m| off 1 by more than 1e-9
+    before it is renormalized."""
+    return check_leq(name, float(np.max(np.abs(torque.norm_errors))), 1e-9)
 
-    Records, for the runs made: no torque step moves |m| off 1 by more than
-    1e-9 before it is renormalized (``norm``), the two runs agree in angle
-    within 1e-6 (``angle``), and the conjugate-pair run keeps its energy
-    within 1e-8 relative (``energy``); a None name leaves its record out.
-    Returns (torque run, conjugate-pair run, its energies, records), None
-    for what was not computed.
-    """
-    b = np.asarray(b, dtype=float)
-    torque = canonical = energies = None
-    records = []
-    if moment is not None:
-        torque = classical.torque_evolve(moment, b, gamma, t_final, dt)
-    if angles is not None:
-        canonical = classical.canonical_evolve(*angles, b, gamma, t_final, dt)
-    if torque is not None and norm:
-        records.append(check_leq(norm, float(np.max(np.abs(torque.norm_errors))), 1e-9))
-    if torque is not None and canonical is not None and angle:
-        sin_theta = np.sqrt(1 - canonical.z**2)
-        m_c = np.stack([sin_theta * np.cos(canonical.phi), sin_theta * np.sin(canonical.phi),
-                        canonical.z], axis=-1)
-        dots = np.clip(np.sum(m_c * torque.moments, axis=-1), -1.0, 1.0)
-        records.append(check_leq(angle, float(np.max(np.arccos(dots))), 1e-6))
-    if canonical is not None and energy:
-        energies = classical.moment_hamiltonian(canonical.phi, canonical.z, b, gamma)
-        drift = float(np.max(np.abs(energies - energies[0]))) / max(abs(energies[0]), 1e-30)
-        records.append(check_leq(energy, drift, 1e-8))
-    return torque, canonical, energies, records
+
+def torque_vs_canonical_angle(name: str, torque: classical.MomentTrajectory,
+                              canonical: classical.CanonicalTrajectory) -> CheckRecord:
+    """The vector-torque and conjugate-pair runs of one moment agree in
+    angle within 1e-6 at every step."""
+    sin_theta = np.sqrt(1 - canonical.z**2)
+    m_c = np.stack([sin_theta * np.cos(canonical.phi), sin_theta * np.sin(canonical.phi),
+                    canonical.z], axis=-1)
+    dots = np.clip(np.sum(m_c * torque.moments, axis=-1), -1.0, 1.0)
+    return check_leq(name, float(np.max(np.arccos(dots))), 1e-6)
+
+
+def moment_energy_drift(name: str, canonical: classical.CanonicalTrajectory, b, gamma: float):
+    """The conjugate-pair run in the static field ``b`` keeps its energy
+    within 1e-8 relative.  Returns (energies, record)."""
+    energies = classical.moment_hamiltonian(canonical.phi, canonical.z, b, gamma)
+    drift = float(np.max(np.abs(energies - energies[0]))) / max(abs(energies[0]), 1e-30)
+    return energies, check_leq(name, drift, 1e-8)
 
 
 def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
@@ -471,14 +463,16 @@ def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
     gamma = 1.7
     dt_t = 2 * np.pi / (gamma * np.linalg.norm(b_tilt)) / (1000 if fast else 2000)
     start = (0.7, 0.35)
-    records += moment_checks(b_tilt, gamma, 2.0, dt_t, classical.MomentState.from_angles(*start),
-                             start, norm=None, energy=None,
-                             angle="classical.torque_vs_canonical_angle")[3]
-    records += moment_checks(b_tilt, gamma, 10**4 * 1e-3, 1e-3,
-                             classical.MomentState((0.0, 1.0, 0.0)),
-                             norm="classical.moment_norm_drift")[3]
-    records += moment_checks(b_tilt, 1.1, 10.0, 1e-3, angles=(0.1, 0.3),
-                             energy="classical.energy_rel_drift")[3]
+    torque = classical.torque_evolve(classical.MomentState.from_angles(*start), b_tilt, gamma,
+                                     2.0, dt_t)
+    canonical = classical.canonical_evolve(*start, b_tilt, gamma, 2.0, dt_t)
+    records.append(torque_vs_canonical_angle("classical.torque_vs_canonical_angle", torque,
+                                             canonical))
+    torque = classical.torque_evolve(classical.MomentState((0.0, 1.0, 0.0)), b_tilt, gamma,
+                                     10**4 * 1e-3, 1e-3)
+    records.append(moment_norm_drift("classical.moment_norm_drift", torque))
+    canonical = classical.canonical_evolve(0.1, 0.3, b_tilt, 1.1, 10.0, 1e-3)
+    records.append(moment_energy_drift("classical.energy_rel_drift", canonical, b_tilt, 1.1)[1])
     return records
 
 
@@ -487,40 +481,79 @@ def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def stern_gerlach_law(config: pauli.SternGerlachConfig,
+def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, velocity: float,
+                      spin_weights: tuple[complex, complex], field_gradient: float,
+                      field_offset: float, consts, gamma_energy: float, dt: float,
+                      t_final: float, record_every: int,
                       separation: str = "stern_gerlach.separation_rel_error",
                       zero: str = "stern_gerlach.zero_gradient_separation",
                       overlap: str | None = None):
-    """A chargeless packet in the axial field b0 + b z, where each color is
-    pushed by +-gamma b / m and the closed-form center law is exact.
+    """A chargeless packet of width ``sigma`` at ``center``, moving at
+    ``velocity`` on a periodic line of ``cells`` cells and length ``extent``
+    in the axial field B_z(z) = b0 + b z (``field_offset``, ``field_gradient``),
+    split-operator steps of ``dt`` to ``t_final``.  The one-axis linear
+    profile is the standard idealization (its divergence is not zero); each
+    color is pushed by +-gamma b / m, and the closed-form center law is exact.
+    Every ``record_every`` steps the run records the color centers (NaN when
+    empty), their separation (0 unless both are occupied) and the overlap of
+    the normalized color densities.  Density above 1e-8 within
+    max(3, cells // 64) cells of the edges raises ``pauli.SolverError``.
 
     With b = 0 the separation stays exactly 0 (``zero``).  Otherwise, at
     t_final and within 1%, two occupied colors separate by gamma b t^2 / m
     (``separation``), and a lone occupied color moves from
     center + velocity t by +-gamma b t^2 / (2 m), + for spin up
-    (stern_gerlach.deflection_rel_error).  With ``overlap``, the color overlap never grows.  A
-    packet that reaches the grid edge raises ``pauli.SolverError``.
-    Returns (result, records).
+    (stern_gerlach.deflection_rel_error).  With ``overlap``, the color
+    overlap never grows.  Returns (trajectory, rows (t, center_plus,
+    center_minus, separation, overlap), records).
     """
-    result = pauli.stern_gerlach(config)
-    if config.field_gradient == 0.0:
-        records = [check_leq(zero, float(np.max(np.abs(result.separation))), 0.0)]
+    grid = Grid((extent,), (cells,), PERIODIC)
+    z = grid.axis_coordinates(0)
+    em = EMConfiguration.axial(grid, field_offset + field_gradient * z)
+    solver = pauli.SolverConfig(pauli.SPLIT_OPERATOR, dt, consts, em, gamma_energy)
+    state = pauli.gaussian_packet_state(grid, sigma, center, velocity, spin_weights, consts)
+    w = grids.quadrature_weights(grid)
+    weights = np.stack((w * z, w * z, w))  # the two color centers and the overlap
+    edge = max(3, cells // 64)
+    rows = []
+
+    def record(psi, t, rho1, rho2, dens, color_masses):
+        # the edge sums stay apart: padding them into the block would regroup them
+        boundary_mass = float(np.add.reduce(w[:edge] * dens[:edge])
+                              + np.add.reduce(w[-edge:] * dens[-edge:]))
+        if boundary_mass > _BOUNDARY_MASS_TOL:
+            raise pauli.SolverError(
+                f"packet reached the grid boundary at t={t:.6g} "
+                f"(edge mass {boundary_mass:.3e} > {_BOUNDARY_MASS_TOL:.1e})"
+            )
+        rho, masses = (rho1, rho2), color_masses.tolist()
+        occupied = [m > 1e-12 for m in masses]
+        norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
+        *sums, shared = np.add.reduce(weights * (rho1, rho2, np.sqrt(norm1 * norm2)),
+                                      axis=1).tolist()
+        cs = [s / m if o else np.nan for s, m, o in zip(sums, masses, occupied)]
+        rows.append((t, *cs, cs[0] - cs[1] if all(occupied) else 0.0, shared))
+
+    traj = pauli.evolve(state, solver, t_final, record_every, on_record=record)
+    _, *centers, separations, overlaps = np.array(rows).T
+    if field_gradient == 0.0:
+        records = [check_leq(zero, float(np.max(np.abs(separations))), 0.0)]
     else:
-        law = (config.gamma_energy * config.field_gradient / config.consts.mass) * result.times**2
-        occupied = [w != 0 for w in config.spin_weights]
+        law = (gamma_energy * field_gradient / consts.mass) * traj.times**2
+        occupied = [weight != 0 for weight in spin_weights]
         if all(occupied):
-            error = abs(result.separation[-1] - law[-1]) / abs(law[-1])
+            error = abs(separations[-1] - law[-1]) / abs(law[-1])
             records = [check_leq(separation, error, 0.01)]
         else:
             color = occupied.index(True)
-            drifted = config.center + config.velocity * result.times[-1]
-            moved = result.centers[-1, color] - drifted
+            drifted = center + velocity * traj.times[-1]
+            moved = centers[color][-1] - drifted
             expect = (0.5 if color == 0 else -0.5) * law[-1]
             records = [check_leq("stern_gerlach.deflection_rel_error",
                                  abs(moved - expect) / abs(expect), 0.01)]
     if overlap:
-        records.append(check_true(overlap, bool(np.all(np.diff(result.overlap) <= 1e-12))))
-    return result, records
+        records.append(check_true(overlap, bool(np.all(np.diff(overlaps) <= 1e-12))))
+    return traj, rows, records
 
 
 def check_ehrenfest(fast: bool = False) -> list[CheckRecord]:
@@ -531,21 +564,19 @@ def check_ehrenfest(fast: bool = False) -> list[CheckRecord]:
         drift, 1e-3)
 
     def sg(gradient, offset):
-        return pauli.SternGerlachConfig(
-            extent=60.0, cells=512 if fast else 768, sigma=2.0, center=30.0, velocity=0.0,
-            spin_weights=(1.0, 1.0), field_gradient=gradient, field_offset=offset,
-            consts=CONSTS, gamma_energy=1.0, dt=0.02 if fast else 0.01, t_final=10.0,
-            record_every=50,
-        )
+        return dict(extent=60.0, cells=512 if fast else 768, sigma=2.0, center=30.0,
+                    velocity=0.0, spin_weights=(1.0, 1.0), field_gradient=gradient,
+                    field_offset=offset, consts=CONSTS, gamma_energy=1.0,
+                    dt=0.02 if fast else 0.01, t_final=10.0, record_every=50)
 
     separation, zero = "ehrenfest.separation_rel_error", "ehrenfest.zero_gradient_separation"
     records += _failed_on_solver_error(
-        lambda: stern_gerlach_law(sg(0.02, 0.5), separation=separation,
-                                  overlap="ehrenfest.overlap_monotone_decay")[1],
+        lambda: stern_gerlach_law(**sg(0.02, 0.5), separation=separation,
+                                  overlap="ehrenfest.overlap_monotone_decay")[2],
         separation, 0.01)
     # with zero gradient and zero offset the two components evolve through
     # bit-identical factors, so the separation is exactly zero
-    records += _failed_on_solver_error(lambda: stern_gerlach_law(sg(0.0, 0.0), zero=zero)[1],
+    records += _failed_on_solver_error(lambda: stern_gerlach_law(**sg(0.0, 0.0), zero=zero)[2],
                                        zero, 0.0)
     return records
 

@@ -22,12 +22,20 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+
+def _load(name: str, *path: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent.joinpath(*path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # tools/manifest.py: the golden documents, the entries of a run, and the
 # comparison that names each entry that moved
-_SPEC = importlib.util.spec_from_file_location(
-    "manifest", Path(__file__).resolve().parent.parent / "tools" / "manifest.py")
-manifest = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(manifest)
+manifest = _load("manifest", "tools", "manifest.py")
+# bench/workloads.py: the benchmark's documents, which the schema must admit
+workloads = _load("workloads", "bench", "workloads.py")
 
 
 @functools.cache

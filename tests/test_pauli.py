@@ -38,11 +38,9 @@ from paulilab.pauli import (
     PauliState,
     SolverConfig,
     SolverError,
-    SternGerlachConfig,
     evolve,
     gaussian_packet_state,
     observables,
-    stern_gerlach,
     step,
 )
 
@@ -482,7 +480,7 @@ def test_every_split_operator_document_runs_uncoupled_colors(monkeypatch):
     # colors, the packet runs one
     built = record_propagators(monkeypatch)
     verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10)
-    stern_gerlach(sg_config(cells=256, dt=0.1, t_final=1.0, record_every=10))
+    stern_gerlach(cells=256, dt=0.1, t_final=1.0, record_every=10)
     verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10)
     verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10)
     assert [prop._colors for prop in built] == [(0, 1), (0, 1), (0,), (0,)]
@@ -1025,7 +1023,7 @@ def test_spin_expectation_matches_torque_trajectory():
 # ---------------------------------------------------------------------------
 
 
-def sg_config(**overrides):
+def sg_params(**overrides):
     params = dict(
         extent=60.0,
         cells=768,
@@ -1042,59 +1040,69 @@ def sg_config(**overrides):
         record_every=50,
     )
     params.update(overrides)
-    return SternGerlachConfig(**params)
+    return params
+
+
+def stern_gerlach(**overrides):
+    """The trajectory of ``verification.stern_gerlach_law`` at ``sg_params``
+    with ``overrides``, and its rows' columns: t, center_plus, center_minus,
+    separation and overlap."""
+    traj, rows, _ = verification.stern_gerlach_law(**sg_params(**overrides))
+    return traj, np.array(rows).T
 
 
 def test_stern_gerlach_zero_gradient():
-    result = stern_gerlach(sg_config(field_gradient=0.0, t_final=4.0))
-    np.testing.assert_allclose(result.separation, 0.0, atol=1e-9)
+    _, (*_, separation, _) = stern_gerlach(field_gradient=0.0, t_final=4.0)
+    np.testing.assert_allclose(separation, 0.0, atol=1e-9)
 
 
 def test_stern_gerlach_single_component_acceleration():
-    cfg = sg_config(spin_weights=(1.0, 0.0))
-    result = stern_gerlach(cfg)
-    accel = cfg.gamma_energy * cfg.field_gradient / cfg.consts.mass
-    expect = cfg.center + 0.5 * accel * result.times**2
-    final_disp = expect[-1] - cfg.center
-    assert abs(result.centers[-1, 0] - expect[-1]) < 0.01 * final_disp
+    cfg = sg_params(spin_weights=(1.0, 0.0))
+    _, (t, center_plus, *_) = stern_gerlach(**cfg)
+    accel = cfg["gamma_energy"] * cfg["field_gradient"] / CONSTS.mass
+    expect = cfg["center"] + 0.5 * accel * t**2
+    final_disp = expect[-1] - cfg["center"]
+    assert abs(center_plus[-1] - expect[-1]) < 0.01 * final_disp
 
 
 def test_stern_gerlach_separation_law():
-    cfg = sg_config()
-    result = stern_gerlach(cfg)
-    expect = (cfg.gamma_energy * cfg.field_gradient / cfg.consts.mass) * result.times**2
-    assert result.separation[-1] == pytest.approx(expect[-1], rel=0.01)
-    mid = len(result.times) // 2
-    assert result.separation[mid] == pytest.approx(expect[mid], rel=0.01)
-    assert np.all(np.diff(result.overlap) <= 1e-12)  # monotone decay
+    cfg = sg_params()
+    _, (t, _, _, separation, overlap) = stern_gerlach()
+    expect = (cfg["gamma_energy"] * cfg["field_gradient"] / CONSTS.mass) * t**2
+    assert separation[-1] == pytest.approx(expect[-1], rel=0.01)
+    mid = len(t) // 2
+    assert separation[mid] == pytest.approx(expect[mid], rel=0.01)
+    assert np.all(np.diff(overlap) <= 1e-12)  # monotone decay
 
 
 def test_stern_gerlach_boundary_abort():
-    with pytest.raises(SolverError):
-        stern_gerlach(sg_config(velocity=5.0, t_final=10.0))
+    with pytest.raises(SolverError, match="packet reached the grid boundary"):
+        stern_gerlach(velocity=5.0, t_final=10.0)
 
 
 def stern_gerlach_on_evolve(cfg):
-    """The packet, field and solver of ``stern_gerlach(cfg)`` run through
-    ``evolve`` directly: the grid, the trajectory and the snapshots."""
-    grid = Grid((cfg.extent,), (cfg.cells,), PERIODIC)
+    """The packet, field and solver of ``stern_gerlach_law(**cfg)`` run
+    through ``evolve`` directly: the grid, the trajectory and the snapshots."""
+    grid = Grid((cfg["extent"],), (cfg["cells"],), PERIODIC)
     b_vals = np.zeros(grid.shape + (3,))
-    b_vals[..., 2] = cfg.field_offset + cfg.field_gradient * grid.axis_coordinates(0)
+    b_vals[..., 2] = cfg["field_offset"] + cfg["field_gradient"] * grid.axis_coordinates(0)
     em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
                          b=VectorField3(grid, b_vals))
-    solver = SolverConfig(SPLIT_OPERATOR, cfg.dt, CONSTS, em, gamma_energy=cfg.gamma_energy)
-    packet = gaussian_packet_state(grid, cfg.sigma, cfg.center, cfg.velocity, cfg.spin_weights,
-                                   CONSTS)
-    return grid, *evolve_with_snapshots(packet, solver, cfg.t_final, cfg.record_every)
+    solver = SolverConfig(SPLIT_OPERATOR, cfg["dt"], CONSTS, em,
+                          gamma_energy=cfg["gamma_energy"])
+    packet = gaussian_packet_state(grid, cfg["sigma"], cfg["center"], cfg["velocity"],
+                                   cfg["spin_weights"], CONSTS)
+    return grid, *evolve_with_snapshots(packet, solver, cfg["t_final"], cfg["record_every"])
 
 
 @pytest.mark.parametrize("spin_weights", [(1.0, 1.0), (0.8, 0.6j), (1.0, 0.0)],
                          ids=["two_colors_even", "two_colors_uneven", "one_color"])
 def test_stern_gerlach_records_are_plain_sums_over_the_snapshots_bitwise(spin_weights):
-    cfg = sg_config(cells=256, dt=0.1, t_final=4.0, record_every=5, spin_weights=spin_weights)
-    result = stern_gerlach(cfg)
+    cfg = sg_params(cells=256, dt=0.1, t_final=4.0, record_every=5, spin_weights=spin_weights)
+    traj, (t, center_plus, center_minus, separation, overlap) = stern_gerlach(**cfg)
     grid, _, snapshots = stern_gerlach_on_evolve(cfg)
-    assert len(snapshots) == len(result.times) == 9
+    assert len(snapshots) == len(t) == 9
+    assert t.tobytes() == traj.times.tobytes()
     w = quadrature_weights(grid)
     z = grid.axis_coordinates(0)
     for i, snap in enumerate(snapshots):
@@ -1103,15 +1111,16 @@ def test_stern_gerlach_records_are_plain_sums_over_the_snapshots_bitwise(spin_we
         occupied = [m > 1e-12 for m in masses]
         centers = [float(np.sum(w * z * r)) / m if o else np.nan
                    for r, m, o in zip(rho, masses, occupied)]
-        separation = centers[0] - centers[1] if all(occupied) else 0.0
+        expect_separation = centers[0] - centers[1] if all(occupied) else 0.0
         norm1, norm2 = (r / m if o else r for r, m, o in zip(rho, masses, occupied))
-        overlap = float(np.sum(w * np.sqrt(norm1 * norm2)))
-        assert result.centers[i].tobytes() == np.array(centers).tobytes()
-        assert result.separation[i].tobytes() == np.float64(separation).tobytes()
-        assert result.overlap[i].tobytes() == np.float64(overlap).tobytes()
+        expect_overlap = float(np.sum(w * np.sqrt(norm1 * norm2)))
+        got = np.array([center_plus[i], center_minus[i]])
+        assert got.tobytes() == np.array(centers).tobytes()
+        assert separation[i].tobytes() == np.float64(expect_separation).tobytes()
+        assert overlap[i].tobytes() == np.float64(expect_overlap).tobytes()
     if not spin_weights[1]:  # the empty color has no center, and nothing to separate or overlap
-        assert np.isnan(result.centers[:, 1]).all()
-        assert not result.separation.any() and not result.overlap.any()
+        assert np.isnan(center_minus).all()
+        assert not separation.any() and not overlap.any()
 
 
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
@@ -1123,17 +1132,17 @@ _WEIGHT = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
        field_offset=st.floats(-1.0, 1.0))
 def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, gamma_energy,
                                                     field_offset):
-    cfg = sg_config(cells=256, dt=0.1, record_every=10, spin_weights=weights,
+    cfg = sg_params(cells=256, dt=0.1, record_every=10, spin_weights=weights,
                     field_gradient=sign * size, gamma_energy=gamma_energy,
                     field_offset=field_offset)
-    result = stern_gerlach(cfg)
+    result, (_, *centers, _, _) = stern_gerlach(**cfg)
     # each color is pushed by +-gamma b / m: spin up along +z, spin down along -z
-    half_law = cfg.gamma_energy * cfg.field_gradient * cfg.t_final**2 / (2 * cfg.consts.mass)
+    half_law = gamma_energy * cfg["field_gradient"] * cfg["t_final"]**2 / (2 * CONSTS.mass)
     for color, direction in ((0, 1.0), (1, -1.0)):
         if weights[color]:
-            moved = result.centers[-1, color] - cfg.center
+            moved = centers[color][-1] - cfg["center"]
             assert abs(moved - direction * half_law) <= 0.01 * abs(half_law)
     _, traj, _ = stern_gerlach_on_evolve(cfg)
     for name in ("times", "norms", "positions", "spins", "color_masses", "final"):
-        got, want = getattr(result.trajectory, name), getattr(traj, name)
+        got, want = getattr(result, name), getattr(traj, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name

@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import evolve_with_snapshots, manifest, pin_moves, whole_array_snapshots
-from paulilab import cli, fieldio, functionals, pauli, scenarios, variational, verification
+from conftest import (evolve_with_snapshots, manifest, pin_moves, whole_array_snapshots,
+                      workloads)
+from paulilab import (cli, classical, fieldio, functionals, pauli, scenarios, variational,
+                      verification)
 from paulilab.grids import PERIODIC, Grid
 from paulilab.scenarios import Scenario, ScenarioError, parse_scenario, run, schema_text
 
@@ -276,6 +278,23 @@ _JOINT = "parameters must satisfy: "
      [_JOINT + "at most 10^6 time steps"]),
     ("pauli_evolve", {"setup": "uniform_field", "steps": 100000, "record_every": 1},
      [_JOINT + "at most 10^6 time steps"]),
+    # 1e10 steps at the default t_final
+    ("stern_gerlach", {"field_gradient": 0.02, "dt": 1e-9}, [_JOINT + "at most 10^6 time steps"]),
+    # a 16 GB block per color, and for free_packet a 3.2 TB snapshot file
+    ("stern_gerlach", {"field_gradient": 0.02, "cells": 1000000000},
+     [_JOINT + "at most 10^6 time steps"]),
+    ("pauli_evolve", {"setup": "free_packet", "cells": 1000000000, "steps": 1000,
+                      "record_every": 10},
+     [_JOINT + "at most 10^6 time steps", _JOINT + "the free_packet snapshot file"]),
+    # the grid ceilings' edges
+    ("stern_gerlach", {"field_gradient": 0.02, "cells": 65537, "t_final": 0.1},
+     [_JOINT + "at most 10^6 time steps"]),
+    ("stern_gerlach", {"field_gradient": 0.02, "cells": 65536, "dt": 0.00063},
+     [_JOINT + "at most 10^6 time steps"]),
+    ("pauli_evolve", {"setup": "uniform_field", "cells": 2048, "steps": 500001},
+     [_JOINT + "at most 10^6 time steps"]),
+    ("pauli_evolve", {"setup": "free_packet", "steps": 32768, "record_every": 1},
+     [_JOINT + "the free_packet snapshot file"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -315,10 +334,25 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("pauli_evolve", {"setup": "larmor", "steps": 100000, "periods": 10.0,
                           "record_every": 11}),
         ("pauli_evolve", {"setup": "uniform_field", "steps": 99999, "record_every": 1}),
-        ("pauli_evolve", {"setup": "free_packet", "steps": 1000000, "record_every": 20}),
+        ("pauli_evolve", {"setup": "free_packet", "steps": 1000000, "record_every": 40}),
         ("pauli_evolve", {"setup": "uniform_field", "periods": 1e9}),
+        ("stern_gerlach", {"field_gradient": 0.02, "cells": 65536, "dt": 0.00064}),
+        ("stern_gerlach", {"field_gradient": 0.02, "dt": 1e-5}),
+        ("pauli_evolve", {"setup": "uniform_field", "cells": 2048, "steps": 500000}),
+        ("pauli_evolve", {"setup": "free_packet", "steps": 32767, "record_every": 1}),
+        ("pauli_evolve", {"setup": "larmor", "cells": 1000000000}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
+    # every default, golden and benchmark document
+    for kind in scenarios.SCHEMAS:
+        parse_scenario(json.dumps({"kind": kind, "parameters": {"field_gradient": 0.02}
+                                   if kind == "stern_gerlach" else {}}))
+    for _, doc in manifest.golden():
+        parse_scenario(json.dumps(doc))
+    for workload in workloads.WORKLOADS:
+        for size in workloads.SIZES:
+            for doc in workloads.documents(workload, 0, size):
+                parse_scenario(json.dumps(doc))
 
 
 @pytest.mark.parametrize("e0,wall", [(50.0, 50.0), (-50.0, 0.0)])
@@ -342,8 +376,10 @@ def test_moment_pole_rule_refuses_the_runs_that_drift(dt, admitted):
     # the cone about b = [1, 1, 2] comes within 0.0142 rad of the pole: at the
     # default dt the conjugate-pair run drifts 9.8e-8 in energy, at a quarter
     # of it 3.5e-10
-    *_, records = verification.moment_checks([1.0, 1.0, 2.0], 1.7, 2.0, dt, angles=(0.7, 0.35))
-    assert [r.passed for r in records] == [admitted]
+    canonical = classical.canonical_evolve(0.7, 0.35, [1.0, 1.0, 2.0], 1.7, 2.0, dt)
+    _, record = verification.moment_energy_drift("moment.energy_rel_drift", canonical,
+                                                 [1.0, 1.0, 2.0], 1.7)
+    assert record.passed is admitted
     doc = json.dumps({"kind": "moment", "parameters": {"b": [1.0, 1.0, 2.0], "dt": dt}})
     if admitted:
         parse_scenario(doc)
