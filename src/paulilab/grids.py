@@ -151,17 +151,6 @@ class VectorField3:
         return VectorField3(grid, np.zeros(grid.shape + (3,)))
 
 
-@dataclass(frozen=True)
-class SpinorField:
-    """Complex 2-component value per lattice cell."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _locked(self.values, np.complex128, self.grid.shape + (2,)))
-
-
 # ---------------------------------------------------------------------------
 # low-level derivative kernels (operate on raw arrays along one axis)
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ own call without the checks that cost more than a transform of a few cells.
 A scipy that moves it fails this import; a test in ``tests/test_pauli.py``
 and the pins in ``tests/manifest.tsv`` catch a change of its bits.
 
-``evolve`` returns the observables of every record and the final state.
-A caller that needs more of each record takes it through ``on_record``:
-the free-packet scenario streams the wavefunctions to its snapshot file,
-so the run's memory does not grow with its record count, and the
-Stern-Gerlach check in ``verification`` sums its color centers and overlap
-from the densities.  ``record_count`` gives the count before the run.
+``evolve`` steps a plain ``grid.shape + (2,)`` complex array on the one
+grid of its run, the field's, and returns the norm, mean position, spin
+and color masses of every record and the final state.  A caller that
+needs more of each record takes it through ``on_record``: the free-packet
+scenario streams the wavefunctions to its snapshot file, so the run's
+memory does not grow with its record count, and the Stern-Gerlach check
+in ``verification`` sums its color centers and overlap from the
+densities.  ``record_count`` gives the count before the run.
 This module holds no scenario: each run's grid, field and packet are set
 up by the guarantee that checks it.
 """
@@ -49,7 +51,6 @@ from .functionals import EMConfiguration, PhysicalConstants
 from .grids import (
     PERIODIC,
     Grid,
-    SpinorField,
     _spectral_wavenumbers,
     integrate_values,
     laplacian_matrix,
@@ -65,23 +66,6 @@ _RESIDUAL_TOL = 1e-12
 
 class SolverError(ValueError):
     """Raised for invalid solver configurations or aborted runs."""
-
-
-@dataclass(frozen=True)
-class PauliState:
-    """Normalized two-component wavefunction at one instant."""
-
-    phi: SpinorField
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        norm = self.norm()
-        if abs(norm - 1.0) > 1e-10:
-            raise SolverError(f"state norm must be 1 within 1e-10, got {norm}")
-
-    def norm(self) -> float:
-        dens = np.sum(np.abs(self.phi.values) ** 2, axis=-1)
-        return float(integrate_values(dens, self.phi.grid))
 
 
 @dataclass(frozen=True)
@@ -247,13 +231,17 @@ class _CrankNicolsonPropagator:
         return psi
 
 
-def _make_propagator(config: SolverConfig, initial: PauliState):
-    """The propagator of ``config`` for runs from ``initial``, on a periodic
-    grid with zero vector potential.  It reads the field once and picks the
-    colors either scheme steps: both where the spin coupling times the
-    transverse field is nonzero in some cell, since only that term couples
-    the colors, else those that carry amplitude in ``initial``."""
-    grid, psi = initial.phi.grid, initial.phi.values
+def _make_propagator(config: SolverConfig, psi: np.ndarray):
+    """The propagator of ``config`` for runs from the ``grid.shape + (2,)``
+    array ``psi``, on the field's periodic grid with zero vector potential.
+    It reads the field once and picks the colors either scheme steps: both
+    where the spin coupling times the transverse field is nonzero in some
+    cell, since only that term couples the colors, else those that carry
+    amplitude in ``psi``."""
+    grid = config.em.grid
+    if np.shape(psi) != grid.shape + (2,):
+        raise SolverError(f"state shape {np.shape(psi)} is not the field grid's "
+                          f"{grid.shape + (2,)}")
     if grid.boundary != PERIODIC:
         raise SolverError("Pauli propagation requires a periodic grid")
     if np.any(config.em.a_pot.values != 0.0):
@@ -266,33 +254,14 @@ def _make_propagator(config: SolverConfig, initial: PauliState):
     return propagator(config, grid, b, colors)
 
 
-def step(state: PauliState, config: SolverConfig) -> PauliState:
-    """Advance one time step; norm is preserved to 1e-12 per step.
-
-    One recorded step of ``evolve``; a longer run amortizes the setup (the
-    implicit scheme factorizes its system once), and between two records
-    fuses the split-operator half-steps that meet.
-    """
-    traj = evolve(state, config, config.dt)
-    return PauliState(SpinorField(state.phi.grid, traj.final), float(traj.times[-1]))
-
-
 # ---------------------------------------------------------------------------
-# observables and evolution
+# recording and evolution
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Observables:
-    norm: float
-    position: np.ndarray  # (3,)
-    spin: np.ndarray  # (3,)
-    color_masses: np.ndarray  # (2,)
 
 
 def _observable_weights(grid: Grid):
-    """The (rows, cells) block of weights every record of the observables on
-    ``grid`` multiplies by, built once per run: w for dens, rho1 and rho2,
+    """The (rows, cells) block of weights every record on ``grid``
+    multiplies by, built once per run: w for dens, rho1 and rho2,
     w * x_ax per axis, 2w for the real and imaginary cross term, w for
     rho1 - rho2.  A shared weight is stored once per row: a product of two
     blocks of one shape is one contiguous pass, while broadcasting sends
@@ -303,9 +272,9 @@ def _observable_weights(grid: Grid):
 
 
 def _observe(block: np.ndarray, weights, position, spin, masses):
-    """Observables of a colors-first (2, ...) wavefunction block, written into the
-    rows ``position`` (3,), ``spin`` (3,) and ``masses`` (2,); returns the
-    norm, the two color densities and their sum.
+    """The recorded sums of a colors-first (2, ...) wavefunction block,
+    written into the rows ``position`` (3,), ``spin`` (3,) and ``masses``
+    (2,); returns the norm, the two color densities and their sum.
 
     The terms fill one block of the weights' shape, their products go to a
     new block, and one ``np.add.reduce(..., axis=1)`` takes every sum.  A
@@ -328,15 +297,6 @@ def _observe(block: np.ndarray, weights, position, spin, masses):
     return norm, terms[1], terms[2], terms[0]
 
 
-def observables(state: PauliState) -> Observables:
-    """Norm, mean position, spin expectation and per-color masses."""
-    grid = state.phi.grid
-    position, spin, masses = np.zeros(3), np.empty(3), np.empty(2)
-    block = np.moveaxis(state.phi.values, -1, 0)
-    norm, *_ = _observe(block, _observable_weights(grid), position, spin, masses)
-    return Observables(norm, position, spin, masses)
-
-
 @dataclass(frozen=True)
 class PauliTrajectory:
     times: np.ndarray
@@ -356,28 +316,32 @@ def record_count(steps: int, record_every: int) -> int:
 
 
 def evolve(
-    initial: PauliState,
+    initial: np.ndarray,
     config: SolverConfig,
     t_final: float,
     record_every: int = 1,
     on_record: Callable[..., None] | None = None,
 ) -> PauliTrajectory:
-    """Repeated stepping with periodic recording of the observables.
+    """Repeated stepping, from t = 0, of the ``grid.shape + (2,)`` complex
+    array ``initial`` on ``config.em.grid``, recording its norm, mean
+    position, spin and color masses.  An array of another shape raises
+    ``SolverError``, and so does the first record of a state whose norm is
+    not 1 within 1e-10.
 
     The propagator advances from one record to the next in one call.  The
     split-operator scheme fuses the two kinetic half-steps that meet between
     unrecorded steps into one full step, which moves its output at round-off
     only; with ``record_every=1``, and for Crank-Nicolson at any
-    ``record_every``, every step runs as ``step`` runs it.
+    ``record_every``, every step runs on its own.
 
-    The state is one C-contiguous colors-first (2, ...) block, whose live
-    colors' slice the propagator steps in place; a color it does not step is
-    set to +0 once, after the first record.
+    The state is one C-contiguous colors-first (2, ...) copy of ``initial``,
+    whose live colors' slice the propagator steps in place; a color it does
+    not step is set to +0 once, after the first record.
 
     ``on_record(psi, t, rho1, rho2, dens, masses)``, when given, sees the
     raw (..., 2) wavefunction array (a view of the block), its two color
     densities, their sum and the recorded color masses (2,) at each recorded
-    step, after the observables are taken and before the norm is checked;
+    step, after the recorded sums are taken and before the norm is checked;
     the three density arrays keep their values for the whole call (the
     weighted sums write elsewhere), and the callback may raise to abort the
     run.  ``psi`` is the same view at every record, which the next step
@@ -388,13 +352,12 @@ def evolve(
     if record_every < 1:
         raise SolverError("record_every must be at least 1")
     steps = int(round(t_final / config.dt))
-    grid = initial.phi.grid
     prop = _make_propagator(config, initial)
-    block = np.moveaxis(initial.phi.values, -1, 0).copy()
+    block = np.moveaxis(initial, -1, 0).astype(np.complex128, order="C")
     colors = prop._colors
     live, psi = block[colors[0]:colors[-1] + 1], np.moveaxis(block, 0, -1)
-    t = initial.t
-    weights = _observable_weights(grid)
+    t = 0.0
+    weights = _observable_weights(config.em.grid)
     rows = record_count(steps, record_every)
     times, norms = np.empty(rows), np.empty(rows)
     positions, spins, masses = np.zeros((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
@@ -416,7 +379,7 @@ def evolve(
     for i in range(0, steps, record_every):
         n = min(record_every, steps - i)
         prop.advance(live, n)
-        t = initial.t + (i + n) * config.dt
+        t = (i + n) * config.dt
         record()
     return PauliTrajectory(times, norms, positions, spins, masses, psi)
 
@@ -433,9 +396,10 @@ def gaussian_packet_state(
     velocity: float,
     spin_weights: tuple[complex, complex],
     consts: PhysicalConstants,
-) -> PauliState:
+) -> np.ndarray:
     """Minimum-uncertainty packet with the given position spread and mean
-    velocity, in a fixed spin direction."""
+    velocity, in a fixed spin direction: the normalized ``grid.shape + (2,)``
+    array on a 1-D ``grid``."""
     x = grid.axis_coordinates(0)
     amp = np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
     amp = amp.astype(np.complex128) * np.exp(
@@ -446,4 +410,4 @@ def gaussian_packet_state(
     vals = amp[..., None] * w
     dens = np.sum(np.abs(vals) ** 2, axis=-1)
     vals /= np.sqrt(integrate_values(dens, grid))
-    return PauliState(SpinorField(grid, vals), 0.0)
+    return vals

@@ -288,6 +288,44 @@ def _pauli_run_fits(steps: float, record_every: int, cells: int) -> bool:
             and cells * steps <= 1.024e9)
 
 
+# Crank-Nicolson's residual guard (1e-12, in ``pauli``) holds while
+# r = dt hbar / (m h^2) stays small: the solve's rounding grows with the
+# stencil entries of A = I + zH, about r, and not with its diagonal terms (at
+# r <= 1,000, uniform_field runs with dt q e0 extent / hbar up to 2e8 passed
+# the guard).  The packet setups have h = extent / cells and dt = t_final / steps;
+# larmor has h = 1/8 and dt = pi hbar / (gamma_energy bz steps), so
+# r = 64 pi hbar^2 / (m gamma_energy bz steps).  In a survey of runs of 10 to
+# 10^5 solves (8 to 65,536 cells; (hbar, m) from (0.5, 0.3) to (2, 3) for the
+# packets, m from 1e-4 to 1 for larmor), the guard first failed at r = 2,970
+# for larmor, where every run up to 2,930 passed, and at 5,450 for
+# free_packet and 6,860 for uniform_field; the golden and benchmark
+# documents reach r = 17.5.  So the bound 1,000 leaves a factor of 2.9 below
+# the failures and 57 above the documents.  The test takes logarithms,
+# which neither overflow nor underflow.
+def _crank_nicolson_conditioned(setup: str, scheme: str, hbar: float, mass: float,
+                                steps: int, t_final: float, extent: float, cells: int,
+                                gamma_energy: float, bz: float) -> bool:
+    if scheme != "crank_nicolson":
+        return True
+    if setup == "larmor":
+        up, down = (64.0 * math.pi, hbar, hbar), (mass, gamma_energy, bz, steps)
+    else:
+        up, down = (t_final, hbar, cells, cells), (steps, mass, extent, extent)
+    return sum(map(math.log, up)) - sum(map(math.log, down)) <= math.log(1000.0)
+
+
+# An equivalence set's memory grows with its cells^3 * frames field values,
+# and its time with those values times sets.  Peak RSS of one-set runs, from
+# a 66 MB base, read 81 / 116 / 223 / 593 / 1,308 / 2,524 MB at 16^3 x 12,
+# 24^3 x 12, 32^3 x 16, 48^3 x 16, 64^3 x 16 and 64^3 x 32, about 300 bytes
+# a value, and 373-395 MB at 2^20 values (32^3 x 32, 70^3 x 3, 10^3 x 1,048).
+# A set took 0.9-1.6 us a value up to 2^20 values, so 2^26 values over all
+# sets take at most about 110 s; the default 24^3 x 12 at 20 sets is 3.3e6.
+def _equivalence_fits(cells: int, frames: int, sets: int) -> bool:
+    values = cells**3 * frames
+    return values <= 2**20 and sets * values <= 2**26
+
+
 _PAULI_RUN_TEXT = ("at most 10^6 time steps ({}), 10^5 records and 65,536 cells, and at most "
                    "1.024e9 cells times time steps")
 
@@ -296,6 +334,9 @@ _PAULI_RUN_TEXT = ("at most 10^6 time steps ({}), 10^5 records and 65,536 cells,
 # test takes the named parameters in order; a rule is checked once each of
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
+    "equivalence": (("cells^3 * frames <= 2^20 and sets * cells^3 * frames <= 2^26: a set "
+                     "keeps about 300 bytes a field value", ("cells", "frames", "sets"),
+                     _equivalence_fits),),
     "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
     "fisher_discrete": (_SIGMA_SQUARED_RULE, _FISHER_WIDTH_RULE, _FISHER_FLOOR_RULE),
     "pauli_evolve": (("steps is a multiple of record_every when setup is free_packet: the "
@@ -311,7 +352,13 @@ JOINT_RULES = {
                      ("the free_packet snapshot file, 32 bytes a cell and record, is at most "
                       "1 GiB", ("setup", "cells", "steps", "record_every"),
                       lambda setup, cells, steps, every: setup != "free_packet"
-                      or 32 * cells * pauli.record_count(steps, every) <= 2**30)),
+                      or 32 * cells * pauli.record_count(steps, every) <= 2**30),
+                     ("dt hbar / (mass h^2) <= 1000 when scheme is crank_nicolson (h = extent "
+                      "/ cells, dt = t_final / steps; for larmor h = 1/8, dt = pi hbar / "
+                      "(gamma_energy bz steps)): above it the implicit solves miss their 1e-12 "
+                      "residual bound",
+                      ("setup", "scheme", "hbar", "mass", "steps", "t_final", "extent", "cells",
+                       "gamma_energy", "bz"), _crank_nicolson_conditioned)),
     "lorentz": (_LORENTZ_STEP_RULE,
                 ("the uniform_e path x(t) = 5 + 0.1 t + a t^2 / 2, a = charge e0 / mass, "
                  "stays at least |a| dt^2 inside the box [0, 50] over [0, t_final + dt], "

@@ -338,8 +338,7 @@ def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: 
                                 EMConfiguration.axial(grid, bz), gamma_energy=gamma_energy)
     vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
     vals[:] = np.array([1.0, 1.0]) / np.sqrt(2.0 * grid.extents[0])
-    traj = pauli.evolve(pauli.PauliState(grids.SpinorField(grid, vals)), config,
-                        periods * period, record_every=record_every)
+    traj = pauli.evolve(vals, config, periods * period, record_every=record_every)
     measured = _zero_crossing_frequency(traj.times, traj.spins[:, 0])
     note = "" if np.isfinite(measured) else "<sigma_x> crossed zero fewer than twice"
     return traj, [check_leq("pauli.precession_rel_error", abs(measured - omega) / omega, 1e-3,

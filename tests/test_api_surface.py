@@ -38,8 +38,6 @@ PINNED = {
     "variational.minimize": "a",
     "fieldio.read_field_snapshots": "b",
     "functionals.polar_from_spinor": "b",
-    "pauli.observables": "b",
-    "pauli.step": "b",
     "inference.log_dataset_iprob": "c",
 }
 

@@ -19,7 +19,6 @@ from paulilab.grids import (
     Grid,
     GridError,
     ScalarField,
-    SpinorField,
     VectorField3,
     curl,
     derive_along,
@@ -401,7 +400,7 @@ def _pauli_run(scheme):
     vals[1:-1, 0] = 1.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
     config = pauli.SolverConfig(scheme, 1e-2, _CONSTS, EMConfiguration.zero(g))
-    pauli.evolve(pauli.PauliState(SpinorField(g, vals)), config, 0.1)
+    pauli.evolve(vals, config, 0.1)
 
 
 def _total_objective():

@@ -1,7 +1,5 @@
 """Tests for the two-component wavefunction solver."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -23,7 +21,6 @@ from paulilab.grids import (
     SPECTRAL,
     Grid,
     ScalarField,
-    SpinorField,
     VectorField3,
     derive_along,
     integrate_values,
@@ -35,13 +32,10 @@ from paulilab import pauli, verification
 from paulilab.pauli import (
     CRANK_NICOLSON,
     SPLIT_OPERATOR,
-    PauliState,
     SolverConfig,
     SolverError,
     evolve,
     gaussian_packet_state,
-    observables,
-    step,
 )
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
@@ -61,7 +55,12 @@ def uniform_state(grid, weights=(1.0, 0.0)):
     vol = float(np.prod(grid.extents))
     vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
     vals[:] = w / np.sqrt(vol)
-    return PauliState(SpinorField(grid, vals), 0.0)
+    return vals
+
+
+def step(psi, config):
+    """One recorded step of ``evolve``: the state after ``config.dt``."""
+    return evolve(psi, config, config.dt).final
 
 
 # ---------------------------------------------------------------------------
@@ -79,22 +78,20 @@ def _laplacian_stack(values, grid, scheme):
     return out
 
 
-def apply_hamiltonian(state, config, scheme=None):
-    """H applied to the wavefunction, term by term: the oracle for the
-    generator of the propagators.
+def apply_hamiltonian(psi, config, scheme=None):
+    """H applied to the wavefunction ``psi`` on the field's grid, term by
+    term: the oracle for the generator of the propagators.
 
     Charged: (1/2m)(-i hbar grad - qA)^2 + q phi_pot - (q hbar / 2m) sigma.B.
     Neutral: -(hbar^2/2m) grad^2 - gamma_energy sigma.B.
     """
-    grid = state.phi.grid
+    em = config.em
+    grid = em.grid
     if scheme is None:
         scheme = SPECTRAL if grid.boundary == PERIODIC else CENTRAL
     consts = config.consts
-    em = config.em
-    assert em.grid == grid
     hbar, m = consts.hbar, consts.mass
     q = config.kinetic_charge()
-    psi = state.phi.values
     out = -(hbar**2) / (2.0 * m) * _laplacian_stack(psi, grid, scheme)
     if q != 0.0:
         a_vals = em.a_pot.values
@@ -116,7 +113,7 @@ def apply_hamiltonian(state, config, scheme=None):
         out[..., 1] += -coupling * (
             (b[..., 0] + 1j * b[..., 1]) * psi[..., 0] - b[..., 2] * psi[..., 1]
         )
-    return SpinorField(grid, out)
+    return out
 
 
 def test_hamiltonian_plane_wave_eigenvalue():
@@ -126,11 +123,10 @@ def test_hamiltonian_plane_wave_eigenvalue():
     k = 2 * np.pi * 3 / L
     vals = np.zeros(g.shape + (2,), dtype=np.complex128)
     vals[..., 0] = np.exp(1j * k * x) / np.sqrt(L)
-    state = PauliState(SpinorField(g, vals))
     config = SolverConfig(SPLIT_OPERATOR, 1e-3, CONSTS, EMConfiguration.zero(g))
-    out = apply_hamiltonian(state, config)
+    out = apply_hamiltonian(vals, config)
     expect = (CONSTS.hbar**2 * k**2 / (2 * CONSTS.mass)) * vals
-    np.testing.assert_allclose(out.values, expect, atol=1e-9)
+    np.testing.assert_allclose(out, expect, atol=1e-9)
 
 
 def test_hamiltonian_uniform_spin_coupling():
@@ -141,7 +137,7 @@ def test_hamiltonian_uniform_spin_coupling():
         SPLIT_OPERATOR, 1e-3, CONSTS, uniform_b_em(g, 2.0), gamma_energy=gamma_e
     )
     out = apply_hamiltonian(state, config)
-    np.testing.assert_allclose(out.values, -gamma_e * 2.0 * state.phi.values, atol=1e-12)
+    np.testing.assert_allclose(out, -gamma_e * 2.0 * state, atol=1e-12)
 
 
 def test_hamiltonian_linearity():
@@ -151,16 +147,8 @@ def test_hamiltonian_linearity():
     b_vals = rng.normal(size=g.shape + (2,)) + 1j * rng.normal(size=g.shape + (2,))
     em = uniform_b_em(g, 1.3)
     config = SolverConfig(SPLIT_OPERATOR, 1e-3, CONSTS, em)
-
-    def h_of(raw):
-        dens = np.sum(np.abs(raw) ** 2, axis=-1)
-        raw = raw / np.sqrt(np.sum(dens) * g.cell_volume)
-        return apply_hamiltonian(PauliState(SpinorField(g, raw)), config).values * np.sqrt(
-            np.sum(dens) * g.cell_volume
-        )
-
-    left = h_of(2.0 * a_vals + 0.5j * b_vals)
-    right = 2.0 * h_of(a_vals) + 0.5j * h_of(b_vals)
+    left = apply_hamiltonian(2.0 * a_vals + 0.5j * b_vals, config)
+    right = 2.0 * apply_hamiltonian(a_vals, config) + 0.5j * apply_hamiltonian(b_vals, config)
     np.testing.assert_allclose(left, right, atol=1e-10)
 
 
@@ -180,8 +168,8 @@ def test_one_step_is_generated_by_the_hamiltonian(scheme, kinetic):
     errors = []
     for dt in (1e-4, 1e-5):
         config = SolverConfig(scheme, dt, CONSTS, em)
-        h_psi = apply_hamiltonian(state, config, kinetic).values
-        generated = 1j * CONSTS.hbar * (step(state, config).phi.values - state.phi.values) / dt
+        h_psi = apply_hamiltonian(state, config, kinetic)
+        generated = 1j * CONSTS.hbar * (step(state, config) - state) / dt
         errors.append(np.max(np.abs(generated - h_psi)) / np.max(np.abs(h_psi)))
     assert errors[1] < 2e-4
     assert 9.0 < errors[0] / errors[1] < 11.0
@@ -197,8 +185,7 @@ def test_zero_hamiltonian_identity_step(scheme):
     g = Grid((1.0,), (16,), PERIODIC)
     state = uniform_state(g, (0.6, 0.8))
     config = SolverConfig(scheme, 0.05, CONSTS, EMConfiguration.zero(g))
-    out = step(state, config)
-    np.testing.assert_allclose(out.phi.values, state.phi.values, atol=1e-12)
+    np.testing.assert_allclose(step(state, config), state, atol=1e-12)
 
 
 @pytest.mark.parametrize("scheme,steps", [(SPLIT_OPERATOR, 1000), (CRANK_NICOLSON, 2000)])
@@ -268,8 +255,7 @@ def test_evolution_linearity():
     a = gaussian_packet_state(g, 1.0, 12.0, 0.3, (1.0, 0.0), CONSTS)
     b = gaussian_packet_state(g, 1.5, 18.0, -0.2, (0.0, 1.0), CONSTS)
     ca, cb = 0.6, 0.8  # orthogonal spins keep the mix normalized
-    mix_vals = ca * a.phi.values + cb * b.phi.values
-    mix = PauliState(SpinorField(g, mix_vals))
+    mix = ca * a + cb * b
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, uniform_b_em(g, 0.4))
     out_mix = evolve(mix, config, 1.0, record_every=100).final
     out_a = evolve(a, config, 1.0, record_every=100).final
@@ -379,8 +365,8 @@ def oracle_states(state, config, steps):
     """The wavefunction after each of 0..steps single steps."""
     oracle_step = (split_operator_oracle_step if config.scheme == SPLIT_OPERATOR
                    else whole_cayley_oracle_step)
-    step_once = oracle_step(config, state.phi.grid)
-    psi = state.phi.values.copy()
+    step_once = oracle_step(config, config.em.grid)
+    psi = state.copy()
     out = [psi.copy()]
     for _ in range(steps):
         psi = step_once(psi)
@@ -402,7 +388,7 @@ def random_run(grid, seed, neutral, scheme, dt, axial=False, filled=(0, 1)):
     em = EMConfiguration(grid, ScalarField(grid, 3.0 * rng.random(grid.shape)),
                          VectorField3.zero(grid), b=VectorField3(grid, b_vals))
     config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
-    return PauliState(SpinorField(grid, vals)), config
+    return vals, config
 
 
 _PERIODIC_GRIDS = [((3.0,), (16,)), ((2.0, 1.5), (6, 5)), ((1.0, 1.2, 0.8), (4, 3, 5))]
@@ -502,7 +488,7 @@ def axial_gradient_run(grid, color, neutral, transverse=0.0):
     em = EMConfiguration(grid, ScalarField(grid, 1.0 + np.cos(2 * np.pi * x / grid.extents[0])),
                          VectorField3.zero(grid), b=VectorField3(grid, b_vals))
     config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, em, gamma_energy=0.7 if neutral else None)
-    return PauliState(SpinorField(grid, vals)), config
+    return vals, config
 
 
 @pytest.mark.parametrize("neutral", [False, True])
@@ -568,8 +554,8 @@ def test_one_color_advance_is_that_color_of_the_two_color_advance_bitwise(extent
     one[..., color] = packet(g, [e / 3.0 for e in extents], [1.5] * g.dim)
     both = one.copy()
     both[..., 1 - color] = packet(g, [2.0 * e / 3.0 for e in extents], [-0.8] * g.dim)
-    prop_one = pauli._make_propagator(config, PauliState(SpinorField(g, one)))
-    prop_both = pauli._make_propagator(config, SimpleNamespace(phi=SpinorField(g, both)))  # norm 2
+    prop_one = pauli._make_propagator(config, one)
+    prop_both = pauli._make_propagator(config, both)  # norm 2
     assert (prop_one._colors, prop_both._colors) == ((color,), (0, 1))
     one_block, both_block = np.moveaxis(one, -1, 0).copy(), np.moveaxis(both, -1, 0).copy()
     live = one_block[color:color + 1]
@@ -606,12 +592,11 @@ def test_crank_nicolson_step_is_the_dense_cayley_solve(extents, cells, neutral):
     for k in range(size):
         basis = np.zeros(size, dtype=np.complex128)
         basis[k] = 1.0
-        unit = SimpleNamespace(phi=SpinorField(g, basis.reshape(g.shape + (2,))))  # unnormalized
-        ham[:, k] = apply_hamiltonian(unit, config, CENTRAL).values.ravel()
+        ham[:, k] = apply_hamiltonian(basis.reshape(g.shape + (2,)), config, CENTRAL).ravel()
     z = 0.5j * config.dt / CONSTS.hbar
-    x = state.phi.values.ravel()
+    x = state.ravel()
     want = np.linalg.solve(np.eye(size) + z * ham, x - z * (ham @ x))
-    got = step(state, config).phi.values.ravel()
+    got = step(state, config).ravel()
     # measured at most 1.0e-15 relative over these six cases
     assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
@@ -659,8 +644,8 @@ def test_kinetic_transform_is_scipy_fft_in_the_same_buffer(shape):
 def fused_oracle_states(state, config, steps, record_every):
     """The wavefunction at each record of a split-operator run: K/2 (V K)^(n-1)
     V K/2 for the n steps of each record interval."""
-    kinetic, half, full, cell = split_operator_oracle(config, state.phi.grid)
-    psi = state.phi.values.copy()
+    kinetic, half, full, cell = split_operator_oracle(config, config.em.grid)
+    psi = state.copy()
     out = [psi.copy()]
     for i in range(0, steps, record_every):
         n = min(record_every, steps - i)
@@ -717,10 +702,9 @@ def test_a_uniform_field_keeps_the_norm_and_a_transverse_one_steps_both_colors(
     b_vals[:] = transverse * np.cos(angle), transverse * np.sin(angle), bz
     em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
                          b=VectorField3(g, b_vals))
-    state = PauliState(SpinorField(g, vals))
     config = SolverConfig(scheme, dt, CONSTS, em)
-    assert pauli._make_propagator(config, state)._colors == ((0, 1) if transverse else filled)
-    traj = evolve(state, config, steps * dt)
+    assert pauli._make_propagator(config, vals)._colors == ((0, 1) if transverse else filled)
+    traj = evolve(vals, config, steps * dt)
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-12
     if transverse:  # the empty color, if any, takes up amplitude from the first step
         assert np.all(traj.color_masses[1:] > 0.0)
@@ -746,8 +730,7 @@ def test_evolve_keeps_the_norm_and_an_empty_color_at_plus_zero_under_an_axial_fi
     em = EMConfiguration(g, ScalarField(g, 3.0 * rng.random(g.shape)), VectorField3.zero(g),
                          b=VectorField3(g, b_vals))
     config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
-    traj, snapshots = evolve_with_snapshots(PauliState(SpinorField(g, vals)), config,
-                                            steps * dt, record_every)
+    traj, snapshots = evolve_with_snapshots(vals, config, steps * dt, record_every)
     assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-12
     if axial:
         for empty in {0, 1} - set(filled):
@@ -792,27 +775,34 @@ def test_crank_nicolson_refuses_a_solve_off_its_residual_bound(monkeypatch, spoi
 # ---------------------------------------------------------------------------
 
 
+def recorded_at_start(psi, grid):
+    """The trajectory of ``evolve(psi, config, 0.0)`` in a zero field on
+    ``grid``: its one record, at t = 0."""
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(grid))
+    return evolve(psi, config, 0.0)
+
+
 def test_observables_spin_up():
     g = Grid((1.0,), (16,), PERIODIC)
     state = uniform_state(g, (1.0, 0.0))
-    obs = observables(state)
-    assert obs.spin[2] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(np.abs(state.phi.values[..., 1]) ** 2, 0.0, atol=1e-14)
-    assert obs.color_masses[1] == 0.0
+    traj = recorded_at_start(state, g)
+    assert traj.spins[0, 2] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(np.abs(state[..., 1]) ** 2, 0.0, atol=1e-14)
+    assert traj.color_masses[0, 1] == 0.0
 
 
 def test_observables_sigma_x_eigenstate():
     g = Grid((1.0,), (16,), PERIODIC)
-    obs = observables(uniform_state(g, (1.0, 1.0)))
-    assert obs.spin[0] == pytest.approx(1.0, abs=1e-12)
-    assert obs.spin[2] == pytest.approx(0.0, abs=1e-12)
+    traj = recorded_at_start(uniform_state(g, (1.0, 1.0)), g)
+    assert traj.spins[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert traj.spins[0, 2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_observables_match_polar_decomposition():
     g = Grid((8.0,), (64,), PERIODIC)
     state = gaussian_packet_state(g, 1.0, 4.0, 0.3, (0.8, 0.4 + 0.3j), CONSTS)
-    obs = observables(state)
-    p, th, _s, ph, _mask = polar_from_spinor(np.moveaxis(state.phi.values, -1, 0), CONSTS)
+    spin = recorded_at_start(state, g).spins[0]
+    p, th, _s, ph, _mask = polar_from_spinor(np.moveaxis(state, -1, 0), CONSTS)
     w = g.cell_volume
     expect = np.array(
         [
@@ -821,7 +811,7 @@ def test_observables_match_polar_decomposition():
             np.sum(w * p * np.cos(th)),
         ]
     )
-    np.testing.assert_allclose(obs.spin, expect, atol=1e-10)
+    np.testing.assert_allclose(spin, expect, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -880,16 +870,12 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
     em = EMConfiguration(g, ScalarField(g, rng.random(g.shape)), VectorField3.zero(g),
                          b=VectorField3(g, b_vals))
     config = SolverConfig(scheme, 1e-3, CONSTS, em)
-    traj, snapshots = evolve_with_snapshots(PauliState(SpinorField(g, vals), 0.25), config,
-                                            0.011, 3)
+    traj, snapshots = evolve_with_snapshots(vals, config, 0.011, 3)
     assert len(snapshots) == len(traj.times) == 5  # steps 0, 3, 6, 9 and the last, 11
     assert snapshots.shape == (5,) + g.shape + (2,)
     for i, snap in enumerate(snapshots):
         recorded = (traj.norms[i], traj.positions[i], traj.spins[i], traj.color_masses[i])
-        obs = observables(PauliState(SpinorField(g, snap), traj.times[i]))
-        public = (obs.norm, obs.position, obs.spin, obs.color_masses)
-        for got, want, plain in zip(recorded, public, plain_observables(snap, g)):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for got, plain in zip(recorded, plain_observables(snap, g)):
             assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()
     if spin_up_axial:
         assert not snapshots[..., 1].any() and not traj.color_masses[:, 1].any()
@@ -925,6 +911,34 @@ def test_evolve_rejects_record_every_below_one():
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
     with pytest.raises(SolverError):
         evolve(uniform_state(g), config, 0.1, record_every=0)
+
+
+@pytest.mark.parametrize("shape", [(32, 2), (64,), (2, 64), (64, 2, 1)])
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+def test_evolve_refuses_a_state_off_the_field_grid(scheme, shape):
+    # the field's grid is the run's only grid: an array of any other shape,
+    # a colors-first one included, is refused before the first step
+    g = Grid((20.0,), (64,), PERIODIC)
+    config = SolverConfig(scheme, 1e-2, CONSTS, EMConfiguration.axial(g, 0.5), gamma_energy=0.5)
+    psi = np.full(shape, 1.0 / np.sqrt(40.0), dtype=np.complex128)
+    with pytest.raises(SolverError, match=r"state shape .* is not the field grid's \(64, 2\)"):
+        evolve(psi, config, 0.1)
+
+
+@pytest.mark.parametrize("spoil", ["scale", "nan", "inf"])
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+def test_evolve_refuses_an_unnormalized_or_nonfinite_state_at_its_first_record(scheme, spoil):
+    g = Grid((20.0,), (64,), PERIODIC)
+    config = SolverConfig(scheme, 1e-2, CONSTS, EMConfiguration.axial(g, 0.5), gamma_energy=0.5)
+    psi = gaussian_packet_state(g, 1.0, 10.0, 0.4, (0.8, 0.6j), CONSTS)
+    if spoil == "scale":
+        psi *= 1.0 + 1e-9  # norm 1 + 2e-9
+    else:
+        psi[20, 1] = np.nan if spoil == "nan" else np.inf
+    seen = []
+    with pytest.raises(SolverError, match="state norm .* left 1 \\+- 1e-10 at t=0"):
+        evolve(psi, config, 0.1, on_record=lambda psi, t, *_: seen.append(t))
+    assert seen == [0.0]
 
 
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
@@ -979,7 +993,7 @@ def test_larmor_frequency_charged_identification():
     vol = 1.0
     vals = np.zeros(g.shape + (2,), dtype=np.complex128)
     vals[:] = np.array([1.0, 1.0]) / np.sqrt(2 * vol)
-    traj = evolve(PauliState(SpinorField(g, vals)), config, 10 * period, record_every=5)
+    traj = evolve(vals, config, 10 * period, record_every=5)
     assert measured_frequency(traj.times, traj.spins[:, 0]) == pytest.approx(omega, rel=1e-3)
 
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.fft
 
 from paulilab import classical, fieldio, functionals, inference, pauli, variational, verification
-from paulilab.grids import CENTRAL, PERIODIC, SpinorField
+from paulilab.grids import CENTRAL, PERIODIC
 
 # the criteria by their verification.ALL_CHECKS names, each run at fast settings
 CRITERIA = dict(verification.ALL_CHECKS)
@@ -233,10 +233,9 @@ def _second_color_factor_first(kinetic):
 def _second_color_one_cell_up(gaussian_packet_state):
     # the second color's envelope sits one cell above the first's
     def planted(grid, *args):
-        state = gaussian_packet_state(grid, *args)
-        values = state.phi.values.copy()
+        values = gaussian_packet_state(grid, *args)
         values[..., 1] = np.roll(values[..., 1], 1, axis=0)
-        return pauli.PauliState(SpinorField(grid, values), state.t)
+        return values
     return planted
 
 

@@ -192,6 +192,7 @@ def test_cli_non_finite_floats_exit_2(tmp_path, capsys, kind, parameters, offend
 
 
 _JOINT = "parameters must satisfy: "
+_CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
 
 
 # rules: the start of each violation the document must list, and no other
@@ -295,6 +296,25 @@ _JOINT = "parameters must satisfy: "
      [_JOINT + "at most 10^6 time steps"]),
     ("pauli_evolve", {"setup": "free_packet", "steps": 32768, "record_every": 1},
      [_JOINT + "the free_packet snapshot file"]),
+    # Crank-Nicolson's first solves missed the 1e-12 residual bound, and the
+    # runs exited 3: r = 15,466 (residual 2.6e-12), 19,333 (2.3e-12) and
+    # 17,476 (1.6e-12); then the rule's edges, r = 1,017 and 1,002
+    ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "gamma_energy": 1e-4,
+                      "periods": 1.0, "steps": 100}, [_CN_RULE]),
+    ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "mass": 1e-4,
+                      "periods": 1.0, "steps": 100}, [_CN_RULE]),
+    ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
+                      "record_every": 10, "t_final": 600}, [_CN_RULE]),
+    ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "steps": 1, "mass": 0.19},
+     [_CN_RULE]),
+    ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
+                      "t_final": 34.4}, [_CN_RULE]),
+    # one field stack alone is 12.8 GB, and the run exited 3 allocating 23.8 GiB;
+    # then the rule's edges, over 2^20 values and over 2^26 values times sets
+    ("equivalence", {"cells": 200, "frames": 200}, [_JOINT + "cells^3 * frames <= 2^20"]),
+    ("equivalence", {"cells": 64, "frames": 5, "sets": 1}, [_JOINT + "cells^3 * frames <= 2^20"]),
+    ("equivalence", {"cells": 32, "frames": 32, "sets": 65},
+     [_JOINT + "cells^3 * frames <= 2^20"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -341,6 +361,15 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("pauli_evolve", {"setup": "uniform_field", "cells": 2048, "steps": 500000}),
         ("pauli_evolve", {"setup": "free_packet", "steps": 32767, "record_every": 1}),
         ("pauli_evolve", {"setup": "larmor", "cells": 1000000000}),
+        # the Crank-Nicolson rule's edges (r = 999 and 967), and a split-operator
+        # run that it does not read; the equivalence ceilings' edges
+        ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
+                          "t_final": 34.3}),
+        ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "steps": 1,
+                          "mass": 0.2}),
+        ("pauli_evolve", {"setup": "free_packet", "steps": 10, "t_final": 600}),
+        ("equivalence", {"cells": 32, "frames": 32, "sets": 64}),
+        ("equivalence", {"cells": 64, "frames": 4, "sets": 1}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
     # every default, golden and benchmark document
