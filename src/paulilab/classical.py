@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import EMConfiguration, PhysicalConstants
-from .grids import CENTRAL, ScalarField, VectorField3, derive_along, gradient
+from .functionals import PhysicalConstants
+from .grids import CENTRAL, ScalarField, derive_along
 
 
 class ClassicalError(ValueError):
@@ -251,24 +251,33 @@ def lorentz_evolve(
     return ParticleTrajectory(times, xs, vs)
 
 
-def velocity_field(
-    s: ScalarField, a_pot: VectorField3, charge: float, mass: float, scheme: str = CENTRAL
-) -> VectorField3:
-    """Drift velocity (grad S - q A) / m of the zero-uncertainty limit."""
+def _gradient(s: ScalarField, scheme: str) -> np.ndarray:
+    """grad S, components first; zero along the axes the grid does not have."""
     g = s.grid
-    out = gradient(s, scheme).values - charge * a_pot.values
-    return VectorField3(g, out / mass)
+    out = np.zeros((3,) + g.shape)
+    for ax in range(g.dim):
+        out[ax] = derive_along(s.values, g.spacing[ax], ax, g.boundary, scheme)
+    return out
+
+
+def velocity_field(
+    s: ScalarField, a_pot: np.ndarray, charge: float, mass: float, scheme: str = CENTRAL
+) -> np.ndarray:
+    """Drift velocity (grad S - q A) / m of the zero-uncertainty limit, for
+    the vector potential ``a_pot`` shaped (3,) + grid.shape; components first."""
+    return (_gradient(s, scheme) - charge * a_pot) / mass
 
 
 def hj_residual(
     s_frames,
-    em: EMConfiguration,
+    a_pot: np.ndarray,
     v_pot: ScalarField,
     consts: PhysicalConstants,
     dt: float = 0.0,
     scheme: str = CENTRAL,
 ) -> list[ScalarField]:
-    """Pointwise residual of dS/dt + (grad S - qA)^2 / 2m + V per snapshot."""
+    """Pointwise residual of dS/dt + (grad S - qA)^2 / 2m + V per snapshot,
+    for the vector potential ``a_pot`` shaped (3,) + grid.shape."""
     if isinstance(s_frames, ScalarField):
         s_frames = [s_frames]
     else:
@@ -284,9 +293,9 @@ def hj_residual(
     out = []
     for i, frame in enumerate(s_frames):
         kin = np.zeros(g.shape)
-        grad_s = gradient(frame, scheme).values
+        grad_s = _gradient(frame, scheme)
         for ax in range(3):
-            kin += (grad_s[..., ax] - consts.charge * em.a_pot.values[..., ax]) ** 2
+            kin += (grad_s[ax] - consts.charge * a_pot[ax]) ** 2
         resid = ds_dt[i] + kin / (2.0 * consts.mass) + v_pot.values
         out.append(ScalarField(g, resid))
     return out

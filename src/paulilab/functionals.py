@@ -21,8 +21,7 @@ grid.shape, a vector field and the wavefunction with their components first,
 (3, frames) + grid.shape and (2, frames) + grid.shape.  The frames are
 snapshots in time; time integrals are trapezoidal (rectangle rule when the
 sequence is periodic), and time derivatives use the same stencil family as
-the spatial operators.  An ``EMConfiguration`` holds one instant's
-potentials and is stacked over the frames once.
+the spatial operators.
 """
 
 from __future__ import annotations
@@ -41,12 +40,9 @@ from .grids import (
     Grid,
     GridError,
     ScalarField,
-    VectorField3,
     _weights_1d,
-    curl,
     curl_stack,
     derive_along,
-    integrate,
     phase_derive_along,
     quadrature_weights,
 )
@@ -98,48 +94,6 @@ def _check_density(p: np.ndarray, grid: Grid) -> None:
     for total in (float(np.sum(w * frame)) for frame in p):
         if abs(total - 1.0) > 1e-10:
             raise FunctionalError(f"density must integrate to 1, got {total}")
-
-
-@dataclass(frozen=True)
-class EMConfiguration:
-    """Electromagnetic potentials and derived fields on one grid.
-
-    ``b`` defaults to the curl of ``a_pot``; supplying ``b`` directly is the
-    standard idealization for uniform or prescribed fields whose vector
-    potential is not represented.  E is always -grad ``phi_pot``: the
-    potentials are static.
-    """
-
-    grid: Grid
-    phi_pot: ScalarField
-    a_pot: VectorField3
-    b: VectorField3 | None = None
-
-    def __post_init__(self) -> None:
-        for f in (self.phi_pot, self.a_pot, self.b):
-            if f is not None and f.grid != self.grid:
-                raise FunctionalError("electromagnetic fields must share one grid")
-
-    @staticmethod
-    def zero(grid: Grid) -> "EMConfiguration":
-        return EMConfiguration(
-            grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid)
-        )
-
-    @staticmethod
-    def axial(grid: Grid, bz: float | np.ndarray) -> "EMConfiguration":
-        """No potentials and B = (0, 0, bz), for ``bz`` a number or a cell array."""
-        b = np.zeros(grid.shape + (3,))
-        b[..., 2] = bz
-        return EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
-                               b=VectorField3(grid, b))
-
-    def b_values(self) -> np.ndarray:
-        if self.b is not None:
-            return self.b.values
-        if np.all(self.a_pot.values == 0.0):
-            return np.zeros(self.grid.shape + (3,))
-        return curl(self.a_pot).values
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +163,12 @@ def fisher_continuum(p: ScalarField, theta: ScalarField | None = None) -> float:
     """Position sensitivity of the click statistics at one instant, polar form.
 
     Integrates |grad P|^2 / P + |grad theta|^2 P over space.  Cells below the
-    positivity floor are excluded from the 1/P part.
+    positivity floor are excluded from the 1/P part.  ``p`` is checked as
+    the equivalence stacks' density is: nonnegative and of unit mass.
     """
     grid = p.grid
     p_stack = p.values[None]
-    if np.any(p_stack < 0):
-        raise FunctionalError("density must be nonnegative")
-    mass = integrate(p)
-    if abs(mass - 1.0) > 1e-6:
-        raise FunctionalError(f"density must integrate to 1, got {mass}")
+    _check_density(p_stack, grid)
     grad_theta = () if theta is None else _grad_stack(theta.values[None], grid, CENTRAL, angle=True)
     dens = _fisher_density(p_stack, _grad_stack(p_stack, grid, CENTRAL), grad_theta)
     return float(_integrate_stack(dens, grid, np.ones(1)))
@@ -266,21 +217,6 @@ def _stacks(grid, fields, dt, time_periodic, scheme) -> _PolarStacks:
         grad_s=_grad_stack(fields["s"], grid, scheme),
         grad_phi=_grad_stack(fields["phi"], grid, scheme, angle=True),
     )
-
-
-def _em_stacks(em: EMConfiguration, grid: Grid, count: int) -> dict[str, np.ndarray]:
-    """Potential stacks of ``count`` frames that all take the one configuration
-    ``em``: each field, B = curl A among them, is taken once, then repeated."""
-    if em.grid != grid:
-        raise FunctionalError("potentials must share the fields' grid")
-    frame = {
-        "phi_pot": em.phi_pot.values,
-        "a_pot": np.moveaxis(em.a_pot.values, -1, 0),
-        "b": np.moveaxis(em.b_values(), -1, 0),
-        "u": np.zeros(grid.shape),  # ``em`` has no non-electromagnetic potential
-    }
-    axis = -1 - grid.dim  # the frame axis, after any vector components
-    return {name: np.repeat(np.expand_dims(v, axis), count, axis) for name, v in frame.items()}
 
 
 def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.ndarray]:

@@ -1,11 +1,12 @@
-"""Uniform Cartesian grids, field containers, differential operators, quadrature.
+"""Uniform Cartesian grids, differential operators, quadrature.
 
 Grids cover 1 to 3 spatial dimensions with either periodic or zero-boundary
-(dirichlet) topology.  Fields are immutable value objects wrapping numpy
-arrays; every operator here is a pure function.  First and second
-derivatives take second-order central stencils; periodic grids also take
-Fourier-spectral first derivatives, for the checks that must not be limited
-by stencil error.
+(dirichlet) topology.  Every operator here is a pure function on plain
+numpy arrays; a vector field is an array with its three components first.
+``ScalarField`` pairs one read-only cell array with its grid.  First and
+second derivatives take second-order central stencils; periodic grids also
+take Fourier-spectral first derivatives, for the checks that must not be
+limited by stencil error.
 """
 
 from __future__ import annotations
@@ -106,13 +107,14 @@ class Grid:
         return Grid(tuple(doc["extents"]), tuple(doc["cells"]), doc["boundary"])
 
 
-def _locked(values: np.ndarray, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
+def _locked(name: str, values, shape: tuple[int, ...], error: type[ValueError]) -> np.ndarray:
+    """A read-only C-ordered float64 copy of ``values``; ``error`` for
+    another shape or a value that is not finite."""
+    arr = np.array(values, dtype=np.float64, order="C")
     if arr.shape != shape:
-        raise GridError(f"field shape {arr.shape} does not match grid shape {shape}")
+        raise error(f"{name} shape {arr.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(arr)):
-        raise GridError("field values must be finite")
-    arr = arr.copy()
+        raise error(f"{name} values must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -125,30 +127,12 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _locked(self.values, np.float64, self.grid.shape))
+        object.__setattr__(self, "values",
+                           _locked("field", self.values, self.grid.shape, GridError))
 
     @staticmethod
     def full(grid: Grid, value: float) -> "ScalarField":
         return ScalarField(grid, np.full(grid.shape, float(value)))
-
-
-@dataclass(frozen=True)
-class VectorField3:
-    """Real 3-vector per lattice cell.
-
-    The three components are carried on grids of any dimension; derivatives
-    along axes the grid does not have are structurally zero.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _locked(self.values, np.float64, self.grid.shape + (3,)))
-
-    @staticmethod
-    def zero(grid: Grid) -> "VectorField3":
-        return VectorField3(grid, np.zeros(grid.shape + (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +285,11 @@ def phase_derive_along(values: np.ndarray, h: float, axis: int, boundary: str) -
     return out
 
 
-# ---------------------------------------------------------------------------
-# field-level operators
-# ---------------------------------------------------------------------------
-
-
-def gradient(f: ScalarField, scheme: str = CENTRAL) -> VectorField3:
-    """Spatial gradient as a 3-vector field (components beyond dim are zero)."""
-    g = f.grid
-    out = np.zeros(g.shape + (3,))
-    for ax in range(g.dim):
-        out[..., ax] = derive_along(f.values, g.spacing[ax], ax, g.boundary, scheme)
-    return VectorField3(g, out)
-
-
-def curl(v: VectorField3) -> VectorField3:
-    """Central curl on a grid of any dimension; derivatives along axes the
-    grid does not have are zero."""
-    values = curl_stack(np.moveaxis(v.values, -1, 0), v.grid)
-    return VectorField3(v.grid, np.moveaxis(values, 0, -1))
-
-
 def curl_stack(values: np.ndarray, g: Grid, scheme: str = CENTRAL) -> np.ndarray:
     """Curl of 3-vector values shaped ``(3,) + lead + g.shape``, taken over the
-    grid axes for every leading index at once (for example a stack of frames).
-    Each leading index gets the bits :func:`curl` gives for it alone."""
+    grid axes for every leading index at once (for example a stack of frames),
+    each with the bits of its own curl; derivatives along axes the grid does
+    not have are zero."""
     lead = values.ndim - 1 - g.dim
 
     def d(comp: int, ax: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Time-dependent solution of the two-component wave equation.
 
-Two unitary schemes on periodic grids with zero vector potential: a
-split-operator propagator (spectral kinetic half-steps around an exact
+Two unitary schemes on periodic grids, in a static scalar potential and
+magnetic field given cell by cell (the Hamiltonian has no vector potential):
+a split-operator propagator (spectral kinetic half-steps around an exact
 per-cell 2x2 exponential of the potential/spin block, which an axial field
 leaves diagonal, so the live colors take one stacked multiply), and a
 Cayley step psi' = 2 (I + zH)^-1 psi - psi (one solve, factored once
@@ -26,8 +27,8 @@ A scipy that moves it fails this import; a test in ``tests/test_pauli.py``
 and the pins in ``tests/manifest.tsv`` catch a change of its bits.
 
 ``evolve`` steps a plain ``grid.shape + (2,)`` complex array on the one
-grid of its run, the field's, and returns the norm, mean position, spin
-and color masses of every record and the final state.  A caller that
+grid of its run, ``SolverConfig.grid``, and returns the norm, mean position,
+spin and color masses of every record and the final state.  A caller that
 needs more of each record takes it through ``on_record``: the free-packet
 scenario streams the wavefunctions to its snapshot file, so the run's
 memory does not grow with its record count, and the Stern-Gerlach check
@@ -47,10 +48,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.fft._pocketfft.pypocketfft import c2c
 
-from .functionals import EMConfiguration, PhysicalConstants
+from .functionals import PhysicalConstants
 from .grids import (
     PERIODIC,
     Grid,
+    _locked,
     _spectral_wavenumbers,
     integrate_values,
     laplacian_matrix,
@@ -72,8 +74,10 @@ class SolverError(ValueError):
 class SolverConfig:
     """Propagation parameters.
 
-    ``em`` is the static field configuration.  A ``gamma_energy`` (J/T)
-    makes the run chargeless: it zeroes the charge in the kinetic and
+    The run's one grid is ``grid``; its static fields are the scalar
+    potential ``phi_pot`` (``grid.shape``) and the magnetic field ``b``
+    (``grid.shape + (3,)``), kept as read-only copies.  A ``gamma_energy``
+    (J/T) makes the run chargeless: it zeroes the charge in the kinetic and
     scalar-potential terms and couples the spin with that coefficient in
     place of the charged q*hbar/(2m).
     """
@@ -81,7 +85,9 @@ class SolverConfig:
     scheme: str
     dt: float
     consts: PhysicalConstants
-    em: EMConfiguration
+    grid: Grid
+    phi_pot: np.ndarray
+    b: np.ndarray
     gamma_energy: float | None = None
 
     def __post_init__(self) -> None:
@@ -89,6 +95,9 @@ class SolverConfig:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0:
             raise SolverError("dt must be positive")
+        shape = self.grid.shape
+        object.__setattr__(self, "phi_pot", _locked("phi_pot", self.phi_pot, shape, SolverError))
+        object.__setattr__(self, "b", _locked("b", self.b, shape + (3,), SolverError))
 
     def spin_coupling(self) -> float:
         """Energy-per-field coefficient of the sigma.B term."""
@@ -111,7 +120,8 @@ class _SplitOperatorPropagator:
     the block's shape, applied as one in-place multiply, with the bits of the
     2x2 product."""
 
-    def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
+    def __init__(self, config: SolverConfig, colors: tuple[int, ...]):
+        grid = config.grid
         k_sq = np.zeros(grid.shape)
         for ax in range(grid.dim):
             k = _spectral_wavenumbers(grid.cells[ax], grid.spacing[ax])
@@ -128,8 +138,8 @@ class _SplitOperatorPropagator:
         # 1-D transforms, grid axes last first as np.fft.fftn runs them: its bits, less overhead
         self._axes = tuple(range(grid.dim, 0, -1))
         q = config.kinetic_charge()
-        v = q * config.em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
-        c = -config.spin_coupling() * b
+        v = q * config.phi_pot if q != 0.0 else np.zeros(grid.shape)
+        c = -config.spin_coupling() * config.b
         c_norm = np.sqrt(np.sum(c * c, axis=-1))
         alpha = c_norm * config.dt / consts.hbar
         cos_a = np.cos(alpha)
@@ -192,12 +202,12 @@ class _CrankNicolsonPropagator:
     the two-color one, whose empty block holds only zeros.
     """
 
-    def __init__(self, config: SolverConfig, grid: Grid, b: np.ndarray, colors: tuple[int, ...]):
-        consts = config.consts
+    def __init__(self, config: SolverConfig, colors: tuple[int, ...]):
+        consts, grid = config.consts, config.grid
         kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
         q = config.kinetic_charge()
-        v = q * config.em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
-        b = b.reshape(grid.size, 3)
+        v = q * config.phi_pot.ravel() if q != 0.0 else np.zeros(grid.size)
+        b = config.b.reshape(grid.size, 3)
         coupling = config.spin_coupling()
         bz, bxy = coupling * b[:, 2], coupling * (b[:, 0] - 1j * b[:, 1])
         self._colors = colors
@@ -233,25 +243,21 @@ class _CrankNicolsonPropagator:
 
 def _make_propagator(config: SolverConfig, psi: np.ndarray):
     """The propagator of ``config`` for runs from the ``grid.shape + (2,)``
-    array ``psi``, on the field's periodic grid with zero vector potential.
-    It reads the field once and picks the colors either scheme steps: both
-    where the spin coupling times the transverse field is nonzero in some
-    cell, since only that term couples the colors, else those that carry
-    amplitude in ``psi``."""
-    grid = config.em.grid
+    array ``psi`` on its periodic grid.  It picks the colors either scheme
+    steps: both where the spin coupling times the transverse field is
+    nonzero in some cell, since only that term couples the colors, else
+    those that carry amplitude in ``psi``."""
+    grid = config.grid
     if np.shape(psi) != grid.shape + (2,):
         raise SolverError(f"state shape {np.shape(psi)} is not the field grid's "
                           f"{grid.shape + (2,)}")
     if grid.boundary != PERIODIC:
         raise SolverError("Pauli propagation requires a periodic grid")
-    if np.any(config.em.a_pot.values != 0.0):
-        raise SolverError("Pauli propagation requires zero vector potential")
     split = config.scheme == SPLIT_OPERATOR
-    b = config.em.b_values()
-    colors = ((0, 1) if np.any(config.spin_coupling() * b[..., :2])
+    colors = ((0, 1) if np.any(config.spin_coupling() * config.b[..., :2])
               else tuple(c for c in (0, 1) if np.any(psi[..., c])))
     propagator = _SplitOperatorPropagator if split else _CrankNicolsonPropagator
-    return propagator(config, grid, b, colors)
+    return propagator(config, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +329,7 @@ def evolve(
     on_record: Callable[..., None] | None = None,
 ) -> PauliTrajectory:
     """Repeated stepping, from t = 0, of the ``grid.shape + (2,)`` complex
-    array ``initial`` on ``config.em.grid``, recording its norm, mean
+    array ``initial`` on ``config.grid``, recording its norm, mean
     position, spin and color masses.  An array of another shape raises
     ``SolverError``, and so does the first record of a state whose norm is
     not 1 within 1e-10.
@@ -357,7 +363,7 @@ def evolve(
     colors = prop._colors
     live, psi = block[colors[0]:colors[-1] + 1], np.moveaxis(block, 0, -1)
     t = 0.0
-    weights = _observable_weights(config.em.grid)
+    weights = _observable_weights(config.grid)
     rows = record_count(steps, record_every)
     times, norms = np.empty(rows), np.empty(rows)
     positions, spins, masses = np.zeros((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))

@@ -104,8 +104,9 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "cells": (int, 24, "points per axis (3-d)", (">=", 3)),
         "frames": (int, 12, "time snapshots", (">=", 3)),
         "sets": (int, 20, "random field sets", _COUNT),
-        "max_mode": (int, 1, "band limit"),
-        "amplitude": (float, 0.15, "field amplitude"),
+        "max_mode": (int, 1, "band limit", _NONNEGATIVE),
+        # p = (1 + field) / volume, the field scaled to peak at |amplitude|
+        "amplitude": (float, 0.15, "field amplitude", ("|x| <=", 1.0)),
         **_COMMON_CONSTANTS,
     },
     "pauli_evolve": {

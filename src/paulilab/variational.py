@@ -25,9 +25,7 @@ import scipy.sparse.linalg
 
 from .functionals import (
     POLAR_FIELDS,
-    EMConfiguration,
     PhysicalConstants,
-    _em_stacks,
     _knowledge,
     _polar_terms,
     _stacks,
@@ -38,6 +36,8 @@ from .grids import (
     PERIODIC,
     POSITIVITY_FLOOR,
     Grid,
+    _locked,
+    curl_stack,
     derive_along,
     interior_mask,
     laplacian_matrix,
@@ -125,16 +125,23 @@ class TotalObjective:
 
     Evaluates on a dict of raw arrays for the four polar components of a
     periodic grid and provides the exact gradient of the discretization,
-    adjoint-consistent with the central derivative stencil.
+    adjoint-consistent with the central derivative stencil.  The static
+    potentials are ``phi_pot`` (``grid.shape``) and the vector potential
+    ``a_pot``, components first (``(3,) + grid.shape``); B is its central
+    curl.
     """
 
-    def __init__(self, grid: Grid, em: EMConfiguration, consts: PhysicalConstants):
+    def __init__(self, grid: Grid, phi_pot: np.ndarray, a_pot: np.ndarray,
+                 consts: PhysicalConstants):
         if grid.boundary != PERIODIC:
             raise VariationalError("the total objective requires a periodic grid")
         self.grid = grid
-        # stack the potentials, B = curl(A) among them, once rather than on
-        # every evaluation
-        self.em = _em_stacks(em, grid, 1)
+        phi_pot = _locked("phi_pot", phi_pot, grid.shape, VariationalError)
+        a_pot = _locked("a_pot", a_pot, (3,) + grid.shape, VariationalError)
+        # one-frame potential stacks, B = curl(A) among them, taken once
+        # rather than on every evaluation
+        self.em = {"phi_pot": phi_pot[None], "a_pot": a_pot[:, None],
+                   "b": curl_stack(a_pot, grid)[:, None], "u": np.zeros((1,) + grid.shape)}
         self.consts = consts
         self.w = quadrature_weights(grid)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, fieldio, functionals, grids, inference, pauli, variational
-from .functionals import EMConfiguration, PhysicalConstants
+from .functionals import PhysicalConstants
 from .grids import (
     CENTRAL,
     DIRICHLET_ZERO,
@@ -29,7 +29,6 @@ from .grids import (
     SPECTRAL,
     Grid,
     ScalarField,
-    VectorField3,
 )
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
@@ -326,6 +325,15 @@ def norm_drift(name: str, traj: pauli.PauliTrajectory) -> CheckRecord:
     return check_leq(name, float(np.max(np.abs(traj.norms - 1.0))), 1e-10)
 
 
+def _axial_solver(scheme: str, dt: float, consts, grid: Grid, bz,
+                  gamma_energy: float) -> pauli.SolverConfig:
+    """A chargeless run in no scalar potential and B = (0, 0, bz), for
+    ``bz`` a number or a cell array."""
+    b = np.zeros(grid.shape + (3,))
+    b[..., 2] = bz
+    return pauli.SolverConfig(scheme, dt, consts, grid, np.zeros(grid.shape), b, gamma_energy)
+
+
 def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: int,
                       periods: float, record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
     """A chargeless spin-x state on 8 periodic cells of a uniform axial field
@@ -334,8 +342,7 @@ def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: 
     grid = Grid((1.0,), (8,), PERIODIC)
     omega = 2 * gamma_energy * bz / consts.hbar
     period = 2 * np.pi / omega
-    config = pauli.SolverConfig(scheme, period / steps_per_period, consts,
-                                EMConfiguration.axial(grid, bz), gamma_energy=gamma_energy)
+    config = _axial_solver(scheme, period / steps_per_period, consts, grid, bz, gamma_energy)
     vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
     vals[:] = np.array([1.0, 1.0]) / np.sqrt(2.0 * grid.extents[0])
     traj = pauli.evolve(vals, config, periods * period, record_every=record_every)
@@ -354,7 +361,8 @@ def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: floa
     records)."""
     grid = Grid((extent,), (cells,), PERIODIC)
     packet = pauli.gaussian_packet_state(grid, sigma, extent / 2, 0.0, (1.0, 0.0), consts)
-    config = pauli.SolverConfig(scheme, t_final / steps, consts, EMConfiguration.zero(grid))
+    config = pauli.SolverConfig(scheme, t_final / steps, consts, grid, np.zeros(grid.shape),
+                                np.zeros(grid.shape + (3,)))
     traj = pauli.evolve(packet, config, t_final, record_every=record_every, on_record=on_record)
     x = grid.axis_coordinates(0)
     dens = np.sum(np.abs(traj.final) ** 2, axis=-1)
@@ -372,10 +380,9 @@ def uniform_field_drift(extent: float, cells: int, sigma: float, start: float, e
     start + q e0 t^2 / (2 m) at every record, within 1e-3 of its final
     displacement.  Returns (trajectory, records)."""
     grid = Grid((extent,), (cells,), PERIODIC)
-    em = EMConfiguration(grid, ScalarField(grid, -e0 * grid.axis_coordinates(0)),
-                         VectorField3.zero(grid))
     packet = pauli.gaussian_packet_state(grid, sigma, start, 0.0, (1.0, 0.0), consts)
-    config = pauli.SolverConfig(scheme, t_final / steps, consts, em)
+    config = pauli.SolverConfig(scheme, t_final / steps, consts, grid,
+                                -e0 * grid.axis_coordinates(0), np.zeros(grid.shape + (3,)))
     traj = pauli.evolve(packet, config, t_final, record_every=record_every)
     expect = start + 0.5 * (consts.charge * e0 / consts.mass) * traj.times**2
     error = float(np.max(np.abs(traj.positions[:, 0] - expect))) / (expect[-1] - start)
@@ -399,8 +406,7 @@ def check_pauli_solver(fast: bool = False) -> list[CheckRecord]:
     state = pauli.gaussian_packet_state(g, 1.0, 10.0, 0.4, (0.8, 0.6j), CONSTS)
     # a run that evolve aborts (norm off 1 +- 1e-10, a failed solve) fails its record
     for scheme in (pauli.SPLIT_OPERATOR, pauli.CRANK_NICOLSON):
-        config = pauli.SolverConfig(scheme, 1e-3, CONSTS, EMConfiguration.axial(g, 0.8),
-                                    gamma_energy=0.5)
+        config = _axial_solver(scheme, 1e-3, CONSTS, g, 0.8, 0.5)
         name = f"pauli.norm_drift_{scheme}_{steps}_steps"
         records += _failed_on_solver_error(
             lambda: [norm_drift(name, pauli.evolve(state, config, steps * config.dt,
@@ -508,8 +514,8 @@ def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, ve
     """
     grid = Grid((extent,), (cells,), PERIODIC)
     z = grid.axis_coordinates(0)
-    em = EMConfiguration.axial(grid, field_offset + field_gradient * z)
-    solver = pauli.SolverConfig(pauli.SPLIT_OPERATOR, dt, consts, em, gamma_energy)
+    solver = _axial_solver(pauli.SPLIT_OPERATOR, dt, consts, grid,
+                           field_offset + field_gradient * z, gamma_energy)
     state = pauli.gaussian_packet_state(grid, sigma, center, velocity, spin_weights, consts)
     w = grids.quadrature_weights(grid)
     weights = np.stack((w * z, w * z, w))  # the two color centers and the overlap
@@ -602,14 +608,8 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
     grid2 = Grid((1.0, 1.0), (16, 16), PERIODIC)
     x, y = grid2.meshgrid()
     ones = np.ones(grid2.shape)
-    a_vals = np.zeros(grid2.shape + (3,))
-    for i in range(3):
-        a_vals[..., i] = 0.3 * np.sin(2 * np.pi * x + i) * np.cos(2 * np.pi * y - i)
-    em = EMConfiguration(
-        grid2,
-        ScalarField(grid2, 0.4 * np.cos(2 * np.pi * (x + y)) * ones),
-        VectorField3(grid2, a_vals),
-    )
+    a_pot = np.stack([0.3 * np.sin(2 * np.pi * x + i) * np.cos(2 * np.pi * y - i)
+                      for i in range(3)])
     p = 1.0 + 0.4 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * ones
     p /= np.sum(p * grid2.cell_volume)
     fields = {
@@ -618,7 +618,8 @@ def check_gradients(fast: bool = False) -> list[CheckRecord]:
         "s": 0.4 * np.sin(2 * np.pi * (x - y)) * ones,
         "phi": 0.5 * np.cos(2 * np.pi * x + 1.0) * ones,
     }
-    objective = variational.TotalObjective(grid2, em, CONSTS)
+    objective = variational.TotalObjective(grid2, 0.4 * np.cos(2 * np.pi * (x + y)) * ones,
+                                           a_pot, CONSTS)
     grads = objective.gradient(fields)
     names = list(fields)
     errors = []

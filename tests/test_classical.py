@@ -18,8 +18,8 @@ from paulilab.classical import (
     torque_evolve,
     velocity_field,
 )
-from paulilab.functionals import EMConfiguration, PhysicalConstants
-from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, VectorField3
+from paulilab.functionals import PhysicalConstants
+from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, derive_along
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
@@ -346,17 +346,17 @@ def test_velocity_field_momentum_action():
     x, y, z = g.meshgrid()
     p_vec = np.array([0.7, -0.2, 0.4])
     s = ScalarField(g, p_vec[0] * x + p_vec[1] * y + p_vec[2] * z)
-    u = velocity_field(s, VectorField3.zero(g), charge=1.0, mass=2.0)
+    u = velocity_field(s, np.zeros((3,) + g.shape), charge=1.0, mass=2.0)
     for i in range(3):
-        np.testing.assert_allclose(u.values[..., i], p_vec[i] / 2.0, atol=1e-12)
+        np.testing.assert_allclose(u[i], p_vec[i] / 2.0, atol=1e-12)
 
 
 def test_velocity_field_pure_potential():
     g = Grid((1.0,) * 3, (8,) * 3, PERIODIC)
-    a_vals = np.zeros(g.shape + (3,))
-    a_vals[..., 1] = 0.6
-    u = velocity_field(ScalarField.full(g, 0.0), VectorField3(g, a_vals), 1.5, 3.0)
-    np.testing.assert_allclose(u.values[..., 1], -1.5 * 0.6 / 3.0, atol=1e-13)
+    a_pot = np.zeros((3,) + g.shape)
+    a_pot[1] = 0.6
+    u = velocity_field(ScalarField.full(g, 0.0), a_pot, 1.5, 3.0)
+    np.testing.assert_allclose(u[1], -1.5 * 0.6 / 3.0, atol=1e-13)
 
 
 def test_velocity_field_circulation():
@@ -364,12 +364,11 @@ def test_velocity_field_circulation():
     g = Grid((2.0,) * 3, (17,) * 3, DIRICHLET_ZERO)
     x, y, z = g.meshgrid()
     ones = np.ones(g.shape)
-    a_vals = np.zeros(g.shape + (3,))
-    a_vals[..., 0] = -(y - 1.0) * ones
-    a_vals[..., 1] = (x - 1.0) * ones
-    a = VectorField3(g, a_vals)
+    a_pot = np.zeros((3,) + g.shape)
+    a_pot[0] = -(y - 1.0) * ones
+    a_pot[1] = (x - 1.0) * ones
     q, m = 1.2, 0.8
-    u = velocity_field(ScalarField.full(g, 0.0), a, q, m)
+    u = velocity_field(ScalarField.full(g, 0.0), a_pot, q, m)
     # square loop through lattice points at fixed k, mid-plane
     idx = [4, 12]
     k = 8
@@ -379,14 +378,15 @@ def test_velocity_field_circulation():
 
     def seg(vals, comp, i0, i1, j, axis):
         # sum component along a lattice segment, trapezoid weights
+        v = vals[comp]
         if axis == 0:
-            line = vals[i0 : i1 + 1, j, k, comp] if i1 >= i0 else vals[i1 : i0 + 1, j, k, comp][::-1]
+            line = v[i0 : i1 + 1, j, k] if i1 >= i0 else v[i1 : i0 + 1, j, k][::-1]
         else:
-            line = vals[j, i0 : i1 + 1, k, comp] if i1 >= i0 else vals[j, i1 : i0 + 1, k, comp][::-1]
+            line = v[j, i0 : i1 + 1, k] if i1 >= i0 else v[j, i1 : i0 + 1, k][::-1]
         sign = 1.0 if i1 >= i0 else -1.0
         return sign * h * (line.sum() - 0.5 * line[0] - 0.5 * line[-1])
 
-    for vals, acc in ((u.values, "u"), (a.values, "a")):
+    for vals, acc in ((u, "u"), (a_pot, "a")):
         total = (
             seg(vals, 0, idx[0], idx[1], idx[0], axis=0)
             + seg(vals, 1, idx[0], idx[1], idx[1], axis=1)
@@ -409,8 +409,7 @@ def test_hj_residual_free_particle():
     frames = [
         ScalarField(g, p * x - (p**2 / (2 * m)) * (i * dt)) for i in range(5)
     ]
-    em = EMConfiguration.zero(g)
-    res = hj_residual(frames, em, ScalarField.full(g, 0.0), CONSTS, dt=dt)
+    res = hj_residual(frames, np.zeros((3,) + g.shape), ScalarField.full(g, 0.0), CONSTS, dt=dt)
     for r in res:
         np.testing.assert_allclose(r.values, 0.0, atol=1e-12)
 
@@ -420,7 +419,7 @@ def test_hj_residual_constant_potential():
     v0 = 0.6
     dt = 0.05
     frames = [ScalarField.full(g, -v0 * i * dt) for i in range(5)]
-    res = hj_residual(frames, EMConfiguration.zero(g), ScalarField.full(g, v0), CONSTS, dt=dt)
+    res = hj_residual(frames, np.zeros((3,) + g.shape), ScalarField.full(g, v0), CONSTS, dt=dt)
     for r in res:
         np.testing.assert_allclose(r.values, 0.0, atol=1e-13)
 
@@ -442,8 +441,7 @@ def test_hj_chain_matches_lorentz():
         g_t = -(p_t**3 - p0**3) / (6.0 * m * q * e0)
         frames.append(ScalarField(g, p_t * x * ones + g_t))
     v_pot = ScalarField(g, -q * e0 * x * ones)  # V = q phi, phi = -e0 x
-    em = EMConfiguration(g, ScalarField(g, -e0 * x * ones), VectorField3.zero(g))
-    res = hj_residual(frames, em, v_pot, CONSTS, dt=dt)
+    res = hj_residual(frames, np.zeros((3,) + g.shape), v_pot, CONSTS, dt=dt)
     # residual limited by the time stencil on the cubic-in-time action
     assert np.max(np.abs(res[50].values)) < 5e-5
 
@@ -462,8 +460,6 @@ def test_hj_residual_gauge_pure_configuration():
     x, y, z = g.meshgrid()
     chi = (0.4 * x + 0.1 * y - 0.3 * z) * np.ones(g.shape)  # affine: stencil-exact
     q = CONSTS.charge
-    from paulilab.grids import gradient as grad_op
-    a = VectorField3(g, grad_op(ScalarField(g, chi)).values)
-    em = EMConfiguration(g, ScalarField.full(g, 0.0), a)
-    res = hj_residual(ScalarField(g, q * chi), em, ScalarField.full(g, 0.0), CONSTS)
+    a_pot = np.stack([derive_along(chi, g.spacing[ax], ax, g.boundary) for ax in range(3)])
+    res = hj_residual(ScalarField(g, q * chi), a_pot, ScalarField.full(g, 0.0), CONSTS)
     np.testing.assert_allclose(res[0].values, 0.0, atol=1e-12)

@@ -13,15 +13,11 @@ from paulilab.grids import (
     Grid,
     GridError,
     ScalarField,
-    VectorField3,
-    curl,
     curl_stack,
     derive_along,
-    gradient,
 )
 from paulilab.functionals import (
     POLAR_FIELDS,
-    EMConfiguration,
     FunctionalError,
     PhysicalConstants,
     equivalence_residual,
@@ -33,34 +29,34 @@ from paulilab.functionals import (
     spinor_from_polar,
     stationarity_residual_static,
     _band_limited_spacetime,
-    _em_stacks,
 )
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 
-def polar_stacks(grid, em, frames=1, p=None, theta=0.0, s=0.0, phi=0.0):
+def potentials(grid, frames, bz=0.0):
+    """Potential stacks of ``frames`` frames: no potentials, and B = (0, 0, bz)."""
+    shape = (frames,) + grid.shape
+    b = np.zeros((3,) + shape)
+    b[2] = bz
+    return {"phi_pot": np.zeros(shape), "a_pot": np.zeros((3,) + shape), "b": b,
+            "u": np.zeros(shape)}
+
+
+def polar_stacks(grid, frames=1, p=None, theta=0.0, s=0.0, phi=0.0, bz=0.0):
     """The (frames,) + grid.shape stacks of the polar fields, each given as a
     number, one frame or every frame (a uniform unit density by default),
-    and the potential stacks of ``em`` for every frame."""
+    and the potential stacks of B = (0, 0, bz) for every frame."""
     polar = {"p": 1.0 / float(np.prod(grid.extents)) if p is None else p,
              "theta": theta, "s": s, "phi": phi}
     shape = (frames,) + grid.shape
     fields = {name: np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
               for name, v in polar.items()}
-    return {**fields, **_em_stacks(em, grid, frames)}
+    return {**fields, **potentials(grid, frames, bz)}
 
 
 def spinor_of(fields, consts=CONSTS):
     return spinor_from_polar(*(fields[name] for name in POLAR_FIELDS), consts)
-
-
-def uniform_b_config(grid, bz):
-    b = np.zeros(grid.shape + (3,))
-    b[..., 2] = bz
-    return EMConfiguration(
-        grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid), b=VectorField3(grid, b)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +107,14 @@ def knowledge(rep):
 
 def test_knowledge_all_zero():
     g = Grid((1.0,), (32,), PERIODIC)
-    rep = equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g)), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g), CONSTS)
     assert knowledge(rep) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_knowledge_moment_coupling_only():
     g = Grid((1.0,), (32,), PERIODIC)
     bz = 2.5
-    rep = equivalence_residual(g, polar_stacks(g, uniform_b_config(g, bz)), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g, bz=bz), CONSTS)
     assert rep.breakdown["moment_coupling"] == pytest.approx(-CONSTS.a * CONSTS.gamma * bz,
                                                              rel=1e-12)
     assert knowledge(rep) == pytest.approx(-CONSTS.a * CONSTS.gamma * bz, rel=1e-12)
@@ -134,7 +130,7 @@ def test_knowledge_plane_wave_cancellation():
     omega = hbar * k**2 / (2 * m)
     dt = 0.01
     s = np.stack([hbar * (k * x - omega * i * dt) for i in range(3)])
-    fields = polar_stacks(g, EMConfiguration.zero(g), frames=3, s=s)
+    fields = polar_stacks(g, frames=3, s=s)
     rep = equivalence_residual(g, fields, CONSTS, dt=dt)
     assert rep.breakdown["kinetic"] == pytest.approx(-rep.breakdown["time"], rel=1e-12)
     assert knowledge(rep) == pytest.approx(0.0, abs=1e-12)
@@ -144,7 +140,7 @@ def test_total_box_case():
     L = 1.0
     g = Grid((L,), (512,), DIRICHLET_ZERO)
     x = g.axis_coordinates(0)
-    fields = polar_stacks(g, EMConfiguration.zero(g), p=(2 / L) * np.sin(np.pi * x / L) ** 2)
+    fields = polar_stacks(g, p=(2 / L) * np.sin(np.pi * x / L) ** 2)
     rep = equivalence_residual(g, fields, CONSTS)
     assert rep.total == pytest.approx(CONSTS.lam * (2 * np.pi / L) ** 2, rel=0.01)
     # the empty color's density is zero everywhere: the joint route leaves it out
@@ -158,11 +154,10 @@ def test_total_box_case():
 
 def test_spinor_from_polar_poles():
     g = Grid((1.0,), (8,), PERIODIC)
-    zero = EMConfiguration.zero(g)
-    up = spinor_of(polar_stacks(g, zero, theta=0.0))
+    up = spinor_of(polar_stacks(g, theta=0.0))
     np.testing.assert_allclose(up[0], 1.0, atol=1e-14)
     np.testing.assert_allclose(up[1], 0.0, atol=1e-14)
-    down = spinor_of(polar_stacks(g, zero, theta=np.pi))
+    down = spinor_of(polar_stacks(g, theta=np.pi))
     np.testing.assert_allclose(np.abs(down[1]), 1.0, atol=1e-14)
     np.testing.assert_allclose(down[0], 0.0, atol=1e-8)
 
@@ -241,7 +236,7 @@ def test_q_spinor_static_uniform_zero():
     vol = 2.0
     psi = np.zeros((2, 1) + g.shape, dtype=complex)
     psi[0] = 1 / np.sqrt(vol)
-    val = q_spinor(g, psi, _em_stacks(EMConfiguration.zero(g), g, 1), CONSTS)
+    val = q_spinor(g, psi, potentials(g, 1), CONSTS)
     assert val == pytest.approx(0.0, abs=1e-14)
 
 
@@ -249,7 +244,7 @@ def test_q_spinor_uniform_b_coupling():
     g = Grid((1.0,), (16,), PERIODIC)
     bz = 1.7
     theta = 1.1  # <sigma_z> = cos(theta)
-    fields = polar_stacks(g, uniform_b_config(g, bz), theta=theta)
+    fields = polar_stacks(g, theta=theta, bz=bz)
     val = q_spinor(g, spinor_of(fields), fields, CONSTS)
     expect = -(CONSTS.charge * CONSTS.hbar / (2 * CONSTS.mass)) * bz * np.cos(theta)
     assert val == pytest.approx(expect, rel=1e-12)
@@ -267,7 +262,7 @@ def test_q_spinor_plane_wave_dispersion_cancellation():
     psi = np.zeros((2, frames) + g.shape, dtype=complex)
     for i in range(frames):
         psi[0, i] = np.exp(1j * (k * x - energy * i * dt / hbar)) / np.sqrt(L)
-    em = _em_stacks(EMConfiguration.zero(g), g, frames)
+    em = potentials(g, frames)
     val = q_spinor(g, psi, em, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -279,7 +274,7 @@ def test_q_spinor_plane_wave_dispersion_cancellation():
 
 def test_equivalence_zero_fields():
     g = Grid((1.0,), (16,), PERIODIC)
-    rep = equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g)), CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g), CONSTS)
     assert rep.total == rep.joint == rep.q_spinor == 0.0
     assert rep.rel_residual == rep.spinor_rel_residual == 0.0
 
@@ -381,36 +376,6 @@ def test_equivalence_rejects_spoiled_stacks(name, spoil, error, message):
                              scheme=SPECTRAL)
 
 
-def test_shared_configuration_is_curled_once(monkeypatch):
-    # one EMConfiguration for every frame takes its curl once; its stacks
-    # repeat its fields over the frames, vector components first
-    g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
-    x, y, z = np.broadcast_arrays(*g.meshgrid())
-    a_pot = np.stack([np.sin(2 * np.pi * y), np.cos(2 * np.pi * z), np.sin(2 * np.pi * x)], -1)
-    em = EMConfiguration(g, ScalarField(g, np.cos(2 * np.pi * x)), VectorField3(g, a_pot))
-    per_frame = {
-        "phi_pot": np.stack([em.phi_pot.values] * 12),
-        "a_pot": np.moveaxis(np.stack([a_pot] * 12), -1, 0),
-        "b": np.moveaxis(np.stack([curl(em.a_pot).values] * 12), -1, 0),
-        "u": np.zeros((12,) + g.shape),
-    }
-    reads = []
-    b_values = EMConfiguration.b_values
-
-    def counted(cfg, *args):
-        reads.append(args)
-        return b_values(cfg, *args)
-
-    monkeypatch.setattr(EMConfiguration, "b_values", counted)
-    shared = _em_stacks(em, g, 12)
-    assert len(reads) == 1
-    assert sorted(shared) == sorted(per_frame)
-    for name, stack in shared.items():
-        assert stack.flags.c_contiguous
-        assert stack.shape == per_frame[name].shape
-        assert stack.tobytes() == per_frame[name].tobytes()
-
-
 @pytest.mark.parametrize("name", ["a_pot", "phi_pot"])
 def test_equivalence_rejects_complex_stacks(name):
     g = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
@@ -479,9 +444,11 @@ def test_gauge_covariance():
     base = equivalence_residual(g, fields, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     x, y = g.meshgrid()
     chi = 0.2 * np.sin(2 * np.pi * x + 0.3) * np.cos(2 * np.pi * y)
-    grad_chi = gradient(ScalarField(g, chi), scheme=SPECTRAL).values
+    grad_chi = np.zeros((3,) + g.shape)
+    for ax in range(g.dim):
+        grad_chi[ax] = derive_along(chi, g.spacing[ax], ax, PERIODIC, SPECTRAL)
     gauged = {**fields, "s": fields["s"] + CONSTS.charge * chi,
-              "a_pot": fields["a_pot"] + np.moveaxis(grad_chi, -1, 0)[:, None]}
+              "a_pot": fields["a_pot"] + grad_chi[:, None]}
     rep = equivalence_residual(g, gauged, CONSTS, dt=dt, time_periodic=True, scheme=SPECTRAL)
     for route in ROUTES:
         assert getattr(rep, route) == pytest.approx(getattr(base, route), rel=1e-11)
@@ -504,8 +471,7 @@ def test_total_fisher_only_prefactor():
     p = 1.0 + 0.3 * np.sin(2 * np.pi * x)
     p /= p.sum() * g.cell_volume
     theta = 0.4 * np.cos(2 * np.pi * x)
-    rep = equivalence_residual(g, polar_stacks(g, EMConfiguration.zero(g), p=p, theta=theta),
-                               CONSTS)
+    rep = equivalence_residual(g, polar_stacks(g, p=p, theta=theta), CONSTS)
     fisher = fisher_continuum(ScalarField(g, p), ScalarField(g, theta))
     expect = CONSTS.hbar**2 / (8 * CONSTS.mass) * fisher
     assert rep.total == pytest.approx(expect, rel=1e-12)
@@ -527,8 +493,8 @@ def test_stationarity_on_precessing_solution():
     bz = 2.0
     dt = 1e-3 / (CONSTS.gamma * bz)
     # the canonical phase rate for B || z
-    fields = polar_stacks(g, uniform_b_config(g, bz), frames=9, theta=1.2,
-                          phi=phase_frames(-CONSTS.gamma * bz, 9, dt))
+    fields = polar_stacks(g, frames=9, theta=1.2,
+                          phi=phase_frames(-CONSTS.gamma * bz, 9, dt), bz=bz)
     res = stationarity_residual_static(g, fields, CONSTS, dt=dt)
     assert res.phase_rate < 1e-6
     assert res.tilt_rate < 1e-6
@@ -538,7 +504,7 @@ def test_stationarity_on_precessing_solution():
 
 def test_stationarity_zero_field_static():
     g = Grid((1.0,), (8,), PERIODIC)
-    fields = polar_stacks(g, EMConfiguration.zero(g), frames=5, theta=0.7, s=0.2, phi=0.4)
+    fields = polar_stacks(g, frames=5, theta=0.7, s=0.2, phi=0.4)
     res = stationarity_residual_static(g, fields, CONSTS, dt=0.1)
     assert max(res.phase_rate, res.tilt_rate, res.density_motion, res.action_rate) == 0.0
 
@@ -547,8 +513,8 @@ def test_stationarity_detects_non_solution():
     g = Grid((1.0,), (8,), PERIODIC)
     bz = 2.0
     dt = 0.05
-    fields = polar_stacks(g, uniform_b_config(g, bz), frames=7, theta=1.2,
-                          phi=phase_frames(+0.5, 7, dt))  # wrong rate sign
+    fields = polar_stacks(g, frames=7, theta=1.2,
+                          phi=phase_frames(+0.5, 7, dt), bz=bz)  # wrong rate sign
     res = stationarity_residual_static(g, fields, CONSTS, dt=dt)
     assert res.phase_rate > 1e-3
 
@@ -598,5 +564,7 @@ def test_box_perturbation_raises_objective_quadratically():
 
 def test_fisher_rejects_unnormalized_density():
     g = Grid((1.0,), (32,), PERIODIC)
-    with pytest.raises(FunctionalError):
-        fisher_continuum(ScalarField.full(g, 3.0))
+    # a mass of 1 + 1e-8 is off by more than the equivalence stacks admit
+    for value in (3.0, 1.0 + 1e-8):
+        with pytest.raises(FunctionalError, match="density must integrate to 1"):
+            fisher_continuum(ScalarField.full(g, value))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import full_fft_derivative
 from paulilab import pauli, variational
-from paulilab.functionals import EMConfiguration, PhysicalConstants
+from paulilab.functionals import PhysicalConstants
 from paulilab.grids import (
     CENTRAL,
     DIRICHLET_ZERO,
@@ -19,10 +19,8 @@ from paulilab.grids import (
     Grid,
     GridError,
     ScalarField,
-    VectorField3,
-    curl,
+    curl_stack,
     derive_along,
-    gradient,
     integrate,
     integrate_values,
     laplacian_matrix,
@@ -32,11 +30,10 @@ from paulilab.grids import (
 )
 
 
-def divergence(v):
-    """Central divergence of a 3-vector field, over the grid's axes."""
-    g = v.grid
-    return sum(derive_along(v.values[..., ax], g.spacing[ax], ax, g.boundary)
-               for ax in range(g.dim))
+def divergence(values, g):
+    """Central divergence of 3-vector values, components first, over the
+    grid's axes."""
+    return sum(derive_along(values[ax], g.spacing[ax], ax, g.boundary) for ax in range(g.dim))
 
 
 def laplacian(f):
@@ -73,15 +70,15 @@ def test_grid_names_the_minimum_cell_count(cells, boundary, minimum):
 
 def test_gradient_affine_dirichlet_interior():
     g = Grid((1.0,), (33,), DIRICHLET_ZERO)
-    f = ScalarField(g, 2.0 * g.axis_coordinates(0))
-    df = gradient(f).values[..., 0]
+    df = derive_along(2.0 * g.axis_coordinates(0), g.spacing[0], 0, g.boundary)
     np.testing.assert_allclose(df, 2.0, atol=1e-12)
 
 
 def test_gradient_constant_is_zero():
     g = Grid((1.0, 1.0), (16, 16), PERIODIC)
-    df = gradient(ScalarField.full(g, 3.7)).values
-    np.testing.assert_allclose(df, 0.0, atol=1e-14)
+    for ax in range(g.dim):
+        df = derive_along(np.full(g.shape, 3.7), g.spacing[ax], ax, g.boundary)
+        np.testing.assert_allclose(df, 0.0, atol=1e-14)
 
 
 def test_gradient_sine_periodic_converges():
@@ -89,7 +86,7 @@ def test_gradient_sine_periodic_converges():
     for n in (32, 64):
         g = Grid((1.0,), (n,))
         x = g.axis_coordinates(0)
-        df = gradient(ScalarField(g, np.sin(2 * np.pi * x))).values[..., 0]
+        df = derive_along(np.sin(2 * np.pi * x), g.spacing[0], 0, g.boundary)
         errs.append(np.max(np.abs(df - 2 * np.pi * np.cos(2 * np.pi * x))))
     assert errs[0] / errs[1] >= 3.8
 
@@ -97,14 +94,14 @@ def test_gradient_sine_periodic_converges():
 def test_curl_linear_field():
     g = Grid((1.0, 1.0, 1.0), (9, 9, 9), DIRICHLET_ZERO)
     x, y, z = g.meshgrid()
-    vals = np.zeros(g.shape + (3,))
-    vals[..., 0] = -y + 0 * x * z
-    vals[..., 1] = x + 0 * y
-    c = curl(VectorField3(g, vals)).values
+    vals = np.zeros((3,) + g.shape)
+    vals[0] = -y + 0 * x * z
+    vals[1] = x + 0 * y
+    c = curl_stack(vals, g)
     interior = (slice(1, -1),) * 3
-    np.testing.assert_allclose(c[interior + (2,)], 2.0, atol=1e-12)
-    np.testing.assert_allclose(c[interior + (0,)], 0.0, atol=1e-12)
-    np.testing.assert_allclose(c[interior + (1,)], 0.0, atol=1e-12)
+    np.testing.assert_allclose(c[(2,) + interior], 2.0, atol=1e-12)
+    np.testing.assert_allclose(c[(0,) + interior], 0.0, atol=1e-12)
+    np.testing.assert_allclose(c[(1,) + interior], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cells", [(1,), (2,), (5,), (2, 6), (3, 1, 4)])
@@ -151,21 +148,21 @@ def test_periodic_laplacian_matrix_matches_stencil():
 def test_curl_on_2d_grid_has_zero_z_derivatives():
     g = Grid((1.0, 1.0), (16, 12))
     rng = np.random.default_rng(3)
-    vals = rng.normal(size=g.shape + (3,))
-    c = curl(VectorField3(g, vals)).values
+    vals = rng.normal(size=(3,) + g.shape)
+    c = curl_stack(vals, g)
 
     def d(comp, ax):
-        return derive_along(vals[..., comp], g.spacing[ax], ax, g.boundary)
+        return derive_along(vals[comp], g.spacing[ax], ax, g.boundary)
 
-    np.testing.assert_array_equal(c[..., 0], d(2, 1))
-    np.testing.assert_array_equal(c[..., 1], -d(2, 0))
-    np.testing.assert_array_equal(c[..., 2], d(1, 0) - d(0, 1))
+    np.testing.assert_array_equal(c[0], d(2, 1))
+    np.testing.assert_array_equal(c[1], -d(2, 0))
+    np.testing.assert_array_equal(c[2], d(1, 0) - d(0, 1))
 
 
 def test_divergence_constant_field():
     g = Grid((1.0, 1.0, 1.0), (8, 8, 8))
-    vals = np.ones(g.shape + (3,))
-    np.testing.assert_allclose(divergence(VectorField3(g, vals)), 0.0, atol=1e-13)
+    vals = np.ones((3,) + g.shape)
+    np.testing.assert_allclose(divergence(vals, g), 0.0, atol=1e-13)
 
 
 def test_laplacian_sine_analytic():
@@ -192,7 +189,7 @@ def test_operator_convergence_order(boundary):
     grad_err, lap_err = [], []
     for n in (64, 128, 256):
         g, f, df, ddf = fields(n)
-        grad_err.append(np.max(np.abs(gradient(ScalarField(g, f)).values[..., 0] - df)))
+        grad_err.append(np.max(np.abs(derive_along(f, g.spacing[0], 0, g.boundary) - df)))
         lap_err.append(np.max(np.abs(laplacian(ScalarField(g, f)) - ddf)))
     for errs in (grad_err, lap_err):
         for a, b in zip(errs, errs[1:]):
@@ -204,8 +201,8 @@ def test_divergence_of_curl_vanishes(boundary):
     # 1D stencils along distinct axes commute, so div(curl) cancels exactly.
     rng = np.random.default_rng(7)
     g = Grid((1.0, 1.0, 1.0), (16, 16, 16), boundary)
-    vals = rng.normal(size=g.shape + (3,))
-    dc = divergence(curl(VectorField3(g, vals)))
+    vals = rng.normal(size=(3,) + g.shape)
+    dc = divergence(curl_stack(vals, g), g)
     scale = np.max(np.abs(vals)) / min(g.spacing) ** 2
     assert np.max(np.abs(dc)) < 1e-12 * scale
 
@@ -245,14 +242,14 @@ def test_integrate_linearity():
 def test_small_grid_rejected_by_operators():
     g = Grid((1.0,), (2,))
     with pytest.raises(GridError):
-        gradient(ScalarField.full(g, 1.0))
+        derive_along(np.ones(g.shape), g.spacing[0], 0, g.boundary)
 
 
 def test_spectral_derivative_band_limited_exact():
     g = Grid((1.0,), (32,))
     x = g.axis_coordinates(0)
     f = np.sin(2 * np.pi * x) + 0.5 * np.cos(6 * np.pi * x)
-    df = gradient(ScalarField(g, f), scheme=SPECTRAL).values[..., 0]
+    df = derive_along(f, g.spacing[0], 0, g.boundary, SPECTRAL)
     exact = 2 * np.pi * np.cos(2 * np.pi * x) - 3 * np.pi * np.sin(6 * np.pi * x)
     np.testing.assert_allclose(df, exact, atol=1e-10)
 
@@ -260,7 +257,7 @@ def test_spectral_derivative_band_limited_exact():
 def test_spectral_requires_periodic():
     g = Grid((1.0,), (16,), DIRICHLET_ZERO)
     with pytest.raises(GridError):
-        gradient(ScalarField.full(g, 1.0), scheme=SPECTRAL)
+        derive_along(np.ones(g.shape), g.spacing[0], 0, g.boundary, SPECTRAL)
 
 
 @pytest.mark.parametrize("boundary,scheme", [
@@ -362,14 +359,12 @@ def test_curl_and_divergence_convergence_order():
         x, y, z = g.meshgrid()
         k = 2 * np.pi
         ones = np.ones(g.shape)
-        vals = np.zeros(g.shape + (3,))
-        vals[..., 0] = np.sin(k * x) * np.cos(k * y) * ones
-        vals[..., 1] = np.sin(k * y) * np.cos(k * z) * ones
-        vals[..., 2] = np.sin(k * z) * np.cos(k * x) * ones
-        curl_exact = np.zeros(g.shape + (3,))
-        curl_exact[..., 0] = k * np.sin(k * y) * np.sin(k * z) * ones
-        curl_exact[..., 1] = k * np.sin(k * z) * np.sin(k * x) * ones
-        curl_exact[..., 2] = k * np.sin(k * x) * np.sin(k * y) * ones
+        vals = np.stack([np.sin(k * x) * np.cos(k * y) * ones,
+                         np.sin(k * y) * np.cos(k * z) * ones,
+                         np.sin(k * z) * np.cos(k * x) * ones])
+        curl_exact = k * np.stack([np.sin(k * y) * np.sin(k * z) * ones,
+                                   np.sin(k * z) * np.sin(k * x) * ones,
+                                   np.sin(k * x) * np.sin(k * y) * ones])
         div_exact = k * (
             np.cos(k * x) * np.cos(k * y)
             + np.cos(k * y) * np.cos(k * z)
@@ -380,9 +375,8 @@ def test_curl_and_divergence_convergence_order():
     curl_err, div_err = [], []
     for n in (16, 32):
         g, vals, curl_exact, div_exact = setup(n)
-        v = VectorField3(g, vals)
-        curl_err.append(np.max(np.abs(curl(v).values - curl_exact)))
-        div_err.append(np.max(np.abs(divergence(v) - div_exact)))
+        curl_err.append(np.max(np.abs(curl_stack(vals, g) - curl_exact)))
+        div_err.append(np.max(np.abs(divergence(vals, g) - div_exact)))
     assert 3.5 <= curl_err[0] / curl_err[1] <= 4.5
     assert 3.5 <= div_err[0] / div_err[1] <= 4.5
 
@@ -399,13 +393,14 @@ def _pauli_run(scheme):
     vals = np.zeros(g.shape + (2,), dtype=np.complex128)
     vals[1:-1, 0] = 1.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
-    config = pauli.SolverConfig(scheme, 1e-2, _CONSTS, EMConfiguration.zero(g))
+    config = pauli.SolverConfig(scheme, 1e-2, _CONSTS, g, np.zeros(g.shape),
+                                np.zeros(g.shape + (3,)))
     pauli.evolve(vals, config, 0.1)
 
 
 def _total_objective():
     g = Grid((1.0, 1.0), (8, 8), DIRICHLET_ZERO)
-    variational.TotalObjective(g, EMConfiguration.zero(g), _CONSTS)
+    variational.TotalObjective(g, np.zeros(g.shape), np.zeros((3,) + g.shape), _CONSTS)
 
 
 @pytest.mark.parametrize("run,error,message", [

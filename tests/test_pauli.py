@@ -1,5 +1,7 @@
 """Tests for the two-component wavefunction solver."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -10,19 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import evolve_with_snapshots, full_fft_derivative
 from paulilab.classical import MomentState, torque_evolve
-from paulilab.functionals import (
-    EMConfiguration,
-    PhysicalConstants,
-    polar_from_spinor,
-)
+from paulilab.functionals import PhysicalConstants, polar_from_spinor
 from paulilab.grids import (
     CENTRAL,
     PERIODIC,
     SPECTRAL,
     Grid,
-    ScalarField,
-    VectorField3,
-    derive_along,
     integrate_values,
     laplacian_matrix,
     quadrature_weights,
@@ -41,12 +36,12 @@ from paulilab.pauli import (
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 
-def uniform_b_em(grid, bz):
-    vals = np.zeros(grid.shape + (3,))
-    vals[..., 2] = bz
-    return EMConfiguration(
-        grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid), b=VectorField3(grid, vals)
-    )
+def axial(grid, bz=0.0):
+    """The run's grid, no scalar potential and B = (0, 0, bz): the field
+    arguments of ``SolverConfig``."""
+    b = np.zeros(grid.shape + (3,))
+    b[..., 2] = bz
+    return grid, np.zeros(grid.shape), b
 
 
 def uniform_state(grid, weights=(1.0, 0.0)):
@@ -79,14 +74,13 @@ def _laplacian_stack(values, grid, scheme):
 
 
 def apply_hamiltonian(psi, config, scheme=None):
-    """H applied to the wavefunction ``psi`` on the field's grid, term by
+    """H applied to the wavefunction ``psi`` on the run's grid, term by
     term: the oracle for the generator of the propagators.
 
-    Charged: (1/2m)(-i hbar grad - qA)^2 + q phi_pot - (q hbar / 2m) sigma.B.
+    Charged: -(hbar^2/2m) grad^2 + q phi_pot - (q hbar / 2m) sigma.B.
     Neutral: -(hbar^2/2m) grad^2 - gamma_energy sigma.B.
     """
-    em = config.em
-    grid = em.grid
+    grid = config.grid
     if scheme is None:
         scheme = SPECTRAL if grid.boundary == PERIODIC else CENTRAL
     consts = config.consts
@@ -94,19 +88,10 @@ def apply_hamiltonian(psi, config, scheme=None):
     q = config.kinetic_charge()
     out = -(hbar**2) / (2.0 * m) * _laplacian_stack(psi, grid, scheme)
     if q != 0.0:
-        a_vals = em.a_pot.values
-        for ax in range(grid.dim):
-            h = grid.spacing[ax]
-            a_ax = a_vals[..., ax][..., None]
-            d_psi = derive_along(psi, h, ax, grid.boundary, scheme)
-            d_apsi = derive_along(a_ax * psi, h, ax, grid.boundary, scheme)
-            out += (1j * hbar * q / (2.0 * m)) * (d_apsi + a_ax * d_psi)
-        a_sq = np.sum(a_vals**2, axis=-1)[..., None]
-        out += (q**2 / (2.0 * m)) * a_sq * psi
-        out += q * em.phi_pot.values[..., None] * psi
+        out += q * config.phi_pot[..., None] * psi
     coupling = config.spin_coupling()
     if coupling != 0.0:
-        b = em.b_values()
+        b = config.b
         out[..., 0] += -coupling * (
             b[..., 2] * psi[..., 0] + (b[..., 0] - 1j * b[..., 1]) * psi[..., 1]
         )
@@ -123,7 +108,7 @@ def test_hamiltonian_plane_wave_eigenvalue():
     k = 2 * np.pi * 3 / L
     vals = np.zeros(g.shape + (2,), dtype=np.complex128)
     vals[..., 0] = np.exp(1j * k * x) / np.sqrt(L)
-    config = SolverConfig(SPLIT_OPERATOR, 1e-3, CONSTS, EMConfiguration.zero(g))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-3, CONSTS, *axial(g))
     out = apply_hamiltonian(vals, config)
     expect = (CONSTS.hbar**2 * k**2 / (2 * CONSTS.mass)) * vals
     np.testing.assert_allclose(out, expect, atol=1e-9)
@@ -134,7 +119,7 @@ def test_hamiltonian_uniform_spin_coupling():
     state = uniform_state(g, (1.0, 0.0))
     gamma_e = 0.7
     config = SolverConfig(
-        SPLIT_OPERATOR, 1e-3, CONSTS, uniform_b_em(g, 2.0), gamma_energy=gamma_e
+        SPLIT_OPERATOR, 1e-3, CONSTS, *axial(g, 2.0), gamma_energy=gamma_e
     )
     out = apply_hamiltonian(state, config)
     np.testing.assert_allclose(out, -gamma_e * 2.0 * state, atol=1e-12)
@@ -145,8 +130,7 @@ def test_hamiltonian_linearity():
     rng = np.random.default_rng(0)
     a_vals = rng.normal(size=g.shape + (2,)) + 1j * rng.normal(size=g.shape + (2,))
     b_vals = rng.normal(size=g.shape + (2,)) + 1j * rng.normal(size=g.shape + (2,))
-    em = uniform_b_em(g, 1.3)
-    config = SolverConfig(SPLIT_OPERATOR, 1e-3, CONSTS, em)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-3, CONSTS, *axial(g, 1.3))
     left = apply_hamiltonian(2.0 * a_vals + 0.5j * b_vals, config)
     right = 2.0 * apply_hamiltonian(a_vals, config) + 0.5j * apply_hamiltonian(b_vals, config)
     np.testing.assert_allclose(left, right, atol=1e-10)
@@ -162,12 +146,10 @@ def test_one_step_is_generated_by_the_hamiltonian(scheme, kinetic):
     b_vals = np.zeros(g.shape + (3,))
     b_vals[..., 0] = 0.3 * np.sin(wave)
     b_vals[..., 2] = 0.5 + 0.2 * np.cos(wave)
-    em = EMConfiguration(g, ScalarField(g, 0.4 * np.cos(wave)), VectorField3.zero(g),
-                         b=VectorField3(g, b_vals))
     state = gaussian_packet_state(g, 1.2, 6.0, 0.5, (0.8, 0.6j), CONSTS)
     errors = []
     for dt in (1e-4, 1e-5):
-        config = SolverConfig(scheme, dt, CONSTS, em)
+        config = SolverConfig(scheme, dt, CONSTS, g, 0.4 * np.cos(wave), b_vals)
         h_psi = apply_hamiltonian(state, config, kinetic)
         generated = 1j * CONSTS.hbar * (step(state, config) - state) / dt
         errors.append(np.max(np.abs(generated - h_psi)) / np.max(np.abs(h_psi)))
@@ -184,7 +166,7 @@ def test_one_step_is_generated_by_the_hamiltonian(scheme, kinetic):
 def test_zero_hamiltonian_identity_step(scheme):
     g = Grid((1.0,), (16,), PERIODIC)
     state = uniform_state(g, (0.6, 0.8))
-    config = SolverConfig(scheme, 0.05, CONSTS, EMConfiguration.zero(g))
+    config = SolverConfig(scheme, 0.05, CONSTS, *axial(g))
     np.testing.assert_allclose(step(state, config), state, atol=1e-12)
 
 
@@ -197,7 +179,7 @@ def test_rabi_oscillation(scheme, steps):
     omega = 2 * gamma_e * bz / CONSTS.hbar
     period = 2 * np.pi / omega
     config = SolverConfig(
-        scheme, period / steps, CONSTS, uniform_b_em(g, bz), gamma_energy=gamma_e
+        scheme, period / steps, CONSTS, *axial(g, bz), gamma_energy=gamma_e
     )
     state = uniform_state(g, (1.0, 1.0))
     traj = evolve(state, config, period, record_every=10)
@@ -211,7 +193,7 @@ def test_free_packet_spreading():
     sigma = 1.5
     state = gaussian_packet_state(g, sigma, L / 2, 0.0, (1.0, 0.0), CONSTS)
     t_final = 6.0
-    config = SolverConfig(SPLIT_OPERATOR, t_final / 1000, CONSTS, EMConfiguration.zero(g))
+    config = SolverConfig(SPLIT_OPERATOR, t_final / 1000, CONSTS, *axial(g))
     traj = evolve(state, config, t_final, record_every=100)
     np.testing.assert_allclose(traj.positions[:, 0], L / 2, atol=1e-8)
     x = g.axis_coordinates(0)
@@ -227,27 +209,20 @@ def test_unitarity_over_1000_steps(scheme):
     g = Grid((20.0,), (256,), PERIODIC)
     state = gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS)
     config = SolverConfig(
-        scheme, 1e-3, CONSTS, uniform_b_em(g, 0.8), gamma_energy=0.5
+        scheme, 1e-3, CONSTS, *axial(g, 0.8), gamma_energy=0.5
     )
     traj = evolve(state, config, 1.0, record_every=100)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
 
 
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
-def test_evolve_reads_the_static_field_once(scheme, monkeypatch):
+def test_evolve_builds_its_propagator_once(scheme, monkeypatch):
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, uniform_b_em(g, 0.8), gamma_energy=0.5)
-    reads = []
-    b_values = EMConfiguration.b_values
-
-    def counted(em, *args):
-        reads.append(args)
-        return b_values(em, *args)
-
-    monkeypatch.setattr(EMConfiguration, "b_values", counted)
+    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g, 0.8), gamma_energy=0.5)
+    built = record_propagators(monkeypatch)
     evolve(gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS), config, 0.5,
            record_every=10)
-    assert len(reads) == 1  # the propagator's factors, built before the first of 50 steps
+    assert len(built) == 1  # the propagator's factors, built before the first of 50 steps
 
 
 def test_evolution_linearity():
@@ -256,7 +231,7 @@ def test_evolution_linearity():
     b = gaussian_packet_state(g, 1.5, 18.0, -0.2, (0.0, 1.0), CONSTS)
     ca, cb = 0.6, 0.8  # orthogonal spins keep the mix normalized
     mix = ca * a + cb * b
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, uniform_b_em(g, 0.4))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, *axial(g, 0.4))
     out_mix = evolve(mix, config, 1.0, record_every=100).final
     out_a = evolve(a, config, 1.0, record_every=100).final
     out_b = evolve(b, config, 1.0, record_every=100).final
@@ -266,7 +241,7 @@ def test_evolution_linearity():
 def test_spin_position_factorization():
     g = Grid((40.0,), (512,), PERIODIC)
     config = SolverConfig(
-        SPLIT_OPERATOR, 5e-3, CONSTS, uniform_b_em(g, 1.1), gamma_energy=0.9
+        SPLIT_OPERATOR, 5e-3, CONSTS, *axial(g, 1.1), gamma_energy=0.9
     )
     dens = []
     for weights in ((1.0, 0.0), (1.0, 1.0j)):
@@ -301,8 +276,8 @@ def split_operator_oracle(config, grid):
     half, full = (np.exp(-1j * config.dt * consts.hbar * k_sq / (d * consts.mass))[..., None]
                   for d in (4.0, 2.0))
     q = config.kinetic_charge()
-    v = q * config.em.phi_pot.values if q != 0.0 else np.zeros(grid.shape)
-    c = -config.spin_coupling() * config.em.b_values()
+    v = q * config.phi_pot if q != 0.0 else np.zeros(grid.shape)
+    c = -config.spin_coupling() * config.b
     c_norm = np.sqrt(np.sum(c * c, axis=-1))
     alpha = c_norm * config.dt / consts.hbar
     cos_a = np.cos(alpha)
@@ -341,11 +316,11 @@ def whole_cayley_oracle_step(config, grid):
     colors of every cell whatever the state, with its own matrix and factor
     (bmat, then splu in the propagator's ordering); the layout is converted
     on the way in and out."""
-    consts, em = config.consts, config.em
+    consts = config.consts
     kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
     q = config.kinetic_charge()
-    v = q * em.phi_pot.values.ravel() if q != 0.0 else np.zeros(grid.size)
-    b = config.spin_coupling() * em.b_values().reshape(grid.size, 3)
+    v = q * config.phi_pot.ravel() if q != 0.0 else np.zeros(grid.size)
+    b = config.spin_coupling() * config.b.reshape(grid.size, 3)
     bz, bxy = b[:, 2], b[:, 0] - 1j * b[:, 1]
     diags = scipy.sparse.diags
     ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],
@@ -365,7 +340,7 @@ def oracle_states(state, config, steps):
     """The wavefunction after each of 0..steps single steps."""
     oracle_step = (split_operator_oracle_step if config.scheme == SPLIT_OPERATOR
                    else whole_cayley_oracle_step)
-    step_once = oracle_step(config, config.em.grid)
+    step_once = oracle_step(config, config.grid)
     psi = state.copy()
     out = [psi.copy()]
     for _ in range(steps):
@@ -385,9 +360,8 @@ def random_run(grid, seed, neutral, scheme, dt, axial=False, filled=(0, 1)):
     b_vals = rng.standard_normal(grid.shape + (3,))
     if axial:
         b_vals[..., :2] = 0.0
-    em = EMConfiguration(grid, ScalarField(grid, 3.0 * rng.random(grid.shape)),
-                         VectorField3.zero(grid), b=VectorField3(grid, b_vals))
-    config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(scheme, dt, CONSTS, grid, 3.0 * rng.random(grid.shape), b_vals,
+                          gamma_energy=0.7 if neutral else None)
     return vals, config
 
 
@@ -425,9 +399,8 @@ def gradient_field_run(weights, transverse=0.0):
     b_vals = np.zeros(g.shape + (3,))
     b_vals[..., 2] = 0.5 + 0.02 * g.axis_coordinates(0)
     b_vals[40, 1] = transverse
-    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
-                         b=VectorField3(g, b_vals))
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, em, gamma_energy=1.0)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, g, np.zeros(g.shape), b_vals,
+                          gamma_energy=1.0)
     return gaussian_packet_state(g, 1.5, 10.0, 0.3, weights, CONSTS), config
 
 
@@ -485,9 +458,9 @@ def axial_gradient_run(grid, color, neutral, transverse=0.0):
     b_vals = np.zeros(grid.shape + (3,))
     b_vals[..., 2] = 0.5 + 0.3 * x
     b_vals[tuple(n // 2 for n in grid.cells) + (1,)] = transverse
-    em = EMConfiguration(grid, ScalarField(grid, 1.0 + np.cos(2 * np.pi * x / grid.extents[0])),
-                         VectorField3.zero(grid), b=VectorField3(grid, b_vals))
-    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, em, gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, grid,
+                          1.0 + np.cos(2 * np.pi * x / grid.extents[0]), b_vals,
+                          gamma_energy=0.7 if neutral else None)
     return vals, config
 
 
@@ -547,9 +520,8 @@ def test_one_color_advance_is_that_color_of_the_two_color_advance_bitwise(extent
     x = np.broadcast_to(g.meshgrid()[0], g.shape)
     b_vals = np.zeros(g.shape + (3,))
     b_vals[..., 2] = 0.5 + 0.3 * x
-    em = EMConfiguration(g, ScalarField(g, 1.0 + np.cos(2 * np.pi * x / extents[0])),
-                         VectorField3.zero(g), b=VectorField3(g, b_vals))
-    config = SolverConfig(scheme, 1e-2, CONSTS, em)
+    config = SolverConfig(scheme, 1e-2, CONSTS, g, 1.0 + np.cos(2 * np.pi * x / extents[0]),
+                          b_vals)
     one = np.zeros(g.shape + (2,), dtype=np.complex128)
     one[..., color] = packet(g, [e / 3.0 for e in extents], [1.5] * g.dim)
     both = one.copy()
@@ -644,7 +616,7 @@ def test_kinetic_transform_is_scipy_fft_in_the_same_buffer(shape):
 def fused_oracle_states(state, config, steps, record_every):
     """The wavefunction at each record of a split-operator run: K/2 (V K)^(n-1)
     V K/2 for the n steps of each record interval."""
-    kinetic, half, full, cell = split_operator_oracle(config, config.em.grid)
+    kinetic, half, full, cell = split_operator_oracle(config, config.grid)
     psi = state.copy()
     out = [psi.copy()]
     for i in range(0, steps, record_every):
@@ -700,9 +672,7 @@ def test_a_uniform_field_keeps_the_norm_and_a_transverse_one_steps_both_colors(
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
     b_vals = np.zeros(g.shape + (3,))
     b_vals[:] = transverse * np.cos(angle), transverse * np.sin(angle), bz
-    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3.zero(g),
-                         b=VectorField3(g, b_vals))
-    config = SolverConfig(scheme, dt, CONSTS, em)
+    config = SolverConfig(scheme, dt, CONSTS, g, np.zeros(g.shape), b_vals)
     assert pauli._make_propagator(config, vals)._colors == ((0, 1) if transverse else filled)
     traj = evolve(vals, config, steps * dt)
     assert np.max(np.abs(np.diff(traj.norms))) <= 1e-12
@@ -727,9 +697,8 @@ def test_evolve_keeps_the_norm_and_an_empty_color_at_plus_zero_under_an_axial_fi
     b_vals = rng.standard_normal(g.shape + (3,))  # tilted: B_x and B_y couple the colors
     if axial:
         b_vals[..., :2] = 0.0
-    em = EMConfiguration(g, ScalarField(g, 3.0 * rng.random(g.shape)), VectorField3.zero(g),
-                         b=VectorField3(g, b_vals))
-    config = SolverConfig(scheme, dt, CONSTS, em, gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(scheme, dt, CONSTS, g, 3.0 * rng.random(g.shape), b_vals,
+                          gamma_energy=0.7 if neutral else None)
     traj, snapshots = evolve_with_snapshots(vals, config, steps * dt, record_every)
     assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-12
     if axial:
@@ -778,7 +747,7 @@ def test_crank_nicolson_refuses_a_solve_off_its_residual_bound(monkeypatch, spoi
 def recorded_at_start(psi, grid):
     """The trajectory of ``evolve(psi, config, 0.0)`` in a zero field on
     ``grid``: its one record, at t = 0."""
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(grid))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, *axial(grid))
     return evolve(psi, config, 0.0)
 
 
@@ -822,7 +791,7 @@ def test_observables_match_polar_decomposition():
 def test_evolve_zero_duration():
     g = Grid((1.0,), (8,), PERIODIC)
     state = uniform_state(g)
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, *axial(g))
     traj = evolve(state, config, 0.0)
     assert traj.times.shape == (1,)
     assert traj.norms[0] == pytest.approx(1.0, abs=1e-12)
@@ -867,9 +836,7 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
         vals[..., 1] = 0.0
         b_vals[..., :2] = 0.0
     vals /= np.sqrt(integrate_values(np.sum(np.abs(vals) ** 2, axis=-1), g))
-    em = EMConfiguration(g, ScalarField(g, rng.random(g.shape)), VectorField3.zero(g),
-                         b=VectorField3(g, b_vals))
-    config = SolverConfig(scheme, 1e-3, CONSTS, em)
+    config = SolverConfig(scheme, 1e-3, CONSTS, g, rng.random(g.shape), b_vals)
     traj, snapshots = evolve_with_snapshots(vals, config, 0.011, 3)
     assert len(snapshots) == len(traj.times) == 5  # steps 0, 3, 6, 9 and the last, 11
     assert snapshots.shape == (5,) + g.shape + (2,)
@@ -884,7 +851,7 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
 @pytest.mark.parametrize("spoil", ["scale", "nan"])
 def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
     g = Grid((1.0,), (16,), PERIODIC)
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, *axial(g))
     seen = []
 
     def on_record(psi, t, *observed):
@@ -908,7 +875,7 @@ def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
 
 def test_evolve_rejects_record_every_below_one():
     g = Grid((1.0,), (8,), PERIODIC)
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, EMConfiguration.zero(g))
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, *axial(g))
     with pytest.raises(SolverError):
         evolve(uniform_state(g), config, 0.1, record_every=0)
 
@@ -919,17 +886,44 @@ def test_evolve_refuses_a_state_off_the_field_grid(scheme, shape):
     # the field's grid is the run's only grid: an array of any other shape,
     # a colors-first one included, is refused before the first step
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, EMConfiguration.axial(g, 0.5), gamma_energy=0.5)
+    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g, 0.5), gamma_energy=0.5)
     psi = np.full(shape, 1.0 / np.sqrt(40.0), dtype=np.complex128)
     with pytest.raises(SolverError, match=r"state shape .* is not the field grid's \(64, 2\)"):
         evolve(psi, config, 0.1)
+
+
+@pytest.mark.parametrize("name,shape,spoil", [
+    ("phi_pot", (32,), None), ("phi_pot", (64, 1), None), ("phi_pot", (64,), np.nan),
+    ("phi_pot", (64,), np.inf), ("b", (64,), None), ("b", (3, 64), None),
+    ("b", (64, 3), np.nan), ("b", (64, 3), -np.inf),
+])
+def test_solver_config_refuses_a_field_off_its_grid_or_not_finite(name, shape, spoil):
+    g = Grid((20.0,), (64,), PERIODIC)
+    fields = dict(zip(("phi_pot", "b"), axial(g, 0.5)[1:]))
+    fields[name] = np.zeros(shape)
+    if spoil is not None:
+        fields[name].flat[7] = spoil
+    message = f"{name} values must be finite" if spoil else f"{name} shape {shape} does not match"
+    with pytest.raises(SolverError, match=re.escape(message)):
+        SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, g, **fields)
+
+
+def test_solver_config_keeps_read_only_copies_of_its_fields():
+    g, phi_pot, b = axial(Grid((20.0,), (64,), PERIODIC), 0.5)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, g, phi_pot, b)
+    phi_pot[:], b[:] = 1.0, 1.0
+    assert not config.phi_pot.any() and not config.b[..., :2].any()
+    assert np.all(config.b[..., 2] == 0.5)
+    for values in (config.phi_pot, config.b):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 2.0
 
 
 @pytest.mark.parametrize("spoil", ["scale", "nan", "inf"])
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
 def test_evolve_refuses_an_unnormalized_or_nonfinite_state_at_its_first_record(scheme, spoil):
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, EMConfiguration.axial(g, 0.5), gamma_energy=0.5)
+    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g, 0.5), gamma_energy=0.5)
     psi = gaussian_packet_state(g, 1.0, 10.0, 0.4, (0.8, 0.6j), CONSTS)
     if spoil == "scale":
         psi *= 1.0 + 1e-9  # norm 1 + 2e-9
@@ -939,16 +933,6 @@ def test_evolve_refuses_an_unnormalized_or_nonfinite_state_at_its_first_record(s
     with pytest.raises(SolverError, match="state norm .* left 1 \\+- 1e-10 at t=0"):
         evolve(psi, config, 0.1, on_record=lambda psi, t, *_: seen.append(t))
     assert seen == [0.0]
-
-
-@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
-def test_evolve_refuses_a_vector_potential(scheme):
-    g = Grid((1.0,), (8,), PERIODIC)
-    a_vals = np.zeros(g.shape + (3,))
-    a_vals[3, 1] = 0.2
-    em = EMConfiguration(g, ScalarField.full(g, 0.0), VectorField3(g, a_vals))
-    with pytest.raises(SolverError, match="zero vector potential"):
-        evolve(uniform_state(g), SolverConfig(scheme, 1e-2, CONSTS, em), 0.1)
 
 
 def measured_frequency(times, values):
@@ -976,7 +960,7 @@ def test_larmor_frequency_neutral():
     omega = 2 * gamma_e * bz / CONSTS.hbar
     period = 2 * np.pi / omega
     config = SolverConfig(
-        SPLIT_OPERATOR, period / 1000, CONSTS, uniform_b_em(g, bz), gamma_energy=gamma_e
+        SPLIT_OPERATOR, period / 1000, CONSTS, *axial(g, bz), gamma_energy=gamma_e
     )
     traj = evolve(uniform_state(g, (1.0, 1.0)), config, 10 * period, record_every=5)
     assert measured_frequency(traj.times, traj.spins[:, 0]) == pytest.approx(omega, rel=1e-3)
@@ -989,7 +973,7 @@ def test_larmor_frequency_charged_identification():
     bz = 0.9
     omega = consts.charge * bz / consts.mass
     period = 2 * np.pi / omega
-    config = SolverConfig(SPLIT_OPERATOR, period / 1000, consts, uniform_b_em(g, bz))
+    config = SolverConfig(SPLIT_OPERATOR, period / 1000, consts, *axial(g, bz))
     vol = 1.0
     vals = np.zeros(g.shape + (2,), dtype=np.complex128)
     vals[:] = np.array([1.0, 1.0]) / np.sqrt(2 * vol)
@@ -1003,12 +987,11 @@ def test_uniform_field_packet_ehrenfest():
     g = Grid((L,), (n,), PERIODIC)
     e0 = 0.2
     x = g.axis_coordinates(0)
-    phi_pot = ScalarField(g, -e0 * x)
-    em = EMConfiguration(g, phi_pot, VectorField3.zero(g))
     q, m = CONSTS.charge, CONSTS.mass
     state = gaussian_packet_state(g, 2.0, 25.0, 0.0, (1.0, 0.0), CONSTS)
     t_final = 8.0
-    config = SolverConfig(SPLIT_OPERATOR, t_final / 2000, CONSTS, em)
+    config = SolverConfig(SPLIT_OPERATOR, t_final / 2000, CONSTS, g, -e0 * x,
+                          np.zeros(g.shape + (3,)))
     traj = evolve(state, config, t_final, record_every=100)
     expect = 25.0 + 0.5 * (q * e0 / m) * traj.times**2
     displacement = expect[-1] - 25.0
@@ -1023,7 +1006,7 @@ def test_spin_expectation_matches_torque_trajectory():
     period = 2 * np.pi / omega
     dt = period / 400
     config = SolverConfig(
-        SPLIT_OPERATOR, dt, CONSTS, uniform_b_em(g, b[2]), gamma_energy=gamma_e
+        SPLIT_OPERATOR, dt, CONSTS, *axial(g, b[2]), gamma_energy=gamma_e
     )
     traj = evolve(uniform_state(g, (1.0, 1.0)), config, 10 * period, record_every=1)
     gamma_cl = 2 * gamma_e / CONSTS.hbar
@@ -1100,9 +1083,7 @@ def stern_gerlach_on_evolve(cfg):
     grid = Grid((cfg["extent"],), (cfg["cells"],), PERIODIC)
     b_vals = np.zeros(grid.shape + (3,))
     b_vals[..., 2] = cfg["field_offset"] + cfg["field_gradient"] * grid.axis_coordinates(0)
-    em = EMConfiguration(grid, ScalarField.full(grid, 0.0), VectorField3.zero(grid),
-                         b=VectorField3(grid, b_vals))
-    solver = SolverConfig(SPLIT_OPERATOR, cfg["dt"], CONSTS, em,
+    solver = SolverConfig(SPLIT_OPERATOR, cfg["dt"], CONSTS, grid, np.zeros(grid.shape), b_vals,
                           gamma_energy=cfg["gamma_energy"])
     packet = gaussian_packet_state(grid, cfg["sigma"], cfg["center"], cfg["velocity"],
                                    cfg["spin_weights"], CONSTS)

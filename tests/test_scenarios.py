@@ -315,6 +315,16 @@ _CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
     ("equivalence", {"cells": 64, "frames": 5, "sets": 1}, [_JOINT + "cells^3 * frames <= 2^20"]),
     ("equivalence", {"cells": 32, "frames": 32, "sets": 65},
      [_JOINT + "cells^3 * frames <= 2^20"]),
+    # an empty band exited 3 ("index 0 is out of bounds"), and a field that
+    # peaks past 1 made the density p = (1 + field) / volume negative (3)
+    ("equivalence", {"max_mode": -1, "sets": 1, "cells": 8, "frames": 4},
+     ["parameter 'max_mode' must be >= 0, got -1"]),
+    ("equivalence", {"max_mode": -3, "sets": 1, "cells": 8, "frames": 4},
+     ["parameter 'max_mode' must be >= 0, got -3"]),
+    ("equivalence", {"amplitude": 2.0, "sets": 1, "cells": 8, "frames": 4},
+     ["parameter 'amplitude' must be |x| <= 1, got 2.0"]),
+    ("equivalence", {"amplitude": -1.5, "sets": 1, "cells": 8, "frames": 4},
+     ["parameter 'amplitude' must be |x| <= 1, got -1.5"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -370,6 +380,11 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("pauli_evolve", {"setup": "free_packet", "steps": 10, "t_final": 600}),
         ("equivalence", {"cells": 32, "frames": 32, "sets": 64}),
         ("equivalence", {"cells": 64, "frames": 4, "sets": 1}),
+        # the band and amplitude ranges' edges: a constant field, and a
+        # density that touches 0
+        ("equivalence", {"max_mode": 0, "sets": 1, "cells": 8, "frames": 4}),
+        ("equivalence", {"amplitude": 1.0, "sets": 1, "cells": 12, "frames": 8}),
+        ("equivalence", {"amplitude": -1.0, "sets": 1, "cells": 12, "frames": 8}),
     ]:
         parse_scenario(json.dumps({"kind": kind, "parameters": parameters}))
     # every default, golden and benchmark document
@@ -382,6 +397,19 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         for size in workloads.SIZES:
             for doc in workloads.documents(workload, 0, size):
                 parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("parameters", [
+    {"max_mode": 0, "sets": 1, "cells": 8, "frames": 4},
+    {"amplitude": 1.0, "sets": 1, "cells": 12, "frames": 8},
+    {"amplitude": -1.0, "sets": 1, "cells": 12, "frames": 8},
+])
+def test_equivalence_range_edges_reach_a_verdict(tmp_path, parameters):
+    # 0 or 1, not the runtime error's 3: at |amplitude| 1 the density
+    # touches 0, and the worst residual fails its bound
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "equivalence", "parameters": parameters}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) in (0, 1)
 
 
 @pytest.mark.parametrize("e0,wall", [(50.0, 50.0), (-50.0, 0.0)])
@@ -568,8 +596,8 @@ def test_streamed_snapshots_are_the_whole_array_encoding(tmp_path, scheme, recor
     consts = functionals.PhysicalConstants(p["hbar"], p["mass"], p["charge"])
     packet = pauli.gaussian_packet_state(grid, p["sigma"], p["extent"] / 2, 0.0, (1.0, 0.0),
                                          consts)
-    config = pauli.SolverConfig(scheme, p["t_final"] / p["steps"], consts,
-                                functionals.EMConfiguration.zero(grid))
+    config = pauli.SolverConfig(scheme, p["t_final"] / p["steps"], consts, grid,
+                                np.zeros(grid.shape), np.zeros(grid.shape + (3,)))
     _, snapshots = evolve_with_snapshots(packet, config, p["t_final"], record_every)
     assert (tmp_path / "snapshots.bin").read_bytes() == whole_array_snapshots(
         grid, p["t_final"] / p["steps"] * record_every, {"wavefunction": snapshots},
@@ -680,8 +708,9 @@ def test_golden_document_matches_its_pins(tmp_path, key, document):
 @pytest.mark.parametrize("bz", [0.8, np.linspace(-1.0, 1.0, 6)], ids=["number", "cell_array"])
 def test_axial_field_is_bz_in_component_2_without_potentials(bz):
     grid = Grid((3.0,), (6,), PERIODIC)
-    em = functionals.EMConfiguration.axial(grid, bz)
+    config = verification._axial_solver(pauli.SPLIT_OPERATOR, 0.1, verification.CONSTS, grid,
+                                        bz, 0.5)
     want = np.zeros(grid.shape + (3,))
     want[..., 2] = bz
-    assert np.array_equal(em.b_values(), want)
-    assert not np.any(em.phi_pot.values) and not np.any(em.a_pot.values)
+    assert np.array_equal(config.b, want)
+    assert not np.any(config.phi_pot) and config.gamma_energy == 0.5

@@ -1,19 +1,20 @@
 """Tests for the constrained minimizers."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulilab.functionals import EMConfiguration, PhysicalConstants
+from paulilab import variational
+from paulilab.functionals import PhysicalConstants
 from paulilab.grids import (
     DIRICHLET_ZERO,
     PERIODIC,
     Grid,
-    ScalarField,
-    VectorField3,
-    curl,
+    curl_stack,
     interior_mask,
     laplacian_matrix,
     quadrature_weights,
@@ -176,17 +177,18 @@ def test_fisher_gradient_matches_finite_differences():
              lambda f: {"p": fisher_gradient_density(f["p"], grid)}, {"p": p}, components=40)
 
 
+def smooth_potentials(grid):
+    """A smooth scalar potential and vector potential, components first."""
+    x, y = grid.meshgrid()
+    a_pot = np.stack([0.3 * np.sin(2 * np.pi * x + i) * np.cos(2 * np.pi * y - i)
+                      for i in range(3)])
+    return 0.4 * np.cos(2 * np.pi * (x + y)), a_pot
+
+
 def smooth_total_problem(n=24):
     """The total objective in a smooth field, and smooth polar fields."""
     grid = Grid((L, L), (n, n), PERIODIC)
-    rng = np.random.default_rng(11)
     x, y = grid.meshgrid()
-    a_vals = np.zeros(grid.shape + (3,))
-    for i in range(3):
-        a_vals[..., i] = 0.3 * np.sin(2 * np.pi * x + i) * np.cos(2 * np.pi * y - i)
-    phi_pot = ScalarField(grid, 0.4 * np.cos(2 * np.pi * (x + y)))
-    a_pot = VectorField3(grid, a_vals)
-    em = EMConfiguration(grid, phi_pot, a_pot, b=curl(a_pot))
     ones = np.ones(grid.shape)
     p = 1.0 + 0.4 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     p /= np.sum(p * grid.cell_volume)
@@ -196,12 +198,53 @@ def smooth_total_problem(n=24):
         "s": 0.4 * np.sin(2 * np.pi * (x - y)) * ones,
         "phi": 0.5 * np.cos(2 * np.pi * x + 1.0) * ones,
     }
-    return TotalObjective(grid, em, CONSTS), fields
+    return TotalObjective(grid, *smooth_potentials(grid), CONSTS), fields
 
 
 def test_total_gradient_matches_finite_differences():
     objective, fields = smooth_total_problem()
     fd_check(objective.value, objective.gradient, fields, components=100)
+
+
+def test_total_objective_curls_its_vector_potential_once(monkeypatch):
+    # B is the central curl of A, taken once at construction and not on
+    # each evaluation; the one-frame stacks carry the potentials' bits
+    grid = Grid((1.0, 1.0), (8, 8), PERIODIC)
+    phi_pot, a_pot = smooth_potentials(grid)
+    calls = []
+
+    def counted(values, g, *args):
+        calls.append(args)
+        return curl_stack(values, g, *args)
+
+    monkeypatch.setattr(variational, "curl_stack", counted)
+    objective = TotalObjective(grid, phi_pot, a_pot, CONSTS)
+    fields = {name: np.full(grid.shape, 0.5) for name in ("p", "theta", "s", "phi")}
+    objective.value(fields)
+    objective.gradient(fields)
+    assert calls == [()]
+    want = {"phi_pot": phi_pot, "a_pot": a_pot, "b": curl_stack(a_pot, grid),
+            "u": np.zeros(grid.shape)}
+    assert sorted(objective.em) == sorted(want)
+    for name, stack in objective.em.items():
+        frame = stack[:, 0] if stack.ndim == grid.dim + 2 else stack[0]
+        assert frame.tobytes() == np.ascontiguousarray(want[name]).tobytes()
+
+
+@pytest.mark.parametrize("name,shape,spoil", [
+    ("phi_pot", (8, 7), None), ("phi_pot", (3, 8, 8), None), ("phi_pot", (8, 8), np.nan),
+    ("phi_pot", (8, 8), np.inf), ("a_pot", (8, 8, 3), None), ("a_pot", (2, 8, 8), None),
+    ("a_pot", (3, 8, 8), np.nan), ("a_pot", (3, 8, 8), -np.inf),
+])
+def test_total_objective_refuses_a_potential_off_its_grid_or_not_finite(name, shape, spoil):
+    grid = Grid((1.0, 1.0), (8, 8), PERIODIC)
+    potentials = {"phi_pot": np.zeros(grid.shape), "a_pot": np.zeros((3,) + grid.shape)}
+    potentials[name] = np.zeros(shape)
+    if spoil is not None:
+        potentials[name].flat[5] = spoil
+    message = f"{name} values must be finite" if spoil else f"{name} shape {shape} does not match"
+    with pytest.raises(VariationalError, match=re.escape(message)):
+        TotalObjective(grid, consts=CONSTS, **potentials)
 
 
 # ---------------------------------------------------------------------------
