@@ -26,6 +26,7 @@ the spatial operators.
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -313,12 +314,12 @@ def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, fl
 def spinor_from_polar(p, theta, s, phi, consts: PhysicalConstants) -> np.ndarray:
     """Two-component wavefunction sqrt(P_k) exp(i S_k / hbar) with
     S_k = S -+ a*phi for the two colors, of polar arrays, colors stacked first."""
-    half = 0.5 * theta
-    amp1 = np.sqrt(np.maximum(p, 0.0)) * np.cos(half)
-    amp2 = np.sqrt(np.maximum(p, 0.0)) * np.sin(half)
-    s1 = (s - consts.a * phi) / consts.hbar
-    s2 = (s + consts.a * phi) / consts.hbar
-    return np.stack([amp1 * np.exp(1j * s1), amp2 * np.exp(1j * s2)])
+    amp, half = np.sqrt(np.maximum(p, 0.0)), 0.5 * theta
+    psi = np.empty((2,) + amp.shape, dtype=complex)
+    for k, (trig, sign) in enumerate(((np.cos, -1.0), (np.sin, 1.0))):
+        np.multiply(amp * trig(half), np.exp(1j * ((s + sign * consts.a * phi) / consts.hbar)),
+                    out=psi[k])
+    return psi
 
 
 def _unwrap_raster(angles: np.ndarray) -> np.ndarray:
@@ -352,6 +353,12 @@ def polar_from_spinor(psi: np.ndarray, consts: PhysicalConstants):
 # ---------------------------------------------------------------------------
 
 
+# With four-frame chunks alone, a 2^20-value set of 3 or 4 frames (70^3 x 3,
+# 64^3 x 4) took its whole stack in one chunk and peaked at 530-570 MB RSS,
+# against 460-477 MB with this cap
+_CHUNK_VALUES = 2**18
+
+
 def q_spinor(grid: Grid, psi: np.ndarray, em: dict[str, np.ndarray], consts: PhysicalConstants,
              dt: float = 0.0, time_periodic: bool = False, scheme: str = CENTRAL) -> float:
     """Quadratic form evaluated directly on the two-component wavefunction.
@@ -364,35 +371,40 @@ def q_spinor(grid: Grid, psi: np.ndarray, em: dict[str, np.ndarray], consts: Phy
     potential stacks ``phi_pot``, ``a_pot``, ``b`` and ``u``.
     """
     hbar, m, q = consts.hbar, consts.mass, consts.charge
-    a_pot, b = em["a_pot"], em["b"]
-    re, im = np.ascontiguousarray(psi.real), np.ascontiguousarray(psi.imag)
+    re, im = psi.real, psi.imag
     integrand = np.zeros(psi.shape[1:])
     # hbar Im(Psi* dPsi/dt) = (i hbar / 2) (dPsi*/dt Psi - Psi* dPsi/dt)
     for k in (0, 1):
         d = _time_derivative(psi[k], dt, time_periodic, scheme)
         integrand += hbar * (re[k] * d.imag - im[k] * d.real)
+    # the other terms are local in time: four frames at a time, fewer once four
+    # frames hold more than _CHUNK_VALUES values, bound the temporaries
+    step = min(4, max(1, _CHUNK_VALUES // integrand[0].size))
+    for f in range(0, psi.shape[1], step):
+        t = slice(f, f + step)
+        out, re_t, im_t = integrand[t], re[:, t], im[:, t]
+        a_pot, b = em["a_pot"][:, t], em["b"][:, t]
+        # |-i hbar grad Psi - qA Psi|^2 / 2m, real and imaginary parts squared
+        for ax in range(grid.dim):
+            h = grid.spacing[ax]
+            for k in (0, 1):
+                d = derive_along(psi[k, t], h, 1 + ax, grid.boundary, scheme)
+                qa = q * a_pot[ax]
+                real = hbar * d.imag - qa * re_t[k]
+                imag = hbar * d.real + qa * im_t[k]
+                out += (real * real + imag * imag) / (2.0 * m)
+        # axes beyond the grid dimension contribute only the A^2 piece
+        dens = re_t * re_t + im_t * im_t
+        norm_sq = dens[0] + dens[1]
+        for ax in range(grid.dim, 3):
+            out += (q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m)
 
-    # |-i hbar grad Psi - qA Psi|^2 / 2m, real and imaginary parts squared
-    for ax in range(grid.dim):
-        h = grid.spacing[ax]
-        for k in (0, 1):
-            d = derive_along(psi[k], h, 1 + ax, grid.boundary, scheme)
-            qa = q * a_pot[ax]
-            real = hbar * d.imag - qa * re[k]
-            imag = hbar * d.real + qa * im[k]
-            integrand += (real * real + imag * imag) / (2.0 * m)
-    # axes beyond the grid dimension contribute only the A^2 piece
-    dens = re * re + im * im
-    norm_sq = dens[0] + dens[1]
-    for ax in range(grid.dim, 3):
-        integrand += (q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m)
+        out += (q * em["phi_pot"][t] + em["u"][t]) * norm_sq
 
-    integrand += (q * em["phi_pot"] + em["u"]) * norm_sq
-
-    sigma_x = 2.0 * (re[0] * re[1] + im[0] * im[1])
-    sigma_y = 2.0 * (re[0] * im[1] - im[0] * re[1])
-    sigma_z = dens[0] - dens[1]
-    integrand += -consts.spin_coupling * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z)
+        sigma_x = 2.0 * (re_t[0] * re_t[1] + im_t[0] * im_t[1])
+        sigma_y = 2.0 * (re_t[0] * im_t[1] - im_t[0] * re_t[1])
+        sigma_z = dens[0] - dens[1]
+        out += -consts.spin_coupling * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z)
 
     tw = _time_weights(psi.shape[1], dt, time_periodic)
     return float(_integrate_stack(integrand, grid, tw))
@@ -433,6 +445,13 @@ def _check_stacks(grid: Grid, fields: dict[str, np.ndarray]) -> None:
     _check_density(fields["p"], grid)
 
 
+def _spinor_route(grid, fields, consts, dt, time_periodic, scheme) -> float:
+    psi = spinor_from_polar(*(fields[name] for name in POLAR_FIELDS), consts)
+    if not np.all(np.isfinite(psi)):
+        raise GridError("field values must be finite")
+    return q_spinor(grid, psi, fields, consts, dt, time_periodic, scheme)
+
+
 def equivalence_residual(grid: Grid, fields: dict[str, np.ndarray], consts: PhysicalConstants,
                          dt: float = 0.0, time_periodic: bool = False,
                          scheme: str = CENTRAL) -> EquivalenceReport:
@@ -442,20 +461,24 @@ def equivalence_residual(grid: Grid, fields: dict[str, np.ndarray], consts: Phys
 
     ``fields`` holds the polar and potential stacks, as
     :func:`random_smooth_configuration` returns them; they are checked once.
+    The spinor route, which only reads them, runs on a worker thread beside
+    the polar and joint routes, and the call joins it before it returns or
+    raises; its error, if any, is raised as it was.  numpy's error state
+    is per thread, so an ``np.errstate`` around this call does not reach
+    the spinor route; no caller sets one.
     """
     _check_stacks(grid, fields)
-    st = _stacks(grid, fields, dt, time_periodic, scheme)
-    terms = _polar_terms(st, consts)
-    tot = _total_of_terms(st, terms)
-    breakdown = _term_values(st, terms)
-    shared = terms["potential"] + terms["moment_coupling"]
-    del terms  # each route allocates its own temporaries; hold no more than needed
-    joint = _joint_total(st, shared, consts)
-    del st, shared
-    psi = spinor_from_polar(*(fields[name] for name in POLAR_FIELDS), consts)
-    if not np.all(np.isfinite(psi)):
-        raise GridError("field values must be finite")
-    qs = q_spinor(grid, psi, fields, consts, dt, time_periodic, scheme)
+    with concurrent.futures.ThreadPoolExecutor(1) as worker:
+        spinor = worker.submit(_spinor_route, grid, fields, consts, dt, time_periodic, scheme)
+        st = _stacks(grid, fields, dt, time_periodic, scheme)
+        terms = _polar_terms(st, consts)
+        tot = _total_of_terms(st, terms)
+        breakdown = _term_values(st, terms)
+        shared = terms["potential"] + terms["moment_coupling"]
+        del terms  # each route allocates its own temporaries; hold no more than needed
+        joint = _joint_total(st, shared, consts)
+        del st, shared
+        qs = spinor.result()
 
     def rel(absval, d):
         return 0.0 if absval == 0.0 else (absval / d if d > 0 else float("inf"))

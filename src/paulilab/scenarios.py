@@ -264,6 +264,14 @@ _LORENTZ_STEP_RULE = ("turns * steps_per_turn <= 500000 when setup is uniform_b:
                       ("setup", "turns", "steps_per_turn"),
                       lambda setup, turns, per_turn: setup != "uniform_b"
                       or turns * per_turn <= 500_000)
+# A moment step, the torque and canonical runs together, took about 22 us
+# and kept about 280 bytes until the run's end (10^5 steps: 2.2 s, 97 MB peak
+# RSS; 10^6: 22 s, 350 MB, against 68 MB at 1,000), so 10^6 steps, the Pauli
+# runs' ceiling, take about 22 s and 350 MB.  The runs round t_final / dt,
+# so the rule admits up to 10^6 + 0.5, which rounds to the even 10^6.
+_MOMENT_STEP_RULE = ("t_final / dt <= 10^6: the torque and canonical runs keep every RK4 "
+                     "step's state", ("dt", "t_final"),
+                     lambda dt, t_final: t_final / dt <= 1_000_000.5)
 
 
 # Grid ceilings, from the same host.  A Pauli run's memory grows with its
@@ -316,12 +324,13 @@ def _crank_nicolson_conditioned(setup: str, scheme: str, hbar: float, mass: floa
 
 
 # An equivalence set's memory grows with its cells^3 * frames field values,
-# and its time with those values times sets.  Peak RSS of one-set runs, from
-# a 66 MB base, read 81 / 116 / 223 / 593 / 1,308 / 2,524 MB at 16^3 x 12,
-# 24^3 x 12, 32^3 x 16, 48^3 x 16, 64^3 x 16 and 64^3 x 32, about 300 bytes
-# a value, and 373-395 MB at 2^20 values (32^3 x 32, 70^3 x 3, 10^3 x 1,048).
-# A set took 0.9-1.6 us a value up to 2^20 values, so 2^26 values over all
-# sets take at most about 110 s; the default 24^3 x 12 at 20 sets is 3.3e6.
+# and its time with those values times sets.  With the spinor route on its
+# worker thread, peak RSS of one-set runs, from a 66 MB base, read 88 / 132 /
+# 277 MB at 16^3 x 12, 24^3 x 12 and 32^3 x 16, about 400 bytes a value (300
+# on one thread), and 436-477 MB at 2^20 values (32^3 x 32, 64^3 x 4,
+# 70^3 x 3, 10^3 x 1,048).  A set took 0.8-1.5 us a value at 2^20 values, so
+# 2^26 values over all sets take at most about 100 s; the default 24^3 x 12 at
+# 20 sets is 3.3e6.
 def _equivalence_fits(cells: int, frames: int, sets: int) -> bool:
     values = cells**3 * frames
     return values <= 2**20 and sets * values <= 2**26
@@ -336,7 +345,7 @@ _PAULI_RUN_TEXT = ("at most 10^6 time steps ({}), 10^5 records and 65,536 cells,
 # them has its type and meets its own rule, whatever the other parameters are
 JOINT_RULES = {
     "equivalence": (("cells^3 * frames <= 2^20 and sets * cells^3 * frames <= 2^26: a set "
-                     "keeps about 300 bytes a field value", ("cells", "frames", "sets"),
+                     "keeps about 400 bytes a field value", ("cells", "frames", "sets"),
                      _equivalence_fits),),
     "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
     "fisher_discrete": (_SIGMA_SQUARED_RULE, _FISHER_WIDTH_RULE, _FISHER_FLOOR_RULE),
@@ -374,7 +383,8 @@ JOINT_RULES = {
                 "(gamma |b_xy| dt)^4 (1 + n / 25) <= 5e-7 theta^3 |m0.b|/|b|, where theta is "
                 "the cone's closest approach to the z axis and n = |gamma b| t_final / 2 pi "
                 "the precession periods",
-                ("b", "gamma", "phi0", "z0", "dt", "t_final"), _moment_cone_clears_poles),),
+                ("b", "gamma", "phi0", "z0", "dt", "t_final"), _moment_cone_clears_poles),
+               _MOMENT_STEP_RULE),
     "stern_gerlach": (
         ("spin_up_weight and spin_down_weight are not both 0",
          ("spin_up_weight", "spin_down_weight"), lambda up, down: up != 0 or down != 0),

@@ -385,7 +385,7 @@ def uniform_field_drift(extent: float, cells: int, sigma: float, start: float, e
                                 -e0 * grid.axis_coordinates(0), np.zeros(grid.shape + (3,)))
     traj = pauli.evolve(packet, config, t_final, record_every=record_every)
     expect = start + 0.5 * (consts.charge * e0 / consts.mass) * traj.times**2
-    error = float(np.max(np.abs(traj.positions[:, 0] - expect))) / (expect[-1] - start)
+    error = float(np.max(np.abs(traj.positions[:, 0] - expect))) / abs(expect[-1] - start)
     return traj, [check_leq(name, error, 1e-3)]
 
 

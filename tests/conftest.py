@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from paulilab import fieldio, pauli
 
@@ -21,6 +22,11 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:
         pass
+
+# every hypothesis test draws the same examples on every run, and none has
+# a deadline: a slow moment of a shared host is not a failure
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def _load(name: str, *path: str):

@@ -1,5 +1,8 @@
 """Tests for the continuum functionals and the dual-route equivalence."""
 
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from paulilab.grids import (
     curl_stack,
     derive_along,
 )
+from paulilab import functionals
 from paulilab.functionals import (
     POLAR_FIELDS,
     FunctionalError,
@@ -29,6 +33,9 @@ from paulilab.functionals import (
     spinor_from_polar,
     stationarity_residual_static,
     _band_limited_spacetime,
+    _integrate_stack,
+    _time_derivative,
+    _time_weights,
 )
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
@@ -568,3 +575,145 @@ def test_fisher_rejects_unnormalized_density():
     for value in (3.0, 1.0 + 1e-8):
         with pytest.raises(FunctionalError, match="density must integrate to 1"):
             fisher_continuum(ScalarField.full(g, value))
+
+
+# ---------------------------------------------------------------------------
+# the spinor route's lean forms against their whole-stack oracles, and its worker
+# ---------------------------------------------------------------------------
+
+
+def _spinor_from_polar_per_color(p, theta, s, phi, consts):
+    """The oracle: one array per color, each with its own square root, stacked."""
+    half = 0.5 * theta
+    amp1 = np.sqrt(np.maximum(p, 0.0)) * np.cos(half)
+    amp2 = np.sqrt(np.maximum(p, 0.0)) * np.sin(half)
+    s1 = (s - consts.a * phi) / consts.hbar
+    s2 = (s + consts.a * phi) / consts.hbar
+    return np.stack([amp1 * np.exp(1j * s1), amp2 * np.exp(1j * s2)])
+
+
+def _q_spinor_whole_stack(grid, psi, em, consts, dt, time_periodic, scheme):
+    """The oracle: every term over all frames at once, on contiguous copies
+    of the real and imaginary parts."""
+    hbar, m, q = consts.hbar, consts.mass, consts.charge
+    a_pot, b = em["a_pot"], em["b"]
+    re, im = np.ascontiguousarray(psi.real), np.ascontiguousarray(psi.imag)
+    integrand = np.zeros(psi.shape[1:])
+    for k in (0, 1):
+        d = _time_derivative(psi[k], dt, time_periodic, scheme)
+        integrand += hbar * (re[k] * d.imag - im[k] * d.real)
+    for ax in range(grid.dim):
+        for k in (0, 1):
+            d = derive_along(psi[k], grid.spacing[ax], 1 + ax, grid.boundary, scheme)
+            qa = q * a_pot[ax]
+            real = hbar * d.imag - qa * re[k]
+            imag = hbar * d.real + qa * im[k]
+            integrand += (real * real + imag * imag) / (2.0 * m)
+    dens = re * re + im * im
+    norm_sq = dens[0] + dens[1]
+    for ax in range(grid.dim, 3):
+        integrand += (q * a_pot[ax]) ** 2 * norm_sq / (2.0 * m)
+    integrand += (q * em["phi_pot"] + em["u"]) * norm_sq
+    sigma_x = 2.0 * (re[0] * re[1] + im[0] * im[1])
+    sigma_y = 2.0 * (re[0] * im[1] - im[0] * re[1])
+    sigma_z = dens[0] - dens[1]
+    integrand += -consts.spin_coupling * (b[0] * sigma_x + b[1] * sigma_y + b[2] * sigma_z)
+    tw = _time_weights(psi.shape[1], dt, time_periodic)
+    return float(_integrate_stack(integrand, grid, tw))
+
+
+# grids of 1-3 axes and 3-9 cells, and frame counts on both sides of the
+# four-frame chunks (two frames admit no time derivative)
+_SHAPES = dict(cells=st.lists(st.integers(3, 9), min_size=1, max_size=3),
+               frames=st.sampled_from([1] + list(range(3, 14))), seed=st.integers(0, 2**32 - 1))
+_ODD_CONSTS = PhysicalConstants(0.7, 1.9, -1.3)
+
+
+@given(**_SHAPES)
+def test_spinor_from_polar_is_the_per_color_form_bitwise(cells, frames, seed):
+    rng = np.random.default_rng(seed)
+    shape = (frames,) + tuple(cells)
+    # a few cells slightly negative, which both forms clip to 0
+    polar = (rng.random(shape) - 0.05, np.pi * rng.random(shape),
+             rng.normal(size=shape), rng.normal(size=shape))
+    assert (spinor_from_polar(*polar, _ODD_CONSTS).tobytes()
+            == _spinor_from_polar_per_color(*polar, _ODD_CONSTS).tobytes())
+
+
+# a cap of 1 or 100 values gives the small grids chunks of fewer than four frames too
+@given(**_SHAPES, scheme=st.sampled_from([CENTRAL, SPECTRAL]), periodic=st.booleans(),
+       time_periodic=st.booleans(), chunk_values=st.sampled_from([1, 100, 2**18]))
+def test_q_spinor_is_the_whole_stack_form_bitwise(cells, frames, seed, scheme, periodic,
+                                                  time_periodic, chunk_values):
+    rng = np.random.default_rng(seed)
+    boundary = PERIODIC if periodic or scheme == SPECTRAL else DIRICHLET_ZERO
+    grid = Grid(tuple(0.5 + rng.random(len(cells))), tuple(cells), boundary)
+    shape = (frames,) + grid.shape
+    psi = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+    em = {"phi_pot": rng.normal(size=shape), "a_pot": rng.normal(size=(3,) + shape),
+          "b": rng.normal(size=(3,) + shape), "u": rng.normal(size=shape)}
+    args = (grid, psi, em, _ODD_CONSTS, 0.1, time_periodic, scheme)
+    with mock.patch.object(functionals, "_CHUNK_VALUES", chunk_values):
+        chunked = q_spinor(*args)
+    assert np.float64(chunked).tobytes() == np.float64(_q_spinor_whole_stack(*args)).tobytes()
+
+
+def _spectral_set():
+    grid = Grid((1.0, 1.0, 1.0), (8, 8, 8), PERIODIC)
+    fields, dt = random_smooth_configuration(grid, frames=6, consts=CONSTS, seed=5)
+    return grid, fields, CONSTS, dt, True, SPECTRAL
+
+
+def test_equivalence_residual_leaves_no_thread_behind(monkeypatch):
+    args = _spectral_set()
+    before = threading.active_count()
+    equivalence_residual(*args)
+    assert threading.active_count() == before
+
+    def broken(st, consts):
+        raise FunctionalError("planted")
+
+    monkeypatch.setattr(functionals, "_polar_terms", broken)
+    with pytest.raises(FunctionalError, match="planted"):
+        equivalence_residual(*args)
+    assert threading.active_count() == before
+
+
+def test_a_spinor_route_error_surfaces_as_its_serial_error(monkeypatch):
+    args = _spectral_set()
+
+    def one_nan_cell(*polar):
+        psi = spinor_from_polar(*polar)
+        psi[1, 0, 0, 0, 0] = np.nan
+        return psi
+
+    monkeypatch.setattr(functionals, "spinor_from_polar", one_nan_cell)
+    with pytest.raises(Exception) as serial:
+        functionals._spinor_route(*args)
+    with pytest.raises(Exception) as threaded:
+        equivalence_residual(*args)
+    assert ((type(threaded.value), str(threaded.value))
+            == (type(serial.value), str(serial.value))
+            == (GridError, "field values must be finite"))
+
+
+def test_a_polar_route_error_leaves_once_the_spinor_route_is_done(monkeypatch):
+    # the spinor route starts its form only after the polar route has
+    # raised, so only a call that joins its worker sees it finish
+    args = _spectral_set()
+    raised, finished = threading.Event(), []
+
+    def after_the_raise(*route_args):
+        assert raised.wait(10.0)
+        finished.append(q_spinor(*route_args))
+        return finished[-1]
+
+    def broken(st, consts):
+        raised.set()
+        raise FunctionalError("planted")
+
+    monkeypatch.setattr(functionals, "q_spinor", after_the_raise)
+    monkeypatch.setattr(functionals, "_polar_terms", broken)
+    with pytest.raises(FunctionalError, match="planted"):
+        equivalence_residual(*args)
+    assert len(finished) == 1

@@ -122,3 +122,14 @@ def test_pins_name_the_file_and_column_of_a_one_ulp_move_in_a_csv_cell(tmp_path)
     path.write_text("\n".join([header] + rows) + "\n")
     assert pin_moves(key, report.outputs, checks) == [
         f"moved: {key}/particle.csv:vy: bytes differ"]
+
+
+def test_every_pinned_leq_check_value_is_a_magnitude():
+    # a "<=" record reads a distance or an error; a negative value would pass
+    # whatever its bound, as the uniform-field error once did at charge -1
+    pins = manifest.read(manifest.PINS)
+    values = {key: pins[key.replace("/bound ", "/check ")] for key, bound in pins.items()
+              if "/bound " in key and bound.startswith("<= ")
+              and key.replace("/bound ", "/check ") in pins}
+    assert values
+    assert [key for key, value in values.items() if not float(value) >= 0.0] == []

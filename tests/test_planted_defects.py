@@ -230,6 +230,14 @@ def _second_color_factor_first(kinetic):
     return planted
 
 
+def _potential_negated(post_init):
+    # every run's scalar potential takes the opposite sign
+    def planted(self):
+        object.__setattr__(self, "phi_pot", -np.asarray(self.phi_pot))
+        post_init(self)
+    return planted
+
+
 def _second_color_one_cell_up(gaussian_packet_state):
     # the second color's envelope sits one cell above the first's
     def planted(grid, *args):
@@ -408,6 +416,10 @@ ROWS = {
     "kinetic_factor_second_operand_order": (pauli._SplitOperatorPropagator, "_kinetic",
                                             _second_color_factor_first,
                                             {"ehrenfest": {ZERO_GRADIENT}}),
+    # the uniform-field packet falls the other way, as far: the error reads
+    # 2, twice the displacement; the Stern-Gerlach runs are chargeless
+    "scalar_potential_sign_flipped": (pauli.SolverConfig, "__post_init__", _potential_negated,
+                                      {"ehrenfest": {UNIFORM_FIELD}}),
     # the colors start one cell apart: they stay apart without a gradient,
     # and in one they first close in, so the overlap grows, then cross and
     # separate one cell short of the law (error 0.059)
@@ -482,3 +494,23 @@ def test_every_record_fails_under_some_row(unplanted):
               for name in names}
     names = {r.name for records in unplanted.values() for r in records}
     assert names - caught == set(ALLOWED)
+
+
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+def test_potential_sign_plant_fails_the_uniform_field_record_at_either_charge(charge,
+                                                                               monkeypatch):
+    # the pauli_evolve uniform_field document at 256 cells and 200 steps; the
+    # record is a magnitude, so at charge -1 a packet that falls the wrong
+    # way cannot pass it on a negative value
+    consts = functionals.PhysicalConstants(1.0, 1.0, charge)
+
+    def record():
+        _, [rec] = verification.uniform_field_drift(60.0, 256, 1.5, 20.0, 0.2, 6.0, 200, consts, 10)
+        return rec
+
+    clean = record()
+    assert clean.passed and clean.value >= 0.0
+    monkeypatch.setattr(pauli.SolverConfig, "__post_init__",
+                        _potential_negated(pauli.SolverConfig.__post_init__))
+    planted = record()
+    assert not planted.passed and 1.9 < planted.value < 2.1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,10 @@ _CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
                 "gamma": 1.9073263014114088, "dt": 0.001, "phi0": 0.9255894654223997,
                 "z0": 0.9029837578666249, "t_final": 100.0},
      [_JOINT + "the precession cone clears the poles"]),
+    # 10^8 RK4 steps, which the pole rule admits with b along z, where its
+    # left side is 0; then the step rule's edge, 10^6 + 1 steps
+    ("moment", {"b": [0.0, 0.0, 1.0], "t_final": 1e5}, [_JOINT + "t_final / dt <= 10^6"]),
+    ("moment", {"b": [0.0, 0.0, 1.0], "t_final": 1000.001}, [_JOINT + "t_final / dt <= 10^6"]),
     # a range violation leaves the joint rules of the other parameters in force
     ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "spin_down_weight": 0.0,
                        "cells": -5},
@@ -371,6 +376,7 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("pauli_evolve", {"setup": "uniform_field", "cells": 2048, "steps": 500000}),
         ("pauli_evolve", {"setup": "free_packet", "steps": 32767, "record_every": 1}),
         ("pauli_evolve", {"setup": "larmor", "cells": 1000000000}),
+        ("moment", {"b": [0.0, 0.0, 1.0], "t_final": 1000.0}),
         # the Crank-Nicolson rule's edges (r = 999 and 967), and a split-operator
         # run that it does not read; the equivalence ceilings' edges
         ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
@@ -397,6 +403,27 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         for size in workloads.SIZES:
             for doc in workloads.documents(workload, 0, size):
                 parse_scenario(json.dumps(doc))
+
+
+def test_only_the_equivalence_documents_start_a_thread(tmp_path, monkeypatch):
+    # the spinor route's worker is the one thread a document starts: the
+    # stepping and recording workloads run on the calling thread alone
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    counts = {}
+    for workload in workloads.WORKLOADS:
+        started.clear()
+        for index, doc in enumerate(workloads.documents(workload, 0, "smoke")):
+            out = tmp_path / f"{workload}-{index}"
+            assert run(parse_scenario(json.dumps({**doc, "output_dir": str(out)}))).passed
+        counts[workload] = len(started)
+    assert counts == {"static_solve": 1, "evolve": 0, "record_io": 0}
 
 
 @pytest.mark.parametrize("parameters", [
