@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import PhysicalConstants
-from .grids import CENTRAL, ScalarField, derive_along
+from .functionals import PhysicalConstants, _time_derivative, _time_weights
+from .grids import CENTRAL, Grid, _locked, derive_along
 
 
 class ClassicalError(ValueError):
@@ -208,9 +208,9 @@ def moment_action(
     z = np.asarray(z, dtype=np.float64)
     if phi.shape != z.shape or phi.ndim != 1 or phi.size < 3:
         raise ClassicalError("need aligned 1-d phi and z samples (at least 3)")
-    dphi_dt = np.gradient(phi, dt, edge_order=2)
+    dphi_dt = _time_derivative(phi, dt, False, CENTRAL)
     integrand = -z * dphi_dt + moment_hamiltonian(phi, np.clip(z, -1.0, 1.0), b, gamma)
-    return float(0.5 * dt * np.sum(integrand[1:] + integrand[:-1]))
+    return float(np.dot(_time_weights(phi.size, dt, False), integrand))
 
 
 # ---------------------------------------------------------------------------
@@ -251,51 +251,39 @@ def lorentz_evolve(
     return ParticleTrajectory(times, xs, vs)
 
 
-def _gradient(s: ScalarField, scheme: str) -> np.ndarray:
-    """grad S, components first; zero along the axes the grid does not have."""
-    g = s.grid
-    out = np.zeros((3,) + g.shape)
-    for ax in range(g.dim):
-        out[ax] = derive_along(s.values, g.spacing[ax], ax, g.boundary, scheme)
-    return out
-
-
 def velocity_field(
-    s: ScalarField, a_pot: np.ndarray, charge: float, mass: float, scheme: str = CENTRAL
+    grid: Grid, s: np.ndarray, a_pot: np.ndarray, charge: float, mass: float,
+    scheme: str = CENTRAL,
 ) -> np.ndarray:
     """Drift velocity (grad S - q A) / m of the zero-uncertainty limit, for
-    the vector potential ``a_pot`` shaped (3,) + grid.shape; components first."""
-    return (_gradient(s, scheme) - charge * a_pot) / mass
+    the action ``s`` shaped grid.shape and the vector potential ``a_pot``
+    shaped (3,) + grid.shape; components first, and grad S is zero along
+    the axes the grid does not have."""
+    s = _locked("s", s, grid.shape, ClassicalError)
+    a_pot = _locked("a_pot", a_pot, (3,) + grid.shape, ClassicalError)
+    grad_s = np.zeros((3,) + grid.shape)
+    for ax in range(grid.dim):
+        grad_s[ax] = derive_along(s, grid.spacing[ax], ax, grid.boundary, scheme)
+    return (grad_s - charge * a_pot) / mass
 
 
 def hj_residual(
-    s_frames,
+    grid: Grid,
+    s_frames: np.ndarray,
     a_pot: np.ndarray,
-    v_pot: ScalarField,
+    v_pot: np.ndarray,
     consts: PhysicalConstants,
     dt: float = 0.0,
     scheme: str = CENTRAL,
-) -> list[ScalarField]:
-    """Pointwise residual of dS/dt + (grad S - qA)^2 / 2m + V per snapshot,
-    for the vector potential ``a_pot`` shaped (3,) + grid.shape."""
-    if isinstance(s_frames, ScalarField):
-        s_frames = [s_frames]
-    else:
-        s_frames = list(s_frames)
-    g = s_frames[0].grid
-    stack = np.stack([f.values for f in s_frames])
-    if stack.shape[0] == 1:
-        ds_dt = np.zeros_like(stack)
-    else:
-        if dt <= 0:
-            raise ClassicalError("snapshot sequences require dt > 0")
-        ds_dt = derive_along(stack, dt, 0, "dirichlet_zero", CENTRAL)
-    out = []
-    for i, frame in enumerate(s_frames):
-        kin = np.zeros(g.shape)
-        grad_s = _gradient(frame, scheme)
-        for ax in range(3):
-            kin += (grad_s[ax] - consts.charge * a_pot[ax]) ** 2
-        resid = ds_dt[i] + kin / (2.0 * consts.mass) + v_pot.values
-        out.append(ScalarField(g, resid))
-    return out
+) -> np.ndarray:
+    """Pointwise residual dS/dt + m |v|^2 / 2 + V, v the drift velocity, of
+    the actions ``s_frames`` shaped (frames,) + grid.shape, snapshots ``dt``
+    apart, in the vector potential ``a_pot`` shaped (3,) + grid.shape and
+    the potential energy ``v_pot`` shaped grid.shape; one frame is static."""
+    frames = _locked("s_frames", s_frames, np.shape(s_frames)[:1] + grid.shape, ClassicalError)
+    v_pot = _locked("v_pot", v_pot, grid.shape, ClassicalError)
+    residual = _time_derivative(frames, dt, False, CENTRAL) + v_pot
+    for i, s in enumerate(frames):
+        v = velocity_field(grid, s, a_pot, consts.charge, consts.mass, scheme)
+        residual[i] += 0.5 * consts.mass * np.sum(v * v, axis=0)
+    return residual

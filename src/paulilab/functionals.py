@@ -40,7 +40,7 @@ from .grids import (
     SPECTRAL,
     Grid,
     GridError,
-    ScalarField,
+    _locked,
     _weights_1d,
     curl_stack,
     derive_along,
@@ -88,12 +88,13 @@ class PhysicalConstants:
 
 
 def _check_density(p: np.ndarray, grid: Grid) -> None:
-    """A nonnegative density of unit mass in each frame of a (frames,) + shape stack."""
-    if np.any(p < -1e-13):
+    """A nonnegative density of unit mass in each frame of a (frames,) + shape
+    stack; the comparisons are negated, so a NaN cell fails them."""
+    if not np.all(p >= -1e-13):
         raise FunctionalError("density must be nonnegative")
     w = quadrature_weights(grid)
     for total in (float(np.sum(w * frame)) for frame in p):
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise FunctionalError(f"density must integrate to 1, got {total}")
 
 
@@ -112,11 +113,14 @@ def _time_weights(n: int, dt: float, periodic: bool) -> np.ndarray:
 
 
 def _time_derivative(stack: np.ndarray, dt: float, periodic: bool, scheme: str) -> np.ndarray:
+    """d/dt along the first axis of ``stack``; one frame is static."""
     n = stack.shape[0]
     if n == 1:
         return np.zeros_like(stack)
     if n < 3:
         raise FunctionalError("time derivatives need at least 3 snapshots")
+    if dt <= 0:
+        raise FunctionalError("snapshot sequences require dt > 0")
     boundary = PERIODIC if periodic else DIRICHLET_ZERO
     use_scheme = scheme if (scheme == SPECTRAL and periodic) else CENTRAL
     return derive_along(stack, dt, 0, boundary, use_scheme)
@@ -160,17 +164,18 @@ def _fisher_density(
     return dens
 
 
-def fisher_continuum(p: ScalarField, theta: ScalarField | None = None) -> float:
+def fisher_continuum(grid: Grid, p: np.ndarray, theta: np.ndarray | None = None) -> float:
     """Position sensitivity of the click statistics at one instant, polar form.
 
     Integrates |grad P|^2 / P + |grad theta|^2 P over space.  Cells below the
-    positivity floor are excluded from the 1/P part.  ``p`` is checked as
-    the equivalence stacks' density is: nonnegative and of unit mass.
+    positivity floor are excluded from the 1/P part.  ``p`` and ``theta``
+    are finite ``grid.shape`` arrays, and ``p`` is checked as the
+    equivalence stacks' density is: nonnegative and of unit mass.
     """
-    grid = p.grid
-    p_stack = p.values[None]
+    p_stack = _locked("p", p, grid.shape, FunctionalError)[None]
     _check_density(p_stack, grid)
-    grad_theta = () if theta is None else _grad_stack(theta.values[None], grid, CENTRAL, angle=True)
+    grad_theta = () if theta is None else _grad_stack(
+        _locked("theta", theta, grid.shape, FunctionalError)[None], grid, CENTRAL, angle=True)
     dens = _fisher_density(p_stack, _grad_stack(p_stack, grid, CENTRAL), grad_theta)
     return float(_integrate_stack(dens, grid, np.ones(1)))
 
@@ -546,30 +551,32 @@ def stationarity_residual_static(grid: Grid, fields: dict[str, np.ndarray],
     return StationarityResiduals(norm(r_phase), norm(r_tilt), norm(r_density), norm(r_action))
 
 
-def euler_lagrange_residual(p_field: ScalarField, source: float | ScalarField,
-                            consts: PhysicalConstants, scheme: str = CENTRAL) -> ScalarField:
+def euler_lagrange_residual(grid: Grid, p: np.ndarray, source, consts: PhysicalConstants,
+                            scheme: str = CENTRAL) -> np.ndarray:
     """Pointwise residual of the stationarity equation of one color density:
 
-        lam (grad P)^2 / P^2 + 2 lam div(grad P / P) - F = 0.
+        lam (grad P)^2 / P^2 + 2 lam div(grad P / P) - F = 0,
 
-    Cells below the positivity floor are masked to zero in the output.
+    for finite ``grid.shape`` arrays ``p`` and ``source`` (F; a number is
+    uniform).  Cells below the positivity floor are masked to zero.
     """
-    g = p_field.grid
-    p = p_field.values
+    p = _locked("p", p, grid.shape, FunctionalError)
+    uniform = np.ndim(source) == 0
+    f_vals = _locked("source", np.broadcast_to(source, grid.shape) if uniform else source,
+                     grid.shape, FunctionalError)
     included = p >= POSITIVITY_FLOOR
     if not np.any(included):
         raise FunctionalError("density entirely below the positivity floor")
     safe = np.where(included, p, 1.0)
-    grad_sq = np.zeros(g.shape)
-    div_ratio = np.zeros(g.shape)
-    for ax in range(g.dim):
-        gp = derive_along(p, g.spacing[ax], ax, g.boundary, scheme)
+    grad_sq = np.zeros(grid.shape)
+    div_ratio = np.zeros(grid.shape)
+    for ax in range(grid.dim):
+        gp = derive_along(p, grid.spacing[ax], ax, grid.boundary, scheme)
         grad_sq += gp * gp
         ratio = np.where(included, gp / safe, 0.0)
-        div_ratio += derive_along(ratio, g.spacing[ax], ax, g.boundary, scheme)
-    f_vals = source.values if isinstance(source, ScalarField) else float(source)
+        div_ratio += derive_along(ratio, grid.spacing[ax], ax, grid.boundary, scheme)
     resid = consts.lam * grad_sq / safe**2 + 2.0 * consts.lam * div_ratio - f_vals
-    return ScalarField(g, np.where(included, resid, 0.0))
+    return np.where(included, resid, 0.0)
 
 
 # ---------------------------------------------------------------------------

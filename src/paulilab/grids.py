@@ -2,11 +2,12 @@
 
 Grids cover 1 to 3 spatial dimensions with either periodic or zero-boundary
 (dirichlet) topology.  Every operator here is a pure function on plain
-numpy arrays; a vector field is an array with its three components first.
-``ScalarField`` pairs one read-only cell array with its grid.  First and
-second derivatives take second-order central stencils; periodic grids also
-take Fourier-spectral first derivatives, for the checks that must not be
-limited by stencil error.
+numpy arrays; a vector field is an array with its three components first,
+and ``_locked`` is the one check of a stored array.  ``ScalarField`` and
+``integrate`` are kept for the benchmark only: no other module takes them.
+First and second derivatives take second-order central stencils; periodic
+grids also take Fourier-spectral first derivatives, for the checks that
+must not be limited by stencil error.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _locked(name: str, values, shape: tuple[int, ...], error: type[ValueError]) 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real value per lattice cell."""
+    """Real value per lattice cell; the benchmark's form, not the package's."""
 
     grid: Grid
     values: np.ndarray

@@ -347,7 +347,9 @@ JOINT_RULES = {
     "equivalence": (("cells^3 * frames <= 2^20 and sets * cells^3 * frames <= 2^26: a set "
                      "keeps about 400 bytes a field value", ("cells", "frames", "sets"),
                      _equivalence_fits),),
-    "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE),
+    "sample": (_TABLE_RULE, _SIGMA_SQUARED_RULE,
+               ("repetitions <= 2^63 - 1: numpy's multinomial draws take an int64",
+                ("repetitions",), lambda repetitions: repetitions <= 2**63 - 1)),
     "fisher_discrete": (_SIGMA_SQUARED_RULE, _FISHER_WIDTH_RULE, _FISHER_FLOOR_RULE),
     "pauli_evolve": (("steps is a multiple of record_every when setup is free_packet: the "
                       "snapshot file holds one time step between records",
@@ -398,8 +400,19 @@ JOINT_RULES = {
          lambda offset, gradient, *coupled: offset == 0 or gradient != 0 or 0 in coupled),
         (_PAULI_RUN_TEXT.format("t_final / dt"), ("dt", "t_final", "record_every", "cells"),
          lambda dt, t_final, every, cells: _pauli_run_fits(t_final / dt, every, cells)),
+        # the run rounds t_final / dt, and a run of 0 steps has no motion to
+        # check: its records divided 0 by 0
+        ("t_final / dt > 0.5: the run takes at least one time step", ("dt", "t_final"),
+         lambda dt, t_final: t_final / dt > 0.5),
     ),
 }
+
+
+def _seed_violations(seed) -> list[str]:
+    """numpy's generators, which the seed starts, take a non-negative integer."""
+    if isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
+        return []
+    return [f"seed must be a non-negative integer, got {seed!r}"]
 
 
 @dataclass(frozen=True)
@@ -408,6 +421,12 @@ class Scenario:
     parameters: dict
     seed: int = 0
     output_dir: str = "."
+
+    def __post_init__(self) -> None:
+        # the command line's --seed override reaches here without parse_scenario
+        violations = _seed_violations(self.seed)
+        if violations:
+            raise ScenarioError(violations)
 
     def echo(self) -> dict:
         return {
@@ -513,9 +532,7 @@ def parse_scenario(document: str) -> Scenario:
                    for text, names, test in JOINT_RULES.get(kind, ())
                    if admitted.issuperset(names) and not test(*(params[n] for n in names))]
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        violations.append("seed must be an integer")
-        seed = 0
+    violations += _seed_violations(seed)
     output_dir = doc.get("output_dir", ".")
     if not isinstance(output_dir, str):
         violations.append("output_dir must be a string")
@@ -581,7 +598,7 @@ def _run_box_minimize(scenario: Scenario, out):
     )
     density_path = out("density.csv")
     fieldio.write_table_csv(
-        density_path, ["x", "density", "exact"], zip(x, scan[0].fields["p"], exact)
+        density_path, ["x", "density", "exact"], zip(x, scan[0].density, exact)
     )
     trace_path = out("trace.csv")
     fieldio.write_table_csv(trace_path, ["iteration", "objective", "gradient_norm"],

@@ -53,28 +53,14 @@ class VariationalError(ValueError):
 
 
 @dataclass(frozen=True)
-class MinimizationProblem:
-    """Specification of one Fisher minimization over the density on ``grid``,
-    normalized, nonnegative and zero on a dirichlet boundary.
-
-    The solver draws ``multistarts`` random starts from ``seed`` and returns
-    the best result.
-    """
-
-    grid: Grid
-    grad_tol: float = 1e-8
-    max_iterations: int = 20000
-    multistarts: int = 8
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class MinimizationResult:
-    fields: dict
+    """One stationary mode: its density, normalized, nonnegative and zero on
+    a dirichlet boundary, and the descent that reached it."""
+
+    density: np.ndarray
     objective_value: float
     gradient_norm: float
     iterations: int
-    multistart_index: int
     converged: bool
     trace: np.ndarray  # (k, 3): iteration, objective, gradient norm
 
@@ -259,7 +245,7 @@ def _ritz_basis(blocks, cell_volume: float) -> np.ndarray:
 
 
 def _block_lobpcg(grid: Grid, op: _FisherOperator, x0: np.ndarray, grad_tol: float,
-                  max_iterations: int, index: int) -> list[MinimizationResult]:
+                  max_iterations: int) -> list[MinimizationResult]:
     """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
     modes of the psi objective, one per column of ``x0`` (free cells x modes).
 
@@ -320,11 +306,10 @@ def _block_lobpcg(grid: Grid, op: _FisherOperator, x0: np.ndarray, grad_tol: flo
     # square-root-space gradient), so converged implies norm <= tolerance
     return [
         MinimizationResult(
-            fields={"p": p / (cv * float(np.sum(p)))},
+            density=p / (cv * float(np.sum(p))),
             objective_value=float(value),
             gradient_norm=float(gnorm),
             iterations=iterations,
-            multistart_index=index,
             converged=bool(gnorm <= grad_tol),
             trace=np.array(trace),
         )
@@ -332,28 +317,19 @@ def _block_lobpcg(grid: Grid, op: _FisherOperator, x0: np.ndarray, grad_tol: flo
     ]
 
 
-def minimize(problem: MinimizationProblem) -> MinimizationResult:
-    """Best Fisher minimum over the starts: the first mode of ``spectrum_scan``.
-
-    Accepted steps never increase the objective; every iterate is normalized,
-    nonnegative and zero on a dirichlet boundary.
-    """
-    return spectrum_scan(problem, 1)[0]
-
-
-def spectrum_scan(problem: MinimizationProblem, mode_count: int) -> list[MinimizationResult]:
+def spectrum_scan(grid: Grid, mode_count: int, grad_tol: float, max_iterations: int,
+                  multistarts: int, seed: int) -> list[MinimizationResult]:
     """The lowest ``mode_count`` stationary modes of the density-only Fisher
-    objective, solved together as one block from each start; the start with
-    the lowest sum of values wins.  Each random start draws ``mode_count``
-    columns in turn from its generator.  The first mode is ``minimize``'s
-    result."""
+    objective on ``grid``, solved together as one block from each of
+    ``multistarts`` random starts; the start with the lowest sum of values
+    wins, and its first mode is the Fisher minimum.  Start k draws
+    ``mode_count`` columns in turn from ``default_rng(seed + k)``.  Accepted
+    steps never increase a value."""
     if mode_count < 1:
         raise VariationalError("mode_count must be positive")
-    grid = problem.grid
     op = _fisher_operator(grid)
-    rngs = (np.random.default_rng(problem.seed + start) for start in range(problem.multistarts))
+    rngs = (np.random.default_rng(seed + start) for start in range(multistarts))
     starts = (np.stack([rng.random(grid.size)[op.free] + 0.1 for _ in range(mode_count)],
                        axis=1) for rng in rngs)
-    scans = (_block_lobpcg(grid, op, x0, problem.grad_tol, problem.max_iterations, index)
-             for index, x0 in enumerate(starts))
+    scans = (_block_lobpcg(grid, op, x0, grad_tol, max_iterations) for x0 in starts)
     return min(scans, key=lambda modes: sum(r.objective_value for r in modes))

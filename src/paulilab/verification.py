@@ -22,14 +22,7 @@ import numpy as np
 
 from . import classical, fieldio, functionals, grids, inference, pauli, variational
 from .functionals import PhysicalConstants
-from .grids import (
-    CENTRAL,
-    DIRICHLET_ZERO,
-    PERIODIC,
-    SPECTRAL,
-    Grid,
-    ScalarField,
-)
+from .grids import CENTRAL, DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 # density within a few edge cells above which a Stern-Gerlach run aborts
@@ -83,17 +76,14 @@ def box_spectrum(length: float, cells: int, modes: int, grad_tol: float, multist
     Returns (scan, x, exact density, records).
     """
     grid = Grid((length,), (cells,), DIRICHLET_ZERO)
-    scan = variational.spectrum_scan(variational.MinimizationProblem(
-        grid=grid, grad_tol=grad_tol,
-        max_iterations=max_iterations, multistarts=multistarts, seed=seed,
-    ), modes)
+    scan = variational.spectrum_scan(grid, modes, grad_tol, max_iterations, multistarts, seed)
     x = grid.axis_coordinates(0)
     exact = (2 / length) * np.sin(np.pi * x / length) ** 2
     targets = [(2 * k * np.pi / length) ** 2 for k in range(1, modes + 1)]
     records = []
     if minimum:
         first = scan[0]
-        density_error = float(np.max(np.abs(first.fields["p"] - exact))) / float(np.max(exact))
+        density_error = float(np.max(np.abs(first.density - exact))) / float(np.max(exact))
         records += [
             check_leq(minimum[0], abs(first.objective_value - targets[0]) / targets[0], 0.01),
             check_leq(minimum[1], density_error, 0.02),
@@ -293,7 +283,7 @@ def check_gaussian_fisher(fast: bool = False) -> list[CheckRecord]:
     x = grid.axis_coordinates(0)
     dens = np.exp(-((x - cells / 2) ** 2) / (2 * sigma**2))
     dens /= dens.sum() * grid.cell_volume
-    continuum = functionals.fisher_continuum(ScalarField(grid, dens))
+    continuum = functionals.fisher_continuum(grid, dens)
     oracle = 1.0 / sigma**2
     return [
         check_leq("fisher.continuum_rel_error", abs(continuum - oracle) / oracle, 0.02),

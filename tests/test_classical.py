@@ -19,7 +19,7 @@ from paulilab.classical import (
     velocity_field,
 )
 from paulilab.functionals import PhysicalConstants
-from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, ScalarField, derive_along
+from paulilab.grids import DIRICHLET_ZERO, PERIODIC, Grid, derive_along
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
@@ -345,8 +345,8 @@ def test_velocity_field_momentum_action():
     g = Grid((2.0,) * 3, (9,) * 3, DIRICHLET_ZERO)
     x, y, z = g.meshgrid()
     p_vec = np.array([0.7, -0.2, 0.4])
-    s = ScalarField(g, p_vec[0] * x + p_vec[1] * y + p_vec[2] * z)
-    u = velocity_field(s, np.zeros((3,) + g.shape), charge=1.0, mass=2.0)
+    s = (p_vec[0] * x + p_vec[1] * y + p_vec[2] * z) * np.ones(g.shape)
+    u = velocity_field(g, s, np.zeros((3,) + g.shape), charge=1.0, mass=2.0)
     for i in range(3):
         np.testing.assert_allclose(u[i], p_vec[i] / 2.0, atol=1e-12)
 
@@ -355,7 +355,7 @@ def test_velocity_field_pure_potential():
     g = Grid((1.0,) * 3, (8,) * 3, PERIODIC)
     a_pot = np.zeros((3,) + g.shape)
     a_pot[1] = 0.6
-    u = velocity_field(ScalarField.full(g, 0.0), a_pot, 1.5, 3.0)
+    u = velocity_field(g, np.zeros(g.shape), a_pot, 1.5, 3.0)
     np.testing.assert_allclose(u[1], -1.5 * 0.6 / 3.0, atol=1e-13)
 
 
@@ -368,7 +368,7 @@ def test_velocity_field_circulation():
     a_pot[0] = -(y - 1.0) * ones
     a_pot[1] = (x - 1.0) * ones
     q, m = 1.2, 0.8
-    u = velocity_field(ScalarField.full(g, 0.0), a_pot, q, m)
+    u = velocity_field(g, np.zeros(g.shape), a_pot, q, m)
     # square loop through lattice points at fixed k, mid-plane
     idx = [4, 12]
     k = 8
@@ -406,22 +406,19 @@ def test_hj_residual_free_particle():
     x = g.axis_coordinates(0)
     p, m = 0.8, CONSTS.mass
     dt = 0.01
-    frames = [
-        ScalarField(g, p * x - (p**2 / (2 * m)) * (i * dt)) for i in range(5)
-    ]
-    res = hj_residual(frames, np.zeros((3,) + g.shape), ScalarField.full(g, 0.0), CONSTS, dt=dt)
-    for r in res:
-        np.testing.assert_allclose(r.values, 0.0, atol=1e-12)
+    frames = [p * x - (p**2 / (2 * m)) * (i * dt) for i in range(5)]
+    res = hj_residual(g, frames, np.zeros((3,) + g.shape), np.zeros(g.shape), CONSTS, dt=dt)
+    assert res.shape == (5,) + g.shape
+    np.testing.assert_allclose(res, 0.0, atol=1e-12)
 
 
 def test_hj_residual_constant_potential():
     g = Grid((1.0,), (16,), PERIODIC)
     v0 = 0.6
     dt = 0.05
-    frames = [ScalarField.full(g, -v0 * i * dt) for i in range(5)]
-    res = hj_residual(frames, np.zeros((3,) + g.shape), ScalarField.full(g, v0), CONSTS, dt=dt)
-    for r in res:
-        np.testing.assert_allclose(r.values, 0.0, atol=1e-13)
+    frames = [np.full(g.shape, -v0 * i * dt) for i in range(5)]
+    res = hj_residual(g, frames, np.zeros((3,) + g.shape), np.full(g.shape, v0), CONSTS, dt=dt)
+    np.testing.assert_allclose(res, 0.0, atol=1e-13)
 
 
 def test_hj_chain_matches_lorentz():
@@ -439,11 +436,11 @@ def test_hj_chain_matches_lorentz():
         p_t = p0 + q * e0 * t
         # dS/dt = -p(t)^2/2m  ->  g(t) = -int p^2/2m dt
         g_t = -(p_t**3 - p0**3) / (6.0 * m * q * e0)
-        frames.append(ScalarField(g, p_t * x * ones + g_t))
-    v_pot = ScalarField(g, -q * e0 * x * ones)  # V = q phi, phi = -e0 x
-    res = hj_residual(frames, np.zeros((3,) + g.shape), v_pot, CONSTS, dt=dt)
+        frames.append(p_t * x * ones + g_t)
+    v_pot = -q * e0 * x * ones  # V = q phi, phi = -e0 x
+    res = hj_residual(g, frames, np.zeros((3,) + g.shape), v_pot, CONSTS, dt=dt)
     # residual limited by the time stencil on the cubic-in-time action
-    assert np.max(np.abs(res[50].values)) < 5e-5
+    assert np.max(np.abs(res[50])) < 5e-5
 
     # drift flow: dx/dt = (p0 + q e0 t)/m from the action gradient
     x0 = 10.0
@@ -461,5 +458,53 @@ def test_hj_residual_gauge_pure_configuration():
     chi = (0.4 * x + 0.1 * y - 0.3 * z) * np.ones(g.shape)  # affine: stencil-exact
     q = CONSTS.charge
     a_pot = np.stack([derive_along(chi, g.spacing[ax], ax, g.boundary) for ax in range(3)])
-    res = hj_residual(ScalarField(g, q * chi), a_pot, ScalarField.full(g, 0.0), CONSTS)
-    np.testing.assert_allclose(res[0].values, 0.0, atol=1e-12)
+    res = hj_residual(g, [q * chi], a_pot, np.zeros(g.shape), CONSTS)
+    np.testing.assert_allclose(res[0], 0.0, atol=1e-12)
+
+
+def test_hj_residual_matches_the_direct_formula_on_a_plane_grid():
+    # dS/dt + |grad S - qA|^2 / 2m + V, with a vector potential along the
+    # axis the 2-d grid does not have, which still enters the kinetic term
+    g = Grid((1.0, 1.3), (9, 11), PERIODIC)
+    rng = np.random.default_rng(5)
+    consts = PhysicalConstants(1.0, 0.7, -1.3)
+    dt = 0.05
+    frames = rng.normal(size=(4,) + g.shape)
+    a_pot = rng.normal(size=(3,) + g.shape)
+    v_pot = rng.normal(size=g.shape)
+    ds_dt = np.gradient(frames, dt, axis=0, edge_order=2)
+    want = []
+    for i, s in enumerate(frames):
+        kin = (consts.charge * a_pot[2]) ** 2
+        for ax in range(2):
+            kin = kin + (derive_along(s, g.spacing[ax], ax, g.boundary)
+                         - consts.charge * a_pot[ax]) ** 2
+        want.append(ds_dt[i] + kin / (2.0 * consts.mass) + v_pot)
+    got = hj_residual(g, frames, a_pot, v_pot, consts, dt=dt)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, s: velocity_field(g, s, np.zeros((3,) + g.shape), 1.0, 1.0),
+    lambda g, s: velocity_field(g, np.zeros(g.shape), np.stack([s, s, s]), 1.0, 1.0),
+    lambda g, s: hj_residual(g, [s, s, s], np.zeros((3,) + g.shape), np.zeros(g.shape), CONSTS,
+                             dt=0.1),
+    lambda g, s: hj_residual(g, [np.zeros(g.shape)] * 3, np.zeros((3,) + g.shape), s, CONSTS,
+                             dt=0.1),
+], ids=["velocity_field_action", "velocity_field_vector_potential", "hj_residual_action",
+        "hj_residual_potential"])
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_drift_functions_refuse_a_wrong_shape_or_a_non_finite_cell(call, bad):
+    g = Grid((1.0,), (8,), PERIODIC)
+    s = np.zeros(9) if bad == "shape" else np.zeros(g.shape)
+    if bad != "shape":
+        s[3] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ClassicalError):
+        call(g, s)
+
+
+def test_hj_residual_needs_a_time_step_for_a_sequence():
+    g = Grid((1.0,), (8,), PERIODIC)
+    frames = np.zeros((3,) + g.shape)
+    with pytest.raises(ValueError, match="dt > 0"):
+        hj_residual(g, frames, np.zeros((3,) + g.shape), np.zeros(g.shape), CONSTS)

@@ -15,7 +15,6 @@ from paulilab.grids import (
     SPECTRAL,
     Grid,
     GridError,
-    ScalarField,
     curl_stack,
     derive_along,
 )
@@ -75,8 +74,8 @@ def test_fisher_box_ground_profile():
     L = 1.0
     g = Grid((L,), (512,), DIRICHLET_ZERO)
     x = g.axis_coordinates(0)
-    p = ScalarField(g, (2 / L) * np.sin(np.pi * x / L) ** 2)
-    assert fisher_continuum(p) == pytest.approx((2 * np.pi / L) ** 2, rel=0.01)
+    p = (2 / L) * np.sin(np.pi * x / L) ** 2
+    assert fisher_continuum(g, p) == pytest.approx((2 * np.pi / L) ** 2, rel=0.01)
 
 
 def test_fisher_gaussian():
@@ -86,20 +85,20 @@ def test_fisher_gaussian():
     sigma = 10.0
     p = np.exp(-((x - n / 2) ** 2) / (2 * sigma**2))
     p /= p.sum() * g.cell_volume
-    assert fisher_continuum(ScalarField(g, p)) == pytest.approx(1 / sigma**2, rel=0.01)
+    assert fisher_continuum(g, p) == pytest.approx(1 / sigma**2, rel=0.01)
 
 
 def test_fisher_winding_angle_on_torus():
     g = Grid((1.0,), (128,), PERIODIC)
-    p = ScalarField.full(g, 1.0)
-    theta = ScalarField(g, 2 * np.pi * g.axis_coordinates(0))
-    assert fisher_continuum(p, theta) == pytest.approx((2 * np.pi) ** 2, rel=1e-12)
+    p = np.ones(g.shape)
+    theta = 2 * np.pi * g.axis_coordinates(0)
+    assert fisher_continuum(g, p, theta) == pytest.approx((2 * np.pi) ** 2, rel=1e-12)
 
 
 def test_fisher_rejects_negative_density():
     g = Grid((1.0,), (16,), PERIODIC)
     with pytest.raises(FunctionalError):
-        fisher_continuum(ScalarField(g, np.linspace(-0.1, 2.1, 16)))
+        fisher_continuum(g, np.linspace(-0.1, 2.1, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +478,7 @@ def test_total_fisher_only_prefactor():
     p /= p.sum() * g.cell_volume
     theta = 0.4 * np.cos(2 * np.pi * x)
     rep = equivalence_residual(g, polar_stacks(g, p=p, theta=theta), CONSTS)
-    fisher = fisher_continuum(ScalarField(g, p), ScalarField(g, theta))
+    fisher = fisher_continuum(g, p, theta)
     expect = CONSTS.hbar**2 / (8 * CONSTS.mass) * fisher
     assert rep.total == pytest.approx(expect, rel=1e-12)
     assert rep.breakdown["fisher"] == pytest.approx(expect, rel=1e-12)
@@ -533,14 +532,14 @@ def test_stationarity_detects_non_solution():
 
 def test_el_residual_constant_density():
     g = Grid((1.0,), (64,), PERIODIC)
-    out = euler_lagrange_residual(ScalarField.full(g, 1.0), 0.0, CONSTS)
-    np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+    out = euler_lagrange_residual(g, np.ones(g.shape), 0.0, CONSTS)
+    np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def box_density(n, L=1.0):
     g = Grid((L,), (n,), DIRICHLET_ZERO)
     x = g.axis_coordinates(0)
-    return g, ScalarField(g, (2 / L) * np.sin(np.pi * x / L) ** 2)
+    return g, (2 / L) * np.sin(np.pi * x / L) ** 2
 
 
 def test_el_residual_box_solution_converges():
@@ -548,7 +547,7 @@ def test_el_residual_box_solution_converges():
     for n in (129, 257):
         g, p = box_density(n)
         mu = -4.0 * CONSTS.lam * (np.pi / 1.0) ** 2
-        res = euler_lagrange_residual(p, mu, CONSTS).values
+        res = euler_lagrange_residual(g, p, mu, CONSTS)
         lo, hi = n // 4, 3 * n // 4
         interior_max.append(np.max(np.abs(res[lo:hi])))
     assert 3.0 <= interior_max[0] / interior_max[1] <= 5.0
@@ -559,12 +558,12 @@ def test_box_perturbation_raises_objective_quadratically():
     g, p = box_density(513)
     x = g.axis_coordinates(0)
     eta = np.sin(2 * np.pi * x)  # normalization-preserving direction
-    base = fisher_continuum(p)
+    base = fisher_continuum(g, p)
     deltas = []
     for eps in (2e-3, 1e-3):
-        vals = p.values * (1.0 + eps * eta)
+        vals = p * (1.0 + eps * eta)
         vals /= np.sum(vals * (np.r_[0.5, np.ones(len(x) - 2), 0.5] * g.spacing[0]))
-        deltas.append(fisher_continuum(ScalarField(g, vals)) - base)
+        deltas.append(fisher_continuum(g, vals) - base)
     assert deltas[0] > 0 and deltas[1] > 0
     assert 3.5 <= deltas[0] / deltas[1] <= 4.5
 
@@ -574,7 +573,58 @@ def test_fisher_rejects_unnormalized_density():
     # a mass of 1 + 1e-8 is off by more than the equivalence stacks admit
     for value in (3.0, 1.0 + 1e-8):
         with pytest.raises(FunctionalError, match="density must integrate to 1"):
-            fisher_continuum(ScalarField.full(g, value))
+            fisher_continuum(g, np.full(g.shape, value))
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+@pytest.mark.parametrize("which", ["p", "theta"])
+def test_fisher_refuses_a_wrong_shape_or_a_non_finite_cell(which, bad):
+    g = Grid((1.0,), (16,), PERIODIC)
+    fields = {"p": np.ones(g.shape), "theta": np.zeros(g.shape)}
+    if bad == "shape":
+        fields[which] = np.ones(17)
+    else:
+        fields[which][5] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(FunctionalError, match=which):
+        fisher_continuum(g, fields["p"], fields["theta"])
+
+
+def test_density_check_refuses_a_nan_cell():
+    # each comparison is negated, so NaN fails it rather than slipping past
+    g = Grid((1.0,), (16,), PERIODIC)
+    p = np.ones((1,) + g.shape)
+    p[0, 3] = np.nan
+    with pytest.raises(FunctionalError, match="nonnegative"):
+        functionals._check_density(p, g)
+
+
+def test_el_residual_takes_a_uniform_source_as_a_number_or_an_array():
+    g, p = box_density(65)
+    mu = -4.0 * CONSTS.lam * np.pi**2
+    np.testing.assert_array_equal(euler_lagrange_residual(g, p, mu, CONSTS),
+                                  euler_lagrange_residual(g, p, np.full(g.shape, mu), CONSTS))
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+@pytest.mark.parametrize("which", ["p", "source"])
+def test_el_residual_refuses_a_wrong_shape_or_a_non_finite_cell(which, bad):
+    g, p = box_density(33)
+    fields = {"p": p, "source": np.zeros(g.shape)}
+    if bad == "shape":
+        fields[which] = np.ones(32)
+    else:
+        fields[which] = fields[which].copy()
+        fields[which][5] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(FunctionalError, match=which):
+        euler_lagrange_residual(g, fields["p"], fields["source"], CONSTS)
+
+
+def test_time_derivative_of_a_sequence_needs_a_positive_step():
+    stack = np.zeros((3, 4))
+    for dt in (0.0, -0.1):
+        with pytest.raises(FunctionalError, match="dt > 0"):
+            _time_derivative(stack, dt, False, CENTRAL)
+    np.testing.assert_array_equal(_time_derivative(stack[:1], 0.0, False, CENTRAL), stack[:1])
 
 
 # ---------------------------------------------------------------------------

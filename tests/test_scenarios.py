@@ -330,6 +330,15 @@ _CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
      ["parameter 'amplitude' must be |x| <= 1, got 2.0"]),
     ("equivalence", {"amplitude": -1.5, "sets": 1, "cells": 8, "frames": 4},
      ["parameter 'amplitude' must be |x| <= 1, got -1.5"]),
+    # t_final / dt rounded to 0 steps, and the run exited 1 on a 0/0:
+    # separation_rel_error read nan, and for one color deflection_rel_error inf
+    ("stern_gerlach", {"field_gradient": 0.02, "dt": 0.3, "t_final": 0.1, "cells": 256},
+     [_JOINT + "t_final / dt > 0.5"]),
+    ("stern_gerlach", {"field_gradient": 0.02, "dt": 0.3, "t_final": 0.1, "cells": 256,
+                       "spin_down_weight": 0.0}, [_JOINT + "t_final / dt > 0.5"]),
+    # numpy's multinomial takes an int64, and the run exited 3 ("Python int
+    # too large to convert to C long")
+    ("sample", {"repetitions": 2**63}, [_JOINT + "repetitions <= 2^63 - 1"]),
 ])
 def test_cli_joint_rule_errors_exit_2(tmp_path, capsys, kind, parameters, rules):
     doc = tmp_path / "doc.json"
@@ -538,6 +547,37 @@ def test_setup_rules_admit_other_setups(tmp_path):
     assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("kind,parameters,seed", [
+    ("sample", {"cells": 16}, -1),
+    ("equivalence", {"cells": 8, "frames": 4, "sets": 1}, -3),
+    ("box_minimize", {"cells": 16}, -1),
+])
+def test_a_negative_seed_exits_2(tmp_path, capsys, kind, parameters, seed):
+    # numpy's generators refused it at run time ("expected non-negative
+    # integer"), and the run exited 3
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": kind, "seed": seed, "parameters": parameters}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: seed must be a non-negative integer, got {seed}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(scenarios.SCHEMAS))
+def test_a_negative_seed_override_exits_2(tmp_path, capsys, kind):
+    # the override skips parse_scenario; the scenario it builds refuses the seed
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": kind, "parameters": {"field_gradient": 0.02}
+                               if kind == "stern_gerlach" else {}}))
+    argv = ["run", str(doc), "--output-dir", str(tmp_path / "out"), "--seed", "-1"]
+    assert cli.main(argv) == 2
+    assert "scenario error: seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ScenarioError):
+        Scenario(kind, {}, seed=-1)
+
+
 def test_cli_seed_override(tmp_path):
     doc = tmp_path / "sample.json"
     doc.write_text(json.dumps({
@@ -564,6 +604,11 @@ def test_cli_seed_override(tmp_path):
     ("stern_gerlach", {"field_gradient": 0.02, "spin_up_weight": 0.0, "cells": 256, "dt": 0.1}),
     ("stern_gerlach", {"field_gradient": 0.02, "spin_down_weight": 0.0, "cells": 256,
                        "dt": 0.1}),
+    # the edges of the one-step and int64 rules: t_final / dt = 0.8 rounds to one step
+    ("stern_gerlach", {"field_gradient": 0.02, "dt": 0.5, "t_final": 0.4, "cells": 256}),
+    ("stern_gerlach", {"field_gradient": 0.02, "dt": 0.5, "t_final": 0.4, "cells": 256,
+                       "spin_down_weight": 0.0}),
+    ("sample", {"cells": 16, "repetitions": 2**63 - 1}),
 ])
 def test_scenario_kinds_pass(tmp_path, kind, extra):
     params = dict(parse_scenario(json.dumps({"kind": kind, "parameters": extra})).parameters)

@@ -20,12 +20,10 @@ from paulilab.grids import (
     quadrature_weights,
 )
 from paulilab.variational import (
-    MinimizationProblem,
     TotalObjective,
     VariationalError,
     fisher_gradient_density,
     fisher_value_density,
-    minimize,
     spectrum_scan,
 )
 
@@ -42,10 +40,16 @@ def box_density(grid):
     return (2 / L) * np.sin(np.pi * x / L) ** 2
 
 
-def fisher_problem(grid, **kw):
-    defaults = dict(grid=grid, grad_tol=1e-6, multistarts=4, seed=1)
-    defaults.update(kw)
-    return MinimizationProblem(**defaults)
+GRAD_TOL = 1e-6
+
+
+def scan_of(grid, mode_count, grad_tol=GRAD_TOL, max_iterations=20000, multistarts=4, seed=1):
+    return spectrum_scan(grid, mode_count, grad_tol, max_iterations, multistarts, seed)
+
+
+def minimum_of(grid, **kw):
+    """The Fisher minimum: the first mode of a one-mode scan."""
+    return scan_of(grid, 1, **kw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +59,11 @@ def fisher_problem(grid, **kw):
 
 def test_box_minimum_objective_and_density():
     grid = box_grid(256)
-    res = minimize(fisher_problem(grid))
+    res = minimum_of(grid)
     target = (2 * np.pi / L) ** 2
     assert res.converged
     assert res.objective_value == pytest.approx(target, rel=0.01)
-    err = np.max(np.abs(res.fields["p"] - box_density(grid)))
+    err = np.max(np.abs(res.density - box_density(grid)))
     assert err < 0.02 * np.max(box_density(grid))
 
 
@@ -73,12 +77,12 @@ def test_analytic_optimum_is_fixed_point():
     grad = (-8.0 * grid.cell_volume * (laplacian_matrix(grid) @ psi))[free]
     x = psi[free]
     tangent = grad - x * (np.dot(grad, x) / np.dot(x, x))
-    assert np.linalg.norm(tangent) <= fisher_problem(grid).grad_tol
+    assert np.linalg.norm(tangent) <= GRAD_TOL
 
 
 def test_monotone_descent_trace():
     grid = box_grid(128)
-    res = minimize(fisher_problem(grid, multistarts=1))
+    res = minimum_of(grid, multistarts=1)
     objectives = res.trace[:, 1]
     assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
 
@@ -97,13 +101,12 @@ def test_block_descent_is_monotone_feasible_and_lowest(seed, dim, boundary, mode
     rng = np.random.default_rng(seed)
     low, high = {1: (6, 40), 2: (5, 14), 3: (5, 8)}[dim]
     grid = Grid(tuple(0.5 + rng.random(dim)), tuple(rng.integers(low, high, dim)), boundary)
-    problem = fisher_problem(grid, multistarts=1, seed=seed, grad_tol=1e-8)
     w = quadrature_weights(grid)
-    scan = spectrum_scan(problem, mode_count)
+    scan = scan_of(grid, mode_count, multistarts=1, seed=seed, grad_tol=1e-8)
     for res in scan:
         objectives = res.trace[:, 1]
         assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
-        p = res.fields["p"]
+        p = res.density
         assert abs(float(np.sum(w * p)) - 1.0) < 1e-8
         assert np.min(p) >= 0.0
         if boundary == DIRICHLET_ZERO:
@@ -115,8 +118,7 @@ def test_block_descent_is_monotone_feasible_and_lowest(seed, dim, boundary, mode
 
 def test_constraints_hold_at_optimum():
     grid = box_grid(128)
-    res = minimize(fisher_problem(grid))
-    p = res.fields["p"]
+    p = minimum_of(grid).density
     w = quadrature_weights(grid)
     assert abs(float(np.sum(w * p)) - 1.0) < 1e-8
     assert np.min(p) >= 0.0
@@ -125,18 +127,18 @@ def test_constraints_hold_at_optimum():
 
 def test_different_seeds_reach_the_same_minimum():
     grid = box_grid(256)
-    values = [minimize(fisher_problem(grid, multistarts=1, seed=seed, grad_tol=1e-7))
-              .objective_value for seed in (0, 31)]
+    values = [minimum_of(grid, multistarts=1, seed=seed, grad_tol=1e-7).objective_value
+              for seed in (0, 31)]
     assert values[0] == pytest.approx(values[1], abs=1e-6 * abs(values[0]))
 
 
 def test_multistart_determinism():
     grid = box_grid(64)
-    a = minimize(fisher_problem(grid, seed=5))
-    b = minimize(fisher_problem(grid, seed=5))
+    a = minimum_of(grid, seed=5)
+    b = minimum_of(grid, seed=5)
     assert a.objective_value == b.objective_value
     assert a.iterations == b.iterations
-    np.testing.assert_array_equal(a.fields["p"], b.fields["p"])
+    np.testing.assert_array_equal(a.density, b.density)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +256,9 @@ def test_total_objective_refuses_a_potential_off_its_grid_or_not_finite(name, sh
 
 def test_spectrum_scan_reproduces_mode_family():
     grid = box_grid(256)
-    problem = fisher_problem(grid, multistarts=2, grad_tol=1e-5)
-    scan = spectrum_scan(problem, 3)
+    scan = scan_of(grid, 3, multistarts=2, grad_tol=1e-5)
     for n, result in enumerate(scan, start=1):
-        value, p = result.objective_value, result.fields["p"]
+        value, p = result.objective_value, result.density
         assert value == pytest.approx((2 * n * np.pi / L) ** 2, rel=0.01)
         assert abs(float(np.sum(quadrature_weights(grid) * p)) - 1.0) < 1e-8
 
@@ -272,31 +273,34 @@ def test_spectrum_scan_matches_discrete_oracle():
         np.full(interior, 8.0 / h**2), np.full(interior - 1, -4.0 / h**2),
         select="i", select_range=(0, 2), eigvals_only=True,
     )
-    problem = fisher_problem(grid, multistarts=2, max_iterations=50)
-    res = minimize(problem)
+    res = minimum_of(grid, multistarts=2, max_iterations=50)
     assert res.converged
     assert res.objective_value == pytest.approx(oracle[0], rel=1e-9)
     # the block solve also stops at 50 iterations: a mode that had not
     # converged by then would miss its eigenvalue
-    values = [result.objective_value for result in spectrum_scan(problem, 3)]
+    values = [result.objective_value
+              for result in scan_of(grid, 3, multistarts=2, max_iterations=50)]
     np.testing.assert_allclose(values, oracle, rtol=1e-9)
 
 
-def test_spectrum_scan_single_mode_matches_minimize():
+def test_single_mode_scan_is_its_lowest_start():
+    # start k is the single start seeded seed + k, so a two-start scan
+    # returns the lower of the two single-start minima, bit for bit
     grid = box_grid(128)
-    problem = fisher_problem(grid, multistarts=2)
-    (first,) = spectrum_scan(problem, 1)
-    res = minimize(problem)
-    assert first.objective_value == res.objective_value
-    np.testing.assert_array_equal(first.fields["p"], res.fields["p"])
+    (first,) = scan_of(grid, 1, multistarts=2, max_iterations=3)
+    singles = [minimum_of(grid, multistarts=1, seed=1 + k, max_iterations=3) for k in range(2)]
+    best = min(singles, key=lambda res: res.objective_value)
+    assert singles[0].objective_value != singles[1].objective_value
+    assert first.objective_value == best.objective_value
+    np.testing.assert_array_equal(first.density, best.density)
 
 
 def test_spectrum_scan_finds_degenerate_partners():
     # on this periodic grid the second and third modes share one value, and
     # the scan must return both partners
     grid = Grid((1.0, 1.3), (20, 17), PERIODIC)
-    problem = fisher_problem(grid, multistarts=1, seed=5, grad_tol=1e-8)
-    values = [result.objective_value for result in spectrum_scan(problem, 3)]
+    values = [result.objective_value
+              for result in scan_of(grid, 3, multistarts=1, seed=5, grad_tol=1e-8)]
     oracle = dense_spectrum(grid)[:3]
     assert oracle[1:] == pytest.approx([92.381187, 92.381187], abs=1e-6)
     assert abs(values[0]) < 1e-8
@@ -327,8 +331,7 @@ def test_spectrum_scan_returns_whole_degenerate_levels(extents, cells, boundary,
     for level in levels:
         assert np.ptp(level) <= 1e-9 * max(1.0, abs(level[0]))
     assert all(b[0] > a[0] + 1.0 for a, b in zip(levels, levels[1:]))
-    problem = fisher_problem(grid, multistarts=1, seed=3, grad_tol=1e-8)
-    scan = spectrum_scan(problem, mode_count)
+    scan = scan_of(grid, mode_count, multistarts=1, seed=3, grad_tol=1e-8)
     assert all(result.converged for result in scan)
     values = [result.objective_value for result in scan]
     np.testing.assert_allclose(values, oracle, rtol=1e-8, atol=1e-8)
@@ -338,20 +341,24 @@ def test_best_start_has_lowest_value_sum():
     # start k draws from default_rng(seed + k), so it is the single start of
     # the problem seeded seed + k; three iterations leave the starts apart
     grid = box_grid(64)
-    problem = fisher_problem(grid, multistarts=3, seed=4, max_iterations=3)
-    singles = [spectrum_scan(fisher_problem(grid, multistarts=1, seed=4 + k, max_iterations=3), 3)
-               for k in range(3)]
+    singles = [scan_of(grid, 3, multistarts=1, seed=4 + k, max_iterations=3) for k in range(3)]
     sums = [sum(result.objective_value for result in scan) for scan in singles]
     best = int(np.argmin(sums))
-    scan = spectrum_scan(problem, 3)
-    assert [result.multistart_index for result in scan] == [best] * 3
+    scan = scan_of(grid, 3, multistarts=3, seed=4, max_iterations=3)
+    # the winner's value sum is the lowest of the single-start sums, and
+    # strictly below the others, so it names the start that won
+    total = sum(result.objective_value for result in scan)
+    assert total == sums[best]
+    assert all(total < other for k, other in enumerate(sums) if k != best)
     assert [result.objective_value for result in scan] == [
         result.objective_value for result in singles[best]]
+    for result, single in zip(scan, singles[best]):
+        np.testing.assert_array_equal(result.density, single.density)
 
 
 def test_block_solve_stops_at_max_iterations():
     grid = box_grid(64)
-    scan = spectrum_scan(fisher_problem(grid, multistarts=1, max_iterations=2, grad_tol=1e-12), 3)
+    scan = scan_of(grid, 3, multistarts=1, max_iterations=2, grad_tol=1e-12)
     for result in scan:
         assert result.iterations == 2
         assert not result.converged
@@ -365,14 +372,13 @@ def test_spectrum_scan_needs_a_free_cell_per_mode():
     # a 4-cell dirichlet box has two free cells, too few for three modes
     grid = box_grid(4)
     with pytest.raises(VariationalError):
-        spectrum_scan(fisher_problem(grid, multistarts=1), 3)
-    assert len(spectrum_scan(fisher_problem(grid, multistarts=1), 2)) == 2
+        scan_of(grid, 3, multistarts=1)
+    assert len(scan_of(grid, 2, multistarts=1)) == 2
 
 
 def test_no_stationary_point_below_ground_value():
     grid = box_grid(256)
-    problem = fisher_problem(grid, multistarts=2, grad_tol=1e-5)
-    scan = spectrum_scan(problem, 3)
+    scan = scan_of(grid, 3, multistarts=2, grad_tol=1e-5)
     ground = (2 * np.pi / L) ** 2
     assert min(result.objective_value for result in scan) >= 0.99 * ground
 
@@ -385,4 +391,4 @@ def test_no_stationary_point_below_ground_value():
 def test_problem_validation():
     grid = box_grid(32)
     with pytest.raises(VariationalError):
-        spectrum_scan(MinimizationProblem(grid=grid), 0)
+        scan_of(grid, 0)
