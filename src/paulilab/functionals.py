@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from .grids import (
     CENTRAL,
@@ -591,8 +592,9 @@ def _band_limited_spacetime(
     """Space-time periodic random field, band-limited on every axis.
 
     The spectrum is nonzero only on the band, so the inverse transform runs
-    ``np.fft.ifftn``'s per-axis ``ifft``s, last axis first, over the lines the
-    band reaches: the bits of ``ifftn`` over the full spectrum, for less work.
+    one ``scipy.fft.ifft`` per axis, last axis first as ``np.fft.ifftn`` does,
+    over the lines the band reaches: the bits of ``np.fft.ifftn`` over the
+    full spectrum, for less work.
     """
     shape = (frames,) + grid.shape
     ranges = [
@@ -608,7 +610,7 @@ def _band_limited_spacetime(
         # widen this axis to its full length, zeros off the band, then invert it
         wide = np.zeros(block.shape[:ax] + (shape[ax],) + block.shape[ax + 1 :], np.complex128)
         wide[(slice(None),) * ax + (ranges[ax],)] = block
-        block = np.fft.ifft(wide, axis=ax)
+        block = scipy.fft.ifft(wide, axis=ax)
     field = block.real
     peak = np.max(np.abs(field))
     if peak > 0:

@@ -7,7 +7,10 @@ and ``_locked`` is the one check of a stored array.  ``ScalarField`` and
 ``integrate`` are kept for the benchmark only: no other module takes them.
 First and second derivatives take second-order central stencils; periodic
 grids also take Fourier-spectral first derivatives, for the checks that
-must not be limited by stencil error.
+must not be limited by stencil error.  Every transform is scipy's pocketfft
+(``scipy.fft``): it gives numpy's bits, and transforms the middle axes of
+a stack for less.  A grid computes its spacing, cell volume and size on
+first read and keeps them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse
 
 PERIODIC = "periodic"
@@ -71,17 +75,18 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    # read inside every kernel, and a grid never changes: each is computed once
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         if self.boundary == PERIODIC:
             return tuple(e / n for e, n in zip(self.extents, self.cells))
         return tuple(e / (n - 1) for e, n in zip(self.extents, self.cells))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return int(np.prod(self.cells))
 
@@ -155,8 +160,9 @@ def _spectral_derive(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     shape = [1] * values.ndim
     shape[axis] = len(mult)
     if real:
-        return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult.reshape(shape), n, axis=axis)
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
+        return scipy.fft.irfft(scipy.fft.rfft(values, axis=axis) * mult.reshape(shape), n,
+                               axis=axis)
+    return scipy.fft.ifft(scipy.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
 
 
 def derive_along(

@@ -336,6 +336,28 @@ def _equivalence_fits(cells: int, frames: int, sets: int) -> bool:
     return values <= 2**20 and sets * values <= 2**26
 
 
+# The Stern-Gerlach run stops once its density within max(3, cells // 64)
+# cells of either end passes 1e-8, so a packet that starts there cannot run:
+# below 7 cells the two bands cover the whole grid.  A packet resolved by
+# the grid (h <= sigma) whose center is at least 10 sigma from every band
+# cell puts at most 2 edge e^-49.875 < 1e-18 of its mass in the bands, and
+# is admitted as it stands; any other builds the initial packet and reads
+# the guard's own sum.  Past the grid ceiling, or with no spin weight,
+# another rule refuses the document, and no packet is built.
+def _stern_gerlach_starts_clear_of_guard(extent: float, cells: int, sigma: float,
+                                         center: float, velocity: float, up: float,
+                                         down: float, hbar: float, mass: float,
+                                         charge: float) -> bool:
+    if cells > 65_536 or up == down == 0:
+        return True
+    h, edge = extent / cells, max(3, cells // 64)
+    if h <= sigma and (edge - 1) * h + 10 * sigma <= center <= (cells - edge) * h - 10 * sigma:
+        return True
+    return verification.stern_gerlach_start_edge_mass(
+        extent, cells, sigma, center, velocity, (up, down),
+        PhysicalConstants(hbar, mass, charge)) <= 1e-8
+
+
 _PAULI_RUN_TEXT = ("at most 10^6 time steps ({}), 10^5 records and 65,536 cells, and at most "
                    "1.024e9 cells times time steps")
 
@@ -404,6 +426,10 @@ JOINT_RULES = {
         # check: its records divided 0 by 0
         ("t_final / dt > 0.5: the run takes at least one time step", ("dt", "t_final"),
          lambda dt, t_final: t_final / dt > 0.5),
+        ("the initial packet's mass within max(3, cells // 64) cells of either end of the "
+         "grid is at most 1e-8: above it the run stops at t = 0 on its boundary guard",
+         ("extent", "cells", "sigma", "center", "velocity", "spin_up_weight",
+          "spin_down_weight", "hbar", "mass", "charge"), _stern_gerlach_starts_clear_of_guard),
     ),
 }
 

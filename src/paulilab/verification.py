@@ -476,6 +476,32 @@ def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _stern_gerlach_start(extent: float, cells: int, sigma: float, center: float,
+                         velocity: float, spin_weights: tuple[complex, complex], consts):
+    grid = Grid((extent,), (cells,), PERIODIC)
+    return grid, pauli.gaussian_packet_state(grid, sigma, center, velocity, spin_weights, consts)
+
+
+def _edge_mass(w: np.ndarray, dens: np.ndarray) -> float:
+    """The mass within max(3, cells // 64) cells of either end of a line."""
+    edge = max(3, len(dens) // 64)
+    # the edge sums stay apart: padding them into the block would regroup them
+    return float(np.add.reduce(w[:edge] * dens[:edge]) + np.add.reduce(w[-edge:] * dens[-edge:]))
+
+
+def stern_gerlach_start_edge_mass(extent: float, cells: int, sigma: float, center: float,
+                                  velocity: float, spin_weights: tuple[complex, complex],
+                                  consts) -> float:
+    """The mass of ``stern_gerlach_law``'s initial packet within its guard's
+    edge bands, as the guard reads it at t = 0; NaN where the packet
+    underflows to zero on the grid and cannot be normalized."""
+    with np.errstate(all="ignore"):
+        grid, state = _stern_gerlach_start(extent, cells, sigma, center, velocity, spin_weights,
+                                           consts)
+        dens = np.square(np.abs(state[:, 0])) + np.square(np.abs(state[:, 1]))
+        return _edge_mass(grids.quadrature_weights(grid), dens)
+
+
 def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, velocity: float,
                       spin_weights: tuple[complex, complex], field_gradient: float,
                       field_offset: float, consts, gamma_energy: float, dt: float,
@@ -502,20 +528,17 @@ def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, ve
     overlap never grows.  Returns (trajectory, rows (t, center_plus,
     center_minus, separation, overlap), records).
     """
-    grid = Grid((extent,), (cells,), PERIODIC)
+    grid, state = _stern_gerlach_start(extent, cells, sigma, center, velocity, spin_weights,
+                                       consts)
     z = grid.axis_coordinates(0)
     solver = _axial_solver(pauli.SPLIT_OPERATOR, dt, consts, grid,
                            field_offset + field_gradient * z, gamma_energy)
-    state = pauli.gaussian_packet_state(grid, sigma, center, velocity, spin_weights, consts)
     w = grids.quadrature_weights(grid)
     weights = np.stack((w * z, w * z, w))  # the two color centers and the overlap
-    edge = max(3, cells // 64)
     rows = []
 
     def record(psi, t, rho1, rho2, dens, color_masses):
-        # the edge sums stay apart: padding them into the block would regroup them
-        boundary_mass = float(np.add.reduce(w[:edge] * dens[:edge])
-                              + np.add.reduce(w[-edge:] * dens[-edge:]))
+        boundary_mass = _edge_mass(w, dens)
         if boundary_mass > _BOUNDARY_MASS_TOL:
             raise pauli.SolverError(
                 f"packet reached the grid boundary at t={t:.6g} "

@@ -117,6 +117,20 @@ def test_a_use_counts_only_where_it_resolves_to_the_defining_module(module, sour
     assert (name in _uses(module, ast.parse(source))) is counted
 
 
+def test_no_module_calls_a_numpy_transform():
+    # the package has one FFT library, scipy's pocketfft, which gives numpy's
+    # bits; numpy's wavenumber helper stays
+    nodes = [(module, node) for module, tree in _source_trees().items() for node in ast.walk(tree)]
+    calls = [f"{module}: np.fft.{node.attr}" for module, node in nodes
+             if isinstance(node, ast.Attribute) and node.attr != "fftfreq"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+             and isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy")]
+    imports = [module for module, node in nodes
+               if isinstance(node, ast.ImportFrom) and node.module == "numpy.fft"
+               or isinstance(node, ast.Import) and any(a.name == "numpy.fft" for a in node.names)]
+    assert calls == [] and imports == []
+
+
 def test_only_grids_names_the_scalar_field():
     # every other module takes plain arrays; grids keeps ScalarField for the
     # benchmark alone, until the benchmark moves to integrate_values

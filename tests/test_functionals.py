@@ -330,18 +330,21 @@ def _band_limited_by_ifftn(frames, grid, rng, max_mode, amplitude, zero_spatial_
     if zero_spatial_mean:
         spec[(slice(None),) + (0,) * grid.dim] = 0.0
     field = np.fft.ifftn(spec).real
-    field *= amplitude / np.max(np.abs(field))
+    if np.any(field):  # a zero-mean band of mode 0 alone is zero
+        field *= amplitude / np.max(np.abs(field))
     return field
 
 
 @pytest.mark.parametrize("zero_mean", [False, True])
-@pytest.mark.parametrize("max_mode", [1, 2])
+@pytest.mark.parametrize("max_mode", [0, 1, 2])
 @pytest.mark.parametrize("cells,frames", [
     ((16,), 12), ((5,), 4), ((12, 9), 6), ((4, 16), 12), ((10, 10, 10), 8), ((16, 5, 7), 3),
+    ((1,), 1), ((2, 3), 2), ((1, 12, 2), 5),
 ])
 def test_band_limited_synthesis_matches_ifftn(cells, frames, max_mode, zero_mean):
-    # (5,), (4, 16) and (16, 5, 7) hold axes with n <= 2 * max_mode, where
-    # the band covers the whole axis
+    # (5,), (4, 16), (16, 5, 7) and the one- to three-cell axes hold axes
+    # with n <= 2 * max_mode, where the band covers the whole axis; at mode 0
+    # a zero-mean band is zero
     g = Grid((1.0,) * len(cells), cells, PERIODIC)
     seed = 3 + sum(cells) + frames
     got = _band_limited_spacetime(frames, g, np.random.default_rng(seed), max_mode, 0.7,

@@ -12,6 +12,7 @@ from conftest import full_fft_derivative
 from paulilab import pauli, variational
 from paulilab.functionals import PhysicalConstants
 from paulilab.grids import (
+    BOUNDARIES,
     CENTRAL,
     DIRICHLET_ZERO,
     PERIODIC,
@@ -19,6 +20,7 @@ from paulilab.grids import (
     Grid,
     GridError,
     ScalarField,
+    _spectral_derive,
     curl_stack,
     derive_along,
     integrate_values,
@@ -309,6 +311,49 @@ def test_spectral_derivative_is_antisymmetric(complex_values, shape, axis, seed,
     assert np.isrealobj(du) != complex_values
     scale_of = np.linalg.norm(du) * np.linalg.norm(v) + np.linalg.norm(u) * np.linalg.norm(dv)
     assert abs(np.vdot(du, v) + np.vdot(u, dv)) <= 1.5e-15 * scale_of
+
+
+def _numpy_spectral_derive(values, h, axis):
+    # the derivative as numpy's transforms take it
+    real = np.isrealobj(values)
+    n = values.shape[axis]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    mult = 1j * k[: n // 2 + 1 if real else n]
+    if n % 2 == 0:
+        mult[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = len(mult)
+    if real:
+        return np.fft.irfft(np.fft.rfft(values, axis=axis) * mult.reshape(shape), n, axis=axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
+
+
+@settings(max_examples=100)
+@given(shape=st.lists(st.integers(3, 16), min_size=1, max_size=4), complex_values=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0))
+def test_spectral_derivative_has_the_bits_of_numpys_transforms(shape, complex_values, seed, h):
+    u, iu = np.random.default_rng(seed).normal(size=(2,) + tuple(shape))
+    if complex_values:
+        u = u + 1j * iu
+    for axis in range(len(shape)):
+        got, want = _spectral_derive(u, h, axis), _numpy_spectral_derive(u, h, axis)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), axis
+
+
+_GRIDS = st.integers(1, 3).flatmap(lambda dim: st.builds(
+    Grid, st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim),
+    st.lists(st.integers(2, 40), min_size=dim, max_size=dim), st.sampled_from(BOUNDARIES)))
+
+
+@given(grid=_GRIDS)
+def test_grid_metrics_are_kept_with_the_bits_of_their_formulas(grid):
+    cells, extents = grid.cells, grid.extents
+    pitch = [n if grid.boundary == PERIODIC else n - 1 for n in cells]
+    spacing = tuple(e / n for e, n in zip(extents, pitch))
+    assert np.array(grid.spacing).tobytes() == np.array(spacing).tobytes()
+    assert np.float64(grid.cell_volume).tobytes() == np.float64(np.prod(spacing)).tobytes()
+    assert grid.size == int(np.prod(cells)) and type(grid.size) is int
+    assert grid.spacing is grid.spacing and type(grid.cell_volume) is float
 
 
 def test_second_derivative_dirichlet_edges_second_order():

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (evolve_with_snapshots, manifest, pin_moves, whole_array_snapshots,
                       workloads)
@@ -194,6 +196,7 @@ def test_cli_non_finite_floats_exit_2(tmp_path, capsys, kind, parameters, offend
 
 _JOINT = "parameters must satisfy: "
 _CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
+_SG_START_RULE = _JOINT + "the initial packet's mass within max(3, cells // 64) cells"
 
 
 # rules: the start of each violation the document must list, and no other
@@ -336,6 +339,11 @@ _CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
      [_JOINT + "t_final / dt > 0.5"]),
     ("stern_gerlach", {"field_gradient": 0.02, "dt": 0.3, "t_final": 0.1, "cells": 256,
                        "spin_down_weight": 0.0}, [_JOINT + "t_final / dt > 0.5"]),
+    # the two guard bands of max(3, cells // 64) cells held more than 1e-8 of
+    # the packet, and below 7 cells the whole grid: each run exited 3 at t = 0
+    *[("stern_gerlach", {"field_gradient": 0.02, "dt": 0.5, "t_final": 1.0, "cells": cells},
+       [_SG_START_RULE]) for cells in (1, 6, 7, 8)],
+    ("stern_gerlach", {"field_gradient": 0.02, "center": 3.0}, [_SG_START_RULE]),
     # numpy's multinomial takes an int64, and the run exited 3 ("Python int
     # too large to convert to C long")
     ("sample", {"repetitions": 2**63}, [_JOINT + "repetitions <= 2^63 - 1"]),
@@ -412,6 +420,44 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         for size in workloads.SIZES:
             for doc in workloads.documents(workload, 0, size):
                 parse_scenario(json.dumps(doc))
+
+
+@settings(max_examples=300)
+@given(extent=st.floats(1.0, 100.0), cells=st.integers(1, 2048), sigma=st.floats(0.01, 20.0),
+       place=st.floats(-0.2, 1.2))
+@example(extent=60.0, cells=768, sigma=2.0, place=0.5)  # the default document
+@example(extent=100.0, cells=100, sigma=0.01, place=0.505)  # underflows between two cells
+def test_stern_gerlach_start_rule_reads_as_the_packet_built(extent, cells, sigma, place):
+    # the rule admits a resolved packet far from the bands without building
+    # it: wherever it does, the packet built reads at most 1e-8 in the bands
+    args = (extent, cells, sigma, place * extent, 0.3)
+    built = verification.stern_gerlach_start_edge_mass(
+        *args, (1.0, 0.5), functionals.PhysicalConstants(1, 1, 1)) <= 1e-8
+    assert scenarios._stern_gerlach_starts_clear_of_guard(*args, 1.0, 0.5, 1, 1, 1) == built
+
+
+@pytest.mark.parametrize("side,exits", [(-0.1, 2), (0.1, 0)])
+def test_stern_gerlach_start_rule_edge(tmp_path, capsys, side, exits):
+    # the initial packet's mass in the left guard band grows as its center
+    # nears the band: bisect the center where it reads 1e-8, then step to
+    # either side of it; the packet admitted there runs without reaching the
+    # band, and the one refused would have stopped at t = 0
+    def edge_mass(center):
+        return verification.stern_gerlach_start_edge_mass(
+            60.0, 768, 2.0, center, 0.0, (1.0, 1.0), functionals.PhysicalConstants(1, 1, 1))
+
+    inside, outside = 20.0, 5.0
+    for _ in range(40):
+        mid = 0.5 * (inside + outside)
+        inside, outside = (mid, outside) if edge_mass(mid) <= 1e-8 else (inside, mid)
+    center = (inside if side > 0 else outside) + side
+    assert (edge_mass(center) <= 1e-8) == (exits == 0)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "stern_gerlach", "parameters": {
+        "field_gradient": 0.02, "center": center, "dt": 0.05, "t_final": 0.1}}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == exits
+    err = capsys.readouterr().err
+    assert (_SG_START_RULE in err) == (exits == 2)
 
 
 def test_only_the_equivalence_documents_start_a_thread(tmp_path, monkeypatch):
