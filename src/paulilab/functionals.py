@@ -11,8 +11,8 @@ the derivation:
   wavefunction, whose stationary points solve the wave equation.
 
 The equivalence verifier evaluates all three on one configuration; the
-coefficients are those ``PhysicalConstants`` derives from hbar, mass and
-charge, so the identification holds by construction.  The joint
+coefficients are those ``PhysicalConstants`` derives from hbar, mass,
+charge and moment, so the identification holds by construction.  The joint
 route reuses the polar route's derivatives, so it agrees to round-off; the
 spinor route takes its own and agrees to the discretization error.
 
@@ -58,25 +58,21 @@ class FunctionalError(ValueError):
 class PhysicalConstants:
     """The particle's constants, MKS units, and the coefficients the
     functionals take from them under the identification a = hbar/2,
-    gamma = q/m, lam = hbar^2/(8m).
-
-    ``gamma`` is the angular-rate gyromagnetic coefficient (rad/(s*T)); the
-    moment coupling in the knowledge functional is -a*gamma*(m.B), which is an
-    energy.  ``lam`` weights the Fisher information, ``a`` converts the
-    relative phase into half the action difference of the two colors.
+    lam = hbar^2/(8m).  ``spin_coupling`` (J/T), the sigma.B coefficient of
+    every route and the solver, is ``moment`` when given, else q*hbar/(2m):
+    a neutral particle is ``charge=0.0`` with a moment.  ``lam`` weights the
+    Fisher information, ``a`` converts the relative phase into half the
+    action difference of the two colors.
     """
 
     hbar: float
     mass: float
     charge: float
+    moment: float | None = None
 
     @property
     def a(self) -> float:
         return self.hbar / 2.0
-
-    @property
-    def gamma(self) -> float:
-        return self.charge / self.mass
 
     @property
     def lam(self) -> float:
@@ -84,8 +80,8 @@ class PhysicalConstants:
 
     @property
     def spin_coupling(self) -> float:
-        """Energy-per-field coefficient q*hbar/(2m) of the charged sigma.B term."""
-        return self.charge * self.hbar / (2.0 * self.mass)
+        """Energy-per-field coefficient of the sigma.B term."""
+        return self.charge * self.hbar / (2.0 * self.mass) if self.moment is None else self.moment
 
 
 def _check_density(p: np.ndarray, grid: Grid) -> None:
@@ -233,7 +229,7 @@ def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.nd
     click density and enter weighted by P: the kinetic group
     (|grad S - qA|^2 + a^2 |grad phi|^2 - 2a cos(theta) grad phi.(grad S - qA)) / 2m,
     the time group dS/dt - a cos(theta) dphi/dt, the scalar potential
-    q*phi_pot + u, and the moment coupling -a*gamma*(m.B).
+    q*phi_pot + u, and the moment coupling -spin_coupling*(m.B).
     """
     q, a = consts.charge, consts.a
     gauge_sq = np.zeros_like(st.p)
@@ -259,7 +255,7 @@ def _polar_terms(st: _PolarStacks, consts: PhysicalConstants) -> dict[str, np.nd
         "kinetic": (gauge_sq + a**2 * phi_sq - 2.0 * a * cos_t * cross) / (2.0 * consts.mass),
         "time": st.ds_dt - a * cos_t * st.dphi_dt,
         "potential": q * st.phi_pot + st.u,
-        "moment_coupling": -a * consts.gamma * moment_dot_b,
+        "moment_coupling": -consts.spin_coupling * moment_dot_b,
     }
 
 
@@ -519,7 +515,7 @@ def stationarity_residual_static(grid: Grid, fields: dict[str, np.ndarray],
                                  consts: PhysicalConstants, dt: float,
                                  time_periodic: bool = False) -> StationarityResiduals:
     """Residuals of the heavy-mass stationary equations with the moment
-    coupling -a*gamma*(m.B) substituted for the color-splitting potential.
+    coupling -spin_coupling*(m.B) substituted for the color-splitting potential.
 
     The four equations govern the rates of the half action difference R,
     of cos(theta), the frozen density, and the common action.  ``fields``
@@ -527,16 +523,17 @@ def stationarity_residual_static(grid: Grid, fields: dict[str, np.ndarray],
     """
     _check_stacks(grid, fields)
     st = _stacks(grid, fields, dt, time_periodic, CENTRAL)
-    a, gam = consts.a, consts.gamma
+    a, mu = consts.a, consts.spin_coupling
     z = np.cos(st.theta)
     sin_t = np.sin(st.theta)
     bx, by, bz = st.b
     in_plane = bx * np.cos(st.phi) + by * np.sin(st.phi)
-    coupling = -a * gam * (sin_t * in_plane + z * bz)  # the split potential
+    coupling = -mu * (sin_t * in_plane + z * bz)  # the split potential
     off_pole = np.abs(sin_t) > 1e-12
     z_over_sin = np.where(off_pole, z / np.where(off_pole, sin_t, 1.0), 0.0)
-    d_coupling_dz = -a * gam * (bz - z_over_sin * in_plane)
-    d_coupling_dr = -gam * sin_t * (-bx * np.sin(st.phi) + by * np.cos(st.phi))
+    d_coupling_dz = -mu * (bz - z_over_sin * in_plane)
+    # R = a*phi, so d/dR = (1/a) d/dphi
+    d_coupling_dr = -(mu / a) * sin_t * (-bx * np.sin(st.phi) + by * np.cos(st.phi))
 
     dr_dt = a * st.dphi_dt
     dz_dt = _time_derivative(z, dt, time_periodic, CENTRAL)
@@ -641,8 +638,10 @@ def random_smooth_configuration(grid: Grid, frames: int, consts: PhysicalConstan
     theta = np.pi / 2.0 + 1.5 * amplitude * bl(1.0)
     s = consts.hbar * bl(2.0 * amplitude)
     phi = 2.0 * amplitude * bl(1.0)
-    phi_pot = consts.hbar * scale_k * bl(amplitude) / max(abs(consts.charge), 1e-30)
-    a_scale = consts.hbar * scale_k / max(abs(consts.charge), 1e-30)
+    # a neutral particle's potentials scale with the charge whose q hbar / 2m is its moment
+    charge = consts.charge or 2.0 * consts.mass * consts.spin_coupling / consts.hbar
+    phi_pot = consts.hbar * scale_k * bl(amplitude) / max(abs(charge), 1e-30)
+    a_scale = consts.hbar * scale_k / max(abs(charge), 1e-30)
     a = np.stack([a_scale * bl(amplitude) for _ in range(3)])
     u = consts.hbar * scale_k * bl(amplitude)
     period = 2.0 * np.pi / (scale_k * consts.hbar / consts.mass)

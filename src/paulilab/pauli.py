@@ -10,9 +10,9 @@ without pivoting, and one residual check) for stencil kinetics.  Both step
 the live colors' slice of one colors-first (2,) + grid block in place, and
 only the colors that carry amplitude where the field does not couple them:
 an axial field, or none, leaves an empty color exactly zero
-(``_make_propagator`` picks the colors).  A run given a moment coupling is
-chargeless: it drops the charge from the kinetic and potential terms and
-couples the spin through that energy-per-field coefficient.
+(``_make_propagator`` picks the colors).  The particle's constants couple
+the scalar potential as charge * phi_pot and the spin as -spin_coupling *
+sigma.B: a neutral particle is charge 0 with a moment.
 
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
@@ -76,10 +76,9 @@ class SolverConfig:
 
     The run's one grid is ``grid``; its static fields are the scalar
     potential ``phi_pot`` (``grid.shape``) and the magnetic field ``b``
-    (``grid.shape + (3,)``), kept as read-only copies.  A ``gamma_energy``
-    (J/T) makes the run chargeless: it zeroes the charge in the kinetic and
-    scalar-potential terms and couples the spin with that coefficient in
-    place of the charged q*hbar/(2m).
+    (``grid.shape + (3,)``), kept as read-only copies.  ``consts`` gives
+    the couplings to them: ``charge`` to the potential and ``spin_coupling``
+    to the field.
     """
 
     scheme: str
@@ -88,7 +87,6 @@ class SolverConfig:
     grid: Grid
     phi_pot: np.ndarray
     b: np.ndarray
-    gamma_energy: float | None = None
 
     def __post_init__(self) -> None:
         if self.scheme not in (SPLIT_OPERATOR, CRANK_NICOLSON):
@@ -98,13 +96,6 @@ class SolverConfig:
         shape = self.grid.shape
         object.__setattr__(self, "phi_pot", _locked("phi_pot", self.phi_pot, shape, SolverError))
         object.__setattr__(self, "b", _locked("b", self.b, shape + (3,), SolverError))
-
-    def spin_coupling(self) -> float:
-        """Energy-per-field coefficient of the sigma.B term."""
-        return self.consts.spin_coupling if self.gamma_energy is None else self.gamma_energy
-
-    def kinetic_charge(self) -> float:
-        return self.consts.charge if self.gamma_energy is None else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +128,8 @@ class _SplitOperatorPropagator:
                             block).copy() for d in (4.0, 2.0))
         # 1-D transforms, grid axes last first as np.fft.fftn runs them: its bits, less overhead
         self._axes = tuple(range(grid.dim, 0, -1))
-        q = config.kinetic_charge()
-        v = q * config.phi_pot if q != 0.0 else np.zeros(grid.shape)
-        c = -config.spin_coupling() * config.b
+        v = consts.charge * config.phi_pot
+        c = -consts.spin_coupling * config.b
         c_norm = np.sqrt(np.sum(c * c, axis=-1))
         alpha = c_norm * config.dt / consts.hbar
         cos_a = np.cos(alpha)
@@ -205,11 +195,9 @@ class _CrankNicolsonPropagator:
     def __init__(self, config: SolverConfig, colors: tuple[int, ...]):
         consts, grid = config.consts, config.grid
         kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
-        q = config.kinetic_charge()
-        v = q * config.phi_pot.ravel() if q != 0.0 else np.zeros(grid.size)
-        b = config.b.reshape(grid.size, 3)
-        coupling = config.spin_coupling()
-        bz, bxy = coupling * b[:, 2], coupling * (b[:, 0] - 1j * b[:, 1])
+        v = consts.charge * config.phi_pot.ravel()
+        b = consts.spin_coupling * config.b.reshape(grid.size, 3)
+        bz, bxy = b[:, 2], b[:, 0] - 1j * b[:, 1]
         self._colors = colors
         diags = scipy.sparse.diags
         blocks = [[kin + diags(v - bz), diags(-bxy)],
@@ -254,7 +242,7 @@ def _make_propagator(config: SolverConfig, psi: np.ndarray):
     if grid.boundary != PERIODIC:
         raise SolverError("Pauli propagation requires a periodic grid")
     split = config.scheme == SPLIT_OPERATOR
-    colors = ((0, 1) if np.any(config.spin_coupling() * config.b[..., :2])
+    colors = ((0, 1) if np.any(config.consts.spin_coupling * config.b[..., :2])
               else tuple(c for c in (0, 1) if np.any(psi[..., c])))
     propagator = _SplitOperatorPropagator if split else _CrankNicolsonPropagator
     return propagator(config, colors)

@@ -336,26 +336,33 @@ def _equivalence_fits(cells: int, frames: int, sets: int) -> bool:
     return values <= 2**20 and sets * values <= 2**26
 
 
-# The Stern-Gerlach run stops once its density within max(3, cells // 64)
-# cells of either end passes 1e-8, so a packet that starts there cannot run:
-# below 7 cells the two bands cover the whole grid.  A packet resolved by
-# the grid (h <= sigma) whose center is at least 10 sigma from every band
-# cell puts at most 2 edge e^-49.875 < 1e-18 of its mass in the bands, and
-# is admitted as it stands; any other builds the initial packet and reads
-# the guard's own sum.  Past the grid ceiling, or with no spin weight,
-# another rule refuses the document, and no packet is built.
+# The Stern-Gerlach run stops once the density in its guard's edge bands
+# passes 1e-8.  The rule builds the initial packet and reads the guard's own
+# sum (0.1-0.2 ms at 1,024 cells, 7 ms at 65,536); a NaN sum fails it.  Past
+# the grid ceiling, or with no spin weight, another rule refuses the document.
 def _stern_gerlach_starts_clear_of_guard(extent: float, cells: int, sigma: float,
                                          center: float, velocity: float, up: float,
-                                         down: float, hbar: float, mass: float,
-                                         charge: float) -> bool:
+                                         down: float, hbar: float, mass: float) -> bool:
     if cells > 65_536 or up == down == 0:
-        return True
-    h, edge = extent / cells, max(3, cells // 64)
-    if h <= sigma and (edge - 1) * h + 10 * sigma <= center <= (cells - edge) * h - 10 * sigma:
         return True
     return verification.stern_gerlach_start_edge_mass(
         extent, cells, sigma, center, velocity, (up, down),
-        PhysicalConstants(hbar, mass, charge)) <= 1e-8
+        PhysicalConstants(hbar, mass, 0.0)) <= 1e-8
+
+
+# The packet's spectrum, exp(-sigma^2 (k' - k)^2), stays inside the grid's
+# band pi / h as a color's mean wavenumber k grows to k_max: q = sigma (pi /
+# h - k_max) >= pi leaves e^-pi^2 of the peak at the band edge (h <= sigma at
+# rest).  At extent 60 and sigma 2, 12-24 cells stopped on the guard (q 1.0 to
+# 2.11); of 200 random documents with room to move (extent 200, sigma 1-4,
+# |velocity| <= 1, |field_gradient| <= 0.1, t_final <= 10), those failing
+# that passed at h = sigma / 8 had q <= 1.74: factors of 1.49 and 1.8.
+def _stern_gerlach_grid_resolves_packet(extent: float, cells: int, sigma: float,
+                                        velocity: float, gamma_energy: float,
+                                        field_gradient: float, t_final: float, hbar: float,
+                                        mass: float) -> bool:
+    k_max = (mass * abs(velocity) + abs(gamma_energy * field_gradient) * t_final) / hbar
+    return cells > 65_536 or sigma * (math.pi * cells / extent - k_max) >= math.pi
 
 
 _PAULI_RUN_TEXT = ("at most 10^6 time steps ({}), 10^5 records and 65,536 cells, and at most "
@@ -426,10 +433,15 @@ JOINT_RULES = {
         # check: its records divided 0 by 0
         ("t_final / dt > 0.5: the run takes at least one time step", ("dt", "t_final"),
          lambda dt, t_final: t_final / dt > 0.5),
+        ("sigma (pi cells / extent - k) >= pi, k = (mass |velocity| + |gamma_energy "
+         "field_gradient| t_final) / hbar: the grid's wavenumber band holds the packet's "
+         "spectrum as its colors accelerate (at rest, extent / cells <= sigma)",
+         ("extent", "cells", "sigma", "velocity", "gamma_energy", "field_gradient", "t_final",
+          "hbar", "mass"), _stern_gerlach_grid_resolves_packet),
         ("the initial packet's mass within max(3, cells // 64) cells of either end of the "
          "grid is at most 1e-8: above it the run stops at t = 0 on its boundary guard",
          ("extent", "cells", "sigma", "center", "velocity", "spin_up_weight",
-          "spin_down_weight", "hbar", "mass", "charge"), _stern_gerlach_starts_clear_of_guard),
+          "spin_down_weight", "hbar", "mass"), _stern_gerlach_starts_clear_of_guard),
     ),
 }
 
@@ -661,8 +673,8 @@ def _run_pauli_evolve(scenario: Scenario, out):
     extra_outputs = []
     if p["setup"] == "larmor":
         traj, checks = verification.larmor_precession(
-            p["gamma_energy"], p["bz"], consts, p["steps"], p["periods"], p["record_every"],
-            scheme,
+            p["bz"], PhysicalConstants(p["hbar"], p["mass"], 0.0, p["gamma_energy"]),
+            p["steps"], p["periods"], p["record_every"], scheme,
         )
     elif p["setup"] == "free_packet":
         snap_path = out("snapshots.bin")
@@ -699,7 +711,7 @@ def _run_stern_gerlach(scenario: Scenario, out):
     _, rows, checks = verification.stern_gerlach_law(
         p["extent"], p["cells"], p["sigma"], p["center"], p["velocity"],
         (p["spin_up_weight"], p["spin_down_weight"]), p["field_gradient"], p["field_offset"],
-        PhysicalConstants(p["hbar"], p["mass"], p["charge"]), p["gamma_energy"], p["dt"],
+        PhysicalConstants(p["hbar"], p["mass"], 0.0, p["gamma_energy"]), p["dt"],
         p["t_final"], p["record_every"],
     )
     path = out("separation.csv")

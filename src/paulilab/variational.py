@@ -174,7 +174,7 @@ class TotalObjective:
 
         grad_theta = self.w * p * (
             (c.a / c.mass) * sin_t * cross
-            - c.a * c.gamma * (cos_t * in_plane - sin_t * bz)
+            - c.spin_coupling * (cos_t * in_plane - sin_t * bz)
         )
         for ax in range(g.dim):
             grad_theta += self._adjoint(2.0 * c.lam * self.w * p * gtheta[ax], ax)
@@ -187,7 +187,7 @@ class TotalObjective:
             )
         out["s"] = grad_s
 
-        grad_phi = self.w * p * (-c.a * c.gamma * sin_t * (-bx * np.sin(phi) + by * np.cos(phi)))
+        grad_phi = self.w * p * (-c.spin_coupling * sin_t * (-bx * np.sin(phi) + by * np.cos(phi)))
         for ax in range(g.dim):
             grad_phi += self._adjoint(
                 self.w * p * (c.a**2 * gphi[ax] - c.a * cos_t * gauge[ax]) / c.mass, ax

@@ -315,24 +315,23 @@ def norm_drift(name: str, traj: pauli.PauliTrajectory) -> CheckRecord:
     return check_leq(name, float(np.max(np.abs(traj.norms - 1.0))), 1e-10)
 
 
-def _axial_solver(scheme: str, dt: float, consts, grid: Grid, bz,
-                  gamma_energy: float) -> pauli.SolverConfig:
-    """A chargeless run in no scalar potential and B = (0, 0, bz), for
-    ``bz`` a number or a cell array."""
+def _axial_solver(scheme: str, dt: float, consts, grid: Grid, bz) -> pauli.SolverConfig:
+    """A run in no scalar potential and B = (0, 0, bz), for ``bz`` a number
+    or a cell array."""
     b = np.zeros(grid.shape + (3,))
     b[..., 2] = bz
-    return pauli.SolverConfig(scheme, dt, consts, grid, np.zeros(grid.shape), b, gamma_energy)
+    return pauli.SolverConfig(scheme, dt, consts, grid, np.zeros(grid.shape), b)
 
 
-def larmor_precession(gamma_energy: float, bz: float, consts, steps_per_period: int,
-                      periods: float, record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
-    """A chargeless spin-x state on 8 periodic cells of a uniform axial field
-    precesses at omega = 2 gamma_energy bz / hbar; the zero crossings of
-    <sigma_x> give omega within 1e-3.  Returns (trajectory, records)."""
+def larmor_precession(bz: float, consts, steps_per_period: int, periods: float,
+                      record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
+    """A spin-x state of moment ``consts.moment`` on 8 periodic cells of a
+    uniform axial field precesses at omega = 2 moment bz / hbar; the zero
+    crossings of <sigma_x> give omega within 1e-3.  Returns (trajectory, records)."""
     grid = Grid((1.0,), (8,), PERIODIC)
-    omega = 2 * gamma_energy * bz / consts.hbar
+    omega = 2 * consts.moment * bz / consts.hbar
     period = 2 * np.pi / omega
-    config = _axial_solver(scheme, period / steps_per_period, consts, grid, bz, gamma_energy)
+    config = _axial_solver(scheme, period / steps_per_period, consts, grid, bz)
     vals = np.zeros(grid.shape + (2,), dtype=np.complex128)
     vals[:] = np.array([1.0, 1.0]) / np.sqrt(2.0 * grid.extents[0])
     traj = pauli.evolve(vals, config, periods * period, record_every=record_every)
@@ -396,14 +395,15 @@ def check_pauli_solver(fast: bool = False) -> list[CheckRecord]:
     state = pauli.gaussian_packet_state(g, 1.0, 10.0, 0.4, (0.8, 0.6j), CONSTS)
     # a run that evolve aborts (norm off 1 +- 1e-10, a failed solve) fails its record
     for scheme in (pauli.SPLIT_OPERATOR, pauli.CRANK_NICOLSON):
-        config = _axial_solver(scheme, 1e-3, CONSTS, g, 0.8, 0.5)
+        config = _axial_solver(scheme, 1e-3, PhysicalConstants(1.0, 1.0, 0.0, 0.5), g, 0.8)
         name = f"pauli.norm_drift_{scheme}_{steps}_steps"
         records += _failed_on_solver_error(
             lambda: [norm_drift(name, pauli.evolve(state, config, steps * config.dt,
                                                    record_every=100))], name, 1e-10)
     # precession frequency over ten periods, then the free-packet spreading law
     records += _failed_on_solver_error(
-        lambda: larmor_precession(0.8, 1.3, CONSTS, 500 if fast else 1000, 10, 5)[1],
+        lambda: larmor_precession(1.3, PhysicalConstants(1.0, 1.0, 0.0, 0.8),
+                                  500 if fast else 1000, 10, 5)[1],
         "pauli.precession_rel_error", 1e-3)
     records += _failed_on_solver_error(
         lambda: free_packet_spreading(60.0, 512 if fast else 1024, 1.5, 6.0, 1000, CONSTS,
@@ -446,10 +446,10 @@ def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
     # a spin precessing in a uniform axial field follows the classical moment,
     # integrated with the spin run's time step over its duration
     b = np.array([0.0, 0.0, 1.1])
-    gamma_e = 0.6
-    traj, _ = larmor_precession(gamma_e, b[2], CONSTS, 200 if fast else 400, 10, 1)
+    atom = PhysicalConstants(1.0, 1.0, 0.0, 0.6)
+    traj, _ = larmor_precession(b[2], atom, 200 if fast else 400, 10, 1)
     moment = classical.torque_evolve(classical.MomentState((1.0, 0.0, 0.0)), b,
-                                     2 * gamma_e / CONSTS.hbar, traj.times[-1], traj.times[1])
+                                     2 * atom.moment / atom.hbar, traj.times[-1], traj.times[1])
     n = min(len(traj.times), len(moment.times))
     deviation = float(np.max(np.abs(traj.spins[:n] - moment.moments[:n])))
     records = [check_leq("classical.spin_vs_torque_max_dev", deviation, 1e-3)]
@@ -504,26 +504,26 @@ def stern_gerlach_start_edge_mass(extent: float, cells: int, sigma: float, cente
 
 def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, velocity: float,
                       spin_weights: tuple[complex, complex], field_gradient: float,
-                      field_offset: float, consts, gamma_energy: float, dt: float,
+                      field_offset: float, consts, dt: float,
                       t_final: float, record_every: int,
                       separation: str = "stern_gerlach.separation_rel_error",
                       zero: str = "stern_gerlach.zero_gradient_separation",
                       overlap: str | None = None):
-    """A chargeless packet of width ``sigma`` at ``center``, moving at
+    """A neutral packet of width ``sigma`` at ``center``, moving at
     ``velocity`` on a periodic line of ``cells`` cells and length ``extent``
     in the axial field B_z(z) = b0 + b z (``field_offset``, ``field_gradient``),
     split-operator steps of ``dt`` to ``t_final``.  The one-axis linear
     profile is the standard idealization (its divergence is not zero); each
-    color is pushed by +-gamma b / m, and the closed-form center law is exact.
+    color is pushed by +-mu b / m, mu = ``consts.moment``, exactly.
     Every ``record_every`` steps the run records the color centers (NaN when
     empty), their separation (0 unless both are occupied) and the overlap of
     the normalized color densities.  Density above 1e-8 within
     max(3, cells // 64) cells of the edges raises ``pauli.SolverError``.
 
     With b = 0 the separation stays exactly 0 (``zero``).  Otherwise, at
-    t_final and within 1%, two occupied colors separate by gamma b t^2 / m
+    t_final and within 1%, two occupied colors separate by mu b t^2 / m
     (``separation``), and a lone occupied color moves from
-    center + velocity t by +-gamma b t^2 / (2 m), + for spin up
+    center + velocity t by +-mu b t^2 / (2 m), + for spin up
     (stern_gerlach.deflection_rel_error).  With ``overlap``, the color
     overlap never grows.  Returns (trajectory, rows (t, center_plus,
     center_minus, separation, overlap), records).
@@ -532,7 +532,7 @@ def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, ve
                                        consts)
     z = grid.axis_coordinates(0)
     solver = _axial_solver(pauli.SPLIT_OPERATOR, dt, consts, grid,
-                           field_offset + field_gradient * z, gamma_energy)
+                           field_offset + field_gradient * z)
     w = grids.quadrature_weights(grid)
     weights = np.stack((w * z, w * z, w))  # the two color centers and the overlap
     rows = []
@@ -557,7 +557,7 @@ def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, ve
     if field_gradient == 0.0:
         records = [check_leq(zero, float(np.max(np.abs(separations))), 0.0)]
     else:
-        law = (gamma_energy * field_gradient / consts.mass) * traj.times**2
+        law = (consts.moment * field_gradient / consts.mass) * traj.times**2
         occupied = [weight != 0 for weight in spin_weights]
         if all(occupied):
             error = abs(separations[-1] - law[-1]) / abs(law[-1])
@@ -584,7 +584,7 @@ def check_ehrenfest(fast: bool = False) -> list[CheckRecord]:
     def sg(gradient, offset):
         return dict(extent=60.0, cells=512 if fast else 768, sigma=2.0, center=30.0,
                     velocity=0.0, spin_weights=(1.0, 1.0), field_gradient=gradient,
-                    field_offset=offset, consts=CONSTS, gamma_energy=1.0,
+                    field_offset=offset, consts=PhysicalConstants(1.0, 1.0, 0.0, 1.0),
                     dt=0.02 if fast else 0.01, t_final=10.0, record_every=50)
 
     separation, zero = "ehrenfest.separation_rel_error", "ehrenfest.zero_gradient_separation"

@@ -121,9 +121,9 @@ def test_knowledge_moment_coupling_only():
     g = Grid((1.0,), (32,), PERIODIC)
     bz = 2.5
     rep = equivalence_residual(g, polar_stacks(g, bz=bz), CONSTS)
-    assert rep.breakdown["moment_coupling"] == pytest.approx(-CONSTS.a * CONSTS.gamma * bz,
+    assert rep.breakdown["moment_coupling"] == pytest.approx(-CONSTS.spin_coupling * bz,
                                                              rel=1e-12)
-    assert knowledge(rep) == pytest.approx(-CONSTS.a * CONSTS.gamma * bz, rel=1e-12)
+    assert knowledge(rep) == pytest.approx(-CONSTS.spin_coupling * bz, rel=1e-12)
 
 
 def test_knowledge_plane_wave_cancellation():
@@ -288,19 +288,21 @@ def test_equivalence_zero_fields():
 _unit_range = st.floats(0.5, 2.0)
 
 
-def _identified(hbar, mass, charge):
+def _identified(hbar, mass, charge, moment=None):
     """The oracle: the coefficients as the identification set them when they
     were fields stored beside (hbar, mass, charge), and the charged spin
-    coupling as the solver and the spinor form computed it."""
-    return {"gamma": charge / mass, "lam": hbar**2 / (8.0 * mass), "a": hbar / 2.0,
-            "spin_coupling": charge * hbar / (2.0 * mass)}
+    coupling as the solver and the spinor form computed it; a given moment
+    is the spin coupling as it stands."""
+    return {"lam": hbar**2 / (8.0 * mass), "a": hbar / 2.0,
+            "spin_coupling": charge * hbar / (2.0 * mass) if moment is None else moment}
 
 
 @given(hbar=st.floats(1e-3, 1e3), mass=st.floats(1e-3, 1e3),
-       charge=st.floats(-1e3, 1e3, allow_subnormal=False))
-def test_derived_coefficients_are_the_identification_bitwise(hbar, mass, charge):
-    consts = PhysicalConstants(hbar, mass, charge)
-    for name, want in _identified(hbar, mass, charge).items():
+       charge=st.floats(-1e3, 1e3, allow_subnormal=False),
+       moment=st.one_of(st.none(), st.floats(-1e3, 1e3, allow_subnormal=False)))
+def test_derived_coefficients_are_the_identification_bitwise(hbar, mass, charge, moment):
+    consts = PhysicalConstants(hbar, mass, charge, moment)
+    for name, want in _identified(hbar, mass, charge, moment).items():
         assert np.float64(getattr(consts, name)).tobytes() == np.float64(want).tobytes(), name
 
 
@@ -316,6 +318,20 @@ def test_equivalence_holds_for_any_constants(seed, hbar, mass, charge):
     assert rep.rel_residual <= 1e-12
     assert rep.spinor_rel_residual <= 1e-8
 
+
+
+def test_equivalence_holds_for_a_neutral_particle():
+    # charge 0 with a moment, as the Stern-Gerlach atom: the spin couples to
+    # the field through the moment alone, and the configuration scales its
+    # field to that moment, so the coupling neither vanishes nor swamps the
+    # kinetic term
+    consts = PhysicalConstants(0.7, 1.9, 0.0, moment=0.6)
+    g = Grid((1.0, 1.0), (32, 32), PERIODIC)
+    fields, dt = random_smooth_configuration(g, frames=12, consts=consts, seed=0)
+    rep = equivalence_residual(g, fields, consts, dt=dt, time_periodic=True, scheme=SPECTRAL)
+    assert rep.rel_residual <= 1e-12
+    assert rep.spinor_rel_residual <= 1e-8
+    assert 0.0 < abs(rep.breakdown["moment_coupling"]) < abs(rep.breakdown["kinetic"])
 
 def _band_limited_by_ifftn(frames, grid, rng, max_mode, amplitude, zero_spatial_mean):
     # reference: the whole spectrum through np.fft.ifftn
@@ -497,14 +513,16 @@ def phase_frames(rate, frames, dt):
     return np.array([rate * i * dt for i in range(frames)])[:, None]
 
 
-def test_stationarity_on_precessing_solution():
+@pytest.mark.parametrize("consts", [CONSTS, PhysicalConstants(1.0, 1.0, 0.0, moment=0.3)],
+                         ids=["charged", "neutral"])
+def test_stationarity_on_precessing_solution(consts):
     g = Grid((1.0,), (8,), PERIODIC)
     bz = 2.0
-    dt = 1e-3 / (CONSTS.gamma * bz)
+    rate = consts.spin_coupling / consts.a  # the angular rate per field, q/m when charged
+    dt = 1e-3 / (rate * bz)
     # the canonical phase rate for B || z
-    fields = polar_stacks(g, frames=9, theta=1.2,
-                          phi=phase_frames(-CONSTS.gamma * bz, 9, dt), bz=bz)
-    res = stationarity_residual_static(g, fields, CONSTS, dt=dt)
+    fields = polar_stacks(g, frames=9, theta=1.2, phi=phase_frames(-rate * bz, 9, dt), bz=bz)
+    res = stationarity_residual_static(g, fields, consts, dt=dt)
     assert res.phase_rate < 1e-6
     assert res.tilt_rate < 1e-6
     assert res.density_motion < 1e-6

@@ -36,6 +36,12 @@ from paulilab.pauli import (
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 
+def atom(moment):
+    """A neutral particle with CONSTS' hbar and mass and the spin coupling
+    ``moment``, as the Larmor and Stern-Gerlach runs take it."""
+    return PhysicalConstants(1.0, 1.0, 0.0, moment)
+
+
 def axial(grid, bz=0.0):
     """The run's grid, no scalar potential and B = (0, 0, bz): the field
     arguments of ``SolverConfig``."""
@@ -77,19 +83,20 @@ def apply_hamiltonian(psi, config, scheme=None):
     """H applied to the wavefunction ``psi`` on the run's grid, term by
     term: the oracle for the generator of the propagators.
 
-    Charged: -(hbar^2/2m) grad^2 + q phi_pot - (q hbar / 2m) sigma.B.
-    Neutral: -(hbar^2/2m) grad^2 - gamma_energy sigma.B.
+    -(hbar^2/2m) grad^2 + q phi_pot - spin_coupling sigma.B, where the
+    spin coupling is q hbar / 2m for a charged particle and the given
+    moment for a neutral one.
     """
     grid = config.grid
     if scheme is None:
         scheme = SPECTRAL if grid.boundary == PERIODIC else CENTRAL
     consts = config.consts
     hbar, m = consts.hbar, consts.mass
-    q = config.kinetic_charge()
+    q = consts.charge
     out = -(hbar**2) / (2.0 * m) * _laplacian_stack(psi, grid, scheme)
     if q != 0.0:
         out += q * config.phi_pot[..., None] * psi
-    coupling = config.spin_coupling()
+    coupling = consts.spin_coupling
     if coupling != 0.0:
         b = config.b
         out[..., 0] += -coupling * (
@@ -118,9 +125,7 @@ def test_hamiltonian_uniform_spin_coupling():
     g = Grid((1.0,), (16,), PERIODIC)
     state = uniform_state(g, (1.0, 0.0))
     gamma_e = 0.7
-    config = SolverConfig(
-        SPLIT_OPERATOR, 1e-3, CONSTS, *axial(g, 2.0), gamma_energy=gamma_e
-    )
+    config = SolverConfig(SPLIT_OPERATOR, 1e-3, atom(gamma_e), *axial(g, 2.0))
     out = apply_hamiltonian(state, config)
     np.testing.assert_allclose(out, -gamma_e * 2.0 * state, atol=1e-12)
 
@@ -178,9 +183,7 @@ def test_rabi_oscillation(scheme, steps):
     gamma_e, bz = 1.0, 1.0
     omega = 2 * gamma_e * bz / CONSTS.hbar
     period = 2 * np.pi / omega
-    config = SolverConfig(
-        scheme, period / steps, CONSTS, *axial(g, bz), gamma_energy=gamma_e
-    )
+    config = SolverConfig(scheme, period / steps, atom(gamma_e), *axial(g, bz))
     state = uniform_state(g, (1.0, 1.0))
     traj = evolve(state, config, period, record_every=10)
     expect = np.cos(omega * traj.times)
@@ -208,9 +211,7 @@ def test_free_packet_spreading():
 def test_unitarity_over_1000_steps(scheme):
     g = Grid((20.0,), (256,), PERIODIC)
     state = gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS)
-    config = SolverConfig(
-        scheme, 1e-3, CONSTS, *axial(g, 0.8), gamma_energy=0.5
-    )
+    config = SolverConfig(scheme, 1e-3, atom(0.5), *axial(g, 0.8))
     traj = evolve(state, config, 1.0, record_every=100)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
 
@@ -218,7 +219,7 @@ def test_unitarity_over_1000_steps(scheme):
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
 def test_evolve_builds_its_propagator_once(scheme, monkeypatch):
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g, 0.8), gamma_energy=0.5)
+    config = SolverConfig(scheme, 1e-2, atom(0.5), *axial(g, 0.8))
     built = record_propagators(monkeypatch)
     evolve(gaussian_packet_state(g, 1.0, 10.0, 0.5, (0.8, 0.6j), CONSTS), config, 0.5,
            record_every=10)
@@ -240,9 +241,7 @@ def test_evolution_linearity():
 
 def test_spin_position_factorization():
     g = Grid((40.0,), (512,), PERIODIC)
-    config = SolverConfig(
-        SPLIT_OPERATOR, 5e-3, CONSTS, *axial(g, 1.1), gamma_energy=0.9
-    )
+    config = SolverConfig(SPLIT_OPERATOR, 5e-3, atom(0.9), *axial(g, 1.1))
     dens = []
     for weights in ((1.0, 0.0), (1.0, 1.0j)):
         state = gaussian_packet_state(g, 2.0, 20.0, 0.4, weights, CONSTS)
@@ -275,9 +274,8 @@ def split_operator_oracle(config, grid):
     k_sq = sum(k**2 for k in np.meshgrid(*waves, indexing="ij"))
     half, full = (np.exp(-1j * config.dt * consts.hbar * k_sq / (d * consts.mass))[..., None]
                   for d in (4.0, 2.0))
-    q = config.kinetic_charge()
-    v = q * config.phi_pot if q != 0.0 else np.zeros(grid.shape)
-    c = -config.spin_coupling() * config.b
+    v = consts.charge * config.phi_pot
+    c = -consts.spin_coupling * config.b
     c_norm = np.sqrt(np.sum(c * c, axis=-1))
     alpha = c_norm * config.dt / consts.hbar
     cos_a = np.cos(alpha)
@@ -318,9 +316,8 @@ def whole_cayley_oracle_step(config, grid):
     on the way in and out."""
     consts = config.consts
     kin = -(consts.hbar**2) / (2.0 * consts.mass) * laplacian_matrix(grid)
-    q = config.kinetic_charge()
-    v = q * config.phi_pot.ravel() if q != 0.0 else np.zeros(grid.size)
-    b = config.spin_coupling() * config.b.reshape(grid.size, 3)
+    v = consts.charge * config.phi_pot.ravel()
+    b = consts.spin_coupling * config.b.reshape(grid.size, 3)
     bz, bxy = b[:, 2], b[:, 0] - 1j * b[:, 1]
     diags = scipy.sparse.diags
     ham = scipy.sparse.bmat([[kin + diags(v - bz), diags(-bxy)],
@@ -360,8 +357,8 @@ def random_run(grid, seed, neutral, scheme, dt, axial=False, filled=(0, 1)):
     b_vals = rng.standard_normal(grid.shape + (3,))
     if axial:
         b_vals[..., :2] = 0.0
-    config = SolverConfig(scheme, dt, CONSTS, grid, 3.0 * rng.random(grid.shape), b_vals,
-                          gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(scheme, dt, atom(0.7) if neutral else CONSTS, grid,
+                          3.0 * rng.random(grid.shape), b_vals)
     return vals, config
 
 
@@ -399,8 +396,7 @@ def gradient_field_run(weights, transverse=0.0):
     b_vals = np.zeros(g.shape + (3,))
     b_vals[..., 2] = 0.5 + 0.02 * g.axis_coordinates(0)
     b_vals[40, 1] = transverse
-    config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, g, np.zeros(g.shape), b_vals,
-                          gamma_energy=1.0)
+    config = SolverConfig(SPLIT_OPERATOR, 1e-2, atom(1.0), g, np.zeros(g.shape), b_vals)
     return gaussian_packet_state(g, 1.5, 10.0, 0.3, weights, CONSTS), config
 
 
@@ -438,7 +434,7 @@ def test_every_split_operator_document_runs_uncoupled_colors(monkeypatch):
     # field-built runs take them: the Larmor and Stern-Gerlach runs fill both
     # colors, the packet runs one
     built = record_propagators(monkeypatch)
-    verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10)
+    verification.larmor_precession(1.3, atom(0.8), 100, 1, 10)
     stern_gerlach(cells=256, dt=0.1, t_final=1.0, record_every=10)
     verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10)
     verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10)
@@ -458,9 +454,8 @@ def axial_gradient_run(grid, color, neutral, transverse=0.0):
     b_vals = np.zeros(grid.shape + (3,))
     b_vals[..., 2] = 0.5 + 0.3 * x
     b_vals[tuple(n // 2 for n in grid.cells) + (1,)] = transverse
-    config = SolverConfig(CRANK_NICOLSON, 1e-2, CONSTS, grid,
-                          1.0 + np.cos(2 * np.pi * x / grid.extents[0]), b_vals,
-                          gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(CRANK_NICOLSON, 1e-2, atom(0.7) if neutral else CONSTS, grid,
+                          1.0 + np.cos(2 * np.pi * x / grid.extents[0]), b_vals)
     return vals, config
 
 
@@ -493,7 +488,7 @@ def test_crank_nicolson_packet_documents_solve_one_color(monkeypatch):
     verification.free_packet_spreading(60.0, 256, 1.5, 0.1, 10, CONSTS, 10, CRANK_NICOLSON)
     verification.uniform_field_drift(80.0, 256, 2.0, 25.0, 0.2, 0.1, 10, CONSTS, 10,
                                      CRANK_NICOLSON)
-    verification.larmor_precession(0.8, 1.3, CONSTS, 100, 1, 10, CRANK_NICOLSON)
+    verification.larmor_precession(1.3, atom(0.8), 100, 1, 10, CRANK_NICOLSON)
     assert [(prop._colors, prop._lu.shape) for prop in built] == [
         ((0,), (256, 256)), ((0,), (256, 256)), ((0, 1), (16, 16))]
 
@@ -697,8 +692,8 @@ def test_evolve_keeps_the_norm_and_an_empty_color_at_plus_zero_under_an_axial_fi
     b_vals = rng.standard_normal(g.shape + (3,))  # tilted: B_x and B_y couple the colors
     if axial:
         b_vals[..., :2] = 0.0
-    config = SolverConfig(scheme, dt, CONSTS, g, 3.0 * rng.random(g.shape), b_vals,
-                          gamma_energy=0.7 if neutral else None)
+    config = SolverConfig(scheme, dt, atom(0.7) if neutral else CONSTS, g,
+                          3.0 * rng.random(g.shape), b_vals)
     traj, snapshots = evolve_with_snapshots(vals, config, steps * dt, record_every)
     assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-12
     if axial:
@@ -886,7 +881,7 @@ def test_evolve_refuses_a_state_off_the_field_grid(scheme, shape):
     # the field's grid is the run's only grid: an array of any other shape,
     # a colors-first one included, is refused before the first step
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g, 0.5), gamma_energy=0.5)
+    config = SolverConfig(scheme, 1e-2, atom(0.5), *axial(g, 0.5))
     psi = np.full(shape, 1.0 / np.sqrt(40.0), dtype=np.complex128)
     with pytest.raises(SolverError, match=r"state shape .* is not the field grid's \(64, 2\)"):
         evolve(psi, config, 0.1)
@@ -923,7 +918,7 @@ def test_solver_config_keeps_read_only_copies_of_its_fields():
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
 def test_evolve_refuses_an_unnormalized_or_nonfinite_state_at_its_first_record(scheme, spoil):
     g = Grid((20.0,), (64,), PERIODIC)
-    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g, 0.5), gamma_energy=0.5)
+    config = SolverConfig(scheme, 1e-2, atom(0.5), *axial(g, 0.5))
     psi = gaussian_packet_state(g, 1.0, 10.0, 0.4, (0.8, 0.6j), CONSTS)
     if spoil == "scale":
         psi *= 1.0 + 1e-9  # norm 1 + 2e-9
@@ -959,9 +954,7 @@ def test_larmor_frequency_neutral():
     gamma_e, bz = 0.8, 1.3
     omega = 2 * gamma_e * bz / CONSTS.hbar
     period = 2 * np.pi / omega
-    config = SolverConfig(
-        SPLIT_OPERATOR, period / 1000, CONSTS, *axial(g, bz), gamma_energy=gamma_e
-    )
+    config = SolverConfig(SPLIT_OPERATOR, period / 1000, atom(gamma_e), *axial(g, bz))
     traj = evolve(uniform_state(g, (1.0, 1.0)), config, 10 * period, record_every=5)
     assert measured_frequency(traj.times, traj.spins[:, 0]) == pytest.approx(omega, rel=1e-3)
 
@@ -1005,9 +998,7 @@ def test_spin_expectation_matches_torque_trajectory():
     omega = 2 * gamma_e * b[2] / CONSTS.hbar
     period = 2 * np.pi / omega
     dt = period / 400
-    config = SolverConfig(
-        SPLIT_OPERATOR, dt, CONSTS, *axial(g, b[2]), gamma_energy=gamma_e
-    )
+    config = SolverConfig(SPLIT_OPERATOR, dt, atom(gamma_e), *axial(g, b[2]))
     traj = evolve(uniform_state(g, (1.0, 1.0)), config, 10 * period, record_every=1)
     gamma_cl = 2 * gamma_e / CONSTS.hbar
     classical = torque_evolve(MomentState((1.0, 0, 0)), b, gamma_cl, 10 * period, dt)
@@ -1030,8 +1021,7 @@ def sg_params(**overrides):
         spin_weights=(1.0, 1.0),
         field_gradient=0.02,
         field_offset=0.5,
-        consts=CONSTS,
-        gamma_energy=1.0,
+        consts=atom(1.0),
         dt=0.01,
         t_final=10.0,
         record_every=50,
@@ -1056,7 +1046,7 @@ def test_stern_gerlach_zero_gradient():
 def test_stern_gerlach_single_component_acceleration():
     cfg = sg_params(spin_weights=(1.0, 0.0))
     _, (t, center_plus, *_) = stern_gerlach(**cfg)
-    accel = cfg["gamma_energy"] * cfg["field_gradient"] / CONSTS.mass
+    accel = cfg["consts"].spin_coupling * cfg["field_gradient"] / CONSTS.mass
     expect = cfg["center"] + 0.5 * accel * t**2
     final_disp = expect[-1] - cfg["center"]
     assert abs(center_plus[-1] - expect[-1]) < 0.01 * final_disp
@@ -1065,7 +1055,7 @@ def test_stern_gerlach_single_component_acceleration():
 def test_stern_gerlach_separation_law():
     cfg = sg_params()
     _, (t, _, _, separation, overlap) = stern_gerlach()
-    expect = (cfg["gamma_energy"] * cfg["field_gradient"] / CONSTS.mass) * t**2
+    expect = (cfg["consts"].spin_coupling * cfg["field_gradient"] / CONSTS.mass) * t**2
     assert separation[-1] == pytest.approx(expect[-1], rel=0.01)
     mid = len(t) // 2
     assert separation[mid] == pytest.approx(expect[mid], rel=0.01)
@@ -1083,10 +1073,10 @@ def stern_gerlach_on_evolve(cfg):
     grid = Grid((cfg["extent"],), (cfg["cells"],), PERIODIC)
     b_vals = np.zeros(grid.shape + (3,))
     b_vals[..., 2] = cfg["field_offset"] + cfg["field_gradient"] * grid.axis_coordinates(0)
-    solver = SolverConfig(SPLIT_OPERATOR, cfg["dt"], CONSTS, grid, np.zeros(grid.shape), b_vals,
-                          gamma_energy=cfg["gamma_energy"])
+    solver = SolverConfig(SPLIT_OPERATOR, cfg["dt"], cfg["consts"], grid, np.zeros(grid.shape),
+                          b_vals)
     packet = gaussian_packet_state(grid, cfg["sigma"], cfg["center"], cfg["velocity"],
-                                   cfg["spin_weights"], CONSTS)
+                                   cfg["spin_weights"], cfg["consts"])
     return grid, *evolve_with_snapshots(packet, solver, cfg["t_final"], cfg["record_every"])
 
 
@@ -1123,16 +1113,14 @@ _WEIGHT = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
 
 @settings(max_examples=25, deadline=None)
 @given(weights=st.tuples(_WEIGHT, _WEIGHT).filter(any), sign=st.sampled_from([1.0, -1.0]),
-       size=st.floats(0.005, 0.05), gamma_energy=st.floats(0.2, 2.0),
+       size=st.floats(0.005, 0.05), moment=st.floats(0.2, 2.0),
        field_offset=st.floats(-1.0, 1.0))
-def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, gamma_energy,
-                                                    field_offset):
+def test_stern_gerlach_follows_center_law_on_evolve(weights, sign, size, moment, field_offset):
     cfg = sg_params(cells=256, dt=0.1, record_every=10, spin_weights=weights,
-                    field_gradient=sign * size, gamma_energy=gamma_energy,
-                    field_offset=field_offset)
+                    field_gradient=sign * size, consts=atom(moment), field_offset=field_offset)
     result, (_, *centers, _, _) = stern_gerlach(**cfg)
-    # each color is pushed by +-gamma b / m: spin up along +z, spin down along -z
-    half_law = gamma_energy * cfg["field_gradient"] * cfg["t_final"]**2 / (2 * CONSTS.mass)
+    # each color is pushed by +-moment b / m: spin up along +z, spin down along -z
+    half_law = moment * cfg["field_gradient"] * cfg["t_final"]**2 / (2 * CONSTS.mass)
     for color, direction in ((0, 1.0), (1, -1.0)):
         if weights[color]:
             moved = centers[color][-1] - cfg["center"]

@@ -87,6 +87,12 @@ def _scaled(factor):
     return wrap
 
 
+def _scaled_property(factor):
+    def wrap(prop):
+        return property(lambda self: factor * prop.fget(self))
+    return wrap
+
+
 def _current_modes_only(ritz_basis):
     # Rayleigh-Ritz over the current modes alone, without the preconditioned
     # gradients and the previous step: the first candidate does not move
@@ -397,11 +403,13 @@ ROWS = {
                                    "ehrenfest": {UNIFORM_FIELD, SEPARATION}}),
     # a packet with no field, and the unitary norm, do not see the coupling;
     # the Stern-Gerlach colors separate twice as far
-    "spin_coupling_doubled": (pauli.SolverConfig, "spin_coupling", _scaled(2.0),
+    "spin_coupling_doubled": (functionals.PhysicalConstants, "spin_coupling",
+                              _scaled_property(2.0),
                               {"pauli_solver": {PRECESSION}, "ehrenfest": {SEPARATION}}),
     # the colors part so fast that the Stern-Gerlach packet reaches the grid
     # edge at t = 7: the aborted run fails its own record, not the battery
-    "spin_coupling_30_times": (pauli.SolverConfig, "spin_coupling", _scaled(30.0),
+    "spin_coupling_30_times": (functionals.PhysicalConstants, "spin_coupling",
+                               _scaled_property(30.0),
                                {"ehrenfest": {SEPARATION}}),
     # both colors of the Larmor run turn alike: <sigma_x> never crosses zero
     "diagonal_step_second_color_takes_u11": (pauli._SplitOperatorPropagator, "__init__",

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (evolve_with_snapshots, manifest, pin_moves, whole_array_snapshots,
@@ -197,6 +197,7 @@ def test_cli_non_finite_floats_exit_2(tmp_path, capsys, kind, parameters, offend
 _JOINT = "parameters must satisfy: "
 _CN_RULE = _JOINT + "dt hbar / (mass h^2) <= 1000"
 _SG_START_RULE = _JOINT + "the initial packet's mass within max(3, cells // 64) cells"
+_SG_GRID_RULE = _JOINT + "sigma (pi cells / extent - k) >= pi"
 
 
 # rules: the start of each violation the document must list, and no other
@@ -342,8 +343,20 @@ _SG_START_RULE = _JOINT + "the initial packet's mass within max(3, cells // 64) 
     # the two guard bands of max(3, cells // 64) cells held more than 1e-8 of
     # the packet, and below 7 cells the whole grid: each run exited 3 at t = 0
     *[("stern_gerlach", {"field_gradient": 0.02, "dt": 0.5, "t_final": 1.0, "cells": cells},
-       [_SG_START_RULE]) for cells in (1, 6, 7, 8)],
+       [_SG_GRID_RULE, _SG_START_RULE]) for cells in (1, 6, 7, 8)],
     ("stern_gerlach", {"field_gradient": 0.02, "center": 3.0}, [_SG_START_RULE]),
+    # grids too coarse for the packet (h / sigma 2.5 to 1.25): 12 to 20 cells
+    # stopped on the boundary guard (exit 3) under all three step settings,
+    # 24 cells under the last two
+    *[("stern_gerlach", {"field_gradient": 0.02, "cells": cells, **steps}, [_SG_GRID_RULE])
+      for cells in (12, 16, 20, 24)
+      for steps in ({"dt": 0.5, "t_final": 1.0}, {"dt": 0.1, "t_final": 10.0}, {})],
+    # at rest on 30 cells (h = sigma), but moving at 0.5: stopped at t = 1
+    ("stern_gerlach", {"field_gradient": 0.02, "cells": 30, "velocity": 0.5, "dt": 0.5,
+                       "t_final": 1.0}, [_SG_GRID_RULE]),
+    # overflowed to a packet that cannot be normalized, and exited 3
+    ("stern_gerlach", {"field_gradient": 0.02, "velocity": 1e308, "dt": 0.5, "t_final": 1.0},
+     [_SG_GRID_RULE, _SG_START_RULE]),
     # numpy's multinomial takes an int64, and the run exited 3 ("Python int
     # too large to convert to C long")
     ("sample", {"repetitions": 2**63}, [_JOINT + "repetitions <= 2^63 - 1"]),
@@ -422,18 +435,16 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
                 parse_scenario(json.dumps(doc))
 
 
-@settings(max_examples=300)
-@given(extent=st.floats(1.0, 100.0), cells=st.integers(1, 2048), sigma=st.floats(0.01, 20.0),
-       place=st.floats(-0.2, 1.2))
-@example(extent=60.0, cells=768, sigma=2.0, place=0.5)  # the default document
-@example(extent=100.0, cells=100, sigma=0.01, place=0.505)  # underflows between two cells
-def test_stern_gerlach_start_rule_reads_as_the_packet_built(extent, cells, sigma, place):
-    # the rule admits a resolved packet far from the bands without building
-    # it: wherever it does, the packet built reads at most 1e-8 in the bands
-    args = (extent, cells, sigma, place * extent, 0.3)
-    built = verification.stern_gerlach_start_edge_mass(
-        *args, (1.0, 0.5), functionals.PhysicalConstants(1, 1, 1)) <= 1e-8
-    assert scenarios._stern_gerlach_starts_clear_of_guard(*args, 1.0, 0.5, 1, 1, 1) == built
+@pytest.mark.parametrize("steps", [{"dt": 0.5, "t_final": 1.0}, {"dt": 0.1, "t_final": 10.0},
+                                   {}], ids=["dt0.5", "dt0.1", "defaults"])
+def test_stern_gerlach_grid_rule_admits_a_grid_that_resolves_the_packet(tmp_path, steps):
+    # 34 cells (h / sigma 0.88), the fewest the rule admits under all three
+    # step settings in the default field, run to a pass; 12 to 24 cells
+    # (h / sigma 2.5 to 1.25) stopped on the boundary guard under some
+    report = run(parse_scenario(json.dumps({
+        "kind": "stern_gerlach", "output_dir": str(tmp_path),
+        "parameters": {"field_gradient": 0.02, "cells": 34, **steps}})))
+    assert report.passed
 
 
 @pytest.mark.parametrize("side,exits", [(-0.1, 2), (0.1, 0)])
@@ -823,12 +834,27 @@ def test_golden_document_matches_its_pins(tmp_path, key, document):
     assert not moves, "\n".join(moves)
 
 
+_BENCHMARK = manifest.benchmark(workloads)
+
+
+@pytest.mark.parametrize("group", sorted({key.rsplit("/", 1)[0] for key, _ in _BENCHMARK}))
+def test_benchmark_documents_match_their_pins(tmp_path, group):
+    # one workload at one size and seed: each document in its own directory
+    for key, document in _BENCHMARK:
+        if key.rsplit("/", 1)[0] == group:
+            out = tmp_path / key.rsplit("/", 1)[1]
+            report = run(parse_scenario(json.dumps({**document, "output_dir": str(out)})))
+            moves = pin_moves(key, report.outputs,
+                              [(c.name, c.value, c.tolerance) for c in report.checks])
+            assert not moves, "\n".join(moves)
+
+
 @pytest.mark.parametrize("bz", [0.8, np.linspace(-1.0, 1.0, 6)], ids=["number", "cell_array"])
 def test_axial_field_is_bz_in_component_2_without_potentials(bz):
     grid = Grid((3.0,), (6,), PERIODIC)
-    config = verification._axial_solver(pauli.SPLIT_OPERATOR, 0.1, verification.CONSTS, grid,
-                                        bz, 0.5)
+    atom = functionals.PhysicalConstants(1.0, 1.0, 0.0, moment=0.5)
+    config = verification._axial_solver(pauli.SPLIT_OPERATOR, 0.1, atom, grid, bz)
     want = np.zeros(grid.shape + (3,))
     want[..., 2] = bz
     assert np.array_equal(config.b, want)
-    assert not np.any(config.phi_pot) and config.gamma_energy == 0.5
+    assert not np.any(config.phi_pot) and config.consts.spin_coupling == 0.5

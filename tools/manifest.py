@@ -27,11 +27,10 @@ and their rows of ``verification.csv``, which differ from run to run; their
 bounds are pinned.
 
 The output of ``write`` is committed as ``tests/manifest.tsv``.  The tests
-run each golden document and ``verify-all --fast`` and compare their
-entries with the committed ones; the benchmark documents' entries are
-checked by hand: ``write`` to a scratch file, then ``compare`` it with the
-committed one.  A re-pin is one ``write`` into ``tests/manifest.tsv``, whose
-diff names every entry that moved.
+run each golden document, ``verify-all --fast`` and each benchmark document
+and compare their entries with the committed ones.  A re-pin is one
+``write`` into ``tests/manifest.tsv``, whose diff names every entry that
+moved.
 
 ``compare`` names every entry that is in one manifest and not the other, or
 whose value moved, and says how far it moved: for a check value whose old
@@ -101,6 +100,17 @@ def golden() -> list[tuple[str, dict]]:
     return docs
 
 
+def benchmark(workloads) -> list[tuple[str, dict]]:
+    """(key, document) of each benchmark document, from the loaded
+    ``bench/workloads.py`` module ``workloads``: every workload at each size
+    and seed, numbered in that order."""
+    bench = [(f"{workload}/{size}/seed{seed}", doc)
+             for workload in workloads.WORKLOADS for size in workloads.SIZES for seed in SEEDS
+             for doc in workloads.documents(workload, seed, size)]
+    return [(f"{group}/{index:03d}-{doc['kind']}", doc)
+            for index, (group, doc) in enumerate(bench)]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -141,11 +151,7 @@ def write(path: str) -> int:
     import workloads
     from paulilab import scenarios
 
-    bench = [(f"{workload}/{size}/seed{seed}", doc)
-             for workload in workloads.WORKLOADS for size in workloads.SIZES for seed in SEEDS
-             for doc in workloads.documents(workload, seed, size)]
-    runs = golden() + [VERIFY_ALL] + [(f"{group}/{index:03d}-{doc['kind']}", doc)
-                                      for index, (group, doc) in enumerate(bench)]
+    runs = golden() + [VERIFY_ALL] + benchmark(workloads)
     found = {}
     for key, doc in runs:
         with tempfile.TemporaryDirectory() as tmp:
