@@ -17,12 +17,16 @@ sigma.B: a neutral particle is charge 0 with a moment.
 A propagator advances several steps per call.  Between two records the
 split-operator scheme runs the trailing kinetic half-step of one step and
 the leading half-step of the next as one full step (Strang splitting), which
-moves its output at round-off only.
+moves its output at round-off only.  Across a record it keeps the spectrum
+F(V psi) of its last step: the record is F^-1 of it times the half-step
+factor, and the next call starts from F^-1 of it times the full-step
+factor, so a recorded step takes three transforms per grid axis, not four.
 
-The kinetic steps call scipy's private compiled transform in place, once
-per grid axis: ``scipy.fft._pocketfft.pypocketfft.c2c(psi, (axis,),
-forward, inorm, psi, 1)``, inorm 0 forward and 2 inverse, ``scipy.fft``'s
-own call without the checks that cost more than a transform of a few cells.
+The kinetic steps call scipy's private compiled transform once per grid
+axis, in place or into the kept spectrum's block ``out``:
+``scipy.fft._pocketfft.pypocketfft.c2c(psi, (axis,), forward, inorm, out,
+1)``, inorm 0 forward and 2 inverse, ``scipy.fft``'s own call without the
+checks that cost more than a transform of a few cells.
 A scipy that moves it fails this import; a test in ``tests/test_pauli.py``
 and the pins in ``tests/manifest.tsv`` catch a change of its bits.
 
@@ -145,14 +149,22 @@ class _SplitOperatorPropagator:
         self._diagonal = not (np.any(u12) or np.any(u21))
         self._cell = np.stack([(u11, u22)[c] for c in colors] if self._diagonal
                               else (u11, u12, u21, u22))
+        self._spectrum = None  # F(V psi) of the last step, from the first call on
 
-    def _kinetic(self, psi: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        # scipy.fft.fft's c2c call (inorm 0) and ifft's (inorm 2, divide by
-        # the axis length) with out=psi: each line goes through its own
-        # buffer, so writing in place keeps the bits
+    def _forward(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # scipy.fft.fft's c2c call (inorm 0) into ``out``, which may be psi:
+        # each line goes through its own buffer, so either keeps the bits
         for ax in self._axes:
-            c2c(psi, (ax,), True, 0, psi, 1)
-        psi *= factor
+            c2c(psi, (ax,), True, 0, out, 1)
+            psi = out
+        return out
+
+    def _kinetic(self, spectrum: np.ndarray, factor: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        # psi = F^-1(spectrum * factor), which may be spectrum: the one
+        # kinetic multiply, state first (numpy's SIMD complex multiply gives
+        # factor * spectrum other last bits), then ifft's c2c call (inorm 2,
+        # divide by the axis length) in place
+        np.multiply(spectrum, factor, out=psi)
         for ax in self._axes:
             c2c(psi, (ax,), False, 2, psi, 1)
         return psi
@@ -161,9 +173,19 @@ class _SplitOperatorPropagator:
         """n steps of the live colors' block ``psi``, in place, as
         K/2 (V K)^(n-1) V K/2: nothing observes the state between the
         trailing half-step of one step and the leading half of the next, so
-        they run as one full kinetic step.  n = 1 is one step's operations
-        in their order."""
-        self._kinetic(psi, self._half_kinetic)
+        they run as one full kinetic step.
+
+        The trailing half-step keeps the spectrum Phi = F(V psi) of the last
+        step in a block of the propagator's own and writes psi = F^-1(Phi
+        K/2); the next call starts from F^-1(Phi K), not from psi, so n
+        steps cost 2n + 1 transforms per grid axis, and the first call,
+        which starts from F^-1(F(psi) K/2), 2n + 2.  ``psi`` must hold what
+        the last call left there: a change to it between calls is lost."""
+        if self._spectrum is None:
+            self._spectrum = np.empty_like(psi)
+            self._kinetic(self._forward(psi, psi), self._half_kinetic, psi)
+        else:
+            self._kinetic(self._spectrum, self._full_kinetic, psi)
         for i in range(n):
             if self._diagonal:
                 # keep the factor first: numpy's SIMD complex multiply gives
@@ -173,8 +195,9 @@ class _SplitOperatorPropagator:
             else:
                 u11, u12, u21, u22 = self._cell
                 psi[0], psi[1] = u11 * psi[0] + u12 * psi[1], u21 * psi[0] + u22 * psi[1]
-            self._kinetic(psi, self._full_kinetic if i < n - 1 else self._half_kinetic)
-        return psi
+            if i < n - 1:
+                self._kinetic(self._forward(psi, psi), self._full_kinetic, psi)
+        return self._kinetic(self._forward(psi, self._spectrum), self._half_kinetic, psi)
 
 
 class _CrankNicolsonPropagator:
@@ -324,22 +347,25 @@ def evolve(
 
     The propagator advances from one record to the next in one call.  The
     split-operator scheme fuses the two kinetic half-steps that meet between
-    unrecorded steps into one full step, which moves its output at round-off
-    only; with ``record_every=1``, and for Crank-Nicolson at any
-    ``record_every``, every step runs on its own.
+    two steps into one full step, which moves its output at round-off only:
+    between unrecorded steps it transforms the state, and across a record it
+    starts from the spectrum it kept from the last step, not from the
+    recorded state (``_SplitOperatorPropagator.advance``).  Crank-Nicolson
+    steps from the recorded state, every step on its own.
 
     The state is one C-contiguous colors-first (2, ...) copy of ``initial``,
     whose live colors' slice the propagator steps in place; a color it does
     not step is set to +0 once, after the first record.
 
     ``on_record(psi, t, rho1, rho2, dens, masses)``, when given, sees the
-    raw (..., 2) wavefunction array (a view of the block), its two color
-    densities, their sum and the recorded color masses (2,) at each recorded
-    step, after the recorded sums are taken and before the norm is checked;
-    the three density arrays keep their values for the whole call (the
-    weighted sums write elsewhere), and the callback may raise to abort the
-    run.  ``psi`` is the same view at every record, which the next step
-    overwrites.
+    raw (..., 2) wavefunction array, its two color densities, their sum
+    and the recorded color masses (2,) at each recorded step, after the
+    recorded sums are taken and before the norm is checked; the three
+    density arrays keep their values for the whole call (the weighted sums
+    write elsewhere), and the callback may raise to abort the run.  ``psi``
+    is the same read-only view of the block at every record, which the
+    next step overwrites: a write to it raises ``ValueError``, since the
+    split operator's next step would not read it.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")
@@ -350,6 +376,8 @@ def evolve(
     block = np.moveaxis(initial, -1, 0).astype(np.complex128, order="C")
     colors = prop._colors
     live, psi = block[colors[0]:colors[-1] + 1], np.moveaxis(block, 0, -1)
+    seen = psi.view()
+    seen.flags.writeable = False
     t = 0.0
     weights = _observable_weights(config.grid)
     rows = record_count(steps, record_every)
@@ -361,7 +389,7 @@ def evolve(
         nonlocal row
         norm, rho1, rho2, dens = _observe(block, weights, positions[row], spins[row], masses[row])
         if on_record is not None:
-            on_record(psi, t, rho1, rho2, dens, masses[row])
+            on_record(seen, t, rho1, rho2, dens, masses[row])
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise SolverError(f"state norm {norm} left 1 +- 1e-10 at t={t:.6g}")
         times[row], norms[row] = t, norm

@@ -40,8 +40,9 @@ REQUIRED = object()
 
 # A rule is (op, limit) or (op, limit, setups): a range such as (">", 0), or
 # ("in", choices).  With setups it applies only when the kind's "setup"
-# parameter takes one of those values.
-_OPERATORS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne, "in": lambda v, c: v in c,
+# parameter takes one of those values.  A parameter may have several rules.
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne, "==": operator.eq,
+              "in": lambda v, c: v in c,
               "|x| <=": lambda v, c: abs(v) <= c, "len ==": lambda v, c: len(v) == c}
 
 
@@ -73,7 +74,7 @@ _COMMON_CONSTANTS = {
     "charge": (float, 1.0, "particle charge"),
 }
 
-# name -> (type, default, help[, rule])
+# name -> (type, default, help[, rule, ...])
 SCHEMAS: dict[str, dict[str, tuple]] = {
     "sample": {
         "cells": (int, 160, "voxels per axis", (">=", 2)),
@@ -124,7 +125,10 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "e0": (float, 0.2, "electric field (uniform_field)", ("!=", 0, ("uniform_field",))),
         "record_every": (int, 10, "recording stride", _COUNT),
         **_COMMON_CONSTANTS,
-        "charge": (float, 1.0, "particle charge", ("!=", 0, ("uniform_field",))),
+        # the larmor atom is neutral and the free packet sees no field: no
+        # other charge would change a byte of their outputs
+        "charge": (float, 1.0, "particle charge", ("!=", 0, ("uniform_field",)),
+                   ("==", 1, ("larmor", "free_packet"))),
     },
     "stern_gerlach": {
         "extent": (float, 60.0, "beam axis length", _POSITIVE),
@@ -140,7 +144,9 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "dt": (float, 0.01, "time step", _POSITIVE),
         "t_final": (float, 10.0, "flight time", _POSITIVE),
         "record_every": (int, 50, "recording stride", _COUNT),
-        **_COMMON_CONSTANTS,
+        # a neutral atom with the moment gamma_energy: no charge
+        "hbar": _COMMON_CONSTANTS["hbar"],
+        "mass": _COMMON_CONSTANTS["mass"],
     },
     "moment": {
         "b": (list, [0.4, -0.3, 0.85], "static field vector", ("len ==", 3)),
@@ -560,12 +566,13 @@ def parse_scenario(document: str) -> Scenario:
         if name not in schema:
             violations.append(f"unknown parameter {name!r} for kind {kind!r}")
     admitted = set(params)
-    for name, (_typ, _default, _help, *rule) in schema.items():
-        if rule and name in params and not _admits(rule[0], params[name], params.get("setup")):
-            violations.append(
-                f"parameter {name!r} must be {_rule_text(rule[0])}, got {params[name]!r}"
-            )
-            admitted.discard(name)
+    for name, (_typ, _default, _help, *rules) in schema.items():
+        for rule in rules:
+            if name in params and not _admits(rule, params[name], params.get("setup")):
+                violations.append(
+                    f"parameter {name!r} must be {_rule_text(rule)}, got {params[name]!r}"
+                )
+                admitted.discard(name)
     violations += [f"parameters must satisfy: {text}"
                    for text, names, test in JOINT_RULES.get(kind, ())
                    if admitted.issuperset(names) and not test(*(params[n] for n in names))]

@@ -258,13 +258,15 @@ def test_spin_position_factorization():
 def split_operator_oracle(config, grid):
     """The split operator's operations on a (..., 2) array, with factors
     built here from their formulas and not read from the propagator.
-    Returns ``kinetic(psi, factor)``, the half and full kinetic factors and
-    ``cell(psi)``.  K/2 = exp(-i (dt/2) hbar k^2 / 2m) and K = exp(-i dt
-    hbar k^2 / 2m) in Fourier space, the 1-D transforms taken last axis
-    first through ``scipy.fft`` (the propagator calls the compiled
-    transform behind it, ``scipy.fft._pocketfft.pypocketfft.c2c(psi,
-    (axis,), forward, inorm, psi, 1)`` with inorm 0 forward and 2 inverse,
-    in place and without the Python checks, and
+    Returns the transform ``forward(psi)``, the kinetic step back
+    ``inverse(spectrum, factor)`` = F^-1(spectrum * factor), the half and
+    full kinetic factors and ``cell(psi)``.  K/2 = exp(-i (dt/2) hbar k^2
+    / 2m) and K = exp(-i dt hbar k^2 / 2m) in Fourier space, the 1-D
+    transforms taken last axis first through ``scipy.fft`` (the propagator
+    calls the compiled transform behind it,
+    ``scipy.fft._pocketfft.pypocketfft.c2c(psi, (axis,), forward, inorm,
+    out, 1)`` with inorm 0 forward and 2 inverse, in place or into its kept
+    spectrum and without the Python checks, and
     ``test_kinetic_transform_is_scipy_fft_in_the_same_buffer`` checks
     that call against ``scipy.fft``); the cell factor is U = phase (cos(a)
     I - i sin(a) n.sigma), a = |c| dt / hbar, c = -coupling B, n = c/|c|,
@@ -287,10 +289,13 @@ def split_operator_oracle(config, grid):
     u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
     axes = tuple(reversed(range(grid.dim)))
 
-    def kinetic(psi, factor):
+    def forward(psi):
         for ax in axes:
             psi = scipy.fft.fft(psi, axis=ax)
-        psi *= factor
+        return psi
+
+    def inverse(spectrum, factor):
+        psi = spectrum * factor
         for ax in axes:
             psi = scipy.fft.ifft(psi, axis=ax)
         return psi
@@ -300,13 +305,32 @@ def split_operator_oracle(config, grid):
         c1 = u21 * psi[..., 0] + u22 * psi[..., 1]
         psi[..., 0], psi[..., 1] = c0, c1
         return psi
-    return kinetic, half, full, cell
+    return forward, inverse, half, full, cell
 
 
 def split_operator_oracle_step(config, grid):
     """One split-operator step as its own operations: half K, cell 2x2, half K."""
-    kinetic, half, _, cell = split_operator_oracle(config, grid)
-    return lambda psi: kinetic(cell(kinetic(psi, half)), half)
+    forward, inverse, half, _, cell = split_operator_oracle(config, grid)
+    return lambda psi: inverse(forward(cell(inverse(forward(psi), half))), half)
+
+
+def split_operator_oracle_states(state, config, steps, record_every):
+    """The wavefunction at each record of a split-operator run, as the
+    propagator composes its steps: K/2 once, then for the n steps of each
+    record interval (V K)^(n-1) V and the spectrum Phi = F(V psi), the record
+    F^-1(Phi K/2), and the next interval led by F^-1(Phi K)."""
+    forward, inverse, half, full, cell = split_operator_oracle(config, config.grid)
+    out = [state.copy()]
+    psi = inverse(forward(state), half)
+    for i in range(0, steps, record_every):
+        n = min(record_every, steps - i)
+        if i:
+            psi = inverse(spectrum, full)
+        for _ in range(n - 1):
+            psi = inverse(forward(cell(psi)), full)
+        spectrum = forward(cell(psi))
+        out.append(inverse(spectrum, half))
+    return out
 
 
 def whole_cayley_oracle_step(config, grid):
@@ -334,7 +358,8 @@ def whole_cayley_oracle_step(config, grid):
 
 
 def oracle_states(state, config, steps):
-    """The wavefunction after each of 0..steps single steps."""
+    """The wavefunction after each of 0..steps single steps, each step on
+    its own."""
     oracle_step = (split_operator_oracle_step if config.scheme == SPLIT_OPERATOR
                    else whole_cayley_oracle_step)
     step_once = oracle_step(config, config.grid)
@@ -366,8 +391,11 @@ _PERIODIC_GRIDS = [((3.0,), (16,)), ((2.0, 1.5), (6, 5)), ((1.0, 1.2, 0.8), (4, 
 
 
 def assert_steps_are_the_oracle_bitwise(state, config, steps):
+    # every step recorded: the split operator still carries its spectrum
+    # from one record to the next, Crank-Nicolson steps on its own
     traj, snapshots = evolve_with_snapshots(state, config, steps * config.dt)
-    oracle = oracle_states(state, config, steps)
+    oracle = (split_operator_oracle_states(state, config, steps, 1)
+              if config.scheme == SPLIT_OPERATOR else oracle_states(state, config, steps))
     assert len(snapshots) == steps + 1
     for snap, want in zip(snapshots, oracle):
         assert snap.tobytes() == want.tobytes()
@@ -378,8 +406,7 @@ def assert_steps_are_the_oracle_bitwise(state, config, steps):
 @pytest.mark.parametrize("axial", [False, True])
 @pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
 @pytest.mark.parametrize("extents,cells", _PERIODIC_GRIDS)
-def test_evolve_recording_every_step_is_the_stepwise_oracle_bitwise(scheme, extents, cells,
-                                                                    axial):
+def test_evolve_recording_every_step_is_its_oracle_bitwise(scheme, extents, cells, axial):
     # an axial field takes the split operator's per-color multiplies, and
     # the oracle the full 2x2 product
     g = Grid(extents, cells, PERIODIC)
@@ -608,32 +635,17 @@ def test_kinetic_transform_is_scipy_fft_in_the_same_buffer(shape):
             assert psi.tobytes() == want(block, axis=ax).tobytes()
 
 
-def fused_oracle_states(state, config, steps, record_every):
-    """The wavefunction at each record of a split-operator run: K/2 (V K)^(n-1)
-    V K/2 for the n steps of each record interval."""
-    kinetic, half, full, cell = split_operator_oracle(config, config.grid)
-    psi = state.copy()
-    out = [psi.copy()]
-    for i in range(0, steps, record_every):
-        n = min(record_every, steps - i)
-        psi = kinetic(psi, half)
-        for j in range(n):
-            psi = kinetic(cell(psi), full if j < n - 1 else half)
-        out.append(psi.copy())
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(grid=grids(), seed=st.integers(0, 2**32 - 1), neutral=st.booleans(),
-       dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 200), record_every=st.integers(2, 50),
+       dt=st.floats(1e-3, 5e-2), steps=st.integers(1, 200), record_every=st.integers(1, 50),
        axial=st.booleans(), filled=st.sampled_from([(0,), (1,), (0, 1)]))
-def test_fused_split_operator_is_the_fused_oracle_bitwise(grid, seed, neutral, dt, steps,
-                                                         record_every, axial, filled):
-    # the path the evolve benchmark takes at record_every 100: one color or
-    # two, stacked diagonal factors or the 2x2 product, against scipy.fft
+def test_split_operator_is_the_kept_spectrum_oracle_bitwise(grid, seed, neutral, dt, steps,
+                                                           record_every, axial, filled):
+    # one color or two, the stacked diagonal factors of an axial field or
+    # the 2x2 product of a transverse one, against scipy.fft
     state, config = random_run(grid, seed, neutral, SPLIT_OPERATOR, dt, axial, filled)
     traj, snapshots = evolve_with_snapshots(state, config, steps * dt, record_every)
-    oracle = fused_oracle_states(state, config, steps, record_every)
+    oracle = split_operator_oracle_states(state, config, steps, record_every)
     assert len(snapshots) == len(oracle)
     for snap, want in zip(snapshots, oracle):
         assert snap.tobytes() == want.tobytes()
@@ -843,29 +855,88 @@ def test_evolve_records_the_observables_of_each_snapshot_bitwise(scheme, extents
         assert not snapshots[..., 1].any() and not traj.color_masses[:, 1].any()
 
 
+def spoil_advances(monkeypatch, spoil):
+    """Every propagator built from now on calls ``spoil(block, calls)`` on
+    the block each ``advance`` returns, ``calls`` counting its advances:
+    the state the next record sees, and under the split operator's kept
+    spectrum not the one the next step starts from."""
+    make = pauli._make_propagator
+
+    def spoiling(config, initial):
+        prop = make(config, initial)
+        advance, calls = prop.advance, []
+
+        def spoiled(psi, n):
+            calls.append(n)
+            spoil(advance(psi, n), len(calls))
+            return psi
+
+        prop.advance = spoiled
+        return prop
+
+    monkeypatch.setattr(pauli, "_make_propagator", spoiling)
+
+
 @pytest.mark.parametrize("spoil", ["scale", "nan"])
-def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil):
+def test_evolve_aborts_when_the_norm_leaves_one_mid_run(spoil, monkeypatch):
     g = Grid((1.0,), (16,), PERIODIC)
     config = SolverConfig(SPLIT_OPERATOR, 1e-2, CONSTS, *axial(g))
     seen = []
 
-    def on_record(psi, t, *observed):
-        seen.append(t)
-        if len(seen) == 4:
+    def spoiled(block, calls):
+        if calls == 4:
             if spoil == "scale":
-                psi *= 1.0 + 1e-9  # norm 1 + 2e-9 from the next record on
+                block *= 1.0 + 1e-9  # norm 1 + 2e-9 at the fifth record
             else:
-                psi[3, 0] = np.nan  # a cell of the live color
+                block[0, 3] = np.nan  # a cell of the live color
 
-    # the callback runs after its record's observables, so the next record aborts
+    spoil_advances(monkeypatch, spoiled)
+    # the callback runs after its record's observables and before the norm check
     with pytest.raises(SolverError):
-        evolve(uniform_state(g), config, 0.1, on_record=on_record)
+        evolve(uniform_state(g), config, 0.1, on_record=lambda psi, t, *_: seen.append(t))
     assert len(seen) == 5
 
-    def drift(psi, t, *observed):
-        psi *= 1.0 + 1e-12  # 11 records: norm 1 + 2e-11, inside the tolerance
+    def drift(block, calls):
+        block *= 1.0 + 1e-12  # norm within 1 + 2e-11 at every record, inside the tolerance
 
-    assert len(evolve(uniform_state(g), config, 0.1, on_record=drift).times) == 11
+    monkeypatch.undo()
+    spoil_advances(monkeypatch, drift)
+    assert len(evolve(uniform_state(g), config, 0.1).times) == 11
+
+
+@pytest.mark.parametrize("scheme", [SPLIT_OPERATOR, CRANK_NICOLSON])
+def test_on_record_sees_a_read_only_state(scheme):
+    # the split operator's next step starts from its kept spectrum, not from
+    # the recorded state, so a write there would be lost: it raises instead
+    g = Grid((1.0,), (16,), PERIODIC)
+    config = SolverConfig(scheme, 1e-2, CONSTS, *axial(g))
+
+    def on_record(psi, *_):
+        psi *= 2.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        evolve(uniform_state(g), config, 0.1, on_record=on_record)
+    assert evolve(uniform_state(g), config, 0.1).final.flags.writeable
+
+
+@pytest.mark.parametrize("record_every,steps", [(1, 5), (3, 12), (7, 14)])
+@pytest.mark.parametrize("extents,cells", _PERIODIC_GRIDS)
+def test_split_operator_takes_2n_plus_1_transforms_per_axis_after_its_first_interval(
+        extents, cells, record_every, steps, monkeypatch):
+    # k intervals of n steps on a d-axis grid: d (2n + 2) transforms for the
+    # first, d (2n + 1) for each later one, which starts from the kept spectrum
+    c2c, calls = pauli.c2c, []
+
+    def counted(*args):
+        calls.append(args)
+        return c2c(*args)
+
+    monkeypatch.setattr(pauli, "c2c", counted)
+    g = Grid(extents, cells, PERIODIC)
+    state, config = random_run(g, 3, False, SPLIT_OPERATOR, 1e-2)
+    evolve(state, config, steps * config.dt, record_every)
+    d, n, k = g.dim, record_every, steps // record_every
+    assert len(calls) == d * (2 * n + 2) + (k - 1) * d * (2 * n + 1)
 
 
 def test_evolve_rejects_record_every_below_one():

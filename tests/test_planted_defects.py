@@ -221,16 +221,17 @@ def _backward_euler(advance):
 
 
 def _second_color_factor_first(kinetic):
-    # with two live colors, the first takes the kinetic factor as psi * K and
-    # the second as K * psi, which numpy's SIMD complex multiply rounds
+    # with two live colors, the first takes the kinetic factor as Phi * K and
+    # the second as K * Phi, which numpy's SIMD complex multiply rounds
     # differently (the Stern-Gerlach runs are 1-D); like the kinetic step it
-    # replaces, it writes the block it is given, which ``advance`` steps
-    def planted(self, psi, factor):
+    # replaces, it writes F^-1 of the product into the block it is given,
+    # which ``advance`` steps, and the spectrum may be that block
+    def planted(self, spectrum, factor, psi):
         if len(psi) == 1:
-            return kinetic(self, psi, factor)
-        k = scipy.fft.fft(psi, axis=1)
-        k[0] *= factor[0]
-        np.multiply(factor[1], k[1], out=k[1])
+            return kinetic(self, spectrum, factor, psi)
+        k = np.empty_like(spectrum)
+        np.multiply(spectrum[0], factor[0], out=k[0])
+        np.multiply(factor[1], spectrum[1], out=k[1])
         psi[...] = scipy.fft.ifft(k, axis=1)
         return psi
     return planted

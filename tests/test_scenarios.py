@@ -166,6 +166,10 @@ def test_cli_schema_and_version(capsys):
     ("moment", {"z0": 1.0}, "z0"),
     ("moment", {"z0": -1.0}, "z0"),
     ("moment", {"b": [0.0, 1.0]}, "b"),
+    # the larmor atom is neutral and the free packet sees no field: any
+    # other charge wrote the default's bytes
+    ("pauli_evolve", {"setup": "larmor", "charge": 0.0}, "charge"),
+    ("pauli_evolve", {"setup": "free_packet", "charge": -1.0}, "charge"),
 ])
 def test_cli_range_errors_exit_2(tmp_path, capsys, kind, parameters, offending):
     doc = tmp_path / "doc.json"
@@ -595,6 +599,16 @@ def test_scenarios_import_leaves_scipy_interpolate_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "False"
+
+
+def test_charge_is_no_stern_gerlach_parameter(tmp_path, capsys):
+    # the Stern-Gerlach atom is neutral, with the moment gamma_energy
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "stern_gerlach",
+                               "parameters": {"field_gradient": 0.02, "charge": -7.5}}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "unknown parameter 'charge' for kind 'stern_gerlach'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_setup_rules_admit_other_setups(tmp_path):
