@@ -2,31 +2,30 @@
 
 Two unitary schemes on periodic grids, in a static scalar potential and
 magnetic field given cell by cell (the Hamiltonian has no vector potential):
-a split-operator propagator (spectral kinetic half-steps around an exact
-per-cell 2x2 exponential of the potential/spin block, which an axial field
-leaves diagonal, so the live colors take one stacked multiply), and a
-Cayley step psi' = 2 (I + zH)^-1 psi - psi (one solve, factored once
-without pivoting, and one residual check) for stencil kinetics.  Both step
-the live colors' slice of one colors-first (2,) + grid block in place, and
-only the colors that carry amplitude where the field does not couple them:
-an axial field, or none, leaves an empty color exactly zero
-(``_make_propagator`` picks the colors).  The particle's constants couple
-the scalar potential as charge * phi_pot and the spin as -spin_coupling *
-sigma.B: a neutral particle is charge 0 with a moment.
+a split-operator propagator (exact per-cell 2x2 exponentials of the
+potential/spin block, at half steps, around a spectral kinetic step; an
+axial field leaves them diagonal, so the live colors take one stacked
+multiply), and a Cayley step psi' = 2 (I + zH)^-1 psi - psi (one solve,
+factored once without pivoting, and one residual check) for stencil
+kinetics.  Both step the live colors' slice of one colors-first (2,) + grid
+block in place, and only the colors that carry amplitude where the field
+does not couple them: an axial field, or none, leaves an empty color exactly
+zero (``_make_propagator`` picks the colors).  The particle's constants
+couple the scalar potential as charge * phi_pot and the spin as
+-spin_coupling * sigma.B: a neutral particle is charge 0 with a moment.
 
-A propagator advances several steps per call.  Between two records the
-split-operator scheme runs the trailing kinetic half-step of one step and
-the leading half-step of the next as one full step (Strang splitting), which
-moves its output at round-off only.  Across a record it keeps the spectrum
-F(V psi) of its last step: the record is F^-1 of it times the half-step
-factor, and the next call starts from F^-1 of it times the full-step
-factor, so a recorded step takes three transforms per grid axis, not four.
+A propagator advances several steps per call.  The split-operator scheme
+steps in the potential-first Strang order V/2 K V/2, so every step ends in
+real space and takes two transforms per grid axis, recorded or not.
+Between two records it runs the trailing potential half-step of one step
+and the leading half-step of the next as one full step, which moves its
+output at round-off only.
 
 The kinetic steps call scipy's private compiled transform once per grid
-axis, in place or into the kept spectrum's block ``out``:
-``scipy.fft._pocketfft.pypocketfft.c2c(psi, (axis,), forward, inorm, out,
-1)``, inorm 0 forward and 2 inverse, ``scipy.fft``'s own call without the
-checks that cost more than a transform of a few cells.
+axis, in place: ``scipy.fft._pocketfft.pypocketfft.c2c(psi, (axis,),
+forward, inorm, psi, 1)``, inorm 0 forward and 2 inverse, ``scipy.fft``'s
+own call without the checks that cost more than a transform of a few
+cells.
 A scipy that moves it fails this import; a test in ``tests/test_pauli.py``
 and the pins in ``tests/manifest.tsv`` catch a change of its bits.
 
@@ -108,12 +107,12 @@ class SolverConfig:
 
 
 class _SplitOperatorPropagator:
-    """Strang splitting K/2 V K/2: spectral kinetic factors K around an exact
-    per-cell 2x2 exponential V of the potential/spin block, on a colors-first
-    block of the live ``colors``.  Where B has no transverse component in any
-    cell, V is diagonal: its live diagonal entries stack into one factor of
-    the block's shape, applied as one in-place multiply, with the bits of the
-    2x2 product."""
+    """Strang splitting V/2 K V/2: an exact per-cell 2x2 exponential V of the
+    potential/spin block, at half steps, around a spectral kinetic factor K,
+    on a colors-first block of the live ``colors``.  Where B has no
+    transverse component in any cell, V is diagonal: its live diagonal
+    entries stack into one factor of the block's shape, applied as one
+    in-place multiply, with the bits of the 2x2 product."""
 
     def __init__(self, config: SolverConfig, colors: tuple[int, ...]):
         grid = config.grid
@@ -124,80 +123,72 @@ class _SplitOperatorPropagator:
             shape[ax] = grid.cells[ax]
             k_sq = k_sq + (k.reshape(shape)) ** 2
         consts = config.consts
-        # exp(-i (dt/2) (hbar^2 k^2 / 2m) / hbar), and the full step's factor, at
-        # the block's shape: one contiguous pass, where broadcasting costs more
-        block = (len(colors),) + grid.shape
-        self._half_kinetic, self._full_kinetic = (
-            np.broadcast_to(np.exp(-1j * config.dt * consts.hbar * k_sq / (d * consts.mass)),
-                            block).copy() for d in (4.0, 2.0))
+        # exp(-i dt (hbar^2 k^2 / 2m) / hbar) at the block's shape: one
+        # contiguous pass, where broadcasting costs more
+        self._kinetic_factor = np.broadcast_to(
+            np.exp(-1j * config.dt * consts.hbar * k_sq / (2.0 * consts.mass)),
+            (len(colors),) + grid.shape).copy()
         # 1-D transforms, grid axes last first as np.fft.fftn runs them: its bits, less overhead
         self._axes = tuple(range(grid.dim, 0, -1))
+        self._colors = colors
+        # an axial field (or none) leaves the colors uncoupled in every cell
+        self._diagonal = not np.any(consts.spin_coupling * config.b[..., :2])
+        self._half_cell, self._cell = (self._cell_factor(config, tau)
+                                       for tau in (0.5 * config.dt, config.dt))
+
+    def _cell_factor(self, config: SolverConfig, tau: float) -> np.ndarray:
+        # U = phase (cos(a) I - i sin(a) n.sigma) over ``tau``, phase =
+        # exp(-i v tau / hbar), a = |c| tau / hbar, n = c/|c|: the live
+        # colors' diagonal entries stacked, or all four of the 2x2 product
+        consts = config.consts
         v = consts.charge * config.phi_pot
         c = -consts.spin_coupling * config.b
         c_norm = np.sqrt(np.sum(c * c, axis=-1))
-        alpha = c_norm * config.dt / consts.hbar
+        alpha = c_norm * tau / consts.hbar
         cos_a = np.cos(alpha)
         sinc = np.where(c_norm > 0, np.sin(alpha) / np.where(c_norm > 0, c_norm, 1.0), 0.0)
-        phase = np.exp(-1j * v * config.dt / consts.hbar)
-        # U = phase * (cos(a) I - i sin(a) n.sigma), n = c/|c|
+        phase = np.exp(-1j * v * tau / consts.hbar)
         u11 = phase * (cos_a - 1j * sinc * c[..., 2])
         u22 = phase * (cos_a + 1j * sinc * c[..., 2])
+        if self._diagonal:
+            return np.stack([(u11, u22)[color] for color in self._colors])
         u12 = phase * (-1j * sinc * (c[..., 0] - 1j * c[..., 1]))
         u21 = phase * (-1j * sinc * (c[..., 0] + 1j * c[..., 1]))
-        self._colors = colors
-        # an axial field (or none) leaves the colors uncoupled in every cell
-        self._diagonal = not (np.any(u12) or np.any(u21))
-        self._cell = np.stack([(u11, u22)[c] for c in colors] if self._diagonal
-                              else (u11, u12, u21, u22))
-        self._spectrum = None  # F(V psi) of the last step, from the first call on
+        return np.stack((u11, u12, u21, u22))
 
-    def _forward(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # scipy.fft.fft's c2c call (inorm 0) into ``out``, which may be psi:
-        # each line goes through its own buffer, so either keeps the bits
+    def _potential(self, cell: np.ndarray, psi: np.ndarray) -> None:
+        if self._diagonal:
+            # keep the factor first: numpy's SIMD complex multiply gives
+            # u * psi and psi * u different last bits, and the 2x2 product
+            # takes u * psi
+            np.multiply(cell, psi, out=psi)
+        else:
+            u11, u12, u21, u22 = cell
+            psi[0], psi[1] = u11 * psi[0] + u12 * psi[1], u21 * psi[0] + u22 * psi[1]
+
+    def _kinetic(self, psi: np.ndarray) -> None:
+        # scipy.fft.fft's c2c call (inorm 0), the one kinetic multiply, state
+        # first (numpy's SIMD complex multiply gives factor * spectrum other
+        # last bits), and ifft's c2c call (inorm 2, divide by the axis
+        # length), each in place: each line goes through its own buffer
         for ax in self._axes:
-            c2c(psi, (ax,), True, 0, out, 1)
-            psi = out
-        return out
-
-    def _kinetic(self, spectrum: np.ndarray, factor: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        # psi = F^-1(spectrum * factor), which may be spectrum: the one
-        # kinetic multiply, state first (numpy's SIMD complex multiply gives
-        # factor * spectrum other last bits), then ifft's c2c call (inorm 2,
-        # divide by the axis length) in place
-        np.multiply(spectrum, factor, out=psi)
+            c2c(psi, (ax,), True, 0, psi, 1)
+        np.multiply(psi, self._kinetic_factor, out=psi)
         for ax in self._axes:
             c2c(psi, (ax,), False, 2, psi, 1)
-        return psi
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
         """n steps of the live colors' block ``psi``, in place, as
-        K/2 (V K)^(n-1) V K/2: nothing observes the state between the
-        trailing half-step of one step and the leading half of the next, so
-        they run as one full kinetic step.
-
-        The trailing half-step keeps the spectrum Phi = F(V psi) of the last
-        step in a block of the propagator's own and writes psi = F^-1(Phi
-        K/2); the next call starts from F^-1(Phi K), not from psi, so n
-        steps cost 2n + 1 transforms per grid axis, and the first call,
-        which starts from F^-1(F(psi) K/2), 2n + 2.  ``psi`` must hold what
-        the last call left there: a change to it between calls is lost."""
-        if self._spectrum is None:
-            self._spectrum = np.empty_like(psi)
-            self._kinetic(self._forward(psi, psi), self._half_kinetic, psi)
-        else:
-            self._kinetic(self._spectrum, self._full_kinetic, psi)
+        V/2 (K V)^(n-1) K V/2: nothing observes the state between the
+        trailing potential half-step of one step and the leading half of the
+        next, so they run as one full potential step.  Every step takes two
+        transforms per grid axis, and each call ends in real space, where
+        the next one starts."""
+        self._potential(self._half_cell, psi)
         for i in range(n):
-            if self._diagonal:
-                # keep the factor first: numpy's SIMD complex multiply gives
-                # u * psi and psi * u different last bits, and the 2x2
-                # product takes u * psi
-                np.multiply(self._cell, psi, out=psi)
-            else:
-                u11, u12, u21, u22 = self._cell
-                psi[0], psi[1] = u11 * psi[0] + u12 * psi[1], u21 * psi[0] + u22 * psi[1]
-            if i < n - 1:
-                self._kinetic(self._forward(psi, psi), self._full_kinetic, psi)
-        return self._kinetic(self._forward(psi, self._spectrum), self._half_kinetic, psi)
+            self._kinetic(psi)
+            self._potential(self._cell if i < n - 1 else self._half_cell, psi)
+        return psi
 
 
 class _CrankNicolsonPropagator:
@@ -276,42 +267,33 @@ def _make_propagator(config: SolverConfig, psi: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _observable_weights(grid: Grid):
-    """The (rows, cells) block of weights every record on ``grid``
-    multiplies by, built once per run: w for dens, rho1 and rho2,
-    w * x_ax per axis, 2w for the real and imaginary cross term, w for
-    rho1 - rho2.  A shared weight is stored once per row: a product of two
-    blocks of one shape is one contiguous pass, while broadcasting sends
-    numpy through its general iterator, which costs more than it saves."""
+def _observable_weights(grid: Grid) -> np.ndarray:
+    """The (cells, 1 + dim) weight columns every record on ``grid``
+    multiplies by, built once per run: w, then w * x_ax per axis."""
     w = quadrature_weights(grid)
-    rows = [w, w, w, *(w * x for x in grid.meshgrid()), w * 2.0, w * 2.0, w]
-    return np.array(rows).reshape(len(rows), -1)
+    return np.stack([w, *(w * x for x in grid.meshgrid())], axis=-1).reshape(grid.size, -1)
 
 
-def _observe(block: np.ndarray, weights, position, spin, masses):
+def _observe(block: np.ndarray, weights: np.ndarray, position, spin, masses):
     """The recorded sums of a colors-first (2, ...) wavefunction block,
     written into the rows ``position`` (3,), ``spin`` (3,) and ``masses``
     (2,); returns the norm, the two color densities and their sum.
 
-    The terms fill one block of the weights' shape, their products go to a
-    new block, and one ``np.add.reduce(..., axis=1)`` takes every sum.  A
-    reduction along the last, contiguous axis sums each row pairwise exactly
-    as the 1-D reduce of ``np.sum(w * ...)`` does, and real products commute
-    exactly, so the values carry the bits of the plain formulas.
+    Every sum is a linear functional of four arrays, rho1, rho2 and the
+    real and imaginary parts of conj(psi1) psi2, so one (4, cells) @
+    (cells, 1 + dim) product with the weight columns takes them all.
     """
-    terms = np.empty((len(weights),) + block.shape[1:])
-    np.square(np.abs(block), out=terms[1:3])
-    flat = terms.reshape(len(weights), -1)  # rows in the weights' order
-    np.add(flat[1], flat[2], out=flat[0])
-    flat[3:-3] = flat[0]
+    terms = np.empty((4,) + block.shape[1:])
+    np.square(np.abs(block), out=terms[:2])
     cross = np.conj(block[0]) * block[1]
-    terms[-3], terms[-2] = cross.real, cross.imag
-    np.subtract(flat[1], flat[2], out=flat[-1])
-    norm, masses[0], masses[1], *x, s_x, s_y, s_z = np.add.reduce(flat * weights, axis=1).tolist()
-    for ax, value in enumerate(x):
-        position[ax] = value / norm
-    spin[0], spin[1], spin[2] = s_x / norm, s_y / norm, s_z / norm
-    return norm, terms[1], terms[2], terms[0]
+    terms[2], terms[3] = cross.real, cross.imag
+    (m1, *x1), (m2, *x2), (re, *_), (im, *_) = (terms.reshape(4, -1) @ weights).tolist()
+    norm = m1 + m2
+    masses[0], masses[1] = m1, m2
+    for ax, (a, b) in enumerate(zip(x1, x2)):
+        position[ax] = (a + b) / norm
+    spin[0], spin[1], spin[2] = 2.0 * re / norm, 2.0 * im / norm, (m1 - m2) / norm
+    return norm, terms[0], terms[1], terms[0] + terms[1]
 
 
 @dataclass(frozen=True)
@@ -345,13 +327,12 @@ def evolve(
     ``SolverError``, and so does the first record of a state whose norm is
     not 1 within 1e-10.
 
-    The propagator advances from one record to the next in one call.  The
-    split-operator scheme fuses the two kinetic half-steps that meet between
-    two steps into one full step, which moves its output at round-off only:
-    between unrecorded steps it transforms the state, and across a record it
-    starts from the spectrum it kept from the last step, not from the
-    recorded state (``_SplitOperatorPropagator.advance``).  Crank-Nicolson
-    steps from the recorded state, every step on its own.
+    The propagator advances from one record to the next in one call, from
+    the recorded state.  The split-operator scheme fuses the two potential
+    half-steps that meet between two unrecorded steps into one full step,
+    which moves its output at round-off only
+    (``_SplitOperatorPropagator.advance``); Crank-Nicolson steps every step
+    on its own.
 
     The state is one C-contiguous colors-first (2, ...) copy of ``initial``,
     whose live colors' slice the propagator steps in place; a color it does
@@ -364,8 +345,9 @@ def evolve(
     density arrays keep their values for the whole call (the weighted sums
     write elsewhere), and the callback may raise to abort the run.  ``psi``
     is the same read-only view of the block at every record, which the
-    next step overwrites: a write to it raises ``ValueError``, since the
-    split operator's next step would not read it.
+    next step starts from and overwrites: a write to it raises
+    ``ValueError``, since it would change the run that the records
+    describe.
     """
     if t_final < 0:
         raise SolverError("t_final must be nonnegative")

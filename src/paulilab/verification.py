@@ -25,6 +25,12 @@ from .functionals import PhysicalConstants
 from .grids import CENTRAL, DIRICHLET_ZERO, PERIODIC, SPECTRAL, Grid
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
+# the battery's bounds on its split-operator runs, whose closed forms the
+# scheme meets up to round-off: about 10^3 times the largest reading over
+# the battery's runs and seeded variants of them, with numpy's AVX-512 paths
+# on and off and at unit and other constants, to the nearest decade; the
+# scenario runners pass the wider bounds of a document's coarser grids
+_PRECESSION_BOUND, _SPREADING_BOUND, _DRIFT_BOUND, _SEPARATION_BOUND = 1e-12, 1e-9, 1e-10, 1e-10
 # density within a few edge cells above which a Stern-Gerlach run aborts
 _BOUNDARY_MASS_TOL = 1e-8
 
@@ -324,10 +330,11 @@ def _axial_solver(scheme: str, dt: float, consts, grid: Grid, bz) -> pauli.Solve
 
 
 def larmor_precession(bz: float, consts, steps_per_period: int, periods: float,
-                      record_every: int, scheme: str = pauli.SPLIT_OPERATOR):
+                      record_every: int, bound: float, scheme: str = pauli.SPLIT_OPERATOR):
     """A spin-x state of moment ``consts.moment`` on 8 periodic cells of a
     uniform axial field precesses at omega = 2 moment bz / hbar; the zero
-    crossings of <sigma_x> give omega within 1e-3.  Returns (trajectory, records)."""
+    crossings of <sigma_x> give omega within ``bound``, relative.  Returns
+    (trajectory, records)."""
     grid = Grid((1.0,), (8,), PERIODIC)
     omega = 2 * consts.moment * bz / consts.hbar
     period = 2 * np.pi / omega
@@ -337,17 +344,17 @@ def larmor_precession(bz: float, consts, steps_per_period: int, periods: float,
     traj = pauli.evolve(vals, config, periods * period, record_every=record_every)
     measured = _zero_crossing_frequency(traj.times, traj.spins[:, 0])
     note = "" if np.isfinite(measured) else "<sigma_x> crossed zero fewer than twice"
-    return traj, [check_leq("pauli.precession_rel_error", abs(measured - omega) / omega, 1e-3,
+    return traj, [check_leq("pauli.precession_rel_error", abs(measured - omega) / omega, bound,
                             note)]
 
 
 def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: float, steps: int,
-                          consts, record_every: int, scheme: str = pauli.SPLIT_OPERATOR,
-                          on_record=None):
+                          consts, record_every: int, bound: float,
+                          scheme: str = pauli.SPLIT_OPERATOR, on_record=None):
     """A free packet of width ``sigma`` centred on a periodic line spreads to
     the variance sigma^2 + (hbar t / (2 m sigma))^2 at ``t_final``, within
-    5e-3.  ``on_record`` goes to ``pauli.evolve``.  Returns (trajectory,
-    records)."""
+    ``bound``, relative.  ``on_record`` goes to ``pauli.evolve``.  Returns
+    (trajectory, records)."""
     grid = Grid((extent,), (cells,), PERIODIC)
     packet = pauli.gaussian_packet_state(grid, sigma, extent / 2, 0.0, (1.0, 0.0), consts)
     config = pauli.SolverConfig(scheme, t_final / steps, consts, grid, np.zeros(grid.shape),
@@ -358,16 +365,16 @@ def free_packet_spreading(extent: float, cells: int, sigma: float, t_final: floa
     mean = float(np.sum(x * dens) * grid.cell_volume)
     width_sq = float(np.sum((x - mean) ** 2 * dens) * grid.cell_volume)
     expect = sigma**2 + (consts.hbar * t_final / (2 * consts.mass * sigma)) ** 2
-    return traj, [check_leq("pauli.spreading_rel_error", abs(width_sq - expect) / expect, 5e-3)]
+    return traj, [check_leq("pauli.spreading_rel_error", abs(width_sq - expect) / expect, bound)]
 
 
 def uniform_field_drift(extent: float, cells: int, sigma: float, start: float, e0: float,
-                        t_final: float, steps: int, consts, record_every: int,
+                        t_final: float, steps: int, consts, record_every: int, bound: float,
                         scheme: str = pauli.SPLIT_OPERATOR,
                         name: str = "pauli.uniform_field_rel_error"):
     """A packet at rest at ``start`` in the uniform field ``e0`` follows
-    start + q e0 t^2 / (2 m) at every record, within 1e-3 of its final
-    displacement.  Returns (trajectory, records)."""
+    start + q e0 t^2 / (2 m) at every record, within ``bound`` times its
+    final displacement.  Returns (trajectory, records)."""
     grid = Grid((extent,), (cells,), PERIODIC)
     packet = pauli.gaussian_packet_state(grid, sigma, start, 0.0, (1.0, 0.0), consts)
     config = pauli.SolverConfig(scheme, t_final / steps, consts, grid,
@@ -375,7 +382,7 @@ def uniform_field_drift(extent: float, cells: int, sigma: float, start: float, e
     traj = pauli.evolve(packet, config, t_final, record_every=record_every)
     expect = start + 0.5 * (consts.charge * e0 / consts.mass) * traj.times**2
     error = float(np.max(np.abs(traj.positions[:, 0] - expect))) / abs(expect[-1] - start)
-    return traj, [check_leq(name, error, 1e-3)]
+    return traj, [check_leq(name, error, bound)]
 
 
 def _failed_on_solver_error(run, name: str, bound: float) -> list[CheckRecord]:
@@ -394,21 +401,22 @@ def check_pauli_solver(fast: bool = False) -> list[CheckRecord]:
     g = Grid((20.0,), (cells,), PERIODIC)
     state = pauli.gaussian_packet_state(g, 1.0, 10.0, 0.4, (0.8, 0.6j), CONSTS)
     # a run that evolve aborts (norm off 1 +- 1e-10, a failed solve) fails its record
+    atom = PhysicalConstants(CONSTS.hbar, CONSTS.mass, 0.0, 0.5)
     for scheme in (pauli.SPLIT_OPERATOR, pauli.CRANK_NICOLSON):
-        config = _axial_solver(scheme, 1e-3, PhysicalConstants(1.0, 1.0, 0.0, 0.5), g, 0.8)
+        config = _axial_solver(scheme, 1e-3, atom, g, 0.8)
         name = f"pauli.norm_drift_{scheme}_{steps}_steps"
         records += _failed_on_solver_error(
             lambda: [norm_drift(name, pauli.evolve(state, config, steps * config.dt,
                                                    record_every=100))], name, 1e-10)
     # precession frequency over ten periods, then the free-packet spreading law
     records += _failed_on_solver_error(
-        lambda: larmor_precession(1.3, PhysicalConstants(1.0, 1.0, 0.0, 0.8),
-                                  500 if fast else 1000, 10, 5)[1],
-        "pauli.precession_rel_error", 1e-3)
+        lambda: larmor_precession(1.3, PhysicalConstants(CONSTS.hbar, CONSTS.mass, 0.0, 0.8),
+                                  500 if fast else 1000, 10, 5, _PRECESSION_BOUND)[1],
+        "pauli.precession_rel_error", _PRECESSION_BOUND)
     records += _failed_on_solver_error(
         lambda: free_packet_spreading(60.0, 512 if fast else 1024, 1.5, 6.0, 1000, CONSTS,
-                                      250)[1],
-        "pauli.spreading_rel_error", 5e-3)
+                                      250, _SPREADING_BOUND)[1],
+        "pauli.spreading_rel_error", _SPREADING_BOUND)
     return records
 
 
@@ -446,8 +454,8 @@ def check_classical_correspondence(fast: bool = False) -> list[CheckRecord]:
     # a spin precessing in a uniform axial field follows the classical moment,
     # integrated with the spin run's time step over its duration
     b = np.array([0.0, 0.0, 1.1])
-    atom = PhysicalConstants(1.0, 1.0, 0.0, 0.6)
-    traj, _ = larmor_precession(b[2], atom, 200 if fast else 400, 10, 1)
+    atom = PhysicalConstants(CONSTS.hbar, CONSTS.mass, 0.0, 0.6)
+    traj, _ = larmor_precession(b[2], atom, 200 if fast else 400, 10, 1, _PRECESSION_BOUND)
     moment = classical.torque_evolve(classical.MomentState((1.0, 0.0, 0.0)), b,
                                      2 * atom.moment / atom.hbar, traj.times[-1], traj.times[1])
     n = min(len(traj.times), len(moment.times))
@@ -505,7 +513,7 @@ def stern_gerlach_start_edge_mass(extent: float, cells: int, sigma: float, cente
 def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, velocity: float,
                       spin_weights: tuple[complex, complex], field_gradient: float,
                       field_offset: float, consts, dt: float,
-                      t_final: float, record_every: int,
+                      t_final: float, record_every: int, bound: float,
                       separation: str = "stern_gerlach.separation_rel_error",
                       zero: str = "stern_gerlach.zero_gradient_separation",
                       overlap: str | None = None):
@@ -521,8 +529,8 @@ def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, ve
     max(3, cells // 64) cells of the edges raises ``pauli.SolverError``.
 
     With b = 0 the separation stays exactly 0 (``zero``).  Otherwise, at
-    t_final and within 1%, two occupied colors separate by mu b t^2 / m
-    (``separation``), and a lone occupied color moves from
+    t_final and within ``bound``, relative, two occupied colors separate by
+    mu b t^2 / m (``separation``), and a lone occupied color moves from
     center + velocity t by +-mu b t^2 / (2 m), + for spin up
     (stern_gerlach.deflection_rel_error).  With ``overlap``, the color
     overlap never grows.  Returns (trajectory, rows (t, center_plus,
@@ -561,37 +569,39 @@ def stern_gerlach_law(extent: float, cells: int, sigma: float, center: float, ve
         occupied = [weight != 0 for weight in spin_weights]
         if all(occupied):
             error = abs(separations[-1] - law[-1]) / abs(law[-1])
-            records = [check_leq(separation, error, 0.01)]
+            records = [check_leq(separation, error, bound)]
         else:
             color = occupied.index(True)
             drifted = center + velocity * traj.times[-1]
             moved = centers[color][-1] - drifted
             expect = (0.5 if color == 0 else -0.5) * law[-1]
             records = [check_leq("stern_gerlach.deflection_rel_error",
-                                 abs(moved - expect) / abs(expect), 0.01)]
+                                 abs(moved - expect) / abs(expect), bound)]
     if overlap:
         records.append(check_true(overlap, bool(np.all(np.diff(overlaps) <= 1e-12))))
     return traj, rows, records
 
 
 def check_ehrenfest(fast: bool = False) -> list[CheckRecord]:
+    atom = PhysicalConstants(CONSTS.hbar, CONSTS.mass, 0.0, 1.0)
     drift = "ehrenfest.uniform_field_position_rel_error"
     records = _failed_on_solver_error(
         lambda: uniform_field_drift(80.0, 512 if fast else 1024, 2.0, 25.0, 0.2, 8.0,
-                                    1000 if fast else 2000, CONSTS, 100, name=drift)[1],
-        drift, 1e-3)
+                                    1000 if fast else 2000, CONSTS, 100, _DRIFT_BOUND,
+                                    name=drift)[1],
+        drift, _DRIFT_BOUND)
 
     def sg(gradient, offset):
         return dict(extent=60.0, cells=512 if fast else 768, sigma=2.0, center=30.0,
                     velocity=0.0, spin_weights=(1.0, 1.0), field_gradient=gradient,
-                    field_offset=offset, consts=PhysicalConstants(1.0, 1.0, 0.0, 1.0),
-                    dt=0.02 if fast else 0.01, t_final=10.0, record_every=50)
+                    field_offset=offset, consts=atom, dt=0.02 if fast else 0.01, t_final=10.0,
+                    record_every=50, bound=_SEPARATION_BOUND)
 
     separation, zero = "ehrenfest.separation_rel_error", "ehrenfest.zero_gradient_separation"
     records += _failed_on_solver_error(
         lambda: stern_gerlach_law(**sg(0.02, 0.5), separation=separation,
                                   overlap="ehrenfest.overlap_monotone_decay")[2],
-        separation, 0.01)
+        separation, _SEPARATION_BOUND)
     # with zero gradient and zero offset the two components evolve through
     # bit-identical factors, so the separation is exactly zero
     records += _failed_on_solver_error(lambda: stern_gerlach_law(**sg(0.0, 0.0), zero=zero)[2],

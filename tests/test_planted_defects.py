@@ -6,6 +6,7 @@ row fails, and that is not on the allow-list with its reason, fails the
 table: such a record would read as a pass whatever the code does.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -185,28 +186,28 @@ def _first_order_central(derive_along):
     return planted
 
 
-def _half_kinetic_for_full(init):
-    # the fused full kinetic step takes the half-step factor
-    def planted(self, *args):
-        init(self, *args)
-        self._full_kinetic = self._half_kinetic
-    return planted
+def _kinetic_off(dt_factor, coupling_factor=1.0):
+    # the split operator's kinetic factor built at dt_factor * dt, and its
+    # cell factors at coupling_factor times the spin coupling
+    def wrap(init):
+        def planted(self, config, colors):
+            init(self, dataclasses.replace(config, dt=dt_factor * config.dt), colors)
+            kinetic = self._kinetic_factor
+            consts = dataclasses.replace(config.consts,
+                                         moment=coupling_factor * config.consts.spin_coupling)
+            init(self, dataclasses.replace(config, consts=consts), colors)
+            self._kinetic_factor = kinetic
+        return planted
+    return wrap
 
 
-def _second_color_takes_u11(init):
+def _second_color_takes_u11(cell_factor):
     # the one multiply of an axial field's two live colors takes u11 for both
     def planted(self, *args):
-        init(self, *args)
+        cell = cell_factor(self, *args)
         if self._diagonal:
-            self._cell[1:] = self._cell[0]
-    return planted
-
-
-def _cell_factor_scaled(init):
-    # a cell factor 1e-7 off unitary
-    def planted(self, *args):
-        init(self, *args)
-        self._cell = tuple((1.0 + 1e-7) * u for u in self._cell)
+            cell[1:] = cell[0]
+        return cell
     return planted
 
 
@@ -224,16 +225,14 @@ def _second_color_factor_first(kinetic):
     # with two live colors, the first takes the kinetic factor as Phi * K and
     # the second as K * Phi, which numpy's SIMD complex multiply rounds
     # differently (the Stern-Gerlach runs are 1-D); like the kinetic step it
-    # replaces, it writes F^-1 of the product into the block it is given,
-    # which ``advance`` steps, and the spectrum may be that block
-    def planted(self, spectrum, factor, psi):
+    # replaces, it steps the block it is given in place
+    def planted(self, psi):
         if len(psi) == 1:
-            return kinetic(self, spectrum, factor, psi)
-        k = np.empty_like(spectrum)
-        np.multiply(spectrum[0], factor[0], out=k[0])
-        np.multiply(factor[1], spectrum[1], out=k[1])
-        psi[...] = scipy.fft.ifft(k, axis=1)
-        return psi
+            return kinetic(self, psi)
+        spectrum, factor = scipy.fft.fft(psi, axis=1), self._kinetic_factor
+        np.multiply(spectrum[0], factor[0], out=spectrum[0])
+        np.multiply(factor[1], spectrum[1], out=spectrum[1])
+        psi[...] = scipy.fft.ifft(spectrum, axis=1)
     return planted
 
 
@@ -260,13 +259,13 @@ def _negated(cross):
     return planted
 
 
-def _transverse_spin_by_w(observable_weights):
-    # the record block weighs the real and imaginary cross-term rows by w,
-    # not 2w: <sigma_x> and <sigma_y> read half their size
-    def planted(grid):
-        weights = observable_weights(grid)
-        weights[-3:-1] = weights[0]
-        return weights
+def _transverse_spin_by_w(observe):
+    # the record weighs the real and imaginary cross terms by w, not 2w:
+    # <sigma_x> and <sigma_y> read half their size
+    def planted(block, weights, position, spin, masses):
+        observed = observe(block, weights, position, spin, masses)
+        spin[:2] *= 0.5
+        return observed
     return planted
 
 
@@ -393,15 +392,25 @@ ROWS = {
     "discrete_fisher_scaled": (inference, "discrete_fisher", _scaled(0.9),
                                {"gaussian_fisher": {DISCRETE_FISHER},
                                 "evidence_structure": {CAUCHY_SCHWARZ}}),
-    # the Larmor run keeps one k = 0 mode, on which both kinetic factors are 1;
-    # the free packet, recorded every 250 steps, gets about half its kinetic
-    # evolution and spreads too little; the uniform-field packet and the two
-    # Stern-Gerlach colors, recorded every 100 and 50 steps, move about half
-    # as far as they should (errors 0.495 and 0.490)
+    # the Larmor run keeps one k = 0 mode, on which the kinetic factor is 1;
+    # the kinetic step built at dt/2 gives the free packet half its kinetic
+    # evolution, so it spreads too little, and the uniform-field packet and
+    # the two Stern-Gerlach colors move about half as far as they should
     "kinetic_half_step_as_full": (pauli._SplitOperatorPropagator, "__init__",
-                                  _half_kinetic_for_full,
+                                  _kinetic_off(0.5),
                                   {"pauli_solver": {SPREADING},
                                    "ehrenfest": {UNIFORM_FIELD, SEPARATION}}),
+    # the kinetic step built at 1.0002 dt: the three records that follow the
+    # kinetic evolution read about 2e-4, against round-off unplanted
+    "kinetic_dt_off_2e-4": (pauli._SplitOperatorPropagator, "__init__", _kinetic_off(1.0002),
+                            {"pauli_solver": {SPREADING},
+                             "ehrenfest": {UNIFORM_FIELD, SEPARATION}}),
+    # with the spin coupling 5e-4 high in the cell factors too, the Larmor
+    # run precesses 5e-4 fast, and its spin drifts 0.03 off the torque run
+    "kinetic_dt_and_spin_coupling_off": (
+        pauli._SplitOperatorPropagator, "__init__", _kinetic_off(1.0002, 1.0005),
+        {"pauli_solver": {SPREADING, PRECESSION}, "ehrenfest": {UNIFORM_FIELD, SEPARATION},
+         "classical_correspondence": {SPIN_VS_TORQUE}}),
     # a packet with no field, and the unitary norm, do not see the coupling;
     # the Stern-Gerlach colors separate twice as far
     "spin_coupling_doubled": (functionals.PhysicalConstants, "spin_coupling",
@@ -413,11 +422,13 @@ ROWS = {
                                _scaled_property(30.0),
                                {"ehrenfest": {SEPARATION}}),
     # both colors of the Larmor run turn alike: <sigma_x> never crosses zero
-    "diagonal_step_second_color_takes_u11": (pauli._SplitOperatorPropagator, "__init__",
+    "diagonal_step_second_color_takes_u11": (pauli._SplitOperatorPropagator, "_cell_factor",
                                              _second_color_takes_u11,
                                              {"pauli_solver": {PRECESSION}}),
-    # evolve aborts every split-operator run on its norm, and the abort fails its record
-    "cell_factor_off_unitary": (pauli._SplitOperatorPropagator, "__init__", _cell_factor_scaled,
+    # cell factors 1e-7 off unitary: evolve aborts every split-operator run
+    # on its norm, and the abort fails its record
+    "cell_factor_off_unitary": (pauli._SplitOperatorPropagator, "_cell_factor",
+                                _scaled(1.0 + 1e-7),
                                 {"pauli_solver": {SPLIT_NORM, PRECESSION, SPREADING}}),
     "crank_nicolson_as_backward_euler": (pauli._CrankNicolsonPropagator, "advance",
                                          _backward_euler, {"pauli_solver": {CAYLEY_NORM}}),
@@ -445,7 +456,7 @@ ROWS = {
                              {"classical_correspondence": MOMENT_PATHS | {ENERGY, MOMENT_NORM}}),
     # only the Larmor spin is recorded through the block; the moment runs
     # take no Pauli records
-    "transverse_spin_weighed_by_w": (pauli, "_observable_weights", _transverse_spin_by_w,
+    "transverse_spin_weighed_by_w": (pauli, "_observe", _transverse_spin_by_w,
                                      {"classical_correspondence": {SPIN_VS_TORQUE}}),
     "objective_s_gradient_scaled": (variational.TotalObjective, "gradient", _s_part_scaled,
                                     {"gradients": {TOTAL_GRADIENT}}),
@@ -514,7 +525,8 @@ def test_potential_sign_plant_fails_the_uniform_field_record_at_either_charge(ch
     consts = functionals.PhysicalConstants(1.0, 1.0, charge)
 
     def record():
-        _, [rec] = verification.uniform_field_drift(60.0, 256, 1.5, 20.0, 0.2, 6.0, 200, consts, 10)
+        _, [rec] = verification.uniform_field_drift(60.0, 256, 1.5, 20.0, 0.2, 6.0, 200, consts, 10,
+                                                    1e-3)
         return rec
 
     clean = record()
