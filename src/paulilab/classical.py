@@ -38,11 +38,10 @@ class MomentState:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.m, dtype=np.float64).reshape(3).copy()
+        arr = _locked("m", self.m, (3,), ClassicalError)
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > 1e-9:
             raise ClassicalError(f"moment must be a unit vector, |m| = {norm}")
-        arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
     @staticmethod
@@ -60,11 +59,8 @@ class ChargedParticleState:
 
     def __post_init__(self) -> None:
         for name in ("x", "v"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(3).copy()
-            if not np.all(np.isfinite(arr)):
-                raise ClassicalError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name,
+                               _locked(name, getattr(self, name), (3,), ClassicalError))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ header and columns the runner that writes each table lays out.
 
 All writers are deterministic (repr-exact floats, fixed row order) and go
 through an atomic temp-file replace, so a run never leaves partial outputs.
-A snapshot file is written one record at a time through a fixed buffer
+A snapshot file is written one record at a time, straight to its file
 (``field_snapshot_stream``), and a dataset or a table a block of rows at a
 time, so no writer holds its whole file in memory.
 """
@@ -14,7 +14,6 @@ import contextlib
 import io
 import itertools
 import json
-import math
 import os
 import struct
 import tempfile
@@ -26,8 +25,6 @@ from .grids import Grid
 from .inference import DetectionDataset
 
 SNAPSHOT_MAGIC = b"PLFS1\n"
-# snapshot records go to their file through a buffer of this size
-_STREAM_BUFFER_BYTES = 1 << 20
 _DATASET_COLUMNS = "tau,j1,j2,j3,k,count"
 # dataset and table rows are formatted and written this many at a time
 _BLOCK_ROWS = 4096
@@ -262,9 +259,8 @@ def field_snapshot_stream(path: str, grid: Grid, dt: float, name: str, shape: tu
 
     The file is the magic, the length of the JSON header, the header (grid,
     dt, the record count and the field's dtype and (count,) + shape), then
-    the records in C order, one after another.  ``write`` copies its record
-    into a buffer of ``_STREAM_BUFFER_BYTES`` (of one record, if a record is
-    larger), and each full buffer goes to a temp file; so the caller may
+    the records in C order, one after another.  ``write`` writes its record
+    to a temp file, in the file's dtype, and counts it; so the caller may
     overwrite the record once ``write`` returns, and the memory held does not
     grow with ``count``.  The temp file replaces ``path`` when the block
     exits cleanly having written exactly ``count`` records; otherwise it is
@@ -281,27 +277,20 @@ def field_snapshot_stream(path: str, grid: Grid, dt: float, name: str, shape: tu
         "metadata": metadata,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    record_bytes = dtype.itemsize * math.prod(shape)
-    buffer = np.empty((max(1, _STREAM_BUFFER_BYTES // max(1, record_bytes)),) + shape, dtype)
-    filled = written = 0
+    written = 0
     with _atomic_file(path) as handle:
         handle.write(SNAPSHOT_MAGIC + struct.pack("<Q", len(blob)) + blob)
 
         def write(record: np.ndarray) -> None:
-            nonlocal filled, written
+            nonlocal written
             if record.shape != shape:
                 raise FormatError(f"a record of shape {record.shape}, not {shape}")
-            buffer[filled] = record
-            filled += 1
+            handle.write(np.ascontiguousarray(record, dtype))
             written += 1
-            if filled == len(buffer):
-                handle.write(buffer)
-                filled = 0
 
         yield write
         if written != count:
             raise FormatError(f"{written} records written, not the header's {count}")
-        handle.write(buffer[:filled])
 
 
 def read_field_snapshots(path: str):

@@ -299,13 +299,11 @@ def _joint_total(st: _PolarStacks, shared: np.ndarray, consts: PhysicalConstants
 
 
 def _term_values(st: _PolarStacks, terms: dict[str, np.ndarray]) -> dict[str, float]:
-    """Integral of each term density, and their sum under ``"total"``."""
-    values = {
+    """Integral of each term density."""
+    return {
         name: float(_integrate_stack(dens if name == "fisher" else dens * st.p, st.grid, st.tw))
         for name, dens in terms.items()
     }
-    values["total"] = sum(values.values())
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,7 @@ class EquivalenceReport:
     rel_residual: float
     spinor_abs_residual: float
     spinor_rel_residual: float
-    # per-term values of lam * Fisher + knowledge functional, and "total"
+    # per-term values of lam * Fisher + knowledge functional, and ``total`` under "total"
     breakdown: dict[str, float]
 
 
@@ -475,7 +473,7 @@ def equivalence_residual(grid: Grid, fields: dict[str, np.ndarray], consts: Phys
         st = _stacks(grid, fields, dt, time_periodic, scheme)
         terms = _polar_terms(st, consts)
         tot = _total_of_terms(st, terms)
-        breakdown = _term_values(st, terms)
+        breakdown = {**_term_values(st, terms), "total": tot}
         shared = terms["potential"] + terms["moment_coupling"]
         del terms  # each route allocates its own temporaries; hold no more than needed
         joint = _joint_total(st, shared, consts)

@@ -118,7 +118,7 @@ def _locked(name: str, values, shape: tuple[int, ...], error: type[ValueError]) 
     another shape or a value that is not finite."""
     arr = np.array(values, dtype=np.float64, order="C")
     if arr.shape != shape:
-        raise error(f"{name} shape {arr.shape} does not match grid shape {shape}")
+        raise error(f"{name} shape {arr.shape} does not match {shape}")
     if not np.all(np.isfinite(arr)):
         raise error(f"{name} values must be finite")
     arr.setflags(write=False)
@@ -179,11 +179,18 @@ def derive_along(
         raise GridError(f"unknown derivative scheme {scheme!r}")
     if boundary == PERIODIC:
         return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-    if np.iscomplexobj(values):
-        return np.gradient(values.real, h, axis=axis, edge_order=2) + 1j * np.gradient(
-            values.imag, h, axis=axis, edge_order=2
-        )
     return np.gradient(values, h, axis=axis, edge_order=2)
+
+
+def _along(ndim: int, axis: int):
+    """``at(i)``: the index of ``i`` along ``axis`` of an ``ndim``-axis array,
+    every other axis whole."""
+    def at(i):
+        index = [slice(None)] * ndim
+        index[axis] = i
+        return tuple(index)
+
+    return at
 
 
 def second_derive_along(values: np.ndarray, h: float, axis: int, boundary: str) -> np.ndarray:
@@ -198,13 +205,7 @@ def second_derive_along(values: np.ndarray, h: float, axis: int, boundary: str) 
             np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
         ) / h2
     out = np.empty_like(values, dtype=np.result_type(values, np.float64))
-    sl = [slice(None)] * values.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
+    at = _along(values.ndim, axis)
     out[at(slice(1, -1))] = (
         values[at(slice(2, None))] - 2.0 * values[at(slice(1, -1))] + values[at(slice(0, -2))]
     ) / h2
@@ -249,11 +250,8 @@ def interior_mask(grid: Grid) -> np.ndarray:
     mask = np.ones(grid.shape, dtype=bool)
     if grid.boundary == DIRICHLET_ZERO:
         for ax in range(grid.dim):
-            sl = [slice(None)] * grid.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = False
-            sl[ax] = -1
-            mask[tuple(sl)] = False
+            at = _along(grid.dim, ax)
+            mask[at(0)] = mask[at(-1)] = False
     return mask
 
 
@@ -276,13 +274,7 @@ def phase_derive_along(values: np.ndarray, h: float, axis: int, boundary: str) -
         fwd = wrap_angle(np.roll(values, -1, axis=axis) - values)
         bwd = wrap_angle(values - np.roll(values, 1, axis=axis))
         return (fwd + bwd) / (2.0 * h)
-    sl = [slice(None)] * values.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
+    at = _along(values.ndim, axis)
     delta = wrap_angle(np.diff(values, axis=axis))
     out = np.empty_like(values, dtype=np.float64)
     out[at(slice(1, -1))] = (delta[at(slice(1, None))] + delta[at(slice(0, -1))]) / (2.0 * h)

@@ -25,6 +25,8 @@ from .grids import (
     PERIODIC,
     POSITIVITY_FLOOR,
     Grid,
+    _along,
+    _locked,
     derive_along,
     second_derive_along,
 )
@@ -51,19 +53,13 @@ class IProbTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if arr.ndim != self.grid.dim + 2 or arr.shape[1:] != self.grid.shape + (2,):
-            raise InferenceError(
-                f"table shape {arr.shape} does not match (slices,)+{self.grid.shape}+(2,)"
-            )
-        # written so that NaN fails every comparison
+        arr = _locked("table", self.probs, np.shape(self.probs)[:1] + self.grid.shape + (2,),
+                      InferenceError)
         if not np.all((arr >= 0) & (arr <= 1)):
             raise InferenceError("table entries must lie in [0, 1]")
         sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= 1e-12):
             raise InferenceError(f"table slices must sum to 1, got sums {sums}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -81,9 +77,8 @@ class DetectionDataset:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.counts, dtype=np.float64)
-        if arr.ndim != self.grid.dim + 2 or arr.shape[1:] != self.grid.shape + (2,):
-            raise InferenceError("count array shape does not match grid")
+        arr = _locked("counts", self.counts, np.shape(self.counts)[:1] + self.grid.shape + (2,),
+                      InferenceError)
         if not np.all(arr >= 0):
             raise InferenceError("counts must be nonnegative")
         sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
@@ -91,8 +86,6 @@ class DetectionDataset:
             raise InferenceError(
                 f"per-slice counts must sum to repetitions={self.repetitions}, got {sums}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
     @property
@@ -178,9 +171,7 @@ def _roll_fill(arr: np.ndarray, n: int, axis: int, periodic: bool) -> np.ndarray
         return arr
     out = np.roll(arr, n, axis=axis)
     if not periodic:
-        sl = [slice(None)] * arr.ndim
-        sl[axis] = slice(0, n) if n > 0 else slice(n, None)
-        out[tuple(sl)] = 0.0
+        out[_along(arr.ndim, axis)(slice(0, n) if n > 0 else slice(n, None))] = 0.0
     return out
 
 

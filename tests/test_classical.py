@@ -35,6 +35,28 @@ def angle_between(a, b):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: MomentState((np.nan, 0.0, 1.0)), "m values must be finite"),
+    (lambda: MomentState.from_angles(np.nan, 0.5), "m values must be finite"),
+    (lambda: MomentState((1.0, 0.0)), "m shape"),
+    (lambda: ChargedParticleState((1.0, 2.0, np.inf), (0.0, 0.0, 0.0)), "x values must be finite"),
+    (lambda: ChargedParticleState((1.0, 2.0, 3.0), (0.0, 0.0)), "v shape"),
+], ids=["nan_moment", "nan_azimuth", "short_moment", "inf_position", "short_velocity"])
+def test_states_refuse_what_is_not_a_finite_3_vector(build, message):
+    # a NaN moment passed the unit-norm test, abs(nan - 1) > 1e-9 being
+    # false, and torque_evolve then returned NaN moments
+    with pytest.raises(ClassicalError, match=message):
+        build()
+
+
+def test_states_store_read_only_copies():
+    m, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0])
+    moment, particle = MomentState(m), ChargedParticleState(x, x)
+    m[2] = x[0] = 5.0
+    assert moment.m.tolist() == [0.0, 0.0, 1.0] and particle.x.tolist() == [1.0, 2.0, 3.0]
+    assert not (moment.m.flags.writeable or particle.v.flags.writeable)
+
+
 def test_torque_zero_field():
     traj = torque_evolve(MomentState((0.3, 0.5, np.sqrt(1 - 0.34))), np.zeros(3), 1.0, 1.0, 1e-2)
     np.testing.assert_allclose(

@@ -255,14 +255,8 @@ def test_snapshot_layout_is_magic_length_header_then_arrays(tmp_path):
         {"name": "empty", "dtype": "float64", "shape": [3, 0]}]
 
 
-@pytest.mark.parametrize("buffer_bytes", [1, 96, 150, 192, 1 << 20])
 @pytest.mark.parametrize("records", [0, 1, 5, 12])
-def test_snapshot_stream_is_the_whole_array_encoding(tmp_path, monkeypatch, buffer_bytes,
-                                                     records):
-    # records of 96 bytes: buffers of one record (also where a record is
-    # larger than the buffer, or than the buffer and a part of one), of two,
-    # and of all; the last buffer full, partly full or empty
-    monkeypatch.setattr(fieldio, "_STREAM_BUFFER_BYTES", buffer_bytes)
+def test_snapshot_stream_is_the_whole_array_encoding(tmp_path, records):
     grid = Grid((1.0,), (3,), PERIODIC)
     rng = np.random.default_rng(records)
     stack = rng.random((records, 2, 3)) + 1j * rng.random((records, 2, 3))

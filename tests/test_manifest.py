@@ -2,6 +2,7 @@
 ``tests/manifest.tsv`` failing on a one-ulp change or a moved bound."""
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +134,24 @@ def test_every_pinned_leq_check_value_is_a_magnitude():
               and key.replace("/bound ", "/check ") in pins}
     assert values
     assert [key for key, value in values.items() if not float(value) >= 0.0] == []
+
+
+def _verdict(value: str, bound: str) -> bool:
+    """Whether a pinned check value meets its pinned tolerance text."""
+    op, _, limit = bound.partition(" ")
+    if op == "in":
+        lo, hi = limit.strip("[]").split(" .. ")
+        return float(lo) <= float(value) <= float(hi)
+    return {"<=": operator.le, ">=": operator.ge}[op](float(value), float(limit))
+
+
+def test_the_one_pinned_record_that_fails_its_bound_is_golden_03():
+    # golden/03, Crank-Nicolson uniform_field at 128 cells, 100 steps and
+    # t_final 1, is too coarse for its 1e-3 drift bound (0.0136); README
+    # lists it with the other admitted documents that fail their checks
+    pins = manifest.read(manifest.PINS)
+    verdicts = {key: _verdict(pins[key], pins[key.replace("/check ", "/bound ")])
+                for key in pins if "/check " in key}
+    assert len(verdicts) > 250
+    assert [key for key, passed in verdicts.items() if not passed] == [
+        "golden/03-pauli_evolve/check pauli.uniform_field_rel_error"]

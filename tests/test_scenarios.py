@@ -124,10 +124,12 @@ def test_cli_run_exit_codes(tmp_path, capsys):
 
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
-    # 30 Cayley steps over 10 periods put the precession rate 0.65% off
+    # a Cayley step turns the spin by 4 atan(omega dt / 4), not omega dt: at
+    # 20 steps a period the precession rate reads 2.05e-3 off
     failing = tmp_path / "fail.json"
     failing.write_text(json.dumps({
-        "kind": "pauli_evolve", "parameters": {"scheme": "crank_nicolson", "steps": 30},
+        "kind": "pauli_evolve",
+        "parameters": {"scheme": "crank_nicolson", "steps": 20, "record_every": 5},
     }))
     assert cli.main(["run", str(failing), "--output-dir", str(tmp_path / "out2")]) == 1
 
@@ -286,6 +288,18 @@ _SG_GRID_RULE = _JOINT + "sigma (pi cells / extent - k) >= pi"
     ("lorentz", {"setup": "uniform_b", "turns": 1e9}, [_JOINT + "turns * steps_per_turn"]),
     ("lorentz", {"setup": "uniform_b", "turns": 1000.0, "steps_per_turn": 501},
      [_JOINT + "turns * steps_per_turn"]),
+    # the spin's azimuth aliased from half a period per record: the precession
+    # record read 0.3 at 500 of 1,000 steps a period, and 0.6 at 700
+    ("pauli_evolve", {"setup": "larmor", "record_every": 500},
+     [_JOINT + "2 record_every < steps when setup is larmor"]),
+    ("pauli_evolve", {"setup": "larmor", "steps": 20, "scheme": "crank_nicolson"},
+     [_JOINT + "2 record_every < steps when setup is larmor"]),
+    # the packet crossed the jump of -e0 x at the edge of its periodic line,
+    # and the run exited 1 on pauli.uniform_field_rel_error (0.806)
+    ("pauli_evolve", {"setup": "uniform_field", "charge": -1.0, "e0": 2.0},
+     [_JOINT + "the uniform_field path"]),
+    ("pauli_evolve", {"setup": "uniform_field", "mass": 1e-320, "t_final": 1e-200},
+     [_JOINT + "the uniform_field path"]),
     # 10^9 steps, hours at 1,024 cells
     ("pauli_evolve", {"steps": 1000000000}, [_JOINT + "at most 10^6 time steps"]),
     ("pauli_evolve", {"setup": "larmor", "steps": 100001, "periods": 10.0, "record_every": 11},
@@ -318,8 +332,8 @@ _SG_GRID_RULE = _JOINT + "sigma (pi cells / extent - k) >= pi"
                       "periods": 1.0, "steps": 100}, [_CN_RULE]),
     ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
                       "record_every": 10, "t_final": 600}, [_CN_RULE]),
-    ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "steps": 1, "mass": 0.19},
-     [_CN_RULE]),
+    ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "steps": 3,
+                      "record_every": 1, "mass": 0.19 / 3}, [_CN_RULE]),
     ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
                       "t_final": 34.4}, [_CN_RULE]),
     # one field stack alone is 12.8 GB, and the run exited 3 allocating 23.8 GiB;
@@ -397,6 +411,9 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         ("pauli_evolve", {"setup": "free_packet", "steps": 300, "record_every": 100}),
         ("pauli_evolve", {"setup": "uniform_field", "steps": 250, "record_every": 100}),
         ("pauli_evolve", {"setup": "larmor", "steps": 250, "record_every": 100}),
+        ("pauli_evolve", {"setup": "larmor", "steps": 21, "record_every": 10}),
+        # the uniform_field path rule reads no packet parameter of another setup
+        ("pauli_evolve", {"setup": "larmor", "sigma": 0.0, "extent": 0.0, "t_final": 0.0}),
         # the step ceilings' edges, and the setups they do not read
         ("lorentz", {"setup": "uniform_b", "turns": 1000.0, "steps_per_turn": 500}),
         ("lorentz", {"setup": "uniform_e", "turns": 1e9}),
@@ -415,8 +432,8 @@ def test_joint_rules_admit_the_documents_that_run(tmp_path):
         # run that it does not read; the equivalence ceilings' edges
         ("pauli_evolve", {"setup": "free_packet", "scheme": "crank_nicolson", "steps": 10,
                           "t_final": 34.3}),
-        ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "steps": 1,
-                          "mass": 0.2}),
+        ("pauli_evolve", {"setup": "larmor", "scheme": "crank_nicolson", "steps": 3,
+                          "record_every": 1, "mass": 0.2 / 3}),
         ("pauli_evolve", {"setup": "free_packet", "steps": 10, "t_final": 600}),
         ("equivalence", {"cells": 32, "frames": 32, "sets": 64}),
         ("equivalence", {"cells": 64, "frames": 4, "sets": 1}),
@@ -525,6 +542,21 @@ def test_lorentz_box_rule_admits_the_paths_that_stay_inside(tmp_path, e0, wall, 
             parse_scenario(doc)
 
 
+@pytest.mark.parametrize("e0,admitted", [(1.527, True), (1.528, False), (-0.4166, True),
+                                         (-0.4167, False)])
+def test_uniform_field_rule_admits_the_paths_that_stay_inside(tmp_path, e0, admitted):
+    # at the defaults the final spread is 2.5, so the path from 20 to
+    # 20 + 18 e0 may come no nearer than 12.5 to either edge of [0, 60]; the
+    # admitted edges read 1.7e-7 and 3.6e-7 against 1e-3
+    doc = json.dumps({"kind": "pauli_evolve", "output_dir": str(tmp_path),
+                      "parameters": {"setup": "uniform_field", "e0": e0}})
+    if admitted:
+        assert run(parse_scenario(doc)).passed
+    else:
+        with pytest.raises(ScenarioError):
+            parse_scenario(doc)
+
+
 @pytest.mark.parametrize("dt,admitted", [(1e-3, False), (2.5e-4, True)])
 def test_moment_pole_rule_refuses_the_runs_that_drift(dt, admitted):
     # the cone about b = [1, 1, 2] comes within 0.0142 rad of the pole: at the
@@ -575,6 +607,10 @@ def test_cli_schema_prints_joint_rules(capsys):
     assert "requires: the precession cone clears the poles" in out
     assert cli.main(["schema", "evidence"]) == 0
     assert "requires: shift lies along x" in capsys.readouterr().out
+    assert cli.main(["schema", "pauli_evolve"]) == 0
+    out = capsys.readouterr().out
+    assert "requires: 2 record_every < steps when setup is larmor" in out
+    assert "requires: the uniform_field path extent / 3 + charge e0 t^2 / (2 mass)" in out
 
 
 def test_cli_range_errors_are_all_listed(tmp_path, capsys):
