@@ -90,16 +90,33 @@ def _cross(a, b) -> list:
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _rk4(state: list, t: float, dt: float, rhs) -> list:
-    """One fourth-order step of a list of floats, each element's operations
-    in the order numpy's array formulas take them, so with their bits."""
+def _rk4(state: list, dt: float, rhs) -> list:
+    """One fourth-order step of a list of floats under the autonomous
+    ``rhs(state)``, each element's operations in the order numpy's array
+    formulas take them, so with their bits."""
     h = 0.5 * dt
-    k1 = rhs(t, state)
-    k2 = rhs(t + h, [s + h * k for s, k in zip(state, k1)])
-    k3 = rhs(t + h, [s + h * k for s, k in zip(state, k2)])
-    k4 = rhs(t + dt, [s + dt * k for s, k in zip(state, k3)])
+    k1 = rhs(state)
+    k2 = rhs([s + h * k for s, k in zip(state, k1)])
+    k3 = rhs([s + h * k for s, k in zip(state, k2)])
+    k4 = rhs([s + dt * k for s, k in zip(state, k3)])
     w = dt / 6.0
     return [s + w * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+def _rk4_run(state: list, rhs, t_final: float, dt: float, after=None):
+    """RK4 steps of ``dt`` from ``state`` over round(t_final / dt) steps:
+    (times, states).  ``after(t, state)``, if given, takes each new state
+    and returns the one to keep."""
+    if dt <= 0:
+        raise ClassicalError("dt must be positive")
+    times = dt * np.arange(int(round(t_final / dt)) + 1)
+    states = [state]
+    for t in times[1:]:
+        state = _rk4(state, dt, rhs)
+        if after is not None:
+            state = after(t, state)
+        states.append(state)
+    return times, states
 
 
 # ---------------------------------------------------------------------------
@@ -120,24 +137,17 @@ def torque_evolve(
     trajectory keeps the norm error each renormalization removed, so a
     stepper that does not conserve |m| shows in it.
     """
-    if dt <= 0:
-        raise ClassicalError("dt must be positive")
-    steps = int(round(t_final / dt))
-    times = dt * np.arange(steps + 1)
-    bl = np.asarray(b, dtype=np.float64).reshape(3).tolist()
+    bl = _locked("b", b, (3,), ClassicalError).tolist()
     m = initial.m.tolist()
-    moments = [m]
     norm_errors = [float(np.linalg.norm(m)) - 1.0]
 
-    def rhs(t, m):
-        return [gamma * c for c in _cross(m, bl)]
-
-    for i in range(1, steps + 1):
-        m = _rk4(m, times[i - 1], dt, rhs)
+    def renormalized(t, m):
         norm = float(np.linalg.norm(m))
-        m = [c / norm for c in m]
-        moments.append(m)
         norm_errors.append(norm - 1.0)
+        return [c / norm for c in m]
+
+    times, moments = _rk4_run(m, lambda m: [gamma * c for c in _cross(m, bl)], t_final, dt,
+                              renormalized)
     return MomentTrajectory(times, np.array(moments), np.array(norm_errors))
 
 
@@ -163,15 +173,11 @@ def canonical_evolve(
     The chart is singular at the poles; the run aborts with a diagnostic when
     |z| enters the pole band.
     """
-    if dt <= 0:
-        raise ClassicalError("dt must be positive")
     if abs(z0) > 1.0 - POLE_BAND:
         raise ClassicalError(f"initial z={z0} inside the pole band")
-    steps = int(round(t_final / dt))
-    times = dt * np.arange(steps + 1)
-    bx, by, bz = np.asarray(b, dtype=np.float64).reshape(3).tolist()
+    bx, by, bz = _locked("b", b, (3,), ClassicalError).tolist()
 
-    def rhs(t, state):
+    def rhs(state):
         ph, zz = state
         zz = min(max(zz, -1.0), 1.0)
         s = math.sqrt(max(1.0 - zz * zz, 0.0))
@@ -182,15 +188,14 @@ def canonical_evolve(
         dz = gamma * s * (-bx * sin_p + by * cos_p)
         return [dphi, dz]
 
-    state = [float(phi0), float(z0)]
-    states = [state]
-    for i in range(1, steps + 1):
-        state = _rk4(state, times[i - 1], dt, rhs)
+    def off_the_poles(t, state):
         if abs(state[1]) > 1.0 - POLE_BAND:
             raise ClassicalError(
-                f"trajectory reached the pole band at t={times[i]:.6g} (z={state[1]:.6g})"
+                f"trajectory reached the pole band at t={t:.6g} (z={state[1]:.6g})"
             )
-        states.append(state)
+        return state
+
+    times, states = _rk4_run([float(phi0), float(z0)], rhs, t_final, dt, off_the_poles)
     phi, z = np.array(states).T.copy()
     return CanonicalTrajectory(times, phi, z)
 
@@ -225,24 +230,16 @@ def lorentz_evolve(
 ) -> ParticleTrajectory:
     """Integrate m x'' = q E + q x' cross B in the uniform fields ``e`` and
     ``b``, each a 3-vector."""
-    if dt <= 0:
-        raise ClassicalError("dt must be positive")
     if mass == 0:
         raise ClassicalError("mass must be nonzero")
-    el = np.asarray(e, dtype=np.float64).reshape(3).tolist()
-    bl = np.asarray(b, dtype=np.float64).reshape(3).tolist()
-    steps = int(round(t_final / dt))
-    times = dt * np.arange(steps + 1)
+    el = _locked("e", e, (3,), ClassicalError).tolist()
+    bl = _locked("b", b, (3,), ClassicalError).tolist()
 
-    def rhs(t, state):
+    def rhs(state):
         v = state[3:]
         return v + [(charge * ek + charge * ck) / mass for ek, ck in zip(el, _cross(v, bl))]
 
-    state = initial.x.tolist() + initial.v.tolist()
-    states = [state]
-    for i in range(1, steps + 1):
-        state = _rk4(state, times[i - 1], dt, rhs)
-        states.append(state)
+    times, states = _rk4_run(initial.x.tolist() + initial.v.tolist(), rhs, t_final, dt)
     xs, vs = np.array(states).reshape(-1, 2, 3).transpose(1, 0, 2).copy()
     return ParticleTrajectory(times, xs, vs)
 

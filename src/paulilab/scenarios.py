@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, classical, fieldio, inference, pauli, verification
 from .functionals import PhysicalConstants
 from .grids import PERIODIC, Grid
-from .verification import CheckRecord, check_leq, check_true
+from .verification import CheckRecord, check_leq
 
 
 class ScenarioError(ValueError):
@@ -252,21 +252,22 @@ _SIGMA_SQUARED_RULE = ("sigma^2 is finite (sigma at most about 1.34e154)",
                        ("sigma",), lambda sigma: math.isfinite(sigma * sigma))
 
 # The lattice Fisher oracle slices / sigma^2 holds only while the Gaussian
-# fits inside the lattice.  Over 3 to 16,384 cells, fisher.rel_error stayed
-# within its 0.02 bound up to sigma = 0.136 cells (at 15 and 16 cells),
-# rising to 0.161 cells from 64 cells up, so this rule leaves a factor of
-# at least 1.36 (1.6 at the default 256 cells, where sigma 50 gave 0.078)
+# fits inside the lattice.  Over 3 to 16,384 cells, fisher.discrete_rel_error
+# stayed within its 0.02 bound up to sigma = 0.136 cells (at 15 and 16
+# cells), rising to 0.161 cells from 64 cells up, so this rule leaves a
+# factor of at least 1.36 (1.6 at the default 256 cells, where sigma 50
+# gave 0.078)
 _FISHER_WIDTH_RULE = ("sigma <= cells / 10: the table fits inside the lattice, where the "
                       "Fisher oracle slices / sigma^2 holds",
                       ("cells", "sigma"), lambda cells, sigma: sigma <= cells / 10)
 # It also needs a table many cells wide: the lattice differences of a narrow
 # Gaussian overstate its Fisher information (rel_error 0.175 at sigma 1).
-# Over 3 to 16,384 cells, fisher.rel_error stayed within its 0.02 bound down
-# to sigma = 1.71 from 23 cells up, and 1.85 at 20 cells, the fewest the
-# width rule admits at sigma 2; so this rule leaves a factor of at least 1.08
-# (1.17 from 23 cells up), and at sigma 2 the error reads 0.0162 at 20 cells
-# and 0.0104 from 30 cells up.  Together the two rules ask for 20 cells,
-# which the range of cells says on its own.
+# Over 3 to 16,384 cells, fisher.discrete_rel_error stayed within its 0.02
+# bound down to sigma = 1.71 from 23 cells up, and 1.85 at 20 cells, the
+# fewest the width rule admits at sigma 2; so this rule leaves a factor of
+# at least 1.08 (1.17 from 23 cells up), and at sigma 2 the error reads
+# 0.0162 at 20 cells and 0.0104 from 30 cells up.  Together the two rules
+# ask for 20 cells, which the range of cells says on its own.
 _FISHER_FLOOR_RULE = ("sigma >= 2: the table spans enough cells for the lattice differences, "
                       "where the Fisher oracle slices / sigma^2 holds",
                       ("sigma",), lambda sigma: sigma >= 2)
@@ -621,17 +622,8 @@ def parse_scenario(document: str) -> Scenario:
 def _run_sample(scenario: Scenario, out):
     p = scenario.parameters
     table = verification.lattice_table(p["cells"], p["sigma"], p["slices"], p["color_angle"])
-    data = inference.sample_dataset(table, p["repetitions"], scenario.seed)
     path = out("dataset.csv")
-    fieldio.write_dataset_csv(path, data)
-    sums = data.counts.reshape(data.slices, -1).sum(axis=1)
-    checks = [
-        check_leq("sample.slice_sum_deviation", float(np.max(np.abs(sums - p["repetitions"]))), 0.0),
-        check_true(
-            "sample.round_trip_bit_exact",
-            bool(np.array_equal(fieldio.read_dataset_csv(path).counts, data.counts)),
-        ),
-    ]
+    _, *checks = verification.sampled_dataset(table, p["repetitions"], scenario.seed, path)
     return checks, [path]
 
 
@@ -650,9 +642,8 @@ def _run_evidence(scenario: Scenario, out):
 
 def _run_fisher_discrete(scenario: Scenario, out):
     p = scenario.parameters
-    value, oracle, checks = verification.discrete_fisher_oracle(
-        p["cells"], p["sigma"], p["slices"], "fisher.rel_error"
-    )
+    value, oracle, checks = verification.discrete_fisher_oracle(p["cells"], p["sigma"],
+                                                                p["slices"])
     path = out("fisher.csv")
     fieldio.write_table_csv(path, ["discrete_fisher", "oracle"], [(value, oracle)])
     return checks, [path]
@@ -678,8 +669,7 @@ def _run_equivalence(scenario: Scenario, out):
     p = scenario.parameters
     consts = PhysicalConstants(p["hbar"], p["mass"], p["charge"])
     reports, checks = verification.equivalence_sets(
-        p["cells"], p["frames"], p["sets"], scenario.seed, consts, p["max_mode"],
-        p["amplitude"], worst=f"equivalence.worst_rel_residual_{p['sets']}_sets",
+        p["cells"], p["frames"], p["sets"], scenario.seed, consts, p["max_mode"], p["amplitude"]
     )
     path = out("equivalence.csv")
     fieldio.write_table_csv(
@@ -757,9 +747,9 @@ def _run_moment(scenario: Scenario, out):
     torque = classical.torque_evolve(classical.MomentState.from_angles(*angles), b, gamma,
                                      p["t_final"], p["dt"])
     ct = classical.canonical_evolve(*angles, b, gamma, p["t_final"], p["dt"])
-    energies, energy = verification.moment_energy_drift("moment.energy_rel_drift", ct, b, gamma)
-    angle = verification.torque_vs_canonical_angle("moment.torque_vs_canonical_angle", torque, ct)
-    checks = [verification.moment_norm_drift("moment.norm_drift", torque), angle, energy]
+    energies, energy = verification.moment_energy_drift(ct, b, gamma)
+    checks = [verification.moment_norm_drift(torque),
+              verification.torque_vs_canonical_angle(torque, ct), energy]
     path_t = out("moment.csv")
     fieldio.write_table_csv(path_t, ["t", "mx", "my", "mz"], zip(torque.times, *torque.moments.T))
     path_c = out("canonical.csv")

@@ -72,6 +72,8 @@ def test_criterion_10_verify_all_fast(tmp_path):
     assert report["passed"] is True
     failures = [c for c in report["checks"] if not c["pass"]]
     assert failures == []
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == len(set(names))
     key, _ = manifest.VERIFY_ALL
     moves = pin_moves(key, report["outputs"],
                       [(c["name"], c["value"], c["tolerance"]) for c in report["checks"]])

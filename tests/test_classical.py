@@ -57,6 +57,26 @@ def test_states_store_read_only_copies():
     assert not (moment.m.flags.writeable or particle.v.flags.writeable)
 
 
+@pytest.mark.parametrize("run,message", [
+    (lambda: torque_evolve(MomentState((1.0, 0.0, 0.0)), (np.nan, 0.0, 1.0), 1.0, 0.1, 1e-2),
+     "b values must be finite"),
+    (lambda: canonical_evolve(0.7, 0.35, (0.0, np.nan, 1.0), 1.0, 0.1, 1e-2),
+     "b values must be finite"),
+    (lambda: lorentz_evolve(ChargedParticleState((0.0,) * 3, (0.0,) * 3), (np.inf, 0.0, 0.0),
+                            (0.0, 0.0, 1.0), 1.0, 1.0, 0.1, 1e-2), "e values must be finite"),
+    (lambda: torque_evolve(MomentState((1.0, 0.0, 0.0)), (0.0, 0.0, 1.0, 0.0), 1.0, 0.1, 1e-2),
+     "b shape"),
+    (lambda: lorentz_evolve(ChargedParticleState((0.0,) * 3, (0.0,) * 3), (0.0,) * 3,
+                            (0.0, 0.0, 1.0, 0.0), 1.0, 1.0, 0.1, 1e-2), "b shape"),
+], ids=["torque_nan_b", "canonical_nan_b", "lorentz_inf_e", "torque_4_vector",
+        "lorentz_4_vector"])
+def test_evolvers_refuse_a_field_that_is_not_a_finite_3_vector(run, message):
+    # a non-finite field gave a NaN trajectory, and a 4-vector numpy's
+    # reshape ValueError
+    with pytest.raises(ClassicalError, match=message):
+        run()
+
+
 def test_torque_zero_field():
     traj = torque_evolve(MomentState((0.3, 0.5, np.sqrt(1 - 0.34))), np.zeros(3), 1.0, 1.0, 1e-2)
     np.testing.assert_allclose(
@@ -108,8 +128,8 @@ def test_moment_norm_conserved():
 
 def test_torque_keeps_the_norm_error_each_step_removes(monkeypatch):
     # a forward-Euler step moves |m| to sqrt(1 + (dt gamma |m x B|)^2)
-    def forward_euler(state, t, dt, rhs):
-        return [s + dt * k for s, k in zip(state, rhs(t, state))]
+    def forward_euler(state, dt, rhs):
+        return [s + dt * k for s, k in zip(state, rhs(state))]
 
     monkeypatch.setattr(classical, "_rk4", forward_euler)
     b, gamma, dt = np.array([0.0, 0.0, 2.0]), 1.5, 1e-2
@@ -296,13 +316,13 @@ def test_cross_matches_numpy_bitwise(a, b):
                                   _bits(np.cross(np.array(a), np.array(b))))
 
 
-def rk4_on_arrays(state, t, dt, rhs):
+def rk4_on_arrays(state, dt, rhs):
     """The array RK4 step the float kernel replaces: the bit oracle for
     ``classical._rk4``."""
-    k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs(t + dt, state + dt * k3)
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -313,19 +333,19 @@ _MODERATE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infi
 @given(state=st.sampled_from([2, 3, 6]).flatmap(
            lambda n: st.lists(_MODERATE, min_size=n, max_size=n)),
        coeffs=st.lists(_MODERATE, min_size=3, max_size=3),
-       dt=st.floats(min_value=1e-6, max_value=10.0), t=_MODERATE)
-def test_rk4_on_floats_matches_the_array_step_bitwise(state, coeffs, dt, t):
+       dt=st.floats(min_value=1e-6, max_value=10.0))
+def test_rk4_on_floats_matches_the_array_step_bitwise(state, coeffs, dt):
     size = len(state)
 
-    def rhs(t, s):
-        # nonlinear, coupled and time-dependent, with a cross product for 3-vectors
+    def rhs(s):
+        # nonlinear, coupled and inhomogeneous, with a cross product for 3-vectors
         head = classical._cross(s, coeffs) if size == 3 else []
-        rest = [coeffs[0] * s[i - 1] - coeffs[1] * s[i] * s[i] + coeffs[2] * t
+        rest = [coeffs[0] * s[i - 1] - coeffs[1] * s[i] * s[i] + coeffs[2]
                 for i in range(len(head), size)]
         return head + rest
 
-    got = classical._rk4(state, t, dt, rhs)
-    want = rk4_on_arrays(np.array(state), t, dt, lambda t, s: np.array(rhs(t, s.tolist())))
+    got = classical._rk4(state, dt, rhs)
+    want = rk4_on_arrays(np.array(state), dt, lambda s: np.array(rhs(s.tolist())))
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -345,13 +365,13 @@ def test_lorentz_matches_the_array_rk4_bitwise(e, b, x, v, charge, mass, dt, ste
     traj = lorentz_evolve(ChargedParticleState(x, v), e, b, charge, mass, steps * dt, dt)
     e, b = np.array(e), np.array(b)
 
-    def rhs(t, s):
+    def rhs(s):
         return np.concatenate([s[3:], (charge * e + charge * np.cross(s[3:], b)) / mass])
 
     state = np.array(x + v)
     want = [state]
-    for t in traj.times[:-1]:
-        state = rk4_on_arrays(state, t, dt, rhs)
+    for _ in traj.times[:-1]:
+        state = rk4_on_arrays(state, dt, rhs)
         want.append(state)
     assert traj.times.size == steps + 1
     got = np.concatenate([traj.positions, traj.velocities], axis=1)

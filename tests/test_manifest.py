@@ -155,3 +155,16 @@ def test_the_one_pinned_record_that_fails_its_bound_is_golden_03():
     assert len(verdicts) > 250
     assert [key for key, passed in verdicts.items() if not passed] == [
         "golden/03-pauli_evolve/check pauli.uniform_field_rel_error"]
+
+
+def test_a_record_name_has_one_bound_in_every_pinned_run():
+    # a guarantee's records carry the same names and bounds in a document and
+    # in the battery; only the precision laws' documents keep a coarse
+    # grid's bound beside the battery's round-off bound
+    bounds: dict[str, set[str]] = {}
+    for key, bound in manifest.read(manifest.PINS).items():
+        if "/bound " in key:
+            bounds.setdefault(key.split("/bound ", 1)[1], set()).add(bound)
+    assert len(bounds) > 40
+    assert {name: texts for name, texts in bounds.items() if len(texts) > 1
+            and name not in ("pauli.precession_rel_error", "pauli.spreading_rel_error")} == {}

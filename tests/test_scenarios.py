@@ -1,5 +1,6 @@
 """Tests for scenario parsing, execution, reports, and the CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -82,6 +83,26 @@ def test_sample_run_byte_identical(tmp_path):
         assert report.passed
         blobs.append((out / "dataset.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_sample_document_fails_when_its_file_misstates_the_grid(tmp_path, monkeypatch):
+    # the writer puts twice the grid's extents into the header and leaves the
+    # counts alone: the round trip compared counts only, and the run exited 0
+    write = fieldio.write_dataset_csv
+
+    def doubled_extents(path, dataset):
+        grid = dataset.grid
+        wide = Grid(tuple(2.0 * e for e in grid.extents), grid.cells, grid.boundary)
+        write(path, dataclasses.replace(dataset, grid=wide))
+
+    monkeypatch.setattr(fieldio, "write_dataset_csv", doubled_extents)
+    doc = tmp_path / "sample.json"
+    doc.write_text(json.dumps({"kind": "sample", "parameters": {
+        "cells": 64, "sigma": 5.0, "slices": 2, "repetitions": 1000}}))
+    assert cli.main(["run", str(doc), "--output-dir", str(tmp_path / "out")]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {c["name"]: c["pass"] for c in report["checks"]} == {
+        "sample.slice_sum_deviation": True, "sample.round_trip_bit_exact": False}
 
 
 def test_run_writes_report_json(tmp_path):
@@ -272,12 +293,13 @@ _SG_GRID_RULE = _JOINT + "sigma (pi cells / extent - k) >= pi"
     ("pauli_evolve", {"setup": "free_packet", "steps": 250, "record_every": 100,
                       "scheme": "crank_nicolson"},
      [_JOINT + "steps is a multiple of record_every when setup is free_packet"]),
-    # the table overfilled its lattice and the run exited 1 on fisher.rel_error
-    # (0.078 at sigma 50 against the 0.02 bound; 0.024 at 64 cells and sigma 10.5)
+    # the table overfilled its lattice and the run exited 1 on
+    # fisher.discrete_rel_error (0.078 at sigma 50 against the 0.02 bound;
+    # 0.024 at 64 cells and sigma 10.5)
     ("fisher_discrete", {"sigma": 50.0}, [_JOINT + "sigma <= cells / 10"]),
     ("fisher_discrete", {"sigma": 10.5, "cells": 64}, [_JOINT + "sigma <= cells / 10"]),
     # the table was too narrow for the lattice differences, and the run exited 1
-    # on fisher.rel_error (0.175 at sigma 1, 0.0201 at sigma 1.7)
+    # on fisher.discrete_rel_error (0.175 at sigma 1, 0.0201 at sigma 1.7)
     ("fisher_discrete", {"sigma": 1.0}, [_JOINT + "sigma >= 2"]),
     ("fisher_discrete", {"sigma": 1.7}, [_JOINT + "sigma >= 2"]),
     # below 20 cells no sigma meets both width rules, so the range of cells
@@ -563,8 +585,7 @@ def test_moment_pole_rule_refuses_the_runs_that_drift(dt, admitted):
     # default dt the conjugate-pair run drifts 9.8e-8 in energy, at a quarter
     # of it 3.5e-10
     canonical = classical.canonical_evolve(0.7, 0.35, [1.0, 1.0, 2.0], 1.7, 2.0, dt)
-    _, record = verification.moment_energy_drift("moment.energy_rel_drift", canonical,
-                                                 [1.0, 1.0, 2.0], 1.7)
+    _, record = verification.moment_energy_drift(canonical, [1.0, 1.0, 2.0], 1.7)
     assert record.passed is admitted
     doc = json.dumps({"kind": "moment", "parameters": {"b": [1.0, 1.0, 2.0], "dt": dt}})
     if admitted:
